@@ -70,6 +70,21 @@ class BlockBitmapIndex:
         bits = np.unpackbits(self._packed[value])[: self.num_blocks]
         return bits.astype(bool)
 
+    def _checked_window(
+        self, values: np.ndarray, start_block: int, stop_block: int
+    ) -> tuple[np.ndarray, int]:
+        """Validate a window query; the values as int64 and the window's span."""
+        values = np.asarray(values, dtype=np.int64)
+        if not 0 <= start_block <= stop_block <= self.num_blocks:
+            raise ValueError(
+                f"window [{start_block}, {stop_block}) outside [0, {self.num_blocks})"
+            )
+        span = stop_block - start_block
+        if values.size and span:  # an empty query touches no value
+            if values.min() < 0 or values.max() >= self.cardinality:
+                raise ValueError("values out of range")
+        return values, span
+
     def chunk_presence(
         self, values: np.ndarray, start_block: int, stop_block: int
     ) -> np.ndarray:
@@ -78,20 +93,38 @@ class BlockBitmapIndex:
         This is the batch the lookahead thread (Algorithm 3) walks: for each
         candidate row, the window's bits are contiguous in storage.
         """
-        values = np.asarray(values, dtype=np.int64)
-        if not 0 <= start_block <= stop_block <= self.num_blocks:
-            raise ValueError(
-                f"window [{start_block}, {stop_block}) outside [0, {self.num_blocks})"
-            )
-        if values.size == 0 or stop_block == start_block:
-            return np.zeros((values.size, stop_block - start_block), dtype=bool)
-        if values.min() < 0 or values.max() >= self.cardinality:
-            raise ValueError("values out of range")
+        values, span = self._checked_window(values, start_block, stop_block)
+        if values.size == 0 or span == 0:
+            return np.zeros((values.size, span), dtype=bool)
         byte0 = start_block >> 3
         byte1 = -(-stop_block // 8)
         window = np.unpackbits(self._packed[values, byte0:byte1], axis=1)
         offset = start_block - byte0 * 8
-        return window[:, offset : offset + (stop_block - start_block)].astype(bool)
+        return window[:, offset : offset + span].astype(bool)
+
+    def any_present(
+        self, values: np.ndarray, start_block: int, stop_block: int
+    ) -> np.ndarray:
+        """Per block of the window: is *any* of ``values`` present?
+
+        Equal to ``chunk_presence(values, start, stop).any(axis=0)`` without
+        the ``(len(values), span)`` boolean matrix: the candidates' *packed*
+        bytes are OR-reduced over the window (Algorithm 3 streams packed
+        words) and one row is unpacked.  When ``values`` is every candidate
+        in order the packed rows are a plain slice, not a gather.
+        """
+        values, span = self._checked_window(values, start_block, stop_block)
+        if values.size == 0 or span == 0:
+            return np.zeros(span, dtype=bool)
+        byte0 = start_block >> 3
+        byte1 = -(-stop_block // 8)
+        if values.size == self.cardinality and (np.diff(values) == 1).all():
+            rows = self._packed[:, byte0:byte1]
+        else:
+            rows = self._packed[values, byte0:byte1]
+        bits = np.unpackbits(np.bitwise_or.reduce(rows, axis=0))
+        offset = start_block - byte0 * 8
+        return bits[offset : offset + span].view(np.bool_)
 
     def first_present(
         self, values: np.ndarray, start_block: int, stop_block: int

@@ -36,9 +36,9 @@ def normalize(counts: np.ndarray) -> np.ndarray:
     if np.any(counts < 0):
         raise ValueError("histogram counts must be non-negative")
     total = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        normalized = np.where(total > 0, counts / np.where(total > 0, total, 1.0), 0.0)
-    return normalized
+    # A zero-total row of non-negative counts is all zeros, so dividing it
+    # by 1 instead already yields the zero vector.
+    return counts / np.where(total > 0, total, 1.0)
 
 
 def l1_distance(r: np.ndarray, q: np.ndarray) -> float:

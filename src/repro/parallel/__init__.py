@@ -35,7 +35,9 @@ from .backend import CountSource, ExecutionBackend, SerialBackend, count_pairs
 from .kernels import (
     KERNEL_SPECS,
     KERNELS,
+    KernelChoice,
     build_pair_codes,
+    choose_kernel,
     count_window,
     pair_code_dtype,
     resolve_kernel,
@@ -56,6 +58,7 @@ __all__ = [
     "WORKER_BACKENDS",
     "CountSource",
     "ExecutionBackend",
+    "KernelChoice",
     "SegmentRef",
     "SerialBackend",
     "Shard",
@@ -71,6 +74,7 @@ __all__ = [
     "attach_segment",
     "available_cpus",
     "build_pair_codes",
+    "choose_kernel",
     "count_pairs",
     "count_shard",
     "count_window",

@@ -39,7 +39,13 @@ from ..obs.profiler import NULL_PROFILER
 from ..obs.tracer import NULL_TRACER
 from ..storage.io_manager import IOManager
 from ..storage.shuffle import ShuffledTable
-from .kernels import _count_pairs_moved, count_pairs, count_window
+from .kernels import (
+    KernelChoice,
+    _count_pairs_moved,
+    choose_kernel,
+    count_pairs,
+    count_window,
+)
 
 __all__ = ["CountSource", "ExecutionBackend", "SerialBackend", "count_pairs"]
 
@@ -68,8 +74,20 @@ class CountSource:
     #: Prepared pair-code column (:func:`~repro.parallel.kernels.build_pair_codes`)
     #: enabling the fused kernel; ``None`` when not prepared.
     codes: np.ndarray | None = None
-    #: Kernel spec forwarded to :func:`~repro.parallel.kernels.count_window`.
-    kernel: str = "auto"
+    #: Kernel forwarded to :func:`~repro.parallel.kernels.count_window`:
+    #: given as a spec, held as the choice it resolves to for this code
+    #: space and ``codes`` — made once here, not once per window.
+    kernel: str | KernelChoice = "auto"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kernel, KernelChoice):
+            object.__setattr__(
+                self,
+                "kernel",
+                choose_kernel(
+                    self.kernel, self.num_candidates, self.num_groups, self.codes
+                ),
+            )
 
 
 class ExecutionBackend(ABC):

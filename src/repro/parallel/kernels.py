@@ -10,17 +10,17 @@ only in how many bytes they materialize on the way:
   indexing into fresh stored-dtype arrays, an int64 upcast of both columns,
   then ``z * G + x`` in int64 and one bincount.  Kept as the reference
   kernel the identity tests pin the others against.
-- ``"narrow"`` — walks the window's contiguous block runs as slices
-  (:meth:`~repro.storage.blocks.BlockLayout.run_bounds`) instead of
-  materializing a row-index array, and computes the pair codes directly in
-  :func:`pair_code_dtype` — the narrowest dtype that holds
-  ``num_candidates * num_groups`` codes — skipping the per-window int64
-  upcasts entirely.  Selected automatically whenever the code space fits
-  ``uint32``.
+- ``"narrow"`` — gathers the window as whole blocks (a zero-copy slice
+  when the blocks are one contiguous run, otherwise one ``take`` through a
+  ``(num_blocks, block_size)`` view) instead of materializing a row-index
+  array, and computes the pair codes directly in :func:`pair_code_dtype` —
+  the narrowest dtype that holds ``num_candidates * num_groups`` codes —
+  skipping the per-window int64 upcasts entirely.  Selected automatically
+  whenever the code space fits ``uint32``.
 - ``"fused"`` — counts a *prepared pair-code column* (``z * G + x``
   materialized once per ``(z, x)`` pair by :func:`build_pair_codes` and
   cached in the session's prepared-artifact layer), so per-window work
-  degenerates to slice-take + bincount.  A single-run unfiltered window
+  degenerates to block gather + bincount.  A single-run unfiltered window
   bincounts a zero-copy view: zero bytes moved.
 
 Codes are exact in any of these dtypes (values are validated in
@@ -38,6 +38,8 @@ benchmark gates on.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..storage.blocks import BlockLayout
@@ -45,7 +47,9 @@ from ..storage.blocks import BlockLayout
 __all__ = [
     "KERNELS",
     "KERNEL_SPECS",
+    "KernelChoice",
     "build_pair_codes",
+    "choose_kernel",
     "count_pairs",
     "count_window",
     "pair_code_dtype",
@@ -119,13 +123,26 @@ def _count_pairs_moved(
     return counts, int(codes.nbytes)
 
 
-def resolve_kernel(
+class KernelChoice(NamedTuple):
+    """A kernel spec resolved against one code space.
+
+    What :func:`count_window` dispatches on.  A caller that counts many
+    windows over one ``(z, x)`` pair (:class:`~repro.parallel.CountSource`)
+    resolves once with :func:`choose_kernel` and passes the choice in the
+    spec's place, together with the ``codes`` it was resolved for.
+    """
+
+    name: str
+    code_dtype: np.dtype
+
+
+def choose_kernel(
     kernel: str,
     num_candidates: int,
     num_groups: int,
     codes: np.ndarray | None = None,
-) -> str:
-    """Auto-selection: the concrete kernel a spec resolves to.
+) -> KernelChoice:
+    """Auto-selection: the concrete kernel (and code dtype) a spec resolves to.
 
     A prepared code column always wins (the expensive part is already
     paid).  Otherwise ``"narrow"`` whenever the code space fits below
@@ -134,27 +151,71 @@ def resolve_kernel(
     """
     if kernel not in KERNEL_SPECS:
         raise ValueError(f"kernel must be one of {KERNEL_SPECS}, got {kernel!r}")
+    code_dtype = pair_code_dtype(num_candidates, num_groups)
     if kernel == "classic":
-        return "classic"
-    if codes is not None:
-        return "fused"
-    if pair_code_dtype(num_candidates, num_groups) != np.dtype(np.int64):
-        return "narrow"
-    return "classic"
+        name = "classic"
+    elif codes is not None:
+        name = "fused"
+    elif code_dtype != np.dtype(np.int64):
+        name = "narrow"
+    else:
+        name = "classic"
+    return KernelChoice(name, code_dtype)
 
 
-def _gather_runs(
-    column: np.ndarray, starts: np.ndarray, stops: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Rows of the given spans, in span order; zero-copy for a single run."""
-    if starts.size == 1:
-        return column[starts[0] : stops[0]], 0
-    out = np.concatenate([column[a:b] for a, b in zip(starts, stops)])
-    return out, int(out.nbytes)
+def resolve_kernel(
+    kernel: str,
+    num_candidates: int,
+    num_groups: int,
+    codes: np.ndarray | None = None,
+) -> str:
+    """The concrete kernel name a spec resolves to (see :func:`choose_kernel`)."""
+    return choose_kernel(kernel, num_candidates, num_groups, codes).name
+
+
+def _block_gather(blocks: np.ndarray, layout: BlockLayout):
+    """``gather(column) -> (rows, moved_bytes)`` for one window's blocks.
+
+    The rows are those of :meth:`BlockLayout.rows_of_blocks`, in the order
+    the blocks appear.  One contiguous run is a zero-copy slice; anything
+    else is taken as whole blocks through a ``(num_blocks, block_size)``
+    view — one call whatever the number of runs.
+    """
+    top = int(blocks.max())
+    if blocks.min() < 0 or top >= layout.num_blocks:
+        raise ValueError("block index out of range")
+    size = layout.block_size
+    first, last = int(blocks[0]), int(blocks[-1])
+    if last - first == blocks.size - 1 and (np.diff(blocks) == 1).all():
+        lo, hi = first * size, min((last + 1) * size, layout.num_rows)
+        return lambda column: (column[lo:hi], 0)
+    whole = layout.num_rows // size
+    body_rows = whole * size
+    # The short last block (index ``whole``, when there is one) has its own
+    # length, so it is spliced in wherever the window names it — last, for
+    # a sorted window.
+    short_at = np.flatnonzero(blocks == whole) if top == whole else blocks[:0]
+
+    def gather(column: np.ndarray) -> tuple[np.ndarray, int]:
+        body = column[:body_rows].reshape(whole, size)
+        if short_at.size == 0:
+            out = body.take(blocks, axis=0).reshape(-1)
+        else:
+            pieces, prev = [], 0
+            for at in short_at:
+                pieces.append(body.take(blocks[prev:at], axis=0).reshape(-1))
+                pieces.append(column[body_rows:])
+                prev = at + 1
+            pieces.append(body.take(blocks[prev:], axis=0).reshape(-1))
+            out = np.concatenate(pieces)
+        return out, int(out.nbytes)
+
+    return gather
 
 
 def _classic_kernel(
-    z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice, codes
+    z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice,
+    codes, code_dtype,
 ) -> tuple[np.ndarray, int]:
     """The legacy serial path, with its materializations accounted."""
     rows = layout.rows_of_blocks(blocks)
@@ -183,15 +244,16 @@ def _classic_kernel(
 
 
 def _narrow_kernel(
-    z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice, codes
+    z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice,
+    codes, code_dtype,
 ) -> tuple[np.ndarray, int]:
-    """Slice-run gather + narrow-dtype codes (no row index, no upcast)."""
-    starts, stops = layout.run_bounds(blocks)
-    zz, z_moved = _gather_runs(z, starts, stops)
-    xx, x_moved = _gather_runs(x, starts, stops)
+    """Whole-block gather + narrow-dtype codes (no row index, no upcast)."""
+    gather = _block_gather(blocks, layout)
+    zz, z_moved = gather(z)
+    xx, x_moved = gather(x)
     moved = z_moved + x_moved
     if row_filter is not None:
-        keep, keep_moved = _gather_runs(row_filter, starts, stops)
+        keep, keep_moved = gather(row_filter)
         moved += keep_moved
     else:
         keep = filter_slice
@@ -199,9 +261,7 @@ def _narrow_kernel(
         zz = zz[keep]
         xx = xx[keep]
         moved += int(zz.nbytes + xx.nbytes)
-    flat_codes = _pair_codes(
-        zz, xx, num_groups, pair_code_dtype(num_candidates, num_groups)
-    )
+    flat_codes = _pair_codes(zz, xx, num_groups, code_dtype)
     moved += int(flat_codes.nbytes)
     flat = np.bincount(flat_codes, minlength=num_candidates * num_groups)
     counts = flat.reshape(num_candidates, num_groups).astype(np.int64, copy=False)
@@ -209,13 +269,14 @@ def _narrow_kernel(
 
 
 def _fused_kernel(
-    z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice, codes
+    z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice,
+    codes, code_dtype,
 ) -> tuple[np.ndarray, int]:
-    """Take + bincount over the prepared pair-code column."""
-    starts, stops = layout.run_bounds(blocks)
-    flat_codes, moved = _gather_runs(codes, starts, stops)
+    """Block gather + bincount over the prepared pair-code column."""
+    gather = _block_gather(blocks, layout)
+    flat_codes, moved = gather(codes)
     if row_filter is not None:
-        keep, keep_moved = _gather_runs(row_filter, starts, stops)
+        keep, keep_moved = gather(row_filter)
         moved += keep_moved
     else:
         keep = filter_slice
@@ -246,12 +307,13 @@ def count_window(
     row_filter: np.ndarray | None = None,
     filter_slice: np.ndarray | None = None,
     codes: np.ndarray | None = None,
-    kernel: str = "auto",
+    kernel: str | KernelChoice = "auto",
 ) -> tuple[np.ndarray, int]:
     """Count ``(z, x)`` pairs of the rows covered by ``blocks``.
 
     The shared entry point of every backend's window counting: resolves
-    ``kernel`` (see :func:`resolve_kernel`), dispatches to the registry,
+    ``kernel`` (a spec, see :func:`choose_kernel`, or a choice already
+    made for this code space and ``codes``), dispatches to the registry,
     and returns the int64 ``(num_candidates, num_groups)`` count matrix
     plus the bytes the kernel materialized.
 
@@ -264,8 +326,9 @@ def count_window(
     blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.size == 0:
         return np.zeros((num_candidates, num_groups), dtype=np.int64), 0
-    kind = resolve_kernel(kernel, num_candidates, num_groups, codes=codes)
-    return KERNEL_REGISTRY[kind](
+    if not isinstance(kernel, KernelChoice):
+        kernel = choose_kernel(kernel, num_candidates, num_groups, codes=codes)
+    return KERNEL_REGISTRY[kernel.name](
         z, x, blocks, layout, num_candidates, num_groups,
-        row_filter, filter_slice, codes,
+        row_filter, filter_slice, codes, kernel.code_dtype,
     )

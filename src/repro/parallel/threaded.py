@@ -47,7 +47,7 @@ from ..obs.profiler import NULL_PROFILER
 from ..storage.blocks import BlockLayout
 from .affinity import AFFINITY_POLICIES, apply_affinity, plan_affinity
 from .backend import CountSource, ExecutionBackend
-from .kernels import count_window
+from .kernels import KernelChoice, count_window
 from .merge import ShardMerger
 from .shard import ShardPlanner
 from .sharded import DEFAULT_MIN_SHARD_ROWS, EXACT_PASS_BLOCK_ROWS
@@ -150,7 +150,7 @@ class ThreadPoolBackend(ExecutionBackend):
         span_name: str = "backend.window",
         profiler=NULL_PROFILER,
         codes: np.ndarray | None = None,
-        kernel: str = "auto",
+        kernel: str | KernelChoice = "auto",
     ) -> np.ndarray:
         """Plan shards, count each on the executor, merge exactly.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..storage.blocks import BlockLayout
-from .kernels import count_window
+from .kernels import KernelChoice, count_window
 from .shm import SegmentRef, attach_segment
 
 __all__ = ["ShardTask", "ShardResult", "count_shard", "worker_loop"]
@@ -51,8 +51,9 @@ class ShardTask:
     #: Prepared pair-code column (published to shared memory) enabling the
     #: fused kernel; ``None`` when the session has not prepared one.
     codes_ref: SegmentRef | None = None
-    #: Kernel spec forwarded to :func:`~repro.parallel.kernels.count_window`.
-    kernel: str = "auto"
+    #: Kernel spec, or the coordinator's resolved choice, forwarded to
+    #: :func:`~repro.parallel.kernels.count_window`.
+    kernel: str | KernelChoice = "auto"
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,11 @@ class BlockSamplingEngine:
         Optional prepared pair-code column
         (:func:`~repro.parallel.kernels.build_pair_codes`) enabling the
         fused kernel; must have one entry per row.
+    candidate_totals:
+        Optional per-candidate row totals *under ``row_filter``*, as a
+        prepared artifact already holds them (the row sums of its exact
+        counts).  Without them the engine counts the candidate column
+        itself, an O(rows) pass per engine.
     """
 
     def __init__(
@@ -107,6 +112,7 @@ class BlockSamplingEngine:
         profiler=None,
         kernel: str = "auto",
         codes: np.ndarray | None = None,
+        candidate_totals: np.ndarray | None = None,
     ) -> None:
         if window_blocks < 1:
             raise ValueError(f"window_blocks must be >= 1, got {window_blocks}")
@@ -147,16 +153,21 @@ class BlockSamplingEngine:
             kernel=kernel,
         )
 
-        z_column = shuffled.table.column(candidate_attribute).astype(np.int64, copy=False)
-        if row_filter is not None:
-            z_column = z_column[row_filter]
-        self._totals = np.bincount(z_column, minlength=self._num_candidates).astype(
-            np.int64
-        )
+        if candidate_totals is None:
+            z_column = shuffled.table.column(candidate_attribute).astype(
+                np.int64, copy=False
+            )
+            if row_filter is not None:
+                z_column = z_column[row_filter]
+            candidate_totals = np.bincount(z_column, minlength=self._num_candidates)
+        else:
+            candidate_totals = np.asarray(candidate_totals)
+            if candidate_totals.shape != (self._num_candidates,):
+                raise ValueError("candidate_totals must have one entry per candidate")
+        self._totals = candidate_totals.astype(np.int64, copy=False)
         self._delivered = np.zeros(self._num_candidates, dtype=np.int64)
-        self._consumed = np.zeros(max(self.layout.num_blocks, 1), dtype=bool)
-        if self.layout.num_blocks == 0:
-            self._consumed = np.zeros(0, dtype=bool)
+        self._consumed = np.zeros(self.layout.num_blocks, dtype=bool)
+        self._unconsumed = self.layout.num_blocks
 
         if start_block is None:
             start_block = shuffled.random_start_block(rng or np.random.default_rng())
@@ -190,7 +201,7 @@ class BlockSamplingEngine:
 
     @property
     def fully_scanned(self) -> bool:
-        return bool(self._consumed.all()) if self._consumed.size else True
+        return self._unconsumed == 0
 
     def delivered_rows(self) -> np.ndarray:
         return self._delivered.copy()
@@ -210,29 +221,41 @@ class BlockSamplingEngine:
         self._scan_pos = stop % num_blocks
         return window[~self._consumed[window]]
 
-    def _deliver_blocks(self, blocks: np.ndarray) -> tuple[np.ndarray, float]:
+    def _deliver_blocks(
+        self, blocks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int, float]:
         """Deliver blocks through the execution backend, mark them consumed.
 
         The backend gathers, filters, and counts (serially or sharded across
         workers); the engine keeps the bookkeeping — consumed blocks, per-
         candidate delivery tallies, effort counters.  Returns the fresh
-        count matrix and the I/O cost.
+        count matrix, its per-candidate row sums and their total (the one
+        reduction of the window, which the callers reuse), and the I/O cost.
+        ``blocks`` come from :meth:`_window`: distinct and not yet consumed.
         """
         if blocks.size == 0:
-            return np.zeros((self._num_candidates, self._num_groups), dtype=np.int64), 0.0
+            return (
+                np.zeros((self._num_candidates, self._num_groups), dtype=np.int64),
+                np.zeros(self._num_candidates, dtype=np.int64),
+                0,
+                0.0,
+            )
         blocks = np.sort(blocks)
         counts, cost_ns = self.backend.count_blocks(self._source, blocks)
-        self._delivered += counts.sum(axis=1)
+        row_sums = counts.sum(axis=1)
+        rows = int(row_sums.sum())
+        self._delivered += row_sums
         self._consumed[blocks] = True
+        self._unconsumed -= int(blocks.size)
         self.counters.blocks_read += int(blocks.size)
-        self.counters.rows_delivered += int(counts.sum())
+        self.counters.rows_delivered += rows
         if self.profiler.enabled:
             # Simulated I/O charge, not wall time — the ``engine.`` prefix
             # keeps it out of real-kernel-nanosecond totals; rows/blocks are
             # zero because the backend kernel already tallied this window.
             self.profiler.record_kernel("engine.deliver", float(cost_ns))
             self.profiler.bump("windows")
-        return counts, cost_ns
+        return counts, row_sums, rows, cost_ns
 
     # ---------------------------------------------------------------- stage 1
 
@@ -261,10 +284,10 @@ class BlockSamplingEngine:
             cumulative = np.cumsum(self.layout.rows_per_block(blocks))
             cutoff = int(np.searchsorted(cumulative, m - delivered)) + 1
             blocks = blocks[:cutoff]
-            counts, io_cost = self._deliver_blocks(blocks)
+            counts, _, rows, io_cost = self._deliver_blocks(blocks)
             self.clock.charge_serial(io=io_cost)
             total += counts
-            delivered += int(counts.sum())
+            delivered += rows
         return total
 
     # ---------------------------------------------------------------- stage 2+
@@ -319,7 +342,7 @@ class BlockSamplingEngine:
             self.counters.probes += decision.probes
             to_read = blocks[decision.read_mask]
             self.counters.blocks_skipped += int(blocks.size - to_read.size)
-            counts, io_cost = self._deliver_blocks(to_read)
+            counts, row_sums, rows, io_cost = self._deliver_blocks(to_read)
             if decision.overlaps_io:
                 self.clock.charge_pipelined(io_ns=io_cost, mark_ns=decision.mark_cost_ns)
             else:
@@ -327,7 +350,7 @@ class BlockSamplingEngine:
                 # state refresh, and a blocking engine↔I/O handoff all
                 # serialize with I/O (Challenge 4).
                 update_cost = self.cost_model.sync_update_cost(
-                    int(counts.sum()), self._num_candidates * self._num_groups
+                    rows, self._num_candidates * self._num_groups
                 )
                 handoff = self.cost_model.sync_handoff_cost(int(blocks.size))
                 self.clock.charge_serial(
@@ -336,8 +359,8 @@ class BlockSamplingEngine:
                     update=update_cost,
                 )
             fresh += counts
-            fresh_rows += counts.sum(axis=1)
-            delivered_call += int(counts.sum())
+            fresh_rows += row_sums
+            delivered_call += rows
         else:
             raise RuntimeError(
                 "sampling engine exceeded its window budget; "

@@ -141,8 +141,7 @@ class AnyActiveLookaheadPolicy:
             )
         lo = int(blocks.min())
         hi = int(blocks.max()) + 1
-        presence = index.chunk_presence(active_values, lo, hi)
-        read_mask = presence[:, blocks - lo].any(axis=0)
+        read_mask = index.any_present(active_values, lo, hi)[blocks - lo]
         span = hi - lo
         lines = -(-span // CACHELINE_BITS)
         return PolicyDecision(

@@ -272,6 +272,8 @@ class ServingEngine:
         self.admission = admission
         self.metrics = metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Unfinished entries only: :meth:`_finalize` drops an entry, so a
+        #: long-lived door scans pending work and retains no finished job.
         self._entries: list[TrackedJob] = []
         self._fresh: list[TrackedJob] = []
         self._order = 0
@@ -331,25 +333,26 @@ class ServingEngine:
     # -------------------------------------------------------------- inspection
 
     def _runnable(self) -> list[TrackedJob]:
-        return [e for e in self._entries if e.outcome is None]
+        """A snapshot — callers finalize (and so drop) entries while walking it."""
+        return list(self._entries)
 
     def _dispatchable(self) -> list[TrackedJob]:
         """Runnable entries not currently mid-step (eligible for pick)."""
-        return [e for e in self._entries if e.outcome is None and not e.in_flight]
+        return [e for e in self._entries if not e.in_flight]
 
     @property
     def pending(self) -> int:
         """Jobs submitted but not yet finalized (including in-flight steps)."""
-        return len(self._runnable())
+        return len(self._entries)
 
     @property
     def in_flight(self) -> int:
         """Entries whose current step is between pick and settle."""
-        return sum(1 for e in self._entries if e.outcome is None and e.in_flight)
+        return sum(1 for e in self._entries if e.in_flight)
 
     @property
     def idle(self) -> bool:
-        return not self._runnable()
+        return not self._entries
 
     # ------------------------------------------------------------- finalization
 
@@ -366,6 +369,7 @@ class ServingEngine:
             deadline_ns=entry.deadline_ns,
             error=error,
         )
+        self._entries.remove(entry)
         self._fresh.append(entry)
         if self.tracer.enabled:
             if finished > entry.last_progress_ns:

@@ -17,6 +17,7 @@ benchmarks can compare approaches on identical substrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,15 @@ class PreparedQuery:
             row_filter=row_filter,
         )
 
+    @cached_property
+    def candidate_totals(self) -> np.ndarray:
+        """Rows per candidate under the query's predicate — the row sums of
+        the exact counts, taken once per artifact (read-only, shared by
+        every engine :func:`make_engine` builds over it)."""
+        totals = self.exact_counts.sum(axis=1)
+        totals.setflags(write=False)
+        return totals
+
     @property
     def num_candidates(self) -> int:
         return self.exact_counts.shape[0]
@@ -169,6 +179,7 @@ def make_engine(
         profiler=profiler,
         kernel=kernel,
         codes=prepared.pair_codes,
+        candidate_totals=prepared.candidate_totals,
     )
 
 

@@ -99,6 +99,53 @@ class TestBlockBitmapIndex:
         got = idx.chunk_presence(np.arange(cardinality), 0, idx.num_blocks)
         np.testing.assert_array_equal(got, truth)
 
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["empty", "all", "subset", "duplicates", "permuted"]),
+    )
+    @settings(max_examples=120)
+    def test_property_any_present_is_chunk_presence_any(
+        self, n, cardinality, block_size, seed, kind
+    ):
+        """The packed OR-reduction answers exactly what the unpacked
+        presence matrix does, over windows that start and stop anywhere."""
+        rng = np.random.default_rng(seed)
+        col = rng.integers(0, cardinality, size=n)
+        idx = BlockBitmapIndex.build(col, cardinality, block_size)
+        values = {
+            "empty": np.array([], dtype=np.int64),
+            "all": np.arange(cardinality),
+            "subset": np.flatnonzero(rng.random(cardinality) < 0.5),
+            "duplicates": rng.integers(0, cardinality, size=cardinality),
+            "permuted": rng.permutation(cardinality),
+        }[kind]
+        lo = int(rng.integers(0, idx.num_blocks + 1))
+        hi = int(rng.integers(lo, idx.num_blocks + 1))
+        got = idx.any_present(values, lo, hi)
+        assert got.dtype == np.bool_ and got.shape == (hi - lo,)
+        np.testing.assert_array_equal(
+            got, idx.chunk_presence(values, lo, hi).any(axis=0)
+        )
+
+    def test_any_present_validation_matches_chunk_presence(self, column):
+        idx = BlockBitmapIndex.build(column, 11, block_size=64)
+        bad_calls = [
+            (np.array([0]), 5, 3),                   # inverted window
+            (np.array([0]), 0, idx.num_blocks + 1),  # past the last block
+            (np.array([0]), -1, 2),
+            (np.array([11]), 0, 4),                  # value out of range
+            (np.array([-1, 3]), 0, 4),
+        ]
+        for values, lo, hi in bad_calls:
+            with pytest.raises(ValueError) as packed:
+                idx.any_present(values, lo, hi)
+            with pytest.raises(ValueError) as unpacked:
+                idx.chunk_presence(values, lo, hi)
+            assert str(packed.value) == str(unpacked.value)
+
 
 class TestDensityMap:
     def test_block_counts_match_brute_force(self, column):

@@ -33,6 +33,7 @@ from repro.parallel import (
     WorkerPool,
     apply_affinity,
     build_pair_codes,
+    choose_kernel,
     count_shard,
     count_window,
     make_backend,
@@ -121,7 +122,38 @@ def block_subsets(num_blocks):
         "contiguous": np.arange(2, min(9, num_blocks), dtype=np.int64),
         "scattered": np.arange(0, num_blocks, 3, dtype=np.int64),
         "single": np.array([num_blocks // 2], dtype=np.int64),
+        # Every other block — the whole-block gather's shape — ending on
+        # the last block (short, when the layout has one) and before it.
+        "alternate_to_last": np.arange(
+            (num_blocks - 1) % 2, num_blocks, 2, dtype=np.int64
+        ),
+        "alternate_before_last": np.arange(
+            num_blocks % 2, num_blocks - 1, 2, dtype=np.int64
+        ),
+        # count_window takes blocks in any order, repeats included.
+        "last_in_the_middle": np.array(
+            [5, num_blocks - 1, 2, num_blocks - 1, 9], dtype=np.int64
+        ),
     }
+
+
+def expected_moved(kernel, z, x, codes, rows, kept, row_filter, filtered):
+    """Bytes a non-classic kernel materializes for a multi-run window of
+    ``rows`` rows of which ``kept`` pass the filter: the gathered columns,
+    the gathered ``row_filter``, the filtered columns, the code array."""
+    if kernel == "fused":
+        moved = rows * codes.itemsize
+        if row_filter is not None:
+            moved += rows * row_filter.itemsize
+        if filtered:
+            moved += kept * codes.itemsize
+        return moved
+    moved = rows * (z.itemsize + x.itemsize)
+    if row_filter is not None:
+        moved += rows * row_filter.itemsize
+    if filtered:
+        moved += kept * (z.itemsize + x.itemsize)
+    return moved + kept * codes.itemsize  # codes.dtype is pair_code_dtype
 
 
 class TestCountWindowIdentity:
@@ -158,6 +190,81 @@ class TestCountWindowIdentity:
                     counts, expected,
                     err_msg=f"kernel={kernel} subset={name} dtype={dtype}",
                 )
+
+    @pytest.mark.parametrize("n", [1003, 1024])  # with and without a short block
+    @pytest.mark.parametrize("filter_kind", ["none", "row_filter", "filter_slice"])
+    def test_scattered_windows_pinned_against_classic(self, n, filter_kind):
+        """The whole-block gather returns classic's counts and materializes
+        exactly the arrays the per-run gather did (``moved_bytes``)."""
+        rng = np.random.default_rng(n + len(filter_kind))
+        c, g, block_size = 40, 30, 32
+        layout = BlockLayout(num_rows=n, block_size=block_size)
+        z = rng.integers(0, c, size=n).astype(np.uint8)
+        x = rng.integers(0, g, size=n).astype(np.uint16)
+        codes = build_pair_codes(z, x, c, g)
+        row_filter = rng.random(n) < 0.6 if filter_kind == "row_filter" else None
+        subsets = block_subsets(layout.num_blocks)
+        for name in ("scattered", "alternate_to_last", "alternate_before_last",
+                     "last_in_the_middle"):
+            blocks = subsets[name]
+            rows = layout.rows_of_blocks(blocks)
+            filter_slice = None
+            if filter_kind == "filter_slice":
+                filter_slice = rng.random(rows.size) < 0.6
+            keep = row_filter[rows] if row_filter is not None else filter_slice
+            kept = rows.size if keep is None else int(keep.sum())
+            classic, _ = count_window(
+                z, x, blocks, layout, c, g, row_filter=row_filter,
+                filter_slice=filter_slice, kernel="classic",
+            )
+            for kernel in ("narrow", "fused"):
+                counts, moved = count_window(
+                    z, x, blocks, layout, c, g, row_filter=row_filter,
+                    filter_slice=filter_slice,
+                    codes=codes if kernel == "fused" else None, kernel=kernel,
+                )
+                np.testing.assert_array_equal(
+                    counts, classic, err_msg=f"kernel={kernel} subset={name}"
+                )
+                assert moved == expected_moved(
+                    kernel, z, x, codes, rows.size, kept, row_filter,
+                    keep is not None,
+                ), f"kernel={kernel} subset={name}"
+
+    def test_out_of_range_blocks_rejected_by_every_kernel(self):
+        layout = BlockLayout(num_rows=100, block_size=10)
+        z = np.zeros(100, dtype=np.uint8)
+        codes = build_pair_codes(z, z, 3, 3)
+        for kernel in ("classic", "narrow", "fused"):
+            for blocks in ([0, 10], [-1, 3], [2, 4, 11]):
+                with pytest.raises(ValueError, match="block index out of range"):
+                    count_window(
+                        z, z, np.array(blocks), layout, 3, 3,
+                        codes=codes if kernel == "fused" else None, kernel=kernel,
+                    )
+
+    def test_resolved_choice_counts_like_its_spec(self):
+        """A :class:`CountSource` hands count_window the choice it resolved
+        once; it must dispatch exactly as the spec does."""
+        layout = BlockLayout(num_rows=640, block_size=32)
+        rng = np.random.default_rng(4)
+        z = rng.integers(0, 6, size=640).astype(np.uint8)
+        x = rng.integers(0, 4, size=640).astype(np.uint8)
+        codes = build_pair_codes(z, x, 6, 4)
+        blocks = np.arange(1, 20, 2, dtype=np.int64)
+        for spec in KERNEL_SPECS:
+            for prepared in (None, codes):
+                choice = choose_kernel(spec, 6, 4, codes=prepared)
+                assert choice.name == resolve_kernel(spec, 6, 4, codes=prepared)
+                assert choice.code_dtype == pair_code_dtype(6, 4)
+                by_spec = count_window(
+                    z, x, blocks, layout, 6, 4, codes=prepared, kernel=spec
+                )
+                by_choice = count_window(
+                    z, x, blocks, layout, 6, 4, codes=prepared, kernel=choice
+                )
+                np.testing.assert_array_equal(by_spec[0], by_choice[0])
+                assert by_spec[1] == by_choice[1]
 
     def test_empty_blocks(self):
         layout = BlockLayout(num_rows=100, block_size=10)

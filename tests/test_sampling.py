@@ -5,6 +5,7 @@ import pytest
 
 from repro.bitmap import BlockBitmapIndex, build_bitmap_index
 from repro.core.sampler import TupleSampler
+from repro.parallel import ShardedBackend, ThreadPoolBackend
 from repro.sampling import (
     AnyActiveLookaheadPolicy,
     AnyActiveSyncPolicy,
@@ -99,6 +100,27 @@ class TestPolicies:
         look = AnyActiveLookaheadPolicy().select(self.index, blocks, active, self.cm, True)
         np.testing.assert_array_equal(sync.read_mask, look.read_mask)
         assert look.overlaps_io
+
+    def test_lookahead_decision_pinned_on_gappy_windows(self):
+        """Packed-byte marking decides exactly what the unpacked presence
+        matrix did: same mask, same probes, same marking cost."""
+        from repro.storage.cost_model import CACHELINE_BITS
+
+        rng = np.random.default_rng(3)
+        for active in (np.arange(8), np.array([6]), np.array([1, 4, 7])):
+            blocks = np.flatnonzero(rng.random(120) < 0.6)[3:]  # unaligned, gappy
+            lo, hi = int(blocks.min()), int(blocks.max()) + 1
+            d = AnyActiveLookaheadPolicy().select(
+                self.index, blocks, active, self.cm, True
+            )
+            presence = self.index.chunk_presence(active, lo, hi)
+            np.testing.assert_array_equal(
+                d.read_mask, presence[:, blocks - lo].any(axis=0)
+            )
+            assert d.probes == active.size * -(-(hi - lo) // CACHELINE_BITS)
+            assert d.mark_cost_ns == self.cm.lookahead_mark_cost(
+                active.size, hi - lo, True
+            )
 
     def test_lookahead_cheaper_per_block_than_sync_probes(self):
         """The Algorithm 3 cache win: marking a batch costs far less than
@@ -260,3 +282,127 @@ class TestSampleUntil:
         engine, _ = make_engine(shuffled, index, ScanAllPolicy())
         with pytest.raises(ValueError):
             engine.sample_until(np.zeros(3))
+
+
+class TestEngineBookkeeping:
+    """The window-rate bookkeeping (one reduction per window, an
+    unconsumed-block counter, totals handed in by the caller) reports what
+    recomputing from scratch does, step by step, on every backend."""
+
+    BACKENDS = {
+        "serial": lambda: None,
+        "threads": lambda: ThreadPoolBackend(2, min_shard_rows=0),
+        "sharded": lambda: ShardedBackend(2, min_shard_rows=0),
+    }
+
+    @staticmethod
+    def walk(shuffled, index, backend, row_filter, candidate_totals):
+        """Stage-1 pass, bounded stage-2 slices until the budgets are met,
+        then everything that is left; the observable state after every call."""
+        engine = BlockSamplingEngine(
+            shuffled=shuffled,
+            candidate_attribute="z",
+            grouping_attribute="x",
+            index=index,
+            cost_model=CostModel(),
+            clock=SimulatedClock(),
+            policy=AnyActiveLookaheadPolicy(),
+            window_blocks=8,
+            row_filter=row_filter,
+            start_block=37,
+            backend=backend,
+            candidate_totals=candidate_totals,
+        )
+        seen = np.zeros((engine.num_candidates, engine.num_groups), dtype=np.int64)
+        needed = np.zeros(engine.num_candidates)
+        needed[[0, 2, 5, -1]] = np.inf, 60, 15, np.inf
+        trace = []
+        draining = False
+        for step in range(200):
+            if step == 0:
+                fresh = engine.sample_uniform(700)
+            elif draining:
+                fresh = engine.sample_until(np.full(engine.num_candidates, np.inf))
+            else:
+                remaining = np.maximum(needed - seen.sum(axis=1), 0)
+                fresh = engine.sample_until(remaining, max_rows=300)
+            seen += fresh
+            counters = engine.counters
+            # What the parent recomputed per call, from the same state.
+            assert engine.fully_scanned == bool(engine._consumed.all())
+            np.testing.assert_array_equal(engine.delivered_rows(), seen.sum(axis=1))
+            assert counters.rows_delivered == seen.sum()
+            assert counters.blocks_read == engine._consumed.sum()
+            trace.append((
+                engine.fully_scanned, tuple(engine.delivered_rows()),
+                counters.blocks_read, counters.blocks_skipped,
+                counters.rows_delivered, counters.probes, counters.windows,
+                engine.clock.elapsed_ns,
+            ))
+            if draining:
+                break
+            # Nothing fresh: every budget is met or its candidate exhausted.
+            draining = not fresh.any()
+        return engine, trace
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
+    def test_state_matches_step_by_step_across_backends(self, filtered):
+        # 240 blocks of 25 rows, each holding under half of the 40 candidates.
+        shuffled, index = make_world(candidates=40, block_size=25)
+        row_filter = shuffled.table.column("x") < 3 if filtered else None
+        z = shuffled.table.column("z")
+        totals = np.bincount(z if row_filter is None else z[row_filter], minlength=40)
+        traces = {}
+        for name, build in self.BACKENDS.items():
+            backend = build()
+            try:
+                for handed_in in (None, totals):
+                    engine, trace = self.walk(
+                        shuffled, index, backend, row_filter, handed_in
+                    )
+                    np.testing.assert_array_equal(engine.candidate_rows(), totals)
+                    assert engine.total_rows == totals.sum()
+                    traces[name, handed_in is None] = trace
+            finally:
+                if backend is not None:
+                    backend.close()
+        reference = traces["serial", True]
+        assert len(reference) > 3
+        assert not reference[-2][0] and reference[-1][0]  # ends fully scanned
+        assert reference[-1][3] > 0  # blocks were skipped on the way
+        for key, trace in traces.items():
+            assert trace == reference, key
+
+    def test_candidate_totals_shape_checked(self):
+        shuffled, index = make_world()
+        with pytest.raises(ValueError, match="candidate_totals"):
+            BlockSamplingEngine(
+                shuffled=shuffled, candidate_attribute="z", grouping_attribute="x",
+                index=index, cost_model=CostModel(), clock=SimulatedClock(),
+                start_block=0, candidate_totals=np.zeros(7, dtype=np.int64),
+            )
+
+    def test_make_engine_hands_over_the_prepared_totals(self):
+        """A prepared artifact's row sums are the engine's totals — under
+        the query's predicate — so no engine recounts the column."""
+        from repro.core import HistSimConfig
+        from repro.query import HistogramQuery, IsIn
+        from repro.system import PreparedQuery
+        from repro.system.fastmatch import make_engine as make_prepared_engine
+
+        shuffled, _ = make_world()
+        query = HistogramQuery("z", "x", k=2, predicate=IsIn("x", (0, 2)))
+        prepared = PreparedQuery.prepare(
+            shuffled.table, query, np.random.default_rng(0), block_size=50
+        )
+        assert prepared.candidate_totals is prepared.candidate_totals  # taken once
+        assert not prepared.candidate_totals.flags.writeable
+        engine = make_prepared_engine(
+            prepared, "fastmatch", HistSimConfig(k=2), CostModel(),
+            SimulatedClock(), np.random.default_rng(1),
+        )
+        z = prepared.shuffled.table.column("z")[prepared.row_filter]
+        np.testing.assert_array_equal(
+            engine.candidate_rows(), np.bincount(z, minlength=8)
+        )
+        assert engine.total_rows == int(prepared.row_filter.sum())

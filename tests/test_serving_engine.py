@@ -361,3 +361,60 @@ class TestPickDispatchSettle:
         assert entry.outcome.status == "cancelled"
         assert entry.outcome.steps == 0
         assert len(engine.take_finished()) == 1
+
+
+class TestFinishedEntriesAreDropped:
+    """The engine keeps unfinished entries only: what callers observe is
+    unchanged, and a drained engine retains no job."""
+
+    def test_pending_idle_and_outcomes_through_a_mixed_drain(self):
+        clock = SimulatedClock()
+        engine = ServingEngine(clock, policy="rr")
+        handles = [
+            engine.submit(FakeJob("done", work=2, clock=clock)),
+            engine.submit(FakeJob("late", work=50, clock=clock), deadline_ns=35.0),
+            engine.submit(
+                FakeJob("missed", work=50, clock=clock),
+                deadline_ns=35.0, on_deadline="miss",
+            ),
+            engine.submit(FakeJob("long", work=6, clock=clock)),
+        ]
+        assert engine.pending == 4 and not engine.idle
+        pending_seen = []
+        while engine.step():
+            # Unfinished == tracked, at every slice.
+            assert engine.pending == sum(h.outcome is None for h in handles)
+            assert len(engine._entries) == engine.pending
+            pending_seen.append(engine.pending)
+        assert pending_seen[0] == 4 and pending_seen[-1] == 0
+        assert engine.idle and engine.pending == 0 and engine.in_flight == 0
+        assert len(engine._entries) == 0
+        # Callers keep their own handles; take_finished still pairs
+        # entries with outcomes, in submission order.
+        finished = engine.take_finished()
+        assert [e.name for e in finished] == ["done", "late", "missed", "long"]
+        assert [h.outcome.status for h in handles] == [
+            "completed", "partial", "miss", "completed",
+        ]
+        assert [h.outcome.steps for h in handles] == [2, 1, 1, 6]
+        assert engine.take_finished() == []
+
+    def test_cancel_and_mid_step_finalization_leave_nothing_tracked(self):
+        clock = SimulatedClock()
+        engine = ServingEngine(clock, policy="fifo")
+        engine.submit(FakeJob("a", work=3, clock=clock))
+        engine.submit(FakeJob("b", work=3, clock=clock))
+        picked = engine.pick()
+        assert engine.in_flight == 1
+        assert engine.cancel_pending("shutdown") == 2
+        # The straggler is finalized, so it no longer counts as in flight.
+        assert engine.pending == 0 and engine.in_flight == 0 and engine.idle
+        assert len(engine._entries) == 0
+        picked.job.step()
+        engine.settle(picked)
+        assert len(engine._entries) == 0 and len(engine.take_finished()) == 2
+        # The engine keeps serving after a drain.
+        engine.submit(FakeJob("c", work=1, clock=clock))
+        assert engine.pending == 1
+        (outcome,) = engine.run_until_idle()
+        assert outcome.status == "completed" and len(engine._entries) == 0
