@@ -27,7 +27,7 @@ from .distance import (
     normalize,
     total_variation,
 )
-from .guarantees import GuaranteeAudit, audit_result, delta_d, true_top_k
+from .guarantees import AuditTruth, GuaranteeAudit, audit_result, delta_d, true_top_k
 from .histsim import (
     HistSim,
     HistSimStepper,
@@ -70,6 +70,7 @@ __all__ = [
     "TargetSpec",
     "resolve_target",
     "uniform_target",
+    "AuditTruth",
     "GuaranteeAudit",
     "audit_result",
     "delta_d",

@@ -19,6 +19,8 @@ __all__ = [
     "total_variation",
     "kl_divergence",
     "candidate_distances",
+    "row_distances",
+    "subset_distances",
     "DISTANCE_FUNCTIONS",
 ]
 
@@ -94,7 +96,7 @@ def candidate_distances(counts: np.ndarray, target: np.ndarray) -> np.ndarray:
     normalized target, i.e. 1.0 for a proper distribution), consistent with
     :func:`l1_distance` on a zero vector.
     """
-    counts = np.asarray(counts, dtype=np.float64)
+    counts = np.asarray(counts)
     if counts.ndim != 2:
         raise ValueError("counts must have shape (num_candidates, num_groups)")
     q_bar = normalize(target)
@@ -102,8 +104,46 @@ def candidate_distances(counts: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"candidates have {counts.shape[1]} groups but target has {q_bar.shape[-1]}"
         )
-    r_bar = normalize(counts)
-    return np.abs(r_bar - q_bar[None, :]).sum(axis=1)
+    return row_distances(counts, q_bar)
+
+
+def row_distances(counts: np.ndarray, q_bar: np.ndarray) -> np.ndarray:
+    """:func:`candidate_distances` past its shape checks, to a target that
+    :func:`normalize` already scaled (callers that hold one target for many
+    calls normalize it once).  Every operation is row-wise, so a row's
+    distance has the same bits whichever other rows the matrix holds."""
+    return np.abs(normalize(counts) - q_bar[None, :]).sum(axis=1)
+
+
+def subset_distances(
+    counts: np.ndarray,
+    q_bar: np.ndarray,
+    rows: np.ndarray,
+    in_flight: np.ndarray | None = None,
+) -> np.ndarray:
+    """Distances of the candidates ``rows`` only, as a full-length vector.
+
+    ``rows`` holds sorted, distinct candidate indices (``np.flatnonzero`` of
+    an alive mask) and ``q_bar`` a normalized target, as for
+    :func:`row_distances`; ``in_flight`` is an optional second count matrix
+    added to ``counts`` on those rows (a stage-2 round's fresh counts).
+    Only the listed rows are gathered and normalized — the cost is
+    ``|rows| × |V_X|``, not ``|V_Z| × |V_X|`` — and when ``rows`` lists every
+    candidate the matrices are used as they are, without a gather copy.
+    Entries of unlisted candidates are ``inf``; listed ones equal
+    :func:`candidate_distances` bit for bit.
+    """
+    num_candidates = counts.shape[0]
+    if rows.size == num_candidates:
+        return row_distances(
+            counts if in_flight is None else counts + in_flight, q_bar
+        )
+    gathered = counts[rows]
+    if in_flight is not None:
+        gathered = gathered + in_flight[rows]
+    distances = np.full(num_candidates, np.inf)
+    distances[rows] = row_distances(gathered, q_bar)
+    return distances
 
 
 #: Registry used by the metric-comparison benchmarks (Table 5) and the

@@ -15,7 +15,54 @@ import numpy as np
 from .distance import candidate_distances, l1_distance
 from .result import MatchResult
 
-__all__ = ["GuaranteeAudit", "audit_result", "true_top_k", "delta_d"]
+__all__ = ["AuditTruth", "GuaranteeAudit", "audit_result", "true_top_k", "delta_d"]
+
+
+@dataclass(frozen=True)
+class AuditTruth:
+    """The side of an audit that depends only on the exact counts and the
+    target: true distances, per-candidate rows and their total.
+
+    Every audit of one prepared query shares it
+    (``PreparedQuery.audit_truth``), so ``|V_Z| × |V_X|`` ground-truth work is
+    paid once per artifact instead of three times per report.
+    """
+
+    distances: np.ndarray
+    rows: np.ndarray
+    total: float
+
+    @classmethod
+    def of(cls, exact_counts: np.ndarray, target: np.ndarray) -> "AuditTruth":
+        exact_counts = np.asarray(exact_counts, dtype=np.float64)
+        distances = candidate_distances(exact_counts, target)
+        rows = exact_counts.sum(axis=1)
+        distances.setflags(write=False)
+        rows.setflags(write=False)
+        return cls(distances=distances, rows=rows, total=float(rows.sum()))
+
+    def meets_selectivity(self, sigma: float) -> np.ndarray:
+        """Fresh mask of the candidates with ``N_i/N ≥ σ``."""
+        if sigma > 0:
+            return self.rows / self.total >= sigma
+        return np.ones(self.rows.size, dtype=bool)
+
+    def top_k(self, k: int, sigma: float) -> np.ndarray:
+        """``M*``: see :func:`true_top_k`."""
+        if self.total <= 0:
+            raise ValueError("exact counts are empty")
+        eligible = self.meets_selectivity(sigma)
+        eligible &= self.rows > 0
+        order = np.argsort(np.where(eligible, self.distances, np.inf), kind="stable")
+        return order[: min(k, int(eligible.sum()))]
+
+    def delta_d(self, returned: np.ndarray, k: int, sigma: float) -> float:
+        """Δd of a returned set: see :func:`delta_d`."""
+        truth_sum = float(self.distances[self.top_k(k, sigma)].sum())
+        returned_sum = float(self.distances[np.asarray(returned, dtype=np.intp)].sum())
+        if truth_sum == 0:
+            return 0.0 if returned_sum == 0 else float("inf")
+        return (returned_sum - truth_sum) / truth_sum
 
 
 def true_top_k(
@@ -29,18 +76,7 @@ def true_top_k(
     This is ``M*`` as computed by the Scan baseline: candidates with
     ``N_i/N < σ`` are excluded exactly, the rest ranked by true distance.
     """
-    exact_counts = np.asarray(exact_counts, dtype=np.float64)
-    rows = exact_counts.sum(axis=1)
-    total = rows.sum()
-    if total <= 0:
-        raise ValueError("exact counts are empty")
-    eligible = rows / total >= sigma if sigma > 0 else np.ones(rows.size, dtype=bool)
-    eligible &= rows > 0
-    distances = candidate_distances(exact_counts, target)
-    distances = np.where(eligible, distances, np.inf)
-    order = np.argsort(distances, kind="stable")
-    count = min(k, int(eligible.sum()))
-    return order[:count]
+    return AuditTruth.of(exact_counts, target).top_k(k, sigma)
 
 
 def delta_d(
@@ -59,13 +95,7 @@ def delta_d(
     negative when the approximate approach returns a low-selectivity
     candidate that is genuinely closer (the paper notes exactly this).
     """
-    truth = true_top_k(exact_counts, target, k, sigma)
-    distances = candidate_distances(exact_counts, target)
-    truth_sum = float(distances[truth].sum())
-    returned_sum = float(distances[np.asarray(returned, dtype=np.intp)].sum())
-    if truth_sum == 0:
-        return 0.0 if returned_sum == 0 else float("inf")
-    return (returned_sum - truth_sum) / truth_sum
+    return AuditTruth.of(exact_counts, target).delta_d(returned, k, sigma)
 
 
 @dataclass(frozen=True)
@@ -89,6 +119,7 @@ def audit_result(
     target: np.ndarray,
     epsilon: float,
     sigma: float,
+    truth: AuditTruth | None = None,
 ) -> GuaranteeAudit:
     """Check Guarantees 1 and 2 for a finished run against exact ground truth.
 
@@ -98,14 +129,16 @@ def audit_result(
 
     Guarantee 2 (reconstruction): every output histogram satisfies
     ``d(r_i, r*_i) < ε``.
-    """
-    exact_counts = np.asarray(exact_counts, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    returned = np.asarray(result.matching, dtype=np.intp)
 
-    true_distances = candidate_distances(exact_counts, target)
-    rows = exact_counts.sum(axis=1)
-    total = rows.sum()
+    ``truth`` is the :class:`AuditTruth` of ``(exact_counts, target)`` when
+    the caller holds one (a prepared query does); it is computed here
+    otherwise.
+    """
+    if truth is None:
+        truth = AuditTruth.of(exact_counts, target)
+    exact_counts = np.asarray(exact_counts)
+    returned = np.asarray(result.matching, dtype=np.intp)
+    true_distances, rows, total = truth.distances, truth.rows, truth.total
 
     if returned.size == 0:
         # Empty output is separation-correct only if every candidate is
@@ -120,9 +153,9 @@ def audit_result(
         )
 
     worst_output = float(true_distances[returned].max())
-    outside = np.setdiff1d(np.arange(rows.size), returned, assume_unique=False)
-    eligible_outside = outside[rows[outside] / total >= sigma] if sigma > 0 else outside
-    if eligible_outside.size:
+    eligible_outside = truth.meets_selectivity(sigma)
+    eligible_outside[returned] = False
+    if eligible_outside.any():
         separation_ok = bool(
             worst_output - float(true_distances[eligible_outside].min()) < epsilon
         )
@@ -138,7 +171,7 @@ def audit_result(
     return GuaranteeAudit(
         separation_ok=separation_ok,
         reconstruction_ok=reconstruction_ok,
-        delta_d=delta_d(returned, exact_counts, target, result.k, sigma),
+        delta_d=truth.delta_d(returned, result.k, sigma),
         worst_output_distance=worst_output,
         worst_reconstruction_error=worst_reconstruction,
     )

@@ -45,7 +45,7 @@ from .deviation import (
     stage2_sample_budget,
     stage3_sample_target,
 )
-from .distance import candidate_distances
+from .distance import normalize, row_distances, subset_distances
 from .hypergeometric import underrepresentation_pvalues
 from .multiple_testing import holm_bonferroni, simultaneous_rejection_log
 from .result import MatchResult, RoundTrace, StageStats
@@ -148,6 +148,9 @@ class HistSim:
             raise ValueError("target must be non-negative with positive mass")
         self.sampler = sampler
         self.target = target
+        #: The target scaled to unit mass, once: every τ of the run is a
+        #: distance to this vector.
+        self._target_bar = normalize(target)
         self.config = config
         self.backend = backend or SerialBackend()
         self._stats_cost = stats_cost or (lambda stage, ops: None)
@@ -173,6 +176,21 @@ class HistSim:
         if self._stage3_target_cache is None or self._stage3_target_cache[0] != key:
             self._stage3_target_cache = (key, stage3_sample_target(*key))
         return self._stage3_target_cache[1]
+
+    def alive_distances(
+        self, counts: np.ndarray, in_flight: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``d(counts_i [+ in_flight_i], q)`` for every alive candidate ``i``.
+
+        The statistics cost what ``A`` needs, as :meth:`finish_round` charges
+        them: pruned candidates' rows are neither gathered nor normalized
+        and read ``inf``.  Every consumer (``select_matching``,
+        ``split_point``, the round budgets and P-values) indexes by
+        ``matching`` / ``others`` / ``alive`` only.
+        """
+        return subset_distances(
+            counts, self._target_bar, np.flatnonzero(self.alive), in_flight
+        )
 
     # ------------------------------------------------------------------ stage 1
 
@@ -243,7 +261,7 @@ class HistSim:
     ) -> np.ndarray:
         """P-values (log) of the round's null hypotheses (Lemmas 2–3, Theorem 1)."""
         cfg = self.config
-        tau_round = self.state.round_distances(self.target)
+        tau_round = self.alive_distances(self.state.round_counts)
         eps_test = np.full(self.alive.size, -np.inf, dtype=np.float64)
         eps_test[matching] = s + cfg.epsilon / 2.0 - tau_round[matching]
         if s - cfg.epsilon / 2.0 >= 0.0:
@@ -267,7 +285,7 @@ class HistSim:
         alive_count = int(self.alive.sum())
         if alive_count > self.config.k:
             return None
-        tau = self.state.distances(self.target)
+        tau = self.alive_distances(self.state.counts)
         return select_matching(tau, self.alive, alive_count)
 
     def begin_round(self, round_index: int, delta_upper: float) -> RoundPlan:
@@ -276,7 +294,7 @@ class HistSim:
         :meth:`finish_round`."""
         cfg = self.config
         self.state.fold_round_into_cumulative()
-        tau = self.state.distances(self.target)
+        tau = self.alive_distances(self.state.counts)
         matching = select_matching(tau, self.alive, cfg.k)
         # Complement of M within the alive set via a boolean mask (cheaper
         # than a per-round set difference).
@@ -320,7 +338,7 @@ class HistSim:
                 round_index=plan.round_index,
                 delta_upper=plan.delta_upper,
                 split_point=plan.split,
-                matching=tuple(int(i) for i in plan.matching),
+                matching=tuple(plan.matching.tolist()),
                 budget_total=int(
                     np.where(np.isfinite(plan.budgets), plan.budgets, 0).sum()
                 ),
@@ -335,7 +353,7 @@ class HistSim:
         if self.sampler.fully_scanned:
             # Exact knowledge: fold and return the exact top-k.
             self.state.fold_round_into_cumulative()
-            tau = self.state.distances(self.target)
+            tau = self.alive_distances(self.state.counts)
             return select_matching(tau, self.alive, self.config.k)
         return None
 
@@ -345,7 +363,7 @@ class HistSim:
         self.state.fold_round_into_cumulative()
         self.backend.run_sampling(self.sampler, np.full(self.alive.size, np.inf))
         self.state.fold_round_into_cumulative()
-        tau = self.state.distances(self.target)
+        tau = self.alive_distances(self.state.counts)
         return select_matching(tau, self.alive, self.config.k)
 
     def run_stage2(self) -> np.ndarray:
@@ -394,9 +412,9 @@ class HistSim:
         stage3_samples: int,
     ) -> MatchResult:
         """Sort the matching set by final distance and package the output."""
-        tau = self.state.distances(self.target)
-        order = np.argsort(tau[matching], kind="stable")
-        matching = matching[order]
+        histograms = self.state.counts[matching]
+        tau = row_distances(histograms, self._target_bar)
+        order = np.argsort(tau, kind="stable")
         stats = StageStats(
             stage1_samples=stage1_samples,
             stage2_samples=stage2_samples,
@@ -406,10 +424,10 @@ class HistSim:
             rounds=len(self.rounds),
         )
         return MatchResult(
-            matching=tuple(int(i) for i in matching),
-            histograms=self.state.counts[matching].copy(),
-            distances=tau[matching].copy(),
-            pruned=tuple(int(i) for i in np.flatnonzero(pruned_mask)),
+            matching=tuple(matching[order].tolist()),
+            histograms=histograms[order],
+            distances=tau[order],
+            pruned=tuple(np.flatnonzero(pruned_mask).tolist()),
             exact=self.sampler.fully_scanned,
             stats=stats,
             rounds=tuple(self.rounds),
@@ -600,11 +618,17 @@ class HistSimStepper:
 
     # ------------------------------------------------------------ serving hooks
 
-    def _current_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative plus in-flight round counts/samples, without mutating
-        state (a mid-round fold would change later round tests)."""
+    def _current_samples(self) -> np.ndarray:
+        """Cumulative plus in-flight round samples per candidate, without
+        mutating state (a mid-round fold would change later round tests)."""
         state = self.algorithm.state
-        return state.counts + state.round_counts, state.samples + state.round_samples
+        return state.samples + state.round_samples
+
+    def _current_distances(self) -> np.ndarray:
+        """τ of the alive candidates over cumulative plus in-flight round
+        counts — summed on the alive rows only, and again non-mutating."""
+        state = self.algorithm.state
+        return self.algorithm.alive_distances(state.counts, state.round_counts)
 
     def partial_result(self) -> MatchResult:
         """Best-effort result from the work done so far (deadline path).
@@ -620,13 +644,13 @@ class HistSimStepper:
         if isinstance(self.stage, Done):
             return self.stage.result
         algo = self.algorithm
-        counts, samples = self._current_counts()
-        run_samples = int(samples.sum()) - self._before_stage1
+        state = algo.state
+        run_samples = int(self._current_samples().sum()) - self._before_stage1
         if run_samples <= 0:
             matching = np.empty(0, dtype=np.int64)
             tau = np.full(algo.alive.size, np.inf)
         else:
-            tau = candidate_distances(counts, algo.target)
+            tau = self._current_distances()
             if isinstance(self.stage, Stage3):
                 matching = np.asarray(self.stage.matching, dtype=np.int64)
                 order = np.argsort(tau[matching], kind="stable")
@@ -658,10 +682,10 @@ class HistSimStepper:
             rounds=len(algo.rounds),
         )
         return MatchResult(
-            matching=tuple(int(i) for i in matching),
-            histograms=counts[matching].copy(),
-            distances=tau[matching].copy(),
-            pruned=tuple(int(i) for i in np.flatnonzero(pruned_mask)),
+            matching=tuple(matching.tolist()),
+            histograms=state.counts[matching] + state.round_counts[matching],
+            distances=tau[matching],
+            pruned=tuple(np.flatnonzero(pruned_mask).tolist()),
             exact=algo.sampler.fully_scanned,
             stats=stats,
             rounds=tuple(algo.rounds),
@@ -688,7 +712,7 @@ class HistSimStepper:
             return float("inf")
         if algo.sampler.fully_scanned:
             return 0.0
-        _, samples = self._current_counts()
+        samples = self._current_samples()
         cfg = algo.config
         eps = np.asarray(
             epsilon_given_samples(
@@ -716,32 +740,25 @@ class HistSimStepper:
         cfg = algo.config
         if isinstance(self.stage, Done):
             return 0.0
-        counts, samples = self._current_counts()
-        tau = candidate_distances(counts, algo.target)
-        matching = select_matching(tau, algo.alive, cfg.k)
-        stage3_residual = float(
-            np.maximum(0, algo.stage3_target - samples[matching]).sum()
-        )
-        if isinstance(self.stage, Stage1):
-            m = cfg.effective_stage1_samples(algo.sampler.total_rows)
-            estimate = float(m) + stage3_residual
-        elif isinstance(self.stage, Stage2Round):
-            st = self.stage
-            if st.exhaust:
-                estimate = float(max(0, algo.sampler.total_rows - int(samples.sum())))
-            else:
-                if st.plan is not None:
-                    rem = np.maximum(st.plan.budgets - algo.state.round_samples, 0.0)
-                    round_rem = float(np.where(np.isfinite(rem), rem, 0.0).sum())
-                else:
-                    round_rem = float(
-                        cfg.min_round_samples * max(int(algo.alive.sum()), 1)
-                    )
-                estimate = round_rem + stage3_residual
-        else:
-            st = self.stage
+        st = self.stage
+        if isinstance(st, Stage3):
             needed = st.needed if st.needed is not None else algo.stage3_needed(st.matching)
             estimate = float(np.where(np.isfinite(needed), needed, 0.0).sum())
+        elif isinstance(st, Stage2Round) and st.exhaust:
+            scanned = int(self._current_samples().sum())
+            estimate = float(max(0, algo.sampler.total_rows - scanned))
+        else:
+            if isinstance(st, Stage1):
+                ahead = float(cfg.effective_stage1_samples(algo.sampler.total_rows))
+            elif st.plan is not None:
+                rem = np.maximum(st.plan.budgets - algo.state.round_samples, 0.0)
+                ahead = float(np.where(np.isfinite(rem), rem, 0.0).sum())
+            else:
+                ahead = float(cfg.min_round_samples * max(int(algo.alive.sum()), 1))
+            # Stage 3 then tops up the current empirical top-k.
+            matching = select_matching(self._current_distances(), algo.alive, cfg.k)
+            samples = self._current_samples()[matching]
+            estimate = ahead + float(np.maximum(0, algo.stage3_target - samples).sum())
         return min(estimate, float(algo.sampler.total_rows))
 
     def _sample(self, needed: np.ndarray) -> np.ndarray:

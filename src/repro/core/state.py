@@ -73,7 +73,15 @@ class CandidateState:
         self.round_samples += fresh.sum(axis=1)
 
     def fold_round_into_cumulative(self) -> None:
-        """Algorithm 1 lines 15–16: ``n_i += n∂_i``, ``r_i += r∂_i``, reset round."""
+        """Algorithm 1 lines 15–16: ``n_i += n∂_i``, ``r_i += r∂_i``, reset round.
+
+        An empty round (round 1 folds right after stage 1, which wrote the
+        cumulative state directly; stage 3 folds again after a rejected
+        round already did) has only zeros to add and to clear, so the two
+        ``|V_Z| × |V_X|`` passes are skipped.
+        """
+        if not self.round_samples.any():
+            return
         self.counts += self.round_counts
         self.samples += self.round_samples
         self.reset_round()

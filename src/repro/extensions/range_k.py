@@ -51,32 +51,16 @@ def run_histsim_range_k(
     algo = HistSim(sampler, np.asarray(target, dtype=np.float64), config)
     pruned_mask = algo.run_stage1()
 
-    tau = algo.state.distances(algo.target)
-    k = choose_k(tau, algo.alive, k_min, k_max)
+    k = choose_k(algo.alive_distances(algo.state.counts), algo.alive, k_min, k_max)
     algo.config = config.with_(k=k)
 
     matching = algo.run_stage2()
     algo.run_stage3(matching)
-
-    tau = algo.state.distances(algo.target)
-    order = np.argsort(tau[matching], kind="stable")
-    matching = matching[order]
-    from ..core.result import StageStats
-
-    stats = StageStats(
+    # The whole effort is booked under stage 3, as this entry point always has.
+    return algo._assemble_result(
+        pruned_mask,
+        matching,
         stage1_samples=0,
         stage2_samples=0,
         stage3_samples=int(algo.state.samples.sum()),
-        pruned_candidates=int(pruned_mask.sum()),
-        surviving_candidates=int(algo.alive.sum()),
-        rounds=len(algo.rounds),
-    )
-    return MatchResult(
-        matching=tuple(int(i) for i in matching),
-        histograms=algo.state.counts[matching].copy(),
-        distances=tau[matching].copy(),
-        pruned=tuple(int(i) for i in np.flatnonzero(pruned_mask)),
-        exact=algo.sampler.fully_scanned,
-        stats=stats,
-        rounds=tuple(algo.rounds),
     )

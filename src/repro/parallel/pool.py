@@ -25,6 +25,7 @@ import multiprocessing as mp
 import queue as queue_module
 import threading
 import time
+from multiprocessing import resource_tracker
 from typing import Sequence
 
 from ..obs.tracer import NULL_TRACER
@@ -99,6 +100,14 @@ class WorkerPool:
         # fork children share the parent's resource tracker; attach-time
         # registration bookkeeping differs accordingly (see attach_segment).
         shared_tracker = self.start_method == "fork"
+        if shared_tracker:
+            # Only a tracker that exists at fork time is shared.  The pool
+            # usually starts before the coordinator's first SharedMemory
+            # does, and a worker forked without a tracker would start a
+            # private one on its first attach, keep the attach-time
+            # registration there, and unlink segments it does not own when
+            # it exits.
+            resource_tracker.ensure_running()
         self._workers = [
             ctx.Process(
                 target=worker_loop,

@@ -158,7 +158,8 @@ class TrackedJob:
         "step_started_ns",
         "last_progress_ns",
         "tenant",
-        "_estimate_cache",
+        "_estimates",
+        "_estimates_step",
     )
 
     def __init__(
@@ -192,7 +193,8 @@ class TrackedJob:
         self.last_progress_ns = submitted_ns
         #: Tenant key for per-tenant metrics (registry-routed jobs carry one).
         self.tenant = getattr(job, "tenant", None)
-        self._estimate_cache: tuple[int, float, float] | None = None
+        self._estimates: dict[str, float] = {}
+        self._estimates_step = 0
 
     def estimated_remaining(self) -> float:
         """The job's lookahead cost estimate in rows; ``inf`` when it offers
@@ -203,7 +205,7 @@ class TrackedJob:
         slice — without the cache that is O(jobs) redundant estimator runs
         per step.
         """
-        return self._estimates()[0]
+        return self._estimate("estimated_remaining_rows")
 
     def estimated_remaining_ns(self) -> float:
         """Lookahead estimate of the job's remaining *service time* (ns).
@@ -212,17 +214,22 @@ class TrackedJob:
         (optimistic, I/O-only) estimate cannot meet is certainly doomed.
         ``inf`` when the job offers no estimate.
         """
-        return self._estimates()[1]
+        return self._estimate("estimated_remaining_ns")
 
-    def _estimates(self) -> tuple[float, float]:
-        if self._estimate_cache is not None and self._estimate_cache[0] == self.steps:
-            return self._estimate_cache[1], self._estimate_cache[2]
-        rows_estimator = getattr(self.job, "estimated_remaining_rows", None)
-        rows = float("inf") if rows_estimator is None else float(rows_estimator())
-        ns_estimator = getattr(self.job, "estimated_remaining_ns", None)
-        ns = float("inf") if ns_estimator is None else float(ns_estimator())
-        self._estimate_cache = (self.steps, rows, ns)
-        return rows, ns
+    def _estimate(self, estimator_name: str) -> float:
+        """The job's named estimator, run at most once per step and only
+        when a policy asks for it: a job's ``estimated_remaining_ns`` is its
+        row estimate at a unit cost, so running both for either question
+        would run the lookahead twice."""
+        if self._estimates_step != self.steps:
+            self._estimates_step = self.steps
+            self._estimates = {}
+        if estimator_name not in self._estimates:
+            estimator = getattr(self.job, estimator_name, None)
+            self._estimates[estimator_name] = (
+                float("inf") if estimator is None else float(estimator())
+            )
+        return self._estimates[estimator_name]
 
 
 class ServingEngine:

@@ -24,7 +24,7 @@ import numpy as np
 from ..bitmap.bitmap_index import BlockBitmapIndex
 from ..bitmap.builder import build_bitmap_index
 from ..core.config import HistSimConfig
-from ..core.guarantees import audit_result
+from ..core.guarantees import AuditTruth, audit_result
 from ..core.histsim import HistSim
 from ..core.result import MatchResult
 from ..core.target import resolve_target
@@ -124,6 +124,13 @@ class PreparedQuery:
         totals = self.exact_counts.sum(axis=1)
         totals.setflags(write=False)
         return totals
+
+    @cached_property
+    def audit_truth(self) -> AuditTruth:
+        """The result-independent side of :func:`audit_result` — true
+        distances to this artifact's target, per-candidate rows — taken once
+        per artifact (read-only, shared by every report over it)."""
+        return AuditTruth.of(self.exact_counts, self.target)
 
     @property
     def num_candidates(self) -> int:
@@ -230,7 +237,12 @@ def assemble_report(
     report_audit = None
     if audit and not partial:
         report_audit = audit_result(
-            result, prepared.exact_counts, prepared.target, config.epsilon, config.sigma
+            result,
+            prepared.exact_counts,
+            prepared.target,
+            config.epsilon,
+            config.sigma,
+            truth=prepared.audit_truth,
         )
     return RunReport(
         approach=approach,

@@ -12,6 +12,8 @@ from repro.core.distance import (
     l1_distance,
     l2_distance,
     normalize,
+    row_distances,
+    subset_distances,
     total_variation,
 )
 
@@ -148,3 +150,83 @@ class TestCandidateDistances:
             candidate_distances(np.ones(3), np.ones(3))
         with pytest.raises(ValueError):
             candidate_distances(np.ones((2, 3)), np.ones(4))
+
+
+count_matrices = hnp.arrays(
+    dtype=np.int64,
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 9)),
+    elements=st.integers(min_value=0, max_value=10**6),
+)
+
+
+class TestSubsetDistances:
+    """The alive-row τ: same bits as the full pass on the listed rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), counts=count_matrices)
+    def test_equals_full_pass_on_listed_rows(self, data, counts):
+        num_candidates, num_groups = counts.shape
+        alive = data.draw(
+            st.one_of(
+                st.just(np.ones(num_candidates, dtype=bool)),  # nothing pruned
+                st.integers(0, num_candidates - 1).map(  # one survivor
+                    lambda i: np.arange(num_candidates) == i
+                ),
+                hnp.arrays(dtype=bool, shape=num_candidates),
+            ),
+            label="alive",
+        )
+        empty = data.draw(hnp.arrays(dtype=bool, shape=num_candidates), label="empty")
+        counts = np.where(empty[:, None], 0, counts)  # unsampled candidates
+        fresh = data.draw(
+            st.none() | hnp.arrays(
+                dtype=np.int64, shape=counts.shape, elements=st.integers(0, 10**6)
+            ),
+            label="in_flight",
+        )
+        target = data.draw(
+            hnp.arrays(
+                dtype=np.float64,
+                shape=num_groups,
+                elements=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            ).filter(nonzero),
+            label="target",
+        )
+
+        tau = subset_distances(counts, normalize(target), np.flatnonzero(alive), fresh)
+
+        combined = counts if fresh is None else counts + fresh
+        full = candidate_distances(combined, target)
+        assert tau.shape == full.shape
+        assert tau[alive].tobytes() == full[alive].tobytes()
+        assert np.all(np.isinf(tau[~alive]))
+
+    @pytest.mark.parametrize("num_groups", [2, 24, 351])
+    def test_wide_supports_keep_the_bits(self, num_groups):
+        # Past the widths hypothesis draws: NumPy sums long rows pairwise in
+        # blocks, and a gathered row must still be summed as it was in place.
+        rng = np.random.default_rng(num_groups)
+        counts = rng.integers(0, 5000, size=(600, num_groups))
+        counts[rng.random(600) < 0.1] = 0
+        target = rng.random(num_groups)
+        alive = rng.random(600) < 0.1
+        tau = subset_distances(counts, normalize(target), np.flatnonzero(alive))
+        full = candidate_distances(counts, target)
+        assert tau[alive].tobytes() == full[alive].tobytes()
+
+    def test_nothing_pruned_uses_the_matrix_as_is(self):
+        counts = np.arange(12, dtype=np.int64).reshape(4, 3)
+        target = np.array([1.0, 2.0, 3.0])
+        tau = subset_distances(counts, normalize(target), np.arange(4))
+        assert tau.tobytes() == candidate_distances(counts, target).tobytes()
+        assert counts.tolist() == np.arange(12).reshape(4, 3).tolist()  # untouched
+
+    def test_in_flight_counts_are_added_without_mutating_either(self):
+        counts = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.int64)
+        fresh = np.array([[7, 0], [0, 0], [1, 1]], dtype=np.int64)
+        before = counts.copy(), fresh.copy()
+        q_bar = normalize(np.array([1.0, 3.0]))
+        tau = subset_distances(counts, q_bar, np.array([0, 2]), fresh)
+        assert tau[[0, 2]].tobytes() == row_distances((counts + fresh)[[0, 2]], q_bar).tobytes()
+        assert np.isinf(tau[1])
+        assert np.array_equal(counts, before[0]) and np.array_equal(fresh, before[1])

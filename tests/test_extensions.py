@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import ArraySampler, HistSimConfig, audit_result, l1_distance, run_histsim
+from repro.core import (
+    ArraySampler,
+    HistSimConfig,
+    StageStats,
+    audit_result,
+    l1_distance,
+    run_histsim,
+)
 from repro.core.distance import l2_distance, normalize
 from repro.extensions import (
     MeasureBiasedSampler,
@@ -239,6 +246,45 @@ class TestRangeK:
         # The natural gap sits after the 3 planted flat candidates.
         assert result.k == 3
         assert set(result.matching) == {0, 1, 2}
+
+    def test_run_pinned_with_pruned_candidates(self):
+        """One run with a fifth of the candidates pruned, pinned to the
+        answer from before τ was computed over the alive rows only and the
+        result assembled by the shared ``HistSim`` code."""
+        rng = np.random.default_rng(2024)
+        dists, sizes = [], []
+        for i in range(30):
+            base = np.full(6, 1.0 / 6)
+            if i >= 4:
+                base[i % 6] += 0.7
+                base /= base.sum()
+            dists.append(base)
+            sizes.append(15 if i % 5 == 4 else 5000)  # every fifth one is rare
+        z, x = make_population(rng, sizes, dists)
+        sampler = ArraySampler(z, x, 30, 6, np.random.default_rng(99))
+        config = HistSimConfig(
+            k=1, epsilon=0.2, delta=0.05, sigma=0.002, stage1_samples=20000
+        )
+        result = run_histsim_range_k(sampler, np.ones(6), config, k_min=2, k_max=8)
+
+        assert result.matching == (2, 1, 0, 3)
+        assert result.pruned == (4, 9, 14, 19, 24, 29)
+        assert result.stats == StageStats(
+            stage3_samples=28393, pruned_candidates=6, surviving_candidates=24, rounds=1
+        )
+        assert [trace.matching for trace in result.rounds] == [(2, 3, 1, 0)]
+        assert not result.exact
+        assert result.histograms.tolist() == [
+            [194, 191, 196, 192, 213, 180],
+            [200, 197, 192, 226, 199, 201],
+            [199, 182, 224, 208, 192, 195],
+            [196, 228, 186, 198, 183, 180],
+        ]
+        assert result.distances.tolist() == pytest.approx(
+            [0.03487707261292161, 0.03868312757201642,
+             0.053333333333333316, 0.06233988044406491],
+            rel=1e-12,
+        )
 
 
 class TestDualEpsilon:

@@ -1,9 +1,20 @@
 """Tests for guarantee auditing and the Δd metric (Sections 2.2, 5.3)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.guarantees import audit_result, delta_d, true_top_k
+from repro.core.distance import candidate_distances, l1_distance
+from repro.core.guarantees import (
+    AuditTruth,
+    GuaranteeAudit,
+    audit_result,
+    delta_d,
+    true_top_k,
+)
 from repro.core.result import MatchResult, StageStats
 
 
@@ -131,3 +142,114 @@ class TestAudit:
         assert audit.separation_ok
         audit2 = audit_result(result, exact, np.ones(2), epsilon=0.1, sigma=0.1)
         assert not audit2.separation_ok
+
+
+def reference_audit(result, exact_counts, target, epsilon, sigma):
+    """``audit_result`` as it stood before the truth was cached: every
+    ground-truth vector recomputed in place, the outside set by set
+    difference, Δd through two more full distance passes."""
+    exact_counts = np.asarray(exact_counts, dtype=np.float64)
+    returned = np.asarray(result.matching, dtype=np.intp)
+    true_distances = candidate_distances(exact_counts, target)
+    rows = exact_counts.sum(axis=1)
+    total = rows.sum()
+    if returned.size == 0:
+        return GuaranteeAudit(
+            separation_ok=not bool(np.any(rows / total >= sigma)),
+            reconstruction_ok=True,
+            delta_d=0.0,
+            worst_output_distance=float("nan"),
+            worst_reconstruction_error=0.0,
+        )
+    worst_output = float(true_distances[returned].max())
+    outside = np.setdiff1d(np.arange(rows.size), returned)
+    if sigma > 0:
+        outside = outside[rows[outside] / total >= sigma]
+    separation_ok = True
+    if outside.size:
+        separation_ok = bool(worst_output - float(true_distances[outside].min()) < epsilon)
+    worst_reconstruction = 0.0
+    for position, candidate in enumerate(returned):
+        err = l1_distance(result.histograms[position], exact_counts[candidate])
+        worst_reconstruction = max(worst_reconstruction, err)
+
+    eligible = rows / total >= sigma if sigma > 0 else np.ones(rows.size, dtype=bool)
+    eligible &= rows > 0
+    order = np.argsort(np.where(eligible, true_distances, np.inf), kind="stable")
+    top = order[: min(result.k, int(eligible.sum()))]
+    truth_sum = float(candidate_distances(exact_counts, target)[top].sum())
+    returned_sum = float(candidate_distances(exact_counts, target)[returned].sum())
+    if truth_sum == 0:
+        dd = 0.0 if returned_sum == 0 else float("inf")
+    else:
+        dd = (returned_sum - truth_sum) / truth_sum
+    return GuaranteeAudit(
+        separation_ok=separation_ok,
+        reconstruction_ok=worst_reconstruction < epsilon,
+        delta_d=dd,
+        worst_output_distance=worst_output,
+        worst_reconstruction_error=worst_reconstruction,
+    )
+
+
+def assert_audits_equal(a, b):
+    for field in dataclasses.fields(GuaranteeAudit):
+        left, right = getattr(a, field.name), getattr(b, field.name)
+        # Bit equality, and NaN (the empty output's worst distance) == NaN.
+        assert np.array_equal(left, right, equal_nan=True), (field.name, left, right)
+
+
+class TestCachedTruth:
+    """``audit_result(..., truth=...)``: same audit, ground truth paid once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_candidates=st.integers(2, 40),
+        num_groups=st.integers(1, 6),
+        output_size=st.integers(0, 5),
+        sigma=st.sampled_from([0.0, 0.02, 0.1]),
+        epsilon=st.sampled_from([0.05, 0.3]),
+    )
+    def test_same_audit_as_the_five_argument_call(
+        self, seed, num_candidates, num_groups, output_size, sigma, epsilon
+    ):
+        rng = np.random.default_rng(seed)
+        exact = rng.integers(0, 400, size=(num_candidates, num_groups))
+        # A few rare candidates, so sigma > 0 excludes some — and the
+        # output below is free to return one of them.
+        exact[rng.random(num_candidates) < 0.3] //= 100
+        exact[0, 0] += 1  # never an empty table
+        target = rng.random(num_groups) + 0.01
+        matching = rng.permutation(num_candidates)[: min(output_size, num_candidates)]
+        noise = rng.integers(-3, 4, size=(matching.size, num_groups))
+        result = make_result(matching.tolist(), np.maximum(exact[matching] + noise, 0))
+
+        truth = AuditTruth.of(exact, target)
+        cached = audit_result(result, exact, target, epsilon, sigma, truth=truth)
+        on_the_spot = audit_result(result, exact, target, epsilon, sigma)
+        reference = reference_audit(result, exact, target, epsilon, sigma)
+        assert_audits_equal(cached, on_the_spot)
+        assert_audits_equal(cached, reference)
+
+    def test_returned_low_selectivity_candidate(self, world):
+        exact, target = world
+        exact = exact.copy()
+        exact[0] = [5.0, 5.0]  # closest, but rare: M* excludes it
+        result = make_result([0, 1], exact[[0, 1]])
+        truth = AuditTruth.of(exact, target)
+        audit = audit_result(result, exact, target, 0.1, 0.05, truth=truth)
+        assert_audits_equal(audit, reference_audit(result, exact, target, 0.1, 0.05))
+        assert audit.delta_d < 0  # genuinely closer than the eligible top-2
+
+    def test_truth_is_read_only(self, world):
+        truth = AuditTruth.of(*world)
+        for vector in (truth.distances, truth.rows):
+            with pytest.raises(ValueError):
+                vector[0] = 0.0
+
+    def test_public_helpers_agree_with_the_truth_object(self, world):
+        exact, target = world
+        truth = AuditTruth.of(exact, target)
+        assert truth.top_k(2, 0.0).tolist() == true_top_k(exact, target, 2).tolist()
+        assert truth.delta_d([0, 2], 2, 0.0) == delta_d([0, 2], exact, target, 2)

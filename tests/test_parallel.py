@@ -4,9 +4,15 @@ planner, shared-memory store, worker kernel, pool, and merger."""
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.parallel import (
     SegmentRef,
@@ -381,6 +387,61 @@ class TestWorkerPool:
             tasks, _ = make_tasks(store, n=256, c=2, g=2, n_shards=1)
             with pytest.raises(ValueError, match="unique"):
                 pool.run([tasks[0], tasks[0]])
+
+
+#: A whole process's worth of sharded counting — the pool starts before the
+#: first segment is published, as it does in every real run.
+TRACKER_CYCLE = textwrap.dedent(
+    """
+    import os
+    import numpy as np
+    from repro.parallel import ShardedBackend
+    from repro.query.executor import exact_candidate_counts
+    from repro.query.spec import HistogramQuery
+    from repro.storage import CategoricalAttribute, ColumnTable, Schema
+
+    rng = np.random.default_rng(0)
+    schema = Schema((
+        CategoricalAttribute("z", tuple("abcd")),
+        CategoricalAttribute("x", tuple("uvw")),
+    ))
+    table = ColumnTable(
+        schema, {"z": rng.integers(0, 4, 4096), "x": rng.integers(0, 3, 4096)}
+    )
+    backend = ShardedBackend(2, min_shard_rows=0)
+    try:
+        counts = exact_candidate_counts(
+            table, HistogramQuery("z", "x", k=1), backend=backend
+        )
+        assert backend.pool.tasks_dispatched > 0 and backend.store.num_segments > 0
+        assert int(counts.sum()) == 4096
+    finally:
+        backend.close()
+    print(os.getpid())
+    """
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="/dev/shm tmpfs required")
+class TestResourceTracker:
+    def test_publish_count_close_leaves_no_tracker_noise(self):
+        """Fork workers must share the coordinator's resource tracker: one
+        forked before the tracker exists starts its own on first attach,
+        which then reports the coordinator's segments as leaked at shutdown
+        (and would unlink them under a live pool if the worker died)."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH", "")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", TRACKER_CYCLE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        child_pid = int(done.stdout.strip())
+        assert not {f for f in shm_files() if f.startswith(f"repro-{child_pid}-")}
 
 
 # ---------------------------------------------------------------------------

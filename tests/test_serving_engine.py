@@ -274,6 +274,66 @@ class TestFeasibilityShedding:
         assert outcomes[0].status == "partial"
 
 
+class CountingJob(FakeJob):
+    """A job shaped like the session's: the ns estimate is the row
+    estimate at a unit cost, and every run of the lookahead is counted."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lookaheads = 0
+
+    def estimated_remaining_rows(self):
+        self.lookaheads += 1
+        return super().estimated_remaining_rows()
+
+    def estimated_remaining_ns(self):
+        return self.estimated_remaining_rows() * 1.0
+
+
+class TestOneEstimatePerStep:
+    """The engine runs a job's lookahead once per step and policy question
+    — it used to run rows *and* ns for either, and ns re-runs rows."""
+
+    def run_mix(self, policy, job_cls):
+        clock = SimulatedClock()
+        engine = ServingEngine(clock, policy=policy)
+        jobs = [
+            job_cls("long", work=4, clock=clock),
+            job_cls("short", work=1, clock=clock),
+            job_cls("mid", work=2, clock=clock),
+        ]
+        for job, deadline in zip(jobs, (100.0, 5.0, 100.0)):
+            engine.submit(job, deadline_ns=deadline)
+        outcomes = [
+            (o.name, o.status, o.steps, o.finished_ns) for o in engine.run_until_idle()
+        ]
+        return jobs, outcomes
+
+    def test_cost_policy_asks_once_per_job_per_step(self):
+        jobs, outcomes = self.run_mix("cost", CountingJob)
+        # Every pick ranks every runnable job, so a job is asked at each
+        # step count it is runnable at: once per step it goes on to take.
+        assert [job.lookaheads for job in jobs] == [4, 1, 2]
+        assert outcomes == [  # in submission order; shortest ran first
+            ("long", "completed", 4, 70.0),
+            ("short", "completed", 1, 10.0),
+            ("mid", "completed", 2, 30.0),
+        ]
+        assert outcomes == self.run_mix("cost", FakeJob)[1]
+
+    def test_edf_f_asks_once_per_screened_job(self):
+        jobs, outcomes = self.run_mix("edf-f", CountingJob)
+        # Only jobs that have not had a slice yet are screened, and "short"
+        # (10 ns against a 5 ns deadline) is settled by its first screen.
+        assert [job.lookaheads for job in jobs] == [1, 1, 1]
+        assert outcomes == [
+            ("long", "completed", 4, 40.0),
+            ("short", "partial", 0, 0.0),
+            ("mid", "completed", 2, 60.0),
+        ]
+        assert outcomes == self.run_mix("edf-f", FakeJob)[1]
+
+
 class TestPickDispatchSettle:
     """The three-phase split: pick marks in-flight, settle accounts, and
     ``step()`` is exactly pick → job.step() → settle."""

@@ -48,6 +48,27 @@ class TestRoundAccounting:
         assert s.round_samples.sum() == 0
         np.testing.assert_array_equal(s.counts, fresh)
 
+    def test_fold_of_an_empty_round_changes_nothing(self):
+        """Round 1 folds right after stage 1 wrote the cumulative state
+        directly, and stage 3 folds again after a rejected round did:
+        there is nothing to add, so the matrices are not even touched."""
+        s = make_state()
+        s.counts += 3
+        s.samples += 12
+        s.counts.setflags(write=False)  # a skipped pass writes nothing
+        s.round_counts.setflags(write=False)
+        s.fold_round_into_cumulative()
+        assert s.samples.tolist() == [12, 12, 12]
+        assert s.counts.tolist() == [[3] * 4] * 3
+        # ... and a round with rows in it still folds.
+        s.counts.setflags(write=True)
+        s.round_counts.setflags(write=True)
+        s.record_round_counts(np.ones((3, 4), dtype=np.int64))
+        s.fold_round_into_cumulative()
+        assert s.samples.tolist() == [16, 16, 16]
+        assert s.counts.tolist() == [[4] * 4] * 3
+        assert not s.round_counts.any() and not s.round_samples.any()
+
     def test_fresh_samples_independent_of_cumulative(self):
         """Round statistics must come from fresh samples only (Section 3.4)."""
         s = make_state()

@@ -16,7 +16,14 @@ from repro.core import (
     HistSimStepper,
     run_histsim,
 )
-from repro.core.histsim import Done, Stage1, Stage2Round, Stage3
+from repro.core.distance import candidate_distances
+from repro.core.histsim import Done, Stage1, Stage2Round, Stage3, select_matching
+from repro.core.result import MatchResult, StageStats
+from repro.data import prepare_workload
+from repro.storage.cost_model import DEFAULT_COST_MODEL
+from repro.system.clock import SimulatedClock
+from repro.system.fastmatch import make_engine
+from repro.system.stats_engine import StatsEngine
 
 
 def synth_population(rng, sizes, distributions):
@@ -221,3 +228,146 @@ class TestIncrementalSampling:
         fresh = sampler.sample_until(np.full(candidates, 10_000.0), max_rows=250)
         # Delivery stops at the first batch boundary at/after the bound.
         assert 250 <= fresh.sum() <= 250 + 100
+
+
+# ---------------------------------------------------------------------------
+# Serving hooks: alive rows only, same values
+# ---------------------------------------------------------------------------
+
+
+def reference_partial_result(stepper):
+    """``partial_result`` as it stood while it summed and normalized the
+    count matrices of *every* candidate, pruned ones included."""
+    algo, stage = stepper.algorithm, stepper.stage
+    if isinstance(stage, Done):
+        return stage.result
+    counts = algo.state.counts + algo.state.round_counts
+    samples = algo.state.samples + algo.state.round_samples
+    run_samples = int(samples.sum()) - stepper._before_stage1
+    if run_samples <= 0:
+        matching = np.empty(0, dtype=np.int64)
+        tau = np.full(algo.alive.size, np.inf)
+    else:
+        tau = candidate_distances(counts, algo.target)
+        if isinstance(stage, Stage3):
+            matching = np.asarray(stage.matching, dtype=np.int64)
+            matching = matching[np.argsort(tau[matching], kind="stable")]
+        else:
+            matching = select_matching(tau, algo.alive, algo.config.k)
+    stage1 = stepper._after_stage1 - stepper._before_stage1
+    if isinstance(stage, Stage1):
+        stage1, stage2, stage3 = run_samples, 0, 0
+    elif isinstance(stage, Stage2Round):
+        stage2, stage3 = run_samples - stage1, 0
+    else:
+        stage2 = stepper._after_stage2 - stepper._after_stage1
+        stage3 = run_samples - stage1 - stage2
+    pruned = stepper._pruned_mask
+    if pruned is None:
+        pruned = np.zeros(algo.alive.size, dtype=bool)
+    return MatchResult(
+        matching=tuple(int(i) for i in matching),
+        histograms=counts[matching].copy(),
+        distances=tau[matching].copy(),
+        pruned=tuple(int(i) for i in np.flatnonzero(pruned)),
+        exact=algo.sampler.fully_scanned,
+        stats=StageStats(
+            stage1_samples=stage1,
+            stage2_samples=stage2,
+            stage3_samples=stage3,
+            pruned_candidates=int(pruned.sum()),
+            surviving_candidates=int(algo.alive.sum()),
+            rounds=len(algo.rounds),
+        ),
+        rounds=tuple(algo.rounds),
+    )
+
+
+def reference_remaining_rows(stepper):
+    """``estimated_remaining_rows`` from the same full-matrix era."""
+    algo, st = stepper.algorithm, stepper.stage
+    cfg = algo.config
+    if isinstance(st, Done):
+        return 0.0
+    counts = algo.state.counts + algo.state.round_counts
+    samples = algo.state.samples + algo.state.round_samples
+    tau = candidate_distances(counts, algo.target)
+    matching = select_matching(tau, algo.alive, cfg.k)
+    residual = float(np.maximum(0, algo.stage3_target - samples[matching]).sum())
+    if isinstance(st, Stage1):
+        estimate = float(cfg.effective_stage1_samples(algo.sampler.total_rows)) + residual
+    elif isinstance(st, Stage2Round):
+        if st.exhaust:
+            estimate = float(max(0, algo.sampler.total_rows - int(samples.sum())))
+        elif st.plan is not None:
+            rem = np.maximum(st.plan.budgets - algo.state.round_samples, 0.0)
+            estimate = float(np.where(np.isfinite(rem), rem, 0.0).sum()) + residual
+        else:
+            estimate = float(cfg.min_round_samples * max(int(algo.alive.sum()), 1)) + residual
+    else:
+        needed = st.needed if st.needed is not None else algo.stage3_needed(st.matching)
+        estimate = float(np.where(np.isfinite(needed), needed, 0.0).sum())
+    return min(estimate, float(algo.sampler.total_rows))
+
+
+class TestServingHooksOverAliveRows:
+    """``partial_result`` / ``estimated_remaining_rows`` read the alive rows
+    only; at every step of a Table-3 query — stage 1, mid-round slices with
+    fresh counts in flight, stage 3, done — they return what the
+    full-matrix implementations return."""
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        return prepare_workload("police-q3", rows=150_000, seed=7)
+
+    def make_stepper(self, prepared, max_step_rows):
+        config = HistSimConfig(
+            k=prepared.query.k, epsilon=0.2, delta=0.05, sigma=0.0008,
+            stage1_samples=20_000,
+        )
+        clock = SimulatedClock()
+        engine = make_engine(
+            prepared, "fastmatch", config, DEFAULT_COST_MODEL, clock,
+            np.random.default_rng(5),
+        )
+        algorithm = HistSim(
+            engine, prepared.target, config,
+            stats_cost=StatsEngine(DEFAULT_COST_MODEL, clock),
+        )
+        return HistSimStepper(algorithm=algorithm, max_step_rows=max_step_rows)
+
+    @pytest.mark.parametrize("max_step_rows", [None, 6_000])
+    def test_same_values_at_every_step(self, prepared, max_step_rows):
+        stepper = self.make_stepper(prepared, max_step_rows)
+        stages_seen, in_flight_seen = set(), False
+        while True:
+            assert_results_identical(
+                stepper.partial_result(), reference_partial_result(stepper)
+            )
+            assert stepper.estimated_remaining_rows() == reference_remaining_rows(stepper)
+            stages_seen.add(stepper.stage_name)
+            in_flight_seen |= bool(stepper.algorithm.state.round_samples.any())
+            if stepper.done:
+                break
+            stepper.step()
+        assert stages_seen == {"stage1", "stage2", "stage3", "done"}
+        # The query prunes, so the alive-row path (not the all-alive
+        # shortcut) is what ran; sliced rounds leave fresh counts in flight.
+        assert 0 < stepper.algorithm.alive.sum() < stepper.algorithm.alive.size
+        if max_step_rows is not None:
+            assert in_flight_seen
+
+    def test_hooks_do_not_mutate_the_run(self, prepared):
+        quiet = self.make_stepper(prepared, 6_000).run_to_completion()
+        observed = self.make_stepper(prepared, 6_000)
+        while not observed.done:
+            observed.partial_result()
+            observed.estimated_remaining_rows()
+            observed.step()
+        assert_results_identical(observed.result, quiet)
+
+    def test_cached_audit_truth_is_not_writable(self, prepared):
+        truth = prepared.audit_truth
+        assert truth is prepared.audit_truth  # once per artifact
+        assert not truth.distances.flags.writeable
+        assert not truth.rows.flags.writeable
