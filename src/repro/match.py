@@ -168,7 +168,7 @@ def match_many(
     Returns
     -------
     ScheduleResult — iterable of per-query
-    :class:`~repro.system.JobOutcome` in submission order (``.report``
+    :class:`~repro.serving.ServingOutcome` in submission order (``.report``
     holds the usual :class:`~repro.system.RunReport`; ``.latency_seconds``
     is the queue latency on the shared clock), plus aggregate
     ``.throughput_qps`` and ``.elapsed_seconds``.

@@ -5,12 +5,13 @@ serving architecture that claim implies when queries arrive as traffic
 rather than as a batch:
 
 - :class:`ServingEngine` — the pure, clock-agnostic scheduling core
-  (pick-next / advance-job / settle; no threads, no locks) every driver
-  runs on;
+  (one turn: settle / pick-next / advance-job; no threads, no locks)
+  every driver runs on;
 - :class:`FrontDoor` (threads) and :class:`AsyncFrontDoor` (asyncio) —
-  thin drivers accepting :class:`QueryRequest`\\ s while others run;
-  the thread door also replays open-loop arrival traces on the simulated
-  clock (deterministic).  Either drives one
+  thin adapters of one sans-IO drive core, accepting
+  :class:`QueryRequest`\\ s while others run; the thread door also
+  replays open-loop arrival traces on the simulated clock
+  (deterministic).  Either drives one
   :class:`~repro.system.MatchSession` or a multi-dataset
   :class:`~repro.system.SessionRegistry`;
 - :class:`AdmissionController` — bounded queue depth with load shedding
@@ -34,9 +35,9 @@ with no deadline returns byte-identical results to a standalone
 
 from .admission import AdmissionController
 from .async_frontdoor import AsyncFrontDoor, AsyncResponseHandle
-from .engine import ServingEngine
+from .engine import ServingEngine, ServingOutcome
 from .frontdoor import FrontDoor, ResponseHandle
-from .metrics import ServingMetrics
+from .metrics import CANCELLED, COMPLETED, MISS, PARTIAL, SHED, ServingMetrics
 from .policies import (
     POLICIES,
     EdfPolicy,
@@ -55,15 +56,6 @@ from .request import (
     QueryRequest,
     ServingError,
     UnknownDataset,
-)
-from .scheduler import (
-    CANCELLED,
-    COMPLETED,
-    MISS,
-    PARTIAL,
-    SHED,
-    ServingOutcome,
-    ServingScheduler,
 )
 
 __all__ = [
@@ -92,7 +84,6 @@ __all__ = [
     "ServingError",
     "ServingMetrics",
     "ServingOutcome",
-    "ServingScheduler",
     "ShortestCostPolicy",
     "UnknownDataset",
     "make_policy",

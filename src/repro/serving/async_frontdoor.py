@@ -1,13 +1,14 @@
 """The asyncio serving front door: multi-tenant, awaitable, single-threaded.
 
-:class:`AsyncFrontDoor` is the asyncio *driver* over the same pure
-scheduling core the thread door runs on
-(:class:`~repro.serving.engine.ServingEngine`): one scheduler task pumps
-engine steps inside the event loop, yielding to the loop between slices so
-concurrent submitters (one coroutine per client) interleave freely without
-a single lock.  Everything semantic — policy choice, deadlines,
-feasibility shedding, settlement, admission release — is the engine's;
-the driver only owns *when* steps happen and *how* callers wait.
+:class:`AsyncFrontDoor` is the asyncio *adapter* of the same sans-IO drive
+core the thread door runs on (:class:`~repro.serving.drive.DriveCore`):
+one scheduler task takes scheduling turns inside the event loop, yielding
+to the loop between slices so concurrent submitters (one coroutine per
+client) interleave freely without a single lock.  Everything semantic —
+policy choice, deadlines, feasibility shedding, settlement, admission
+release — is the engine's, and the admit path, stop/drain state and handle
+resolution are the core's; the adapter only owns *when* turns happen and
+*how* callers wait.
 
 Typical multi-tenant use, one task group, many clients::
 
@@ -44,12 +45,8 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 
-from ..obs.tracer import NULL_TRACER
-from .admission import AdmissionController
-from .engine import ServingEngine, ServingOutcome, TrackedJob
-from .frontdoor import admit_request
-from .metrics import ServingMetrics
-from .policies import SchedulingPolicy
+from .drive import DriveCore
+from .engine import ServingOutcome, TrackedJob
 from .request import QueryRequest, ServingError
 
 __all__ = ["AsyncFrontDoor", "AsyncResponseHandle"]
@@ -91,7 +88,7 @@ class AsyncResponseHandle:
         return outcome.report
 
 
-class AsyncFrontDoor:
+class AsyncFrontDoor(DriveCore):
     """Asyncio admission + scheduling in front of one serving *service*.
 
     Parameters
@@ -106,7 +103,7 @@ class AsyncFrontDoor:
         As for the thread :class:`~repro.serving.FrontDoor`.
     max_concurrent_steps:
         Step-execution slots.  The default 1 keeps the classic
-        single-tasked loop: steps run inline in the scheduler task, fully
+        single-tasked mode: steps run inline in the scheduler task, fully
         deterministic on a simulated clock.  Above 1 the scheduler
         offloads picked steps to a bounded thread-pool executor
         (``loop.run_in_executor``) and settles each as it completes, so
@@ -120,53 +117,12 @@ class AsyncFrontDoor:
     handles) and only ``job.step()`` runs on executor threads.
     """
 
-    def __init__(
-        self,
-        service,
-        *,
-        policy: str | SchedulingPolicy = "edf",
-        max_queue: int | None = None,
-        default_deadline_ns: float | None = None,
-        default_max_step_rows: int | None = None,
-        max_concurrent_steps: int = 1,
-        tracer=None,
-    ) -> None:
-        if max_concurrent_steps < 1:
-            raise ValueError(
-                f"max_concurrent_steps must be >= 1, got {max_concurrent_steps}"
-            )
-        self.service = service
-        self.max_concurrent_steps = max_concurrent_steps
-        # Tracing: explicit tracer beats the service's (sessions/registries
-        # carry one when constructed with tracer=...); default is the no-op.
-        self.tracer = (
-            tracer
-            if tracer is not None
-            else getattr(service, "tracer", None) or NULL_TRACER
-        )
-        self.metrics = ServingMetrics()
-        if self.tracer.enabled:
-            if self.tracer.clock is None:
-                self.tracer.clock = service.clock
-            # Per-stage sketches fill from the same spans the trace records.
-            self.tracer.subscribe(self.metrics)
-        self.admission = AdmissionController(max_queue)
-        self.default_deadline_ns = default_deadline_ns
-        self.default_max_step_rows = default_max_step_rows
-        self.engine = ServingEngine(
-            service.clock,
-            policy=policy,
-            backend=service.backend,
-            admission=self.admission,
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
-        self._handles: dict[int, AsyncResponseHandle] = {}
+    label = "async front door"
+    handle_type = AsyncResponseHandle
+
+    def _init_adapter(self) -> None:
         self._task: asyncio.Task | None = None
-        self._wake: asyncio.Event | None = None
-        self._accepting = True
-        self._stopping = False
-        self._drain_on_stop = True
+        self._wake = asyncio.Event()
         self._shutdown_started = False
         self._closed = asyncio.Event()
 
@@ -177,7 +133,6 @@ class AsyncFrontDoor:
         if self._stopping:
             raise ServingError("async front door is shut down")
         if self._task is None:
-            self._wake = asyncio.Event()
             self._task = asyncio.get_running_loop().create_task(
                 self._loop(), name="repro-async-front-door"
             )
@@ -199,148 +154,70 @@ class AsyncFrontDoor:
         work) happens inline in the submitting coroutine — admitted
         requests are scheduler-ready by the time the handle exists.
         """
-        if not self._accepting:
-            raise ServingError("async front door is shut down")
-        entry = admit_request(
-            self.service,
-            self.engine,
-            self.admission,
-            self.metrics,
-            request,
-            self.default_deadline_ns,
-            self.default_max_step_rows,
-            tracer=self.tracer,
-        )
-        handle = AsyncResponseHandle(entry.name)
-        self._handles[entry.seq] = handle
-        if self._wake is not None:
-            self._wake.set()
+        handle = self._submit(request)
+        self._wake.set()
         return handle
 
     # -------------------------------------------------------------- execution
 
-    def _dispatch(self) -> list[ServingOutcome]:
-        """Resolve handles for everything finalized since the last call."""
-        outcomes = []
-        for entry in self.engine.take_finished():
-            assert entry.outcome is not None
-            outcomes.append(entry.outcome)
-            handle = self._handles.pop(entry.seq, None)
-            if handle is not None:
-                handle._resolve(entry.outcome)
-        return outcomes
-
     async def _loop(self) -> None:
-        if self.max_concurrent_steps > 1:
-            await self._loop_concurrent()
-            return
-        reason = "async front door shut down mid-flight"
-        assert self._wake is not None
-        try:
-            while True:
-                if self._stopping and (not self._drain_on_stop or self.engine.idle):
-                    break
-                if self.engine.idle:
-                    # Park until a submit or shutdown wakes the scheduler.
-                    # No timeout needed: submit() and shutdown() both set
-                    # the event, and there is no await between the idle
-                    # check and this clear, so (single event loop) no
-                    # wakeup can slip through the gap.
-                    self._wake.clear()
-                    if self._stopping:
-                        continue  # re-check the exit condition, don't park
-                    await self._wake.wait()
-                    continue
-                self.engine.step()
-                self._dispatch()
-                # One engine step per loop turn: submitters and other tasks
-                # get the loop between slices.
-                await asyncio.sleep(0)
-        except asyncio.CancelledError:
-            reason = "async front door task cancelled"
-            raise
-        except Exception as exc:
-            # A failing job must not strand the other requests' handles.
-            reason = f"async front door scheduler failed: {exc!r}"
-        finally:
-            self._stopping = True
-            self._accepting = False
-            self.engine.cancel_pending(reason)
-            self._dispatch()
+        """The scheduler task: one turn per pass through the event loop.
 
-    async def _loop_concurrent(self) -> None:
-        """Multi-slot scheduler loop: pick → ``run_in_executor`` → settle.
-
-        All engine calls stay in the event loop; executor threads only run
-        ``job.step()``.  The loop waits on whichever fires first — a step
-        completion or the wake event (submit/shutdown) — so it dispatches
-        new work the moment a slot frees or a request arrives.
+        All engine calls stay in the event loop.  With one slot the turn
+        runs its step inline and settles it at once; with more,
+        ``run_in_executor`` threads run ``job.step()`` and set the wake
+        event when they report, so the task sleeps until a step completes
+        or a request arrives.
         """
-        reason = "async front door shut down mid-flight"
-        assert self._wake is not None
+        reason = None
         loop = asyncio.get_running_loop()
-        executor = ThreadPoolExecutor(
-            max_workers=self.max_concurrent_steps,
-            thread_name_prefix="repro-step",
-        )
-        inflight: dict[asyncio.Future, TrackedJob] = {}
+        executor, start = None, None
+        running: set[asyncio.Future] = set()
+        if self.max_concurrent_steps != 1:
+            executor = ThreadPoolExecutor(
+                max_workers=self.max_concurrent_steps,
+                thread_name_prefix="repro-step",
+            )
+
+            def run_step(entry: TrackedJob) -> None:
+                self.engine.run_step(entry)
+                loop.call_soon_threadsafe(self._wake.set)
+
+            def start(entry: TrackedJob) -> None:
+                future = loop.run_in_executor(executor, run_step, entry)
+                running.add(future)
+                future.add_done_callback(running.discard)
+
         try:
             while True:
-                if self._stopping and (
-                    not self._drain_on_stop or (self.engine.idle and not inflight)
-                ):
+                started = self.turn(start)
+                if self._drained:
                     break
-                while len(inflight) < self.max_concurrent_steps:
-                    entry = self.engine.pick()
-                    if entry is None:
-                        break
-                    future = loop.run_in_executor(executor, entry.job.step)
-                    inflight[future] = entry
-                # pick() finalizes expiries/sheds even when nothing is
-                # dispatchable; resolve those handles promptly.
-                self._dispatch()
-                if not inflight:
-                    # Park until a submit or shutdown wakes the scheduler
-                    # (same no-lost-wakeup argument as the single-slot
-                    # loop: no await between the pick and this clear).
+                if started:
+                    # Submitters and other tasks get the loop between slices.
+                    await asyncio.sleep(0)
+                else:
+                    # Park until a submit, a completion or shutdown sets the
+                    # event.  No wakeup can slip through: there is no await
+                    # between the turn (and the exit check) and this clear,
+                    # and a completion reported since is set by a callback
+                    # that only runs once this task awaits.
                     self._wake.clear()
-                    if self._stopping:
-                        continue  # re-check the exit condition, don't park
                     await self._wake.wait()
-                    continue
-                waker = asyncio.ensure_future(self._wake.wait())
-                done, _ = await asyncio.wait(
-                    {waker, *inflight}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if waker not in done:
-                    waker.cancel()
-                self._wake.clear()
-                for future in done:
-                    if future is waker:
-                        continue
-                    entry = inflight.pop(future)
-                    err = future.exception()
-                    if err is not None:
-                        raise err
-                    self.engine.settle(entry)
-                self._dispatch()
         except asyncio.CancelledError:
             reason = "async front door task cancelled"
             raise
         except Exception as exc:
-            # A failing step must not strand the other requests' handles.
+            # A failing scheduler must not strand the requests' handles.
             reason = f"async front door scheduler failed: {exc!r}"
         finally:
             # Let in-flight steps finish before cancelling what remains —
             # the service close that follows shutdown must not pull the
             # backend out from under a running step.
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
-            executor.shutdown(wait=True)
-            self._stopping = True
-            self._accepting = False
-            self.engine.cancel_pending(reason)
-            self._dispatch()
+            if executor is not None:
+                await asyncio.gather(*running, return_exceptions=True)
+                executor.shutdown(wait=True)
+            self._close(reason)
 
     async def pump(self) -> list[ServingOutcome]:
         """Serve until idle without a scheduler task (no-task mode); yields
@@ -348,9 +225,10 @@ class AsyncFrontDoor:
         by this call, in submission order."""
         if self._task is not None:
             raise ServingError("pump() cannot run alongside start()")
-        while self.engine.step():
+        finished: list[TrackedJob] = []
+        while self.turn(finished=finished):
             await asyncio.sleep(0)
-        return self._dispatch()
+        return self._in_order(finished)
 
     # ---------------------------------------------------------------- shutdown
 
@@ -368,24 +246,17 @@ class AsyncFrontDoor:
             await self._closed.wait()
             return
         self._shutdown_started = True
-        already = self._stopping  # the loop marks itself stopped on failure
-        self._accepting = False
-        self._stopping = True
-        self._drain_on_stop = drain
+        # The loop marks itself stopped on failure.
+        already = self._request_stop(drain)
         try:
             if self._task is not None:
-                if self._wake is not None:
-                    self._wake.set()
+                self._wake.set()
                 task, self._task = self._task, None
                 await task
             elif not already:
                 if drain:
-                    while self.engine.step():
-                        await asyncio.sleep(0)
-                self.engine.cancel_pending(
-                    "async front door shut down mid-flight"
-                )
-                self._dispatch()
+                    await self.pump()
+                self._close()
         finally:
             # Close even when the drain raised (task cancelled, loop torn
             # down): _closed must never be set with the service — worker

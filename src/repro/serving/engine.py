@@ -1,31 +1,30 @@
 """The pure scheduling engine: pick / dispatch / settle, no threads.
 
-This is the reentrant core every serving driver runs on — the thread
-:class:`~repro.serving.frontdoor.FrontDoor`, the asyncio
-:class:`~repro.serving.async_frontdoor.AsyncFrontDoor`, and the batch drain
-(:class:`~repro.system.scheduler.BatchScheduler`) are all thin shells that
-feed it jobs and pump :meth:`ServingEngine.step`.  The engine itself holds
-no locks, spawns no threads, and never blocks: drivers own concurrency,
-the engine owns scheduling semantics, and the two never mix.
+This is the reentrant core every serving driver runs on.  Each driver —
+the thread :class:`~repro.serving.frontdoor.FrontDoor`, the asyncio
+:class:`~repro.serving.async_frontdoor.AsyncFrontDoor`, open-loop replay,
+the no-thread pumps and the batch drain
+(:class:`~repro.system.scheduler.BatchScheduler`) — is an adapter that
+calls one method, :meth:`ServingEngine.turn`, and differs only in how a
+picked step is *started*.  The engine itself holds no locks, spawns no
+threads, and never blocks: drivers own concurrency and serialize their
+calls into it (only :meth:`ServingEngine.run_step` may run concurrently
+with them); the engine owns scheduling semantics.
 
-Step execution is split into three phases so drivers can run the compute
-off their scheduling loop:
+A turn joins three phases:
 
 - :meth:`ServingEngine.pick` — expire overdue jobs, shed infeasible ones,
   let the policy choose among the *dispatchable* entries (runnable and not
   already mid-step), and mark the choice in-flight;
-- **dispatch** — the driver runs ``entry.job.step()`` wherever it likes:
-  inline (the classic single-slot mode), in a thread-pool executor
-  (concurrent steps of different sessions), or via
-  ``loop.run_in_executor`` from asyncio;
+- **dispatch** — the driver's injected ``start`` arranges for
+  :meth:`ServingEngine.run_step` (``job.step()``, then report completion)
+  to run at once (the default — the classic, deterministic single-slot
+  mode), in a thread-pool executor (concurrent steps of different
+  sessions), or via ``loop.run_in_executor`` from asyncio;
 - :meth:`ServingEngine.settle` — stamp the step's service time on the
-  job's own clock, finalize completion, and re-run expiry.
-
-:meth:`ServingEngine.step` is exactly ``pick → job.step() → settle``, so
-single-slot drivers keep byte-identical behaviour; multi-slot drivers hold
-several entries in flight at once and settle each as it completes.  The
-engine still never blocks and holds no locks — drivers serialize their
-calls into it (only ``job.step()`` itself may run concurrently).
+  job's own clock, finalize completion, and re-run expiry — within the
+  same turn for a runner that completes at once, in whichever turn
+  follows its report otherwise.
 
 It is also **clock-agnostic**: the engine runs against the
 :class:`~repro.system.clock.Clock` protocol, so the same scheduling code
@@ -48,6 +47,9 @@ Semantics the engine owns:
   a deadline-carrying job whose lookahead cost estimate can no longer meet
   its deadline is settled as a partial answer *immediately*, so its slices
   go to requests that can still win;
+- **failure folding** — a step that raises cancels every pending job with
+  the failure as its reason, so no driver strands a waiter or an
+  admission slot;
 - **online submission** — jobs join while others run; outcomes are
   collected incrementally (:meth:`ServingEngine.take_finished`).
 
@@ -59,7 +61,9 @@ fixed sampling order, so any interleaving produces byte-identical results
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable
 
 from ..obs.tracer import NULL_TRACER
 from ..system.clock import Clock
@@ -133,6 +137,7 @@ class ServingOutcome:
         return self.latency_ns * 1e-6
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class TrackedJob:
     """Engine-internal bookkeeping around one submitted job.
 
@@ -142,59 +147,35 @@ class TrackedJob:
     on one shared clock they coincide, but the engine never assumes it.
     """
 
-    __slots__ = (
-        "job",
-        "name",
-        "seq",
-        "rr_key",
-        "clock",
-        "submitted_ns",
-        "deadline_ns",
-        "on_deadline",
-        "service_ns",
-        "steps",
-        "outcome",
-        "in_flight",
-        "step_started_ns",
-        "last_progress_ns",
-        "tenant",
-        "_estimates",
-        "_estimates_step",
-    )
+    job: object
+    name: str
+    seq: int
+    clock: Clock
+    submitted_ns: float
+    deadline_ns: float | None
+    on_deadline: str
+    service_ns: float = 0.0
+    steps: int = 0
+    outcome: ServingOutcome | None = None
+    #: True while a picked step is running (dispatch → settle window).
+    in_flight: bool = False
+    #: The job clock's reading when the in-flight step was picked.
+    step_started_ns: float = 0.0
+    #: Rotation key: the order stamp of the entry's latest pick.
+    rr_key: int = field(init=False)
+    #: High-water mark of accounted lifecycle time: queue-wait and step
+    #: spans tile [submitted_ns, finished_ns] exactly by always starting
+    #: where the previous span ended (replay backdates it to arrival).
+    last_progress_ns: float = field(init=False)
+    #: Tenant key for per-tenant metrics (registry-routed jobs carry one).
+    tenant: str | None = field(init=False)
+    _estimates: dict[str, float] = field(init=False, default_factory=dict)
+    _estimates_step: int = field(init=False, default=0)
 
-    def __init__(
-        self,
-        job,
-        name: str,
-        seq: int,
-        clock: Clock,
-        submitted_ns: float,
-        deadline_ns: float | None,
-        on_deadline: str,
-    ) -> None:
-        self.job = job
-        self.name = name
-        self.seq = seq
-        self.rr_key = seq
-        self.clock = clock
-        self.submitted_ns = submitted_ns
-        self.deadline_ns = deadline_ns
-        self.on_deadline = on_deadline
-        self.service_ns = 0.0
-        self.steps = 0
-        self.outcome: ServingOutcome | None = None
-        #: True while a picked step is running (dispatch → settle window).
-        self.in_flight = False
-        #: The job clock's reading when the in-flight step was picked.
-        self.step_started_ns = 0.0
-        #: High-water mark of accounted lifecycle time: queue-wait and step
-        #: spans tile [submitted_ns, finished_ns] exactly by always starting
-        #: where the previous span ended (replay backdates it to arrival).
-        self.last_progress_ns = submitted_ns
-        #: Tenant key for per-tenant metrics (registry-routed jobs carry one).
-        self.tenant = getattr(job, "tenant", None)
-        self._estimates: dict[str, float] = {}
-        self._estimates_step = 0
+    def __post_init__(self) -> None:
+        self.rr_key = self.seq
+        self.last_progress_ns = self.submitted_ns
+        self.tenant = getattr(self.job, "tenant", None)
 
     def estimated_remaining(self) -> float:
         """The job's lookahead cost estimate in rows; ``inf`` when it offers
@@ -243,9 +224,6 @@ class ServingEngine:
         replay idles it between arrivals).  Simulated or wall.
     policy:
         A :class:`~repro.serving.policies.SchedulingPolicy` or its name.
-    backend:
-        Optional execution backend, recorded for attribution only (jobs
-        route their own sampling).
     admission:
         Optional :class:`AdmissionController`.  The engine *releases*
         capacity as jobs finalize; acquiring happens at the door (the
@@ -268,14 +246,12 @@ class ServingEngine:
         self,
         clock: Clock,
         policy: str | SchedulingPolicy = "fifo",
-        backend=None,
         admission: AdmissionController | None = None,
         metrics: ServingMetrics | None = None,
         tracer=None,
     ) -> None:
         self.clock = clock
         self.policy = make_policy(policy)
-        self.backend = backend
         self.admission = admission
         self.metrics = metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -283,6 +259,9 @@ class ServingEngine:
         #: long-lived door scans pending work and retains no finished job.
         self._entries: list[TrackedJob] = []
         self._fresh: list[TrackedJob] = []
+        #: Completions reported by :meth:`run_step` and not yet settled.
+        #: Runners on other threads append; only the driver's turn pops.
+        self._reported: deque[tuple[TrackedJob, Exception | None]] = deque()
         self._order = 0
 
     # ------------------------------------------------------------- submission
@@ -338,14 +317,6 @@ class ServingEngine:
         return entry
 
     # -------------------------------------------------------------- inspection
-
-    def _runnable(self) -> list[TrackedJob]:
-        """A snapshot — callers finalize (and so drop) entries while walking it."""
-        return list(self._entries)
-
-    def _dispatchable(self) -> list[TrackedJob]:
-        """Runnable entries not currently mid-step (eligible for pick)."""
-        return [e for e in self._entries if not e.in_flight]
 
     @property
     def pending(self) -> int:
@@ -434,7 +405,7 @@ class ServingEngine:
         entries are skipped: a job mid-step must not be finalized under its
         running step — its own settle re-runs expiry and catches it.
         """
-        for entry in self._runnable():
+        for entry in list(self._entries):  # finalizing drops entries
             if entry.in_flight:
                 continue
             now = entry.clock.elapsed_ns
@@ -462,7 +433,7 @@ class ServingEngine:
         the estimate (``now + margin × estimate > deadline``).
         """
         margin = getattr(self.policy, "feasibility_margin", 1.0)
-        for entry in self._runnable():
+        for entry in list(self._entries):  # finalizing drops entries
             if entry.deadline_ns is None or entry.steps > 0 or entry.in_flight:
                 continue
             remaining = entry.estimated_remaining_ns()
@@ -488,13 +459,13 @@ class ServingEngine:
         entries — runnable jobs not already mid-step, so a multi-slot
         driver never double-dispatches one job.  Returns ``None`` when
         nothing is dispatchable (the engine may still have steps in
-        flight).  The caller must run ``entry.job.step()`` — wherever it
-        likes — and then :meth:`settle` the entry exactly once.
+        flight).  The caller must :meth:`run_step` the entry — wherever it
+        likes — and a later :meth:`turn` settles it exactly once.
         """
         self._expire_due()
         if getattr(self.policy, "feasibility_aware", False):
             self._shed_infeasible()
-        dispatchable = self._dispatchable()
+        dispatchable = [e for e in self._entries if not e.in_flight]
         if not dispatchable:
             return None
         entry = self.policy.select(dispatchable, self.clock.elapsed_ns)
@@ -548,12 +519,11 @@ class ServingEngine:
         if entry.job.done:
             # Done beats expired: a job finishing exactly on its deadline
             # (round boundary == deadline) is a hit, not a miss.
+            # Settle cost (report assembly, audits) is real work the
+            # simulated clock never charges — traced in wall time.
+            wall0 = float(time.monotonic_ns())
+            self._finalize(entry, COMPLETED, entry.job.finish(entry.service_ns))
             if self.tracer.enabled:
-                # Settle cost (report assembly, audits) is real work the
-                # simulated clock never charges — measure it in wall time.
-                wall0 = float(time.monotonic_ns())
-                report = entry.job.finish(entry.service_ns)
-                self._finalize(entry, COMPLETED, report)
                 self.tracer.span_at(
                     "engine.settle",
                     wall0,
@@ -562,24 +532,60 @@ class ServingEngine:
                     name=entry.name,
                     tenant=entry.tenant,
                 )
-            else:
-                self._finalize(entry, COMPLETED, entry.job.finish(entry.service_ns))
         self._expire_due()
 
-    def step(self) -> bool:
-        """Grant one time slice: :meth:`pick`, advance the chosen job one
-        bounded step inline, :meth:`settle` the consequences.  Returns
-        False when there was nothing to run."""
-        entry = self.pick()
-        if entry is None:
-            return False
-        entry.job.step()
-        self.settle(entry)
-        return True
+    def run_step(self, entry: TrackedJob) -> None:
+        """Dispatch phase: advance a picked job one bounded step, then report
+        its completion for a later :meth:`turn` to settle.
+
+        The only engine method a driver may run off its scheduling thread.
+        A failing step is reported, not raised: the turn that settles it
+        folds the failure into every pending outcome.
+        """
+        try:
+            entry.job.step()
+            err: Exception | None = None
+        except Exception as exc:  # noqa: BLE001 - re-raised by the next turn
+            err = exc
+        self._reported.append((entry, err))
+
+    def _settle_reported(self) -> None:
+        while self._reported:
+            entry, err = self._reported.popleft()
+            if err is not None:
+                # A failing job must not strand the other requests.
+                self.cancel_pending(f"serving step failed: {err!r}")
+                raise err
+            self.settle(entry)
+
+    def turn(
+        self, start: Callable[[TrackedJob], object] | None = None, slots: int = 1
+    ) -> int:
+        """One scheduling turn: settle reported completions, :meth:`pick`
+        into the free step slots, hand each pick to ``start``, settle again.
+
+        ``start`` arranges for :meth:`run_step` to run on the entry; the
+        default runs it here and now, so the closing pass settles it and
+        the turn grants exactly one time slice — ``pick → job.step() →
+        settle``.  Returns the number of steps started (0: nothing was
+        dispatchable).  Re-raises a reported step's exception after
+        cancelling every pending job with it as the reason.
+        """
+        start = start or self.run_step
+        self._settle_reported()
+        started = 0
+        for _ in range(slots - self.in_flight):
+            entry = self.pick()
+            if entry is None:
+                break
+            start(entry)
+            started += 1
+        self._settle_reported()
+        return started
 
     def run_until_idle(self) -> tuple[ServingOutcome, ...]:
         """Drain every pending job; returns outcomes finalized by this call."""
-        while self.step():
+        while self.turn():
             pass
         return tuple(entry.outcome for entry in self.take_finished())
 
@@ -589,9 +595,10 @@ class ServingEngine:
         The jobs get no further steps; their partial work is discarded.
         Returns the number of jobs cancelled.
         """
-        live = self._runnable()
+        live = list(self._entries)
         for entry in live:
             self._finalize(entry, CANCELLED, None, error=ServingError(reason))
+        self._reported.clear()
         return len(live)
 
     def take_finished(self) -> list[TrackedJob]:

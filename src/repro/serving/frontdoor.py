@@ -1,12 +1,13 @@
 """The thread serving front door: accept queries while others are running.
 
-:class:`FrontDoor` is one of the thin *drivers* over the pure scheduling
-core (:class:`~repro.serving.engine.ServingEngine`); the asyncio driver
-lives in :mod:`repro.serving.async_frontdoor`, the batch drain in
-:mod:`repro.system.scheduler`.  A driver owns concurrency (threads here,
-a task there, nothing for the drain) and delegates every scheduling
-decision — policy, deadlines, feasibility shedding, settlement — to the
-engine, so all drivers share one semantics.
+:class:`FrontDoor` is the thread *adapter* of the sans-IO drive core
+(:class:`~repro.serving.drive.DriveCore`): it adds a lock, a condition and
+a scheduler thread, and nothing else.  The asyncio adapter lives in
+:mod:`repro.serving.async_frontdoor`, the batch drain in
+:mod:`repro.system.scheduler`.  An adapter owns concurrency only; every
+scheduling decision is the engine's, and the admit path, the stop/drain
+state and handle resolution are the core's, so all drivers share one
+semantics.
 
 The door serves a *service*: either one
 :class:`~repro.system.MatchSession` (single dataset) or a
@@ -26,6 +27,9 @@ their ``dataset`` key).  Either way:
   trace synchronously on a *virtual* clock (deterministic; used by the
   benchmark and the CLI trace mode).
 
+The door lock covers a turn's pick and settle only: a step runs outside
+it, so :meth:`submit` and :meth:`shutdown` never wait for a step boundary.
+
 The front door never changes what a query computes: a request served here
 (any policy, no deadline) returns byte-identical results to a standalone
 :func:`repro.match_histograms` call with the same parameters.
@@ -34,80 +38,16 @@ The front door never changes what a query computes: a request served here
 from __future__ import annotations
 
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Iterable
 
-from ..obs.tracer import NULL_TRACER
-from .admission import AdmissionController
-from .engine import ServingEngine, ServingOutcome, TrackedJob
-from .metrics import SHED, ServingMetrics
-from .policies import SchedulingPolicy
+from .drive import DriveCore
+from .engine import ServingOutcome, TrackedJob
+from .metrics import SHED
 from .request import AdmissionRejected, QueryRequest, ServingError
 
-__all__ = ["FrontDoor", "ResponseHandle", "admit_request"]
-
-
-def admit_request(
-    service,
-    engine: ServingEngine,
-    admission: AdmissionController,
-    metrics: ServingMetrics,
-    request: QueryRequest,
-    default_deadline_ns: float | None,
-    default_max_step_rows: int | None,
-    tracer=NULL_TRACER,
-) -> TrackedJob:
-    """Admission + routing + job construction + engine submission.
-
-    The shared admit path of every online driver (thread and asyncio).
-    Raises :class:`AdmissionRejected` without building the job when the
-    queue is full — load shedding must not pay preparation costs.  The
-    caller provides mutual exclusion.
-    """
-    name = request.name or request.query.name or "query"
-    if not admission.try_admit():
-        tenant = getattr(request, "dataset", None)
-        metrics.record_shed(
-            had_deadline=(request.deadline_ns or default_deadline_ns) is not None,
-            tenant=tenant,
-        )
-        if tracer.enabled:
-            tracer.event(
-                "admission.shed",
-                clock=service.clock,
-                name=name,
-                tenant=tenant,
-                in_flight=admission.in_flight,
-                max_queue=admission.max_queue,
-            )
-        raise AdmissionRejected(name, admission.in_flight, admission.max_queue)
-    if tracer.enabled:
-        tracer.event(
-            "admission.accept",
-            clock=service.clock,
-            name=name,
-            tenant=getattr(request, "dataset", None),
-            in_flight=admission.in_flight,
-        )
-    try:
-        job = service.job_for_request(
-            request, default_max_step_rows=default_max_step_rows
-        )
-        return engine.submit(
-            job,
-            deadline_ns=(
-                request.deadline_ns
-                if request.deadline_ns is not None
-                else default_deadline_ns
-            ),
-            on_deadline=request.on_deadline,
-            name=request.name,
-        )
-    except Exception:
-        # The slot was acquired but no job will ever release it.
-        admission.release()
-        raise
+__all__ = ["FrontDoor", "ResponseHandle"]
 
 
 class ResponseHandle:
@@ -147,7 +87,7 @@ class ResponseHandle:
         return outcome.report
 
 
-class FrontDoor:
+class FrontDoor(DriveCore):
     """Online admission + scheduling in front of one serving *service*.
 
     Parameters
@@ -169,86 +109,22 @@ class FrontDoor:
         (``None`` keeps per-round steps).
     max_concurrent_steps:
         Step-execution slots.  The default 1 keeps the classic
-        deterministic single-slot loop (steps run inline in the scheduler
+        deterministic single-slot mode (steps run inline in the scheduler
         thread).  Above 1 the scheduler dispatches picked steps to a
         bounded executor, so steps of *different* requests run
         concurrently — answers stay byte-identical (each job consumes its
         own fixed sampling order), only wall-clock latency changes.
+    tracer:
+        Optional :class:`~repro.obs.Tracer`; defaults to the service's.
     """
 
-    def __init__(
-        self,
-        service,
-        *,
-        policy: str | SchedulingPolicy = "edf",
-        max_queue: int | None = None,
-        default_deadline_ns: float | None = None,
-        default_max_step_rows: int | None = None,
-        max_concurrent_steps: int = 1,
-        tracer=None,
-    ) -> None:
-        if max_concurrent_steps < 1:
-            raise ValueError(
-                f"max_concurrent_steps must be >= 1, got {max_concurrent_steps}"
-            )
-        self.service = service
-        self.max_concurrent_steps = max_concurrent_steps
-        # Tracing: explicit tracer beats the service's (sessions/registries
-        # carry one when constructed with tracer=...); default is the no-op.
-        self.tracer = (
-            tracer
-            if tracer is not None
-            else getattr(service, "tracer", None) or NULL_TRACER
-        )
-        self.metrics = ServingMetrics()
-        if self.tracer.enabled:
-            if self.tracer.clock is None:
-                self.tracer.clock = service.clock
-            # Per-stage sketches fill from the same spans the trace records.
-            self.tracer.subscribe(self.metrics)
-        self.admission = AdmissionController(max_queue)
-        self.default_deadline_ns = default_deadline_ns
-        self.default_max_step_rows = default_max_step_rows
-        self.engine = ServingEngine(
-            service.clock,
-            policy=policy,
-            backend=service.backend,
-            admission=self.admission,
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
-        self._lock = threading.RLock()
-        self._wake = threading.Condition(self._lock)
+    handle_type = ResponseHandle
+
+    def _init_adapter(self) -> None:
+        self._wake = threading.Condition()  # the door lock (reentrant)
         self._thread: threading.Thread | None = None
-        self._accepting = True
-        self._stopping = False
-        self._drain_on_stop = True
-        self._handles: dict[int, ResponseHandle] = {}
-
-    @property
-    def session(self):
-        """The served service (historical name; may be a registry)."""
-        return self.service
-
-    @property
-    def scheduler(self) -> ServingEngine:
-        """The scheduling core (historical name for :attr:`engine`)."""
-        return self.engine
 
     # ------------------------------------------------------------- submission
-
-    def _admit(self, request: QueryRequest) -> TrackedJob:
-        """Admission + job construction + scheduling (caller holds the lock)."""
-        return admit_request(
-            self.service,
-            self.engine,
-            self.admission,
-            self.metrics,
-            request,
-            self.default_deadline_ns,
-            self.default_max_step_rows,
-            tracer=self.tracer,
-        )
 
     def submit(self, request: QueryRequest) -> ResponseHandle:
         """Admit one request while others run; returns a handle immediately.
@@ -259,132 +135,67 @@ class FrontDoor:
         :meth:`pump` (or :meth:`replay`) to actually serve.
         """
         with self._wake:
-            if not self._accepting:
-                raise ServingError("front door is shut down")
-            entry = self._admit(request)
-            handle = ResponseHandle(entry.name)
-            self._handles[entry.seq] = handle
+            handle = self._submit(request)
             self._wake.notify_all()
             return handle
 
     # -------------------------------------------------------------- execution
 
-    def _dispatch(self) -> list[ServingOutcome]:
-        """Resolve handles for everything finalized since the last call."""
-        outcomes = []
-        for entry in self.engine.take_finished():
-            assert entry.outcome is not None
-            outcomes.append(entry.outcome)
-            handle = self._handles.pop(entry.seq, None)
-            if handle is not None:
-                handle._resolve(entry.outcome)
-        return outcomes
-
     def pump(self) -> list[ServingOutcome]:
         """Serve synchronously until idle (no-thread mode); returns the
         outcomes finalized by this call, in submission order."""
-        with self._lock:
-            while self.engine.step():
-                pass
-            return self._dispatch()
+        with self._wake:
+            if self._thread is not None:
+                raise ServingError("pump() cannot run alongside start()")
+            return self.drain()
+
+    def _run_step(self, entry: TrackedJob) -> None:
+        """An executor thread's runner: step, report, wake the scheduler."""
+        self.engine.run_step(entry)
+        with self._wake:
+            self._wake.notify_all()
 
     def _loop(self) -> None:
-        if self.max_concurrent_steps > 1:
-            self._loop_concurrent()
-            return
-        reason = "front door shut down mid-flight"
-        try:
-            while True:
-                with self._wake:
-                    if self._stopping and (
-                        not self._drain_on_stop or self.engine.idle
-                    ):
-                        break
-                    if self.engine.idle:
-                        self._wake.wait(timeout=0.05)
-                        continue
-                    self.engine.step()
-                    self._dispatch()
-        except Exception as exc:
-            # A failing job must not strand the other requests' handles:
-            # the failure is folded into every unresolved outcome below.
-            reason = f"front door scheduler failed: {exc!r}"
-        finally:
-            with self._wake:
-                self._stopping = True
-                self._accepting = False
-                self.engine.cancel_pending(reason)
-                self._dispatch()
+        """The scheduler thread: turn under the door lock, start what the
+        turn picked outside it.
 
-    def _loop_concurrent(self) -> None:
-        """Multi-slot scheduler loop: pick → dispatch to the executor →
-        settle on completion.
-
-        The engine stays single-threaded — every pick/settle/dispatch runs
-        in this scheduler thread under the door lock; only ``job.step()``
-        itself executes on executor threads.  Worker threads report
-        completions into ``completed`` and pulse the condition, so the
-        scheduler wakes for completions and submissions alike.
+        The engine stays single-threaded — every pick, settle and handle
+        resolution runs here under the lock; only ``job.step()`` runs
+        without it, inline (one slot) or on executor threads that pulse
+        the condition when they report.
         """
-        reason = "front door shut down mid-flight"
-        inflight: set[TrackedJob] = set()
-        completed: deque[tuple[TrackedJob, Exception | None]] = deque()
-        executor = ThreadPoolExecutor(
-            max_workers=self.max_concurrent_steps,
-            thread_name_prefix="repro-step",
-        )
-
-        def run_step(entry: TrackedJob) -> None:
-            try:
-                entry.job.step()
-                err: Exception | None = None
-            except Exception as exc:  # noqa: BLE001 - folded into outcomes
-                err = exc
-            with self._wake:
-                completed.append((entry, err))
-                self._wake.notify_all()
-
+        reason = None
+        picked: list[TrackedJob] = []
+        executor, run = None, self.engine.run_step
+        if self.max_concurrent_steps != 1:
+            executor = ThreadPoolExecutor(
+                max_workers=self.max_concurrent_steps,
+                thread_name_prefix="repro-step",
+            )
+            run = partial(executor.submit, self._run_step)
         try:
             while True:
                 with self._wake:
-                    while completed:
-                        entry, err = completed.popleft()
-                        inflight.discard(entry)
-                        if err is not None:
-                            raise err
-                        self.engine.settle(entry)
-                    if self._stopping and (
-                        not self._drain_on_stop
-                        or (self.engine.idle and not inflight)
-                    ):
+                    started = self.turn(picked.append)
+                    if self._drained:
                         break
-                    dispatched = False
-                    while len(inflight) < self.max_concurrent_steps:
-                        entry = self.engine.pick()
-                        if entry is None:
-                            break
-                        inflight.add(entry)
-                        executor.submit(run_step, entry)
-                        dispatched = True
-                    # pick() finalizes expiries/sheds even when nothing is
-                    # dispatchable; resolve those handles promptly.
-                    self._dispatch()
-                    if not dispatched and not completed:
+                    if not started:
                         self._wake.wait(timeout=0.05)
+                for entry in picked:
+                    run(entry)
+                picked.clear()
         except Exception as exc:
-            # A failing step must not strand the other requests' handles:
+            # A failing scheduler must not strand the requests' handles:
             # the failure is folded into every unresolved outcome below.
             reason = f"front door scheduler failed: {exc!r}"
         finally:
             # Let in-flight steps finish before cancelling what remains —
             # shutdown must not close the backend under a running step.
             # (Outside the lock: workers need it to report completion.)
-            executor.shutdown(wait=True)
+            if executor is not None:
+                executor.shutdown(wait=True)
             with self._wake:
-                self._stopping = True
-                self._accepting = False
-                self.engine.cancel_pending(reason)
-                self._dispatch()
+                self._close(reason)
 
     def start(self) -> "FrontDoor":
         """Spawn the scheduler thread; requests are then served as they come."""
@@ -420,7 +231,7 @@ class FrontDoor:
         clock cannot be idled forward.  Returns every outcome of the
         trace, in arrival order.
         """
-        with self._lock:
+        with self._wake:
             if self._thread is not None:
                 raise ServingError("replay() cannot run alongside start()")
             if not self._accepting:
@@ -432,57 +243,38 @@ class FrontDoor:
                     f"the service runs on {type(clock).__name__}"
                 )
             events = sorted(trace, key=lambda pair: pair[0])
-            by_arrival: dict[int, ServingOutcome] = {}
-            arrival_of: dict[int, int] = {}  # entry.seq -> arrival index
-            cursor = 0
+            # One per arrival so far: its handle, or its SHED outcome.
+            # (Requests submitted before the replay report through their
+            # own handles only and stay out of the trace's outcome list.)
+            served: list[ResponseHandle | ServingOutcome] = []
             while True:
                 while (
-                    cursor < len(events)
-                    and events[cursor][0] <= clock.elapsed_ns
+                    len(served) < len(events)
+                    and events[len(served)][0] <= clock.elapsed_ns
                 ):
-                    arrival_ns, request = events[cursor]
-                    index = cursor
-                    cursor += 1
+                    arrival_ns, request = events[len(served)]
                     try:
-                        entry = self._admit(request)
-                        # Open-loop: latency and deadline run from arrival,
-                        # and so does the lifecycle span tiling.
-                        entry.submitted_ns = arrival_ns
-                        entry.last_progress_ns = arrival_ns
-                        if request.deadline_ns is not None:
-                            entry.deadline_ns = arrival_ns + request.deadline_ns
-                        elif self.default_deadline_ns is not None:
-                            entry.deadline_ns = arrival_ns + self.default_deadline_ns
-                        arrival_of[entry.seq] = index
+                        served.append(self._submit(request, submitted_ns=arrival_ns))
                     except AdmissionRejected as exc:
-                        by_arrival[index] = ServingOutcome(
-                            name=exc.name,
-                            status=SHED,
-                            report=None,
-                            submitted_ns=arrival_ns,
-                            finished_ns=arrival_ns,
-                            steps=0,
-                            service_ns=0.0,
-                            deadline_ns=None,
-                            error=exc,
+                        served.append(
+                            ServingOutcome(
+                                name=exc.name,
+                                status=SHED,
+                                report=None,
+                                submitted_ns=arrival_ns,
+                                finished_ns=arrival_ns,
+                                steps=0,
+                                service_ns=0.0,
+                                error=exc,
+                            )
                         )
-                worked = self.engine.step()
-                for entry in self.engine.take_finished():
-                    assert entry.outcome is not None
-                    index = arrival_of.get(entry.seq)
-                    if index is not None:
-                        by_arrival[index] = entry.outcome
-                    # Requests submitted via submit() before the replay have
-                    # no trace arrival; they report through their handles
-                    # only and stay out of the trace's outcome list.
-                    handle = self._handles.pop(entry.seq, None)
-                    if handle is not None:
-                        handle._resolve(entry.outcome)
-                if not worked:
-                    if cursor >= len(events):
+                if not self.turn():
+                    if len(served) == len(events):
                         break
-                    clock.idle_until(events[cursor][0])
-            return tuple(by_arrival[i] for i in sorted(by_arrival))
+                    clock.idle_until(events[len(served)][0])
+            return tuple(
+                h if isinstance(h, ServingOutcome) else h.outcome(0) for h in served
+            )
 
     # ---------------------------------------------------------------- shutdown
 
@@ -502,10 +294,7 @@ class FrontDoor:
         query); call :meth:`shutdown` again to finish.
         """
         with self._wake:
-            already = self._stopping
-            self._accepting = False
-            self._stopping = True
-            self._drain_on_stop = drain
+            already = self._request_stop(drain)
             self._wake.notify_all()
             thread = self._thread
         if thread is not None:
@@ -513,12 +302,10 @@ class FrontDoor:
             if thread.is_alive():
                 return False
         elif not already:
-            with self._lock:
+            with self._wake:
                 if drain:
-                    while self.engine.step():
-                        pass
-                self.engine.cancel_pending("front door shut down mid-flight")
-                self._dispatch()
+                    self.drain()
+                self._close()
         self.service.close()
         return True
 

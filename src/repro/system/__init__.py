@@ -13,12 +13,7 @@ from .fastmatch import (
 )
 from .report import RunReport, ServingReport
 from .scan import run_scan
-from .scheduler import (
-    BatchScheduler,
-    JobOutcome,
-    RoundRobinScheduler,
-    ScheduleResult,
-)
+from .scheduler import BatchScheduler, ScheduleResult
 from .registry import SessionRegistry
 from .session import CacheStats, MatchSession
 from .stats_engine import StatsEngine
@@ -41,8 +36,6 @@ __all__ = [
     "WallClock",
     "StatsEngine",
     "BatchScheduler",
-    "JobOutcome",
-    "RoundRobinScheduler",
     "ScheduleResult",
     "CacheStats",
     "MatchSession",

@@ -8,10 +8,9 @@ of jobs, drain them to completion, get per-query latency and aggregate
 throughput on the shared clock.
 
 :class:`BatchScheduler` is a thin adapter over the serving core
-(:class:`~repro.serving.scheduler.ServingScheduler`) with a pluggable
-policy and no deadlines; :class:`RoundRobinScheduler` is the
-backward-compatible PR-2 name, pinned to the round-robin policy.  All jobs
-charge one shared :class:`~repro.system.clock.Clock`, so the clock models a
+(:class:`~repro.serving.engine.ServingEngine`) with a pluggable policy
+(round-robin by default) and no deadlines.  All jobs charge one shared
+:class:`~repro.system.clock.Clock`, so the clock models a
 single-threaded server interleaving queries: a query's *latency*
 (submission → completion on the shared clock) includes the time spent
 serving its neighbours, while its *service time* counts only its own
@@ -23,17 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from ..serving.scheduler import ServingScheduler
+from ..serving.engine import ServingEngine, ServingOutcome
 from .clock import Clock
 from .report import RunReport
 
-__all__ = [
-    "SchedulableJob",
-    "JobOutcome",
-    "ScheduleResult",
-    "BatchScheduler",
-    "RoundRobinScheduler",
-]
+__all__ = ["SchedulableJob", "ScheduleResult", "BatchScheduler"]
 
 
 @runtime_checkable
@@ -57,44 +50,19 @@ class SchedulableJob(Protocol):
 
 
 @dataclass(frozen=True)
-class JobOutcome:
-    """One completed query's serving metrics on the shared clock."""
-
-    name: str
-    report: RunReport
-    submitted_ns: float
-    finished_ns: float
-    steps: int
-
-    @property
-    def latency_ns(self) -> float:
-        """Submission-to-completion time, including other queries' service."""
-        return self.finished_ns - self.submitted_ns
-
-    @property
-    def latency_seconds(self) -> float:
-        return self.latency_ns * 1e-9
-
-    @property
-    def service_ns(self) -> float:
-        """Time attributable to this query's own steps (``report.elapsed_ns``)."""
-        return self.report.elapsed_ns
-
-    @property
-    def service_seconds(self) -> float:
-        return self.service_ns * 1e-9
-
-
-@dataclass(frozen=True)
 class ScheduleResult:
     """All outcomes of one scheduler drain, in submission order.
+
+    Each is the engine's :class:`~repro.serving.engine.ServingOutcome`:
+    ``latency_ns`` includes other queries' service on the shared clock,
+    ``service_ns`` only the query's own steps (``== report.elapsed_ns``).
 
     ``backend`` describes the execution backend the drain's jobs routed
     their sampling through (:meth:`ExecutionBackend.describe`), so serving
     metrics are attributable to how the work was executed.
     """
 
-    outcomes: tuple[JobOutcome, ...]
+    outcomes: tuple[ServingOutcome, ...]
     elapsed_ns: float
     total_steps: int
     backend: dict | None = None
@@ -151,7 +119,7 @@ class BatchScheduler:
     def __init__(self, clock: Clock, backend=None, policy="rr") -> None:
         self.clock = clock
         self.backend = backend
-        self._core = ServingScheduler(clock, policy=policy, backend=backend)
+        self._core = ServingEngine(clock, policy=policy)
 
     @property
     def policy(self):
@@ -172,26 +140,10 @@ class BatchScheduler:
         submit/run cycles never double-report.  Jobs added while draining
         join the rotation."""
         start_ns = self.clock.elapsed_ns
-        outcomes = tuple(
-            JobOutcome(
-                name=o.name,
-                report=o.report,
-                submitted_ns=o.submitted_ns,
-                finished_ns=o.finished_ns,
-                steps=o.steps,
-            )
-            for o in self._core.run_until_idle()
-        )
+        outcomes = self._core.run_until_idle()
         return ScheduleResult(
             outcomes=outcomes,
             elapsed_ns=self.clock.elapsed_ns - start_ns,
             total_steps=sum(o.steps for o in outcomes),
             backend=self.backend.describe() if self.backend is not None else None,
         )
-
-
-class RoundRobinScheduler(BatchScheduler):
-    """The PR-2 drain: :class:`BatchScheduler` pinned to round-robin."""
-
-    def __init__(self, clock: Clock, backend=None) -> None:
-        super().__init__(clock, backend=backend, policy="rr")

@@ -50,6 +50,7 @@ from ..parallel import (
 from ..query.executor import exact_candidate_counts
 from ..query.predicate import TruePredicate
 from ..query.spec import HistogramQuery
+from ..serving.engine import ServingOutcome
 from ..storage.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..storage.shuffle import shuffle_table
 from ..storage.table import ColumnTable
@@ -65,7 +66,7 @@ from .fastmatch import (
 )
 from .report import RunReport
 from .scan import run_scan
-from .scheduler import BatchScheduler, JobOutcome, ScheduleResult
+from .scheduler import BatchScheduler, ScheduleResult
 from .stats_engine import StatsEngine
 
 __all__ = ["CacheStats", "MatchSession"]
@@ -955,7 +956,7 @@ class MatchSession:
         approach: str = "fastmatch",
         config: HistSimConfig | None = None,
         seed: int = 0,
-    ) -> JobOutcome:
+    ) -> ServingOutcome:
         """Submit and run one query by itself (still hits the artifact cache)."""
         self.submit(query, approach=approach, config=config, seed=seed)
         return self.run()[-1]

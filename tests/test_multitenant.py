@@ -88,50 +88,84 @@ def assert_reports_identical(report, reference, where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Driver equivalence: thread FrontDoor / AsyncFrontDoor / BatchScheduler
+# Driver equivalence: every adapter of the drive core, every policy
 # ---------------------------------------------------------------------------
+
+
+def requests():
+    return [make_request(3, name="first"), make_request(k=2, name="second")]
 
 
 def serve_via_batch(table, policy):
     session = MatchSession(table, policy=policy)
-    session.submit(make_query(3, "first"), config=HistSimConfig(
-        k=3, epsilon=EPS, delta=DELTA, sigma=0.0), seed=3)
-    session.submit(make_query(2, "second"), config=HistSimConfig(
-        k=2, epsilon=EPS, delta=DELTA, sigma=0.0), seed=3)
+    for request in requests():
+        session.submit(request.query, config=request.config, seed=request.seed)
     run = session.run()
     session.close()
-    return [outcome.report for outcome in run]
+    return list(run)
 
 
-def serve_via_thread_door(table, policy):
+def serve_via_thread_door(table, policy, slots=1):
     session = MatchSession(table)
-    with FrontDoor(session, policy=policy) as door:
+    with FrontDoor(session, policy=policy, max_concurrent_steps=slots) as door:
         door.start()
-        handles = [
-            door.submit(make_request(3, name="first")),
-            door.submit(make_request(k=2, name="second")),
-        ]
-        return [handle.result(timeout=60) for handle in handles]
+        handles = [door.submit(request) for request in requests()]
+        return [handle.outcome(timeout=60) for handle in handles]
 
 
-def serve_via_async_door(table, policy):
+def serve_via_async_door(table, policy, slots=1):
     async def drive():
         session = MatchSession(table)
-        async with session.serve_async(policy=policy) as door:
-            handles = [
-                await door.submit(make_request(3, name="first")),
-                await door.submit(make_request(k=2, name="second")),
-            ]
-            return [await handle.result() for handle in handles]
+        async with session.serve_async(
+            policy=policy, max_concurrent_steps=slots
+        ) as door:
+            handles = [await door.submit(request) for request in requests()]
+            return [await handle.outcome() for handle in handles]
+
+    return asyncio.run(drive())
+
+
+def serve_via_replay(table, policy):
+    door = MatchSession(table).serve(policy=policy)
+    outcomes = door.replay([(0.0, request) for request in requests()])
+    door.shutdown()
+    return list(outcomes)
+
+
+def serve_via_thread_pump(table, policy):
+    door = MatchSession(table).serve(policy=policy)
+    handles = [door.submit(request) for request in requests()]
+    outcomes = door.pump()
+    assert outcomes == [handle.outcome(timeout=0) for handle in handles]
+    door.shutdown()
+    return outcomes
+
+
+def serve_via_async_pump(table, policy):
+    async def drive():
+        door = MatchSession(table).serve_async(policy=policy)
+        handles = [await door.submit(request) for request in requests()]
+        outcomes = await door.pump()
+        assert outcomes == [await handle.outcome() for handle in handles]
+        await door.shutdown()
+        return outcomes
 
     return asyncio.run(drive())
 
 
 DRIVERS = {
+    "thread-1": serve_via_thread_door,
+    "thread-2": lambda table, policy: serve_via_thread_door(table, policy, 2),
+    "async-1": serve_via_async_door,
+    "async-2": lambda table, policy: serve_via_async_door(table, policy, 2),
+    "replay": serve_via_replay,
+    "thread-pump": serve_via_thread_pump,
+    "async-pump": serve_via_async_pump,
     "batch": serve_via_batch,
-    "thread": serve_via_thread_door,
-    "async": serve_via_async_door,
 }
+#: Single slot, simulated clock, every request submitted before the first
+#: slice: the schedule itself is deterministic, not only the answers.
+DETERMINISTIC = ("async-1", "replay", "thread-pump", "async-pump", "batch")
 
 
 class TestDriverEquivalence:
@@ -144,9 +178,23 @@ class TestDriverEquivalence:
         (driver, policy) combination, against the standalone pipeline."""
         first = standalone(table_a, k=3)
         second = standalone(table_a, k=2)
-        reports = DRIVERS[driver](table_a, policy)
-        assert_reports_identical(reports[0], first, f"{driver}/{policy}/first")
-        assert_reports_identical(reports[1], second, f"{driver}/{policy}/second")
+        outcomes = DRIVERS[driver](table_a, policy)
+        assert [o.status for o in outcomes] == ["completed", "completed"]
+        assert_reports_identical(outcomes[0].report, first, f"{driver}/{policy}/first")
+        assert_reports_identical(outcomes[1].report, second, f"{driver}/{policy}/second")
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_single_slot_schedule_identical_across_drivers(self, table_a, policy):
+        """One turn, one schedule: the single-slot adapters agree on when
+        every request finished, in how many steps, at what service time."""
+        schedules = {
+            driver: [
+                (o.finished_ns, o.steps, o.service_ns)
+                for o in DRIVERS[driver](table_a, policy)
+            ]
+            for driver in DETERMINISTIC
+        }
+        assert len(set(map(tuple, schedules.values()))) == 1, schedules
 
 
 class TestAsyncDoorLifecycle:

@@ -12,10 +12,14 @@ Acceptance properties:
 - shutdown is safe mid-flight and idempotent with session close.
 """
 
+import asyncio
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro import FrontDoor, MatchSession, QueryRequest, match_histograms
+from repro import AsyncFrontDoor, FrontDoor, MatchSession, QueryRequest, match_histograms
 from repro.core import HistSimConfig
 from repro.core.histsim import HistSimStepper
 from repro.core.sampler import ArraySampler
@@ -27,10 +31,11 @@ from repro.serving import (
     AdmissionRejected,
     DeadlineMiss,
     ServingError,
-    ServingScheduler,
+    ServingEngine,
 )
+from repro.obs import Tracer
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
-from repro.system import SimulatedClock
+from repro.system import BatchScheduler, SimulatedClock
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +110,22 @@ class FakeJob:
             elapsed_ns = service_ns
             partial = True
         return _Report()
+
+
+class CannedService:
+    """The front-door service seam over canned jobs (request name → job)."""
+
+    def __init__(self, jobs=None, clock=None):
+        self.clock = clock or SimulatedClock()
+        self.backend = None
+        self.jobs = jobs if jobs is not None else {}
+        self.closed = False
+
+    def job_for_request(self, request, default_max_step_rows=None):
+        return self.jobs[request.name]
+
+    def close(self):
+        self.closed = True
 
 
 class TestFrontDoorEquivalence:
@@ -183,7 +204,7 @@ class TestDeadlines:
     def test_completion_exactly_at_deadline_is_a_hit(self):
         """Done beats expired when a job finishes on the deadline boundary."""
         clock = SimulatedClock()
-        core = ServingScheduler(clock, policy="fifo")
+        core = ServingEngine(clock, policy="fifo")
         job = FakeJob("exact", work=3, clock=clock, cost_ns=10.0)
         core.submit(job, deadline_ns=30.0)  # finishes at t=30 exactly
         (outcome,) = core.run_until_idle()
@@ -195,7 +216,7 @@ class TestDeadlines:
         """A deadline landing exactly on a step boundary expires the job
         before it receives another slice (partial, not a further step)."""
         clock = SimulatedClock()
-        core = ServingScheduler(clock, policy="fifo")
+        core = ServingEngine(clock, policy="fifo")
         job = FakeJob("boundary", work=5, clock=clock, cost_ns=10.0)
         core.submit(job, deadline_ns=20.0)  # two steps fit exactly
         (outcome,) = core.run_until_idle()
@@ -207,7 +228,7 @@ class TestDeadlines:
     def test_waiting_job_expires_from_neighbour_service(self):
         """One job's service pushes a *queued* job past its deadline."""
         clock = SimulatedClock()
-        core = ServingScheduler(clock, policy="fifo")
+        core = ServingEngine(clock, policy="fifo")
         heavy = FakeJob("heavy", work=10, clock=clock, cost_ns=10.0)
         light = FakeJob("light", work=1, clock=clock, cost_ns=10.0)
         core.submit(heavy)
@@ -260,6 +281,14 @@ class TestAdmission:
         door.submit(make_request(name="after", seed=4))
         door.shutdown()
 
+    def test_pump_excludes_threaded_mode(self, table):
+        """Pumping beside the scheduler thread would hand out a second slot
+        on a single-slot door (the lock no longer spans a step)."""
+        door = FrontDoor(MatchSession(table)).start()
+        with pytest.raises(ServingError, match="pump"):
+            door.pump()
+        door.shutdown()
+
     def test_controller_bounds(self):
         with pytest.raises(ValueError, match="max_queue"):
             AdmissionController(0)
@@ -273,7 +302,7 @@ class TestAdmission:
 class TestPolicies:
     def test_edf_serves_urgent_first(self):
         clock = SimulatedClock()
-        core = ServingScheduler(clock, policy="edf")
+        core = ServingEngine(clock, policy="edf")
         log = []
         core.submit(FakeJob("loose", 2, clock, log=log), deadline_ns=1000.0)
         core.submit(FakeJob("urgent", 2, clock, log=log), deadline_ns=100.0)
@@ -285,7 +314,7 @@ class TestPolicies:
     def test_edf_no_starvation_under_contention(self):
         """Deadline-free jobs still complete once deadline work drains."""
         clock = SimulatedClock()
-        core = ServingScheduler(clock, policy="edf")
+        core = ServingEngine(clock, policy="edf")
         jobs = [FakeJob(f"d{i}", 3, clock) for i in range(4)]
         for i, job in enumerate(jobs):
             core.submit(job, deadline_ns=1e6 * (i + 1))
@@ -298,7 +327,7 @@ class TestPolicies:
 
     def test_cost_policy_shortest_first(self):
         clock = SimulatedClock()
-        core = ServingScheduler(clock, policy="cost")
+        core = ServingEngine(clock, policy="cost")
         log = []
         core.submit(FakeJob("big", 3, clock, log=log))
         core.submit(FakeJob("small", 1, clock, log=log))
@@ -307,7 +336,7 @@ class TestPolicies:
 
     def test_fifo_runs_to_completion_in_arrival_order(self):
         clock = SimulatedClock()
-        core = ServingScheduler(clock, policy="fifo")
+        core = ServingEngine(clock, policy="fifo")
         log = []
         core.submit(FakeJob("a", 2, clock, log=log))
         core.submit(FakeJob("b", 2, clock, log=log))
@@ -316,7 +345,7 @@ class TestPolicies:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
-            ServingScheduler(SimulatedClock(), policy="magic")
+            ServingEngine(SimulatedClock(), policy="magic")
 
 
 class TestShutdown:
@@ -368,6 +397,33 @@ class TestReplay:
         # Latency is measured open-loop, from arrival.
         assert b.latency_ns == b.finished_ns - 2e9
 
+    def test_mid_slice_arrival_event_stamps_equal_outcome_stamps(self):
+        """An arrival that lands mid-slice is admitted at the next step
+        boundary but backdated — in the trace exactly as in the outcome."""
+        tracer = Tracer()
+        service = CannedService()
+        service.jobs["long"] = FakeJob("long", 2, service.clock, cost_ns=100.0)
+        service.jobs["late"] = FakeJob("late", 1, service.clock, cost_ns=100.0)
+        door = FrontDoor(service, policy="fifo", tracer=tracer)
+        outcomes = door.replay(
+            [
+                (0.0, make_request(name="long")),
+                (50.0, make_request(name="late", deadline_ns=500.0)),
+            ]
+        )
+        door.shutdown()
+        late = outcomes[1]
+        assert (late.submitted_ns, late.deadline_ns) == (50.0, 550.0)
+        events = {
+            r.attrs["name"]: r.attrs
+            for r in tracer.records()
+            if r.name == "request.submitted"
+        }
+        for outcome in outcomes:
+            stamps = events[outcome.name]
+            assert stamps["submitted_ns"] == outcome.submitted_ns
+            assert stamps["deadline_ns"] == outcome.deadline_ns
+
     def test_replay_excludes_threaded_mode(self, table):
         session = MatchSession(table)
         door = FrontDoor(session).start()
@@ -387,85 +443,213 @@ class TestReplay:
         assert handle.done and handle.outcome().status == "completed"
 
 
-class TestSchedulerThreadFailure:
-    def test_failing_job_resolves_all_handles(self, table):
-        """A job whose step() raises must not strand other handles: every
-        unresolved request is cancelled with the failure as its error."""
+class Boom:
+    """A job whose first step raises."""
 
-        class ExplodingSession:
-            def __init__(self, session):
-                self._session = session
-                self.clock = session.clock
-                self.backend = session.backend
+    name = "boom"
+    done = False
 
-            def job_for_request(self, request, default_max_step_rows=None):
-                class _Boom:
-                    name = "boom"
-                    done = False
+    def step(self):
+        raise RuntimeError("worker died")
 
-                    def step(self):
-                        raise RuntimeError("worker died")
 
-                return _Boom()
+class SlowJob:
+    """One long step: sets ``entered`` inside it, then waits for ``release``
+    (at most ``step_s`` seconds)."""
 
-            def close(self):
-                self._session.close()
+    def __init__(self, name, clock, step_s=5.0):
+        self.name = name
+        self.clock = clock
+        self.step_s = step_s
+        self.done = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
 
-        door = FrontDoor(ExplodingSession(MatchSession(table)), policy="fifo")
+    def step(self):
+        self.entered.set()
+        self.release.wait(self.step_s)
+        self.done = True
+        self.clock.charge_serial(io=1.0)
+
+    def finish(self, service_ns):
+        class _Report:
+            elapsed_ns = service_ns
+        return _Report()
+
+
+def failing_service():
+    """FIFO grants ``boom`` the first slice; the others can never finish
+    before it fails."""
+    service = CannedService()
+    service.jobs = {
+        "boom": Boom(),
+        "w1": FakeJob("w1", 50, service.clock),
+        "w2": FakeJob("w2", 50, service.clock),
+    }
+    return service, [make_request(name=name) for name in service.jobs]
+
+
+def fail_thread_door(slots):
+    service, requests = failing_service()
+    door = FrontDoor(service, policy="fifo", max_queue=8, max_concurrent_steps=slots)
+    handles = [door.submit(request) for request in requests]
+    door.start()
+    outcomes = [handle.outcome(timeout=30) for handle in handles]  # must not hang
+    with pytest.raises(ServingError, match="worker died"):
+        handles[1].result()
+    door.shutdown()  # the door is dead but shutdown stays safe and idempotent
+    return door, outcomes
+
+
+def fail_thread_pump():
+    service, requests = failing_service()
+    door = FrontDoor(service, policy="fifo", max_queue=8)
+    handles = [door.submit(request) for request in requests]
+    with pytest.raises(RuntimeError, match="worker died"):
+        door.pump()
+    outcomes = [handle.outcome(timeout=0) for handle in handles]
+    door.shutdown()
+    return door, outcomes
+
+
+def fail_replay():
+    service, requests = failing_service()
+    door = FrontDoor(service, policy="fifo", max_queue=8)
+    handle = door.submit(requests[0])  # rides along: no trace arrival
+    with pytest.raises(RuntimeError, match="worker died"):
+        door.replay([(0.0, request) for request in requests[1:]])
+    assert door.metrics.snapshot().cancelled == 3
+    door.shutdown()
+    return door, [handle.outcome(timeout=0)]
+
+
+def fail_async_door(slots):
+    async def drive():
+        service, requests = failing_service()
+        door = AsyncFrontDoor(
+            service, policy="fifo", max_queue=8, max_concurrent_steps=slots
+        )
         door.start()
-        handle = door.submit(make_request(name="doomed"))
-        outcome = handle.outcome(timeout=30)  # must not hang
-        assert outcome.status == "cancelled"
-        with pytest.raises(ServingError, match="worker died"):
-            handle.result()
-        # The door is dead but shutdown stays safe and idempotent.
-        door.shutdown()
+        handles = [await door.submit(request) for request in requests]
+        outcomes = [
+            await asyncio.wait_for(handle.outcome(), 30) for handle in handles
+        ]
+        await door.shutdown()
+        return door, outcomes
 
-    def test_shutdown_timeout_leaves_session_open(self, table):
+    return asyncio.run(drive())
+
+
+def fail_async_pump():
+    async def drive():
+        service, requests = failing_service()
+        door = AsyncFrontDoor(service, policy="fifo", max_queue=8)
+        handles = [await door.submit(request) for request in requests]
+        with pytest.raises(RuntimeError, match="worker died"):
+            await door.pump()
+        assert all(handle.done for handle in handles)
+        outcomes = [await handle.outcome() for handle in handles]
+        await door.shutdown()
+        return door, outcomes
+
+    return asyncio.run(drive())
+
+
+FAILING_ADAPTERS = {
+    "thread-1": lambda: fail_thread_door(1),
+    "thread-2": lambda: fail_thread_door(2),
+    "async-1": lambda: fail_async_door(1),
+    "async-2": lambda: fail_async_door(2),
+    "replay": fail_replay,
+    "thread-pump": fail_thread_pump,
+    "async-pump": fail_async_pump,
+}
+
+
+class TestSchedulerThreadFailure:
+    @pytest.mark.parametrize("adapter", sorted(FAILING_ADAPTERS))
+    def test_failing_job_resolves_all_handles(self, adapter):
+        """A job whose step() raises must not strand other handles: every
+        unresolved request is cancelled with the failure as its error, and
+        nothing stays tracked or admitted — through every adapter."""
+        door, outcomes = FAILING_ADAPTERS[adapter]()
+        assert [o.status for o in outcomes] == ["cancelled"] * len(outcomes)
+        for outcome in outcomes:
+            assert isinstance(outcome.error, ServingError)
+            assert "worker died" in str(outcome.error)
+        assert door.engine._entries == [] and door.engine.in_flight == 0
+        assert door.admission.in_flight == 0
+        assert door._handles == {}
+        assert door.service.closed
+
+    def test_failing_job_in_a_batch_drain(self):
+        clock = SimulatedClock()
+        scheduler = BatchScheduler(clock, policy="fifo")
+        scheduler.add(Boom())
+        scheduler.add(FakeJob("w1", 50, clock))
+        with pytest.raises(RuntimeError, match="worker died"):
+            scheduler.run()
+        assert scheduler.pending == 0
+        # The failure is raised once; the next drain reports what it cost.
+        assert [o.status for o in scheduler.run()] == ["cancelled", "cancelled"]
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_shutdown_timeout_leaves_session_open(self, slots):
         """An expired shutdown timeout must not close the backend under the
-        still-running scheduler thread; a later shutdown finishes the job."""
-        import threading
-
-        release = threading.Event()
-
-        class SlowSession:
-            def __init__(self, session):
-                self._session = session
-                self.clock = session.clock
-                self.backend = session.backend
-
-            def job_for_request(self, request, default_max_step_rows=None):
-                clock = self.clock
-
-                class _Slow:
-                    name = "slow"
-                    done = False
-
-                    def step(self):
-                        release.wait(5.0)
-                        self.done = True
-                        clock.charge_serial(io=1.0)
-
-                    def finish(self, service_ns):
-                        class _Report:
-                            elapsed_ns = service_ns
-                        return _Report()
-
-                return _Slow()
-
-            def close(self):
-                self._session.close()
-
-        inner = MatchSession(table)
-        door = FrontDoor(SlowSession(inner), policy="fifo")
+        still-running step — and must expire on time, not at the step's
+        end; a later shutdown finishes the job."""
+        service = CannedService()
+        slow = service.jobs["slow"] = SlowJob("slow", service.clock)
+        door = FrontDoor(service, policy="fifo", max_concurrent_steps=slots)
         door.start()
         handle = door.submit(make_request(name="slow"))
+        assert slow.entered.wait(30)  # the step is running: no sleep budget
+        began = time.monotonic()
         assert door.shutdown(drain=True, timeout=0.05) is False
-        assert not inner.closed  # backend still alive under the thread
-        release.set()
+        assert time.monotonic() - began < slow.step_s / 2
+        assert not service.closed  # backend still alive under the step
+        with pytest.raises(ServingError):
+            door.submit(make_request(name="slow"))  # but no longer accepting
+        slow.release.set()
         assert door.shutdown(drain=True, timeout=30) is True
-        assert inner.closed
+        assert service.closed
         assert handle.outcome(timeout=1).status == "completed"
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_cancel_while_in_flight_discards_the_straggler(self, slots):
+        """shutdown(drain=False) during a step: the request is cancelled at
+        once, the step is left to finish before the service closes, and
+        its late settle is discarded — never finalized twice."""
+        service = CannedService()
+        slow = service.jobs["slow"] = SlowJob("slow", service.clock)
+        service.jobs["queued"] = FakeJob("queued", 3, service.clock)
+        door = FrontDoor(
+            service, policy="fifo", max_queue=4, max_concurrent_steps=slots
+        )
+        handles = [
+            door.submit(make_request(name="slow")),
+            door.submit(make_request(name="queued")),
+        ]
+        door.start()
+        assert slow.entered.wait(30)
+        closer = threading.Thread(target=door.shutdown, kwargs={"drain": False})
+        closer.start()
+        if slots == 1:
+            # The scheduler thread is inside the step; the cancel lands
+            # once it returns.
+            assert not handles[0].done
+        slow.release.set()
+        closer.join(30)
+        assert not closer.is_alive() and service.closed
+        outcomes = [handle.outcome(timeout=1) for handle in handles]
+        if slots == 1:
+            assert [o.status for o in outcomes] == ["cancelled", "cancelled"]
+            assert outcomes[0].steps == 0  # the finished step was not counted
+        else:
+            assert outcomes[0].status == "cancelled"
+        snap = door.metrics.snapshot()
+        assert snap.requests == 2  # one finalization per request
+        assert door.engine._entries == [] and door.admission.in_flight == 0
 
 
 class TestStepperServingHooks:

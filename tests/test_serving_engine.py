@@ -145,7 +145,7 @@ class TestPerJobClockStamping:
         job = FakeJob("j", work=5, clock=sim)
         entry = engine.submit(job)  # clock inferred from the job
         assert entry.clock is sim
-        engine.step()
+        engine.turn()
         engine.cancel_pending("shutdown")
         outcome = entry.outcome
         assert outcome.status == "cancelled"
@@ -239,7 +239,7 @@ class TestFeasibilityShedding:
         engine = ServingEngine(clock, policy="edf-f")
         job = FakeJob("j", work=3, clock=clock, remaining_ns=10.0)
         engine.submit(job, deadline_ns=100.0)
-        assert engine.step()
+        assert engine.turn() == 1
         job.remaining_ns = 1e12  # estimate goes insane mid-run
         (outcome,) = engine.run_until_idle()
         assert outcome.status == "completed"
@@ -335,8 +335,8 @@ class TestOneEstimatePerStep:
 
 
 class TestPickDispatchSettle:
-    """The three-phase split: pick marks in-flight, settle accounts, and
-    ``step()`` is exactly pick → job.step() → settle."""
+    """The three-phase split: pick marks in-flight, settle accounts, and an
+    inline ``turn()`` is exactly pick → job.step() → settle."""
 
     def test_pick_marks_in_flight_and_skips_it(self):
         clock = SimulatedClock()
@@ -359,7 +359,7 @@ class TestPickDispatchSettle:
         assert second.outcome.status == "completed"
         assert second.steps == 1
 
-    def test_step_is_pick_step_settle(self):
+    def test_inline_turn_is_pick_step_settle(self):
         def drain(three_phase):
             clock = SimulatedClock()
             log = []
@@ -374,7 +374,7 @@ class TestPickDispatchSettle:
                     entry.job.step()
                     engine.settle(entry)
             else:
-                while engine.step():
+                while engine.turn():
                     pass
             outcomes = {
                 e.name: (e.outcome.status, e.outcome.steps, e.outcome.service_ns)
@@ -441,7 +441,7 @@ class TestFinishedEntriesAreDropped:
         ]
         assert engine.pending == 4 and not engine.idle
         pending_seen = []
-        while engine.step():
+        while engine.turn():
             # Unfinished == tracked, at every slice.
             assert engine.pending == sum(h.outcome is None for h in handles)
             assert len(engine._entries) == engine.pending

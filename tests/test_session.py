@@ -13,7 +13,7 @@ from repro.core import HistSimConfig
 from repro.core.target import TargetSpec
 from repro.query import Equals, HistogramQuery
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
-from repro.system import PreparedQuery, RoundRobinScheduler, SimulatedClock, run_approach
+from repro.system import BatchScheduler, PreparedQuery, SimulatedClock, run_approach
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +252,7 @@ class _FakeJob:
 class TestRoundRobinScheduler:
     def test_round_robin_interleaving_order(self):
         clock = SimulatedClock()
-        scheduler = RoundRobinScheduler(clock)
+        scheduler = BatchScheduler(clock)
         log = []
         scheduler.add(_FakeJob("a", 3, clock, log))
         scheduler.add(_FakeJob("b", 1, clock, log))
@@ -266,7 +266,7 @@ class TestRoundRobinScheduler:
 
     def test_latency_reflects_interleaving(self):
         clock = SimulatedClock()
-        scheduler = RoundRobinScheduler(clock)
+        scheduler = BatchScheduler(clock)
         log = []
         scheduler.add(_FakeJob("a", 2, clock, log))
         scheduler.add(_FakeJob("b", 2, clock, log))
@@ -279,7 +279,7 @@ class TestRoundRobinScheduler:
         assert result.elapsed_ns == 4.0
 
     def test_empty_drain(self):
-        scheduler = RoundRobinScheduler(SimulatedClock())
+        scheduler = BatchScheduler(SimulatedClock())
         result = scheduler.run()
         assert len(result) == 0
         assert result.mean_latency_seconds == 0.0
@@ -287,7 +287,7 @@ class TestRoundRobinScheduler:
 
     def test_repeated_drains_never_double_report(self):
         clock = SimulatedClock()
-        scheduler = RoundRobinScheduler(clock)
+        scheduler = BatchScheduler(clock)
         log = []
         scheduler.add(_FakeJob("a", 2, clock, log))
         first = scheduler.run()
