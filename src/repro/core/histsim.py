@@ -361,7 +361,9 @@ class HistSim:
         """Safety valve after ``max_rounds``: exhaust the data, which is
         always correct, and return the exact top-k."""
         self.state.fold_round_into_cumulative()
-        self.backend.run_sampling(self.sampler, np.full(self.alive.size, np.inf))
+        self.state.record_round_counts(
+            self.backend.run_sampling(self.sampler, np.full(self.alive.size, np.inf))
+        )
         self.state.fold_round_into_cumulative()
         tau = self.alive_distances(self.state.counts)
         return select_matching(tau, self.alive, self.config.k)
@@ -376,8 +378,8 @@ class HistSim:
             delta_upper /= 2.0
             plan = self.begin_round(round_index, delta_upper)
             fresh = self.backend.run_sampling(self.sampler, plan.budgets)
-            self.state.record_round_counts(fresh)
-            matching = self.finish_round(plan, int(fresh.sum()))
+            row_sums = self.state.record_round_counts(fresh)
+            matching = self.finish_round(plan, int(row_sums.sum()))
             if matching is not None:
                 return matching
         return self.exhaust_stage2()
@@ -804,8 +806,7 @@ class HistSimStepper:
             st.plan = algo.begin_round(st.round_index, st.delta_upper)
         remaining = np.maximum(st.plan.budgets - algo.state.round_samples, 0.0)
         fresh = self._sample(remaining)
-        algo.state.record_round_counts(fresh)
-        fresh_rows = int(fresh.sum())
+        fresh_rows = int(algo.state.record_round_counts(fresh).sum())
         st.fresh_rows += fresh_rows
         if self._slice_complete(fresh_rows):
             matching = algo.finish_round(st.plan, st.fresh_rows)
@@ -837,11 +838,10 @@ class HistSimStepper:
         algo = self.algorithm
         if st.needed is None:
             st.needed = algo.stage3_needed(st.matching)
-        fresh = self._sample(st.needed)
-        algo.state.record_round_counts(fresh)
-        fresh_rows = int(fresh.sum())
+        row_sums = algo.state.record_round_counts(self._sample(st.needed))
+        fresh_rows = int(row_sums.sum())
         st.fresh_rows += fresh_rows
-        st.needed = np.maximum(st.needed - fresh.sum(axis=1), 0.0)
+        st.needed = np.maximum(st.needed - row_sums, 0.0)
         if not self._slice_complete(fresh_rows):
             return StepReport(stage="stage3", fresh_rows=fresh_rows)
         algo.state.fold_round_into_cumulative()

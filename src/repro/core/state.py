@@ -60,8 +60,12 @@ class CandidateState:
         else:
             self.candidate_rows = None
 
-    def record_round_counts(self, fresh_counts: np.ndarray) -> None:
-        """Add a batch of fresh per-(candidate, group) counts to the round state."""
+    def record_round_counts(self, fresh_counts: np.ndarray) -> np.ndarray:
+        """Add a batch of fresh per-(candidate, group) counts to the round state.
+
+        Returns the batch's per-candidate row sums — the one reduction of
+        the batch, for callers that need fresh rows per candidate or in total.
+        """
         fresh = np.asarray(fresh_counts)
         if fresh.shape != self.round_counts.shape:
             raise ValueError(
@@ -69,8 +73,10 @@ class CandidateState:
             )
         if np.any(fresh < 0):
             raise ValueError("fresh counts must be non-negative")
+        row_sums = fresh.sum(axis=1)
         self.round_counts += fresh
-        self.round_samples += fresh.sum(axis=1)
+        self.round_samples += row_sums
+        return row_sums
 
     def fold_round_into_cumulative(self) -> None:
         """Algorithm 1 lines 15–16: ``n_i += n∂_i``, ``r_i += r∂_i``, reset round.

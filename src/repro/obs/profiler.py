@@ -28,7 +28,10 @@ profile stage sums reconcile with PR 7 traces exactly.
 Kernel ``ns`` semantics per kernel name: backend kernels record real
 ``perf_counter_ns`` work time (worker-side time for the process pool);
 ``engine.deliver`` records the *simulated* I/O cost the cost model charged,
-putting the Eq. 1 estimate next to measured kernel time in one table.
+putting the Eq. 1 estimate next to measured kernel time in one table;
+``engine.tally`` records the real time and bytes of a deferred window's
+candidate-column tally, with no rows or blocks (the call-end backend count
+tallies those).
 """
 
 from __future__ import annotations
@@ -309,7 +312,7 @@ class Profiler:
                 totals["bytes_moved"] += stats.nbytes
                 totals["bincount_calls"] += stats.bincounts
                 totals["kernel_calls"] += stats.calls
-                if not kernel.startswith("engine."):
+                if kernel != "engine.deliver":
                     # engine.deliver ns is the simulated I/O charge, not
                     # measured kernel time; keep the wall total pure.
                     totals["kernel_ns"] += stats.ns

@@ -7,10 +7,13 @@
   uniform pass, stage-2 round budgets, stage-3 reconstruction).  The default
   implementations delegate straight to the sampler; a future distributed
   backend can intercept whole sampling requests here.
-- **engine level** — :meth:`count_blocks` performs the delivery of one
-  window's blocks (gather + filter + count + I/O cost accounting) for the
-  block sampling engine.  This is where :class:`ShardedBackend
-  <repro.parallel.sharded.ShardedBackend>` fans work out to its pool.
+- **engine level** — :meth:`count_blocks` counts the ``(candidate, group)``
+  cells of a set of blocks (gather + filter + count) for the block sampling
+  engine: one window's blocks, or every block a sampling call delivered
+  when the engine defers the count to the call's end.  This is where
+  :class:`ShardedBackend <repro.parallel.sharded.ShardedBackend>` fans work
+  out to its pool.  Simulated I/O is not the backend's business — the
+  engine accounts it, once per window.
 - **table level** — :meth:`count_table` computes the exact
   ``(candidate, group)`` counts of a *whole* table in one pass.  The exact
   Scan baseline and the ground-truth computation both reduce to this, and
@@ -37,7 +40,6 @@ import numpy as np
 
 from ..obs.profiler import NULL_PROFILER
 from ..obs.tracer import NULL_TRACER
-from ..storage.io_manager import IOManager
 from ..storage.shuffle import ShuffledTable
 from .kernels import (
     KernelChoice,
@@ -55,8 +57,7 @@ class CountSource:
     """What a backend needs to know about one engine's substrate.
 
     Built once per :class:`~repro.sampling.engine.BlockSamplingEngine`; the
-    backend uses it to locate columns, apply the query's row filter, and
-    charge simulated I/O through the engine's :class:`IOManager`.
+    backend uses it to locate columns and apply the query's row filter.
     """
 
     shuffled: ShuffledTable
@@ -65,7 +66,6 @@ class CountSource:
     num_candidates: int
     num_groups: int
     row_filter: np.ndarray | None
-    io: IOManager
     #: Per-job profiler the backend records its counting kernels into —
     #: the engine threads its own profiler here, so kernel effort is
     #: attributed to the job even on a backend shared across tenants.
@@ -132,15 +132,11 @@ class ExecutionBackend(ABC):
     # ------------------------------------------------------------- engine level
 
     @abstractmethod
-    def count_blocks(
-        self, source: CountSource, blocks: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Deliver one window's (sorted, unique, non-empty) blocks.
+    def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
+        """Count the rows of a (sorted, unique, non-empty) set of blocks.
 
-        Returns the fresh ``(candidate, group)`` count matrix and the
-        simulated I/O cost in nanoseconds.  Implementations must account
-        I/O through ``source.io`` so engine-level counters agree across
-        backends.
+        Returns the fresh int64 ``(candidate, group)`` count matrix, the
+        caller's to keep and modify.
         """
 
     # -------------------------------------------------------------- table level
@@ -212,12 +208,9 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def count_blocks(
-        self, source: CountSource, blocks: np.ndarray
-    ) -> tuple[np.ndarray, float]:
+    def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
         profiler = source.profiler
         started = time.perf_counter_ns() if profiler.enabled else 0
-        cost = source.io.read_cost(blocks)
         counts, moved = count_window(
             source.shuffled.table.column(source.z_name),
             source.shuffled.table.column(source.x_name),
@@ -238,4 +231,4 @@ class SerialBackend(ExecutionBackend):
                 nbytes=moved,
                 bincounts=1,
             )
-        return counts, cost
+        return counts

@@ -29,6 +29,13 @@ narrow dtype is chosen to hold ``C*G - 1``), and ``np.bincount`` output is
 int64 regardless of input dtype, so kernel choice can never change counts —
 only bytes moved and nanoseconds spent.
 
+Beside the kernels sits :func:`tally_window`, the candidate-column-only
+reduction — the matrix's row sums without the matrix — that the sampling
+engine runs per window when the code space is larger than a window's rows
+and the ``(candidate, group)`` cells are counted once per sampling call
+instead.  It is not a kernel: nothing selects it, and it reuses the kernels'
+whole-block gather.
+
 Each kernel returns ``(counts, moved_bytes)`` where ``moved_bytes`` counts
 bytes *materialized into fresh arrays* by the kernel (gathers, upcasts,
 code arrays, filter outputs); zero-copy views contribute nothing.  That is
@@ -54,6 +61,7 @@ __all__ = [
     "count_window",
     "pair_code_dtype",
     "resolve_kernel",
+    "tally_window",
 ]
 
 #: Concrete kernel names, in the order auto-selection prefers them.
@@ -332,3 +340,32 @@ def count_window(
         z, x, blocks, layout, num_candidates, num_groups,
         row_filter, filter_slice, codes, kernel.code_dtype,
     )
+
+
+def tally_window(
+    z: np.ndarray,
+    blocks: np.ndarray,
+    layout: BlockLayout,
+    num_candidates: int,
+    *,
+    row_filter: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """Rows per candidate among the rows covered by ``blocks``.
+
+    The row sums of :func:`count_window`'s matrix without the matrix: one
+    gather of the candidate column (and of the filter), one bincount to
+    ``num_candidates`` cells.  What block selection needs from a window
+    whose ``(candidate, group)`` cells are counted later, all at once.
+    Returns the int64 tally plus the bytes materialized, as the kernels do.
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if blocks.size == 0:
+        return np.zeros(num_candidates, dtype=np.int64), 0
+    gather = _block_gather(blocks, layout)
+    zz, moved = gather(z)
+    if row_filter is not None:
+        keep, keep_moved = gather(row_filter)
+        zz = zz[keep]
+        moved += keep_moved + int(zz.nbytes)
+    tally = np.bincount(zz, minlength=num_candidates)
+    return tally.astype(np.int64, copy=False), moved

@@ -2,10 +2,12 @@
 
 The coordinator's control flow (scan order, windows, policies, budgets,
 statistical tests) is untouched; :meth:`ShardedBackend.count_blocks`
-replaces only the counting of a window's delivered blocks:
+replaces only the counting of a set of delivered blocks — one window's, or
+a whole sampling call's when the engine defers the count to the call's end
+(the large fan-out, where the pool is worth its round-trip):
 
-1. :class:`~repro.parallel.shard.ShardPlanner` splits the window's blocks
-   into row-balanced contiguous shards, one per worker;
+1. :class:`~repro.parallel.shard.ShardPlanner` splits the blocks into
+   row-balanced contiguous shards, one per worker;
 2. the dataset's columns (and the query's row filter) are published to
    shared memory once per session via
    :class:`~repro.parallel.shm.SharedMemoryStore` — workers attach
@@ -15,7 +17,7 @@ replaces only the counting of a window's delivered blocks:
 4. :class:`~repro.parallel.merge.ShardMerger` sums the per-shard matrices
    into exactly the fresh-count state the serial path would have produced.
 
-Small windows (common in stage 1's budget-trimmed reads and late stage-2
+Small block sets (common in stage 1's budget-trimmed reads and late stage-2
 rounds) fall below ``min_shard_rows`` and are counted inline — process
 round-trips would cost more than they save.  The fallback uses the same
 kernel as the workers, so the short-circuit cannot change results.
@@ -185,10 +187,7 @@ class ShardedBackend(ExecutionBackend):
 
     # --------------------------------------------------------------- counting
 
-    def count_blocks(
-        self, source: CountSource, blocks: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        cost = source.io.read_cost(blocks)
+    def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
         layout = source.shuffled.layout
         total_rows = int(layout.rows_per_block(blocks).sum())
         if total_rows < max(1, self.n_workers * self.min_shard_rows):
@@ -222,7 +221,7 @@ class ShardedBackend(ExecutionBackend):
                     nbytes=moved,
                     bincounts=1,
                 )
-            return counts, cost
+            return counts
         shards = self.planner.plan(blocks, layout)
         pool = self.pool
         with self._dispatch_lock:
@@ -286,7 +285,7 @@ class ShardedBackend(ExecutionBackend):
                 bincounts=len(tasks),
             )
         merger = ShardMerger(source.num_candidates, source.num_groups)
-        return merger.merge(results), cost
+        return merger.merge(results)
 
     # -------------------------------------------------------------- table level
 

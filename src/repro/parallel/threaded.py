@@ -216,10 +216,7 @@ class ThreadPoolBackend(ExecutionBackend):
             )
         return merged
 
-    def count_blocks(
-        self, source: CountSource, blocks: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        cost = source.io.read_cost(blocks)
+    def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
         layout = source.shuffled.layout
         total_rows = int(layout.rows_per_block(blocks).sum())
         z = source.shuffled.table.column(source.z_name)
@@ -250,8 +247,8 @@ class ThreadPoolBackend(ExecutionBackend):
                     nbytes=moved,
                     bincounts=1,
                 )
-            return counts, cost
-        counts = self._count_sharded(
+            return counts
+        return self._count_sharded(
             z,
             x,
             blocks,
@@ -263,7 +260,6 @@ class ThreadPoolBackend(ExecutionBackend):
             codes=source.codes,
             kernel=source.kernel,
         )
-        return counts, cost
 
     # ------------------------------------------------------------ table level
 

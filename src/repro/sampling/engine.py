@@ -12,18 +12,38 @@ block mechanics:
   fresh samples must be fresh;
 - costs are charged to a simulated clock, serially (SyncMatch) or
   overlapped (FastMatch lookahead — Challenge 4);
-- the delivery of each window's blocks (gather + filter + count) routes
+- counting the delivered blocks' ``(candidate, group)`` cells routes
   through an :class:`~repro.parallel.ExecutionBackend`, so the serial and
   sharded execution paths share one engine and differ only in *who* counts.
+
+The loop and the caller need different things from a window.  Block
+selection needs *rows per candidate* now (who is still short of budget);
+the histograms are read only when the call returns.  So a window is
+delivered in one of two regimes, fixed at construction by one comparison of
+sizes the engine holds — ``num_candidates * num_groups`` against
+``window_blocks * block_size``:
+
+- **dense** (matrix no larger than a window's rows): the backend counts the
+  window's matrix at once and the row sums come free with it;
+- **deferred** (more cells than a window has rows, so the matrix would be
+  mostly zeros): the window only tallies the candidate column —
+  O(rows + candidates) instead of O(rows + cells) — and the call counts all
+  of its blocks in one ``count_blocks`` before returning.
+
+Both return the same matrices and charge the same clock: simulated I/O is
+accounted here, per window, never by the backend.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
 from ..bitmap.bitmap_index import BlockBitmapIndex
 from ..obs.profiler import NULL_PROFILER
 from ..parallel.backend import CountSource, ExecutionBackend, SerialBackend
+from ..parallel.kernels import tally_window
 from ..storage.cost_model import CostModel
 from ..storage.io_manager import IOManager
 from ..storage.shuffle import ShuffledTable
@@ -71,9 +91,8 @@ class BlockSamplingEngine:
         keys on ``Z`` presence — a conservative superset of matching blocks
         — while delivered tuples are filtered exactly.
     backend:
-        The :class:`~repro.parallel.ExecutionBackend` that delivers each
-        window's blocks.  Default: a private serial backend (exact legacy
-        behaviour).
+        The :class:`~repro.parallel.ExecutionBackend` that counts the
+        delivered blocks.  Default: a private serial backend.
     profiler:
         Optional :class:`~repro.obs.Profiler` the engine threads to the
         backend via its :class:`CountSource` — per-job attribution of
@@ -132,6 +151,12 @@ class BlockSamplingEngine:
         self._x_name = grouping_attribute
         self._num_candidates = shuffled.table.cardinality(candidate_attribute)
         self._num_groups = shuffled.table.cardinality(grouping_attribute)
+        # A window cannot touch more cells than it has rows: past that, count
+        # the call's cells once instead of a mostly-zero matrix per window.
+        self._deferred = (
+            self._num_candidates * self._num_groups
+            > window_blocks * self.layout.block_size
+        )
 
         if row_filter is not None:
             row_filter = np.asarray(row_filter, dtype=bool)
@@ -147,7 +172,6 @@ class BlockSamplingEngine:
             num_candidates=self._num_candidates,
             num_groups=self._num_groups,
             row_filter=row_filter,
-            io=self.io,
             profiler=self.profiler,
             codes=codes,
             kernel=kernel,
@@ -222,40 +246,72 @@ class BlockSamplingEngine:
         return window[~self._consumed[window]]
 
     def _deliver_blocks(
-        self, blocks: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int, float]:
-        """Deliver blocks through the execution backend, mark them consumed.
+        self, blocks: np.ndarray, call: list[np.ndarray]
+    ) -> tuple[np.ndarray, int, float]:
+        """Deliver one window's blocks, mark them consumed.
 
-        The backend gathers, filters, and counts (serially or sharded across
-        workers); the engine keeps the bookkeeping — consumed blocks, per-
-        candidate delivery tallies, effort counters.  Returns the fresh
-        count matrix, its per-candidate row sums and their total (the one
-        reduction of the window, which the callers reuse), and the I/O cost.
+        Returns what the loop needs now — fresh rows per candidate, their
+        total, and the simulated I/O cost — and leaves what the caller needs
+        at the end in ``call``, the sampling call's own scratch list
+        (:meth:`_fresh_counts` turns it into the matrix).  Dense regime: the
+        backend counts the window and ``call`` holds the one matrix the
+        windows accumulate into.  Deferred regime: the window only tallies
+        the candidate column and ``call`` collects the delivered block sets.
         ``blocks`` come from :meth:`_window`: distinct and not yet consumed.
         """
         if blocks.size == 0:
-            return (
-                np.zeros((self._num_candidates, self._num_groups), dtype=np.int64),
-                np.zeros(self._num_candidates, dtype=np.int64),
-                0,
-                0.0,
-            )
+            return np.zeros(self._num_candidates, dtype=np.int64), 0, 0.0
         blocks = np.sort(blocks)
-        counts, cost_ns = self.backend.count_blocks(self._source, blocks)
-        row_sums = counts.sum(axis=1)
+        cost_ns = self.io.read_cost(blocks)
+        profiler = self.profiler
+        if self._deferred:
+            started = time.perf_counter_ns() if profiler.enabled else 0
+            row_sums, moved = tally_window(
+                self.shuffled.table.column(self._z_name),
+                blocks,
+                self.layout,
+                self._num_candidates,
+                row_filter=self._row_filter,
+            )
+            call.append(blocks)
+            if profiler.enabled:
+                # rows/blocks stay zero: the call-end count tallies them.
+                profiler.record_kernel(
+                    "engine.tally",
+                    float(time.perf_counter_ns() - started),
+                    nbytes=moved,
+                    bincounts=1,
+                )
+        else:
+            counts = self.backend.count_blocks(self._source, blocks)
+            row_sums = counts.sum(axis=1)
+            if call:
+                call[0] += counts
+            else:
+                call.append(counts)
         rows = int(row_sums.sum())
         self._delivered += row_sums
         self._consumed[blocks] = True
         self._unconsumed -= int(blocks.size)
         self.counters.blocks_read += int(blocks.size)
         self.counters.rows_delivered += rows
-        if self.profiler.enabled:
-            # Simulated I/O charge, not wall time — the ``engine.`` prefix
-            # keeps it out of real-kernel-nanosecond totals; rows/blocks are
-            # zero because the backend kernel already tallied this window.
-            self.profiler.record_kernel("engine.deliver", float(cost_ns))
-            self.profiler.bump("windows")
-        return counts, row_sums, rows, cost_ns
+        if profiler.enabled:
+            # Simulated I/O charge, not wall time, so kept out of the
+            # real-kernel-nanosecond total; rows/blocks are zero because
+            # the backend kernel tallies them.
+            profiler.record_kernel("engine.deliver", float(cost_ns))
+            profiler.bump("windows")
+        return row_sums, rows, cost_ns
+
+    def _fresh_counts(self, call: list[np.ndarray]) -> np.ndarray:
+        """The count matrix of everything one sampling call delivered."""
+        if not call:
+            return np.zeros((self._num_candidates, self._num_groups), dtype=np.int64)
+        if self._deferred:
+            return self.backend.count_blocks(
+                self._source, np.sort(np.concatenate(call))
+            )
+        return call[0]
 
     # ---------------------------------------------------------------- stage 1
 
@@ -267,7 +323,7 @@ class BlockSamplingEngine:
         """
         if m < 0:
             raise ValueError(f"m must be non-negative, got {m}")
-        total = np.zeros((self._num_candidates, self._num_groups), dtype=np.int64)
+        call: list[np.ndarray] = []
         delivered = 0
         windows_without_blocks = 0
         max_windows = -(-max(self.layout.num_blocks, 1) // self.window_blocks) + 1
@@ -284,11 +340,10 @@ class BlockSamplingEngine:
             cumulative = np.cumsum(self.layout.rows_per_block(blocks))
             cutoff = int(np.searchsorted(cumulative, m - delivered)) + 1
             blocks = blocks[:cutoff]
-            counts, _, rows, io_cost = self._deliver_blocks(blocks)
+            _, rows, io_cost = self._deliver_blocks(blocks, call)
             self.clock.charge_serial(io=io_cost)
-            total += counts
             delivered += rows
-        return total
+        return self._fresh_counts(call)
 
     # ---------------------------------------------------------------- stage 2+
 
@@ -313,9 +368,12 @@ class BlockSamplingEngine:
             )
         remaining = (self._totals - self._delivered).astype(np.float64)
         goal = np.minimum(np.maximum(needed, 0.0), remaining)
-        fresh = np.zeros((self._num_candidates, self._num_groups), dtype=np.int64)
+        call: list[np.ndarray] = []
         fresh_rows = np.zeros(self._num_candidates, dtype=np.float64)
         delivered_call = 0
+        resident = self.cost_model.bitmaps_resident(
+            self._num_candidates, self.layout.num_blocks
+        )
 
         num_blocks = max(self.layout.num_blocks, 1)
         windows_budget = 2 * (-(-num_blocks // self.window_blocks)) + 2
@@ -333,16 +391,13 @@ class BlockSamplingEngine:
             self.counters.windows += 1
             if blocks.size == 0:
                 continue
-            resident = self.cost_model.bitmaps_resident(
-                self._num_candidates, self.layout.num_blocks
-            )
             decision: PolicyDecision = self.policy.select(
                 self.index, blocks, active, self.cost_model, resident
             )
             self.counters.probes += decision.probes
             to_read = blocks[decision.read_mask]
             self.counters.blocks_skipped += int(blocks.size - to_read.size)
-            counts, row_sums, rows, io_cost = self._deliver_blocks(to_read)
+            row_sums, rows, io_cost = self._deliver_blocks(to_read, call)
             if decision.overlaps_io:
                 self.clock.charge_pipelined(io_ns=io_cost, mark_ns=decision.mark_cost_ns)
             else:
@@ -358,7 +413,6 @@ class BlockSamplingEngine:
                     mark=decision.mark_cost_ns + handoff,
                     update=update_cost,
                 )
-            fresh += counts
             fresh_rows += row_sums
             delivered_call += rows
         else:
@@ -366,4 +420,4 @@ class BlockSamplingEngine:
                 "sampling engine exceeded its window budget; "
                 "active candidates could not be satisfied in two passes"
             )
-        return fresh
+        return self._fresh_counts(call)

@@ -49,9 +49,10 @@ class IOManager:
         """Account a batch of block reads without gathering any values.
 
         The cost and effort counters are identical to :meth:`read_blocks`
-        for the same blocks — execution backends that read column data from
-        shared memory (the gather happens in workers) still charge simulated
-        I/O through this method, so per-backend cost accounting agrees.
+        for the same blocks.  The sampling engine charges every window it
+        delivers through this method, once, whichever execution backend
+        gathers and counts the rows (and whenever it does), so cost
+        accounting cannot differ across backends.
         ``blocks`` must be sorted and unique (the engine reads in storage
         order — Section 4.2's locality discussion).
         """

@@ -128,6 +128,24 @@ class TestEngineFailureModes:
         assert result.exact  # fell back to the always-correct full scan
         assert len(result.matching) == 2
 
+    def test_exhaust_fallback_counts_the_rows_it_reads(self):
+        """The ``max_rounds`` safety valve scans what is left *into the
+        state*: its "exact" top-k must rest on every row, not on the rows
+        seen before it."""
+        rng = np.random.default_rng(8)
+        z = rng.integers(0, 4, size=20_000)
+        x = rng.integers(0, 3, size=20_000)
+        sampler = ArraySampler(z, x, 4, 3, rng)
+        config = HistSimConfig(k=2, epsilon=0.3, delta=0.05, sigma=0.0,
+                               stage1_samples=500)
+        algo = HistSim(sampler, np.ones(3), config)
+        algo.run_stage1()
+        algo.exhaust_stage2()
+        assert sampler.fully_scanned
+        expected = np.zeros((4, 3), dtype=np.int64)
+        np.add.at(expected, (z, x), 1)
+        np.testing.assert_array_equal(algo.state.counts, expected)
+
 
 class TestDensityAnyActivePolicy:
     def test_selects_blocks_with_matching_predicate_tuples(self):

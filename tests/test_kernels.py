@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import HistSimConfig
 from repro.core.target import TargetSpec
@@ -41,6 +43,7 @@ from repro.parallel import (
     plan_affinity,
     resolve_kernel,
 )
+from repro.parallel.kernels import tally_window
 from repro.query import Equals, HistogramQuery
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
 from repro.storage.blocks import BlockLayout
@@ -315,6 +318,59 @@ class TestCountWindowIdentity:
             count_shard(z, x, blocks, layout, 5, 3),
             legacy_reference(z, x, blocks, layout, 5, 3),
         )
+
+
+class TestTallyWindow:
+    """The z-only row tally is the row sums of ``count_window``'s matrix."""
+
+    @given(
+        data=st.data(),
+        num_rows=st.integers(min_value=1, max_value=400),
+        block_size=st.integers(min_value=1, max_value=37),
+        dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+        filtered=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_count_window_row_sums(
+        self, data, num_rows, block_size, dtype, filtered, seed
+    ):
+        c, g = 9, 4
+        rng = np.random.default_rng(seed)
+        layout = BlockLayout(num_rows=num_rows, block_size=block_size)
+        z = rng.integers(0, c, size=num_rows).astype(dtype)
+        x = rng.integers(0, g, size=num_rows).astype(dtype)
+        row_filter = rng.random(num_rows) < 0.6 if filtered else None
+        last = layout.num_blocks - 1
+        shape = data.draw(st.sampled_from(["run", "scattered", "names_last"]))
+        if shape == "run":
+            lo = data.draw(st.integers(0, last))
+            blocks = np.arange(lo, data.draw(st.integers(lo, last)) + 1)
+        else:
+            blocks = np.array(
+                sorted(data.draw(st.sets(st.integers(0, last), min_size=1))),
+                dtype=np.int64,
+            )
+            if shape == "names_last":  # the short block, when there is one
+                blocks = np.union1d(blocks, [last])
+        tally, moved = tally_window(z, blocks, layout, c, row_filter=row_filter)
+        counts, _ = count_window(z, x, blocks, layout, c, g, row_filter=row_filter)
+        assert tally.dtype == np.int64 and tally.shape == (c,)
+        np.testing.assert_array_equal(tally, counts.sum(axis=1))
+        assert moved >= 0
+        single_run = blocks[-1] - blocks[0] == blocks.size - 1
+        if single_run and not filtered:
+            assert moved == 0  # a zero-copy slice of the candidate column
+
+    def test_empty_and_out_of_range(self):
+        layout = BlockLayout(num_rows=100, block_size=10)
+        z = np.zeros(100, dtype=np.uint8)
+        tally, moved = tally_window(z, np.empty(0, dtype=np.int64), layout, 3)
+        np.testing.assert_array_equal(tally, np.zeros(3, dtype=np.int64))
+        assert moved == 0
+        for blocks in ([0, 10], [-1, 3], [2, 4, 11]):
+            with pytest.raises(ValueError, match="block index out of range"):
+                tally_window(z, np.array(blocks), layout, 3)
 
 
 class TestBuildPairCodes:

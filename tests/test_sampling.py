@@ -5,13 +5,19 @@ import pytest
 
 from repro.bitmap import BlockBitmapIndex, build_bitmap_index
 from repro.core.sampler import TupleSampler
-from repro.parallel import ShardedBackend, ThreadPoolBackend
+from repro.parallel import (
+    SerialBackend,
+    ShardedBackend,
+    ThreadPoolBackend,
+    count_window,
+)
 from repro.sampling import (
     AnyActiveLookaheadPolicy,
     AnyActiveSyncPolicy,
     BlockSamplingEngine,
     ScanAllPolicy,
 )
+from repro.sampling.policies import PolicyDecision
 from repro.storage import (
     CategoricalAttribute,
     ColumnTable,
@@ -57,6 +63,14 @@ def make_engine(shuffled, index, policy, window=16, seed=1, row_filter=None):
         row_filter=row_filter,
     )
     return engine, clock
+
+
+def code_spaces(dense, deferred):
+    """Run a test on a code space below its engine's window and one above
+    it (a window counted at once / tallied now and counted per call)."""
+    return pytest.mark.parametrize(
+        "groups", [dense, deferred], ids=["dense", "deferred"]
+    )
 
 
 class TestPolicies:
@@ -187,8 +201,9 @@ class TestSampleUntil:
     @pytest.mark.parametrize(
         "policy_cls", [ScanAllPolicy, AnyActiveSyncPolicy, AnyActiveLookaheadPolicy]
     )
-    def test_meets_budgets(self, policy_cls):
-        shuffled, index = make_world()
+    @code_spaces(4, 128)
+    def test_meets_budgets(self, policy_cls, groups):
+        shuffled, index = make_world(groups=groups)
         engine, _ = make_engine(shuffled, index, policy_cls())
         needed = np.zeros(8)
         needed[2] = 200
@@ -201,8 +216,9 @@ class TestSampleUntil:
     @pytest.mark.parametrize(
         "policy_cls", [ScanAllPolicy, AnyActiveSyncPolicy, AnyActiveLookaheadPolicy]
     )
-    def test_budget_capped_by_remaining(self, policy_cls):
-        shuffled, index = make_world(n=2000)
+    @code_spaces(4, 128)
+    def test_budget_capped_by_remaining(self, policy_cls, groups):
+        shuffled, index = make_world(n=2000, groups=groups)
         engine, _ = make_engine(shuffled, index, policy_cls())
         totals = engine.candidate_rows()
         needed = np.zeros(8)
@@ -256,8 +272,9 @@ class TestSampleUntil:
         look_engine.sample_until(needed)
         assert look_clock.breakdown.get("overlap_hidden", 0) > 0
 
-    def test_row_filter_limits_delivery(self):
-        shuffled, index = make_world(n=4000)
+    @code_spaces(4, 128)
+    def test_row_filter_limits_delivery(self, groups):
+        shuffled, index = make_world(n=4000, groups=groups)
         x_col = shuffled.table.column("x")
         row_filter = x_col < 2  # keep about half the rows
         engine, _ = make_engine(
@@ -268,12 +285,13 @@ class TestSampleUntil:
         # Only surviving groups appear.
         assert fresh[:, 2:].sum() == 0
 
-    def test_counts_join_z_and_x_correctly(self):
-        shuffled, index = make_world(n=2000)
+    @code_spaces(4, 128)
+    def test_counts_join_z_and_x_correctly(self, groups):
+        shuffled, index = make_world(n=2000, groups=groups)
         engine, _ = make_engine(shuffled, index, ScanAllPolicy())
         fresh = engine.sample_until(np.full(8, np.inf))
         z, x = shuffled.table.column("z"), shuffled.table.column("x")
-        expected = np.zeros((8, 4), dtype=np.int64)
+        expected = np.zeros((8, groups), dtype=np.int64)
         np.add.at(expected, (z, x), 1)
         np.testing.assert_array_equal(fresh, expected)
 
@@ -346,9 +364,10 @@ class TestEngineBookkeeping:
         return engine, trace
 
     @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
-    def test_state_matches_step_by_step_across_backends(self, filtered):
+    @code_spaces(4, 8)
+    def test_state_matches_step_by_step_across_backends(self, filtered, groups):
         # 240 blocks of 25 rows, each holding under half of the 40 candidates.
-        shuffled, index = make_world(candidates=40, block_size=25)
+        shuffled, index = make_world(candidates=40, groups=groups, block_size=25)
         row_filter = shuffled.table.column("x") < 3 if filtered else None
         z = shuffled.table.column("z")
         totals = np.bincount(z if row_filter is None else z[row_filter], minlength=40)
@@ -406,3 +425,510 @@ class TestEngineBookkeeping:
             engine.candidate_rows(), np.bincount(z, minlength=8)
         )
         assert engine.total_rows == int(prepared.row_filter.sum())
+
+
+# ---------------------------------------------------------------------------
+# Delivery regimes: a window counted at once, or tallied now and counted once
+# per call — the same matrices, state and clock either way
+# ---------------------------------------------------------------------------
+
+
+class RecordingClock(SimulatedClock):
+    """A simulated clock that also keeps every charge, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.charges = []
+
+    def charge_serial(self, **costs_ns):
+        self.charges.append(("serial", tuple(sorted(costs_ns.items()))))
+        super().charge_serial(**costs_ns)
+
+    def charge_pipelined(self, io_ns, mark_ns):
+        self.charges.append(("pipelined", io_ns, mark_ns))
+        super().charge_pipelined(io_ns, mark_ns)
+
+
+class RecordingBackend(SerialBackend):
+    """Serial counting that keeps the block set of every ``count_blocks``;
+    ``fail_next`` makes the next one raise instead."""
+
+    def __init__(self):
+        self.calls = []
+        self.fail_next = False
+
+    def count_blocks(self, source, blocks):
+        if self.fail_next:
+            self.fail_next = False
+            raise RuntimeError("injected count_blocks failure")
+        self.calls.append(blocks.copy())
+        return super().count_blocks(source, blocks)
+
+
+class ParentLoopEngine(BlockSamplingEngine):
+    """The sampling loops as they stood before the regimes: every window
+    counted to a full matrix at once, summed into a fresh ``zeros``."""
+
+    def _deliver_parent(self, blocks):
+        if blocks.size == 0:
+            return (
+                np.zeros((self._num_candidates, self._num_groups), dtype=np.int64),
+                np.zeros(self._num_candidates, dtype=np.int64),
+                0,
+                0.0,
+            )
+        blocks = np.sort(blocks)
+        cost_ns = self.io.read_cost(blocks)
+        counts = self.backend.count_blocks(self._source, blocks)
+        row_sums = counts.sum(axis=1)
+        rows = int(row_sums.sum())
+        self._delivered += row_sums
+        self._consumed[blocks] = True
+        self._unconsumed -= int(blocks.size)
+        self.counters.blocks_read += int(blocks.size)
+        self.counters.rows_delivered += rows
+        return counts, row_sums, rows, cost_ns
+
+    def sample_uniform(self, m):
+        total = np.zeros((self._num_candidates, self._num_groups), dtype=np.int64)
+        delivered = 0
+        windows_without_blocks = 0
+        max_windows = -(-max(self.layout.num_blocks, 1) // self.window_blocks) + 1
+        while delivered < m and not self.fully_scanned:
+            blocks = self._window()
+            self.counters.windows += 1
+            if blocks.size == 0:
+                windows_without_blocks += 1
+                if windows_without_blocks > max_windows:
+                    break
+                continue
+            windows_without_blocks = 0
+            cumulative = np.cumsum(self.layout.rows_per_block(blocks))
+            cutoff = int(np.searchsorted(cumulative, m - delivered)) + 1
+            blocks = blocks[:cutoff]
+            counts, _, rows, io_cost = self._deliver_parent(blocks)
+            self.clock.charge_serial(io=io_cost)
+            total += counts
+            delivered += rows
+        return total
+
+    def sample_until(self, needed, max_rows=None):
+        needed = np.asarray(needed, dtype=np.float64)
+        remaining = (self._totals - self._delivered).astype(np.float64)
+        goal = np.minimum(np.maximum(needed, 0.0), remaining)
+        fresh = np.zeros((self._num_candidates, self._num_groups), dtype=np.int64)
+        fresh_rows = np.zeros(self._num_candidates, dtype=np.float64)
+        delivered_call = 0
+        num_blocks = max(self.layout.num_blocks, 1)
+        windows_budget = 2 * (-(-num_blocks // self.window_blocks)) + 2
+        windows_used = 0
+        while windows_used <= windows_budget:
+            active = np.flatnonzero(fresh_rows < goal)
+            if active.size == 0:
+                break
+            if self.fully_scanned:
+                break
+            if max_rows is not None and delivered_call >= max_rows:
+                break
+            blocks = self._window()
+            windows_used += 1
+            self.counters.windows += 1
+            if blocks.size == 0:
+                continue
+            resident = self.cost_model.bitmaps_resident(
+                self._num_candidates, self.layout.num_blocks
+            )
+            decision = self.policy.select(
+                self.index, blocks, active, self.cost_model, resident
+            )
+            self.counters.probes += decision.probes
+            to_read = blocks[decision.read_mask]
+            self.counters.blocks_skipped += int(blocks.size - to_read.size)
+            counts, row_sums, rows, io_cost = self._deliver_parent(to_read)
+            if decision.overlaps_io:
+                self.clock.charge_pipelined(
+                    io_ns=io_cost, mark_ns=decision.mark_cost_ns
+                )
+            else:
+                update_cost = self.cost_model.sync_update_cost(
+                    rows, self._num_candidates * self._num_groups
+                )
+                handoff = self.cost_model.sync_handoff_cost(int(blocks.size))
+                self.clock.charge_serial(
+                    io=io_cost,
+                    mark=decision.mark_cost_ns + handoff,
+                    update=update_cost,
+                )
+            fresh += counts
+            fresh_rows += row_sums
+            delivered_call += rows
+        else:
+            raise RuntimeError("sampling engine exceeded its window budget")
+        return fresh
+
+
+#: 8-block windows of 25 rows hold 200 rows: code spaces above the rule,
+#: exactly at it (``==`` stays dense) and below it.
+REGIME_WORLDS = {
+    "deferred": dict(candidates=40, groups=8),
+    "boundary": dict(candidates=40, groups=5),
+    "dense": dict(candidates=8, groups=4),
+}
+
+
+def regime_engine(cls, world, policy, backend, filtered, clock=None, profiler=None):
+    shuffled, index = world
+    row_filter = shuffled.table.column("x") < 3 if filtered else None
+    return cls(
+        shuffled=shuffled,
+        candidate_attribute="z",
+        grouping_attribute="x",
+        index=index,
+        cost_model=CostModel(),
+        clock=clock or RecordingClock(),
+        policy=policy,
+        window_blocks=8,
+        row_filter=row_filter,
+        start_block=37,
+        backend=backend,
+        profiler=profiler,
+    )
+
+
+def regime_calls(engine):
+    """Stage-1 pass, bounded budgeted slices, then the rest: each call's
+    matrix with the engine's observable state after it."""
+    seen = np.zeros((engine.num_candidates, engine.num_groups), dtype=np.int64)
+    needed = np.zeros(engine.num_candidates)
+    needed[[0, 2, 5, -1]] = np.inf, 60, 15, np.inf
+    out = []
+    draining = False
+    for step in range(200):
+        if step == 0:
+            fresh = engine.sample_uniform(700)
+        elif draining:
+            fresh = engine.sample_until(np.full(engine.num_candidates, np.inf))
+        else:
+            remaining = np.maximum(needed - seen.sum(axis=1), 0)
+            fresh = engine.sample_until(remaining, max_rows=300)
+        seen += fresh
+        counters = engine.counters
+        out.append((
+            fresh.copy(), engine.delivered_rows(), engine.fully_scanned,
+            (counters.blocks_read, counters.blocks_skipped,
+             counters.rows_delivered, counters.probes, counters.windows),
+            list(engine.clock.charges), engine.clock.elapsed_ns,
+        ))
+        if draining:
+            break
+        draining = not fresh.any()
+    return out
+
+
+class TestRegimeIdentity:
+    @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
+    @pytest.mark.parametrize(
+        "policy_cls", [AnyActiveLookaheadPolicy, AnyActiveSyncPolicy, ScanAllPolicy]
+    )
+    @pytest.mark.parametrize("regime", list(REGIME_WORLDS))
+    def test_regime_matches_the_parent_loop_call_by_call(
+        self, regime, policy_cls, filtered
+    ):
+        world = make_world(block_size=25, **REGIME_WORLDS[regime])
+        ref_backend, backend = RecordingBackend(), RecordingBackend()
+        reference = regime_calls(
+            regime_engine(ParentLoopEngine, world, policy_cls(), ref_backend, filtered)
+        )
+        calls = regime_calls(
+            regime_engine(BlockSamplingEngine, world, policy_cls(), backend, filtered)
+        )
+        assert len(calls) == len(reference) > 3
+        for got, want in zip(calls, reference):
+            assert got[0].dtype == np.int64
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2:] == want[2:]
+        assert reference[-1][2]  # ends fully scanned
+        delivering_calls = sum(1 for fresh, *_ in reference if fresh.any())
+        if regime == "deferred":
+            # One count per call that delivered, over all of its blocks.
+            assert len(backend.calls) == delivering_calls < len(ref_backend.calls)
+            assert max(b.size for b in backend.calls) > 8
+        else:
+            # One count per delivering window, as before.
+            assert len(backend.calls) == len(ref_backend.calls) > delivering_calls
+            for got, want in zip(backend.calls, ref_backend.calls):
+                np.testing.assert_array_equal(got, want)
+        for blocks in backend.calls:
+            assert (np.diff(blocks) > 0).all()  # sorted, no block twice
+
+
+class TestRegimeAccounting:
+    BACKENDS = TestEngineBookkeeping.BACKENDS
+
+    @pytest.mark.parametrize("backend_name", list(BACKENDS))
+    @pytest.mark.parametrize("regime", ["deferred", "dense"])
+    def test_regime_io_is_accounted_once(self, regime, backend_name):
+        """Every block read is charged to the I/O manager and the clock
+        exactly once — the call-end count of the deferred regime included."""
+        world = make_world(block_size=25, **REGIME_WORLDS[regime])
+        backend = self.BACKENDS[backend_name]()
+        try:
+            clock = SimulatedClock()
+            engine = regime_engine(
+                BlockSamplingEngine, world, AnyActiveLookaheadPolicy(), backend,
+                filtered=True, clock=clock,
+            )
+            engine.sample_uniform(700)
+            needed = np.zeros(engine.num_candidates)
+            needed[[0, 2, 5]] = 90, 60, 15
+            engine.sample_until(needed, max_rows=300)
+            engine.sample_until(needed)
+            assert 0 < engine.counters.blocks_read < world[0].num_blocks
+            engine.sample_until(np.full(engine.num_candidates, np.inf))
+            assert engine.fully_scanned
+        finally:
+            if backend is not None:
+                backend.close()
+        assert engine.io.total_blocks_read == engine.counters.blocks_read
+        assert engine.io.total_blocks_read == world[0].num_blocks
+        assert engine.io.total_cost_ns == clock.snapshot()["io"]
+
+    @staticmethod
+    def expected_counts(engine, consumed_before):
+        """Exact counts of the blocks consumed since ``consumed_before``."""
+        blocks = np.flatnonzero(engine._consumed & ~consumed_before)
+        table = engine.shuffled.table
+        counts, _ = count_window(
+            table.column("z"), table.column("x"), blocks, engine.layout,
+            engine.num_candidates, engine.num_groups,
+        )
+        return counts
+
+    @pytest.mark.parametrize("regime", ["deferred", "dense"])
+    def test_regime_failed_count_leaks_nothing(self, regime):
+        """A call whose ``count_blocks`` raised loses its own rows only: the
+        next call returns exactly the blocks it read itself."""
+        world = make_world(block_size=25, **REGIME_WORLDS[regime])
+        backend = RecordingBackend()
+        engine = regime_engine(
+            BlockSamplingEngine, world, AnyActiveLookaheadPolicy(), backend, False
+        )
+        engine.sample_uniform(500)
+        backend.fail_next = True
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.sample_until(np.full(engine.num_candidates, 30.0))
+        before = engine._consumed.copy()
+        delivered_before = engine.delivered_rows()
+        fresh = engine.sample_until(np.full(engine.num_candidates, 30.0))
+        assert fresh.any()
+        np.testing.assert_array_equal(fresh, self.expected_counts(engine, before))
+        np.testing.assert_array_equal(
+            fresh.sum(axis=1), engine.delivered_rows() - delivered_before
+        )
+
+    @pytest.mark.parametrize("regime", ["deferred", "dense"])
+    def test_regime_window_budget_error_leaks_nothing(self, regime):
+        class ReadsOneWindowPolicy:
+            """Reads the first window it is shown, then refuses."""
+
+            name = "reads_one_window"
+            overlaps_io = True
+            shown = 0
+
+            def select(self, index, blocks, active_values, cost_model, resident):
+                self.shown += 1
+                return PolicyDecision(
+                    read_mask=np.full(blocks.size, self.shown == 1),
+                    mark_cost_ns=0.0,
+                    overlaps_io=True,
+                    probes=0,
+                )
+
+        world = make_world(block_size=25, **REGIME_WORLDS[regime])
+        engine = regime_engine(
+            BlockSamplingEngine, world, ReadsOneWindowPolicy(), None, False
+        )
+        with pytest.raises(RuntimeError, match="window budget"):
+            engine.sample_until(np.full(engine.num_candidates, np.inf))
+        assert engine.counters.rows_delivered == 200  # the one window was read
+        engine.policy = ScanAllPolicy()
+        before = engine._consumed.copy()
+        fresh = engine.sample_until(np.full(engine.num_candidates, 20.0))
+        assert fresh.any()
+        np.testing.assert_array_equal(fresh, self.expected_counts(engine, before))
+
+
+class TestRegimeMatrix:
+    """A query whose code space (700 x 48 = 33,600 cells) is above every
+    approach's window: whole runs agree across backends, kernels, filters
+    and step bounds, at every step."""
+
+    C, G = 700, 48
+    BACKENDS = TestEngineBookkeeping.BACKENDS
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        """The query plain and under a predicate, pair codes built."""
+        import dataclasses
+
+        from repro.data.generator import conditional_column, jittered
+        from repro.parallel import build_pair_codes
+        from repro.query import HistogramQuery, IsIn
+        from repro.system import PreparedQuery
+
+        rng = np.random.default_rng(3)
+        # Eight candidates worth matching, the rest rare enough to prune.
+        sizes = np.concatenate([
+            [9000, 8000, 7000, 6000, 5000, 4000, 3000, 3000],
+            rng.integers(20, 100, size=self.C - 8),
+        ])
+        base = np.full(self.G, 1.0 / self.G)
+        distributions = np.stack(
+            [jittered(base, concentration=3.0, rng=rng) for _ in sizes]
+        )
+        z = np.repeat(np.arange(self.C), sizes)
+        x = conditional_column(sizes, distributions, rng)
+        order = rng.permutation(z.size)
+        schema = Schema((
+            CategoricalAttribute("z", tuple(f"z{i}" for i in range(self.C))),
+            CategoricalAttribute("x", tuple(f"x{i}" for i in range(self.G))),
+        ))
+        table = ColumnTable(schema, {"z": z[order], "x": x[order]})
+        out = {}
+        for name, predicate in [
+            ("plain", None), ("filtered", IsIn("x", tuple(range(0, self.G, 2)))),
+        ]:
+            query = (
+                HistogramQuery("z", "x", k=1)
+                if predicate is None
+                else HistogramQuery("z", "x", k=1, predicate=predicate)
+            )
+            prepared = PreparedQuery.prepare(table, query, np.random.default_rng(0))
+            columns = prepared.shuffled.table
+            out[name] = dataclasses.replace(
+                prepared,
+                pair_codes=build_pair_codes(
+                    columns.column("z"), columns.column("x"), self.C, self.G
+                ),
+            )
+        return out
+
+    @pytest.fixture(scope="class")
+    def backends(self):
+        built = {name: build() for name, build in self.BACKENDS.items()}
+        yield built
+        for backend in built.values():
+            if backend is not None:
+                backend.close()
+
+    @staticmethod
+    def run(prepared, approach, backend, kernel, max_step_rows):
+        """Step the query to its end: the report, and the partial answer
+        after every step."""
+        from repro.core import HistSim, HistSimConfig
+        from repro.core.histsim import HistSimStepper
+        from repro.system.fastmatch import (
+            assemble_report,
+            engine_counters,
+            make_engine,
+        )
+        from repro.system.stats_engine import StatsEngine
+
+        config = HistSimConfig(k=1, epsilon=0.3, delta=0.05, sigma=0.004, lookahead=64)
+        clock = SimulatedClock()
+        engine = make_engine(
+            prepared, approach, config, CostModel(), clock,
+            np.random.default_rng(5), backend, kernel=kernel,
+        )
+        assert engine.num_candidates * engine.num_groups > 32_768
+        algorithm = HistSim(
+            engine, prepared.target, config,
+            stats_cost=StatsEngine(CostModel(), clock), backend=backend,
+        )
+        stepper = HistSimStepper(algorithm=algorithm, max_step_rows=max_step_rows)
+        partials = []
+        while not stepper.done:
+            stepper.step()
+            partials.append(stepper.partial_result())
+        report = assemble_report(
+            prepared, approach, stepper.result, config, clock.elapsed_ns,
+            engine_counters(engine), breakdown=clock.snapshot(),
+        )
+        return report, partials
+
+    @staticmethod
+    def assert_results_equal(got, want):
+        assert got.matching == want.matching
+        np.testing.assert_array_equal(got.histograms, want.histograms)
+        np.testing.assert_array_equal(got.distances, want.distances)
+        assert got.pruned == want.pruned
+        assert got.exact == want.exact
+        assert got.stats == want.stats
+        assert got.rounds == want.rounds
+
+    @pytest.mark.parametrize("filtered", ["plain", "filtered"])
+    @pytest.mark.parametrize("approach", ["scanmatch", "syncmatch", "fastmatch"])
+    def test_regime_matrix_reports_equal_the_serial_unbounded_run(
+        self, prepared, backends, approach, filtered
+    ):
+        artifact = prepared[filtered]
+        want, whole_steps = self.run(artifact, approach, None, "auto", None)
+        assert want.counters["blocks_read"] > 3 * 64  # many windows
+        if (approach, filtered) == ("fastmatch", "plain"):
+            assert not want.result.exact and want.counters["blocks_skipped"] > 0
+        # Below one window of any approach, and a few fastmatch windows.
+        for max_step_rows in (None, 500, 7000):
+            reference_partials = None
+            for backend in backends.values():
+                for kernel in ("auto", "classic", "fused"):
+                    got, partials = self.run(
+                        artifact, approach, backend, kernel, max_step_rows
+                    )
+                    self.assert_results_equal(got.result, want.result)
+                    assert got.elapsed_ns == want.elapsed_ns
+                    assert got.breakdown == want.breakdown
+                    assert got.counters == want.counters
+                    assert got.audit == want.audit
+                    if reference_partials is None:
+                        reference_partials = partials
+                        if max_step_rows is not None:
+                            assert len(partials) > len(whole_steps)  # cut mid-round
+                        continue
+                    assert len(partials) == len(reference_partials)
+                    for mine, theirs in zip(partials, reference_partials):
+                        self.assert_results_equal(mine, theirs)
+
+
+class TestRegimeTelemetry:
+    @pytest.mark.parametrize("regime", ["deferred", "dense"])
+    def test_regime_profile_counts_each_row_and_window_once(self, regime):
+        from repro.obs import Profiler
+
+        world = make_world(block_size=25, **REGIME_WORLDS[regime])
+        backend, profiler = RecordingBackend(), Profiler()
+        engine = regime_engine(
+            BlockSamplingEngine, world, AnyActiveLookaheadPolicy(), backend,
+            filtered=True, profiler=profiler,
+        )
+        engine.sample_uniform(700)
+        engine.sample_until(np.full(engine.num_candidates, 25.0))
+        snapshot = profiler.snapshot()
+        kernels = snapshot.kernels["unattributed"]
+        windows = kernels["engine.deliver"]["calls"]
+        assert snapshot.totals["windows"] == windows > 2
+        assert snapshot.totals["rows_gathered"] == engine.counters.rows_delivered
+        assert snapshot.totals["blocks_touched"] == engine.counters.blocks_read
+        assert kernels["serial.count"]["calls"] == len(backend.calls)
+        # Measured time only: the simulated I/O charge stays out of the total.
+        measured = sum(k["ns"] for name, k in kernels.items() if name != "engine.deliver")
+        assert snapshot.totals["kernel_ns"] == pytest.approx(measured)
+        if regime == "deferred":
+            tally = kernels["engine.tally"]
+            assert tally["calls"] == tally["bincounts"] == windows
+            assert tally["rows"] == tally["blocks"] == 0
+            assert tally["bytes"] > 0  # the gathered z column and filter
+            assert len(backend.calls) == 2
+        else:
+            assert "engine.tally" not in kernels
+            assert len(backend.calls) == windows

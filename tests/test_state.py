@@ -34,7 +34,8 @@ class TestRoundAccounting:
         fresh = np.zeros((3, 4), dtype=np.int64)
         fresh[0, 1] = 5
         fresh[2, 3] = 2
-        s.record_round_counts(fresh)
+        row_sums = s.record_round_counts(fresh)
+        assert row_sums.tolist() == [5, 0, 2]  # the batch's one reduction
         assert s.round_samples[0] == 5
         assert s.round_samples[2] == 2
         assert s.samples.sum() == 0  # cumulative untouched until fold
