@@ -31,7 +31,10 @@ Kernel ``ns`` semantics per kernel name: backend kernels record real
 putting the Eq. 1 estimate next to measured kernel time in one table;
 ``engine.tally`` records the real time and bytes of a deferred window's
 candidate-column tally, with no rows or blocks (the call-end backend count
-tallies those).
+tallies those); ``session.ground_truth`` is a fused session's exact ground
+truth taken as one ``bincount`` of its pair-code column — the pass a
+backend's ``*.count_table`` / ``*.table`` record otherwise — with the kept
+rows and zero bytes (nothing is gathered or compressed).
 """
 
 from __future__ import annotations

@@ -37,7 +37,9 @@ from .kernels import (
     KERNELS,
     KernelChoice,
     build_pair_codes,
+    check_pair_codes,
     choose_kernel,
+    count_codes,
     count_window,
     pair_code_dtype,
     resolve_kernel,
@@ -74,7 +76,9 @@ __all__ = [
     "attach_segment",
     "available_cpus",
     "build_pair_codes",
+    "check_pair_codes",
     "choose_kernel",
+    "count_codes",
     "count_pairs",
     "count_shard",
     "count_window",

@@ -72,7 +72,9 @@ class CountSource:
     #: Defaults to the shared no-op (one branch on the hot path).
     profiler: object = NULL_PROFILER
     #: Prepared pair-code column (:func:`~repro.parallel.kernels.build_pair_codes`)
-    #: enabling the fused kernel; ``None`` when not prepared.
+    #: enabling the fused kernel; ``None`` when not prepared.  A column
+    #: folded with the query's row filter comes with ``row_filter=None`` —
+    #: the sampling engine hands over one or the other.
     codes: np.ndarray | None = None
     #: Kernel forwarded to :func:`~repro.parallel.kernels.count_window`:
     #: given as a spec, held as the choice it resolves to for this code

@@ -18,16 +18,28 @@ only in how many bytes they materialize on the way:
   skipping the per-window int64 upcasts entirely.  Selected automatically
   whenever the code space fits ``uint32``.
 - ``"fused"`` — counts a *prepared pair-code column* (``z * G + x``
-  materialized once per ``(z, x)`` pair by :func:`build_pair_codes` and
-  cached in the session's prepared-artifact layer), so per-window work
-  degenerates to block gather + bincount.  A single-run unfiltered window
-  bincounts a zero-copy view: zero bytes moved.
+  materialized once per ``(z, x, predicate)`` by :func:`build_pair_codes`
+  and cached in the session's prepared-artifact layer), so per-window work
+  degenerates to block gather + bincount.  A single-run window bincounts a
+  zero-copy view: zero bytes moved.
+
+**The sentinel bin.**  A code column built under a row filter carries the
+filter: every row the filter drops holds the one code no pair can have,
+``C*G`` (the column's dtype is chosen to hold it).  The fused kernel
+therefore always counts into ``C*G + 1`` bins and drops the last — one
+expression for plain and folded columns, no filter gather and no boolean
+compress per window — and :func:`count_codes` takes a predicated query's
+exact ground truth as one ``bincount`` of the column.  A code *above* the
+sentinel is rejected, never miscounted.  :func:`check_pair_codes` is the
+cheap test a consumer runs on a column it is handed together with the
+filter it is said to carry.
 
 Codes are exact in any of these dtypes (values are validated in
 ``[0, cardinality)`` by :class:`~repro.storage.table.ColumnTable`, and the
-narrow dtype is chosen to hold ``C*G - 1``), and ``np.bincount`` output is
-int64 regardless of input dtype, so kernel choice can never change counts —
-only bytes moved and nanoseconds spent.
+narrow dtype is chosen to hold ``C*G - 1``, or the sentinel ``C*G`` for a
+folded column), and ``np.bincount`` output is int64 regardless of input
+dtype, so kernel choice can never change counts — only bytes moved and
+nanoseconds spent.
 
 Beside the kernels sits :func:`tally_window`, the candidate-column-only
 reduction — the matrix's row sums without the matrix — that the sampling
@@ -56,7 +68,9 @@ __all__ = [
     "KERNEL_SPECS",
     "KernelChoice",
     "build_pair_codes",
+    "check_pair_codes",
     "choose_kernel",
+    "count_codes",
     "count_pairs",
     "count_window",
     "pair_code_dtype",
@@ -78,9 +92,13 @@ def pair_code_dtype(num_candidates: int, num_groups: int) -> np.dtype:
     accepts them), otherwise ``int64`` — never ``uint64``, which
     ``bincount`` rejects.
     """
-    span = max(int(num_candidates) * int(num_groups) - 1, 0)
+    return _narrowest_dtype(max(int(num_candidates) * int(num_groups) - 1, 0))
+
+
+def _narrowest_dtype(top: int) -> np.dtype:
+    """Narrowest ``bincount``-able dtype holding every value in ``[0, top]``."""
     for dtype in (np.uint8, np.uint16, np.uint32):
-        if span <= np.iinfo(dtype).max:
+        if top <= np.iinfo(dtype).max:
             return np.dtype(dtype)
     return np.dtype(np.int64)
 
@@ -101,17 +119,110 @@ def _pair_codes(
 
 
 def build_pair_codes(
-    z: np.ndarray, x: np.ndarray, num_candidates: int, num_groups: int
+    z: np.ndarray,
+    x: np.ndarray,
+    num_candidates: int,
+    num_groups: int,
+    row_filter: np.ndarray | None = None,
 ) -> np.ndarray:
     """The prepared pair-code column the ``"fused"`` kernel counts.
 
-    Materialized once per ``(z, x)`` column pair (memory cost: one item of
-    :func:`pair_code_dtype` per row) and cached/published like any other
-    prepared artifact; read-only so every consumer can share it.
+    Materialized once per ``(z, x)`` column pair and ``row_filter`` (memory
+    cost: one item of the code dtype per row) and cached/published like any
+    other prepared artifact; read-only so every consumer can share it.
+
+    With ``row_filter`` (a full-table boolean mask) the column is *folded*:
+    a row the filter drops holds the sentinel ``num_candidates *
+    num_groups`` instead of its pair code, and the dtype is the narrowest
+    holding the sentinel — one step wider than :func:`pair_code_dtype` only
+    when ``C*G`` sits exactly on a dtype edge.
     """
-    codes = _pair_codes(z, x, num_groups, pair_code_dtype(num_candidates, num_groups))
+    if row_filter is None:
+        codes = _pair_codes(
+            z, x, num_groups, pair_code_dtype(num_candidates, num_groups)
+        )
+    else:
+        sentinel = int(num_candidates) * int(num_groups)
+        dtype = _narrowest_dtype(sentinel)
+        codes = _pair_codes(z, x, num_groups, dtype)
+        # sentinel - (sentinel - code) * keep, in place: three arithmetic
+        # passes where a masked store costs a branch per row.  Exact: every
+        # intermediate lies in [0, sentinel], which the dtype holds.
+        top = dtype.type(sentinel)
+        np.subtract(top, codes, out=codes)
+        np.multiply(codes, row_filter, out=codes, casting="unsafe")
+        np.subtract(top, codes, out=codes)
     codes.setflags(write=False)
     return codes
+
+
+#: Rows :func:`check_pair_codes` probes; a mis-paired column passes only if
+#: it agrees with the filter on every one of them.
+_FOLD_PROBES = 64
+
+
+def check_pair_codes(
+    codes: np.ndarray,
+    row_filter: np.ndarray | None,
+    num_candidates: int,
+    num_groups: int,
+) -> None:
+    """Reject a code column that cannot be ``row_filter``'s folded column.
+
+    What a consumer handed ``(codes, row_filter)`` — one entry per row each —
+    can check without a pass over the rows: a dtype that holds the sentinel,
+    and, at a few dozen evenly strided rows, the sentinel exactly where the
+    filter drops the row (nowhere, for ``row_filter=None``).  A plain column
+    passed off as folded fails at the first dropped row a probe lands on.
+    Raises :class:`ValueError`.
+    """
+    sentinel = int(num_candidates) * int(num_groups)
+    if row_filter is not None and (
+        codes.dtype.kind not in "iu" or np.iinfo(codes.dtype).max < sentinel
+    ):
+        raise ValueError(
+            f"codes of dtype {codes.dtype} cannot hold the sentinel "
+            f"{sentinel} of a column folded with a row_filter"
+        )
+    at = np.arange(0, codes.size, max(1, codes.size // _FOLD_PROBES))
+    dropped = ~row_filter[at] if row_filter is not None else False
+    if ((codes[at] == sentinel) != dropped).any():
+        raise ValueError(
+            "codes are not folded with this row_filter: build them with "
+            "build_pair_codes(..., row_filter=row_filter)"
+        )
+
+
+def _count_codes(
+    flat_codes: np.ndarray, num_candidates: int, num_groups: int
+) -> np.ndarray:
+    """Bincount pair codes into the count matrix, the sentinel bin dropped.
+
+    The result is a view of the ``C*G + 1`` buffer ``bincount`` returned.
+    """
+    cells = num_candidates * num_groups
+    flat = np.bincount(flat_codes, minlength=cells + 1)
+    if flat.size != cells + 1:
+        raise ValueError(
+            f"pair code above the sentinel {cells}: the code column does not "
+            f"belong to a {num_candidates} x {num_groups} code space"
+        )
+    return flat[:cells].reshape(num_candidates, num_groups).astype(
+        np.int64, copy=False
+    )
+
+
+def count_codes(
+    codes: np.ndarray, num_candidates: int, num_groups: int
+) -> np.ndarray:
+    """Exact ``(candidate, group)`` counts of a whole pair-code column.
+
+    For a column folded with a row filter these are the counts *under the
+    filter* — by the definition of a pair code, the matrix
+    :meth:`ExecutionBackend.count_table` computes from ``z``, ``x`` and the
+    filter, without gathering or compressing a row.  int64, own memory.
+    """
+    return _count_codes(codes, num_candidates, num_groups).copy()
 
 
 def count_pairs(
@@ -280,7 +391,12 @@ def _fused_kernel(
     z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice,
     codes, code_dtype,
 ) -> tuple[np.ndarray, int]:
-    """Block gather + bincount over the prepared pair-code column."""
+    """Block gather + bincount over the prepared pair-code column.
+
+    A folded column (:func:`build_pair_codes` with its ``row_filter``) comes
+    with no filter and counts its dropped rows into the sentinel bin; a
+    plain column with an explicit filter still compresses.
+    """
     gather = _block_gather(blocks, layout)
     flat_codes, moved = gather(codes)
     if row_filter is not None:
@@ -291,9 +407,7 @@ def _fused_kernel(
     if keep is not None:
         flat_codes = flat_codes[keep]
         moved += int(flat_codes.nbytes)
-    flat = np.bincount(flat_codes, minlength=num_candidates * num_groups)
-    counts = flat.reshape(num_candidates, num_groups).astype(np.int64, copy=False)
-    return counts, moved
+    return _count_codes(flat_codes, num_candidates, num_groups), moved
 
 
 #: The kernel registry :func:`count_window` dispatches through.
@@ -329,7 +443,8 @@ def count_window(
     or ``filter_slice`` (a mask already aligned to the blocks' rows in
     block order) — mutually exclusive, same arithmetic.  ``codes`` is the
     prepared pair-code column (:func:`build_pair_codes`) enabling the
-    fused kernel.
+    fused kernel; a column built with a ``row_filter`` already carries it
+    and is passed without one.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.size == 0:

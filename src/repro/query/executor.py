@@ -24,17 +24,20 @@ def exact_candidate_counts(
     table: ColumnTable,
     query: HistogramQuery,
     backend: ExecutionBackend | None = None,
+    row_filter: np.ndarray | None = None,
 ) -> np.ndarray:
     """The full ``(|V_Z|, |V_X|)`` matrix of exact grouped counts.
 
     ``backend`` selects how the counting pass executes (default: serial);
-    results are byte-identical across backends.
+    results are byte-identical across backends.  ``row_filter`` is the
+    query's predicate mask over ``table`` when the caller already holds it
+    (a session's filter cache); without it the predicate is evaluated here.
     """
     query.validate_against(table)
     num_z, num_x = query.cardinalities(table)
     if isinstance(query.predicate, TruePredicate):
         row_filter = None
-    else:
+    elif row_filter is None:
         row_filter = query.predicate.mask(table)
     resolved = backend if backend is not None else SerialBackend()
     return resolved.count_table(

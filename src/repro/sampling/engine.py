@@ -32,6 +32,15 @@ sizes the engine holds — ``num_candidates * num_groups`` against
 
 Both return the same matrices and charge the same clock: simulated I/O is
 accounted here, per window, never by the backend.
+
+``row_filter`` and ``codes`` go together.  The filter is the engine's own
+business — rows per candidate, the deferred regime's tally, ``total_rows``.
+The prepared pair-code column, when the engine is given one, is by contract
+the one *folded with that filter* (dropped rows hold the sentinel code), so
+the backend counting it is handed the column and no filter: a filtered
+window is gather + ``bincount`` on every backend, and a sharded backend
+ships no filter segment.  The engine decides this from what it holds; the
+column is spot-checked against the filter at construction.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import numpy as np
 from ..bitmap.bitmap_index import BlockBitmapIndex
 from ..obs.profiler import NULL_PROFILER
 from ..parallel.backend import CountSource, ExecutionBackend, SerialBackend
-from ..parallel.kernels import tally_window
+from ..parallel.kernels import check_pair_codes, choose_kernel, tally_window
 from ..storage.cost_model import CostModel
 from ..storage.io_manager import IOManager
 from ..storage.shuffle import ShuffledTable
@@ -89,7 +98,8 @@ class BlockSamplingEngine:
     row_filter:
         Optional boolean row mask (extra WHERE predicate).  AnyActive still
         keys on ``Z`` presence — a conservative superset of matching blocks
-        — while delivered tuples are filtered exactly.
+        — while delivered tuples are filtered exactly: by the backend's
+        kernel, or by ``codes`` when the engine has them.
     backend:
         The :class:`~repro.parallel.ExecutionBackend` that counts the
         delivered blocks.  Default: a private serial backend.
@@ -104,9 +114,14 @@ class BlockSamplingEngine:
         :class:`CountSource` (see :mod:`~repro.parallel.kernels`).
         ``"auto"`` (the default) picks the cheapest byte-identical kernel.
     codes:
-        Optional prepared pair-code column
-        (:func:`~repro.parallel.kernels.build_pair_codes`) enabling the
-        fused kernel; must have one entry per row.
+        Optional prepared pair-code column enabling the fused kernel, one
+        entry per row, **folded with this engine's** ``row_filter``
+        (:func:`~repro.parallel.kernels.build_pair_codes` given the same
+        mask; :meth:`PreparedQuery.with_pair_codes
+        <repro.system.fastmatch.PreparedQuery.with_pair_codes>` is the one
+        builder).  A column of the wrong shape, of a dtype that cannot hold
+        the sentinel, or failing a strided spot check against the filter is
+        rejected.
     candidate_totals:
         Optional per-candidate row totals *under ``row_filter``*, as a
         prepared artifact already holds them (the row sums of its exact
@@ -163,18 +178,24 @@ class BlockSamplingEngine:
             if row_filter.shape != (shuffled.num_rows,):
                 raise ValueError("row_filter must have one entry per row")
         self._row_filter = row_filter
-        if codes is not None and codes.shape != (shuffled.num_rows,):
-            raise ValueError("codes must have one entry per row")
+        if codes is not None:
+            if codes.shape != (shuffled.num_rows,):
+                raise ValueError("codes must have one entry per row")
+            check_pair_codes(codes, row_filter, self._num_candidates, self._num_groups)
+        choice = choose_kernel(kernel, self._num_candidates, self._num_groups, codes)
+        if choice.name != "fused":
+            codes = None  # "classic" reads z, x and the filter, not the column
+        # Either the folded column or the filter, never both.
         self._source = CountSource(
             shuffled=shuffled,
             z_name=candidate_attribute,
             x_name=grouping_attribute,
             num_candidates=self._num_candidates,
             num_groups=self._num_groups,
-            row_filter=row_filter,
+            row_filter=row_filter if codes is None else None,
             profiler=self.profiler,
             codes=codes,
-            kernel=kernel,
+            kernel=choice,
         )
 
         if candidate_totals is None:

@@ -12,11 +12,19 @@ Four approaches, matching Section 5.2's comparison points:
 :class:`PreparedQuery` caches the expensive, approach-independent work
 (shuffle, index build, exact ground truth, target resolution) so the
 benchmarks can compare approaches on identical substrates.
+
+``PreparedQuery.pair_codes`` — the column the fused kernel counts — is
+always *folded with the artifact's own* ``row_filter``: rows the predicate
+drops hold the sentinel code, so an engine over the artifact hands its
+backend the column and no filter.  :func:`prepared_pair_codes` is the one
+builder (the session caches its output; :meth:`PreparedQuery.with_pair_codes`
+applies it to an artifact prepared without a session), which is what keeps a
+column from being paired with a filter it was not built from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +37,7 @@ from ..core.histsim import HistSim
 from ..core.result import MatchResult
 from ..core.target import resolve_target
 from ..parallel.backend import ExecutionBackend
+from ..parallel.kernels import build_pair_codes
 from ..query.executor import exact_candidate_counts
 from ..query.predicate import TruePredicate
 from ..query.spec import HistogramQuery
@@ -52,6 +61,7 @@ __all__ = [
     "assemble_report",
     "engine_counters",
     "make_engine",
+    "prepared_pair_codes",
     "run_approach",
     "scan_counters",
 ]
@@ -72,6 +82,24 @@ SCANMATCH_WINDOW_BLOCKS = 1024
 APPROACHES = ("scan", "scanmatch", "syncmatch", "fastmatch")
 
 
+def prepared_pair_codes(
+    shuffled: ShuffledTable, query: HistogramQuery, row_filter: np.ndarray | None
+) -> np.ndarray:
+    """The pair-code column of ``query`` on ``shuffled``, folded with
+    ``row_filter`` (the query's predicate mask on that layout, or ``None``).
+
+    The one place a prepared artifact's code column is built."""
+    table = shuffled.table
+    num_candidates, num_groups = query.cardinalities(table)
+    return build_pair_codes(
+        table.column(query.candidate_attribute),
+        table.column(query.grouping_attribute),
+        num_candidates,
+        num_groups,
+        row_filter=row_filter,
+    )
+
+
 @dataclass(frozen=True)
 class PreparedQuery:
     """Approach-independent preparation for one query on one dataset."""
@@ -82,12 +110,22 @@ class PreparedQuery:
     exact_counts: np.ndarray
     target: np.ndarray
     row_filter: np.ndarray | None
-    #: Optional prepared pair-code column
-    #: (:func:`~repro.parallel.kernels.build_pair_codes`), built by the
-    #: session layer when its kernel is ``"fused"``; enables take+bincount
-    #: window counting.  ``None`` for one-shot runs — building it costs a
-    #: full-column pass, worth paying only when the artifact is cached.
+    #: Optional prepared pair-code column, **folded with this artifact's**
+    #: ``row_filter`` (:func:`prepared_pair_codes`): built by the session
+    #: layer when its kernel is ``"fused"``, or by :meth:`with_pair_codes`;
+    #: enables take+bincount window counting, filtered or not.  ``None`` for
+    #: one-shot runs — building it costs a full-column pass, worth paying
+    #: only when the artifact is cached.  A column built any other way
+    #: would count rows the predicate drops; the engine only spot-checks.
     pair_codes: np.ndarray | None = None
+
+    def with_pair_codes(self) -> "PreparedQuery":
+        """This artifact with its pair-code column built — from its own
+        ``shuffled``, ``query`` and ``row_filter``."""
+        return replace(
+            self,
+            pair_codes=prepared_pair_codes(self.shuffled, self.query, self.row_filter),
+        )
 
     @classmethod
     def prepare(
@@ -159,7 +197,8 @@ def make_engine(
     resumable stepper on a shared clock.  ``backend`` routes the engine's
     block delivery (serial by default; sharded when opted in); ``kernel``
     selects the counting kernel, and the prepared query's ``pair_codes``
-    (when built) ride along to enable the fused one."""
+    (when built; folded with its ``row_filter``) ride along to enable the
+    fused one."""
     if approach == "fastmatch":
         policy = AnyActiveLookaheadPolicy()
         window = config.lookahead

@@ -10,7 +10,11 @@ into the skeleton of a serving system:
   same candidate attribute share one shuffle and one index even when their
   targets, tolerances, or grouping attributes differ.  This is the shared-
   computation idea that makes multi-query serving O(preparation) once, not
-  per query.
+  per query.  :meth:`MatchSession.prepared` builds a miss in dependency
+  order — row filter, then (``kernel="fused"``) the pair-code column
+  folded with that filter, then the ground truth as one ``bincount`` of
+  the column — so a predicate is evaluated once per filter-cache miss and
+  no miss compresses rows.
 - **Interleaved execution** — each submitted query runs as a resumable
   :class:`~repro.core.histsim.HistSimStepper` over its own sampling engine,
   and a :class:`~repro.system.scheduler.BatchScheduler` (policy-pluggable;
@@ -30,6 +34,7 @@ only *when* each query's work happens on the clock, never *what* it samples.
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -41,12 +46,7 @@ from ..core.histsim import HistSim, HistSimStepper
 from ..core.target import resolve_target
 from ..obs.profiler import NULL_PROFILER
 from ..obs.tracer import NULL_TRACER
-from ..parallel import (
-    KERNEL_SPECS,
-    ExecutionBackend,
-    build_pair_codes,
-    make_backend,
-)
+from ..parallel import KERNEL_SPECS, ExecutionBackend, count_codes, make_backend
 from ..query.executor import exact_candidate_counts
 from ..query.predicate import TruePredicate
 from ..query.spec import HistogramQuery
@@ -62,6 +62,7 @@ from .fastmatch import (
     assemble_report,
     engine_counters,
     make_engine,
+    prepared_pair_codes,
     scan_counters,
 )
 from .report import RunReport
@@ -372,9 +373,10 @@ class MatchSession:
         Counting-kernel spec for every query's window counting
         (:data:`~repro.parallel.KERNEL_SPECS`; default ``"auto"``).  All
         kernels are byte-identical; ``"fused"`` additionally builds and
-        caches a pair-code column per ``(candidate, grouping)`` attribute
-        pair in the prepared-artifact layer, so window counting degenerates
-        to take + bincount at the memory cost of one narrow column.
+        caches a pair-code column per ``(candidate, grouping, predicate)``
+        in the prepared-artifact layer, so window counting — filtered or
+        not — degenerates to take + bincount at the memory cost of one
+        narrow column.
     cpu_affinity:
         Optional worker-placement policy (``"spread"`` / ``"compact"``) for
         a worker-carrying backend created from a string spec; see
@@ -637,8 +639,13 @@ class MatchSession:
 
         Sub-artifacts are cached at the granularity they actually depend on:
         the shuffle on ``(block_size, seed)``, the bitmap index on the
-        candidate attribute, ground truth and row filters on the query
-        template — so distinct queries still share whatever they can.
+        candidate attribute, ground truth, row filters and pair codes on the
+        query template — so distinct queries still share whatever they can.
+
+        A miss builds row filter → pair codes → ground truth, in that order,
+        each from the one before: the predicate is evaluated once per
+        filter-cache miss, the codes are folded with that filter, and the
+        ground truth of a session that has codes is one ``bincount`` of them.
         """
         key = (query, self.block_size, seed)
         if key in self._prepared_cache:
@@ -663,19 +670,6 @@ class MatchSession:
             "index",
             lambda: build_bitmap_index(shuffled, query.candidate_attribute),
         )
-        # Exact counts are aggregates, invariant to the shuffle permutation —
-        # key only on the query template so every seed shares one ground truth.
-        exact = self._cached(
-            self._exact_cache,
-            (
-                query.candidate_attribute,
-                query.grouping_attribute,
-                query.predicate,
-            ),
-            "ground_truth",
-            lambda: exact_candidate_counts(shuffled.table, query, backend=self.backend),
-        )
-        target = resolve_target(query.target, exact)
         if isinstance(query.predicate, TruePredicate):
             row_filter = None
         else:
@@ -688,24 +682,34 @@ class MatchSession:
         pair_codes = None
         if self.kernel == "fused":
             # The fused kernel's prepared artifact: the pair-code column of
-            # the *shuffled* table, shared by every query over the same
-            # (candidate, grouping) attribute pair on this layout.
+            # the *shuffled* table folded with the predicate's row filter,
+            # shared by every query over the same (candidate, grouping,
+            # predicate) on this layout.
             pair_codes = self._cached(
                 self._codes_cache,
                 (
                     query.candidate_attribute,
                     query.grouping_attribute,
+                    query.predicate,
                     self.block_size,
                     seed,
                 ),
                 "pair_codes",
-                lambda: build_pair_codes(
-                    shuffled.table.column(query.candidate_attribute),
-                    shuffled.table.column(query.grouping_attribute),
-                    shuffled.table.cardinality(query.candidate_attribute),
-                    shuffled.table.cardinality(query.grouping_attribute),
-                ),
+                lambda: prepared_pair_codes(shuffled, query, row_filter),
             )
+        # Exact counts are aggregates, invariant to the shuffle permutation —
+        # key only on the query template so every seed shares one ground truth.
+        exact = self._cached(
+            self._exact_cache,
+            (
+                query.candidate_attribute,
+                query.grouping_attribute,
+                query.predicate,
+            ),
+            "ground_truth",
+            lambda: self._ground_truth(shuffled, query, row_filter, pair_codes),
+        )
+        target = resolve_target(query.target, exact)
         prepared = PreparedQuery(
             query=query,
             shuffled=shuffled,
@@ -722,6 +726,31 @@ class MatchSession:
         if self._governor is not None:
             self._governor.enforce_budget()
         return prepared
+
+    def _ground_truth(self, shuffled, query, row_filter, pair_codes) -> np.ndarray:
+        """Exact counts of ``query`` from what the miss already built.
+
+        With a pair-code column (folded with ``row_filter``) that is one
+        ``bincount`` of it — byte-identical to the filtered table pass by
+        the definition of a pair code, and recorded on the session's
+        profiler as that pass is on the backend's.  Without one, the
+        backend's table pass under the filter the session already holds.
+        """
+        if pair_codes is None:
+            return exact_candidate_counts(
+                shuffled.table, query, backend=self.backend, row_filter=row_filter
+            )
+        profiler = self.profiler
+        started = time.perf_counter_ns() if profiler.enabled else 0
+        counts = count_codes(pair_codes, *query.cardinalities(shuffled.table))
+        if profiler.enabled:
+            profiler.record_kernel(
+                "session.ground_truth",
+                float(time.perf_counter_ns() - started),
+                rows=int(counts.sum()),
+                bincounts=1,
+            )
+        return counts
 
     def adopt(self, prepared: PreparedQuery, seed: int = 0) -> None:
         """Seed the cache with an externally prepared query (e.g. from

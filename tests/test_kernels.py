@@ -13,11 +13,14 @@ Acceptance properties of the native-speed-kernels PR:
 - the fused kernel measurably moves fewer bytes than the classic one
   (profiler ``bytes_moved``), which is the whole point;
 - ``MatchSession(kernel="fused")`` caches the pair-code column as a
-  prepared artifact: repeats hit, eviction releases it;
+  prepared artifact, folded with the query's predicate: repeats hit,
+  eviction releases it, the ground truth is one bincount of it;
 - affinity planning is deterministic and pinning is best-effort everywhere.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -35,7 +38,9 @@ from repro.parallel import (
     WorkerPool,
     apply_affinity,
     build_pair_codes,
+    check_pair_codes,
     choose_kernel,
+    count_codes,
     count_shard,
     count_window,
     make_backend,
@@ -44,7 +49,8 @@ from repro.parallel import (
     resolve_kernel,
 )
 from repro.parallel.kernels import tally_window
-from repro.query import Equals, HistogramQuery
+from repro.query import Equals, HistogramQuery, InRange
+from repro.query.executor import exact_candidate_counts
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
 from repro.storage.blocks import BlockLayout
 from repro.system import MatchSession
@@ -233,6 +239,14 @@ class TestCountWindowIdentity:
                     kernel, z, x, codes, rows.size, kept, row_filter,
                     keep is not None,
                 ), f"kernel={kernel} subset={name}"
+            if row_filter is not None:
+                # The folded column: classic's counts, the code gather only.
+                folded = build_pair_codes(z, x, c, g, row_filter=row_filter)
+                counts, moved = count_window(
+                    z, x, blocks, layout, c, g, codes=folded, kernel="fused"
+                )
+                np.testing.assert_array_equal(counts, classic)
+                assert moved == rows.size * folded.itemsize
 
     def test_out_of_range_blocks_rejected_by_every_kernel(self):
         layout = BlockLayout(num_rows=100, block_size=10)
@@ -320,6 +334,23 @@ class TestCountWindowIdentity:
         )
 
 
+def draw_blocks(data, layout):
+    """A sorted block set of one of the window shapes: one run, scattered,
+    scattered and naming the last (short, when there is one) block."""
+    last = layout.num_blocks - 1
+    shape = data.draw(st.sampled_from(["run", "scattered", "names_last"]))
+    if shape == "run":
+        lo = data.draw(st.integers(0, last))
+        return np.arange(lo, data.draw(st.integers(lo, last)) + 1)
+    blocks = np.array(
+        sorted(data.draw(st.sets(st.integers(0, last), min_size=1))),
+        dtype=np.int64,
+    )
+    if shape == "names_last":
+        blocks = np.union1d(blocks, [last])
+    return blocks
+
+
 class TestTallyWindow:
     """The z-only row tally is the row sums of ``count_window``'s matrix."""
 
@@ -341,18 +372,7 @@ class TestTallyWindow:
         z = rng.integers(0, c, size=num_rows).astype(dtype)
         x = rng.integers(0, g, size=num_rows).astype(dtype)
         row_filter = rng.random(num_rows) < 0.6 if filtered else None
-        last = layout.num_blocks - 1
-        shape = data.draw(st.sampled_from(["run", "scattered", "names_last"]))
-        if shape == "run":
-            lo = data.draw(st.integers(0, last))
-            blocks = np.arange(lo, data.draw(st.integers(lo, last)) + 1)
-        else:
-            blocks = np.array(
-                sorted(data.draw(st.sets(st.integers(0, last), min_size=1))),
-                dtype=np.int64,
-            )
-            if shape == "names_last":  # the short block, when there is one
-                blocks = np.union1d(blocks, [last])
+        blocks = draw_blocks(data, layout)
         tally, moved = tally_window(z, blocks, layout, c, row_filter=row_filter)
         counts, _ = count_window(z, x, blocks, layout, c, g, row_filter=row_filter)
         assert tally.dtype == np.int64 and tally.shape == (c,)
@@ -371,6 +391,112 @@ class TestTallyWindow:
         for blocks in ([0, 10], [-1, 3], [2, 4, 11]):
             with pytest.raises(ValueError, match="block index out of range"):
                 tally_window(z, np.array(blocks), layout, 3)
+
+
+#: Code spaces on both sides of each dtype edge: ``(C, G, plain, folded)``.
+#: At ``C*G`` = 256 and 65,536 the largest code still fits the narrow dtype
+#: and only the sentinel forces the wider one.
+FOLD_CODE_SPACES = [
+    (9, 4, np.uint8, np.uint8),
+    (15, 17, np.uint8, np.uint8),        # 255: sentinel is uint8 max
+    (16, 16, np.uint8, np.uint16),       # 256
+    (255, 257, np.uint16, np.uint16),    # 65,535: sentinel is uint16 max
+    (256, 256, np.uint16, np.uint32),    # 65,536
+]
+
+
+class TestFoldedCodes:
+    """A code column built under a row filter counts, on the fused kernel
+    and with no filter, what classic counts from ``z``, ``x`` and the
+    filter."""
+
+    @given(
+        data=st.data(),
+        space=st.sampled_from(FOLD_CODE_SPACES),
+        num_rows=st.integers(min_value=1, max_value=400),
+        block_size=st.integers(min_value=1, max_value=37),
+        density=st.sampled_from([0.0, 0.1, 0.6, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fold_fused_equals_classic_with_the_filter(
+        self, data, space, num_rows, block_size, density, seed
+    ):
+        c, g, plain_dtype, folded_dtype = space
+        rng = np.random.default_rng(seed)
+        layout = BlockLayout(num_rows=num_rows, block_size=block_size)
+        z = rng.integers(0, c, size=num_rows)
+        x = rng.integers(0, g, size=num_rows)
+        z[0], x[0] = c - 1, g - 1  # the largest code is present
+        row_filter = rng.random(num_rows) < density
+        blocks = draw_blocks(data, layout)
+        folded = build_pair_codes(z, x, c, g, row_filter=row_filter)
+        assert build_pair_codes(z, x, c, g).dtype == plain_dtype
+        assert folded.dtype == folded_dtype and not folded.flags.writeable
+        np.testing.assert_array_equal(folded == c * g, ~row_filter)
+        check_pair_codes(folded, row_filter, c, g)
+
+        classic, _ = count_window(
+            z, x, blocks, layout, c, g, row_filter=row_filter, kernel="classic"
+        )
+        counts, moved = count_window(
+            z, x, blocks, layout, c, g, codes=folded, kernel="fused"
+        )
+        assert counts.dtype == np.int64 and counts.shape == (c, g)
+        np.testing.assert_array_equal(counts, classic)
+        single_run = blocks[-1] - blocks[0] == blocks.size - 1
+        rows = int(layout.rows_per_block(blocks).sum())
+        assert moved == (0 if single_run else rows * folded.itemsize)
+        # The whole column is the ground truth under the filter.
+        exact = count_codes(folded, c, g)
+        assert exact.dtype == np.int64 and exact.flags.owndata
+        np.testing.assert_array_equal(
+            exact, np.bincount(z[row_filter] * g + x[row_filter], minlength=c * g)
+            .reshape(c, g),
+        )
+
+    @pytest.mark.parametrize("c,g", [(3, 5), (16, 16)])
+    def test_fold_code_above_the_sentinel_is_rejected(self, c, g):
+        """A column of a larger code space is an error, not a wider or a
+        silently truncated matrix."""
+        layout = BlockLayout(num_rows=64, block_size=8)
+        z = np.zeros(64, dtype=np.int64)
+        blocks = np.arange(layout.num_blocks, dtype=np.int64)
+        codes = np.full(64, c * g + 1, dtype=np.uint16)
+        with pytest.raises(ValueError, match="above the sentinel"):
+            count_window(z, z, blocks, layout, c, g, codes=codes, kernel="fused")
+        with pytest.raises(ValueError, match="above the sentinel"):
+            count_codes(codes, c, g)
+        # The sentinel itself is every row dropped.
+        codes = np.full(64, c * g, dtype=np.uint16)
+        counts, _ = count_window(
+            z, z, blocks, layout, c, g, codes=codes, kernel="fused"
+        )
+        assert counts.shape == (c, g) and not counts.any()
+
+    def test_fold_plain_codes_with_an_explicit_filter_still_compress(self):
+        """The benchmark's kernel microbench shape: an unfolded column plus
+        ``row_filter`` keeps the gather-and-compress path and its counts."""
+        layout = BlockLayout(num_rows=1003, block_size=32)
+        rng = np.random.default_rng(9)
+        z = rng.integers(0, 40, size=1003).astype(np.uint8)
+        x = rng.integers(0, 30, size=1003).astype(np.uint8)
+        row_filter = rng.random(1003) < 0.6
+        blocks = np.arange(0, layout.num_blocks, 2, dtype=np.int64)
+        plain = build_pair_codes(z, x, 40, 30)
+        classic, _ = count_window(
+            z, x, blocks, layout, 40, 30, row_filter=row_filter, kernel="classic"
+        )
+        counts, moved = count_window(
+            z, x, blocks, layout, 40, 30, row_filter=row_filter, codes=plain,
+            kernel="fused",
+        )
+        np.testing.assert_array_equal(counts, classic)
+        rows = layout.rows_of_blocks(blocks)
+        kept = int(row_filter[rows].sum())
+        assert moved == expected_moved(
+            "fused", z, x, plain, rows.size, kept, row_filter, True
+        )
 
 
 class TestBuildPairCodes:
@@ -465,10 +591,19 @@ class TestEndToEndIdentity:
                 np.testing.assert_array_equal(
                     report.result.distances, baseline.report.result.distances
                 )
+                assert report.result.pruned == baseline.report.result.pruned
+                assert report.result.stats == baseline.report.result.stats
+                assert report.result.rounds == baseline.report.result.rounds
                 # Same simulated clock and same observable effort: kernel
-                # choice changes bytes moved, never the answer or the cost.
+                # choice changes bytes moved, never the answer or the cost —
+                # a fused session's folded codes and the ground truth it
+                # takes from them included (the audit reads that truth).
                 assert report.elapsed_ns == baseline.report.elapsed_ns
                 assert report.counters == baseline.report.counters
+                assert report.audit == baseline.report.audit
+                assert report.audit.ok
+                assert outcome.steps == baseline.steps
+                assert outcome.service_ns == baseline.service_ns
 
     def test_fused_profile_moves_measurably_fewer_bytes(self, table):
         moved = {}
@@ -486,19 +621,144 @@ class TestEndToEndIdentity:
 # ---------------------------------------------------------------------------
 
 
+#: FILTERED_QUERY's template under a second predicate, and a second
+#: template under FILTERED_QUERY's predicate.
+OTHER_FILTER_QUERY = HistogramQuery(
+    "product", "age", target=TargetSpec(kind="closest_to_uniform"), k=3,
+    predicate=Equals("channel", 1), name="other-filter",
+)
+FILTERED_SIBLING = HistogramQuery(
+    "age", "product", target=TargetSpec(kind="closest_to_uniform"), k=2,
+    predicate=Equals("channel", 0), name="filtered-sibling",
+)
+
+
+class _UnpublishLog:
+    """A serial backend that keeps what eviction asked it to unpublish."""
+
+    def __init__(self):
+        self._inner = make_backend("serial")
+        self.unpublished = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def unpublish(self, *artifacts):
+        self.unpublished.extend(artifacts)
+
+
 class TestPairCodeCache:
     def test_fused_session_caches_and_reuses_codes(self, table):
+        """The sharing rule: one column per (z, x, predicate, block_size,
+        seed) — a different predicate does not share, plain siblings do."""
         config = HistSimConfig(k=3, epsilon=0.15, delta=0.05, sigma=0.0)
+        like_four = HistogramQuery(
+            "product", "age", target=TargetSpec(kind="candidate", candidate=4),
+            k=3, name="like-4",
+        )
+        filtered_like_four = HistogramQuery(
+            "product", "age", target=TargetSpec(kind="candidate", candidate=4),
+            k=3, predicate=Equals("channel", 0), name="filtered-like-4",
+        )
         with MatchSession(table, kernel="fused") as session:
             first = session.prepared(QUERY, seed=5)
             assert first.pair_codes is not None
             assert first.pair_codes.dtype == pair_code_dtype(12, 6)
             assert session.cache_stats.misses.get("pair_codes") == 1
-            # Same (z, x, layout, seed): the column is shared, not rebuilt.
-            again = session.prepared(FILTERED_QUERY, seed=5)
-            assert again.pair_codes is first.pair_codes
+            # The plain sibling (same z, x, layout, seed) shares the
+            # unfiltered column.
+            assert session.prepared(like_four, seed=5).pair_codes is first.pair_codes
             assert session.cache_stats.hits.get("pair_codes") == 1
+            # A predicate gets its own column, folded with its row filter...
+            filtered = session.prepared(FILTERED_QUERY, seed=5)
+            assert filtered.pair_codes is not first.pair_codes
+            np.testing.assert_array_equal(
+                filtered.pair_codes == 12 * 6, ~filtered.row_filter
+            )
+            assert session.cache_stats.misses.get("pair_codes") == 2
+            # ...shared by the same predicate over the same (z, x)...
+            again = session.prepared(filtered_like_four, seed=5)
+            assert again.pair_codes is filtered.pair_codes
+            assert session.cache_stats.hits.get("pair_codes") == 2
+            # ...and by nothing else: another predicate, another seed.
+            other = session.prepared(OTHER_FILTER_QUERY, seed=5)
+            assert other.pair_codes is not filtered.pair_codes
+            reseeded = session.prepared(FILTERED_QUERY, seed=6)
+            assert reseeded.pair_codes is not filtered.pair_codes
+            assert session.cache_stats.misses.get("pair_codes") == 4
+            assert set(session.cache_stats.misses) == {
+                "prepared", "shuffle", "index", "ground_truth", "row_filter",
+                "pair_codes",
+            }
             session.match(QUERY, config=config, seed=5)
+            session.match(FILTERED_QUERY, config=config, seed=5)
+
+    @pytest.mark.parametrize(
+        "query", [QUERY, FILTERED_QUERY, OTHER_FILTER_QUERY, FILTERED_SIBLING],
+        ids=lambda q: q.name,
+    )
+    def test_fold_ground_truth_is_one_bincount_of_the_codes(self, table, query):
+        profiler = Profiler()
+        with MatchSession(table, kernel="fused", profiler=profiler) as session:
+            prepared = session.prepared(query, seed=5)
+        exact = prepared.exact_counts
+        want = exact_candidate_counts(table, query)
+        assert exact.dtype == np.int64 and exact.flags.owndata
+        assert np.array_equal(exact, want) and exact.shape == want.shape
+        # The pass is on the session's profile: every kept row, one
+        # bincount, nothing materialized — and no table pass beside it.
+        kernels = profiler.snapshot().kernels["unattributed"]
+        assert set(kernels) == {"session.ground_truth"}
+        truth = kernels["session.ground_truth"]
+        assert (truth["calls"], truth["bincounts"], truth["bytes"]) == (1, 1, 0)
+        assert truth["rows"] == int(want.sum())
+
+    def test_fold_ground_truth_on_session_cache_mix_templates(self):
+        """The benchmark workload's twelve templates, on its dataset."""
+        from repro.data.flights import build_flights
+
+        flights = build_flights(rows=60_000, seed=3).table
+        predicate = InRange("dep_delay", 0, 1)
+        with MatchSession(flights, kernel="fused", max_cached_queries=6) as session:
+            for z in ("origin", "dest"):
+                for x in ("dep_hour", "day_of_week", "day_of_month"):
+                    for kwargs in ({}, {"predicate": predicate}):
+                        query = HistogramQuery(
+                            z, x, target=TargetSpec(kind="closest_to_uniform"),
+                            k=10, **kwargs,
+                        )
+                        exact = session.prepared(query, seed=1).exact_counts
+                        want = exact_candidate_counts(flights, query)
+                        assert exact.dtype == np.int64 and exact.flags.owndata
+                        assert np.array_equal(exact, want)
+                        assert exact.shape == want.shape
+
+    @pytest.mark.parametrize("kernel", KERNEL_SPECS)
+    def test_predicate_is_evaluated_once_per_filter_cache_miss(
+        self, table, kernel, monkeypatch
+    ):
+        want_sibling = exact_candidate_counts(table, FILTERED_SIBLING)
+        calls = []
+        evaluate = Equals.mask
+
+        def counting_mask(self, table):
+            calls.append(self)
+            return evaluate(self, table)
+
+        monkeypatch.setattr(Equals, "mask", counting_mask)
+        config = HistSimConfig(k=3, epsilon=0.15, delta=0.05, sigma=0.0)
+        with MatchSession(table, kernel=kernel) as session:
+            session.match(QUERY, config=config, seed=5)
+            assert calls == []
+            session.match(FILTERED_QUERY, config=config, seed=5)
+            assert calls == [FILTERED_QUERY.predicate]
+            # A sibling template under the same predicate: its ground truth
+            # is built from the filter the session already holds.
+            sibling = session.prepared(FILTERED_SIBLING, seed=5)
+            assert calls == [FILTERED_QUERY.predicate]
+            assert np.array_equal(sibling.exact_counts, want_sibling)
+            session.prepared(OTHER_FILTER_QUERY, seed=5)
+            assert calls == [FILTERED_QUERY.predicate, OTHER_FILTER_QUERY.predicate]
 
     def test_classic_session_builds_no_codes(self, table):
         with MatchSession(table, kernel="classic") as session:
@@ -521,6 +781,85 @@ class TestPairCodeCache:
             assert session.evict_prepared((QUERY, session.block_size, 5))
             assert session.cache_stats.evictions.get("pair_codes") == 1
             assert session.cache_bytes <= before - nbytes
+
+    def test_fold_eviction_drops_the_folded_column_with_its_last_user(self, table):
+        """A predicated + plain pair over one (z, x): each holds its own
+        column, counted once; the folded one goes (and is unpublished) with
+        the last entry that uses it, the unfiltered one stays with the
+        plain sibling."""
+        backend = _UnpublishLog()
+        like_four = HistogramQuery(
+            "product", "age", target=TargetSpec(kind="candidate", candidate=4),
+            k=3, predicate=Equals("channel", 0), name="filtered-like-4",
+        )
+        session = MatchSession(table, kernel="fused", backend=backend._inner)
+        session.backend = backend  # route eviction hooks through the log
+        plain = session.prepared(QUERY, seed=5)
+        base = session.cache_bytes
+        filtered = session.prepared(FILTERED_QUERY, seed=5)
+        folded, row_filter = filtered.pair_codes, filtered.row_filter
+        assert folded is not plain.pair_codes
+        per_entry = folded.nbytes + row_filter.nbytes + filtered.exact_counts.nbytes
+        assert session.cache_bytes == base + per_entry
+        # A second user of the folded column adds only its own ground truth
+        # (cached per template, so: nothing).
+        session.prepared(like_four, seed=5)
+        assert session.cache_bytes == base + per_entry
+        session.prepared(QUERY, seed=5)  # most recent: the plain entry
+        assert session.evict_prepared((FILTERED_QUERY, session.block_size, 5))
+        assert "pair_codes" not in session.cache_stats.evictions  # still used
+        assert backend.unpublished == []
+        assert session.evict_prepared((like_four, session.block_size, 5))
+        assert session.cache_stats.evictions.get("pair_codes") == 1
+        assert [a for a in backend.unpublished if a is folded] == [folded]
+        assert any(a is row_filter for a in backend.unpublished)
+        assert not any(a is plain.pair_codes for a in backend.unpublished)
+        assert session.cache_bytes == base
+        # The unfiltered column survived with its plain sibling: a hit.
+        hits = session.cache_stats.hits.get("pair_codes", 0)
+        assert session.prepared(QUERY, seed=5).pair_codes is plain.pair_codes
+        other_plain = HistogramQuery(
+            "product", "age", target=TargetSpec(kind="candidate", candidate=2),
+            k=3, name="like-2",
+        )
+        assert session.prepared(other_plain, seed=5).pair_codes is plain.pair_codes
+        assert session.cache_stats.hits.get("pair_codes") == hits + 1
+        # One pair_codes layer, whatever the columns carry.
+        layers = set(session.cache_stats.misses) | set(session.cache_stats.evictions)
+        assert {layer for layer in layers if "codes" in layer} == {"pair_codes"}
+
+    def test_fold_sharded_session_ships_codes_and_no_filter(self, table):
+        """On the process pool a fused predicated query counts its windows
+        from the code segment alone; eviction unlinks it, close leaves
+        nothing."""
+        config = HistSimConfig(k=3, epsilon=0.15, delta=0.05, sigma=0.0)
+        backend = ShardedBackend(2, min_shard_rows=0)
+        try:
+            session = MatchSession(table, kernel="fused", backend=backend)
+            serial = run_session(table, FILTERED_QUERY, kernel="narrow")
+            outcome = session.match(FILTERED_QUERY, config=config, seed=5)
+            assert outcome.report.result.matching == serial.report.result.matching
+            assert outcome.report.counters == serial.report.counters
+            assert backend.shard_tasks > 0
+            kinds = sorted(key[0] for key in backend.store.keys())
+            assert kinds == ["codes", "column", "column"]
+            folded = session.prepared(FILTERED_QUERY, seed=5).pair_codes
+            assert ("codes", id(folded)) in backend.store.keys()
+            # The plain sibling publishes its own column; evicting the
+            # predicated entry unlinks the folded one only.
+            session.match(QUERY, config=config, seed=5)
+            plain = session.prepared(QUERY, seed=5).pair_codes
+            assert session.evict_prepared((FILTERED_QUERY, session.block_size, 5))
+            keys = backend.store.keys()
+            assert ("codes", id(folded)) not in keys
+            assert ("codes", id(plain)) in keys
+            assert not any(key[0] == "filter" for key in keys)
+            session.close()
+        finally:
+            backend.close()
+        assert backend.store.keys() == []
+        if os.path.isdir("/dev/shm"):
+            assert not {f for f in os.listdir("/dev/shm") if f.startswith("repro-")}
 
     def test_rejects_unknown_kernel(self, table):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from repro.parallel import (
     SerialBackend,
     ShardedBackend,
     ThreadPoolBackend,
+    build_pair_codes,
     count_window,
 )
 from repro.sampling import (
@@ -314,7 +315,7 @@ class TestEngineBookkeeping:
     }
 
     @staticmethod
-    def walk(shuffled, index, backend, row_filter, candidate_totals):
+    def walk(shuffled, index, backend, row_filter, candidate_totals, codes=None):
         """Stage-1 pass, bounded stage-2 slices until the budgets are met,
         then everything that is left; the observable state after every call."""
         engine = BlockSamplingEngine(
@@ -330,6 +331,7 @@ class TestEngineBookkeeping:
             start_block=37,
             backend=backend,
             candidate_totals=candidate_totals,
+            codes=codes,
         )
         seen = np.zeros((engine.num_candidates, engine.num_groups), dtype=np.int64)
         needed = np.zeros(engine.num_candidates)
@@ -371,21 +373,30 @@ class TestEngineBookkeeping:
         row_filter = shuffled.table.column("x") < 3 if filtered else None
         z = shuffled.table.column("z")
         totals = np.bincount(z if row_filter is None else z[row_filter], minlength=40)
+        folded = build_pair_codes(
+            z, shuffled.table.column("x"), 40, groups, row_filter=row_filter
+        )
         traces = {}
         for name, build in self.BACKENDS.items():
             backend = build()
             try:
-                for handed_in in (None, totals):
+                for handed_in, codes in ((None, None), (totals, None), (totals, folded)):
                     engine, trace = self.walk(
-                        shuffled, index, backend, row_filter, handed_in
+                        shuffled, index, backend, row_filter, handed_in, codes
                     )
                     np.testing.assert_array_equal(engine.candidate_rows(), totals)
                     assert engine.total_rows == totals.sum()
-                    traces[name, handed_in is None] = trace
+                    traces[name, handed_in is None, codes is not None] = trace
+                if name == "sharded":
+                    # The pool counted folded windows from the code segment
+                    # alone; only the plain engines published the filter.
+                    kinds = [key[0] for key in backend.store.keys()]
+                    assert kinds.count("codes") == 1
+                    assert kinds.count("filter") == int(filtered)
             finally:
                 if backend is not None:
                     backend.close()
-        reference = traces["serial", True]
+        reference = traces["serial", True, False]
         assert len(reference) > 3
         assert not reference[-2][0] and reference[-1][0]  # ends fully scanned
         assert reference[-1][3] > 0  # blocks were skipped on the way
@@ -576,9 +587,20 @@ REGIME_WORLDS = {
 }
 
 
-def regime_engine(cls, world, policy, backend, filtered, clock=None, profiler=None):
+def regime_engine(
+    cls, world, policy, backend, filtered, clock=None, profiler=None, folded=False
+):
+    """``folded`` hands the engine its pair-code column (so it counts on the
+    fused kernel, with no filter at the backend) instead of none."""
     shuffled, index = world
-    row_filter = shuffled.table.column("x") < 3 if filtered else None
+    table = shuffled.table
+    row_filter = table.column("x") < 3 if filtered else None
+    codes = None
+    if folded:
+        codes = build_pair_codes(
+            table.column("z"), table.column("x"),
+            table.cardinality("z"), table.cardinality("x"), row_filter=row_filter,
+        )
     return cls(
         shuffled=shuffled,
         candidate_attribute="z",
@@ -592,6 +614,7 @@ def regime_engine(cls, world, policy, backend, filtered, clock=None, profiler=No
         start_block=37,
         backend=backend,
         profiler=profiler,
+        codes=codes,
     )
 
 
@@ -626,13 +649,14 @@ def regime_calls(engine):
 
 
 class TestRegimeIdentity:
+    @pytest.mark.parametrize("folded", [False, True], ids=["nocodes", "fold"])
     @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
     @pytest.mark.parametrize(
         "policy_cls", [AnyActiveLookaheadPolicy, AnyActiveSyncPolicy, ScanAllPolicy]
     )
     @pytest.mark.parametrize("regime", list(REGIME_WORLDS))
     def test_regime_matches_the_parent_loop_call_by_call(
-        self, regime, policy_cls, filtered
+        self, regime, policy_cls, filtered, folded
     ):
         world = make_world(block_size=25, **REGIME_WORLDS[regime])
         ref_backend, backend = RecordingBackend(), RecordingBackend()
@@ -640,7 +664,10 @@ class TestRegimeIdentity:
             regime_engine(ParentLoopEngine, world, policy_cls(), ref_backend, filtered)
         )
         calls = regime_calls(
-            regime_engine(BlockSamplingEngine, world, policy_cls(), backend, filtered)
+            regime_engine(
+                BlockSamplingEngine, world, policy_cls(), backend, filtered,
+                folded=folded,
+            )
         )
         assert len(calls) == len(reference) > 3
         for got, want in zip(calls, reference):
@@ -769,11 +796,9 @@ class TestRegimeMatrix:
 
     @pytest.fixture(scope="class")
     def prepared(self):
-        """The query plain and under a predicate, pair codes built."""
-        import dataclasses
-
+        """The query plain and under a predicate, each artifact's pair
+        codes built by the artifact itself (folded with its row filter)."""
         from repro.data.generator import conditional_column, jittered
-        from repro.parallel import build_pair_codes
         from repro.query import HistogramQuery, IsIn
         from repro.system import PreparedQuery
 
@@ -805,13 +830,7 @@ class TestRegimeMatrix:
                 else HistogramQuery("z", "x", k=1, predicate=predicate)
             )
             prepared = PreparedQuery.prepare(table, query, np.random.default_rng(0))
-            columns = prepared.shuffled.table
-            out[name] = dataclasses.replace(
-                prepared,
-                pair_codes=build_pair_codes(
-                    columns.column("z"), columns.column("x"), self.C, self.G
-                ),
-            )
+            out[name] = prepared.with_pair_codes()
         return out
 
     @pytest.fixture(scope="class")
@@ -901,15 +920,16 @@ class TestRegimeMatrix:
 
 
 class TestRegimeTelemetry:
+    @pytest.mark.parametrize("folded", [False, True], ids=["nocodes", "fold"])
     @pytest.mark.parametrize("regime", ["deferred", "dense"])
-    def test_regime_profile_counts_each_row_and_window_once(self, regime):
+    def test_regime_profile_counts_each_row_and_window_once(self, regime, folded):
         from repro.obs import Profiler
 
         world = make_world(block_size=25, **REGIME_WORLDS[regime])
         backend, profiler = RecordingBackend(), Profiler()
         engine = regime_engine(
             BlockSamplingEngine, world, AnyActiveLookaheadPolicy(), backend,
-            filtered=True, profiler=profiler,
+            filtered=True, profiler=profiler, folded=folded,
         )
         engine.sample_uniform(700)
         engine.sample_until(np.full(engine.num_candidates, 25.0))
@@ -932,3 +952,104 @@ class TestRegimeTelemetry:
         else:
             assert "engine.tally" not in kernels
             assert len(backend.calls) == windows
+        if folded:
+            # Rows the predicate drops are neither gathered rows (above) nor
+            # bytes: a folded count materializes the gathered codes only.
+            read_rows = engine.counters.blocks_read * 25
+            assert engine.counters.rows_delivered < read_rows
+            assert (
+                kernels["serial.count"]["bytes"]
+                <= read_rows * engine._source.codes.itemsize
+            )
+
+
+class TestFoldContract:
+    """The code column an engine is given is its own row filter's: the
+    backend gets the column or the filter, never both, and a column that
+    cannot be the filter's is rejected at construction."""
+
+    @staticmethod
+    def engine(world, row_filter, codes, kernel="auto"):
+        shuffled, index = world
+        return BlockSamplingEngine(
+            shuffled=shuffled, candidate_attribute="z", grouping_attribute="x",
+            index=index, cost_model=CostModel(), clock=SimulatedClock(),
+            start_block=0, row_filter=row_filter, codes=codes, kernel=kernel,
+        )
+
+    @pytest.fixture
+    def world(self):
+        return make_world()  # 8 candidates x 4 groups: sentinel 32
+
+    def columns(self, world):
+        table = world[0].table
+        return table.column("z"), table.column("x"), table.column("x") < 3
+
+    def test_fold_source_carries_the_codes_or_the_filter(self, world):
+        z, x, row_filter = self.columns(world)
+        folded = build_pair_codes(z, x, 8, 4, row_filter=row_filter)
+        source = self.engine(world, row_filter, folded)._source
+        assert source.codes is folded and source.row_filter is None
+        assert source.kernel.name == "fused"
+        # No codes, or a kernel that does not read them: the filter goes.
+        for codes, kernel in ((None, "fused"), (folded, "classic")):
+            source = self.engine(world, row_filter, codes, kernel)._source
+            assert source.codes is None and source.row_filter is not None
+            assert source.kernel.name != "fused"
+
+    def test_fold_rejects_a_column_of_another_filter(self, world):
+        z, x, row_filter = self.columns(world)
+        plain = build_pair_codes(z, x, 8, 4)
+        folded = build_pair_codes(z, x, 8, 4, row_filter=row_filter)
+        with pytest.raises(ValueError, match="not folded with this row_filter"):
+            self.engine(world, row_filter, plain.astype(np.uint16))
+        with pytest.raises(ValueError, match="not folded with this row_filter"):
+            self.engine(world, None, folded)
+        with pytest.raises(ValueError, match="not folded with this row_filter"):
+            self.engine(world, ~row_filter, folded)
+        self.engine(world, None, plain)
+        self.engine(world, row_filter, folded)
+
+    def test_fold_rejects_wrong_shape_and_narrow_dtype(self, world):
+        z, x, row_filter = self.columns(world)
+        folded = build_pair_codes(z, x, 8, 4, row_filter=row_filter)
+        with pytest.raises(ValueError, match="one entry per row"):
+            self.engine(world, row_filter, folded[:-1])
+        # 64 x 4 = 256 codes: a plain column is uint8, which cannot hold the
+        # sentinel 256 — whatever the rows say, it is not a folded column.
+        wide = make_world(candidates=64)
+        z, x, row_filter = self.columns(wide)
+        plain = build_pair_codes(z, x, 64, 4)
+        assert plain.dtype == np.uint8
+        with pytest.raises(ValueError, match="cannot hold the sentinel 256"):
+            self.engine(wide, row_filter, plain)
+        folded = build_pair_codes(z, x, 64, 4, row_filter=row_filter)
+        assert folded.dtype == np.uint16
+        self.engine(wide, row_filter, folded)
+
+    def test_fold_prepared_query_builds_its_own_column(self):
+        """``with_pair_codes`` is the one builder: the column is the
+        artifact's filter folded over its own shuffled columns."""
+        from repro.query import HistogramQuery, IsIn
+        from repro.system import PreparedQuery
+
+        shuffled, _ = make_world()
+        for predicate in (None, IsIn("x", (0, 2))):
+            kwargs = {} if predicate is None else {"predicate": predicate}
+            prepared = PreparedQuery.prepare(
+                shuffled.table, HistogramQuery("z", "x", k=2, **kwargs),
+                np.random.default_rng(0), block_size=50,
+            )
+            assert prepared.pair_codes is None
+            built = prepared.with_pair_codes()
+            table = built.shuffled.table
+            np.testing.assert_array_equal(
+                built.pair_codes,
+                build_pair_codes(
+                    table.column("z"), table.column("x"), 8, 4,
+                    row_filter=built.row_filter,
+                ),
+            )
+            assert built.exact_counts is prepared.exact_counts
+            if predicate is not None:
+                assert (built.pair_codes == 32).sum() == (~built.row_filter).sum()
