@@ -38,6 +38,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from ..parallel.backend import ExecutionBackend, SerialBackend
+from ..parallel.kernels import rows_per_candidate
 from .config import HistSimConfig
 from .deviation import (
     deviation_log_pvalue,
@@ -200,7 +201,7 @@ class HistSim:
         n_total = self.sampler.total_rows
         m = cfg.effective_stage1_samples(n_total)
         counts = self.backend.run_uniform(self.sampler, m)
-        observed = counts.sum(axis=1)
+        observed = rows_per_candidate(counts)
         self.state.counts += counts
         self.state.samples += observed
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..parallel.kernels import rows_per_candidate
 from .distance import candidate_distances
 
 __all__ = ["CandidateState"]
@@ -73,7 +74,7 @@ class CandidateState:
             )
         if np.any(fresh < 0):
             raise ValueError("fresh counts must be non-negative")
-        row_sums = fresh.sum(axis=1)
+        row_sums = rows_per_candidate(fresh)
         self.round_counts += fresh
         self.round_samples += row_sums
         return row_sums

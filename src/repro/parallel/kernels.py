@@ -46,7 +46,9 @@ reduction — the matrix's row sums without the matrix — that the sampling
 engine runs per window when the code space is larger than a window's rows
 and the ``(candidate, group)`` cells are counted once per sampling call
 instead.  It is not a kernel: nothing selects it, and it reuses the kernels'
-whole-block gather.
+whole-block gather.  :func:`rows_per_candidate` is the same vector taken
+from a matrix already counted — the one row-sum expression of the engine
+and the algorithm.
 
 Each kernel returns ``(counts, moved_bytes)`` where ``moved_bytes`` counts
 bytes *materialized into fresh arrays* by the kernel (gathers, upcasts,
@@ -75,6 +77,7 @@ __all__ = [
     "count_window",
     "pair_code_dtype",
     "resolve_kernel",
+    "rows_per_candidate",
     "tally_window",
 ]
 
@@ -455,6 +458,21 @@ def count_window(
         z, x, blocks, layout, num_candidates, num_groups,
         row_filter, filter_slice, codes, kernel.code_dtype,
     )
+
+
+def rows_per_candidate(counts: np.ndarray) -> np.ndarray:
+    """Rows per candidate of a ``(candidate, group)`` count matrix.
+
+    ``counts.sum(axis=1)`` as a fresh int64 vector, by the reduction that is
+    2–3x faster on the narrow C-ordered matrices every kernel returns (3.3
+    against 7.6 µs at 347 x 24, 9 against 27 at 2110 x 2) and level with it
+    on square ones.  Integer addition, so exact in any order.  Only a
+    Fortran-ordered or few-cell matrix takes longer this way (under a
+    microsecond, 15% at 7641 x 24); nothing here produces one, so there is
+    one expression.  ``dtype`` keeps ``sum``'s widening of a narrower
+    integer input, which ``einsum`` alone would not do.
+    """
+    return np.einsum("ij->i", counts, dtype=np.int64)
 
 
 def tally_window(

@@ -52,7 +52,12 @@ import numpy as np
 from ..bitmap.bitmap_index import BlockBitmapIndex
 from ..obs.profiler import NULL_PROFILER
 from ..parallel.backend import CountSource, ExecutionBackend, SerialBackend
-from ..parallel.kernels import check_pair_codes, choose_kernel, tally_window
+from ..parallel.kernels import (
+    check_pair_codes,
+    choose_kernel,
+    rows_per_candidate,
+    tally_window,
+)
 from ..storage.cost_model import CostModel
 from ..storage.io_manager import IOManager
 from ..storage.shuffle import ShuffledTable
@@ -278,11 +283,19 @@ class BlockSamplingEngine:
         backend counts the window and ``call`` holds the one matrix the
         windows accumulate into.  Deferred regime: the window only tallies
         the candidate column and ``call`` collects the delivered block sets.
-        ``blocks`` come from :meth:`_window`: distinct and not yet consumed.
+
+        ``blocks`` come from :meth:`_window`: distinct, not yet consumed, and
+        in *scan* order — ascending, except in the one window per pass that
+        runs from the table's last block on to block 0.  Only that window is
+        sorted here (its first block is then above its last); the I/O
+        manager still rejects any batch that is not ascending.  A caller
+        that trims a window (:meth:`sample_uniform`) does so before this
+        call, so what it keeps is a prefix of the scan, not of the sort.
         """
         if blocks.size == 0:
             return np.zeros(self._num_candidates, dtype=np.int64), 0, 0.0
-        blocks = np.sort(blocks)
+        if blocks[0] > blocks[-1]:
+            blocks = np.sort(blocks)
         cost_ns = self.io.read_cost(blocks)
         profiler = self.profiler
         if self._deferred:
@@ -305,7 +318,7 @@ class BlockSamplingEngine:
                 )
         else:
             counts = self.backend.count_blocks(self._source, blocks)
-            row_sums = counts.sum(axis=1)
+            row_sums = rows_per_candidate(counts)
             if call:
                 call[0] += counts
             else:

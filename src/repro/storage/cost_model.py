@@ -79,13 +79,26 @@ class CostModel:
     # ------------------------------------------------------------------ I/O
 
     def block_read_cost(self, tuples_in_block: int | np.ndarray) -> float:
-        """Sequentially reading and histogramming one or more blocks."""
+        """Sequentially reading and histogramming one or more blocks, summed
+        block by block: the per-block form of :meth:`scan_cost`.
+
+        With integer-valued ``block_overhead_ns`` / ``tuple_read_ns`` (the
+        defaults, and every committed pin and baseline) each block's cost
+        and every partial sum is an integer below 2**53, so this sum, in
+        whatever order, and the closed form are the same double.  With
+        fractional constants the two differ by rounding only, and the closed
+        form — two products and one add — is the more accurate.
+        """
         tuples = np.asarray(tuples_in_block, dtype=np.float64)
         return float(np.sum(self.block_overhead_ns + tuples * self.tuple_read_ns))
 
     def scan_cost(self, num_rows: int, num_blocks: int) -> float:
-        """Full sequential pass over the table."""
-        return num_blocks * self.block_overhead_ns + num_rows * self.tuple_read_ns
+        """The cost of reading any set of blocks sequentially: ``num_blocks``
+        blocks holding ``num_rows`` rows between them.  The Scan baseline
+        charges it for its full pass, the I/O manager for every batch."""
+        return float(
+            num_blocks * self.block_overhead_ns + num_rows * self.tuple_read_ns
+        )
 
     # --------------------------------------------------------------- bitmaps
 

@@ -54,17 +54,32 @@ class IOManager:
         gathers and counts the rows (and whenever it does), so cost
         accounting cannot differ across backends.
         ``blocks`` must be sorted and unique (the engine reads in storage
-        order — Section 4.2's locality discussion).
+        order — Section 4.2's locality discussion) and inside the layout;
+        a rejected batch moves no counter.
+
+        Constant arithmetic once the batch is checked: every block but the
+        table's last holds ``block_size`` rows, so the batch's row count is
+        read off the layout, with no per-block array, and charged as
+        :meth:`CostModel.scan_cost(rows, count) <CostModel.scan_cost>` —
+        the Scan baseline's own formula, here for a subset of the blocks.
+        It equals the per-block sum :meth:`CostModel.block_read_cost` to the
+        last bit for integer-valued cost constants (see there).
         """
         blocks = np.asarray(blocks, dtype=np.int64)
-        if blocks.size == 0:
+        count = int(blocks.size)
+        if count == 0:
             return 0.0
-        if np.any(np.diff(blocks) <= 0):
+        if (blocks[1:] <= blocks[:-1]).any():
             raise ValueError("blocks must be sorted and unique")
-        tuples_per_block = self.shuffled.layout.rows_per_block(blocks)
-        cost = self.cost_model.block_read_cost(tuples_per_block)
-        self.total_blocks_read += int(blocks.size)
-        self.total_rows_read += int(tuples_per_block.sum())
+        layout = self.shuffled.layout
+        first, last = int(blocks[0]), int(blocks[-1])
+        if first < 0 or last >= layout.num_blocks:
+            raise ValueError("block index out of range")
+        # Sorted, so only the batch's last block can be the table's short one.
+        rows = (count - 1) * layout.block_size + layout.block_rows(last)
+        cost = self.cost_model.scan_cost(rows, count)
+        self.total_blocks_read += count
+        self.total_rows_read += rows
         self.total_cost_ns += cost
         return cost
 

@@ -48,7 +48,7 @@ from repro.parallel import (
     plan_affinity,
     resolve_kernel,
 )
-from repro.parallel.kernels import tally_window
+from repro.parallel.kernels import rows_per_candidate, tally_window
 from repro.query import Equals, HistogramQuery, InRange
 from repro.query.executor import exact_candidate_counts
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
@@ -391,6 +391,46 @@ class TestTallyWindow:
         for blocks in ([0, 10], [-1, 3], [2, 4, 11]):
             with pytest.raises(ValueError, match="block index out of range"):
                 tally_window(z, np.array(blocks), layout, 3)
+
+
+class TestRowsPerCandidate:
+    """The one row-sum expression is ``counts.sum(axis=1)``: same values,
+    int64, its own memory, whatever the matrix's layout or integer dtype."""
+
+    LAYOUTS = {
+        "c": np.ascontiguousarray,
+        "fortran": np.asfortranarray,
+        "strided": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+        "transposed": lambda a: np.ascontiguousarray(a.T).T,
+    }
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize(
+        "shape",
+        [(347, 24), (2110, 2), (7641, 24), (347, 351), (10, 351), (40, 1), (0, 5)],
+    )
+    def test_rows_per_candidate_equals_sum_axis_1(self, shape, layout):
+        counts = np.random.default_rng(1).integers(0, 1000, size=shape)
+        counts = self.LAYOUTS[layout](counts.astype(np.int64))
+        assert counts.shape == shape
+        if layout in ("strided", "fortran") and min(shape) > 1:
+            assert not counts.flags.c_contiguous
+        got = rows_per_candidate(counts)
+        want = counts.sum(axis=1)
+        assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.writeable and not np.shares_memory(got, counts)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint32, bool])
+    def test_rows_per_candidate_widens_like_sum(self, dtype):
+        """``einsum`` alone would keep a narrow input's dtype (and wrap in
+        it); the result is int64 as ``sum``'s is."""
+        top = 1 if dtype is bool else np.iinfo(dtype).max
+        counts = np.full((3, 5), top, dtype=dtype)
+        got = rows_per_candidate(counts)
+        assert got.dtype == np.int64
+        assert got.tolist() == [5 * int(top)] * 3
+        assert rows_per_candidate([[1, 2], [3, 4]]).tolist() == [3, 7]
 
 
 #: Code spaces on both sides of each dtype edge: ``(C, G, plain, folded)``.

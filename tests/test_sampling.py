@@ -478,7 +478,10 @@ class RecordingBackend(SerialBackend):
 
 class ParentLoopEngine(BlockSamplingEngine):
     """The sampling loops as they stood before the regimes: every window
-    counted to a full matrix at once, summed into a fresh ``zeros``."""
+    sorted, charged block by block (``block_read_cost`` over a per-block
+    row array, not the I/O manager's closed form), counted to a full matrix
+    at once and summed into a fresh ``zeros``.  It shares no accounting
+    arithmetic with the engine it is the reference for."""
 
     def _deliver_parent(self, blocks):
         if blocks.size == 0:
@@ -489,7 +492,7 @@ class ParentLoopEngine(BlockSamplingEngine):
                 0.0,
             )
         blocks = np.sort(blocks)
-        cost_ns = self.io.read_cost(blocks)
+        cost_ns = self.cost_model.block_read_cost(self.layout.rows_per_block(blocks))
         counts = self.backend.count_blocks(self._source, blocks)
         row_sums = counts.sum(axis=1)
         rows = int(row_sums.sum())
@@ -588,7 +591,8 @@ REGIME_WORLDS = {
 
 
 def regime_engine(
-    cls, world, policy, backend, filtered, clock=None, profiler=None, folded=False
+    cls, world, policy, backend, filtered, clock=None, profiler=None, folded=False,
+    start_block=37,
 ):
     """``folded`` hands the engine its pair-code column (so it counts on the
     fused kernel, with no filter at the backend) instead of none."""
@@ -611,7 +615,7 @@ def regime_engine(
         policy=policy,
         window_blocks=8,
         row_filter=row_filter,
-        start_block=37,
+        start_block=start_block,
         backend=backend,
         profiler=profiler,
         codes=codes,
@@ -658,7 +662,10 @@ class TestRegimeIdentity:
     def test_regime_matches_the_parent_loop_call_by_call(
         self, regime, policy_cls, filtered, folded
     ):
-        world = make_world(block_size=25, **REGIME_WORLDS[regime])
+        # 240 blocks, the last 15 rows short; the scan starts at block 37, so
+        # one window per pass runs from block 239 on to block 0.
+        world = make_world(n=5990, block_size=25, **REGIME_WORLDS[regime])
+        assert world[0].layout.block_rows(239) == 15
         ref_backend, backend = RecordingBackend(), RecordingBackend()
         reference = regime_calls(
             regime_engine(ParentLoopEngine, world, policy_cls(), ref_backend, filtered)
@@ -688,6 +695,68 @@ class TestRegimeIdentity:
                 np.testing.assert_array_equal(got, want)
         for blocks in backend.calls:
             assert (np.diff(blocks) > 0).all()  # sorted, no block twice
+
+    @staticmethod
+    def straddle_engine(regime, start_block, policy):
+        """An engine on the short-tailed world whose first 8-block window
+        runs across the table's end, with its backend."""
+        world = make_world(n=5990, block_size=25, **REGIME_WORLDS[regime])
+        backend = RecordingBackend()
+        engine = regime_engine(
+            BlockSamplingEngine, world, policy, backend, False,
+            start_block=start_block,
+        )
+        return engine, backend
+
+    @staticmethod
+    def assert_delivered_exactly(engine, backend, blocks, charge):
+        """``blocks`` (ascending) were consumed, counted as one ascending
+        batch and charged once, at the per-block sum over them."""
+        np.testing.assert_array_equal(np.flatnonzero(engine._consumed), blocks)
+        assert len(backend.calls) == 1
+        np.testing.assert_array_equal(backend.calls[0], blocks)
+        tuples = engine.layout.rows_per_block(np.array(blocks))
+        io_ns = engine.cost_model.block_read_cost(tuples)
+        assert engine.clock.charges == [charge(io_ns)]
+        assert engine.io.total_cost_ns == io_ns
+        assert engine.io.total_blocks_read == len(blocks)
+        assert engine.io.total_rows_read == tuples.sum()
+        assert engine.counters.rows_delivered == tuples.sum()
+
+    @pytest.mark.parametrize(
+        ("start_block", "kept"),
+        [
+            # Window 239, 0..6: rows 15, 25, ... reach 125 at the sixth block.
+            (239, [0, 1, 2, 3, 4, 239]),
+            # Window 237..239, 0..4: rows 25, 25, 15, 25, ...
+            (237, [0, 1, 2, 237, 238, 239]),
+        ],
+    )
+    @pytest.mark.parametrize("regime", ["deferred", "dense"])
+    def test_regime_stage1_trims_a_straddling_window_in_scan_order(
+        self, regime, start_block, kept
+    ):
+        """The budget keeps a prefix of the *scan*: sorting the window before
+        trimming it would keep blocks 0..4 and never read the table's end."""
+        engine, backend = self.straddle_engine(regime, start_block, ScanAllPolicy())
+        fresh = engine.sample_uniform(125)
+        assert fresh.sum() == 140 and engine.counters.windows == 1
+        self.assert_delivered_exactly(
+            engine, backend, kept, lambda io_ns: ("serial", (("io", io_ns),))
+        )
+
+    @pytest.mark.parametrize("regime", ["deferred", "dense"])
+    def test_regime_stage2_sorts_a_straddling_window_for_delivery(self, regime):
+        engine, backend = self.straddle_engine(regime, 237, AnyActiveLookaheadPolicy())
+        fresh = engine.sample_until(np.full(engine.num_candidates, np.inf), max_rows=1)
+        assert fresh.sum() == 190 and engine.counters.windows == 1
+        mark_ns = engine.cost_model.lookahead_mark_cost(
+            engine.num_candidates, 240, resident=True
+        )
+        self.assert_delivered_exactly(
+            engine, backend, [0, 1, 2, 3, 4, 237, 238, 239],
+            lambda io_ns: ("pipelined", io_ns, mark_ns),
+        )
 
 
 class TestRegimeAccounting:

@@ -40,6 +40,30 @@ class TestRoundAccounting:
         assert s.round_samples[2] == 2
         assert s.samples.sum() == 0  # cumulative untouched until fold
 
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda a: a.astype(np.int32),
+            lambda a: a.tolist(),
+            np.asfortranarray,
+            lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+        ],
+        ids=["int32", "list", "fortran", "strided"],
+    )
+    def test_record_round_counts_takes_any_integer_array_like(self, convert):
+        """Row sums stay int64 and equal ``sum(axis=1)`` whatever the caller
+        hands in; the round state is unchanged in dtype."""
+        s = make_state()
+        fresh = np.arange(12, dtype=np.int64).reshape(3, 4)
+        row_sums = s.record_round_counts(convert(fresh))
+        assert row_sums.dtype == np.int64
+        np.testing.assert_array_equal(row_sums, fresh.sum(axis=1))
+        np.testing.assert_array_equal(s.round_samples, fresh.sum(axis=1))
+        np.testing.assert_array_equal(s.round_counts, fresh)
+        assert s.round_samples.dtype == s.round_counts.dtype == np.int64
+        row_sums[:] = -1  # the caller's own vector, not the state's
+        np.testing.assert_array_equal(s.round_samples, fresh.sum(axis=1))
+
     def test_fold_moves_round_into_cumulative(self):
         s = make_state()
         fresh = np.ones((3, 4), dtype=np.int64)

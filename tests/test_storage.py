@@ -1,5 +1,7 @@
 """Tests for the storage substrate: schema, table, blocks, shuffle, I/O, costs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,69 @@ def small_table(n=1000, seed=0):
         "x": rng.integers(0, 4, size=n),
     }
     return ColumnTable(schema, cols)
+
+
+#: ``(num_rows, block_size, blocks)``: one run, scattered, with and without
+#: the table's last block, a one-row tail, no short block at all, one block.
+READ_COST_CASES = [
+    (300, 50, [1, 3, 5]),
+    (300, 50, [2, 3, 4]),
+    (300, 50, [0, 1, 2, 3, 4, 5]),
+    (120, 50, [0, 2]),
+    (120, 50, [2]),
+    (101, 50, [1, 2]),
+    (101, 50, [0, 1]),
+    (100, 32, [0, 3]),
+]
+
+
+@st.composite
+def layout_and_batches(draw):
+    """A small shuffled table and one to three sorted block sets over it."""
+    block_size = draw(st.integers(1, 40))
+    num_blocks = draw(st.integers(1, 30))
+    # The last block: one row, full (num_rows % block_size == 0), or any.
+    tail = draw(st.sampled_from([1, block_size]) | st.integers(1, block_size))
+    num_rows = (num_blocks - 1) * block_size + tail
+    shuffled = shuffle_table(small_table(num_rows), block_size, np.random.default_rng(0))
+    assert shuffled.num_blocks == num_blocks
+    run = st.builds(
+        lambda lo, length: list(range(lo, min(lo + length, num_blocks))),
+        st.integers(0, num_blocks - 1),
+        st.integers(1, num_blocks),
+    )
+    scattered = st.sets(st.integers(0, num_blocks - 1), min_size=1).map(sorted)
+    with_last = scattered.map(lambda b: sorted({*b, num_blocks - 1}))
+    batches = draw(st.lists(run | scattered | with_last, min_size=1, max_size=3))
+    return shuffled, [np.array(batch) for batch in batches]
+
+
+def assert_charged_per_block(io, batches, exact):
+    """``read_cost`` on a fresh manager charges each batch what summing
+    ``block_read_cost`` over its blocks does (the closed form against the
+    per-block sum it replaced), ``read_blocks`` charges the same, and the
+    counters of both follow."""
+    cm, layout = io.cost_model, io.shuffled.layout
+    twin = IOManager(io.shuffled, cm)
+    blocks_read = rows_read = 0
+    total = 0.0
+    for blocks in batches:
+        tuples = layout.rows_per_block(blocks)
+        per_block = cm.block_read_cost(tuples)
+        cost = io.read_cost(blocks)
+        assert isinstance(cost, float)
+        assert cost == cm.scan_cost(int(tuples.sum()), blocks.size)
+        if exact:
+            assert cost == per_block
+        else:
+            assert math.isclose(cost, per_block, rel_tol=1e-12)
+        assert twin.read_blocks(blocks, ("z",)).cost_ns == cost
+        blocks_read += blocks.size
+        rows_read += int(tuples.sum())
+        total += cost
+        assert io.total_blocks_read == twin.total_blocks_read == blocks_read
+        assert io.total_rows_read == twin.total_rows_read == rows_read
+        assert io.total_cost_ns == twin.total_cost_ns == total
 
 
 class TestColumnTable:
@@ -305,16 +370,53 @@ class TestIOManager:
         for name in ("z", "x"):
             assert read.columns[name].dtype == s.table.column(name).dtype
 
-    def test_read_cost_matches_read_blocks_accounting(self):
-        t = small_table(300)
-        s = shuffle_table(t, block_size=50, rng=np.random.default_rng(5))
-        blocks = np.array([1, 3, 5])
-        io_a, io_b = IOManager(s, CostModel()), IOManager(s, CostModel())
-        read = io_a.read_blocks(blocks, ("z",))
-        cost = io_b.read_cost(blocks)
-        assert cost == read.cost_ns
-        assert io_a.total_blocks_read == io_b.total_blocks_read
-        assert io_a.total_rows_read == io_b.total_rows_read
-        assert io_a.total_cost_ns == io_b.total_cost_ns
+    @pytest.mark.parametrize(("num_rows", "block_size", "blocks"), READ_COST_CASES)
+    def test_read_cost_matches_read_blocks_accounting(
+        self, num_rows, block_size, blocks
+    ):
+        s = shuffle_table(small_table(num_rows), block_size, np.random.default_rng(5))
+        io = IOManager(s, CostModel())
+        assert_charged_per_block(io, [np.array(blocks)], exact=True)
         with pytest.raises(ValueError):
-            io_b.read_cost(np.array([3, 1]))
+            io.read_cost(np.array([3, 1]))
+
+    def test_read_cost_rejects_blocks_outside_the_layout(self):
+        """Both ends, by ``read_blocks``' own error, before a counter moves
+        (the tail arithmetic would otherwise charge negative rows)."""
+        s = shuffle_table(small_table(100), 32, np.random.default_rng(5))
+        assert s.num_blocks == 4
+        io = IOManager(s, CostModel())
+        for blocks in ([2, 3, 7], [4], [-1, 0, 2], [-3]):
+            for read in (io.read_cost, lambda b: io.read_blocks(b, ("z",))):
+                with pytest.raises(ValueError, match="block index out of range"):
+                    read(np.array(blocks))
+                assert io.total_blocks_read == io.total_rows_read == 0
+                assert io.total_cost_ns == 0.0
+        assert io.read_cost(np.array([0, 3])) == CostModel().block_read_cost([32, 4])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        world=layout_and_batches(),
+        overhead=st.integers(0, 1000),
+        per_tuple=st.integers(0, 1000),
+    )
+    def test_read_cost_closed_form_is_the_per_block_sum(
+        self, world, overhead, per_tuple
+    ):
+        """Integer-valued constants: the same double, not a close one."""
+        shuffled, batches = world
+        cm = CostModel(block_overhead_ns=float(overhead), tuple_read_ns=float(per_tuple))
+        assert_charged_per_block(IOManager(shuffled, cm), batches, exact=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        world=layout_and_batches(),
+        overhead=st.floats(0.0, 1000.0),
+        per_tuple=st.floats(0.0, 1000.0),
+    )
+    def test_read_cost_closed_form_rounds_once_with_fractional_constants(
+        self, world, overhead, per_tuple
+    ):
+        shuffled, batches = world
+        cm = CostModel(block_overhead_ns=overhead, tuple_read_ns=per_tuple)
+        assert_charged_per_block(IOManager(shuffled, cm), batches, exact=False)
