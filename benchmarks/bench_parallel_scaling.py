@@ -8,8 +8,13 @@ filter + bincount pipeline that dominates sampling cost at scale.  Two
 datasets are swept — a 10M-row synthetic built straight from
 ``repro.data.generator`` and the TAXI evaluation dataset — across worker
 counts for **both** parallel backends (``sharded`` process pool over
-/dev/shm, ``threads`` GIL-releasing in-process executor), verifying on
-every run that the parallel counts are byte-identical to serial.
+/dev/shm, ``threads`` in-process executor — its threads overlap in the
+gather, ``np.bincount`` holds the GIL), verifying on every run that the
+parallel counts are byte-identical to serial.
+
+``--rows-per-call`` measures the crossover instead: one contiguous
+``count_blocks`` per call, at each size, on each backend — the rows a
+*call* needs before a fan-out beats counting inline.
 
 Results go to ``benchmarks/results/parallel_scaling.json`` (including each
 run's backend descriptor) and a text table.
@@ -21,6 +26,8 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py --tiny   # CI smoke
+    PYTHONPATH=src python benchmarks/bench_parallel_scaling.py \\
+        --rows-per-call 65536,131072,262144,524288,1048576,2097152,4194304 --workers 2
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import time
 
 import numpy as np
@@ -38,6 +46,7 @@ from repro.obs.bench_history import BenchHistory, normalize_parallel_scaling
 from repro.data import load_dataset, sizes_from_weights, zipf_weights
 from repro.data.generator import conditional_column, jittered
 from repro.parallel import (
+    CountSource,
     ExecutionBackend,
     SerialBackend,
     ShardedBackend,
@@ -159,6 +168,86 @@ def bench_dataset(
     }
 
 
+def bench_rows_per_call(sizes: list[int], args: argparse.Namespace) -> int:
+    """The rows-per-call crossover: median wall of one contiguous
+    ``count_blocks`` at each size on serial / threads / sharded.
+
+    The table holds twice the largest call and successive calls start at
+    successive offsets, so a small call does not re-read what the last one
+    left in cache.  Workers are pinned one per CPU, as the end-to-end
+    benchmark's ``fullpass_backends`` pins them.
+    """
+    table = generator_table(2 * max(sizes), seed=7)
+    shuffled = shuffle_table(table, args.block_size, np.random.default_rng(11))
+    source = CountSource(
+        shuffled=shuffled, z_name="z", x_name="x",
+        num_candidates=GENERATOR_CANDIDATES, num_groups=GENERATOR_GROUPS,
+        row_filter=None,
+    )
+    repeats = max(args.passes, 15)
+
+    def median_ms(backend: ExecutionBackend, size: int) -> tuple[float, np.ndarray]:
+        blocks_per_call = max(1, size // args.block_size)
+        offsets = shuffled.num_blocks - blocks_per_call
+        walls, counts = [], None
+        for i in range(repeats + 1):  # the first call warms pool and segments
+            first = (i * blocks_per_call) % offsets
+            blocks = np.arange(first, first + blocks_per_call, dtype=np.int64)
+            start = time.perf_counter()
+            counts = backend.count_blocks(source, blocks)
+            walls.append((time.perf_counter() - start) * 1e3)
+        return statistics.median(walls[1:]), counts
+
+    serial = SerialBackend()
+    serial_ms, reference = {}, {}
+    for size in sizes:
+        serial_ms[size], reference[size] = median_ms(serial, size)
+    runs, rows_out, identical = [], [], True
+    kwargs = {"cpu_affinity": "spread"}
+    if args.min_shard_rows is not None:
+        kwargs["min_shard_rows"] = args.min_shard_rows
+    for workers in args.workers:
+        parallel_ms = {}
+        # The process pool forks before the thread pool has threads.
+        for name, factory in (("sharded", ShardedBackend), ("threads", ThreadPoolBackend)):
+            with factory(workers, **kwargs) as backend:
+                for size in sizes:
+                    wall, counts = median_ms(backend, size)
+                    identical &= bool(np.array_equal(counts, reference[size]))
+                    parallel_ms[name, size] = wall
+        for size in sizes:
+            serial_wall = serial_ms[size]
+            threads, sharded = parallel_ms["threads", size], parallel_ms["sharded", size]
+            ns_per_row = serial_wall * 1e6 / size
+            runs.append({
+                "workers": workers, "rows_per_call": size,
+                "serial_ms": serial_wall, "threads_ms": threads,
+                "sharded_ms": sharded, "serial_ns_per_row": ns_per_row,
+            })
+            rows_out.append([
+                str(workers), f"{size:,}", f"{serial_wall:.2f}",
+                f"{threads:.2f}", f"{sharded:.2f}",
+                f"{serial_wall / threads:.2f}x", f"{serial_wall / sharded:.2f}x",
+                f"{ns_per_row:.2f}",
+            ])
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / "parallel_rows_per_call.json").write_text(json.dumps({
+        "cpu_count": os.cpu_count(), "table_rows": table.num_rows,
+        "block_size": args.block_size, "repeats": repeats, "runs": runs,
+    }, indent=2) + "\n")
+    save_report("parallel_rows_per_call", format_table(
+        f"Rows per call — median ms of one contiguous count_blocks, "
+        f"{repeats} calls a cell (cpu_count={os.cpu_count()})",
+        ["W", "rows/call", "serial", "threads", "sharded",
+         "threads vs serial", "sharded vs serial", "serial ns/row"],
+        rows_out,
+    ))
+    if not identical:
+        print("ERROR: parallel counts diverged from serial")
+        return 1
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=10_000_000,
@@ -184,7 +273,19 @@ def main(argv: list[str] | None = None) -> int:
                              "with (see bench_serving.py)")
     parser.add_argument("--tiny", action="store_true",
                         help="CI smoke mode: small data, forced pool usage")
+    parser.add_argument("--rows-per-call", default=None, metavar="N,N,...",
+                        help="measure the rows-per-call crossover instead: "
+                             "one contiguous count_blocks of each size on "
+                             "each backend at each --workers (median of "
+                             "max(--passes, 15) calls)")
     args = parser.parse_args(argv)
+
+    if args.rows_per_call is not None:
+        if args.tiny:
+            parser.error("--rows-per-call and --tiny are separate modes")
+        return bench_rows_per_call(
+            [int(size) for size in args.rows_per_call.split(",")], args
+        )
 
     if args.tiny:
         args.rows = 40_000

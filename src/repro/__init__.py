@@ -8,8 +8,9 @@ Subpackages:
 - :mod:`repro.bitmap` — bit-per-block bitmap indexes and density maps.
 - :mod:`repro.sampling` — block-selection policies and the sampling engine.
 - :mod:`repro.parallel` — execution backends: serial, sharded
-  (shared-memory worker pool), and threads (GIL-releasing in-process
-  executor), all with byte-identical results.
+  (shared-memory worker pool), and threads (in-process executor: the
+  gather overlaps across threads, ``np.bincount`` holds the GIL), all with
+  byte-identical results.
 - :mod:`repro.system` — the FastMatch architecture and baselines.
 - :mod:`repro.serving` — the online front door: admission control,
   deadline-aware scheduling policies, bounded queues, serving metrics.

@@ -32,11 +32,12 @@ A trace file holds one JSON object per line:
 ``{"query": "flights-q1", "arrival_ms": 12.5, "deadline_ms": 40}``
 (optional keys: ``approach``, ``seed``, ``on_deadline``).
 
-Parallel execution fans each window's block counting — and the exact
-Scan/ground-truth passes — out to workers, with byte-identical results:
-``--backend sharded --workers N`` uses a persistent pool of shared-memory
-worker processes, ``--backend threads --workers N`` an in-process thread
-pool over GIL-releasing kernels (no fork, no /dev/shm).  Online serving
+Parallel execution fans each sampling call's block counting — one fan-out
+per call, windows only tally rows — and the exact Scan/ground-truth passes
+out to workers, with byte-identical results: ``--backend sharded --workers
+N`` uses a persistent pool of shared-memory worker processes, ``--backend
+threads --workers N`` an in-process thread pool (no fork, no /dev/shm; the
+gather overlaps across threads, ``np.bincount`` holds the GIL).  Online serving
 can additionally run steps of different requests concurrently
 (``serve --async --max-concurrent-steps M``):
 
@@ -198,9 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", choices=BACKENDS, default="serial",
         help="execution backend for sampling approaches (default: serial; "
-             "'sharded' fans block counting out to a worker-process pool, "
-             "'threads' to an in-process GIL-releasing thread pool — both "
-             "with byte-identical results)",
+             "'sharded' fans a sampling call's block counting out to a "
+             "worker-process pool, 'threads' to an in-process thread pool "
+             "(the gather overlaps, bincount holds the GIL) — both with "
+             "byte-identical results)",
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=None,

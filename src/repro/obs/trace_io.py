@@ -49,7 +49,9 @@ SCHEMA_VERSION = 1
 #: Span name → lifecycle stage for per-stage aggregation.  ``queue`` and
 #: ``step`` tile the request's engine-clock lifetime; ``stage1/2/3`` and
 #: ``scan`` split step time by stepper stage; ``shard``/``pool`` are
-#: real-time (monotonic-clock) backend fan-out costs nested inside steps.
+#: real-time (monotonic-clock) backend fan-out costs nested inside steps
+#: (``backend.window`` is one fanned-out ``count_blocks``: a whole sampling
+#: call's blocks on a worker backend, not one window's — the name is kept).
 STAGE_OF_SPAN = {
     "queue.wait": "queue",
     "engine.step": "step",

@@ -1,17 +1,20 @@
 """Sharded parallel execution backends (scaling beyond one core).
 
 The paper's FastMatch overlaps block selection with I/O on a single core;
-this package scales the other axis — the per-window counting work — across
-worker processes.  The design preserves the serial path's exact semantics:
+this package scales the other axis — counting the delivered blocks'
+``(candidate, group)`` cells — across workers.  The design preserves the
+serial path's exact semantics:
 
 - the *coordinator* (the sampling engine driving HistSim) keeps the serial
   control flow: one scan order, one window sequence, one set of policy
-  decisions and budgets;
-- only the counting of each window's delivered blocks is sharded: a
-  :class:`ShardPlanner` partitions the blocks into per-worker shards, a
-  persistent :class:`WorkerPool` counts each shard against columns published
-  in :class:`multiprocessing.shared_memory` (zero-copy for workers), and a
-  :class:`ShardMerger` sums the per-shard count matrices.
+  decisions and budgets, every window's per-candidate row tally;
+- only the count of a sampling call's delivered blocks is sharded, one
+  fan-out per call (a round trip pays from about a million rows, and no
+  window has them): a :class:`ShardPlanner` partitions the blocks into
+  row-balanced shards, a persistent :class:`WorkerPool` counts each shard
+  against columns published in :class:`multiprocessing.shared_memory`
+  (zero-copy for workers), and a :class:`ShardMerger` sums the per-shard
+  count matrices.
 
 Because the shards partition the *same* rows the serial path would count,
 and integer addition is exact and commutative, the merged
@@ -25,13 +28,20 @@ uniform without-replacement sample.
 :class:`ExecutionBackend` is the seam all sampling routes through;
 :class:`SerialBackend` reproduces today's single-process behaviour exactly,
 :class:`ShardedBackend` is the opt-in multi-process implementation,
-:class:`ThreadPoolBackend` the in-process multi-threaded one (GIL-releasing
-bincount kernels; no fork, no shared memory), and :func:`make_backend`
+:class:`ThreadPoolBackend` the in-process multi-threaded one (no fork, no
+shared memory; its threads overlap in the gather and the pair-code ufuncs,
+not in ``np.bincount``, which holds the GIL), and :func:`make_backend`
 resolves a CLI/config spec into an instance.
 """
 
 from .affinity import AFFINITY_POLICIES, apply_affinity, available_cpus, plan_affinity
-from .backend import CountSource, ExecutionBackend, SerialBackend, count_pairs
+from .backend import (
+    WORKER_BACKENDS,
+    CountSource,
+    ExecutionBackend,
+    SerialBackend,
+    count_pairs,
+)
 from .kernels import (
     KERNEL_SPECS,
     KERNELS,
@@ -90,9 +100,6 @@ __all__ = [
 
 #: Backend names accepted by the CLI and :class:`~repro.system.MatchSession`.
 BACKENDS = ("serial", "sharded", "threads")
-
-#: The backends for which ``workers`` is meaningful (serial takes none).
-WORKER_BACKENDS = ("sharded", "threads")
 
 
 def make_backend(

@@ -10,7 +10,8 @@
 - **engine level** — :meth:`count_blocks` counts the ``(candidate, group)``
   cells of a set of blocks (gather + filter + count) for the block sampling
   engine: one window's blocks, or every block a sampling call delivered
-  when the engine defers the count to the call's end.  This is where
+  when the engine defers the count to the call's end (always, on a backend
+  that :attr:`~ExecutionBackend.fans_out`).  This is where
   :class:`ShardedBackend <repro.parallel.sharded.ShardedBackend>` fans work
   out to its pool.  Simulated I/O is not the backend's business — the
   engine accounts it, once per window.
@@ -49,7 +50,17 @@ from .kernels import (
     count_window,
 )
 
-__all__ = ["CountSource", "ExecutionBackend", "SerialBackend", "count_pairs"]
+__all__ = [
+    "WORKER_BACKENDS",
+    "CountSource",
+    "ExecutionBackend",
+    "SerialBackend",
+    "count_pairs",
+]
+
+#: The backends that count on workers (and for which ``workers`` is
+#: meaningful; serial takes none).
+WORKER_BACKENDS = ("sharded", "threads")
 
 
 @dataclass(frozen=True)
@@ -97,6 +108,17 @@ class ExecutionBackend(ABC):
 
     name: str = "abstract"
 
+    @property
+    def fans_out(self) -> bool:
+        """Whether a ``count_blocks`` may cost a round trip to workers.
+
+        A round trip pays from about a million rows *per call*, which no
+        sampling window reaches, so the sampling engine asks such a backend
+        once per call.  Read off :attr:`name`, not the class: a wrapper that
+        forwards ``name`` and the abstract methods answers as what it wraps.
+        """
+        return self.name in WORKER_BACKENDS
+
     #: Observability hook: fan-out windows, pool waits, and shared-memory
     #: lifecycle report here.  The class-level default is the shared no-op,
     #: so backends constructed anywhere stay untraced until a session or
@@ -140,6 +162,38 @@ class ExecutionBackend(ABC):
         Returns the fresh int64 ``(candidate, group)`` count matrix, the
         caller's to keep and modify.
         """
+
+    def _count_inline(
+        self, source: CountSource, blocks: np.ndarray, label: str
+    ) -> np.ndarray:
+        """Count ``blocks`` in the calling thread, recorded under ``label``:
+        the serial backend's ``count_blocks``, and the worker backends' path
+        below their ``min_shard_rows`` floor (the kernel their workers run,
+        so the short-circuit cannot change results)."""
+        profiler = source.profiler
+        started = time.perf_counter_ns() if profiler.enabled else 0
+        table = source.shuffled.table
+        counts, moved = count_window(
+            table.column(source.z_name),
+            table.column(source.x_name),
+            blocks,
+            source.shuffled.layout,
+            source.num_candidates,
+            source.num_groups,
+            row_filter=source.row_filter,
+            codes=source.codes,
+            kernel=source.kernel,
+        )
+        if profiler.enabled:
+            profiler.record_kernel(
+                label,
+                float(time.perf_counter_ns() - started),
+                rows=int(counts.sum()),
+                blocks=int(blocks.size),
+                nbytes=moved,
+                bincounts=1,
+            )
+        return counts
 
     # -------------------------------------------------------------- table level
 
@@ -211,26 +265,4 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
     def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
-        profiler = source.profiler
-        started = time.perf_counter_ns() if profiler.enabled else 0
-        counts, moved = count_window(
-            source.shuffled.table.column(source.z_name),
-            source.shuffled.table.column(source.x_name),
-            blocks,
-            source.shuffled.layout,
-            source.num_candidates,
-            source.num_groups,
-            row_filter=source.row_filter,
-            codes=source.codes,
-            kernel=source.kernel,
-        )
-        if profiler.enabled:
-            profiler.record_kernel(
-                "serial.count",
-                float(time.perf_counter_ns() - started),
-                rows=int(counts.sum()),
-                blocks=int(blocks.size),
-                nbytes=moved,
-                bincounts=1,
-            )
-        return counts
+        return self._count_inline(source, blocks, "serial.count")

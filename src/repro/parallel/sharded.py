@@ -2,9 +2,10 @@
 
 The coordinator's control flow (scan order, windows, policies, budgets,
 statistical tests) is untouched; :meth:`ShardedBackend.count_blocks`
-replaces only the counting of a set of delivered blocks — one window's, or
-a whole sampling call's when the engine defers the count to the call's end
-(the large fan-out, where the pool is worth its round-trip):
+replaces only the counting of a set of delivered blocks — from the sampling
+engine a whole sampling call's, once per call (its windows only tally rows
+per candidate, in the coordinator: a pool round trip costs what about a
+million rows cost to count, and no window has them):
 
 1. :class:`~repro.parallel.shard.ShardPlanner` splits the blocks into
    row-balanced contiguous shards, one per worker;
@@ -17,10 +18,11 @@ a whole sampling call's when the engine defers the count to the call's end
 4. :class:`~repro.parallel.merge.ShardMerger` sums the per-shard matrices
    into exactly the fresh-count state the serial path would have produced.
 
-Small block sets (common in stage 1's budget-trimmed reads and late stage-2
-rounds) fall below ``min_shard_rows`` and are counted inline — process
-round-trips would cost more than they save.  The fallback uses the same
-kernel as the workers, so the short-circuit cannot change results.
+Small calls (common in stage 1's budget-trimmed reads, late stage-2
+rounds and bounded ``max_step_rows`` steps) fall below ``min_shard_rows``
+and are counted inline — process round-trips would cost more than they
+save.  The fallback uses the same kernel as the workers, so the
+short-circuit cannot change results.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import time
 import numpy as np
 
 from ..storage.blocks import BlockLayout
+from ..storage.shuffle import ShuffledTable
 from .backend import CountSource, ExecutionBackend
-from .kernels import count_window
 from .merge import ShardMerger
 from .pool import WorkerPool
 from .shard import ShardPlanner
@@ -52,6 +54,19 @@ DEFAULT_MIN_SHARD_ROWS = 8192
 EXACT_PASS_BLOCK_ROWS = 8192
 
 
+def exact_pass_source(
+    table, z_name, x_name, num_candidates, num_groups, row_filter, profiler
+) -> tuple[CountSource, np.ndarray]:
+    """A whole table as a count source under the synthetic exact-pass
+    layout, with all of its blocks: what a fan-out of an exact pass counts."""
+    layout = BlockLayout(table.num_rows, EXACT_PASS_BLOCK_ROWS)
+    source = CountSource(
+        ShuffledTable(table, layout), z_name, x_name, num_candidates, num_groups,
+        row_filter, profiler,
+    )
+    return source, np.arange(layout.num_blocks, dtype=np.int64)
+
+
 class ShardedBackend(ExecutionBackend):
     """Shared-memory multi-process counting behind the backend seam.
 
@@ -59,12 +74,12 @@ class ShardedBackend(ExecutionBackend):
     ----------
     n_workers:
         Worker processes (default: the machine's CPU count).  The pool is
-        spawned lazily on the first window large enough to shard, then
-        reused for every subsequent window and query.
+        spawned lazily on the first count large enough to shard, then
+        reused for every subsequent count and query.
     min_shard_rows:
         Minimum average rows per shard worth a round-trip to the pool;
-        windows below ``n_workers * min_shard_rows`` rows are counted
-        inline with the identical kernel.  Set to 0 to force every window
+        block sets below ``n_workers * min_shard_rows`` rows are counted
+        inline with the identical kernel.  Set to 0 to force every count
         through the pool — even single-shard ones, so a one-worker pool's
         IPC overhead is really measured (used by the equivalence tests and
         the benchmark's ``--tiny`` mode).
@@ -156,14 +171,15 @@ class ShardedBackend(ExecutionBackend):
         """Segment refs for the source's columns, publishing on first use.
 
         Keyed by table/filter identity: every engine of a session shares the
-        cached shuffled table objects, so each dataset column crosses into
-        shared memory exactly once no matter how many queries run.  Keyed
-        objects are pinned while published (the store pins filter arrays;
-        tables are pinned here), so an id can never be recycled while its
-        cache entry lives.  Eviction happens through :meth:`unpublish`
-        (driven by the session layer's LRU): segments are unlinked
-        immediately and pool workers drop their cached attachments via the
-        epoch GC watermark shipped with every task.
+        cached shuffled table objects, and exact passes use the same
+        per-table keys, so each dataset column crosses into shared memory
+        exactly once no matter how many queries run.  Keyed objects are
+        pinned while published (the store pins filter arrays; tables are
+        pinned here), so an id can never be recycled while its cache entry
+        lives.  Eviction happens through :meth:`unpublish` (driven by the
+        session layer's LRU): segments are unlinked immediately and pool
+        workers drop their cached attachments via the epoch GC watermark
+        shipped with every task.
         """
         table = source.shuffled.table
         self._pinned_tables[id(table)] = table
@@ -187,49 +203,30 @@ class ShardedBackend(ExecutionBackend):
 
     # --------------------------------------------------------------- counting
 
-    def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
+    def _fan_out(
+        self,
+        source: CountSource,
+        blocks: np.ndarray,
+        total_rows: int,
+        span_name: str,
+        label: str,
+        filter_slices: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Plan shards, count each on the pool, merge exactly.
+
+        The filter travels as a published segment (``source.row_filter``)
+        or as per-shard slices of the mask (``filter_slices``, for one-shot
+        exact passes) — never both.
+        """
         layout = source.shuffled.layout
-        total_rows = int(layout.rows_per_block(blocks).sum())
-        if total_rows < max(1, self.n_workers * self.min_shard_rows):
-            # Inline fallback: same kernel, same rows, no pool round-trip
-            # (and no shard planning — the plan would be discarded).
-            with self._dispatch_lock:
-                self.inline_windows += 1
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "backend.inline", backend=self.name, rows=total_rows
-                )
-            profiler = source.profiler
-            started = time.perf_counter_ns() if profiler.enabled else 0
-            counts, moved = count_window(
-                source.shuffled.table.column(source.z_name),
-                source.shuffled.table.column(source.x_name),
-                blocks,
-                layout,
-                source.num_candidates,
-                source.num_groups,
-                row_filter=source.row_filter,
-                codes=source.codes,
-                kernel=source.kernel,
-            )
-            if profiler.enabled:
-                profiler.record_kernel(
-                    "sharded.inline",
-                    float(time.perf_counter_ns() - started),
-                    rows=int(counts.sum()),
-                    blocks=int(blocks.size),
-                    nbytes=moved,
-                    bincounts=1,
-                )
-            return counts
         shards = self.planner.plan(blocks, layout)
         pool = self.pool
         with self._dispatch_lock:
             z_ref, x_ref, filter_ref, codes_ref = self._refs(source)
             # Task ids are globally unique across the backend's lifetime
             # (allocated under the dispatch lock), so neither an earlier
-            # failed window's stragglers nor a concurrently-running window
-            # of another tenant can be mistaken for this window's shards.
+            # failed call's stragglers nor a concurrently-running call of
+            # another tenant can be mistaken for this call's shards.
             base_id = self.shard_tasks
             gc_epoch, live_segments = self.store.gc_state()
             tasks = [
@@ -243,6 +240,11 @@ class ShardedBackend(ExecutionBackend):
                     num_rows=layout.num_rows,
                     num_candidates=source.num_candidates,
                     num_groups=source.num_groups,
+                    filter_values=(
+                        filter_slices[layout.rows_of_blocks(shard.blocks)]
+                        if filter_slices is not None
+                        else None
+                    ),
                     gc_epoch=gc_epoch,
                     live_segments=live_segments,
                     codes_ref=codes_ref,
@@ -251,15 +253,16 @@ class ShardedBackend(ExecutionBackend):
                 for shard in shards
             ]
             # Count dispatched (not completed) tasks, and do so before
-            # running: ids must advance even if the window fails, or a retry
-            # could collide with the failed window's stale results.
+            # running: ids must advance even if the call fails, or a retry
+            # could collide with the failed call's stale results.
             self.shard_tasks += len(tasks)
-        if self.tracer.enabled:
-            wall0 = float(time.monotonic_ns())
-            results = pool.run(tasks)
+        traced = self.tracer.enabled
+        wall0 = float(time.monotonic_ns()) if traced else 0.0
+        results = pool.run(tasks)
+        if traced:
             shard_ns = [r.elapsed_ns for r in results]
             self.tracer.span_at(
-                "backend.window",
+                span_name,
                 wall0,
                 float(time.monotonic_ns()),
                 clock="monotonic",
@@ -269,23 +272,38 @@ class ShardedBackend(ExecutionBackend):
                 shard_ns_max=max(shard_ns, default=0.0),
                 shard_ns_mean=(sum(shard_ns) / len(shard_ns)) if shard_ns else 0.0,
             )
-        else:
-            results = pool.run(tasks)
-        profiler = source.profiler
-        if profiler.enabled:
+        if source.profiler.enabled:
             # Worker-side kernel nanoseconds (ShardResult.elapsed_ns), not
             # the coordinator's wait — IPC/queueing shows up in the trace
             # span instead, so the two views stay distinguishable.
-            profiler.record_kernel(
-                "sharded.window",
+            source.profiler.record_kernel(
+                label,
                 float(sum(result.elapsed_ns for result in results)),
                 rows=sum(result.rows for result in results),
                 blocks=int(blocks.size),
                 nbytes=sum(result.moved_bytes for result in results),
                 bincounts=len(tasks),
             )
-        merger = ShardMerger(source.num_candidates, source.num_groups)
-        return merger.merge(results)
+        unfiltered = filter_ref is None and codes_ref is None and filter_slices is None
+        return ShardMerger(source.num_candidates, source.num_groups).merge(
+            results, shards, exact=unfiltered
+        )
+
+    def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
+        total_rows = int(source.shuffled.layout.rows_per_block(blocks).sum())
+        if total_rows < max(1, self.n_workers * self.min_shard_rows):
+            # Inline fallback: same kernel, same rows, no pool round-trip
+            # (and no shard planning — the plan would be discarded).
+            with self._dispatch_lock:
+                self.inline_windows += 1
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "backend.inline", backend=self.name, rows=total_rows
+                )
+            return self._count_inline(source, blocks, "sharded.inline")
+        return self._fan_out(
+            source, blocks, total_rows, "backend.window", "sharded.window"
+        )
 
     # -------------------------------------------------------------- table level
 
@@ -315,71 +333,12 @@ class ShardedBackend(ExecutionBackend):
             return super().count_table(
                 table, z_name, x_name, num_candidates, num_groups, row_filter
             )
-        layout = BlockLayout(num_rows, EXACT_PASS_BLOCK_ROWS)
-        shards = self.planner.plan(
-            np.arange(layout.num_blocks, dtype=np.int64), layout
+        source, blocks = exact_pass_source(
+            table, z_name, x_name, num_candidates, num_groups, None, self.profiler
         )
-        pool = self.pool
-        with self._dispatch_lock:
-            self._pinned_tables[id(table)] = table
-            z_ref = self.store.publish(
-                ("column", id(table), z_name), table.column(z_name)
-            )
-            x_ref = self.store.publish(
-                ("column", id(table), x_name), table.column(x_name)
-            )
-            base_id = self.shard_tasks
-            gc_epoch, live_segments = self.store.gc_state()
-            tasks = [
-                ShardTask(
-                    task_id=base_id + shard.index,
-                    blocks=shard.blocks,
-                    z_ref=z_ref,
-                    x_ref=x_ref,
-                    filter_ref=None,
-                    block_size=layout.block_size,
-                    num_rows=num_rows,
-                    num_candidates=num_candidates,
-                    num_groups=num_groups,
-                    filter_values=(
-                        row_filter[layout.rows_of_blocks(shard.blocks)]
-                        if row_filter is not None
-                        else None
-                    ),
-                    gc_epoch=gc_epoch,
-                    live_segments=live_segments,
-                )
-                for shard in shards
-            ]
-            self.shard_tasks += len(tasks)
-        if self.tracer.enabled:
-            wall0 = float(time.monotonic_ns())
-            results = pool.run(tasks)
-            shard_ns = [r.elapsed_ns for r in results]
-            self.tracer.span_at(
-                "backend.table",
-                wall0,
-                float(time.monotonic_ns()),
-                clock="monotonic",
-                backend=self.name,
-                shards=len(tasks),
-                rows=num_rows,
-                shard_ns_max=max(shard_ns, default=0.0),
-                shard_ns_mean=(sum(shard_ns) / len(shard_ns)) if shard_ns else 0.0,
-            )
-        else:
-            results = pool.run(tasks)
-        if self.profiler.enabled:
-            self.profiler.record_kernel(
-                "sharded.table",
-                float(sum(result.elapsed_ns for result in results)),
-                rows=sum(result.rows for result in results),
-                blocks=int(layout.num_blocks),
-                nbytes=sum(result.moved_bytes for result in results),
-                bincounts=len(tasks),
-            )
-        merger = ShardMerger(num_candidates, num_groups)
-        return merger.merge(results)
+        return self._fan_out(
+            source, blocks, num_rows, "backend.table", "sharded.table", row_filter
+        )
 
     # --------------------------------------------------------------- lifecycle
 

@@ -1,12 +1,17 @@
-"""The thread-pool execution backend: GIL-releasing kernels, no fork, no shm.
+"""The thread-pool execution backend: no fork, no shm, and mostly the GIL.
 
 :class:`ThreadPoolBackend` implements the full
 :class:`~repro.parallel.backend.ExecutionBackend` surface over a
-:class:`concurrent.futures.ThreadPoolExecutor`.  The counting hot path —
-gather the shard's rows, filter, ``np.bincount`` the pair codes
-(:func:`~repro.parallel.worker.count_shard`) — spends its time inside NumPy
-C loops that release the GIL on non-trivial inputs, so threads counting
-different shards genuinely overlap on a multi-core machine.
+:class:`concurrent.futures.ThreadPoolExecutor`.  What overlaps between
+threads counting different shards is the part of the kernel that releases
+the GIL: the gather (fancy-index / slice copies of the shard's rows) and
+the pair-code ufuncs.  ``np.bincount`` — most of a large count — does
+*not* release it: two threads each doing five 4M-row bincounts are no
+faster than the same ten back to back.  So the backend only matches serial
+from about half a million rows *per call* and passes it near 4M (1.0x at
+1M-2M rows, 1.3x at 4M, W = 2; ``benchmarks/bench_parallel_scaling.py
+--rows-per-call``), sizes no sampling window has — which is why the
+sampling engine hands a worker backend a whole call's blocks at once.
 
 Compared to the process-based :class:`~repro.parallel.sharded.ShardedBackend`:
 
@@ -19,13 +24,13 @@ Compared to the process-based :class:`~repro.parallel.sharded.ShardedBackend`:
   backend has no warm-up cliff;
 - **natural fit for concurrent steps** — when a front door runs steps of
   different sessions concurrently (``max_concurrent_steps > 1``), each
-  step's windows fan out into one shared executor; thread workers compose
+  step's counts fan out into one shared executor; thread workers compose
   with that, where a per-session process pool would multiply.
 
-The trade-off is the GIL itself: the Python glue around each kernel call
-still serializes, so pure-Python-heavy workloads scale worse than the
-process pool.  The arithmetic is the same :func:`count_shard` kernel over
-the same row partition with the same exact integer merge
+Shards are bounded (:data:`MAX_SHARD_ROWS`), so a large call becomes more
+shards than workers rather than larger ones.  The arithmetic is the same
+:func:`~repro.parallel.kernels.count_window` kernel over the same row
+partition with the same exact integer merge
 (:class:`~repro.parallel.merge.ShardMerger`), so results are byte-identical
 to serial execution.
 
@@ -43,17 +48,25 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..obs.profiler import NULL_PROFILER
 from ..storage.blocks import BlockLayout
 from .affinity import AFFINITY_POLICIES, apply_affinity, plan_affinity
 from .backend import CountSource, ExecutionBackend
-from .kernels import KernelChoice, count_window
+from .kernels import count_window
 from .merge import ShardMerger
-from .shard import ShardPlanner
-from .sharded import DEFAULT_MIN_SHARD_ROWS, EXACT_PASS_BLOCK_ROWS
+from .shard import Shard, ShardPlanner
+from .sharded import DEFAULT_MIN_SHARD_ROWS, exact_pass_source
 from .worker import ShardResult
 
 __all__ = ["ThreadPoolBackend"]
+
+#: Most rows an executor shard is planned to cover.  A shard's temporaries
+#: (gathered codes plus ``bincount``'s intp copy, ~12 B a row) are allocated
+#: on an executor thread, whose malloc arena keeps what it is handed: small
+#: shards are reused by the next shard, the 1M-row one-per-worker shards of
+#: a whole sampling call are not.  Measured on a 2M-row call at W = 2
+#: (README "Performance"): peak RSS 151.6 / 154.1 / 162.7 / 164.6 MiB at
+#: 128k / 256k / 512k / unbounded, pass time flat from 256k up.
+MAX_SHARD_ROWS = 262_144
 
 
 class ThreadPoolBackend(ExecutionBackend):
@@ -63,12 +76,12 @@ class ThreadPoolBackend(ExecutionBackend):
     ----------
     n_workers:
         Thread count (default: the machine's CPU count).  The executor is
-        created lazily on the first window large enough to shard.
+        created lazily on the first count large enough to shard.
     min_shard_rows:
-        Minimum average rows per shard worth a hop to the executor;
-        windows below ``n_workers * min_shard_rows`` rows are counted
-        inline with the identical kernel.  Set to 0 to force every window
-        through the executor (equivalence tests, ``--tiny`` benchmarks).
+        Minimum average rows per worker worth a hop to the executor; block
+        sets below ``n_workers * min_shard_rows`` rows are counted inline
+        with the identical kernel.  Set to 0 to force every count through
+        the executor (equivalence tests, ``--tiny`` benchmarks).
     cpu_affinity:
         Optional worker-placement policy (``"spread"`` / ``"compact"``, see
         :mod:`~repro.parallel.affinity`): each executor thread pins itself
@@ -98,7 +111,6 @@ class ThreadPoolBackend(ExecutionBackend):
         self.min_shard_rows = min_shard_rows
         self.cpu_affinity = cpu_affinity
         self.affinity_applied = 0
-        self.planner = ShardPlanner(resolved)
         self.shard_tasks = 0
         self.inline_windows = 0
         self.closed = False
@@ -138,19 +150,25 @@ class ThreadPoolBackend(ExecutionBackend):
 
     # --------------------------------------------------------------- counting
 
+    def plan_shards(
+        self, blocks: np.ndarray, layout: BlockLayout, total_rows: int, cells: int
+    ) -> list[Shard]:
+        """Row-balanced shards of at most :data:`MAX_SHARD_ROWS` rows each.
+
+        Never fewer than one per worker, and past that never so many that a
+        shard's rows fall below the ``cells`` of the matrix it returns (the
+        sampling engine's own dense-window comparison): the merge would cost
+        more than the count.  Shards are balanced to within one block.
+        """
+        bounded = min(-(-total_rows // MAX_SHARD_ROWS), total_rows // cells)
+        return ShardPlanner(max(self.n_workers, bounded)).plan(blocks, layout)
+
     def _count_sharded(
         self,
-        z: np.ndarray,
-        x: np.ndarray,
+        source: CountSource,
         blocks: np.ndarray,
-        layout: BlockLayout,
-        num_candidates: int,
-        num_groups: int,
-        row_filter: np.ndarray | None,
+        total_rows: int,
         span_name: str = "backend.window",
-        profiler=NULL_PROFILER,
-        codes: np.ndarray | None = None,
-        kernel: str | KernelChoice = "auto",
     ) -> np.ndarray:
         """Plan shards, count each on the executor, merge exactly.
 
@@ -158,14 +176,20 @@ class ThreadPoolBackend(ExecutionBackend):
         copies.  Shard ids are allocated under the lock so concurrent
         callers (steps of different sessions) never collide.
         """
+        profiler = source.profiler
         traced = self.tracer.enabled
         wall0 = float(time.monotonic_ns()) if traced else 0.0
         started = time.perf_counter_ns() if profiler.enabled else 0
-        shards = self.planner.plan(blocks, layout)
+        layout = source.shuffled.layout
+        shards = self.plan_shards(
+            blocks, layout, total_rows, source.num_candidates * source.num_groups
+        )
         with self._lock:
             base_id = self.shard_tasks
             self.shard_tasks += len(shards)
         executor = self.executor
+        table = source.shuffled.table
+        z, x = table.column(source.z_name), table.column(source.x_name)
         futures = [
             executor.submit(
                 count_window,
@@ -173,11 +197,11 @@ class ThreadPoolBackend(ExecutionBackend):
                 x,
                 shard.blocks,
                 layout,
-                num_candidates,
-                num_groups,
-                row_filter=row_filter,
-                codes=codes,
-                kernel=kernel,
+                source.num_candidates,
+                source.num_groups,
+                row_filter=source.row_filter,
+                codes=source.codes,
+                kernel=source.kernel,
             )
             for shard in shards
         ]
@@ -192,10 +216,12 @@ class ThreadPoolBackend(ExecutionBackend):
                     moved_bytes=moved,
                 )
             )
-        merger = ShardMerger(num_candidates, num_groups)
-        merged = merger.merge(results)
+        merger = ShardMerger(source.num_candidates, source.num_groups)
+        merged = merger.merge(
+            results, shards, exact=source.row_filter is None and source.codes is None
+        )
+        counted = sum(result.rows for result in results)
         if profiler.enabled:
-            counted = sum(result.rows for result in results)
             profiler.record_kernel(
                 "threads.shards",
                 float(time.perf_counter_ns() - started),
@@ -212,54 +238,18 @@ class ThreadPoolBackend(ExecutionBackend):
                 clock="monotonic",
                 backend=self.name,
                 shards=len(shards),
-                rows=sum(result.rows for result in results),
+                rows=counted,
             )
         return merged
 
     def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
-        layout = source.shuffled.layout
-        total_rows = int(layout.rows_per_block(blocks).sum())
-        z = source.shuffled.table.column(source.z_name)
-        x = source.shuffled.table.column(source.x_name)
-        profiler = source.profiler
+        total_rows = int(source.shuffled.layout.rows_per_block(blocks).sum())
         if total_rows < max(1, self.n_workers * self.min_shard_rows):
             # Inline fallback: same kernel, same rows, no executor hop.
             with self._lock:
                 self.inline_windows += 1
-            started = time.perf_counter_ns() if profiler.enabled else 0
-            counts, moved = count_window(
-                z,
-                x,
-                blocks,
-                layout,
-                source.num_candidates,
-                source.num_groups,
-                row_filter=source.row_filter,
-                codes=source.codes,
-                kernel=source.kernel,
-            )
-            if profiler.enabled:
-                profiler.record_kernel(
-                    "threads.inline",
-                    float(time.perf_counter_ns() - started),
-                    rows=int(counts.sum()),
-                    blocks=int(blocks.size),
-                    nbytes=moved,
-                    bincounts=1,
-                )
-            return counts
-        return self._count_sharded(
-            z,
-            x,
-            blocks,
-            layout,
-            source.num_candidates,
-            source.num_groups,
-            source.row_filter,
-            profiler=profiler,
-            codes=source.codes,
-            kernel=source.kernel,
-        )
+            return self._count_inline(source, blocks, "threads.inline")
+        return self._count_sharded(source, blocks, total_rows)
 
     # ------------------------------------------------------------ table level
 
@@ -284,18 +274,11 @@ class ThreadPoolBackend(ExecutionBackend):
             return super().count_table(
                 table, z_name, x_name, num_candidates, num_groups, row_filter
             )
-        layout = BlockLayout(num_rows, EXACT_PASS_BLOCK_ROWS)
-        return self._count_sharded(
-            table.column(z_name),
-            table.column(x_name),
-            np.arange(layout.num_blocks, dtype=np.int64),
-            layout,
-            num_candidates,
-            num_groups,
-            row_filter,
-            span_name="backend.table",
-            profiler=self.profiler,
+        source, blocks = exact_pass_source(
+            table, z_name, x_name, num_candidates, num_groups, row_filter,
+            self.profiler,
         )
+        return self._count_sharded(source, blocks, num_rows, "backend.table")
 
     # --------------------------------------------------------------- lifecycle
 

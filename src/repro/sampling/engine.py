@@ -19,16 +19,21 @@ block mechanics:
 The loop and the caller need different things from a window.  Block
 selection needs *rows per candidate* now (who is still short of budget);
 the histograms are read only when the call returns.  So a window is
-delivered in one of two regimes, fixed at construction by one comparison of
-sizes the engine holds — ``num_candidates * num_groups`` against
-``window_blocks * block_size``:
+delivered in one of two regimes, fixed at construction by one rule over
+what the engine holds:
 
-- **dense** (matrix no larger than a window's rows): the backend counts the
-  window's matrix at once and the row sums come free with it;
-- **deferred** (more cells than a window has rows, so the matrix would be
-  mostly zeros): the window only tallies the candidate column —
+- **dense**: the backend counts the window's matrix at once and the row
+  sums come free with it;
+- **deferred**: the window only tallies the candidate column —
   O(rows + candidates) instead of O(rows + cells) — and the call counts all
   of its blocks in one ``count_blocks`` before returning.
+
+A window defers for either of two reasons.  Its matrix would be mostly
+zeros: ``num_candidates * num_groups`` exceeds ``window_blocks *
+block_size``, more cells than a window has rows.  Or counting it would cost
+a round trip: the backend :attr:`~repro.parallel.ExecutionBackend.fans_out`
+to workers, which pays from about a million rows per call — a size no
+window has and a whole call can.
 
 Both return the same matrices and charge the same clock: simulated I/O is
 accounted here, per window, never by the backend.
@@ -130,8 +135,9 @@ class BlockSamplingEngine:
     candidate_totals:
         Optional per-candidate row totals *under ``row_filter``*, as a
         prepared artifact already holds them (the row sums of its exact
-        counts).  Without them the engine counts the candidate column
-        itself, an O(rows) pass per engine.
+        counts).  Without them an unfiltered engine takes the table's
+        memoised :meth:`~repro.storage.table.ColumnTable.value_counts`; only
+        a filtered one counts the candidate column itself, an O(rows) pass.
     """
 
     def __init__(
@@ -171,11 +177,13 @@ class BlockSamplingEngine:
         self._x_name = grouping_attribute
         self._num_candidates = shuffled.table.cardinality(candidate_attribute)
         self._num_groups = shuffled.table.cardinality(grouping_attribute)
-        # A window cannot touch more cells than it has rows: past that, count
-        # the call's cells once instead of a mostly-zero matrix per window.
+        # A window cannot touch more cells than it has rows, and never has
+        # the rows a round trip to workers needs: in either case count the
+        # call's cells once instead of a matrix per window.
         self._deferred = (
             self._num_candidates * self._num_groups
             > window_blocks * self.layout.block_size
+            or self.backend.fans_out
         )
 
         if row_filter is not None:
@@ -204,12 +212,13 @@ class BlockSamplingEngine:
         )
 
         if candidate_totals is None:
-            z_column = shuffled.table.column(candidate_attribute).astype(
-                np.int64, copy=False
-            )
-            if row_filter is not None:
-                z_column = z_column[row_filter]
-            candidate_totals = np.bincount(z_column, minlength=self._num_candidates)
+            if row_filter is None:
+                candidate_totals = shuffled.table.value_counts(candidate_attribute)
+            else:
+                candidate_totals = np.bincount(
+                    shuffled.table.column(candidate_attribute)[row_filter],
+                    minlength=self._num_candidates,
+                )
         else:
             candidate_totals = np.asarray(candidate_totals)
             if candidate_totals.shape != (self._num_candidates,):

@@ -107,8 +107,9 @@ class AsyncFrontDoor(DriveCore):
         deterministic on a simulated clock.  Above 1 the scheduler
         offloads picked steps to a bounded thread-pool executor
         (``loop.run_in_executor``) and settles each as it completes, so
-        steps of *different* requests overlap on a multi-core machine —
-        the counting kernels release the GIL.  Answers stay byte-identical
+        steps of *different* requests overlap on a multi-core machine
+        where NumPy releases the GIL (gathers, ufuncs; ``np.bincount`` and
+        the Python around it do not).  Answers stay byte-identical
         in either mode; only wall-clock latency changes.
 
     All methods must be called from one event loop.  In single-slot mode

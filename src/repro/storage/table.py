@@ -29,6 +29,7 @@ class ColumnTable:
             raise ValueError(f"ragged columns: {lengths}")
         self.schema = schema
         self._columns: dict[str, np.ndarray] = {}
+        self._value_counts: dict[str, np.ndarray] = {}
         for name, col in columns.items():
             arr = np.asarray(col)
             if not np.issubdtype(arr.dtype, np.integer):
@@ -86,6 +87,15 @@ class ColumnTable:
         )
 
     def value_counts(self, name: str) -> np.ndarray:
-        """Per-code row counts of one column."""
-        codes = self.column(name).astype(np.int64, copy=False)
-        return np.bincount(codes, minlength=self.cardinality(name))
+        """Per-code row counts of one column (read-only).
+
+        Counted on first use and kept: the table is immutable, and every
+        sampling engine over it needs its candidate column's totals.
+        """
+        counts = self._value_counts.get(name)
+        if counts is None:
+            counts = np.bincount(self.column(name), minlength=self.cardinality(name))
+            counts.flags.writeable = False
+            # setdefault: two threads racing here still share one array.
+            counts = self._value_counts.setdefault(name, counts)
+        return counts

@@ -869,7 +869,7 @@ class TestPairCodeCache:
         assert {layer for layer in layers if "codes" in layer} == {"pair_codes"}
 
     def test_fold_sharded_session_ships_codes_and_no_filter(self, table):
-        """On the process pool a fused predicated query counts its windows
+        """On the process pool a fused predicated query counts its calls
         from the code segment alone; eviction unlinks it, close leaves
         nothing."""
         config = HistSimConfig(k=3, epsilon=0.15, delta=0.05, sigma=0.0)

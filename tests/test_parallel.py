@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 
@@ -283,11 +285,31 @@ class TestShardMerger:
             ShardMerger(2, 3).merge([bad])
 
     def test_merge_rejects_inconsistent_rows_tally(self):
-        bad = ShardResult(
-            task_id=0, counts=np.ones((2, 3), dtype=np.int64), rows=5
-        )
-        with pytest.raises(ValueError):
-            ShardMerger(2, 3).merge([bad])
+        """The tally is checked against the planner's rows — a number the
+        producer of the result never saw — not against the result's own
+        matrix: it may not exceed them, and equals them when nothing
+        filters rows."""
+        layout = BlockLayout(96, 16)
+        shards = ShardPlanner(2).plan(np.arange(6), layout)
+        assert [shard.rows for shard in shards] == [48, 48]
+
+        def results(*rows):
+            counts = np.zeros((2, 3), dtype=np.int64)
+            return [
+                ShardResult(task_id=i, counts=counts, rows=tally)
+                for i, tally in enumerate(rows)
+            ]
+
+        merger = ShardMerger(2, 3)
+        merger.merge(results(48, 48), shards, exact=True)
+        merger.merge(results(48, 31), shards)  # a filter dropped rows
+        merger.merge(results(48, 49))  # nothing planned: nothing to check
+        with pytest.raises(ValueError, match="shard 1 tallied 49 rows, planned at most 48"):
+            merger.merge(results(48, 49), shards)
+        with pytest.raises(ValueError, match="shard 1 tallied 31 rows, planned 48"):
+            merger.merge(results(48, 31), shards, exact=True)
+        with pytest.raises(ValueError, match="1 shard results for 2 planned"):
+            merger.merge(results(48), shards)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +749,116 @@ class TestThreadPoolBackend:
         assert not errors
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got, want)
+
+    #: 1.2M rows in 4096-row blocks: 293 blocks, the last 3,968 rows short.
+    SHARD_LAYOUT = BlockLayout(1_200_000, 4096)
+
+    @staticmethod
+    def block_set(seed: int, keep: float, with_last: bool) -> np.ndarray:
+        """A sorted block subset of ``SHARD_LAYOUT``: everything, or a
+        gappy draw; with or without the short last block."""
+        layout = TestThreadPoolBackend.SHARD_LAYOUT
+        rng = np.random.default_rng(seed)
+        blocks = np.flatnonzero(rng.random(layout.num_blocks - 1) < keep)
+        if blocks.size == 0:
+            blocks = np.array([int(rng.integers(layout.num_blocks - 1))])
+        if with_last:
+            blocks = np.append(blocks, layout.num_blocks - 1)
+        return blocks.astype(np.int64)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        keep=st.sampled_from([1.0, 0.9, 0.5, 0.05]),
+        with_last=st.booleans(),
+        n_workers=st.integers(1, 4),
+        cells=st.sampled_from([1, 1536, 121_797, 300_000, 5_000_000]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_shard_bound_partitions_a_call_in_order(
+        self, seed, keep, with_last, n_workers, cells
+    ):
+        """In-process shards of a whole sampling call: bounded above (a
+        shard closes at the first block reaching its boundary, so by one
+        block more than ``MAX_SHARD_ROWS``), never fewer than one per
+        worker, and — past one per worker — never smaller than the matrix
+        each returns."""
+        from repro.parallel import ThreadPoolBackend
+        from repro.parallel.threaded import MAX_SHARD_ROWS
+
+        layout = self.SHARD_LAYOUT
+        blocks = self.block_set(seed, keep, with_last)
+        total = int(layout.rows_per_block(blocks).sum())
+        backend = ThreadPoolBackend(n_workers)  # plans only: no executor
+        shards = backend.plan_shards(blocks, layout, total, cells)
+        np.testing.assert_array_equal(
+            np.concatenate([shard.blocks for shard in shards]), blocks
+        )
+        assert [shard.index for shard in shards] == list(range(len(shards)))
+        rows = [shard.rows for shard in shards]
+        assert rows == [int(layout.rows_per_block(s.blocks).sum()) for s in shards]
+        assert sum(rows) == total
+        assert len(shards) >= min(n_workers, blocks.size)
+        assert max(rows) < total / len(shards) + layout.block_size  # balanced
+        if len(shards) > n_workers:
+            assert min(rows) + layout.block_size > cells
+        if total // cells >= -(-total // MAX_SHARD_ROWS):
+            # The matrix does not hold the split back: the bound applies.
+            assert max(rows) < MAX_SHARD_ROWS + layout.block_size
+        assert backend._executor is None
+
+    @pytest.mark.parametrize("with_last", [True, False], ids=["short-last", "full"])
+    @pytest.mark.parametrize(("c", "g"), [(64, 24), (700, 300)])
+    def test_shard_bound_merged_call_equals_one_count(self, c, g, with_last):
+        """A ~1M-row call through the executor — more shards than workers,
+        each under the bound — merges to ``count_window`` on the whole set."""
+        from repro.parallel import CountSource, ThreadPoolBackend, count_window
+        from repro.parallel.threaded import MAX_SHARD_ROWS
+        from repro.storage import CategoricalAttribute, ColumnTable, Schema
+        from repro.storage.shuffle import ShuffledTable
+
+        layout = self.SHARD_LAYOUT
+        rng = np.random.default_rng(5)
+        schema = Schema((
+            CategoricalAttribute("z", tuple(f"z{i}" for i in range(c))),
+            CategoricalAttribute("x", tuple(f"x{i}" for i in range(g))),
+        ))
+        table = ColumnTable(schema, {
+            "z": rng.integers(0, c, layout.num_rows),
+            "x": rng.integers(0, g, layout.num_rows),
+        })
+        source = CountSource(
+            shuffled=ShuffledTable(table, layout), z_name="z", x_name="x",
+            num_candidates=c, num_groups=g, row_filter=None,
+        )
+        blocks = self.block_set(3, 0.9, with_last)
+        total = int(layout.rows_per_block(blocks).sum())
+        assert total > 1_000_000
+        expected, _ = count_window(
+            table.column("z"), table.column("x"), blocks, layout, c, g
+        )
+        with ThreadPoolBackend(2, min_shard_rows=0) as backend:
+            shards = backend.plan_shards(blocks, layout, total, c * g)
+            assert len(shards) == min(-(-total // MAX_SHARD_ROWS), total // (c * g)) > 2
+            assert max(shard.rows for shard in shards) < MAX_SHARD_ROWS + 4096
+            counts = backend.count_blocks(source, blocks)
+            assert backend.shard_tasks == len(shards)
+        np.testing.assert_array_equal(counts, expected)
+        assert counts.sum() == total
+
+    def test_merge_check_catches_a_shard_that_lost_rows(self, monkeypatch):
+        """The merge compares each shard's tally with the rows the planner
+        gave it, so a kernel that dropped a block is an error, not a
+        slightly smaller histogram."""
+        from repro.parallel import ThreadPoolBackend, count_window, threaded
+
+        def lossy(z, x, blocks, *args, **kwargs):
+            return count_window(z, x, blocks[:-1], *args, **kwargs)
+
+        monkeypatch.setattr(threaded, "count_window", lossy)
+        table = fake_table(5000, 6, 4, seed=7)
+        with ThreadPoolBackend(2, min_shard_rows=0) as backend:
+            with pytest.raises(ValueError, match="tallied .* rows, planned"):
+                backend.count_table(table, "z", "x", 6, 4)
 
     def test_describe_close_and_validation(self):
         from repro.parallel import ThreadPoolBackend

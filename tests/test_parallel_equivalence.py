@@ -215,7 +215,7 @@ def test_session_equivalence_and_backend_attribution(table):
 def test_session_close_releases_shared_memory_and_workers(table):
     before = shm_files()
     session = MatchSession(table, backend="sharded", workers=2)
-    # Force pool usage even on tiny windows.
+    # Force pool usage even on tiny calls.
     session.backend.min_shard_rows = 0
     session.submit(queries()[0], config=session_config(3), seed=4)
     session.run()

@@ -388,7 +388,7 @@ class TestEngineBookkeeping:
                     assert engine.total_rows == totals.sum()
                     traces[name, handed_in is None, codes is not None] = trace
                 if name == "sharded":
-                    # The pool counted folded windows from the code segment
+                    # The pool counted folded calls from the code segment
                     # alone; only the plain engines published the filter.
                     kinds = [key[0] for key in backend.store.keys()]
                     assert kinds.count("codes") == 1
@@ -411,6 +411,37 @@ class TestEngineBookkeeping:
                 index=index, cost_model=CostModel(), clock=SimulatedClock(),
                 start_block=0, candidate_totals=np.zeros(7, dtype=np.int64),
             )
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
+    def test_totals_equal_with_and_without_candidate_totals(self, filtered):
+        """Handed in, read off the table's memo, or counted under the
+        filter: the same ``_totals`` — and ``candidate_rows()`` is a private
+        copy, so no caller can write through to the memo."""
+        shuffled, index = make_world()
+        z = shuffled.table.column("z")
+        row_filter = shuffled.table.column("x") < 3 if filtered else None
+        expected = np.bincount(z if row_filter is None else z[row_filter], minlength=8)
+
+        def build(candidate_totals):
+            return BlockSamplingEngine(
+                shuffled=shuffled, candidate_attribute="z", grouping_attribute="x",
+                index=index, cost_model=CostModel(), clock=SimulatedClock(),
+                start_block=0, row_filter=row_filter,
+                candidate_totals=candidate_totals,
+            )
+
+        counted, handed = build(None), build(expected)
+        for engine in (counted, handed):
+            assert engine._totals.dtype == np.int64
+            np.testing.assert_array_equal(engine._totals, expected)
+            assert engine.total_rows == expected.sum()
+        # Unfiltered, the engine holds the table's memoised counts themselves.
+        memo = shuffled.table.value_counts("z")
+        assert (counted._totals is memo) == (not filtered)
+        rows = counted.candidate_rows()
+        rows[0] += 1  # writable, and nobody else's
+        np.testing.assert_array_equal(counted.candidate_rows(), expected)
+        np.testing.assert_array_equal(memo, np.bincount(z, minlength=8))
 
     def test_make_engine_hands_over_the_prepared_totals(self):
         """A prepared artifact's row sums are the engine's totals — under
@@ -462,9 +493,12 @@ class RecordingClock(SimulatedClock):
 
 class RecordingBackend(SerialBackend):
     """Serial counting that keeps the block set of every ``count_blocks``;
-    ``fail_next`` makes the next one raise instead."""
+    ``fail_next`` makes the next one raise instead.  Under a worker
+    backend's ``name`` the engine treats it as one: the regime rule reads
+    the name, which is all a wrapper forwards."""
 
-    def __init__(self):
+    def __init__(self, name="serial"):
+        self.name = name
         self.calls = []
         self.fail_next = False
 
@@ -624,13 +658,15 @@ def regime_engine(
 
 def regime_calls(engine):
     """Stage-1 pass, bounded budgeted slices, then the rest: each call's
-    matrix with the engine's observable state after it."""
+    matrix with the engine's observable state after it, the blocks the
+    call consumed (ascending) last."""
     seen = np.zeros((engine.num_candidates, engine.num_groups), dtype=np.int64)
     needed = np.zeros(engine.num_candidates)
     needed[[0, 2, 5, -1]] = np.inf, 60, 15, np.inf
     out = []
     draining = False
     for step in range(200):
+        before = engine._consumed.copy()
         if step == 0:
             fresh = engine.sample_uniform(700)
         elif draining:
@@ -645,6 +681,7 @@ def regime_calls(engine):
             (counters.blocks_read, counters.blocks_skipped,
              counters.rows_delivered, counters.probes, counters.windows),
             list(engine.clock.charges), engine.clock.elapsed_ns,
+            tuple(np.flatnonzero(engine._consumed & ~before)),
         ))
         if draining:
             break
@@ -659,14 +696,21 @@ class TestRegimeIdentity:
         "policy_cls", [AnyActiveLookaheadPolicy, AnyActiveSyncPolicy, ScanAllPolicy]
     )
     @pytest.mark.parametrize("regime", list(REGIME_WORLDS))
+    @pytest.mark.parametrize("backend_name", ["serial", "threads", "sharded"])
     def test_regime_matches_the_parent_loop_call_by_call(
-        self, regime, policy_cls, filtered, folded
+        self, backend_name, regime, policy_cls, filtered, folded
     ):
+        """The regime rule has two terms.  A backend that counts inline
+        defers on the cell rule alone; one whose name is a worker backend's
+        defers whatever the code space — and either way every call equals
+        the parent loop's, and a deferred call makes one count of the
+        sorted union of its windows."""
         # 240 blocks, the last 15 rows short; the scan starts at block 37, so
         # one window per pass runs from block 239 on to block 0.
         world = make_world(n=5990, block_size=25, **REGIME_WORLDS[regime])
         assert world[0].layout.block_rows(239) == 15
-        ref_backend, backend = RecordingBackend(), RecordingBackend()
+        ref_backend, backend = RecordingBackend(), RecordingBackend(backend_name)
+        assert backend.fans_out == (backend_name != "serial")
         reference = regime_calls(
             regime_engine(ParentLoopEngine, world, policy_cls(), ref_backend, filtered)
         )
@@ -683,18 +727,58 @@ class TestRegimeIdentity:
             np.testing.assert_array_equal(got[1], want[1])
             assert got[2:] == want[2:]
         assert reference[-1][2]  # ends fully scanned
-        delivering_calls = sum(1 for fresh, *_ in reference if fresh.any())
-        if regime == "deferred":
+        delivered = [call[-1] for call in reference if call[-1]]
+        assert len(delivered) == sum(1 for fresh, *_ in reference if fresh.any())
+        if regime == "deferred" or backend_name != "serial":
             # One count per call that delivered, over all of its blocks.
-            assert len(backend.calls) == delivering_calls < len(ref_backend.calls)
+            assert len(backend.calls) == len(delivered) < len(ref_backend.calls)
+            for got, want in zip(backend.calls, delivered):
+                np.testing.assert_array_equal(got, want)
             assert max(b.size for b in backend.calls) > 8
         else:
             # One count per delivering window, as before.
-            assert len(backend.calls) == len(ref_backend.calls) > delivering_calls
+            assert len(backend.calls) == len(ref_backend.calls) > len(delivered)
             for got, want in zip(backend.calls, ref_backend.calls):
                 np.testing.assert_array_equal(got, want)
         for blocks in backend.calls:
             assert (np.diff(blocks) > 0).all()  # sorted, no block twice
+
+    def test_regime_reads_through_a_wrapper_that_forwards_the_name(self):
+        """A wrapper that forwards only ``name``, the counting methods and
+        the lifecycle (the end-to-end benchmark's timing proxy does exactly
+        that) takes the regime of the backend it wraps."""
+        from repro.parallel import ExecutionBackend
+
+        class Forwarding(ExecutionBackend):
+            def __init__(self, inner):
+                self.inner = inner
+                self.name = inner.name
+                self.calls = 0
+
+            def count_blocks(self, source, blocks):
+                self.calls += 1
+                return self.inner.count_blocks(source, blocks)
+
+            def count_table(self, *args, **kwargs):
+                return self.inner.count_table(*args, **kwargs)
+
+            def close(self):
+                self.inner.close()
+
+        world = make_world(n=5990, block_size=25, **REGIME_WORLDS["dense"])
+        observed = {}
+        for inner in (SerialBackend(), ThreadPoolBackend(2, min_shard_rows=0)):
+            with Forwarding(inner) as wrapper:
+                engine = regime_engine(
+                    BlockSamplingEngine, world, ScanAllPolicy(), wrapper, False
+                )
+                fresh = engine.sample_until(np.full(engine.num_candidates, np.inf))
+                observed[inner.name] = (
+                    engine._deferred, wrapper.calls, engine.counters.windows, fresh
+                )
+        assert observed["serial"][:3] == (False, 30, 30)
+        assert observed["threads"][:3] == (True, 1, 30)
+        np.testing.assert_array_equal(observed["serial"][3], observed["threads"][3])
 
     @staticmethod
     def straddle_engine(regime, start_block, policy):
@@ -757,6 +841,62 @@ class TestRegimeIdentity:
             engine, backend, [0, 1, 2, 3, 4, 237, 238, 239],
             lambda io_ns: ("pipelined", io_ns, mark_ns),
         )
+
+
+class TestRegimeWorkerBackends:
+    """Real worker backends, forced through their pools and at the default
+    ``min_shard_rows`` floor (where calls this small count inline): every
+    call equals the serial dense engine's."""
+
+    @pytest.fixture(scope="class")
+    def backends(self):
+        built = {
+            "threads-forced": ThreadPoolBackend(2, min_shard_rows=0),
+            "sharded-forced": ShardedBackend(2, min_shard_rows=0),
+            "threads-floor": ThreadPoolBackend(2),
+            "sharded-floor": ShardedBackend(2),
+        }
+        yield built
+        for backend in built.values():
+            backend.close()
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["nocodes", "fold"])
+    @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
+    @pytest.mark.parametrize(
+        "policy_cls", [AnyActiveLookaheadPolicy, AnyActiveSyncPolicy, ScanAllPolicy]
+    )
+    @pytest.mark.parametrize("regime", list(REGIME_WORLDS))
+    def test_regime_worker_backends_match_the_serial_dense_engine(
+        self, backends, regime, policy_cls, filtered, folded
+    ):
+        world = make_world(n=5990, block_size=25, **REGIME_WORLDS[regime])
+        reference = regime_calls(
+            regime_engine(
+                ParentLoopEngine, world, policy_cls(), SerialBackend(), filtered
+            )
+        )
+        delivering = sum(1 for call in reference if call[-1])
+        for name, backend in backends.items():
+            tasks, inline = backend.shard_tasks, backend.inline_windows
+            engine = regime_engine(
+                BlockSamplingEngine, world, policy_cls(), backend, filtered,
+                folded=folded,
+            )
+            assert engine._deferred
+            calls = regime_calls(engine)
+            assert len(calls) == len(reference), name
+            for got, want in zip(calls, reference):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+                assert got[2:] == want[2:], name
+            # One backend call per delivering sampling call, fanned out or
+            # inline as the floor decides — never one per window.
+            if name.endswith("forced"):
+                assert backend.inline_windows == inline
+                assert backend.shard_tasks - tasks >= delivering
+            else:
+                assert backend.shard_tasks == tasks
+                assert backend.inline_windows - inline == delivering
 
 
 class TestRegimeAccounting:
@@ -856,50 +996,61 @@ class TestRegimeAccounting:
 
 
 class TestRegimeMatrix:
-    """A query whose code space (700 x 48 = 33,600 cells) is above every
-    approach's window: whole runs agree across backends, kernels, filters
-    and step bounds, at every step."""
+    """Whole runs agree across backends, kernels, filters and step bounds,
+    at every step — for a query whose code space (700 x 48 = 33,600 cells)
+    is above every approach's window, and for one (40 x 12 = 480) below
+    every approach's window.  "Dense" here names the size of the world, not
+    the delivery: on a worker backend a dense-sized world defers too, and
+    only the serial runs of it count window by window."""
 
-    C, G = 700, 48
-    BACKENDS = TestEngineBookkeeping.BACKENDS
+    WORLDS = {"deferred": (700, 48), "dense": (40, 12)}
+    BACKENDS = {
+        **TestEngineBookkeeping.BACKENDS,
+        "threads-floor": lambda: ThreadPoolBackend(2),
+        "sharded-floor": lambda: ShardedBackend(2),
+    }
 
     @pytest.fixture(scope="class")
     def prepared(self):
-        """The query plain and under a predicate, each artifact's pair
-        codes built by the artifact itself (folded with its row filter)."""
+        """Each world's query plain and under a predicate, each artifact's
+        pair codes built by the artifact itself (folded with its row
+        filter)."""
         from repro.data.generator import conditional_column, jittered
         from repro.query import HistogramQuery, IsIn
         from repro.system import PreparedQuery
 
-        rng = np.random.default_rng(3)
-        # Eight candidates worth matching, the rest rare enough to prune.
-        sizes = np.concatenate([
-            [9000, 8000, 7000, 6000, 5000, 4000, 3000, 3000],
-            rng.integers(20, 100, size=self.C - 8),
-        ])
-        base = np.full(self.G, 1.0 / self.G)
-        distributions = np.stack(
-            [jittered(base, concentration=3.0, rng=rng) for _ in sizes]
-        )
-        z = np.repeat(np.arange(self.C), sizes)
-        x = conditional_column(sizes, distributions, rng)
-        order = rng.permutation(z.size)
-        schema = Schema((
-            CategoricalAttribute("z", tuple(f"z{i}" for i in range(self.C))),
-            CategoricalAttribute("x", tuple(f"x{i}" for i in range(self.G))),
-        ))
-        table = ColumnTable(schema, {"z": z[order], "x": x[order]})
         out = {}
-        for name, predicate in [
-            ("plain", None), ("filtered", IsIn("x", tuple(range(0, self.G, 2)))),
-        ]:
-            query = (
-                HistogramQuery("z", "x", k=1)
-                if predicate is None
-                else HistogramQuery("z", "x", k=1, predicate=predicate)
+        for size, (c, g) in self.WORLDS.items():
+            rng = np.random.default_rng(3)
+            # Eight candidates worth matching, the rest rare enough to prune.
+            sizes = np.concatenate([
+                [9000, 8000, 7000, 6000, 5000, 4000, 3000, 3000],
+                rng.integers(20, 100, size=c - 8),
+            ])
+            base = np.full(g, 1.0 / g)
+            distributions = np.stack(
+                [jittered(base, concentration=3.0, rng=rng) for _ in sizes]
             )
-            prepared = PreparedQuery.prepare(table, query, np.random.default_rng(0))
-            out[name] = prepared.with_pair_codes()
+            z = np.repeat(np.arange(c), sizes)
+            x = conditional_column(sizes, distributions, rng)
+            order = rng.permutation(z.size)
+            schema = Schema((
+                CategoricalAttribute("z", tuple(f"z{i}" for i in range(c))),
+                CategoricalAttribute("x", tuple(f"x{i}" for i in range(g))),
+            ))
+            table = ColumnTable(schema, {"z": z[order], "x": x[order]})
+            for name, predicate in [
+                ("plain", None), ("filtered", IsIn("x", tuple(range(0, g, 2)))),
+            ]:
+                query = (
+                    HistogramQuery("z", "x", k=1)
+                    if predicate is None
+                    else HistogramQuery("z", "x", k=1, predicate=predicate)
+                )
+                prepared = PreparedQuery.prepare(
+                    table, query, np.random.default_rng(0)
+                )
+                out[size, name] = prepared.with_pair_codes()
         return out
 
     @pytest.fixture(scope="class")
@@ -929,7 +1080,6 @@ class TestRegimeMatrix:
             prepared, approach, config, CostModel(), clock,
             np.random.default_rng(5), backend, kernel=kernel,
         )
-        assert engine.num_candidates * engine.num_groups > 32_768
         algorithm = HistSim(
             engine, prepared.target, config,
             stats_cost=StatsEngine(CostModel(), clock), backend=backend,
@@ -943,7 +1093,7 @@ class TestRegimeMatrix:
             prepared, approach, stepper.result, config, clock.elapsed_ns,
             engine_counters(engine), breakdown=clock.snapshot(),
         )
-        return report, partials
+        return report, partials, engine
 
     @staticmethod
     def assert_results_equal(got, want):
@@ -957,22 +1107,27 @@ class TestRegimeMatrix:
 
     @pytest.mark.parametrize("filtered", ["plain", "filtered"])
     @pytest.mark.parametrize("approach", ["scanmatch", "syncmatch", "fastmatch"])
+    @pytest.mark.parametrize("size", list(WORLDS))
     def test_regime_matrix_reports_equal_the_serial_unbounded_run(
-        self, prepared, backends, approach, filtered
+        self, prepared, backends, size, approach, filtered
     ):
-        artifact = prepared[filtered]
-        want, whole_steps = self.run(artifact, approach, None, "auto", None)
+        artifact = prepared[size, filtered]
+        want, whole_steps, engine = self.run(artifact, approach, None, "auto", None)
+        cells = engine.num_candidates * engine.num_groups
+        window_rows = engine.window_blocks * engine.layout.block_size
+        assert engine._deferred == (size == "deferred") == (cells > window_rows)
         assert want.counters["blocks_read"] > 3 * 64  # many windows
         if (approach, filtered) == ("fastmatch", "plain"):
             assert not want.result.exact and want.counters["blocks_skipped"] > 0
         # Below one window of any approach, and a few fastmatch windows.
         for max_step_rows in (None, 500, 7000):
             reference_partials = None
-            for backend in backends.values():
+            for name, backend in backends.items():
                 for kernel in ("auto", "classic", "fused"):
-                    got, partials = self.run(
+                    got, partials, engine = self.run(
                         artifact, approach, backend, kernel, max_step_rows
                     )
+                    assert engine._deferred == (size == "deferred" or name != "serial")
                     self.assert_results_equal(got.result, want.result)
                     assert got.elapsed_ns == want.elapsed_ns
                     assert got.breakdown == want.breakdown

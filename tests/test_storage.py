@@ -206,6 +206,32 @@ class TestColumnTable:
             t.value_counts("z"), np.bincount(t.column("z"), minlength=7)
         )
 
+    def test_value_counts_is_counted_once_and_read_only(self):
+        t = small_table()
+        counts = t.value_counts("z")
+        assert counts.dtype == np.int64 and counts.shape == (7,)
+        assert t.value_counts("z") is counts  # the table is immutable: memoised
+        assert t.value_counts("x") is not counts
+        with pytest.raises(ValueError):
+            counts[0] += 1
+        np.testing.assert_array_equal(counts, np.bincount(t.column("z"), minlength=7))
+
+    def test_value_counts_memo_belongs_to_one_table(self):
+        """``permuted`` / ``take`` build fresh tables with their own memo:
+        a sub-table never answers with its parent's counts."""
+        t = small_table()
+        counts = t.value_counts("z")
+        shuffled = t.permuted(np.random.default_rng(1))
+        assert shuffled.value_counts("z") is not counts
+        np.testing.assert_array_equal(shuffled.value_counts("z"), counts)
+        rows = np.flatnonzero(t.column("z") != 3)[:40]
+        taken = t.take(rows)
+        np.testing.assert_array_equal(
+            taken.value_counts("z"), np.bincount(t.column("z")[rows], minlength=7)
+        )
+        assert taken.value_counts("z")[3] == 0 != counts[3]
+        assert t.value_counts("z") is counts
+
 
 class TestBlockLayout:
     def test_block_math(self):
