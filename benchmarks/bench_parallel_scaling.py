@@ -42,7 +42,6 @@ import numpy as np
 
 from common import RESULTS_DIR, format_table, save_report
 from repro.bitmap.builder import build_bitmap_index
-from repro.obs.bench_history import BenchHistory, normalize_parallel_scaling
 from repro.data import load_dataset, sizes_from_weights, zipf_weights
 from repro.data.generator import conditional_column, jittered
 from repro.parallel import (
@@ -333,11 +332,6 @@ def main(argv: list[str] | None = None) -> int:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "parallel_scaling.json").write_text(
         json.dumps(results, indent=2) + "\n"
-    )
-    # Append the normalized record to the perf history for the regression
-    # gate; wall_* metrics only ever compare against same-host baselines.
-    BenchHistory(RESULTS_DIR / "history").append(
-        normalize_parallel_scaling(results, note="tiny" if args.tiny else "")
     )
     note = (
         f"cpu_count={os.cpu_count()}"

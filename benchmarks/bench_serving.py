@@ -62,7 +62,6 @@ from repro.cli import resolve_backend_args
 from repro.data import load_dataset, workload_query
 from repro.core.config import HistSimConfig
 from repro.obs import TraceReader, TraceWriter, Tracer, summarize_records
-from repro.obs.bench_history import BenchHistory, normalize_bench_serving
 from repro.parallel import BACKENDS
 from repro.serving import POLICIES, QueryRequest
 from repro.system import MatchSession, SessionRegistry, run_approach
@@ -498,12 +497,6 @@ def main(argv: list[str] | None = None) -> int:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "bench_serving.json").write_text(
         json.dumps(results, indent=2) + "\n"
-    )
-    # Every run also appends a normalized record to the append-only perf
-    # history, so the regression gate (repro bench-history check) has a
-    # trajectory to compare against instead of one overwritten JSON.
-    BenchHistory(RESULTS_DIR / "history").append(
-        normalize_bench_serving(results, note="tiny" if args.tiny else "")
     )
 
     def policy_rows(records):

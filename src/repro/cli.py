@@ -67,15 +67,6 @@ from .obs import (
     WallProfiler,
     summarize_records,
 )
-from .obs.bench_history import (
-    DEFAULT_BASELINE_K,
-    DEFAULT_MIN_BASELINE,
-    DEFAULT_TOLERANCE,
-    NORMALIZERS,
-    BenchHistory,
-    BenchRecord,
-    check_regression,
-)
 from .parallel import (
     AFFINITY_POLICIES,
     BACKENDS,
@@ -94,6 +85,13 @@ def _positive_int(value: str) -> int:
     parsed = int(value)
     if parsed < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
+    return parsed
+
+
+def _positive_float(value: str) -> float:
+    parsed = float(value)
+    if not parsed > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {parsed}")
     return parsed
 
 
@@ -249,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scheduling policy (default: edf)",
     )
     serve.add_argument(
-        "--deadline-ms", type=float, default=None,
+        "--deadline-ms", type=_positive_float, default=None,
         help="per-query deadline on the simulated clock (default: none)",
     )
     serve.add_argument(
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
              "this path while serving (watch live with 'repro top FILE')",
     )
     serve.add_argument(
-        "--stats-interval", type=float, default=0.5,
+        "--stats-interval", type=_positive_float, default=0.5,
         help="seconds between --stats-out frames (default: 0.5)",
     )
     serve.set_defaults(command="serve")
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
              "print collapsed flamegraph lines",
     )
     profile.add_argument(
-        "--wall-interval-ms", type=float, default=5.0,
+        "--wall-interval-ms", type=_positive_float, default=5.0,
         help="wall-profiler sampling interval (default: 5 ms)",
     )
     profile.add_argument(
@@ -379,68 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("file", type=Path, help="stats JSON file written by "
                                              "'serve --stats-out'")
-    top.add_argument("--interval", type=float, default=1.0,
+    top.add_argument("--interval", type=_positive_float, default=1.0,
                      help="seconds between refreshes (default: 1.0)")
     top.add_argument("--once", action="store_true",
                      help="render one frame and exit (no screen clearing)")
     top.set_defaults(command="top")
-
-    bench_history = subparsers.add_parser(
-        "bench-history",
-        help="record/check/show the benchmark perf history",
-        description="Maintain the append-only benchmark history under "
-                    "benchmarks/results/history/ and gate regressions: "
-                    "'record' normalizes bench_*.json results into history "
-                    "records, 'check' compares the newest record per bench "
-                    "against the median of the last K comparable runs (or a "
-                    "committed baseline file) with per-metric tolerance "
-                    "bands, 'show' lists recorded history.",
-    )
-    bench_history.add_argument("action", choices=["record", "check", "show"])
-    bench_history.add_argument(
-        "--results-dir", type=Path, default=Path("benchmarks/results"),
-        help="directory holding bench_*.json results (record)",
-    )
-    bench_history.add_argument(
-        "--history-dir", type=Path, default=None,
-        help="history directory (default: RESULTS_DIR/history)",
-    )
-    bench_history.add_argument(
-        "--bench", choices=sorted(NORMALIZERS), default=None,
-        help="restrict to one bench id (default: all)",
-    )
-    bench_history.add_argument(
-        "--note", type=str, default="",
-        help="free-form note stored on recorded history entries",
-    )
-    bench_history.add_argument(
-        "--baseline", type=Path, default=None,
-        help="JSONL baseline file to check against instead of the trailing "
-             "history window (CI's committed tiny baseline)",
-    )
-    bench_history.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help=f"tolerance band for gated metrics (default: {DEFAULT_TOLERANCE})",
-    )
-    bench_history.add_argument(
-        "--k", type=_positive_int, default=DEFAULT_BASELINE_K,
-        help=f"trailing baseline window (default: {DEFAULT_BASELINE_K})",
-    )
-    bench_history.add_argument(
-        "--min-baseline", type=_positive_int, default=DEFAULT_MIN_BASELINE,
-        help="comparable records required before the gate arms "
-             f"(default: {DEFAULT_MIN_BASELINE})",
-    )
-    bench_history.add_argument(
-        "--match-host", action="store_true",
-        help="only compare against records from this host (default: compare "
-             "everywhere; wall_* metrics auto-skip cross-host)",
-    )
-    bench_history.add_argument(
-        "--last", type=_positive_int, default=10,
-        help="records to list per bench with 'show' (default: 10)",
-    )
-    bench_history.set_defaults(command="bench-history")
     return parser
 
 
@@ -1019,107 +960,6 @@ def _run_top(args: argparse.Namespace) -> int:
         return 0
 
 
-def _load_baseline(path: Path) -> list[BenchRecord]:
-    """Records of a committed baseline JSONL file (CI's perf gate input)."""
-    if not path.exists():
-        raise SystemExit(f"baseline file not found: {path}")
-    records = []
-    for line_no, line in enumerate(path.read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            records.append(BenchRecord.from_json(line))
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise SystemExit(f"{path}:{line_no}: bad baseline record: {exc}")
-    return records
-
-
-def _run_bench_history(args: argparse.Namespace) -> int:
-    """``repro bench-history {record,check,show}`` — the perf history store."""
-    history_dir = (
-        args.history_dir if args.history_dir is not None
-        else args.results_dir / "history"
-    )
-    history = BenchHistory(history_dir)
-    benches = [args.bench] if args.bench else sorted(NORMALIZERS)
-
-    if args.action == "record":
-        recorded = 0
-        for bench in benches:
-            results_file = args.results_dir / f"{bench}.json"
-            if not results_file.exists():
-                print(f"{bench}: no results at {results_file} (skipped)")
-                continue
-            record = NORMALIZERS[bench](
-                json.loads(results_file.read_text()), note=args.note
-            )
-            path = history.append(record)
-            recorded += 1
-            print(f"{bench}: recorded {len(record.metrics)} metrics "
-                  f"(config {record.config_hash}) -> {path}")
-        if not recorded:
-            print("nothing recorded: no results files found", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.action == "check":
-        baseline = (
-            _load_baseline(args.baseline) if args.baseline is not None else None
-        )
-        failed = False
-        checked = 0
-        for bench in benches:
-            records = history.records(bench)
-            if not records:
-                continue
-            newest = records[-1]
-            if baseline is not None:
-                prior = [r for r in baseline if r.bench == bench]
-            else:
-                prior = records[:-1]
-            report = check_regression(
-                newest, prior,
-                k=args.k,
-                tolerance=args.tolerance,
-                min_baseline=args.min_baseline,
-                match_host=args.match_host,
-            )
-            checked += 1
-            print(report.describe())
-            failed = failed or not report.ok
-        if not checked:
-            print(f"no history to check under {history_dir} "
-                  "(run 'repro bench-history record' first)", file=sys.stderr)
-            return 1
-        return 1 if failed else 0
-
-    # show
-    shown = 0
-    for bench in history.benches():
-        if args.bench and bench != args.bench:
-            continue
-        records = history.records(bench)
-        print(f"{bench}: {len(records)} records ({history.path_for(bench)})")
-        for index, record in enumerate(records[-args.last:],
-                                       max(0, len(records) - args.last) + 1):
-            preview = ", ".join(
-                f"{name}={value:.4g}"
-                for name, value in sorted(record.metrics.items())[:4]
-            )
-            more = len(record.metrics) - 4
-            if more > 0:
-                preview += f", +{more} more"
-            note = f"  ({record.note})" if record.note else ""
-            print(f"  #{index:<3} config={record.config_hash} "
-                  f"host={record.host_key}  {preview}{note}")
-        shown += 1
-    if not shown:
-        print(f"no history under {history_dir}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1134,13 +974,9 @@ def main(argv: list[str] | None = None) -> int:
         return _run_profile(args)
     if command == "top":
         return _run_top(args)
-    if command == "bench-history":
-        return _run_bench_history(args)
     if command == "serve":
         if args.trace is None and not args.queries and not args.datasets:
             parser.error("serve requires --queries, --datasets, or --trace")
-        if args.deadline_ms is not None and args.deadline_ms <= 0:
-            parser.error("--deadline-ms must be positive")
         return _run_serve(args)
 
     if args.list:

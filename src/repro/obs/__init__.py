@@ -1,4 +1,4 @@
-"""Observability: tracing, profiling, health, sketches, bench history.
+"""Observability: tracing, profiling, health, sketches.
 
 The serving spine (front doors → engine → stepper → backends) emits
 nested spans through a :class:`Tracer` stamped on the *job's own*
@@ -21,25 +21,11 @@ Layout:
 - :mod:`~repro.obs.trace_io` — schema-versioned JSONL trace files:
   :class:`TraceWriter` (a tracer sink), :class:`TraceReader`, validation,
   and the per-stage time-budget summary behind ``repro trace summarize``.
-- :mod:`~repro.obs.bench_history` — append-only benchmark history store
-  plus the median-of-last-K regression detector behind
-  ``repro bench-history`` and the CI perf gate.
 - :mod:`~repro.obs.health` — :class:`HealthMonitor` over a live front
   door (queue/steps/workers/shm/cache/clock-skew probes) and the
   :class:`StatsExporter` frames ``repro top`` renders.
 """
 
-from .bench_history import (
-    BenchHistory,
-    BenchRecord,
-    HISTORY_SCHEMA_VERSION,
-    RegressionFinding,
-    RegressionReport,
-    check_regression,
-    config_hash,
-    host_fingerprint,
-    metric_kind,
-)
 from .health import (
     CRITICAL,
     DEGRADED,
@@ -69,11 +55,8 @@ from .trace_io import (
 )
 
 __all__ = [
-    "BenchHistory",
-    "BenchRecord",
     "CRITICAL",
     "DEGRADED",
-    "HISTORY_SCHEMA_VERSION",
     "HealthCheck",
     "HealthMonitor",
     "HealthReport",
@@ -85,8 +68,6 @@ __all__ = [
     "ProfileSnapshot",
     "Profiler",
     "QuantileSketch",
-    "RegressionFinding",
-    "RegressionReport",
     "SCHEMA_VERSION",
     "SpanRecord",
     "StatsExporter",
@@ -96,10 +77,6 @@ __all__ = [
     "TraceWriter",
     "Tracer",
     "WallProfiler",
-    "check_regression",
-    "config_hash",
-    "host_fingerprint",
-    "metric_kind",
     "summarize_records",
     "validate_record",
 ]

@@ -147,9 +147,10 @@ def block_subsets(num_blocks):
 
 
 def expected_moved(kernel, z, x, codes, rows, kept, row_filter, filtered):
-    """Bytes a non-classic kernel materializes for a multi-run window of
-    ``rows`` rows of which ``kept`` pass the filter: the gathered columns,
-    the gathered ``row_filter``, the filtered columns, the code array."""
+    """Bytes a non-classic kernel materializes for a window whose gather
+    copies ``rows`` rows (none for one contiguous run, a zero-copy slice)
+    of which ``kept`` pass the filter: the gathered columns, the gathered
+    ``row_filter``, the filtered columns, the code array."""
     if kernel == "fused":
         moved = rows * codes.itemsize
         if row_filter is not None:
@@ -204,7 +205,8 @@ class TestCountWindowIdentity:
     @pytest.mark.parametrize("filter_kind", ["none", "row_filter", "filter_slice"])
     def test_scattered_windows_pinned_against_classic(self, n, filter_kind):
         """The whole-block gather returns classic's counts and materializes
-        exactly the arrays the per-run gather did (``moved_bytes``)."""
+        exactly the arrays the per-run gather did (``moved_bytes``); one
+        contiguous run gathers nothing."""
         rng = np.random.default_rng(n + len(filter_kind))
         c, g, block_size = 40, 30, 32
         layout = BlockLayout(num_rows=n, block_size=block_size)
@@ -214,9 +216,10 @@ class TestCountWindowIdentity:
         row_filter = rng.random(n) < 0.6 if filter_kind == "row_filter" else None
         subsets = block_subsets(layout.num_blocks)
         for name in ("scattered", "alternate_to_last", "alternate_before_last",
-                     "last_in_the_middle"):
+                     "last_in_the_middle", "contiguous"):
             blocks = subsets[name]
             rows = layout.rows_of_blocks(blocks)
+            gathered = 0 if name == "contiguous" else rows.size
             filter_slice = None
             if filter_kind == "filter_slice":
                 filter_slice = rng.random(rows.size) < 0.6
@@ -236,7 +239,7 @@ class TestCountWindowIdentity:
                     counts, classic, err_msg=f"kernel={kernel} subset={name}"
                 )
                 assert moved == expected_moved(
-                    kernel, z, x, codes, rows.size, kept, row_filter,
+                    kernel, z, x, codes, gathered, kept, row_filter,
                     keep is not None,
                 ), f"kernel={kernel} subset={name}"
             if row_filter is not None:
@@ -246,7 +249,7 @@ class TestCountWindowIdentity:
                     z, x, blocks, layout, c, g, codes=folded, kernel="fused"
                 )
                 np.testing.assert_array_equal(counts, classic)
-                assert moved == rows.size * folded.itemsize
+                assert moved == gathered * folded.itemsize
 
     def test_out_of_range_blocks_rejected_by_every_kernel(self):
         layout = BlockLayout(num_rows=100, block_size=10)

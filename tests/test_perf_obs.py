@@ -1,4 +1,4 @@
-"""Performance observability: profiler, bench history, health, ``repro top``.
+"""Performance observability: profiler, sketches, health, ``repro top``.
 
 Covers the acceptance criteria of the continuous-profiling PR:
 
@@ -12,14 +12,12 @@ Covers the acceptance criteria of the continuous-profiling PR:
   lines without signals or trace hooks;
 - :meth:`QuantileSketch.merge` is exact while the union fits and keeps
   the reservoir quantile error bound beyond capacity;
-- the bench history store round-trips records, detects an injected 2x
-  latency regression, passes a genuine baseline, and skips wall metrics
-  across hosts while keeping byte-identity flags strict;
 - :class:`HealthMonitor` grades utilization OK/DEGRADED/CRITICAL and
   never perturbs the spine (no lazy pool spawn); :class:`StatsExporter`
   writes complete frames ``repro top`` can render;
-- the ``profile``/``top``/``bench-history``/``trace --json`` CLI
-  commands work end to end.
+- the ``profile``/``top``/``trace --json`` CLI commands work end to end,
+  and their interval flags (and ``serve --deadline-ms``) reject a value
+  that is not positive at parse time.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ from repro.obs import (
     DEGRADED,
     NULL_PROFILER,
     OK,
-    BenchHistory,
-    BenchRecord,
     HealthMonitor,
     ProfileSnapshot,
     Profiler,
@@ -52,11 +48,8 @@ from repro.obs import (
     StatsExporter,
     Tracer,
     WallProfiler,
-    check_regression,
-    metric_kind,
 )
 from repro.obs import profiler as profiler_module
-from repro.obs.bench_history import normalize_bench_serving
 from repro.obs.health import _utilization_check
 from repro.parallel import ShardedBackend, ThreadPoolBackend
 
@@ -290,142 +283,6 @@ def test_sketch_merge_keeps_reservoir_quantile_error_bound(seed):
         )
 
 
-# ------------------------------------------------------------ bench history
-
-
-def test_metric_kind_contract():
-    assert metric_kind("edf_p99_latency_ms") == "lower"
-    assert metric_kind("wall_taxi_serial_seconds") == "lower"
-    assert metric_kind("edf_deadline_hit_rate") == "higher"
-    assert metric_kind("wall_taxi_sharded_2w_speedup") == "higher"
-    assert metric_kind("counts_identical") == "strict"
-    assert metric_kind("completed_count") == "info"
-    assert metric_kind("cpu_count") == "info"
-
-
-def record(metrics, *, host=None, config=None) -> BenchRecord:
-    return BenchRecord(
-        bench="bench_serving",
-        config=config or {"rows": 1000},
-        metrics=metrics,
-        **({"host": host} if host is not None else {}),
-    )
-
-
-def test_history_append_and_roundtrip(tmp_path):
-    history = BenchHistory(tmp_path / "history")
-    first = record({"edf_p99_latency_ms": 10.0})
-    path = history.append(first)
-    history.append(record({"edf_p99_latency_ms": 11.0}))
-    assert path == history.path_for("bench_serving")
-    loaded = history.records("bench_serving")
-    assert [r.metrics["edf_p99_latency_ms"] for r in loaded] == [10.0, 11.0]
-    assert loaded[0].config_hash == first.config_hash
-    assert history.benches() == ["bench_serving"]
-
-    path.write_text(path.read_text() + '{"schema": 99}\n')
-    with pytest.raises(ValueError, match=r":3: "):
-        history.records("bench_serving")
-
-
-def test_check_detects_injected_2x_latency_regression():
-    prior = [record({"edf_p99_latency_ms": 10.0 + i * 0.1}) for i in range(5)]
-    good = check_regression(record({"edf_p99_latency_ms": 10.3}), prior)
-    assert good.ok and good.checked == 1
-
-    regressed = check_regression(record({"edf_p99_latency_ms": 20.4}), prior)
-    assert not regressed.ok
-    (finding,) = regressed.findings
-    assert finding.metric == "edf_p99_latency_ms"
-    assert finding.ratio == pytest.approx(2.0, rel=0.05)
-    assert "edf_p99_latency_ms" in regressed.describe()
-
-
-def test_check_gates_rates_and_strict_identity():
-    prior = [
-        record({"edf_deadline_hit_rate": 0.9, "counts_identical": 1.0})
-        for _ in range(3)
-    ]
-    ok = check_regression(
-        record({"edf_deadline_hit_rate": 0.85, "counts_identical": 1.0}), prior
-    )
-    assert ok.ok
-    rate_drop = check_regression(
-        record({"edf_deadline_hit_rate": 0.5, "counts_identical": 1.0}), prior
-    )
-    assert not rate_drop.ok
-    # Any identity drop fails regardless of tolerance.
-    broken = check_regression(
-        record({"edf_deadline_hit_rate": 0.9, "counts_identical": 0.0}),
-        prior, tolerance=10.0,
-    )
-    assert not broken.ok
-
-
-def test_check_is_vacuous_below_min_baseline_and_respects_config_hash():
-    prior = [record({"edf_p99_latency_ms": 10.0})]
-    young = check_regression(record({"edf_p99_latency_ms": 99.0}), prior)
-    assert young.ok and young.baseline_records < 2
-
-    other_config = [
-        record({"edf_p99_latency_ms": 10.0}, config={"rows": 2000})
-        for _ in range(5)
-    ]
-    unmatched = check_regression(
-        record({"edf_p99_latency_ms": 99.0}), other_config
-    )
-    assert unmatched.ok and unmatched.baseline_records == 0
-
-
-def test_wall_metrics_skip_cross_host_but_sim_metrics_gate():
-    this_host = {"platform": "linux", "cpu_count": 4}
-    other_host = {"platform": "linux", "cpu_count": 64}
-    prior = [
-        record(
-            {"wall_pass_seconds": 1.0, "edf_p99_latency_ms": 10.0},
-            host=other_host,
-        )
-        for _ in range(3)
-    ]
-    report = check_regression(
-        record(
-            {"wall_pass_seconds": 50.0, "edf_p99_latency_ms": 10.0},
-            host=this_host,
-        ),
-        prior, match_host=False,
-    )
-    assert report.ok and report.skipped_wall == 1 and report.checked == 1
-
-    same_host = [
-        record({"wall_pass_seconds": 1.0}, host=this_host) for _ in range(3)
-    ]
-    gated = check_regression(
-        record({"wall_pass_seconds": 50.0}, host=this_host),
-        same_host, match_host=False,
-    )
-    assert not gated.ok
-
-
-def test_normalize_bench_serving_flattens_policies():
-    data = {
-        "rows": 60_000, "requests": 64, "overload": 1.25, "max_queue": 8,
-        "max_step_rows": 2000, "backend": "serial", "max_concurrent_steps": 4,
-        "mean_service_ms": 3.5,
-        "policies": [{
-            "policy": "edf-f", "p50_latency_ms": 2.0, "p99_latency_ms": 9.0,
-            "deadline_hit_rate": 0.75, "completed": 40,
-        }],
-    }
-    rec = normalize_bench_serving(data, note="tiny")
-    assert rec.metrics["edf_f_p99_latency_ms"] == 9.0
-    assert rec.metrics["edf_f_deadline_hit_rate"] == 0.75
-    assert metric_kind("edf_f_completed_count") == "info"
-    assert rec.note == "tiny"
-    # Round-trips through the JSONL encoding.
-    again = BenchRecord.from_json(rec.to_json())
-    assert again.metrics == rec.metrics and again.config_hash == rec.config_hash
-
-
 # ----------------------------------------------------------------- health
 
 
@@ -597,50 +454,16 @@ def test_cli_serve_stats_out_then_top(tmp_path, capsys):
     assert "stage2" in summary["stages"]
 
 
-def test_cli_bench_history_record_check_show(tmp_path, capsys):
-    results = tmp_path / "results"
-    results.mkdir()
-    data = {
-        "rows": 60_000, "requests": 64, "overload": 1.25, "max_queue": 8,
-        "max_step_rows": 2000, "backend": "serial", "max_concurrent_steps": 4,
-        "mean_service_ms": 3.5,
-        "policies": [{
-            "policy": "edf", "p50_latency_ms": 2.0, "p99_latency_ms": 9.0,
-            "deadline_hit_rate": 0.75, "completed": 40,
-        }],
-    }
-    (results / "bench_serving.json").write_text(json.dumps(data))
-    base = ["bench-history", "--results-dir", str(results)]
-
-    for _ in range(2):
-        assert cli_main(base + ["record", "--note", "seed"]) == 0
-    capsys.readouterr()
-
-    assert cli_main(base + ["check"]) == 0
-    assert "OK" in capsys.readouterr().out
-
-    # Inject a 2x p99 regression, record it, and the gate must trip.
-    data["policies"][0]["p99_latency_ms"] = 18.0
-    (results / "bench_serving.json").write_text(json.dumps(data))
-    assert cli_main(base + ["record"]) == 0
-    capsys.readouterr()
-    assert cli_main(base + ["check"]) == 1
-    assert "edf_p99_latency_ms" in capsys.readouterr().out
-
-    # Checking against a committed genuine-baseline file passes again.
-    history_file = results / "history" / "bench_serving.jsonl"
-    baseline = tmp_path / "baseline.jsonl"
-    baseline.write_text(
-        "".join(line + "\n" for line in
-                history_file.read_text().splitlines()[:2])
-    )
-    data["policies"][0]["p99_latency_ms"] = 9.1
-    (results / "bench_serving.json").write_text(json.dumps(data))
-    assert cli_main(base + ["record"]) == 0
-    assert cli_main(base + ["check", "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-
-    assert cli_main(base + ["show", "--last", "4"]) == 0
-    shown = capsys.readouterr().out
-    assert "bench_serving: 4 records" in shown
-    assert "(seed)" in shown
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["top", "stats.json", "--interval"],
+    ["profile", "flights-q1", "--wall", "--wall-interval-ms"],
+    ["serve", "--queries", "flights-q1", "--stats-interval"],
+    ["serve", "--queries", "flights-q1", "--deadline-ms"],
+])
+def test_cli_rejects_non_positive_intervals(argv, value, capsys):
+    # Rejected by the parser, before any dataset is loaded or loop entered.
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv + [value])
+    assert excinfo.value.code == 2
+    assert "must be > 0" in capsys.readouterr().err
