@@ -51,7 +51,7 @@ from repro.parallel import (
     ShardedBackend,
     ThreadPoolBackend,
 )
-from repro.parallel.sharded import DEFAULT_MIN_SHARD_ROWS
+from repro.parallel.backend import DEFAULT_MIN_SHARD_ROWS
 from repro.sampling.engine import BlockSamplingEngine
 from repro.sampling.policies import ScanAllPolicy
 from repro.storage.cost_model import DEFAULT_COST_MODEL

@@ -428,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
                              "span export to this path, validating the "
                              "schema and the queue+step tiling invariant")
     args = parser.parse_args(argv)
-    args.backend, args.workers, args.cpu_affinity = resolve_backend_args(args)
+    args.backend, args.workers = resolve_backend_args(args)
     if args.max_concurrent_steps < 1:
         parser.error("--max-concurrent-steps must be >= 1")
 

@@ -34,10 +34,13 @@ A trace file holds one JSON object per line:
 
 Parallel execution fans each sampling call's block counting — one fan-out
 per call, windows only tally rows — and the exact Scan/ground-truth passes
-out to workers, with byte-identical results: ``--backend sharded --workers
-N`` uses a persistent pool of shared-memory worker processes, ``--backend
-threads --workers N`` an in-process thread pool (no fork, no /dev/shm; the
-gather overlaps across threads, ``np.bincount`` holds the GIL).  Online serving
+out to workers, with byte-identical results.  Both worker backends share
+one fan-out and differ only in what carries a shard: ``--backend sharded
+--workers N`` a persistent pool of shared-memory worker processes,
+``--backend threads --workers N`` an in-process thread pool (no fork, no
+/dev/shm; the gather overlaps across threads, ``np.bincount`` holds the
+GIL).  Workers are left unpinned; library callers can pin them through a
+backend's constructor (``cpu_affinity=``).  Online serving
 can additionally run steps of different requests concurrently
 (``serve --async --max-concurrent-steps M``):
 
@@ -67,13 +70,7 @@ from .obs import (
     WallProfiler,
     summarize_records,
 )
-from .parallel import (
-    AFFINITY_POLICIES,
-    BACKENDS,
-    KERNEL_SPECS,
-    WORKER_BACKENDS,
-    make_backend,
-)
+from .parallel import BACKENDS, KERNEL_SPECS, WORKER_BACKENDS, make_backend
 from .serving import POLICIES, QueryRequest
 from .system import APPROACHES, MatchSession, SessionRegistry, run_approach
 from .system.visualize import render_result
@@ -95,38 +92,25 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
-def resolve_backend_args(
-    args: argparse.Namespace,
-) -> tuple[str, int | None, str | None]:
-    """Normalize ``(--backend, --workers, --cpu-affinity)`` — the one
-    backend-spec rule.
+def resolve_backend_args(args: argparse.Namespace) -> tuple[str, int | None]:
+    """Normalize ``(--backend, --workers)`` — the one backend-spec rule.
 
     Every subcommand (single run, batch, serve, serve --async) routes its
     backend choice through here: worker-carrying backends (``sharded``,
-    ``threads``) keep ``--workers`` and ``--cpu-affinity``; ``serial``
-    with either knob is ignored-with-warning rather than silently accepted
-    (or fatally rejected) — scripted callers flipping ``--backend`` should
-    not crash, but must be told their parallelism knob did nothing.
+    ``threads``) keep ``--workers``; ``serial`` with it is
+    ignored-with-warning rather than silently accepted (or fatally
+    rejected) — scripted callers flipping ``--backend`` should not crash,
+    but must be told their parallelism knob did nothing.
     """
     backend = getattr(args, "backend", "serial")
     workers = getattr(args, "workers", None)
-    cpu_affinity = getattr(args, "cpu_affinity", None)
-    if cpu_affinity == "none":
-        cpu_affinity = None
     if workers is not None and backend not in WORKER_BACKENDS:
         print(
             f"warning: --workers {workers} is ignored with --backend {backend}",
             file=sys.stderr,
         )
         workers = None
-    if cpu_affinity is not None and backend not in WORKER_BACKENDS:
-        print(
-            f"warning: --cpu-affinity {cpu_affinity} is ignored with "
-            f"--backend {backend}",
-            file=sys.stderr,
-        )
-        cpu_affinity = None
-    return backend, workers, cpu_affinity
+    return backend, workers
 
 
 def _add_batch_arguments(sub: argparse.ArgumentParser, queries_required: bool = True) -> None:
@@ -165,11 +149,6 @@ def _add_batch_arguments(sub: argparse.ArgumentParser, queries_required: bool = 
     sub.add_argument(
         "--kernel", choices=KERNEL_SPECS, default=argparse.SUPPRESS,
         help="counting kernel (default: auto; all byte-identical)",
-    )
-    sub.add_argument(
-        "--cpu-affinity", choices=AFFINITY_POLICIES, default=argparse.SUPPRESS,
-        help="pin workers to CPUs for --backend sharded/threads "
-             "(default: none)",
     )
 
 
@@ -213,12 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
              "'fused' adds a cached pair-code column (session layer), "
              "'narrow'/'classic' force a specific path — all choices "
              "produce byte-identical answers (default: auto)",
-    )
-    parser.add_argument(
-        "--cpu-affinity", choices=AFFINITY_POLICIES, default=None,
-        help="worker CPU placement for --backend sharded/threads: 'spread' "
-             "distributes workers across the CPU set, 'compact' packs them "
-             "onto the lowest CPUs; no-op where unsupported (default: none)",
     )
 
     subparsers = parser.add_subparsers(dest="command")
@@ -345,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="counting kernel (default: auto; all byte-identical)",
     )
     profile.add_argument(
-        "--cpu-affinity", choices=AFFINITY_POLICIES, default=argparse.SUPPRESS,
-        help="pin workers to CPUs for --backend sharded/threads",
-    )
-    profile.add_argument(
         "--wall", action="store_true",
         help="also sample wall-clock stacks on a background thread and "
              "print collapsed flamegraph lines",
@@ -396,7 +365,7 @@ def _run_single(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         stage1_samples=min(50_000, max(1, args.rows // 20)),
     )
 
-    backend = make_backend(args.backend, args.workers, args.cpu_affinity)
+    backend = make_backend(args.backend, args.workers)
     try:
         if args.approach == "scan":
             # The report IS the baseline; count it through the chosen
@@ -467,7 +436,7 @@ def _run_batch(args: argparse.Namespace) -> int:
         # sharded backend) serves the dataset's whole batch.
         with MatchSession(
             dataset.table, backend=args.backend, workers=args.workers,
-            kernel=args.kernel, cpu_affinity=args.cpu_affinity,
+            kernel=args.kernel,
         ) as session:
             for query_name in query_names:
                 _, query = workload_query(query_name)
@@ -668,7 +637,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     # only a subset (the flag promises the tenants exist behind the door).
     registry = SessionRegistry(
         backend=args.backend, workers=args.workers, kernel=args.kernel,
-        cpu_affinity=args.cpu_affinity, tracer=tracer,
+        tracer=tracer,
     )
     dataset_rows: dict[str, int] = {}
     tenants = dict.fromkeys(
@@ -795,8 +764,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     wall = WallProfiler(args.wall_interval_ms * 1e-3) if args.wall else None
     with MatchSession(
         dataset.table, backend=args.backend, workers=args.workers,
-        kernel=args.kernel, cpu_affinity=args.cpu_affinity,
-        profiler=profiler, tracer=tracer,
+        kernel=args.kernel, profiler=profiler, tracer=tracer,
     ) as session:
         if wall is not None:
             wall.start()
@@ -963,7 +931,7 @@ def _run_top(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.backend, args.workers, args.cpu_affinity = resolve_backend_args(args)
+    args.backend, args.workers = resolve_backend_args(args)
 
     command = getattr(args, "command", None)
     if command == "batch":

@@ -26,12 +26,15 @@ the *shuffled* layout, and any fixed subset of a random permutation is a
 uniform without-replacement sample.
 
 :class:`ExecutionBackend` is the seam all sampling routes through;
-:class:`SerialBackend` reproduces today's single-process behaviour exactly,
-:class:`ShardedBackend` is the opt-in multi-process implementation,
-:class:`ThreadPoolBackend` the in-process multi-threaded one (no fork, no
-shared memory; its threads overlap in the gather and the pair-code ufuncs,
-not in ``np.bincount``, which holds the GIL), and :func:`make_backend`
-resolves a CLI/config spec into an instance.
+:class:`SerialBackend` reproduces today's single-process behaviour exactly.
+:class:`WorkerBackend` is the one fan-out (inline floor, plan, dispatch,
+span, profile, exact merge) under two transports that differ only in how
+a list of shards is run: :class:`ShardedBackend` on a pool of processes
+over shared memory, :class:`ThreadPoolBackend` on an in-process thread
+pool (no fork, no shared memory; its threads overlap in the gather and the
+pair-code ufuncs, not in ``np.bincount``, which holds the GIL).
+:func:`make_backend` resolves a CLI/config spec into an instance; worker
+pinning (``cpu_affinity=``) is set on a transport's constructor only.
 """
 
 from .affinity import AFFINITY_POLICIES, apply_affinity, available_cpus, plan_affinity
@@ -40,6 +43,7 @@ from .backend import (
     CountSource,
     ExecutionBackend,
     SerialBackend,
+    WorkerBackend,
     count_pairs,
 )
 from .kernels import (
@@ -60,7 +64,7 @@ from .shard import Shard, ShardPlanner
 from .sharded import ShardedBackend
 from .shm import SegmentRef, SharedMemoryStore, attach_segment
 from .threaded import ThreadPoolBackend
-from .worker import ShardResult, ShardTask, count_shard
+from .worker import ShardResult, ShardTask
 
 __all__ = [
     "AFFINITY_POLICIES",
@@ -81,6 +85,7 @@ __all__ = [
     "ShardedBackend",
     "SharedMemoryStore",
     "ThreadPoolBackend",
+    "WorkerBackend",
     "WorkerPool",
     "apply_affinity",
     "attach_segment",
@@ -90,7 +95,6 @@ __all__ = [
     "choose_kernel",
     "count_codes",
     "count_pairs",
-    "count_shard",
     "count_window",
     "make_backend",
     "pair_code_dtype",
@@ -103,34 +107,25 @@ BACKENDS = ("serial", "sharded", "threads")
 
 
 def make_backend(
-    spec: str | ExecutionBackend = "serial",
-    workers: int | None = None,
-    cpu_affinity: str | None = None,
+    spec: str | ExecutionBackend = "serial", workers: int | None = None
 ) -> ExecutionBackend:
     """Resolve a backend spec (``"serial"``, ``"sharded"``, ``"threads"``,
     or an existing instance) into an :class:`ExecutionBackend`.
 
-    ``workers`` and ``cpu_affinity`` apply to the worker-carrying backends
-    only (workers default to the machine's CPU count; affinity defaults to
-    no pinning); passing either alongside an existing instance is an error
-    since the instance already fixed its pool configuration.
+    ``workers`` applies to the worker-carrying backends only (default: the
+    machine's CPU count); passing it alongside an existing instance is an
+    error since the instance already fixed its pool configuration.
     """
-    if cpu_affinity == "none":
-        cpu_affinity = None
     if isinstance(spec, ExecutionBackend):
         if workers is not None:
             raise ValueError("workers cannot be overridden on an existing backend")
-        if cpu_affinity is not None:
-            raise ValueError("cpu_affinity cannot be overridden on an existing backend")
         return spec
     if spec == "serial":
         if workers is not None:
             raise ValueError("the serial backend takes no workers")
-        if cpu_affinity is not None:
-            raise ValueError("the serial backend takes no cpu_affinity")
         return SerialBackend()
     if spec == "sharded":
-        return ShardedBackend(workers, cpu_affinity=cpu_affinity)
+        return ShardedBackend(workers)
     if spec == "threads":
-        return ThreadPoolBackend(workers, cpu_affinity=cpu_affinity)
+        return ThreadPoolBackend(workers)
     raise ValueError(f"backend must be one of {BACKENDS}, got {spec!r}")

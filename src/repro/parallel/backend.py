@@ -11,16 +11,15 @@
   cells of a set of blocks (gather + filter + count) for the block sampling
   engine: one window's blocks, or every block a sampling call delivered
   when the engine defers the count to the call's end (always, on a backend
-  that :attr:`~ExecutionBackend.fans_out`).  This is where
-  :class:`ShardedBackend <repro.parallel.sharded.ShardedBackend>` fans work
-  out to its pool.  Simulated I/O is not the backend's business — the
-  engine accounts it, once per window.
+  that :attr:`~ExecutionBackend.fans_out`).  This is where a
+  :class:`WorkerBackend` fans work out to its workers.  Simulated I/O is
+  not the backend's business — the engine accounts it, once per window.
 - **table level** — :meth:`count_table` computes the exact
   ``(candidate, group)`` counts of a *whole* table in one pass.  The exact
   Scan baseline and the ground-truth computation both reduce to this, and
-  both are embarrassingly shardable: the sharded backend partitions the
-  rows, counts per shard, and merges by exact integer addition, so the
-  result is byte-identical to the serial pass.
+  both are embarrassingly shardable: a worker backend partitions the rows,
+  counts per shard, and merges by exact integer addition, so the result is
+  byte-identical to the serial pass.
 
 Backends also expose :meth:`unpublish`, the cache-eviction hook: when a
 serving session evicts prepared artifacts, the backend releases whatever
@@ -29,10 +28,15 @@ shared-memory segments).
 
 :class:`SerialBackend` implements both levels with exactly the code the
 engine ran before the seam existed, so it *is* today's behaviour.
+:class:`WorkerBackend` is the one fan-out both worker transports share
+(plan → dispatch → span → profile → merge); a transport supplies only how
+a list of shards is run.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -41,7 +45,9 @@ import numpy as np
 
 from ..obs.profiler import NULL_PROFILER
 from ..obs.tracer import NULL_TRACER
+from ..storage.blocks import BlockLayout
 from ..storage.shuffle import ShuffledTable
+from .affinity import AFFINITY_POLICIES
 from .kernels import (
     KernelChoice,
     _count_pairs_moved,
@@ -49,18 +55,34 @@ from .kernels import (
     count_pairs,
     count_window,
 )
+from .merge import ShardMerger
+from .shard import Shard, ShardPlanner
+from .worker import ShardResult
 
 __all__ = [
+    "DEFAULT_MIN_SHARD_ROWS",
+    "EXACT_PASS_BLOCK_ROWS",
     "WORKER_BACKENDS",
     "CountSource",
     "ExecutionBackend",
     "SerialBackend",
+    "WorkerBackend",
     "count_pairs",
+    "exact_pass_source",
 ]
 
 #: The backends that count on workers (and for which ``workers`` is
 #: meaningful; serial takes none).
 WORKER_BACKENDS = ("sharded", "threads")
+
+#: Below this many rows per average shard, inline counting beats a fan-out.
+DEFAULT_MIN_SHARD_ROWS = 8192
+
+#: Synthetic block size used to shard whole-table exact-counting passes
+#: (Scan baseline, ground truth).  Any value partitions the rows exactly;
+#: this one keeps per-shard task payloads small while giving the planner
+#: enough blocks to balance.
+EXACT_PASS_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -101,6 +123,20 @@ class CountSource:
                     self.kernel, self.num_candidates, self.num_groups, self.codes
                 ),
             )
+
+
+def exact_pass_source(
+    table, z_name, x_name, num_candidates, num_groups, profiler
+) -> tuple[CountSource, np.ndarray]:
+    """A whole table as an unfiltered count source under the synthetic
+    exact-pass layout, with all of its blocks: what a fan-out of an exact
+    pass counts."""
+    layout = BlockLayout(table.num_rows, EXACT_PASS_BLOCK_ROWS)
+    source = CountSource(
+        ShuffledTable(table, layout), z_name, x_name, num_candidates, num_groups,
+        None, profiler,
+    )
+    return source, np.arange(layout.num_blocks, dtype=np.int64)
 
 
 class ExecutionBackend(ABC):
@@ -266,3 +302,184 @@ class SerialBackend(ExecutionBackend):
 
     def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
         return self._count_inline(source, blocks, "serial.count")
+
+
+class WorkerBackend(ExecutionBackend):
+    """Counting fanned out to ``n_workers`` workers, whatever carries it.
+
+    Owns everything the transports share: the inline floor, task-id
+    allocation, the ``backend.window`` / ``backend.table`` span, the
+    ``{name}.window`` / ``{name}.table`` profile row (worker-side
+    nanoseconds from :attr:`ShardResult.elapsed_ns`) and the exact merge.
+    A transport implements :meth:`_run_shards`, and may re-plan with
+    :meth:`plan_shards`.  Shards partition the same rows the serial path
+    counts and are merged by exact integer addition, so every result is
+    byte-identical to serial execution.
+
+    Every public method is safe to call from multiple threads at once — a
+    backend is shared by all sessions of a registry, and concurrent steps
+    hit it concurrently.
+
+    Parameters
+    ----------
+    n_workers:
+        Worker count (default: the machine's CPU count).  Workers are
+        started lazily, on the first count large enough to shard.
+    min_shard_rows:
+        Minimum average rows per worker worth a round trip; block sets
+        below ``n_workers * min_shard_rows`` rows are counted inline with
+        the identical kernel.  Set to 0 to force every count through the
+        workers, even single-shard ones (equivalence tests, ``--tiny``
+        benchmarks).
+    cpu_affinity:
+        Optional worker-placement policy (``"spread"`` / ``"compact"``, see
+        :mod:`~repro.parallel.affinity`): each worker pins itself to one CPU
+        when it starts.  Best-effort — a no-op on platforms without
+        :func:`os.sched_setaffinity`.
+    """
+
+    def __init__(
+        self,
+        n_workers: int | None = None,
+        *,
+        min_shard_rows: int = DEFAULT_MIN_SHARD_ROWS,
+        cpu_affinity: str | None = None,
+    ) -> None:
+        resolved = n_workers if n_workers is not None else (os.cpu_count() or 1)
+        if resolved < 1:
+            raise ValueError(f"n_workers must be >= 1, got {resolved}")
+        if min_shard_rows < 0:
+            raise ValueError(f"min_shard_rows must be >= 0, got {min_shard_rows}")
+        if cpu_affinity is not None and cpu_affinity not in AFFINITY_POLICIES:
+            raise ValueError(
+                f"cpu_affinity must be one of {AFFINITY_POLICIES}, got {cpu_affinity!r}"
+            )
+        self.n_workers = resolved
+        self.min_shard_rows = min_shard_rows
+        self.cpu_affinity = cpu_affinity
+        self.shard_tasks = 0
+        self.inline_windows = 0
+        self.closed = False
+        # Serializes bookkeeping (counters, task-id allocation, the
+        # transport's lazily started workers) under concurrent steps; the
+        # shards themselves run outside it, so concurrent calls overlap.
+        self._lock = threading.Lock()
+
+    def plan_shards(
+        self, blocks: np.ndarray, layout: BlockLayout, total_rows: int, cells: int
+    ) -> list[Shard]:
+        """Row-balanced contiguous shards, one per worker."""
+        return ShardPlanner(self.n_workers).plan(blocks, layout)
+
+    @abstractmethod
+    def _run_shards(
+        self,
+        source: CountSource,
+        shards: list[Shard],
+        base_id: int,
+        table_filter: np.ndarray | None,
+    ) -> list[ShardResult]:
+        """Count every shard on the workers; results in shard order, shard
+        ``i`` under task id ``base_id + i``.  ``table_filter`` is an exact
+        pass's row mask (``source.row_filter`` is then ``None``)."""
+
+    def _below_floor(self, rows: int) -> bool:
+        return rows < max(1, self.n_workers * self.min_shard_rows)
+
+    def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
+        total_rows = int(source.shuffled.layout.rows_per_block(blocks).sum())
+        if self._below_floor(total_rows):
+            # Same kernel, same rows, no round trip (and no shard planning —
+            # the plan would be discarded).
+            with self._lock:
+                self.inline_windows += 1
+            if self.tracer.enabled:
+                self.tracer.event("backend.inline", backend=self.name, rows=total_rows)
+            return self._count_inline(source, blocks, f"{self.name}.inline")
+        return self._fan_out(source, blocks, total_rows, "window")
+
+    def count_table(
+        self,
+        table,
+        z_name: str,
+        x_name: str,
+        num_candidates: int,
+        num_groups: int,
+        row_filter: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Exact whole-table counts, sharded across the workers.
+
+        The rows are partitioned under a synthetic block layout
+        (:func:`exact_pass_source`) and every shard is counted by the same
+        kernel the sampling path uses; below the floor the serial pass runs.
+        """
+        if self._below_floor(table.num_rows):
+            return super().count_table(
+                table, z_name, x_name, num_candidates, num_groups, row_filter
+            )
+        source, blocks = exact_pass_source(
+            table, z_name, x_name, num_candidates, num_groups, self.profiler
+        )
+        return self._fan_out(source, blocks, table.num_rows, "table", row_filter)
+
+    def _fan_out(
+        self,
+        source: CountSource,
+        blocks: np.ndarray,
+        total_rows: int,
+        kind: str,
+        table_filter: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Plan shards, run them on the transport, merge exactly."""
+        traced = self.tracer.enabled
+        wall0 = float(time.monotonic_ns()) if traced else 0.0
+        shards = self.plan_shards(
+            blocks, source.shuffled.layout, total_rows,
+            source.num_candidates * source.num_groups,
+        )
+        # Task ids are unique across the backend's lifetime and advance
+        # before the run, even if it fails: neither a failed call's
+        # stragglers nor a concurrent call of another tenant can be
+        # mistaken for this call's shards.
+        with self._lock:
+            base_id = self.shard_tasks
+            self.shard_tasks += len(shards)
+        results = self._run_shards(source, shards, base_id, table_filter)
+        shard_ns = [result.elapsed_ns for result in results]
+        if traced:
+            self.tracer.span_at(
+                f"backend.{kind}",
+                wall0,
+                float(time.monotonic_ns()),
+                clock="monotonic",
+                backend=self.name,
+                shards=len(shards),
+                rows=total_rows,
+                shard_ns_max=max(shard_ns),
+                shard_ns_mean=sum(shard_ns) / len(shard_ns),
+            )
+        if source.profiler.enabled:
+            # Worker-side kernel nanoseconds, not the coordinator's wait —
+            # dispatch and queueing show up in the trace span instead, so
+            # the two views stay distinguishable.
+            source.profiler.record_kernel(
+                f"{self.name}.{kind}",
+                float(sum(shard_ns)),
+                rows=sum(result.rows for result in results),
+                blocks=int(blocks.size),
+                nbytes=sum(result.moved_bytes for result in results),
+                bincounts=len(shards),
+            )
+        exact = source.row_filter is None and source.codes is None and table_filter is None
+        return ShardMerger(source.num_candidates, source.num_groups).merge(
+            results, shards, exact=exact
+        )
+
+    def describe(self) -> dict:
+        return {
+            "backend": self.name,
+            "workers": self.n_workers,
+            "min_shard_rows": self.min_shard_rows,
+            "shard_tasks": self.shard_tasks,
+            "cpu_affinity": self.cpu_affinity or "none",
+        }

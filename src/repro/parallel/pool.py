@@ -78,6 +78,9 @@ class WorkerPool:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if result_timeout_s <= 0:
             raise ValueError(f"result_timeout_s must be positive, got {result_timeout_s}")
+        # Planned (and so validated) before any process starts: a bad policy
+        # must not leave workers behind.
+        cpusets = plan_affinity(cpu_affinity, n_workers)
         self.n_workers = n_workers
         self.start_method = start_method or default_start_method()
         self.result_timeout_s = result_timeout_s
@@ -119,7 +122,6 @@ class WorkerPool:
         ]
         for worker in self._workers:
             worker.start()
-        cpusets = plan_affinity(cpu_affinity, n_workers)
         if cpusets:
             for worker, cpuset in zip(self._workers, cpusets):
                 if worker.pid is not None and apply_affinity(worker.pid, cpuset):

@@ -1,7 +1,7 @@
-"""The thread-pool execution backend: no fork, no shm, and mostly the GIL.
+"""The thread-pool transport: no fork, no shm, and mostly the GIL.
 
-:class:`ThreadPoolBackend` implements the full
-:class:`~repro.parallel.backend.ExecutionBackend` surface over a
+:class:`ThreadPoolBackend` is a :class:`~repro.parallel.backend.WorkerBackend`
+whose workers are the threads of a
 :class:`concurrent.futures.ThreadPoolExecutor`.  What overlaps between
 threads counting different shards is the part of the kernel that releases
 the GIL: the gather (fancy-index / slice copies of the shard's rows) and
@@ -13,48 +13,37 @@ from about half a million rows *per call* and passes it near 4M (1.0x at
 --rows-per-call``), sizes no sampling window has — which is why the
 sampling engine hands a worker backend a whole call's blocks at once.
 
-Compared to the process-based :class:`~repro.parallel.sharded.ShardedBackend`:
+Compared to the process transport
+(:class:`~repro.parallel.sharded.ShardedBackend`):
 
 - **no fork, no /dev/shm** — workers are threads in the coordinator's own
   address space, so the backend works on fork-unfriendly platforms
   (macOS/Windows spawn, embedded interpreters) and needs no shared-memory
-  publication, pinning, or epoch GC;
-- **zero serialization** — shards see the coordinator's columns directly;
-  there is no task pickling and no per-dataset publish step, so the
-  backend has no warm-up cliff;
+  publication or epoch GC;
+- **zero serialization** — shards see the coordinator's columns (and an
+  exact pass's whole row mask) directly; there is no task pickling and no
+  per-dataset publish step, so the backend has no warm-up cliff;
 - **natural fit for concurrent steps** — when a front door runs steps of
   different sessions concurrently (``max_concurrent_steps > 1``), each
   step's counts fan out into one shared executor; thread workers compose
   with that, where a per-session process pool would multiply.
 
 Shards are bounded (:data:`MAX_SHARD_ROWS`), so a large call becomes more
-shards than workers rather than larger ones.  The arithmetic is the same
-:func:`~repro.parallel.kernels.count_window` kernel over the same row
-partition with the same exact integer merge
-(:class:`~repro.parallel.merge.ShardMerger`), so results are byte-identical
-to serial execution.
-
-Every public method is safe to call from multiple threads at once — the
-backend is shared by all sessions of a registry, and concurrent steps hit
-it concurrently.
+shards than workers rather than larger ones.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..storage.blocks import BlockLayout
-from .affinity import AFFINITY_POLICIES, apply_affinity, plan_affinity
-from .backend import CountSource, ExecutionBackend
+from .affinity import apply_affinity, plan_affinity
+from .backend import CountSource, WorkerBackend
 from .kernels import count_window
-from .merge import ShardMerger
 from .shard import Shard, ShardPlanner
-from .sharded import DEFAULT_MIN_SHARD_ROWS, exact_pass_source
 from .worker import ShardResult
 
 __all__ = ["ThreadPoolBackend"]
@@ -69,52 +58,31 @@ __all__ = ["ThreadPoolBackend"]
 MAX_SHARD_ROWS = 262_144
 
 
-class ThreadPoolBackend(ExecutionBackend):
+def _timed_count(task_id: int, *args, **kwargs) -> ShardResult:
+    """One shard's :func:`count_window`, timed on the thread that runs it."""
+    started = time.perf_counter_ns()
+    counts, moved = count_window(*args, **kwargs)
+    return ShardResult(
+        task_id=task_id,
+        counts=counts,
+        rows=int(counts.sum()),
+        elapsed_ns=float(time.perf_counter_ns() - started),
+        moved_bytes=moved,
+    )
+
+
+class ThreadPoolBackend(WorkerBackend):
     """In-process multi-threaded counting behind the backend seam.
 
-    Parameters
-    ----------
-    n_workers:
-        Thread count (default: the machine's CPU count).  The executor is
-        created lazily on the first count large enough to shard.
-    min_shard_rows:
-        Minimum average rows per worker worth a hop to the executor; block
-        sets below ``n_workers * min_shard_rows`` rows are counted inline
-        with the identical kernel.  Set to 0 to force every count through
-        the executor (equivalence tests, ``--tiny`` benchmarks).
-    cpu_affinity:
-        Optional worker-placement policy (``"spread"`` / ``"compact"``, see
-        :mod:`~repro.parallel.affinity`): each executor thread pins itself
-        to one CPU at startup.  Best-effort — a no-op on platforms without
-        :func:`os.sched_setaffinity`.
+    Takes :class:`~repro.parallel.backend.WorkerBackend`'s arguments; the
+    executor is created on the first count large enough to shard.
     """
 
     name = "threads"
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        *,
-        min_shard_rows: int = DEFAULT_MIN_SHARD_ROWS,
-        cpu_affinity: str | None = None,
-    ) -> None:
-        resolved = n_workers if n_workers is not None else (os.cpu_count() or 1)
-        if resolved < 1:
-            raise ValueError(f"n_workers must be >= 1, got {resolved}")
-        if min_shard_rows < 0:
-            raise ValueError(f"min_shard_rows must be >= 0, got {min_shard_rows}")
-        if cpu_affinity is not None and cpu_affinity not in AFFINITY_POLICIES:
-            raise ValueError(
-                f"cpu_affinity must be one of {AFFINITY_POLICIES}, got {cpu_affinity!r}"
-            )
-        self.n_workers = resolved
-        self.min_shard_rows = min_shard_rows
-        self.cpu_affinity = cpu_affinity
+    def __init__(self, n_workers: int | None = None, **options) -> None:
+        super().__init__(n_workers, **options)
         self.affinity_applied = 0
-        self.shard_tasks = 0
-        self.inline_windows = 0
-        self.closed = False
-        self._lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
         self._affinity_next = 0
 
@@ -163,134 +131,38 @@ class ThreadPoolBackend(ExecutionBackend):
         bounded = min(-(-total_rows // MAX_SHARD_ROWS), total_rows // cells)
         return ShardPlanner(max(self.n_workers, bounded)).plan(blocks, layout)
 
-    def _count_sharded(
+    def _run_shards(
         self,
         source: CountSource,
-        blocks: np.ndarray,
-        total_rows: int,
-        span_name: str = "backend.window",
-    ) -> np.ndarray:
-        """Plan shards, count each on the executor, merge exactly.
-
-        Threads read the coordinator's arrays directly — no refs, no
-        copies.  Shard ids are allocated under the lock so concurrent
-        callers (steps of different sessions) never collide.
-        """
-        profiler = source.profiler
-        traced = self.tracer.enabled
-        wall0 = float(time.monotonic_ns()) if traced else 0.0
-        started = time.perf_counter_ns() if profiler.enabled else 0
-        layout = source.shuffled.layout
-        shards = self.plan_shards(
-            blocks, layout, total_rows, source.num_candidates * source.num_groups
-        )
-        with self._lock:
-            base_id = self.shard_tasks
-            self.shard_tasks += len(shards)
+        shards: list[Shard],
+        base_id: int,
+        table_filter: np.ndarray | None,
+    ) -> list[ShardResult]:
+        """Threads read the coordinator's arrays directly — no refs, no
+        copies; an exact pass's mask goes to every shard whole."""
         executor = self.executor
         table = source.shuffled.table
         z, x = table.column(source.z_name), table.column(source.x_name)
+        row_filter = source.row_filter if table_filter is None else table_filter
         futures = [
             executor.submit(
-                count_window,
+                _timed_count,
+                base_id + shard.index,
                 z,
                 x,
                 shard.blocks,
-                layout,
+                source.shuffled.layout,
                 source.num_candidates,
                 source.num_groups,
-                row_filter=source.row_filter,
+                row_filter=row_filter,
                 codes=source.codes,
                 kernel=source.kernel,
             )
             for shard in shards
         ]
-        results = []
-        for i, future in enumerate(futures):
-            counts, moved = future.result()
-            results.append(
-                ShardResult(
-                    task_id=base_id + i,
-                    counts=counts,
-                    rows=int(counts.sum()),
-                    moved_bytes=moved,
-                )
-            )
-        merger = ShardMerger(source.num_candidates, source.num_groups)
-        merged = merger.merge(
-            results, shards, exact=source.row_filter is None and source.codes is None
-        )
-        counted = sum(result.rows for result in results)
-        if profiler.enabled:
-            profiler.record_kernel(
-                "threads.shards",
-                float(time.perf_counter_ns() - started),
-                rows=counted,
-                blocks=int(blocks.size),
-                nbytes=sum(result.moved_bytes for result in results),
-                bincounts=len(shards),
-            )
-        if traced:
-            self.tracer.span_at(
-                span_name,
-                wall0,
-                float(time.monotonic_ns()),
-                clock="monotonic",
-                backend=self.name,
-                shards=len(shards),
-                rows=counted,
-            )
-        return merged
-
-    def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
-        total_rows = int(source.shuffled.layout.rows_per_block(blocks).sum())
-        if total_rows < max(1, self.n_workers * self.min_shard_rows):
-            # Inline fallback: same kernel, same rows, no executor hop.
-            with self._lock:
-                self.inline_windows += 1
-            return self._count_inline(source, blocks, "threads.inline")
-        return self._count_sharded(source, blocks, total_rows)
-
-    # ------------------------------------------------------------ table level
-
-    def count_table(
-        self,
-        table,
-        z_name: str,
-        x_name: str,
-        num_candidates: int,
-        num_groups: int,
-        row_filter: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Exact whole-table counts, sharded across the executor.
-
-        Rows are partitioned under a synthetic block layout and counted by
-        the same kernel as the sampling path; exact integer sums over the
-        disjoint partition keep the merged matrix byte-identical to the
-        serial pass.
-        """
-        num_rows = table.num_rows
-        if num_rows < max(1, self.n_workers * self.min_shard_rows):
-            return super().count_table(
-                table, z_name, x_name, num_candidates, num_groups, row_filter
-            )
-        source, blocks = exact_pass_source(
-            table, z_name, x_name, num_candidates, num_groups, row_filter,
-            self.profiler,
-        )
-        return self._count_sharded(source, blocks, num_rows, "backend.table")
+        return [future.result() for future in futures]
 
     # --------------------------------------------------------------- lifecycle
-
-    def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "workers": self.n_workers,
-            "min_shard_rows": self.min_shard_rows,
-            "shard_tasks": self.shard_tasks,
-            "cpu_affinity": self.cpu_affinity or "none",
-            "affinity_applied": self.affinity_applied,
-        }
 
     def close(self) -> None:
         """Shut the executor down.  Idempotent."""

@@ -1,10 +1,11 @@
 """Worker-side execution: count one shard's ``(candidate, group)`` pairs.
 
-The counting kernel is a pure function shared by three callers — pool
-workers (over shared-memory views), the sharded backend's small-window
-fallback (over the coordinator's own columns), and tests — so there is
-exactly one implementation of the arithmetic whose exactness the
-byte-identity guarantee rests on.
+A pool worker runs the same pure kernel,
+:func:`~repro.parallel.kernels.count_window`, as the serial backend, the
+worker backends' inline path and the thread transport — over shared-memory
+views instead of the coordinator's own columns — so there is exactly one
+implementation of the arithmetic whose exactness the byte-identity
+guarantee rests on.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..storage.blocks import BlockLayout
 from .kernels import KernelChoice, count_window
 from .shm import SegmentRef, attach_segment
 
-__all__ = ["ShardTask", "ShardResult", "count_shard", "worker_loop"]
+__all__ = ["ShardTask", "ShardResult", "worker_loop"]
 
 
 @dataclass(frozen=True)
@@ -71,49 +72,13 @@ class ShardResult:
     cached_attachments: int = 0
     #: Worker-side execution time of this shard (``perf_counter_ns`` delta,
     #: attach + gather + count; queue time excluded).  Observability only —
-    #: merging ignores it; the sharded backend folds it into its
-    #: ``backend.window`` span attributes.
+    #: merging ignores it; the worker backends fold it into their
+    #: ``backend.window`` span attributes and profile rows.
     elapsed_ns: float = 0.0
     #: Bytes the counting kernel materialized for this shard (see
     #: :func:`~repro.parallel.kernels.count_window`).  Observability only;
     #: the coordinator sums it into the profiler's ``nbytes``.
     moved_bytes: int = 0
-
-
-def count_shard(
-    z: np.ndarray,
-    x: np.ndarray,
-    blocks: np.ndarray,
-    layout: BlockLayout,
-    num_candidates: int,
-    num_groups: int,
-    row_filter: np.ndarray | None = None,
-    filter_slice: np.ndarray | None = None,
-    codes: np.ndarray | None = None,
-    kernel: str = "auto",
-) -> np.ndarray:
-    """Count ``(z, x)`` pairs of the rows covered by ``blocks``.
-
-    Identical arithmetic to the serial engine's delivery path — a thin
-    wrapper over :func:`~repro.parallel.kernels.count_window` that keeps the
-    historical signature for pool workers and tests.
-
-    The filter comes either as ``row_filter`` (a full-table mask indexed by
-    the gathered rows) or ``filter_slice`` (a mask already aligned to the
-    shard's rows in block order) — mutually exclusive, same arithmetic.
-    """
-    return count_window(
-        z,
-        x,
-        blocks,
-        layout,
-        num_candidates,
-        num_groups,
-        row_filter=row_filter,
-        filter_slice=filter_slice,
-        codes=codes,
-        kernel=kernel,
-    )[0]
 
 
 def _gc_attachments(task: ShardTask, attachments: dict, state: dict) -> None:

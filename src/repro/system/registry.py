@@ -64,9 +64,6 @@ class SessionRegistry:
         Default counting-kernel spec for every session
         (:data:`~repro.parallel.KERNEL_SPECS`; overridable per
         :meth:`add_dataset` call).  All kernels are byte-identical.
-    cpu_affinity:
-        Optional worker-placement policy (``"spread"`` / ``"compact"``) for
-        a worker-carrying backend created from a string spec.
     clock:
         Shared :class:`Clock` for all sessions (default: a fresh
         :class:`SimulatedClock`).
@@ -86,7 +83,6 @@ class SessionRegistry:
         backend: str | ExecutionBackend = "serial",
         workers: int | None = None,
         kernel: str = "auto",
-        cpu_affinity: str | None = None,
         clock: Clock | None = None,
         max_cached_bytes: int | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
@@ -99,7 +95,7 @@ class SessionRegistry:
             raise ValueError(f"max_cached_bytes must be >= 1, got {max_cached_bytes}")
         self.clock = clock if clock is not None else SimulatedClock()
         self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = make_backend(backend, workers, cpu_affinity)
+        self.backend = make_backend(backend, workers)
         self.kernel = kernel
         #: Shared tracer for every tenant's spans (sessions inherit it, and
         #: the shared backend's fan-out windows report into it too).

@@ -377,10 +377,6 @@ class MatchSession:
         in the prepared-artifact layer, so window counting — filtered or
         not — degenerates to take + bincount at the memory cost of one
         narrow column.
-    cpu_affinity:
-        Optional worker-placement policy (``"spread"`` / ``"compact"``) for
-        a worker-carrying backend created from a string spec; see
-        :mod:`~repro.parallel.affinity`.
     clock:
         The :class:`~repro.system.clock.Clock` every job of this session
         charges (default: a fresh :class:`SimulatedClock`).  A
@@ -429,7 +425,6 @@ class MatchSession:
         backend: str | ExecutionBackend = "serial",
         workers: int | None = None,
         kernel: str = "auto",
-        cpu_affinity: str | None = None,
         clock: Clock | None = None,
         policy: str = "rr",
         max_cached_queries: int | None = None,
@@ -452,7 +447,7 @@ class MatchSession:
         self.audit = audit
         self.kernel = kernel
         self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = make_backend(backend, workers, cpu_affinity)
+        self.backend = make_backend(backend, workers)
         self.clock = clock if clock is not None else SimulatedClock()
         #: Observability: spans for this session's jobs, cache events, and
         #: (when the session owns its backend) backend fan-out windows.

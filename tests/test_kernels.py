@@ -41,7 +41,6 @@ from repro.parallel import (
     check_pair_codes,
     choose_kernel,
     count_codes,
-    count_shard,
     count_window,
     make_backend,
     pair_code_dtype,
@@ -325,14 +324,14 @@ class TestCountWindowIdentity:
         assert narrow < 0.3 * classic  # no row-index array, no int64 upcast
         assert fused < narrow  # one narrow column instead of two
 
-    def test_count_shard_wrapper_backward_compatible(self):
+    def test_default_kernel_matches_the_legacy_reference(self):
         layout = BlockLayout(num_rows=320, block_size=32)
         rng = np.random.default_rng(2)
         z = rng.integers(0, 5, size=320)
         x = rng.integers(0, 3, size=320)
         blocks = np.arange(10, dtype=np.int64)
         np.testing.assert_array_equal(
-            count_shard(z, x, blocks, layout, 5, 3),
+            count_window(z, x, blocks, layout, 5, 3)[0],
             legacy_reference(z, x, blocks, layout, 5, 3),
         )
 
@@ -915,6 +914,9 @@ class TestPairCodeCache:
 
 
 class TestAffinity:
+    def test_policy_tuple_is_canonical(self):
+        assert AFFINITY_POLICIES == ("none", "spread", "compact")
+
     def test_none_disables(self):
         assert plan_affinity(None, 4) is None
         assert plan_affinity("none", 4) is None
@@ -984,35 +986,3 @@ class TestAffinity:
             ThreadPoolBackend(2, cpu_affinity="diagonal")
         with pytest.raises(ValueError):
             plan_affinity("diagonal", 2, (0, 1))
-
-
-class TestMakeBackendAffinity:
-    def test_policy_tuple_is_canonical(self):
-        assert AFFINITY_POLICIES == ("none", "spread", "compact")
-
-    def test_none_string_normalized(self):
-        backend = make_backend("threads", 2, "none")
-        try:
-            assert backend.cpu_affinity is None
-        finally:
-            backend.close()
-
-    def test_serial_rejects_affinity(self):
-        with pytest.raises(ValueError):
-            make_backend("serial", None, "spread")
-
-    def test_instance_rejects_affinity_override(self):
-        backend = ShardedBackend(2)
-        try:
-            with pytest.raises(ValueError):
-                make_backend(backend, None, "spread")
-        finally:
-            backend.close()
-
-    def test_worker_backends_accept_affinity(self):
-        for spec in ("threads", "sharded"):
-            backend = make_backend(spec, 2, "compact")
-            try:
-                assert backend.describe()["cpu_affinity"] == "compact"
-            finally:
-                backend.close()

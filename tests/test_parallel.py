@@ -1,8 +1,10 @@
 """Unit tests for the sharded execution subsystem's building blocks:
-planner, shared-memory store, worker kernel, pool, and merger."""
+planner, shared-memory store, worker kernel, pool, and merger, and the
+worker-backend contract both transports hold."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,20 +18,24 @@ from hypothesis import strategies as st
 
 import repro
 
+from repro.obs import Profiler, Tracer
 from repro.parallel import (
+    CountSource,
     SegmentRef,
     Shard,
     ShardMerger,
     ShardPlanner,
     ShardedBackend,
     SharedMemoryStore,
+    ThreadPoolBackend,
     WorkerPool,
-    count_shard,
+    count_window,
     make_backend,
 )
-from repro.parallel.backend import SerialBackend
+from repro.parallel.backend import DEFAULT_MIN_SHARD_ROWS, SerialBackend
 from repro.parallel.worker import ShardResult, ShardTask
 from repro.storage.blocks import BlockLayout
+from repro.storage.shuffle import ShuffledTable
 
 
 def shm_files() -> set[str]:
@@ -233,7 +239,7 @@ class TestCountShard:
         x = rng.integers(0, g, n).astype(np.uint8)
         layout = BlockLayout(n, 32)
         blocks = np.arange(layout.num_blocks, dtype=np.int64)
-        counts = count_shard(z, x, blocks, layout, c, g)
+        counts = count_window(z, x, blocks, layout, c, g)[0]
         expected = np.bincount(
             z.astype(np.int64) * g + x, minlength=c * g
         ).reshape(c, g)
@@ -248,7 +254,7 @@ class TestCountShard:
         keep = rng.random(n) < 0.5
         layout = BlockLayout(n, 64)
         blocks = np.array([0, 2, layout.num_blocks - 1], dtype=np.int64)
-        counts = count_shard(z, x, blocks, layout, c, g, row_filter=keep)
+        counts = count_window(z, x, blocks, layout, c, g, row_filter=keep)[0]
         rows = layout.rows_of_blocks(blocks)
         kept = rows[keep[rows]]
         expected = np.bincount(
@@ -380,6 +386,16 @@ class TestWorkerPool:
         with pytest.raises(ValueError):
             WorkerPool(0)
 
+    def test_bad_affinity_starts_no_process(self):
+        """An unknown pinning policy is refused before any worker starts,
+        by the backend's constructor and by the pool's own."""
+        before = len(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="cpu_affinity"):
+            ShardedBackend(2, cpu_affinity="bogus")
+        with pytest.raises(ValueError, match="cpu_affinity"):
+            WorkerPool(2, cpu_affinity="bogus")
+        assert len(multiprocessing.active_children()) == before
+
     def test_close_stops_workers(self):
         p = WorkerPool(1)
         assert p.alive_workers == 1
@@ -476,15 +492,6 @@ class TestMakeBackend:
         backend = make_backend()
         assert isinstance(backend, SerialBackend)
         assert backend.describe() == {"backend": "serial"}
-
-    def test_sharded_with_workers(self):
-        backend = make_backend("sharded", workers=3)
-        try:
-            assert isinstance(backend, ShardedBackend)
-            assert backend.n_workers == 3
-            assert backend.describe()["workers"] == 3
-        finally:
-            backend.close()
 
     def test_sharded_backend_respawns_a_dead_pool(self):
         backend = ShardedBackend(1, min_shard_rows=0)
@@ -667,7 +674,7 @@ class TestAttachmentGC:
 
 
 # ---------------------------------------------------------------------------
-# ThreadPoolBackend
+# WorkerBackend contract (threads and sharded) and ThreadPoolBackend
 # ---------------------------------------------------------------------------
 
 
@@ -683,41 +690,162 @@ def fake_table(n: int, c: int, g: int, seed: int):
     return SimpleNamespace(num_rows=n, column=columns.__getitem__)
 
 
-class TestThreadPoolBackend:
-    def test_count_table_matches_serial(self):
-        from repro.parallel import ThreadPoolBackend
+def table_source(table, c: int, g: int, **fields) -> CountSource:
+    """``table`` in 256-row blocks, as an engine's count source."""
+    return CountSource(
+        shuffled=ShuffledTable(table, BlockLayout(table.num_rows, 256)),
+        z_name="z", x_name="x", num_candidates=c, num_groups=g, row_filter=None,
+        **fields,
+    )
 
-        table = fake_table(5000, 6, 4, seed=7)
-        keep = np.random.default_rng(8).random(5000) < 0.5
-        serial = SerialBackend().count_table(table, "z", "x", 6, 4, keep)
-        backend = ThreadPoolBackend(3, min_shard_rows=0)
-        try:
-            counts = backend.count_table(table, "z", "x", 6, 4, keep)
-            np.testing.assert_array_equal(counts, serial)
-            assert backend.shard_tasks > 0  # really went through the executor
-        finally:
-            backend.close()
 
-    def test_small_tables_stay_inline(self):
-        from repro.parallel import ThreadPoolBackend
+def kernel_rows(profiler: Profiler) -> dict:
+    """The profiler's kernel rows by label, whatever stage they landed in."""
+    return {
+        label: stats
+        for kernels in profiler.snapshot().kernels.values()
+        for label, stats in kernels.items()
+    }
 
-        table = fake_table(256, 4, 3, seed=9)
-        serial = SerialBackend().count_table(table, "z", "x", 4, 3)
-        backend = ThreadPoolBackend(2)  # default min_shard_rows threshold
-        try:
-            counts = backend.count_table(table, "z", "x", 4, 3)
-            np.testing.assert_array_equal(counts, serial)
+
+@pytest.fixture(params=[ThreadPoolBackend, ShardedBackend], ids=["threads", "sharded"])
+def transport(request):
+    return request.param
+
+
+class TestWorkerBackendContract:
+    """What ``WorkerBackend`` promises, held by each transport: the same
+    floor, fan-out, telemetry and exact merge, whatever carries a shard."""
+
+    def test_below_the_floor_counts_inline(self, transport):
+        table = fake_table(2000, 5, 3, seed=1)
+        source = table_source(table, 5, 3)
+        blocks = np.arange(source.shuffled.layout.num_blocks, dtype=np.int64)
+        expected = SerialBackend().count_blocks(source, blocks)
+        tracer = Tracer()
+        with transport(2) as backend:  # the default floor: 16,384 rows
+            backend.set_tracer(tracer)
+            counts = backend.count_blocks(source, blocks)
+            table_counts = backend.count_table(table, "z", "x", 5, 3)
+            assert backend.inline_windows == 1
             assert backend.shard_tasks == 0
-            assert backend._executor is None  # never even spun up
-        finally:
-            backend.close()
+            # Never even spun up.
+            assert getattr(backend, "_executor", None) is None
+            assert getattr(backend, "_pool", None) is None
+        np.testing.assert_array_equal(counts, expected)
+        np.testing.assert_array_equal(
+            table_counts, SerialBackend().count_table(table, "z", "x", 5, 3)
+        )
+        inline = [r for r in tracer.records() if r.name == "backend.inline"]
+        assert [(r.kind, r.attrs["backend"], r.attrs["rows"]) for r in inline] == [
+            ("event", transport.name, 2000)
+        ]
 
+    def test_above_the_floor_fans_out_once(self, transport):
+        table = fake_table(5000, 6, 4, seed=7)
+        source = table_source(table, 6, 4, profiler=Profiler())
+        layout = source.shuffled.layout
+        blocks = np.array([0, 2, 3, 5, 8, 11, 14, 15, layout.num_blocks - 1])
+        total = int(layout.rows_per_block(blocks).sum())
+        expected, _ = count_window(
+            table.column("z"), table.column("x"), blocks, layout, 6, 4
+        )
+        tracer = Tracer()
+        with transport(2, min_shard_rows=0) as backend:
+            backend.set_tracer(tracer)
+            shards = backend.plan_shards(blocks, layout, total, 6 * 4)
+            counts = backend.count_blocks(source, blocks)
+            assert backend.shard_tasks == len(shards)
+            assert backend.inline_windows == 0
+        np.testing.assert_array_equal(counts, expected)
+        spans = [r for r in tracer.records() if r.name.startswith("backend.")]
+        assert [r.name for r in spans] == ["backend.window"]
+        attrs = spans[0].attrs
+        assert attrs["backend"] == transport.name
+        assert (attrs["shards"], attrs["rows"]) == (len(shards), total)
+        assert attrs["shard_ns_max"] >= attrs["shard_ns_mean"] > 0
+        row = kernel_rows(source.profiler)[f"{transport.name}.window"]
+        assert row["rows"] == counts.sum()
+        assert (row["calls"], row["blocks"], row["bincounts"]) == (
+            1, blocks.size, len(shards)
+        )
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
+    def test_count_table_equals_serial(self, transport, filtered):
+        table = fake_table(5000, 6, 4, seed=7)
+        keep = np.random.default_rng(8).random(5000) < 0.5 if filtered else None
+        serial = SerialBackend().count_table(table, "z", "x", 6, 4, keep)
+        tracer, profiler = Tracer(), Profiler()
+        with transport(3, min_shard_rows=0) as backend:
+            backend.set_tracer(tracer)
+            backend.set_profiler(profiler)
+            counts = backend.count_table(table, "z", "x", 6, 4, keep)
+            assert backend.shard_tasks > 0  # really went through the workers
+        np.testing.assert_array_equal(counts, serial)
+        spans = [r.name for r in tracer.records() if r.name.startswith("backend.")]
+        assert spans == ["backend.table"]
+        assert kernel_rows(profiler)[f"{transport.name}.table"]["rows"] == serial.sum()
+
+    def test_task_ids_advance_past_a_failed_run(self, transport, monkeypatch):
+        """Ids are spent before the run: a retry can never reuse the ids a
+        failed call's stragglers may still report under."""
+        table = fake_table(5000, 6, 4, seed=7)
+        with transport(2, min_shard_rows=0) as backend:
+            run_shards = backend._run_shards
+            bases = []
+
+            def failing(source, shards, base_id, table_filter):
+                bases.append(base_id)
+                raise RuntimeError("transport down")
+
+            monkeypatch.setattr(backend, "_run_shards", failing)
+            with pytest.raises(RuntimeError, match="transport down"):
+                backend.count_table(table, "z", "x", 6, 4)
+            spent = backend.shard_tasks
+            assert bases == [0] and spent > 0
+
+            def recording(source, shards, base_id, table_filter):
+                bases.append(base_id)
+                return run_shards(source, shards, base_id, table_filter)
+
+            monkeypatch.setattr(backend, "_run_shards", recording)
+            counts = backend.count_table(table, "z", "x", 6, 4)
+            assert bases == [0, spent]
+        np.testing.assert_array_equal(
+            counts, SerialBackend().count_table(table, "z", "x", 6, 4)
+        )
+
+    def test_describe_close_and_validation(self, transport):
+        with pytest.raises(ValueError):
+            transport(0)
+        with pytest.raises(ValueError):
+            transport(2, min_shard_rows=-1)
+        with pytest.raises(ValueError, match="cpu_affinity"):
+            transport(2, cpu_affinity="diagonal")
+        with transport(2, cpu_affinity="compact") as pinned:
+            assert pinned.describe()["cpu_affinity"] == "compact"
+        backend = make_backend(transport.name, workers=3)
+        assert isinstance(backend, transport)
+        assert backend.describe() == {
+            "backend": transport.name,
+            "workers": 3,
+            "min_shard_rows": DEFAULT_MIN_SHARD_ROWS,
+            "shard_tasks": 0,
+            "cpu_affinity": "none",
+        }
+        backend.close()
+        backend.close()  # idempotent
+        forced = transport(2, min_shard_rows=0)
+        forced.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            forced.count_table(fake_table(5000, 6, 4, seed=7), "z", "x", 6, 4)
+
+
+class TestThreadPoolBackend:
     def test_concurrent_count_calls_are_safe(self):
         """Steps of different sessions hit one shared backend concurrently;
         every caller must get its own exact counts."""
         import threading
-
-        from repro.parallel import ThreadPoolBackend
 
         tables = [fake_table(4000, 5, 3, seed=20 + i) for i in range(4)]
         expected = [
@@ -859,32 +987,6 @@ class TestThreadPoolBackend:
         with ThreadPoolBackend(2, min_shard_rows=0) as backend:
             with pytest.raises(ValueError, match="tallied .* rows, planned"):
                 backend.count_table(table, "z", "x", 6, 4)
-
-    def test_describe_close_and_validation(self):
-        from repro.parallel import ThreadPoolBackend
-
-        backend = ThreadPoolBackend(2, min_shard_rows=0)
-        desc = backend.describe()
-        assert desc["backend"] == "threads"
-        assert desc["workers"] == 2
-        backend.close()
-        backend.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            backend.executor
-        with pytest.raises(ValueError):
-            ThreadPoolBackend(0)
-        with pytest.raises(ValueError):
-            ThreadPoolBackend(2, min_shard_rows=-1)
-
-    def test_make_backend_threads(self):
-        from repro.parallel import ThreadPoolBackend
-
-        backend = make_backend("threads", workers=3)
-        try:
-            assert isinstance(backend, ThreadPoolBackend)
-            assert backend.describe()["workers"] == 3
-        finally:
-            backend.close()
 
 
 # ---------------------------------------------------------------------------
