@@ -13,8 +13,9 @@ gather, ``np.bincount`` holds the GIL), verifying on every run that the
 parallel counts are byte-identical to serial.
 
 ``--rows-per-call`` measures the crossover instead: one contiguous
-``count_blocks`` per call, at each size, on each backend — the rows a
-*call* needs before a fan-out beats counting inline.
+``count_blocks`` per call, at each size, on each backend with its floor at
+0 — the rows a *call* needs before a fan-out beats counting inline, which
+is where the backends' default ``min_fan_out_rows`` comes from.
 
 Results go to ``benchmarks/results/parallel_scaling.json`` (including each
 run's backend descriptor) and a text table.
@@ -51,7 +52,7 @@ from repro.parallel import (
     ShardedBackend,
     ThreadPoolBackend,
 )
-from repro.parallel.backend import DEFAULT_MIN_SHARD_ROWS
+from repro.parallel.backend import DEFAULT_MIN_FAN_OUT_ROWS
 from repro.sampling.engine import BlockSamplingEngine
 from repro.sampling.policies import ScanAllPolicy
 from repro.storage.cost_model import DEFAULT_COST_MODEL
@@ -138,7 +139,7 @@ def bench_dataset(
     runs = []
     for workers in args.workers:
         for backend_name, factory in factories.items():
-            backend = factory(workers, min_shard_rows=args.min_shard_rows)
+            backend = factory(workers, min_fan_out_rows=args.min_fan_out_rows)
             try:
                 parallel_s, parallel_counts = measure(backend)
                 identical = bool(np.array_equal(serial_counts, parallel_counts))
@@ -202,9 +203,8 @@ def bench_rows_per_call(sizes: list[int], args: argparse.Namespace) -> int:
     for size in sizes:
         serial_ms[size], reference[size] = median_ms(serial, size)
     runs, rows_out, identical = [], [], True
-    kwargs = {"cpu_affinity": "spread"}
-    if args.min_shard_rows is not None:
-        kwargs["min_shard_rows"] = args.min_shard_rows
+    # Floor 0: every size makes the round trip whose cost is under test.
+    kwargs = {"cpu_affinity": "spread", "min_fan_out_rows": 0}
     for workers in args.workers:
         parallel_ms = {}
         # The process pool forks before the thread pool has threads.
@@ -263,9 +263,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="passes per configuration (best-of)")
     parser.add_argument("--windows-per-pass", type=int, default=8,
                         help="windows one pass is split into")
-    parser.add_argument("--min-shard-rows", type=int, default=None,
-                        help="override the sharded backend's inline-fallback "
-                             "threshold")
+    parser.add_argument("--min-fan-out-rows", type=int, default=None,
+                        help="override the worker backends' floor, the rows "
+                             "one call needs to fan out (--rows-per-call "
+                             "always uses 0)")
     parser.add_argument("--max-concurrent-steps", type=int, default=1,
                         help="recorded in the JSON schema: the serving-layer "
                              "step-slot count these backend numbers pair "
@@ -293,9 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         args.block_size = 512
         args.passes = 1
         # Force every window through the pool so CI exercises the real path.
-        args.min_shard_rows = 0
-    if args.min_shard_rows is None:
-        args.min_shard_rows = DEFAULT_MIN_SHARD_ROWS
+        args.min_fan_out_rows = 0
+    if args.min_fan_out_rows is None:
+        args.min_fan_out_rows = DEFAULT_MIN_FAN_OUT_ROWS
     if args.taxi_rows is None:
         args.taxi_rows = min(args.rows, 2_000_000)
 

@@ -32,15 +32,16 @@ A trace file holds one JSON object per line:
 ``{"query": "flights-q1", "arrival_ms": 12.5, "deadline_ms": 40}``
 (optional keys: ``approach``, ``seed``, ``on_deadline``).
 
-Parallel execution fans each sampling call's block counting — one fan-out
-per call, windows only tally rows — and the exact Scan/ground-truth passes
-out to workers, with byte-identical results.  Both worker backends share
-one fan-out and differ only in what carries a shard: ``--backend sharded
---workers N`` a persistent pool of shared-memory worker processes,
-``--backend threads --workers N`` an in-process thread pool (no fork, no
-/dev/shm; the gather overlaps across threads, ``np.bincount`` holds the
-GIL).  Workers are left unpinned; library callers can pin them through a
-backend's constructor (``cpu_affinity=``).  Online serving
+Parallel execution fans block counts and the exact Scan/ground-truth
+passes out to workers once a count reaches about a million rows (smaller
+ones run inline, as on serial), with byte-identical results.  Both worker
+backends share one fan-out and differ only in what carries a shard:
+``--backend sharded --workers N`` a persistent pool of shared-memory
+worker processes, ``--backend threads --workers N`` an in-process thread
+pool (no fork, no /dev/shm; the gather overlaps across threads,
+``np.bincount`` holds the GIL).  Workers are left unpinned; library
+callers can pin them through a backend's constructor (``cpu_affinity=``).
+Online serving
 can additionally run steps of different requests concurrently
 (``serve --async --max-concurrent-steps M``):
 

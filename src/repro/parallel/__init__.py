@@ -7,14 +7,14 @@ serial path's exact semantics:
 
 - the *coordinator* (the sampling engine driving HistSim) keeps the serial
   control flow: one scan order, one window sequence, one set of policy
-  decisions and budgets, every window's per-candidate row tally;
-- only the count of a sampling call's delivered blocks is sharded, one
-  fan-out per call (a round trip pays from about a million rows, and no
-  window has them): a :class:`ShardPlanner` partitions the blocks into
-  row-balanced shards, a persistent :class:`WorkerPool` counts each shard
-  against columns published in :class:`multiprocessing.shared_memory`
-  (zero-copy for workers), and a :class:`ShardMerger` sums the per-shard
-  count matrices.
+  decisions and budgets, the same delivery regime on every backend;
+- only a count of at least ``min_fan_out_rows`` rows is sharded (a round
+  trip pays from about a million rows a call, which no window has; smaller
+  counts run inline, as on serial): a :class:`ShardPlanner` partitions the
+  blocks into row-balanced shards, a persistent :class:`WorkerPool` counts
+  each shard against columns published in
+  :class:`multiprocessing.shared_memory` (zero-copy for workers), and a
+  :class:`ShardMerger` sums the per-shard count matrices.
 
 Because the shards partition the *same* rows the serial path would count,
 and integer addition is exact and commutative, the merged

@@ -10,10 +10,11 @@
 - **engine level** — :meth:`count_blocks` counts the ``(candidate, group)``
   cells of a set of blocks (gather + filter + count) for the block sampling
   engine: one window's blocks, or every block a sampling call delivered
-  when the engine defers the count to the call's end (always, on a backend
-  that :attr:`~ExecutionBackend.fans_out`).  This is where a
-  :class:`WorkerBackend` fans work out to its workers.  Simulated I/O is
-  not the backend's business — the engine accounts it, once per window.
+  when the engine defers the count to the call's end (when the code space
+  has more cells than a window has rows).  This is where a
+  :class:`WorkerBackend` fans work out to its workers, once a call reaches
+  its floor.  Simulated I/O is not the backend's business — the engine
+  accounts it, once per window.
 - **table level** — :meth:`count_table` computes the exact
   ``(candidate, group)`` counts of a *whole* table in one pass.  The exact
   Scan baseline and the ground-truth computation both reduce to this, and
@@ -60,7 +61,7 @@ from .shard import Shard, ShardPlanner
 from .worker import ShardResult
 
 __all__ = [
-    "DEFAULT_MIN_SHARD_ROWS",
+    "DEFAULT_MIN_FAN_OUT_ROWS",
     "EXACT_PASS_BLOCK_ROWS",
     "WORKER_BACKENDS",
     "CountSource",
@@ -75,8 +76,11 @@ __all__ = [
 #: meaningful; serial takes none).
 WORKER_BACKENDS = ("sharded", "threads")
 
-#: Below this many rows per average shard, inline counting beats a fan-out.
-DEFAULT_MIN_SHARD_ROWS = 8192
+#: Below this many rows in one call, inline counting beats a fan-out: the
+#: measured crossover of one contiguous count at W = 2, where ``threads``
+#: reads 1.01x and ``sharded`` 1.05x serial
+#: (``benchmarks/bench_parallel_scaling.py --rows-per-call``).
+DEFAULT_MIN_FAN_OUT_ROWS = 1 << 20
 
 #: Synthetic block size used to shard whole-table exact-counting passes
 #: (Scan baseline, ground truth).  Any value partitions the rows exactly;
@@ -144,17 +148,6 @@ class ExecutionBackend(ABC):
 
     name: str = "abstract"
 
-    @property
-    def fans_out(self) -> bool:
-        """Whether a ``count_blocks`` may cost a round trip to workers.
-
-        A round trip pays from about a million rows *per call*, which no
-        sampling window reaches, so the sampling engine asks such a backend
-        once per call.  Read off :attr:`name`, not the class: a wrapper that
-        forwards ``name`` and the abstract methods answers as what it wraps.
-        """
-        return self.name in WORKER_BACKENDS
-
     #: Observability hook: fan-out windows, pool waits, and shared-memory
     #: lifecycle report here.  The class-level default is the shared no-op,
     #: so backends constructed anywhere stay untraced until a session or
@@ -204,8 +197,8 @@ class ExecutionBackend(ABC):
     ) -> np.ndarray:
         """Count ``blocks`` in the calling thread, recorded under ``label``:
         the serial backend's ``count_blocks``, and the worker backends' path
-        below their ``min_shard_rows`` floor (the kernel their workers run,
-        so the short-circuit cannot change results)."""
+        below their ``min_fan_out_rows`` floor (the kernel their workers
+        run, so the short-circuit cannot change results)."""
         profiler = source.profiler
         started = time.perf_counter_ns() if profiler.enabled else 0
         table = source.shuffled.table
@@ -324,13 +317,13 @@ class WorkerBackend(ExecutionBackend):
     ----------
     n_workers:
         Worker count (default: the machine's CPU count).  Workers are
-        started lazily, on the first count large enough to shard.
-    min_shard_rows:
-        Minimum average rows per worker worth a round trip; block sets
-        below ``n_workers * min_shard_rows`` rows are counted inline with
-        the identical kernel.  Set to 0 to force every count through the
-        workers, even single-shard ones (equivalence tests, ``--tiny``
-        benchmarks).
+        started lazily, on the first count large enough to fan out.
+    min_fan_out_rows:
+        Fewest rows one call must count to be worth a round trip; smaller
+        calls (``count_blocks`` block sets, ``count_table`` tables) are
+        counted inline with the identical kernel.  Set to 0 to force every
+        count through the workers, even single-shard ones (equivalence
+        tests, ``--tiny`` benchmarks).
     cpu_affinity:
         Optional worker-placement policy (``"spread"`` / ``"compact"``, see
         :mod:`~repro.parallel.affinity`): each worker pins itself to one CPU
@@ -342,20 +335,20 @@ class WorkerBackend(ExecutionBackend):
         self,
         n_workers: int | None = None,
         *,
-        min_shard_rows: int = DEFAULT_MIN_SHARD_ROWS,
+        min_fan_out_rows: int = DEFAULT_MIN_FAN_OUT_ROWS,
         cpu_affinity: str | None = None,
     ) -> None:
         resolved = n_workers if n_workers is not None else (os.cpu_count() or 1)
         if resolved < 1:
             raise ValueError(f"n_workers must be >= 1, got {resolved}")
-        if min_shard_rows < 0:
-            raise ValueError(f"min_shard_rows must be >= 0, got {min_shard_rows}")
+        if min_fan_out_rows < 0:
+            raise ValueError(f"min_fan_out_rows must be >= 0, got {min_fan_out_rows}")
         if cpu_affinity is not None and cpu_affinity not in AFFINITY_POLICIES:
             raise ValueError(
                 f"cpu_affinity must be one of {AFFINITY_POLICIES}, got {cpu_affinity!r}"
             )
         self.n_workers = resolved
-        self.min_shard_rows = min_shard_rows
+        self.min_fan_out_rows = min_fan_out_rows
         self.cpu_affinity = cpu_affinity
         self.shard_tasks = 0
         self.inline_windows = 0
@@ -384,7 +377,7 @@ class WorkerBackend(ExecutionBackend):
         pass's row mask (``source.row_filter`` is then ``None``)."""
 
     def _below_floor(self, rows: int) -> bool:
-        return rows < max(1, self.n_workers * self.min_shard_rows)
+        return rows < max(1, self.min_fan_out_rows)
 
     def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
         total_rows = int(source.shuffled.layout.rows_per_block(blocks).sum())
@@ -479,7 +472,7 @@ class WorkerBackend(ExecutionBackend):
         return {
             "backend": self.name,
             "workers": self.n_workers,
-            "min_shard_rows": self.min_shard_rows,
+            "min_fan_out_rows": self.min_fan_out_rows,
             "shard_tasks": self.shard_tasks,
             "cpu_affinity": self.cpu_affinity or "none",
         }

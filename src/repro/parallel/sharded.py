@@ -2,9 +2,9 @@
 
 :class:`ShardedBackend` is a :class:`~repro.parallel.backend.WorkerBackend`
 whose workers are processes.  The coordinator's control flow (scan order,
-windows, policies, budgets, statistical tests) is untouched; only the
-counting of a set of delivered blocks — from the sampling engine a whole
-sampling call's, once per call — crosses into the pool:
+windows, policies, budgets, statistical tests) is untouched; only a count
+of at least ``min_fan_out_rows`` rows — in practice a deferred sampling
+call's end count or a whole-table exact pass — crosses into the pool:
 
 1. the shared fan-out plans row-balanced contiguous shards, one per worker;
 2. the dataset's columns (and the query's row filter or pair codes) are
@@ -16,10 +16,10 @@ sampling call's, once per call — crosses into the pool:
 4. :class:`~repro.parallel.merge.ShardMerger` sums the per-shard matrices
    into exactly the fresh-count state the serial path would have produced.
 
-Small calls (common in stage 1's budget-trimmed reads, late stage-2
-rounds and bounded ``max_step_rows`` steps) fall below ``min_shard_rows``
-and are counted inline — process round trips would cost more than they
-save.
+Everything smaller — every sampling window, and most calls at the scale of
+this repo's workloads — falls below that floor (about a million rows, where
+a round trip first pays at W = 2) and is counted inline, exactly as on the
+serial backend.
 """
 
 from __future__ import annotations

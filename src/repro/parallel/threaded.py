@@ -8,10 +8,11 @@ the GIL: the gather (fancy-index / slice copies of the shard's rows) and
 the pair-code ufuncs.  ``np.bincount`` — most of a large count — does
 *not* release it: two threads each doing five 4M-row bincounts are no
 faster than the same ten back to back.  So the backend only matches serial
-from about half a million rows *per call* and passes it near 4M (1.0x at
-1M-2M rows, 1.3x at 4M, W = 2; ``benchmarks/bench_parallel_scaling.py
---rows-per-call``), sizes no sampling window has — which is why the
-sampling engine hands a worker backend a whole call's blocks at once.
+from about a million rows *per call* and passes it near 4M (1.0x at 1M-2M
+rows, 1.3x at 4M, W = 2; ``benchmarks/bench_parallel_scaling.py
+--rows-per-call``), sizes no sampling window has — which is why every
+count below the shared ``min_fan_out_rows`` floor runs inline, and only a
+deferred call's end count or a whole-table pass reaches the executor.
 
 Compared to the process transport
 (:class:`~repro.parallel.sharded.ShardedBackend`):

@@ -20,7 +20,7 @@ The loop and the caller need different things from a window.  Block
 selection needs *rows per candidate* now (who is still short of budget);
 the histograms are read only when the call returns.  So a window is
 delivered in one of two regimes, fixed at construction by one rule over
-what the engine holds:
+the code space, the same on every backend:
 
 - **dense**: the backend counts the window's matrix at once and the row
   sums come free with it;
@@ -28,12 +28,11 @@ what the engine holds:
   O(rows + candidates) instead of O(rows + cells) — and the call counts all
   of its blocks in one ``count_blocks`` before returning.
 
-A window defers for either of two reasons.  Its matrix would be mostly
-zeros: ``num_candidates * num_groups`` exceeds ``window_blocks *
-block_size``, more cells than a window has rows.  Or counting it would cost
-a round trip: the backend :attr:`~repro.parallel.ExecutionBackend.fans_out`
-to workers, which pays from about a million rows per call — a size no
-window has and a whole call can.
+A window defers when its matrix would be mostly zeros:
+``num_candidates * num_groups`` exceeds ``window_blocks * block_size``,
+more cells than a window has rows.  Whether a count crosses to workers is
+the backend's own floor, in rows per call; below it a worker backend counts
+inline, exactly as serial does.
 
 Both return the same matrices and charge the same clock: simulated I/O is
 accounted here, per window, never by the backend.
@@ -177,13 +176,11 @@ class BlockSamplingEngine:
         self._x_name = grouping_attribute
         self._num_candidates = shuffled.table.cardinality(candidate_attribute)
         self._num_groups = shuffled.table.cardinality(grouping_attribute)
-        # A window cannot touch more cells than it has rows, and never has
-        # the rows a round trip to workers needs: in either case count the
-        # call's cells once instead of a matrix per window.
+        # A window cannot touch more cells than it has rows: count the
+        # call's cells once instead of a mostly-zero matrix per window.
         self._deferred = (
             self._num_candidates * self._num_groups
             > window_blocks * self.layout.block_size
-            or self.backend.fans_out
         )
 
         if row_filter is not None:

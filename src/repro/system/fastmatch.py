@@ -314,9 +314,9 @@ def run_approach(
     """Execute one approach on a prepared query and report result + cost.
 
     ``backend`` selects the execution backend for every approach — the
-    sampling approaches shard the one count each sampling call ends with
-    (windows only tally rows per candidate), the exact ``"scan"`` shards
-    its single counting pass — with byte-identical results either way; the
+    sampling approaches' block counts and the exact ``"scan"``'s single
+    counting pass are sharded once they reach a worker backend's floor —
+    with byte-identical results either way; the
     caller owns its lifetime (:meth:`ExecutionBackend.close`).
     ``kernel`` selects the counting kernel (all choices byte-identical).
     """

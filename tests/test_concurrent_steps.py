@@ -99,9 +99,9 @@ def make_backend_under_test(spec: str):
     if spec == "serial":
         return "serial"
     if spec == "threads":
-        return ThreadPoolBackend(2, min_shard_rows=0)
+        return ThreadPoolBackend(2, min_fan_out_rows=0)
     if spec == "sharded":
-        return ShardedBackend(2, min_shard_rows=0)
+        return ShardedBackend(2, min_fan_out_rows=0)
     raise AssertionError(spec)
 
 
@@ -147,7 +147,7 @@ class TestConcurrencyIdentityMatrix:
         self, table, references
     ):
         """The thread FrontDoor's multi-slot loop: same identity contract."""
-        backend = ThreadPoolBackend(2, min_shard_rows=0)
+        backend = ThreadPoolBackend(2, min_fan_out_rows=0)
         try:
             session = MatchSession(table, backend=backend)
             with FrontDoor(
@@ -174,7 +174,7 @@ class TestConcurrencyIdentityMatrix:
         table_b = make_table(32)
         ref_b = standalone(table_b, 3)
         registry = SessionRegistry(
-            backend=ThreadPoolBackend(2, min_shard_rows=0), clock=WallClock()
+            backend=ThreadPoolBackend(2, min_fan_out_rows=0), clock=WallClock()
         )
         registry.add_dataset("a", table)
         registry.add_dataset("b", table_b)

@@ -875,7 +875,7 @@ class TestPairCodeCache:
         from the code segment alone; eviction unlinks it, close leaves
         nothing."""
         config = HistSimConfig(k=3, epsilon=0.15, delta=0.05, sigma=0.0)
-        backend = ShardedBackend(2, min_shard_rows=0)
+        backend = ShardedBackend(2, min_fan_out_rows=0)
         try:
             session = MatchSession(table, kernel="fused", backend=backend)
             serial = run_session(table, FILTERED_QUERY, kernel="narrow")
@@ -963,7 +963,7 @@ class TestAffinity:
             assert pool.affinity_applied == expected
 
     def test_thread_backend_pins_on_first_use(self, table):
-        backend = ThreadPoolBackend(2, min_shard_rows=0, cpu_affinity="spread")
+        backend = ThreadPoolBackend(2, min_fan_out_rows=0, cpu_affinity="spread")
         try:
             outcome_a = run_session(table, QUERY, kernel="auto")
             config = HistSimConfig(k=3, epsilon=0.15, delta=0.05, sigma=0.0)

@@ -316,7 +316,7 @@ class TestRegistryRouting:
         tenants with answers identical to the serial registry."""
         from repro.parallel import ShardedBackend
 
-        backend = ShardedBackend(2, min_shard_rows=0)
+        backend = ShardedBackend(2, min_fan_out_rows=0)
         registry = SessionRegistry(backend=backend)
         try:
             registry.add_dataset("a", table_a)

@@ -85,8 +85,8 @@ def make_backend(spec: str):
     if spec == "serial":
         return "serial"
     if spec == "threads":
-        return ThreadPoolBackend(2, min_shard_rows=0)
-    return ShardedBackend(2, min_shard_rows=0)
+        return ThreadPoolBackend(2, min_fan_out_rows=0)
+    return ShardedBackend(2, min_fan_out_rows=0)
 
 
 def drive_concurrent(table, backend, tracer):

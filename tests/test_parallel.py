@@ -32,10 +32,13 @@ from repro.parallel import (
     count_window,
     make_backend,
 )
-from repro.parallel.backend import DEFAULT_MIN_SHARD_ROWS, SerialBackend
+from repro.parallel.backend import DEFAULT_MIN_FAN_OUT_ROWS, SerialBackend
 from repro.parallel.worker import ShardResult, ShardTask
+from repro.sampling import BlockSamplingEngine, ScanAllPolicy
+from repro.storage import CostModel
 from repro.storage.blocks import BlockLayout
 from repro.storage.shuffle import ShuffledTable
+from repro.system import SimulatedClock
 
 
 def shm_files() -> set[str]:
@@ -203,7 +206,7 @@ class TestBackendUnpublish:
             {"z": np.ones(64, dtype=np.int64), "x": np.zeros(64, dtype=np.int64)},
         )
         row_filter = np.ones(64, dtype=bool)
-        backend = ShardedBackend(1, min_shard_rows=0)
+        backend = ShardedBackend(1, min_fan_out_rows=0)
         try:
             # Publish under the exact keys the counting paths use.
             backend.store.publish(("column", id(table), "z"), table.column("z"))
@@ -446,7 +449,7 @@ TRACKER_CYCLE = textwrap.dedent(
     table = ColumnTable(
         schema, {"z": rng.integers(0, 4, 4096), "x": rng.integers(0, 3, 4096)}
     )
-    backend = ShardedBackend(2, min_shard_rows=0)
+    backend = ShardedBackend(2, min_fan_out_rows=0)
     try:
         counts = exact_candidate_counts(
             table, HistogramQuery("z", "x", k=1), backend=backend
@@ -494,7 +497,7 @@ class TestMakeBackend:
         assert backend.describe() == {"backend": "serial"}
 
     def test_sharded_backend_respawns_a_dead_pool(self):
-        backend = ShardedBackend(1, min_shard_rows=0)
+        backend = ShardedBackend(1, min_fan_out_rows=0)
         try:
             first = backend.pool
             first.close()  # as after a worker death mid-window
@@ -640,7 +643,7 @@ class TestAttachmentGC:
         )
         config = HistSimConfig(k=2, epsilon=0.25, delta=0.05, sigma=0.0)
 
-        backend = ShardedBackend(1, min_shard_rows=0)
+        backend = ShardedBackend(1, min_fan_out_rows=0)
         session = MatchSession(
             table, backend=backend, max_cached_queries=1, audit=False
         )
@@ -713,6 +716,26 @@ def transport(request):
     return request.param
 
 
+@pytest.fixture(scope="module")
+def fullpass_world():
+    """2M rows of 64 candidates x 24 groups in 4096-row blocks, with its
+    bitmap index: the end-to-end benchmark's full-pass shape."""
+    from repro.bitmap import build_bitmap_index
+    from repro.storage import CategoricalAttribute, ColumnTable, Schema
+
+    rng = np.random.default_rng(27)
+    schema = Schema((
+        CategoricalAttribute("z", tuple(f"z{i}" for i in range(64))),
+        CategoricalAttribute("x", tuple(f"x{i}" for i in range(24))),
+    ))
+    n = 2_000_000
+    table = ColumnTable(
+        schema, {"z": rng.integers(0, 64, n), "x": rng.integers(0, 24, n)}
+    )
+    shuffled = ShuffledTable(table, BlockLayout(n, 4096))
+    return shuffled, build_bitmap_index(shuffled, "z")
+
+
 class TestWorkerBackendContract:
     """What ``WorkerBackend`` promises, held by each transport: the same
     floor, fan-out, telemetry and exact merge, whatever carries a shard."""
@@ -723,7 +746,7 @@ class TestWorkerBackendContract:
         blocks = np.arange(source.shuffled.layout.num_blocks, dtype=np.int64)
         expected = SerialBackend().count_blocks(source, blocks)
         tracer = Tracer()
-        with transport(2) as backend:  # the default floor: 16,384 rows
+        with transport(2) as backend:  # the default floor: 1,048,576 rows
             backend.set_tracer(tracer)
             counts = backend.count_blocks(source, blocks)
             table_counts = backend.count_table(table, "z", "x", 5, 3)
@@ -741,7 +764,47 @@ class TestWorkerBackendContract:
             ("event", transport.name, 2000)
         ]
 
-    def test_above_the_floor_fans_out_once(self, transport):
+    def test_default_floor_keeps_a_sampling_pass_inline(
+        self, transport, fullpass_world
+    ):
+        """A 2M-row full pass in 61k-row windows is counted as serial counts
+        it — one inline count per window, no executor, no pool — while a
+        whole-table count past the floor crosses to the workers once."""
+        shuffled, index = fullpass_world
+        window_blocks = shuffled.num_blocks // 32
+        assert window_blocks * shuffled.layout.block_size == 61_440
+
+        def full_pass(backend):
+            engine = BlockSamplingEngine(
+                shuffled=shuffled, candidate_attribute="z", grouping_attribute="x",
+                index=index, cost_model=CostModel(), clock=SimulatedClock(),
+                policy=ScanAllPolicy(), window_blocks=window_blocks, start_block=0,
+                backend=backend,
+            )
+            return engine, engine.sample_until(np.full(engine.num_candidates, np.inf))
+
+        _, expected = full_pass(SerialBackend())
+        table = shuffled.table
+        tracer = Tracer()
+        with transport(2) as backend:
+            engine, counts = full_pass(backend)
+            assert engine.counters.windows == 33
+            assert backend.inline_windows == engine.counters.windows
+            assert backend.shard_tasks == 0
+            assert getattr(backend, "_executor", None) is None
+            assert getattr(backend, "_pool", None) is None
+            np.testing.assert_array_equal(counts, expected)
+
+            backend.set_tracer(tracer)
+            table_counts = backend.count_table(table, "z", "x", 64, 24)
+            assert backend.shard_tasks > 0
+        np.testing.assert_array_equal(
+            table_counts, SerialBackend().count_table(table, "z", "x", 64, 24)
+        )
+        spans = [r.name for r in tracer.records() if r.name.startswith("backend.")]
+        assert spans == ["backend.table"]
+
+    def test_above_the_floor_makes_one_round_trip(self, transport):
         table = fake_table(5000, 6, 4, seed=7)
         source = table_source(table, 6, 4, profiler=Profiler())
         layout = source.shuffled.layout
@@ -751,7 +814,7 @@ class TestWorkerBackendContract:
             table.column("z"), table.column("x"), blocks, layout, 6, 4
         )
         tracer = Tracer()
-        with transport(2, min_shard_rows=0) as backend:
+        with transport(2, min_fan_out_rows=0) as backend:
             backend.set_tracer(tracer)
             shards = backend.plan_shards(blocks, layout, total, 6 * 4)
             counts = backend.count_blocks(source, blocks)
@@ -776,7 +839,7 @@ class TestWorkerBackendContract:
         keep = np.random.default_rng(8).random(5000) < 0.5 if filtered else None
         serial = SerialBackend().count_table(table, "z", "x", 6, 4, keep)
         tracer, profiler = Tracer(), Profiler()
-        with transport(3, min_shard_rows=0) as backend:
+        with transport(3, min_fan_out_rows=0) as backend:
             backend.set_tracer(tracer)
             backend.set_profiler(profiler)
             counts = backend.count_table(table, "z", "x", 6, 4, keep)
@@ -790,7 +853,7 @@ class TestWorkerBackendContract:
         """Ids are spent before the run: a retry can never reuse the ids a
         failed call's stragglers may still report under."""
         table = fake_table(5000, 6, 4, seed=7)
-        with transport(2, min_shard_rows=0) as backend:
+        with transport(2, min_fan_out_rows=0) as backend:
             run_shards = backend._run_shards
             bases = []
 
@@ -819,7 +882,7 @@ class TestWorkerBackendContract:
         with pytest.raises(ValueError):
             transport(0)
         with pytest.raises(ValueError):
-            transport(2, min_shard_rows=-1)
+            transport(2, min_fan_out_rows=-1)
         with pytest.raises(ValueError, match="cpu_affinity"):
             transport(2, cpu_affinity="diagonal")
         with transport(2, cpu_affinity="compact") as pinned:
@@ -829,13 +892,13 @@ class TestWorkerBackendContract:
         assert backend.describe() == {
             "backend": transport.name,
             "workers": 3,
-            "min_shard_rows": DEFAULT_MIN_SHARD_ROWS,
+            "min_fan_out_rows": DEFAULT_MIN_FAN_OUT_ROWS,
             "shard_tasks": 0,
             "cpu_affinity": "none",
         }
         backend.close()
         backend.close()  # idempotent
-        forced = transport(2, min_shard_rows=0)
+        forced = transport(2, min_fan_out_rows=0)
         forced.close()
         with pytest.raises(RuntimeError, match="closed"):
             forced.count_table(fake_table(5000, 6, 4, seed=7), "z", "x", 6, 4)
@@ -851,7 +914,7 @@ class TestThreadPoolBackend:
         expected = [
             SerialBackend().count_table(t, "z", "x", 5, 3) for t in tables
         ]
-        backend = ThreadPoolBackend(2, min_shard_rows=0)
+        backend = ThreadPoolBackend(2, min_fan_out_rows=0)
         results = [None] * len(tables)
         errors = []
         barrier = threading.Barrier(len(tables))
@@ -964,7 +1027,7 @@ class TestThreadPoolBackend:
         expected, _ = count_window(
             table.column("z"), table.column("x"), blocks, layout, c, g
         )
-        with ThreadPoolBackend(2, min_shard_rows=0) as backend:
+        with ThreadPoolBackend(2, min_fan_out_rows=0) as backend:
             shards = backend.plan_shards(blocks, layout, total, c * g)
             assert len(shards) == min(-(-total // MAX_SHARD_ROWS), total // (c * g)) > 2
             assert max(shard.rows for shard in shards) < MAX_SHARD_ROWS + 4096
@@ -984,7 +1047,7 @@ class TestThreadPoolBackend:
 
         monkeypatch.setattr(threaded, "count_window", lossy)
         table = fake_table(5000, 6, 4, seed=7)
-        with ThreadPoolBackend(2, min_shard_rows=0) as backend:
+        with ThreadPoolBackend(2, min_fan_out_rows=0) as backend:
             with pytest.raises(ValueError, match="tallied .* rows, planned"):
                 backend.count_table(table, "z", "x", 6, 4)
 

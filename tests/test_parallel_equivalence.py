@@ -94,14 +94,14 @@ def assert_reports_identical(serial, sharded, backend_name="sharded"):
 @pytest.mark.parametrize("approach", ["scanmatch", "syncmatch", "fastmatch"])
 def test_byte_identity_across_approaches(table, approach):
     serial = run_match(table, "serial", approach=approach)
-    with ShardedBackend(2, min_shard_rows=0) as backend:
+    with ShardedBackend(2, min_fan_out_rows=0) as backend:
         sharded = run_match(table, backend, approach=approach)
     assert_reports_identical(serial, sharded)
 
 
 def test_single_worker_identity(table):
     serial = run_match(table, "serial")
-    with ShardedBackend(1, min_shard_rows=0) as backend:
+    with ShardedBackend(1, min_fan_out_rows=0) as backend:
         sharded = run_match(table, backend)
     assert_reports_identical(serial, sharded)
 
@@ -113,7 +113,7 @@ def test_more_shards_than_blocks(table):
         table, "z", "x", k=3, epsilon=0.15, seed=9, block_size=2048,
         backend="serial",
     )
-    with ShardedBackend(8, min_shard_rows=0) as backend:
+    with ShardedBackend(8, min_fan_out_rows=0) as backend:
         sharded = match_histograms(
             table, "z", "x", k=3, epsilon=0.15, seed=9, block_size=2048,
             backend=backend,
@@ -125,7 +125,7 @@ def test_exhausted_candidates_mid_round(table):
     # A tight tolerance drives sampling until rare candidates run dry; the
     # run ends exact, with the rare candidate's rows fully consumed.
     serial = run_match(table, "serial", epsilon=0.02)
-    with ShardedBackend(2, min_shard_rows=0) as backend:
+    with ShardedBackend(2, min_fan_out_rows=0) as backend:
         sharded = run_match(table, backend, epsilon=0.02)
     assert serial.result.exact, "test premise: tolerance forces a full scan"
     assert_reports_identical(serial, sharded)
@@ -134,7 +134,7 @@ def test_exhausted_candidates_mid_round(table):
 def test_predicate_row_filter_identity(table):
     predicate = IsIn("x", (0, 1, 2, 3))
     serial = run_match(table, "serial", predicate=predicate)
-    with ShardedBackend(2, min_shard_rows=0) as backend:
+    with ShardedBackend(2, min_fan_out_rows=0) as backend:
         sharded = run_match(table, backend, predicate=predicate)
     assert_reports_identical(serial, sharded)
 
@@ -144,7 +144,7 @@ def test_threadpool_backend_identity(table, approach):
     """The in-process thread backend: same kernel, same partition, same
     merge — byte-identical to serial across every approach."""
     serial = run_match(table, "serial", approach=approach)
-    with ThreadPoolBackend(2, min_shard_rows=0) as backend:
+    with ThreadPoolBackend(2, min_fan_out_rows=0) as backend:
         threaded = run_match(table, backend, approach=approach)
         assert backend.shard_tasks > 0
     assert_reports_identical(serial, threaded, backend_name="threads")
@@ -153,7 +153,7 @@ def test_threadpool_backend_identity(table, approach):
 def test_threadpool_predicate_identity(table):
     predicate = IsIn("x", (0, 1, 2, 3))
     serial = run_match(table, "serial", predicate=predicate)
-    with ThreadPoolBackend(2, min_shard_rows=0) as backend:
+    with ThreadPoolBackend(2, min_fan_out_rows=0) as backend:
         threaded = run_match(table, backend, predicate=predicate)
     assert_reports_identical(serial, threaded, backend_name="threads")
 
@@ -189,7 +189,7 @@ def test_session_equivalence_and_backend_attribution(table):
         serial_run = drain(serial_session)
     # A passed-in backend instance is the caller's to close (the session
     # only closes backends it created from a string spec).
-    with ShardedBackend(2, min_shard_rows=0) as backend:
+    with ShardedBackend(2, min_fan_out_rows=0) as backend:
         with MatchSession(table, audit=True, backend=backend) as sharded_session:
             sharded_run = drain(sharded_session)
         assert not backend.closed  # survived session close: reusable
@@ -216,7 +216,7 @@ def test_session_close_releases_shared_memory_and_workers(table):
     before = shm_files()
     session = MatchSession(table, backend="sharded", workers=2)
     # Force pool usage even on tiny calls.
-    session.backend.min_shard_rows = 0
+    session.backend.min_fan_out_rows = 0
     session.submit(queries()[0], config=session_config(3), seed=4)
     session.run()
     store = session.backend.store
@@ -237,7 +237,7 @@ def test_session_close_releases_shared_memory_and_workers(table):
 
 
 def test_closed_backend_refuses_new_work(table):
-    backend = ShardedBackend(1, min_shard_rows=0)
+    backend = ShardedBackend(1, min_fan_out_rows=0)
     backend.close()
     with pytest.raises(RuntimeError):
         _ = backend.pool
@@ -247,7 +247,7 @@ def test_shared_backend_reused_across_sessions(table):
     # One pool + one set of published segments serves two sessions over the
     # same dataset; the second session's results still match serial.
     serial = run_match(table, "serial")
-    with ShardedBackend(2, min_shard_rows=0) as backend:
+    with ShardedBackend(2, min_fan_out_rows=0) as backend:
         for _ in range(2):
             with MatchSession(table, backend=backend) as session:
                 session.submit(
@@ -268,7 +268,7 @@ def test_exact_counts_sharded_identity(table):
 
     plain = HistogramQuery("z", "x", k=3)
     filtered = HistogramQuery("z", "x", k=3, predicate=IsIn("x", (0, 1, 2, 3)))
-    with ShardedBackend(2, min_shard_rows=0) as backend:
+    with ShardedBackend(2, min_fan_out_rows=0) as backend:
         for query in (plain, filtered):
             serial = exact_candidate_counts(table, query)
             sharded = exact_candidate_counts(table, query, backend=backend)
@@ -282,7 +282,7 @@ def test_scan_baseline_sharded_identity(table):
     """Satellite: the Scan baseline through the sharded backend reports the
     exact same result and simulated cost as serial."""
     serial = run_match(table, "serial", approach="scan")
-    with ShardedBackend(2, min_shard_rows=0) as backend:
+    with ShardedBackend(2, min_fan_out_rows=0) as backend:
         sharded = run_match(table, backend, approach="scan")
     assert sharded.backend == "sharded"
     assert sharded.result.matching == serial.result.matching

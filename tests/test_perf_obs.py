@@ -146,8 +146,8 @@ def test_profiled_runs_are_byte_identical_across_backends(
 
     backends = [
         "serial",
-        ThreadPoolBackend(2, min_shard_rows=0),
-        ShardedBackend(2, min_shard_rows=0),
+        ThreadPoolBackend(2, min_fan_out_rows=0),
+        ShardedBackend(2, min_fan_out_rows=0),
     ]
     for backend in backends:
         profiler = Profiler()
