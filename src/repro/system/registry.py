@@ -18,12 +18,13 @@ either front door (thread or asyncio) can serve many datasets at once:
   amortized over all of them.  The registry owns the backend's lifetime;
   sessions treat it as borrowed.
 - **one cache budget** — ``max_cached_bytes`` bounds the *sum* of the
-  tenants' prepared-artifact caches.  Sessions report every cache
-  touch/insert/evict to the registry (the ``cache_governor`` seam), which
-  keeps a global LRU over ``(session, prepared-key)`` entries and evicts
-  the globally least-recently-used evictable entry when the sum overflows
-  — so one hot tenant can use the whole budget while idle tenants shrink,
-  instead of every tenant hoarding a fixed slice.
+  tenants' prepared-artifact caches, orphaned ground truths included.
+  Sessions report every cache touch/insert/evict to the registry (the
+  ``cache_governor`` seam), which keeps a global LRU over
+  ``(session, prepared-key)`` entries.  When the sum overflows it drops
+  the sessions' orphans first, then evicts the globally least-recently-
+  used evictable entry — so one hot tenant can use the whole budget while
+  idle tenants shrink, instead of every tenant hoarding a fixed slice.
 
 Routing and registry bookkeeping never touch sampling: a request served
 through a registry is byte-identical to the same request served by a
@@ -200,7 +201,8 @@ class SessionRegistry:
 
     @property
     def cache_bytes(self) -> int:
-        """Bytes held by all sessions' cached prepared artifacts."""
+        """Bytes held by all sessions' cached prepared artifacts and
+        orphaned ground truths."""
         return sum(session.cache_bytes for session in self._sessions.values())
 
     @property
@@ -221,15 +223,21 @@ class SessionRegistry:
     def enforce_budget(self) -> int:
         """Evict globally-LRU prepared entries until under the byte budget.
 
-        Eviction order is the registry-wide recency order, not per-session:
-        the coldest entry goes first regardless of which tenant holds it.
-        Entries a session refuses to release (its most recent one) are
-        skipped.  Returns the number of entries evicted.
+        The sessions' orphaned ground truths go first, each session's
+        coldest before its next: without them the sum is that of the
+        prepared entries alone, so the same entries are evicted as if no
+        orphan had been kept.  Eviction order is the registry-wide recency
+        order, not per-session: the coldest entry goes first regardless of
+        which tenant holds it.  Entries a session refuses to release (its
+        most recent one) are skipped.  Returns the number of entries
+        evicted.
         """
         if self.max_cached_bytes is None:
             return 0
         evicted = 0
         while self.cache_bytes > self.max_cached_bytes:
+            if any(session.drop_orphan() for session in self._sessions.values()):
+                continue
             for session, key in list(self._lru.values()):
                 if session.evict_prepared(key):
                     evicted += 1

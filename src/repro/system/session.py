@@ -25,7 +25,10 @@ into the skeleton of a serving system:
   (:meth:`MatchSession.serve`).
 - **Bounded caches** — ``max_cached_queries``/``max_cached_bytes`` turn
   the artifact cache into an LRU for long-lived serving deployments, with
-  shared-memory segment unpublish on eviction.
+  shared-memory segment unpublish on eviction.  An evicted template's
+  ground truth stays behind as an *orphan* (a few KiB of counts against
+  the table's MiB), so the next miss on that template does not recount
+  the table.
 
 Results are identical to standalone :func:`~repro.system.fastmatch.run_approach`
 runs with the same prepared query, config, and seed: interleaving reorders
@@ -71,6 +74,11 @@ from .scheduler import BatchScheduler, ScheduleResult
 from .stats_engine import StatsEngine
 
 __all__ = ["CacheStats", "MatchSession"]
+
+
+def _template(query: HistogramQuery) -> tuple:
+    """The ground-truth cache key: what a query's exact counts depend on."""
+    return (query.candidate_attribute, query.grouping_attribute, query.predicate)
 
 
 @dataclass
@@ -391,13 +399,18 @@ class MatchSession:
     max_cached_queries, max_cached_bytes:
         Bounds on the prepared-artifact cache for long-lived serving
         sessions: exceeding either evicts least-recently-used prepared
-        queries, releasing sub-artifacts (shuffle, index, ground truth,
-        row filters) that no cached query references any more — including
-        their shared-memory segments via
-        :meth:`~repro.parallel.ExecutionBackend.unpublish`.  ``None``
-        (default) keeps the PR-2 unbounded behaviour.  The most recent
-        entry is never evicted, so a single query larger than
-        ``max_cached_bytes`` still runs.
+        queries, releasing the per-row sub-artifacts (shuffle, index, row
+        filters, pair codes) that no cached query references any more —
+        including their shared-memory segments via
+        :meth:`~repro.parallel.ExecutionBackend.unpublish`.  The evicted
+        template's ground truth is kept as an *orphan*, so a later miss on
+        it skips the table pass; orphans count in :attr:`cache_bytes`,
+        hold at most ``table.nbytes`` together (the coldest goes first),
+        and are all dropped before ``max_cached_bytes`` evicts any
+        prepared query — so which prepared queries are cached never
+        depends on them.  ``None`` (default) keeps the cache unbounded.
+        The most recent entry is never evicted, so a single query larger
+        than ``max_cached_bytes`` still runs.
     cache_governor:
         Optional cross-session cache coordinator (duck-typed; a
         :class:`~repro.system.registry.SessionRegistry`).  It is notified
@@ -471,7 +484,9 @@ class MatchSession:
         self._governor = cache_governor
         self._shuffle_cache: dict = {}
         self._index_cache: dict = {}
-        self._exact_cache: dict = {}
+        #: Ground truth per template; outlives its prepared entries as an
+        #: orphan, kept in the order the templates were orphaned.
+        self._exact_cache: OrderedDict = OrderedDict()
         self._filter_cache: dict = {}
         self._codes_cache: dict = {}
         self._prepared_cache: OrderedDict = OrderedDict()
@@ -511,7 +526,8 @@ class MatchSession:
 
     @property
     def cache_bytes(self) -> int:
-        """Bytes held by artifacts the cached prepared queries reference.
+        """Bytes held by artifacts the cached prepared queries reference,
+        plus the orphaned ground truths kept for evicted templates.
 
         Shared artifacts are counted once (two queries over one shuffle pay
         for it once), matching what eviction can actually free.
@@ -540,51 +556,71 @@ class MatchSession:
                     continue
                 seen.add(id(obj))
                 total += nbytes
-        return total
+        return total + self._orphan_bytes()
+
+    def _orphan_bytes(self) -> int:
+        return sum(counts.nbytes for _, counts in self._orphans())
+
+    def _orphans(self) -> list:
+        """``(template, counts)`` of the kept ground truths no cached
+        prepared query references, coldest first."""
+        live = {id(p.exact_counts) for p in self._prepared_cache.values()}
+        return [
+            (template, counts)
+            for template, counts in self._exact_cache.items()
+            if id(counts) not in live
+        ]
+
+    def drop_orphan(self) -> bool:
+        """Drop the coldest orphaned ground truth (cross-session budget
+        hook); returns whether there was one."""
+        orphans = self._orphans()
+        if not orphans:
+            return False
+        del self._exact_cache[orphans[0][0]]
+        self._record_eviction("ground_truth")
+        return True
+
+    def _drop_from(self, cache: dict, artifact, layer: str) -> None:
+        """Remove ``artifact`` from one sub-cache, counting an eviction only
+        if that sub-cache held it (an adopted entry's artifacts never were)."""
+        keys = [key for key, value in cache.items() if value is artifact]
+        for key in keys:
+            del cache[key]
+        if keys:
+            self._record_eviction(layer)
 
     def _release_artifacts(self, evicted: PreparedQuery) -> None:
-        """Drop the evicted entry's sub-artifacts no live entry still uses,
-        and unpublish their shared-memory segments from the backend."""
+        """Drop the evicted entry's per-row sub-artifacts no live entry
+        still uses, unpublish their shared-memory segments from the
+        backend, and keep its ground truth as the newest orphan — within
+        ``table.nbytes`` of orphans, shedding the coldest."""
         live = list(self._prepared_cache.values())
         unpublish: list = []
         if not any(p.shuffled is evicted.shuffled for p in live):
-            self._shuffle_cache = {
-                k: v for k, v in self._shuffle_cache.items() if v is not evicted.shuffled
-            }
-            self._record_eviction("shuffle")
+            self._drop_from(self._shuffle_cache, evicted.shuffled, "shuffle")
             unpublish.append(evicted.shuffled.table)
         if not any(p.index is evicted.index for p in live):
-            self._index_cache = {
-                k: v for k, v in self._index_cache.items() if v is not evicted.index
-            }
-            self._record_eviction("index")
-        if not any(p.exact_counts is evicted.exact_counts for p in live):
-            self._exact_cache = {
-                k: v
-                for k, v in self._exact_cache.items()
-                if v is not evicted.exact_counts
-            }
-            self._record_eviction("ground_truth")
+            self._drop_from(self._index_cache, evicted.index, "index")
         if evicted.row_filter is not None and not any(
             p.row_filter is evicted.row_filter for p in live
         ):
-            self._filter_cache = {
-                k: v for k, v in self._filter_cache.items() if v is not evicted.row_filter
-            }
-            self._record_eviction("row_filter")
+            self._drop_from(self._filter_cache, evicted.row_filter, "row_filter")
             unpublish.append(evicted.row_filter)
         if evicted.pair_codes is not None and not any(
             p.pair_codes is evicted.pair_codes for p in live
         ):
-            self._codes_cache = {
-                k: v
-                for k, v in self._codes_cache.items()
-                if v is not evicted.pair_codes
-            }
-            self._record_eviction("pair_codes")
+            self._drop_from(self._codes_cache, evicted.pair_codes, "pair_codes")
             unpublish.append(evicted.pair_codes)
         if unpublish:
             self.backend.unpublish(*unpublish)
+        template = _template(evicted.query)
+        if self._exact_cache.get(template) is evicted.exact_counts and not any(
+            p.exact_counts is evicted.exact_counts for p in live
+        ):
+            self._exact_cache.move_to_end(template)
+            while self._orphan_bytes() > self.table.nbytes:
+                self.drop_orphan()
 
     def _over_cache_bounds(self) -> bool:
         if (
@@ -592,13 +628,16 @@ class MatchSession:
             and len(self._prepared_cache) > self.max_cached_queries
         ):
             return True
+        return self._over_cache_bytes()
+
+    def _over_cache_bytes(self) -> bool:
         return (
             self.max_cached_bytes is not None
             and self.cache_bytes > self.max_cached_bytes
         )
 
     def _evict_prepared(self, key) -> None:
-        """Drop one cached prepared query, release its orphaned artifacts,
+        """Drop one cached prepared query, release its per-row artifacts,
         and tell the cross-session governor (if any) the slot is gone."""
         evicted = self._prepared_cache.pop(key)
         self._record_eviction("prepared")
@@ -622,11 +661,18 @@ class MatchSession:
     def _enforce_cache_bounds(self) -> None:
         """Evict least-recently-used prepared queries until within bounds.
 
-        The most recent entry always survives (it is the one being served),
-        so an over-budget single query degrades to cache-nothing-else
-        rather than failing.
+        Over ``max_cached_bytes``, orphaned ground truths go first: with
+        all of them gone the bytes are those of the cached prepared
+        queries alone, so the same entries are evicted as if no orphan had
+        been kept.  The most recent entry always survives (it is the one
+        being served), so an over-budget single query degrades to
+        cache-nothing-else rather than failing.
         """
-        while len(self._prepared_cache) > 1 and self._over_cache_bounds():
+        while True:
+            if self._over_cache_bytes() and self.drop_orphan():
+                continue
+            if len(self._prepared_cache) <= 1 or not self._over_cache_bounds():
+                return
             self._evict_prepared(next(iter(self._prepared_cache)))
 
     def prepared(self, query: HistogramQuery, seed: int = 0) -> PreparedQuery:
@@ -641,6 +687,9 @@ class MatchSession:
         each from the one before: the predicate is evaluated once per
         filter-cache miss, the codes are folded with that filter, and the
         ground truth of a session that has codes is one ``bincount`` of them.
+        A miss on a template whose entries were all evicted finds its
+        ground truth kept as an orphan: it rebuilds only the per-row
+        artifacts and resolves the target from the kept counts.
         """
         key = (query, self.block_size, seed)
         if key in self._prepared_cache:
@@ -696,11 +745,7 @@ class MatchSession:
         # key only on the query template so every seed shares one ground truth.
         exact = self._cached(
             self._exact_cache,
-            (
-                query.candidate_attribute,
-                query.grouping_attribute,
-                query.predicate,
-            ),
+            _template(query),
             "ground_truth",
             lambda: self._ground_truth(shuffled, query, row_filter, pair_codes),
         )
@@ -956,12 +1001,15 @@ class MatchSession:
         serves, and a caller using the session as a context manager then
         closes it again; both orders are safe.  Only a backend the session
         created itself is closed — a passed-in instance belongs to its
-        creator (who may be sharing it across sessions).  After close,
+        creator (who may be sharing it across sessions).  Orphaned ground
+        truths are dropped: no later miss can use them.  After close,
         :meth:`make_job`/:meth:`submit` raise.
         """
         if self.closed:
             return
         self.closed = True
+        while self.drop_orphan():
+            pass
         if self._owns_backend:
             self.backend.close()
 

@@ -856,7 +856,8 @@ class TestPairCodeCache:
         assert [a for a in backend.unpublished if a is folded] == [folded]
         assert any(a is row_filter for a in backend.unpublished)
         assert not any(a is plain.pair_codes for a in backend.unpublished)
-        assert session.cache_bytes == base
+        # The predicated template's ground truth stays, as an orphan.
+        assert session.cache_bytes == base + filtered.exact_counts.nbytes
         # The unfiltered column survived with its plain sibling: a hit.
         hits = session.cache_stats.hits.get("pair_codes", 0)
         assert session.prepared(QUERY, seed=5).pair_codes is plain.pair_codes

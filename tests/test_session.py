@@ -5,13 +5,20 @@ prepared artifacts (cache hits), report per-query latency on the shared
 clock, and produce per-query results identical to standalone runs.
 """
 
+import dataclasses
+import hashlib
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
-from repro import MatchSession, match_many
+import repro.system.session as session_module
+from repro import MatchSession, SessionRegistry, match_many
 from repro.core import HistSimConfig
 from repro.core.target import TargetSpec
-from repro.query import Equals, HistogramQuery
+from repro.data.flights import build_flights
+from repro.data.workloads import workload_query
+from repro.query import Equals, HistogramQuery, InRange
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
 from repro.system import BatchScheduler, PreparedQuery, SimulatedClock, run_approach
 
@@ -450,3 +457,268 @@ class TestPreparedQueryReuse:
         }
         for report in results.values():
             assert report.audit is not None and report.audit.ok
+
+
+def assert_same(got, want, path="report"):
+    """Recursive equality over dataclasses, arrays and containers."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), path
+        for f in dataclasses.fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name), f"{path}.{f.name}")
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want), path
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same(a, b, f"{path}[{i}]")
+    else:
+        assert got == want, path
+
+
+class TestAdoptedEviction:
+    """Evicting an adopted entry counts only the layers that dropped
+    something: its shuffle, index and ground truth were never cached."""
+
+    def test_adopted_entry_eviction_counts_only_prepared(self):
+        flights = build_flights(rows=20_000, seed=7).table
+        _, q1 = workload_query("flights-q1")
+        _, q3 = workload_query("flights-q3")
+        adopted = PreparedQuery.prepare(flights, q1, np.random.default_rng(5))
+        session = MatchSession(flights, max_cached_queries=1)
+        session.adopt(adopted, seed=5)
+        session.prepared(q3, seed=5)
+        assert session.cache_stats.evictions == {"prepared": 1}
+        assert len(session._shuffle_cache) == 1
+        assert len(session._index_cache) == 1
+        assert len(session._exact_cache) == 1
+        # The adopted ground truth was never in the session's cache, so it
+        # is not kept as an orphan either.
+        assert session._orphans() == []
+        fresh = MatchSession(flights)
+        fresh.prepared(q3, seed=5)
+        assert session.cache_bytes == fresh.cache_bytes
+
+
+class TestOrphanGroundTruth:
+    """An evicted template's ground truth outlives its prepared entry."""
+
+    def queries(self):
+        return (
+            HistogramQuery("product", "age",
+                           target=TargetSpec(kind="closest_to_uniform"), k=3,
+                           predicate=Equals("channel", 0), name="web-uniform"),
+            HistogramQuery("product", "channel",
+                           target=TargetSpec(kind="closest_to_uniform"), k=3,
+                           name="channel"),
+        )
+
+    @pytest.mark.parametrize("kernel", ["auto", "fused"])
+    def test_re_miss_is_a_ground_truth_hit(self, table, kernel, monkeypatch):
+        evicted, other = self.queries()
+        config = HistSimConfig(k=3, epsilon=CONFIG_EPS, delta=0.05, sigma=0.0)
+        session = MatchSession(table, kernel=kernel, max_cached_queries=1)
+        session.prepared(evicted, seed=4)
+        session.prepared(other, seed=4)
+        assert session.cache_stats.evictions["prepared"] == 1
+        assert "ground_truth" not in session.cache_stats.evictions
+        counters = {
+            name: Mock(wraps=getattr(session_module, name))
+            for name in ("count_codes", "exact_candidate_counts")
+        }
+        for name, counter in counters.items():
+            monkeypatch.setattr(session_module, name, counter)
+        gt_hits = session.cache_stats.hits.get("ground_truth", 0)
+        misses = session.cache_stats.misses["prepared"]
+        report = session.match(evicted, config=config, seed=4).report
+        assert session.cache_stats.misses["prepared"] == misses + 1
+        assert session.cache_stats.hits["ground_truth"] == gt_hits + 1
+        assert {name: c.call_count for name, c in counters.items()} == {
+            "count_codes": 0, "exact_candidate_counts": 0,
+        }
+        monkeypatch.undo()
+        fresh = MatchSession(table, kernel=kernel)
+        assert_same(report, fresh.match(evicted, config=config, seed=4).report)
+
+    def test_cache_bytes_counts_orphans(self, table):
+        evicted, other = self.queries()
+        session = MatchSession(table, kernel="fused", max_cached_queries=1)
+        orphan = session.prepared(evicted, seed=4).exact_counts
+        session.prepared(other, seed=4)
+        fresh = MatchSession(table, kernel="fused")
+        fresh.prepared(other, seed=4)
+        assert session._orphans() == [(session_module._template(evicted), orphan)]
+        assert session.cache_bytes == fresh.cache_bytes + orphan.nbytes
+
+    def test_close_drops_orphans(self, table):
+        evicted, other = self.queries()
+        session = MatchSession(table, max_cached_queries=1)
+        session.prepared(evicted, seed=4)
+        session.prepared(other, seed=4)
+        assert len(session._orphans()) == 1
+        session.close()
+        assert session._orphans() == []
+        fresh = MatchSession(table)
+        fresh.prepared(other, seed=4)
+        assert session.cache_bytes == fresh.cache_bytes
+
+    def test_table_nbytes_caps_orphans_coldest_first(self):
+        """A small table with a large code space: two ground truths fit in
+        ``table.nbytes``, a third pushes out the one orphaned first."""
+        rng = np.random.default_rng(28)
+        rows, candidates, groups, templates = 10_000, 125, 25, 5
+        names = [f"x{i}" for i in range(templates)]
+        schema = Schema(
+            (CategoricalAttribute("z", tuple(range(candidates))),)
+            + tuple(CategoricalAttribute(n, tuple(range(groups))) for n in names)
+        )
+        columns = {"z": rng.integers(0, candidates, size=rows)}
+        columns.update({n: rng.integers(0, groups, size=rows) for n in names})
+        small = ColumnTable(schema, columns)
+        truth_bytes = candidates * groups * 8
+        assert 2 * truth_bytes <= small.nbytes < 3 * truth_bytes
+        q = [
+            HistogramQuery("z", n, target=TargetSpec(kind="closest_to_uniform"),
+                           k=3, name=n)
+            for n in names
+        ]
+        session = MatchSession(small, max_cached_queries=2)
+        session.prepared(q[0])
+        session.prepared(q[1])
+        session.prepared(q[0])  # touch: q1 is now the LRU entry
+        session.prepared(q[2])  # evicts q1: its truth is orphaned first
+        session.prepared(q[3])  # evicts q0: two orphans, within the cap
+        assert [t for t, _ in session._orphans()] == [
+            session_module._template(q[1]), session_module._template(q[0]),
+        ]
+        assert "ground_truth" not in session.cache_stats.evictions
+        session.prepared(q[4])  # evicts q2: three would exceed the cap
+        assert [t for t, _ in session._orphans()] == [
+            session_module._template(q[0]), session_module._template(q[2]),
+        ]
+        assert session.cache_stats.evictions["ground_truth"] == 1
+        assert sum(c.nbytes for _, c in session._orphans()) <= small.nbytes
+
+
+# The session_cache_mix workload's twelve templates at 20k rows, and the
+# values its op sequence gave before ground truths outlived their entries:
+# prepared-layer (hits, misses, evictions), ground-truth misses, and a
+# digest of every answer.
+CACHE_MIX_PREDICATE = InRange("dep_delay", 0, 1)
+CACHE_MIX_CONFIG = HistSimConfig(k=5, epsilon=0.2, delta=0.05, sigma=0.0)
+CACHE_MIX_BYTES = 600_000
+PINNED_QUERIES_BOUND = ((32, 28, 22), 28, "efe36db41f32fd4d")
+PINNED_BYTES_BOUND = ((18, 42, 39), 42, "efe36db41f32fd4d")
+PINNED_REGISTRY = {"a": ((7, 23, 20), 23), "b": ((5, 25, 22), 25)}
+PINNED_REGISTRY_DIGEST = "b5c5b05c12566f95"
+
+
+def cache_mix_templates():
+    queries = []
+    for z in ("origin", "dest"):
+        for x in ("dep_hour", "day_of_week", "day_of_month"):
+            for predicate in (None, CACHE_MIX_PREDICATE):
+                kwargs = {"predicate": predicate} if predicate is not None else {}
+                queries.append(HistogramQuery(
+                    z, x, target=TargetSpec(kind="closest_to_uniform"), k=5,
+                    name=f"{z}.{x}" + (".delay" if predicate is not None else ""),
+                    **kwargs,
+                ))
+    return queries
+
+
+def cache_mix_sequence(ops=60):
+    weights = 1.0 / np.arange(1, 13)
+    return np.random.default_rng(28).choice(12, size=ops, p=weights / weights.sum())
+
+
+def answer_digest(reports):
+    digest = hashlib.sha256()
+    for report in reports:
+        result = report.result
+        digest.update(repr((
+            tuple(result.matching),
+            np.asarray(result.histograms).astype(np.int64).tobytes(),
+            report.counters["rows_delivered"],
+            report.counters["blocks_read"],
+        )).encode())
+    return digest.hexdigest()[:16]
+
+
+def prepared_layer(stats):
+    return tuple(
+        counter.get("prepared", 0)
+        for counter in (stats.hits, stats.misses, stats.evictions)
+    )
+
+
+@pytest.fixture(scope="module")
+def cache_mix_tables():
+    return {
+        "a": build_flights(rows=20_000, seed=7).table,
+        "b": build_flights(rows=20_000, seed=8).table,
+    }
+
+
+class TestOrphanInvariance:
+    """Kept ground truths change no prepared-layer decision and no answer,
+    under either session bound or a registry budget: only ground-truth
+    misses fall."""
+
+    def run_session(self, table, **bounds):
+        templates = cache_mix_templates()
+        with MatchSession(table, kernel="fused", **bounds) as session:
+            reports = [
+                session.match(templates[i], config=CACHE_MIX_CONFIG, seed=3).report
+                for i in cache_mix_sequence()
+            ]
+            return session.cache_stats, answer_digest(reports)
+
+    @pytest.mark.parametrize(
+        "bounds, pinned",
+        [
+            ({"max_cached_queries": 6}, PINNED_QUERIES_BOUND),
+            ({"max_cached_bytes": CACHE_MIX_BYTES}, PINNED_BYTES_BOUND),
+        ],
+        ids=["queries", "bytes"],
+    )
+    def test_session_bounds(self, cache_mix_tables, bounds, pinned):
+        layer, truth_misses, digest = pinned
+        stats, got_digest = self.run_session(cache_mix_tables["a"], **bounds)
+        assert prepared_layer(stats) == layer
+        assert got_digest == digest
+        assert stats.misses["ground_truth"] < truth_misses
+
+    def test_registry_budget(self, cache_mix_tables):
+        templates = cache_mix_templates()
+        registry = SessionRegistry(max_cached_bytes=2 * CACHE_MIX_BYTES, kernel="fused")
+        for key, table in cache_mix_tables.items():
+            registry.add_dataset(key, table)
+        reports = [
+            registry.session("ab"[n % 2])
+            .match(templates[i], config=CACHE_MIX_CONFIG, seed=3)
+            .report
+            for n, i in enumerate(cache_mix_sequence())
+        ]
+        assert answer_digest(reports) == PINNED_REGISTRY_DIGEST
+        for key, (layer, truth_misses) in PINNED_REGISTRY.items():
+            stats = registry.session(key).cache_stats
+            assert prepared_layer(stats) == layer
+            assert stats.misses["ground_truth"] <= truth_misses
+        sessions = [registry.session(key) for key in registry]
+        # An evicted entry leaves its ground truth behind...
+        tenant = sessions[0]
+        assert tenant.evict_prepared(next(iter(tenant._prepared_cache)))
+        orphans = sum(len(s._orphans()) for s in sessions)
+        assert orphans > 0
+        # ...and a squeeze of one byte sheds an orphan, not an entry.
+        entries = registry.cached_entries
+        registry.max_cached_bytes = registry.cache_bytes - 1
+        assert registry.enforce_budget() == 0
+        assert registry.cached_entries == entries
+        assert sum(len(s._orphans()) for s in sessions) == orphans - 1
+        # Past every orphan and every evictable entry, it still stops.
+        registry.max_cached_bytes = 1
+        assert registry.enforce_budget() == entries - len(sessions)
+        assert all(s._orphans() == [] for s in sessions)
+        assert registry.cached_entries == len(sessions)
+        registry.close()
