@@ -93,6 +93,17 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
+def _config(args: argparse.Namespace, query) -> HistSimConfig:
+    """The run configuration every subcommand builds from its flags: the
+    query's own k unless ``--k`` overrides it, and a stage-1 sample of a
+    twentieth of the rows, capped at 50,000."""
+    return HistSimConfig(
+        k=args.k if args.k is not None else query.k,
+        epsilon=args.epsilon, delta=args.delta, sigma=args.sigma,
+        stage1_samples=min(50_000, max(1, args.rows // 20)),
+    )
+
+
 def resolve_backend_args(args: argparse.Namespace) -> tuple[str, int | None]:
     """Normalize ``(--backend, --workers)`` — the one backend-spec rule.
 
@@ -360,11 +371,7 @@ def _run_single(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error("--query is required (or use --list)")
 
     prepared = prepare_workload(args.query, rows=args.rows, seed=args.seed)
-    k = args.k if args.k is not None else prepared.query.k
-    config = HistSimConfig(
-        k=k, epsilon=args.epsilon, delta=args.delta, sigma=args.sigma,
-        stage1_samples=min(50_000, max(1, args.rows // 20)),
-    )
+    config = _config(args, prepared.query)
 
     backend = make_backend(args.backend, args.workers)
     try:
@@ -383,7 +390,7 @@ def _run_single(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         backend.close()
 
     print(f"query      : {args.query}  (Z={prepared.query.candidate_attribute}, "
-          f"X={prepared.query.grouping_attribute}, k={k})")
+          f"X={prepared.query.grouping_attribute}, k={config.k})")
     print(f"approach   : {args.approach}")
     print(f"backend    : {report.backend}"
           + (f" ({args.workers or 'auto'} workers)"
@@ -441,12 +448,7 @@ def _run_batch(args: argparse.Namespace) -> int:
         ) as session:
             for query_name in query_names:
                 _, query = workload_query(query_name)
-                k = args.k if args.k is not None else query.k
-                config = HistSimConfig(
-                    k=k, epsilon=args.epsilon, delta=args.delta,
-                    sigma=args.sigma,
-                    stage1_samples=min(50_000, max(1, args.rows // 20)),
-                )
+                config = _config(args, query)
                 # Repeats share one seed so they hit the prepared-artifact cache
                 # (one shuffle/index for the whole batch) — the point of --repeat.
                 for repeat in range(args.repeat):
@@ -525,11 +527,7 @@ def _load_trace(args: argparse.Namespace) -> list[tuple[float, str, QueryRequest
     def request_for(query_name: str, *, deadline_ms, seed, approach,
                     on_deadline="partial", label=None) -> tuple[str, QueryRequest]:
         dataset_name, query = workload_query(query_name)
-        k = args.k if args.k is not None else query.k
-        config = HistSimConfig(
-            k=k, epsilon=args.epsilon, delta=args.delta, sigma=args.sigma,
-            stage1_samples=min(50_000, max(1, args.rows // 20)),
-        )
+        config = _config(args, query)
         return dataset_name, QueryRequest(
             query,
             approach=approach,
@@ -755,11 +753,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     """``repro profile QUERY`` — hot-path profile of one workload run."""
     dataset_name, query = workload_query(args.query)
     dataset = load_dataset(dataset_name, rows=args.rows, seed=args.seed)
-    k = args.k if args.k is not None else query.k
-    config = HistSimConfig(
-        k=k, epsilon=args.epsilon, delta=args.delta, sigma=args.sigma,
-        stage1_samples=min(50_000, max(1, args.rows // 20)),
-    )
+    config = _config(args, query)
     profiler = Profiler()
     tracer = Tracer()
     wall = WallProfiler(args.wall_interval_ms * 1e-3) if args.wall else None

@@ -20,14 +20,16 @@ dataset the run short-circuits to exact results.
 
 Execution model
 ---------------
-The algorithm is a **resumable state machine**: :class:`HistSimStepper`
-advances through explicit :class:`Stage1` → :class:`Stage2Round` →
-:class:`Stage3` → :class:`Done` states, each :meth:`HistSimStepper.step`
-performing one bounded unit of sampling + testing (the prune pass, one
-stage-2 round, one stage-3 reconstruction batch).  :meth:`HistSim.run` is a
-thin driver that steps the machine to completion, so one-shot callers are
-unaffected while services (:mod:`repro.system.session`) can interleave many
-queries' steps on a shared clock.
+:class:`HistSim` holds the state and the per-stage pieces (the prune pass,
+a round's plan and test, the stage-3 budgets); :class:`HistSimStepper` is
+the one loop that moves a run from stage to stage, through explicit
+:class:`Stage1` → :class:`Stage2Round` → :class:`Stage3` → :class:`Done`
+states, each :meth:`HistSimStepper.step` one bounded unit of sampling +
+testing (the prune pass, one stage-2 round, one stage-3 reconstruction
+batch).  :meth:`HistSim.run` steps it to completion; services
+(:mod:`repro.system.session`) interleave many queries' steps on a shared
+clock.  Variants (range-k, dual-ε) subclass :class:`HistSim` and override
+a piece, never the loop.
 """
 
 from __future__ import annotations
@@ -168,9 +170,9 @@ class HistSim:
 
         Loop-invariant within a configuration, so it is computed once and
         cached instead of re-derived every stage-2 round; the cache keys on
-        the config parameters because extensions (range-k) swap ``config``
-        mid-run.  Subclasses with a different reconstruction tolerance
-        (dual-ε) override this property.
+        the config parameters because range-k swaps ``config`` at the end of
+        stage 1, once k is chosen.  Dual-ε budgets stage 3 at its own
+        tolerance by overriding :meth:`stage3_needed` instead.
         """
         cfg = self.config
         key = (cfg.epsilon, cfg.delta, cfg.k, self.sampler.num_groups)
@@ -369,40 +371,16 @@ class HistSim:
         tau = self.alive_distances(self.state.counts)
         return select_matching(tau, self.alive, self.config.k)
 
-    def run_stage2(self) -> np.ndarray:
-        """Identify the matching set ``M``; returns matching candidate indices."""
-        shortcut = self.stage2_shortcut()
-        if shortcut is not None:
-            return shortcut
-        delta_upper = self.config.stage_delta
-        for round_index in range(1, self.config.max_rounds + 1):
-            delta_upper /= 2.0
-            plan = self.begin_round(round_index, delta_upper)
-            fresh = self.backend.run_sampling(self.sampler, plan.budgets)
-            row_sums = self.state.record_round_counts(fresh)
-            matching = self.finish_round(plan, int(row_sums.sum()))
-            if matching is not None:
-                return matching
-        return self.exhaust_stage2()
-
     # ------------------------------------------------------------------ stage 3
 
     def stage3_needed(self, matching: np.ndarray) -> np.ndarray:
-        """Per-candidate fresh rows still required to hit the stage-3 target."""
+        """Per-candidate fresh rows still required to hit the stage-3 target
+        (line 26)."""
         needed = np.zeros(self.alive.size, dtype=np.float64)
         needed[matching] = np.maximum(
             0, self.stage3_target - self.state.samples[matching]
         )
         return needed
-
-    def run_stage3(self, matching: np.ndarray) -> None:
-        """Reconstruct every matching candidate to ε accuracy (line 26)."""
-        needed = self.stage3_needed(matching)
-        if np.any(needed > 0):
-            fresh = self.backend.run_sampling(self.sampler, needed)
-            self.state.record_round_counts(fresh)
-            self.state.fold_round_into_cumulative()
-        self._stats_cost("stage3", int(matching.size) * self.sampler.num_groups)
 
     # -------------------------------------------------------------------- run
 
@@ -437,12 +415,8 @@ class HistSim:
         )
 
     def run(self) -> MatchResult:
-        """Execute all three stages and assemble the result.
-
-        Thin driver over :class:`HistSimStepper`: steps the state machine to
-        completion, so run-to-completion and step-driven execution share one
-        code path (and produce identical results by construction).
-        """
+        """Execute all three stages and assemble the result: a
+        :class:`HistSimStepper` over this instance, stepped to completion."""
         return HistSimStepper(algorithm=self).run_to_completion()
 
 
@@ -503,15 +477,15 @@ class StepReport:
 
 
 class HistSimStepper:
-    """Resumable, step-driven execution of Algorithm 1.
+    """Resumable, step-driven execution of Algorithm 1 — its only stage loop.
 
     Each :meth:`step` performs one bounded unit of work — the stage-1 prune
     pass, one stage-2 round (or one ``max_step_rows``-bounded slice of its
     sampling), one stage-3 reconstruction batch — then yields control.  A
     scheduler can therefore interleave many concurrent queries' steps
-    (:mod:`repro.system.scheduler`) while each query's results stay
-    *identical* to a run-to-completion execution: the stepper calls exactly
-    the same stage methods in the same order on the same sampler.
+    (:mod:`repro.system.scheduler`); :meth:`HistSim.run` is this same
+    machine stepped to completion, so a scheduled query's result is
+    identical to a one-shot run by construction.
 
     Parameters
     ----------

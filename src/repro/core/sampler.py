@@ -89,6 +89,12 @@ class ArraySampler:
     batch_size:
         Rows delivered per internal step of :meth:`sample_until`; models the
         granularity at which a scan checks its stopping condition.
+
+    The protocol surface and the scan loop read only the domain sizes
+    ``_num_candidates`` / ``_num_groups``, the permuted group stream ``_x``,
+    the per-candidate ``_totals`` / ``_delivered`` rows, the ``_cursor`` and
+    ``_batch_size``: a sampler over another row source sets those in its
+    constructor and counts a slice in :meth:`_deliver`.
     """
 
     def __init__(
@@ -130,11 +136,11 @@ class ArraySampler:
 
     @property
     def total_rows(self) -> int:
-        return self._z.size
+        return self._x.size
 
     @property
     def fully_scanned(self) -> bool:
-        return self._cursor >= self._z.size
+        return self._cursor >= self._x.size
 
     def delivered_rows(self) -> np.ndarray:
         return self._delivered.copy()
@@ -157,7 +163,7 @@ class ArraySampler:
     def sample_uniform(self, m: int) -> np.ndarray:
         if m < 0:
             raise ValueError(f"m must be non-negative, got {m}")
-        stop = min(self._cursor + m, self._z.size)
+        stop = min(self._cursor + m, self._x.size)
         counts = self._deliver(self._cursor, stop)
         self._cursor = stop
         return counts
@@ -176,7 +182,7 @@ class ArraySampler:
         while np.any(fresh_rows < goal) and not self.fully_scanned:
             if max_rows is not None and delivered_call >= max_rows:
                 break
-            stop = min(self._cursor + self._batch_size, self._z.size)
+            stop = min(self._cursor + self._batch_size, self._x.size)
             batch = self._deliver(self._cursor, stop)
             self._cursor = stop
             fresh += batch

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..parallel.kernels import rows_per_candidate
-from .distance import candidate_distances
 
 __all__ = ["CandidateState"]
 
@@ -98,14 +97,6 @@ class CandidateState:
         self.round_samples[:] = 0
         self.round_counts[:] = 0
 
-    def distances(self, target: np.ndarray) -> np.ndarray:
-        """Cumulative distance estimates ``τ_i = d(r_i, q)``."""
-        return candidate_distances(self.counts, target)
-
-    def round_distances(self, target: np.ndarray) -> np.ndarray:
-        """Round distance estimates ``τ∂_i = d(r∂_i, q)``."""
-        return candidate_distances(self.round_counts, target)
-
     def exhausted(self) -> np.ndarray:
         """Mask of candidates whose every row has been observed (exact histograms).
 
@@ -115,9 +106,3 @@ class CandidateState:
         if self.candidate_rows is None:
             return np.zeros(self.num_candidates, dtype=bool)
         return self.samples >= self.candidate_rows
-
-    def round_exhausted(self) -> np.ndarray:
-        """Mask of candidates with no fresh rows left for the current round."""
-        if self.candidate_rows is None:
-            return np.zeros(self.num_candidates, dtype=bool)
-        return (self.samples + self.round_samples) >= self.candidate_rows

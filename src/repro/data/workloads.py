@@ -15,10 +15,10 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.target import TargetSpec
 from ..query.spec import HistogramQuery
+from ..storage.blocks import BlockLayout
+from ..storage.shuffle import ShuffledTable
 from ..system.fastmatch import DEFAULT_BLOCK_SIZE, PreparedQuery
 from .flights import ATW, ORD
 from .registry import Dataset, load_dataset
@@ -121,32 +121,10 @@ def prepare_workload(
         dataset_name, query = workload_query(name)
         dataset: Dataset = load_dataset(dataset_name, rows=rows, seed=seed)
         # The dataset is shuffled by construction (generator.assemble), so
-        # preparation reuses it directly; PreparedQuery.prepare would shuffle
-        # again, which is wasted work at millions of rows.
-        from ..bitmap.builder import build_bitmap_index
-        from ..core.target import resolve_target
-        from ..query.executor import exact_candidate_counts
-        from ..query.predicate import TruePredicate
-        from ..storage.blocks import BlockLayout
-        from ..storage.shuffle import ShuffledTable
-
+        # preparation reuses its row order as the layout; PreparedQuery.prepare
+        # would shuffle again, which is wasted work at millions of rows.
         shuffled = ShuffledTable(
             dataset.table, BlockLayout(dataset.table.num_rows, block_size)
         )
-        index = build_bitmap_index(shuffled, query.candidate_attribute)
-        exact = exact_candidate_counts(shuffled.table, query)
-        target = resolve_target(query.target, exact)
-        row_filter = (
-            None
-            if isinstance(query.predicate, TruePredicate)
-            else query.predicate.mask(shuffled.table)
-        )
-        _PREPARED_CACHE[key] = PreparedQuery(
-            query=query,
-            shuffled=shuffled,
-            index=index,
-            exact_counts=exact,
-            target=target,
-            row_filter=row_filter,
-        )
+        _PREPARED_CACHE[key] = PreparedQuery._on_layout(shuffled, query)
     return _PREPARED_CACHE[key]

@@ -38,9 +38,9 @@ class DualEpsilonHistSim(HistSim):
         self.epsilon_reconstruction = epsilon_reconstruction
 
     def stage3_needed(self, matching: np.ndarray) -> np.ndarray:
-        """Reconstruction budgets at ε₂ — the stepper and :meth:`run_stage3`
-        both budget stage 3 through this method.  (Stage-2 round-budget
-        ceilings still scale with the ε₁ target, as before.)"""
+        """Reconstruction budgets at ε₂ — the stepper budgets stage 3 through
+        this method.  (Stage-2 round-budget ceilings still scale with the ε₁
+        target, as before.)"""
         cfg = self.config
         target_n = stage3_sample_target(
             self.epsilon_reconstruction, cfg.delta, cfg.k, self.sampler.num_groups

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bitmap.density_map import DensityMap
+from ..core.sampler import ArraySampler
 from ..parallel.kernels import count_pairs
 from ..query.predicate import Predicate
 from ..storage.table import ColumnTable
@@ -53,12 +54,14 @@ def predicate_block_counts(
     return density.tuples_matching(value_mask, start_block, stop_block)
 
 
-class PredicateCandidateSampler:
+class PredicateCandidateSampler(ArraySampler):
     """A TupleSampler over predicate-defined candidates.
 
     A scanned tuple increments the histogram of *every* candidate whose
     predicate it satisfies.  Budgets are per candidate exactly as in the
-    base algorithm; the stream is the shuffled row order.
+    base algorithm; the stream is the shuffled row order, scanned by
+    :class:`~repro.core.sampler.ArraySampler`'s loop — only the stream and
+    the slice count differ.
     """
 
     def __init__(
@@ -87,28 +90,6 @@ class PredicateCandidateSampler:
         self._cursor = 0
         self._batch_size = batch_size
 
-    @property
-    def num_candidates(self) -> int:
-        return self._num_candidates
-
-    @property
-    def num_groups(self) -> int:
-        return self._num_groups
-
-    @property
-    def total_rows(self) -> int:
-        return int(self._x.size)
-
-    @property
-    def fully_scanned(self) -> bool:
-        return self._cursor >= self._x.size
-
-    def delivered_rows(self) -> np.ndarray:
-        return self._delivered.copy()
-
-    def candidate_rows(self) -> np.ndarray | None:
-        return self._totals.copy()
-
     def _deliver(self, start: int, stop: int) -> np.ndarray:
         x = self._x[start:stop]
         members = self._membership[:, start:stop]
@@ -118,33 +99,3 @@ class PredicateCandidateSampler:
         counts = count_pairs(cand, x[rows], self._num_candidates, self._num_groups)
         self._delivered += counts.sum(axis=1)
         return counts
-
-    def sample_uniform(self, m: int) -> np.ndarray:
-        if m < 0:
-            raise ValueError(f"m must be non-negative, got {m}")
-        stop = min(self._cursor + m, self._x.size)
-        counts = self._deliver(self._cursor, stop)
-        self._cursor = stop
-        return counts
-
-    def sample_until(self, needed: np.ndarray, max_rows: float | None = None) -> np.ndarray:
-        needed = np.asarray(needed, dtype=np.float64)
-        if needed.shape != (self._num_candidates,):
-            raise ValueError(
-                f"needed must have shape ({self._num_candidates},), got {needed.shape}"
-            )
-        remaining = (self._totals - self._delivered).astype(np.float64)
-        goal = np.minimum(np.maximum(needed, 0.0), remaining)
-        fresh = np.zeros((self._num_candidates, self._num_groups), dtype=np.int64)
-        fresh_rows = np.zeros(self._num_candidates, dtype=np.float64)
-        delivered_call = 0
-        while np.any(fresh_rows < goal) and not self.fully_scanned:
-            if max_rows is not None and delivered_call >= max_rows:
-                break
-            stop = min(self._cursor + self._batch_size, self._x.size)
-            batch = self._deliver(self._cursor, stop)
-            self._cursor = stop
-            fresh += batch
-            fresh_rows += batch.sum(axis=1)
-            delivered_call += int(batch.sum())
-        return fresh

@@ -4,6 +4,10 @@ When the analyst accepts anywhere between ``k1`` and ``k2`` matches, HistSim
 may pick the ``k`` whose boundary is easiest to certify — the one with the
 largest gap between the k-th and (k+1)-th estimated distances, since stage-2
 budgets scale as ``1/margin²`` and the split point sits in that gap.
+
+The variant is a :class:`~repro.core.histsim.HistSim` whose stage 1 ends by
+choosing k; stages 2–3 then run at that k through the ordinary stepper, so
+the result is exactly a plain run at the chosen k.
 """
 
 from __future__ import annotations
@@ -32,6 +36,31 @@ def choose_k(distances: np.ndarray, alive: np.ndarray, k_min: int, k_max: int) -
     return k_min + int(np.argmax(gaps))
 
 
+class _RangeKHistSim(HistSim):
+    """HistSim that sets ``config.k`` from the post-stage-1 estimates."""
+
+    def __init__(
+        self,
+        sampler: TupleSampler,
+        target: np.ndarray,
+        config: HistSimConfig,
+        k_min: int,
+        k_max: int,
+    ) -> None:
+        if not 1 <= k_min <= k_max:
+            raise ValueError(f"need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
+        super().__init__(sampler, target, config)
+        self.k_min = k_min
+        self.k_max = k_max
+
+    def run_stage1(self) -> np.ndarray:
+        pruned = super().run_stage1()
+        tau = self.alive_distances(self.state.counts)
+        k = choose_k(tau, self.alive, self.k_min, self.k_max)
+        self.config = self.config.with_(k=k)
+        return pruned
+
+
 def run_histsim_range_k(
     sampler: TupleSampler,
     target: np.ndarray,
@@ -46,21 +75,7 @@ def run_histsim_range_k(
     hold for the chosen k: the choice only affects which hypotheses stage 2
     tests, not their error control.
     """
-    if not 1 <= k_min <= k_max:
-        raise ValueError(f"need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
-    algo = HistSim(sampler, np.asarray(target, dtype=np.float64), config)
-    pruned_mask = algo.run_stage1()
-
-    k = choose_k(algo.alive_distances(algo.state.counts), algo.alive, k_min, k_max)
-    algo.config = config.with_(k=k)
-
-    matching = algo.run_stage2()
-    algo.run_stage3(matching)
-    # The whole effort is booked under stage 3, as this entry point always has.
-    return algo._assemble_result(
-        pruned_mask,
-        matching,
-        stage1_samples=0,
-        stage2_samples=0,
-        stage3_samples=int(algo.state.samples.sum()),
+    algo = _RangeKHistSim(
+        sampler, np.asarray(target, dtype=np.float64), config, k_min, k_max
     )
+    return algo.run()

@@ -13,6 +13,14 @@ Four approaches, matching Section 5.2's comparison points:
 (shuffle, index build, exact ground truth, target resolution) so the
 benchmarks can compare approaches on identical substrates.
 
+One path turns a prepared query into an answer: :func:`make_engine` wires
+the engine, a :class:`~repro.core.histsim.HistSim` and its
+:class:`~repro.core.histsim.HistSimStepper` into a resumable job (the Scan
+is a one-step job), and :func:`assemble_report` packages what it produced.
+A :class:`~repro.system.session.MatchSession` hands such jobs to its
+scheduler; :func:`run_approach` builds the same job on a clock of its own
+and steps it to completion.
+
 ``PreparedQuery.pair_codes`` — the column the fused kernel counts — is
 always *folded with the artifact's own* ``row_filter``: rows the predicate
 drops hold the sentinel code, so an engine over the artifact hands its
@@ -33,9 +41,11 @@ from ..bitmap.bitmap_index import BlockBitmapIndex
 from ..bitmap.builder import build_bitmap_index
 from ..core.config import HistSimConfig
 from ..core.guarantees import AuditTruth, audit_result
-from ..core.histsim import HistSim
+from ..core.histsim import HistSim, HistSimStepper
 from ..core.result import MatchResult
 from ..core.target import resolve_target
+from ..obs.profiler import NULL_PROFILER
+from ..obs.tracer import NULL_TRACER
 from ..parallel.backend import ExecutionBackend
 from ..parallel.kernels import build_pair_codes
 from ..query.executor import exact_candidate_counts
@@ -135,22 +145,27 @@ class PreparedQuery:
         rng: np.random.Generator,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> "PreparedQuery":
-        """Shuffle, index, compute ground truth, and resolve the target."""
+        """Shuffle, then prepare on that layout (:meth:`_on_layout`)."""
         query.validate_against(table)
-        shuffled = shuffle_table(table, block_size, rng)
-        index = build_bitmap_index(shuffled, query.candidate_attribute)
-        exact = exact_candidate_counts(shuffled.table, query)
-        target = resolve_target(query.target, exact)
+        return cls._on_layout(shuffle_table(table, block_size, rng), query)
+
+    @classmethod
+    def _on_layout(cls, shuffled: ShuffledTable, query: HistogramQuery) -> "PreparedQuery":
+        """Index, row filter, ground truth and target of ``query`` on an
+        existing layout — the one-shot preparation, shared by :meth:`prepare`
+        and :func:`repro.data.prepare_workload`.  The predicate is evaluated
+        once: its mask is the row filter and filters the ground-truth pass."""
         if isinstance(query.predicate, TruePredicate):
             row_filter = None
         else:
             row_filter = query.predicate.mask(shuffled.table)
+        exact = exact_candidate_counts(shuffled.table, query, row_filter=row_filter)
         return cls(
             query=query,
             shuffled=shuffled,
-            index=index,
+            index=build_bitmap_index(shuffled, query.candidate_attribute),
             exact_counts=exact,
-            target=target,
+            target=resolve_target(query.target, exact),
             row_filter=row_filter,
         )
 
@@ -190,11 +205,8 @@ def make_engine(
     profiler=None,
     kernel: str = "auto",
 ) -> BlockSamplingEngine:
-    """Build the block sampling engine for one sampling approach.
-
-    Shared by :func:`run_approach` (one-shot) and the session layer
-    (:mod:`repro.system.session`), which wires the same engine to a
-    resumable stepper on a shared clock.  ``backend`` routes the engine's
+    """Build the block sampling engine for one sampling approach — the one
+    a stepper job samples through.  ``backend`` routes the engine's
     block delivery (serial by default; sharded when opted in); ``kernel``
     selects the counting kernel, and the prepared query's ``pair_codes``
     (when built; folded with its ``row_filter``) ride along to enable the
@@ -268,10 +280,10 @@ def assemble_report(
 ) -> RunReport:
     """Package one execution's outcome, auditing against the cached truth.
 
-    Shared by :func:`run_approach` and the session jobs so the report shape
-    stays in one place.  ``partial`` marks a deadline-cut answer (serving
-    front door); partial answers carry their actually-achieved ε/δ and are
-    never audited against the full guarantees they do not claim.
+    Every job finishes through it, so the report shape stays in one place.
+    ``partial`` marks a deadline-cut answer (serving front door); partial
+    answers carry their actually-achieved ε/δ and are never audited against
+    the full guarantees they do not claim.
     """
     report_audit = None
     if audit and not partial:
@@ -301,6 +313,229 @@ def assemble_report(
     )
 
 
+class _Job:
+    """What every job shares: its identity, the clock it charges, its
+    telemetry, and the report it finishes with."""
+
+    def __init__(
+        self,
+        name: str,
+        prepared: PreparedQuery,
+        approach: str,
+        config: HistSimConfig,
+        cost_model: CostModel,
+        clock: SimulatedClock,
+        *,
+        audit: bool,
+        backend: ExecutionBackend | None,
+        tracer=NULL_TRACER,
+        tenant: str | None = None,
+        profiler=NULL_PROFILER,
+    ) -> None:
+        self.name = name
+        self.prepared = prepared
+        self.approach = approach
+        self.config = config
+        self.cost_model = cost_model
+        self.clock = clock
+        self.tracer = tracer
+        self.tenant = tenant
+        self.profiler = profiler
+        #: Stage the most recent step executed in ("stage1"/"stage2"/
+        #: "stage3"/"scan"); the engine stamps it on its ``engine.step`` spans.
+        self.last_stage: str | None = None
+        self._audit = audit
+        self._backend = backend
+
+    def estimated_remaining_ns(self) -> float:
+        """Optimistic remaining service time: the remaining-row estimate at
+        pure sequential-read cost.  A lower bound (probes, stats, and block
+        overheads come on top), which is exactly what feasibility shedding
+        wants — a deadline even this cannot meet is certainly doomed."""
+        return self.estimated_remaining_rows() * self.cost_model.tuple_read_ns
+
+    def _report(
+        self, result: MatchResult, service_ns: float, counters: dict, backend: str,
+        *, audit: bool, **partial,
+    ) -> RunReport:
+        return assemble_report(
+            self.prepared, self.approach, result, self.config, service_ns, counters,
+            audit=audit,
+            query_name=self.name,
+            backend=backend,
+            profile=(
+                self.profiler.snapshot().to_dict() if self.profiler.enabled else None
+            ),
+            **partial,
+        )
+
+
+class _StepperJob(_Job):
+    """One sampling approach on one prepared query as a resumable job: the
+    engine, :class:`HistSim` and :class:`HistSimStepper` wired once, stepped
+    by whoever drives it."""
+
+    def __init__(
+        self, *args, seed: int, max_step_rows: int | None, kernel: str, **options
+    ) -> None:
+        super().__init__(*args, **options)
+        rng = np.random.default_rng(seed)
+        self.engine = make_engine(
+            self.prepared, self.approach, self.config, self.cost_model, self.clock,
+            rng, self._backend, profiler=self.profiler, kernel=kernel,
+        )
+        stats_engine = StatsEngine(self.cost_model, self.clock)
+        algorithm = HistSim(
+            self.engine, self.prepared.target, self.config, stats_cost=stats_engine,
+            backend=self._backend,
+        )
+        self.stepper = HistSimStepper(algorithm=algorithm, max_step_rows=max_step_rows)
+
+    @property
+    def done(self) -> bool:
+        return self.stepper.done
+
+    def step(self) -> None:
+        profiler = self.profiler
+        if not self.tracer.enabled and not profiler.enabled:
+            self.stepper.step()
+            return
+        # The calibration signal: the lookahead estimate before and after
+        # each slice, against the rows the slice actually delivered.
+        # estimated_remaining_rows() is pure (no clock charges, no RNG),
+        # so traced runs stay byte-identical to untraced ones.
+        stepper = self.stepper
+        est_before = stepper.estimated_remaining_rows()
+        stage = stepper.stage_name
+        started_ns = self.clock.elapsed_ns
+        if self.tracer.enabled:
+            with self.tracer.span(
+                f"stepper.{stage}", clock=self.clock, name=self.name,
+                tenant=self.tenant,
+            ) as span:
+                with profiler.stage(stage):
+                    report = stepper.step()
+                span.set(
+                    round=report.round_index,
+                    fresh_rows=report.fresh_rows,
+                    done=report.done,
+                    est_rows_before=est_before,
+                    est_rows_after=stepper.estimated_remaining_rows(),
+                    est_ns_before=est_before * self.cost_model.tuple_read_ns,
+                    # Eq. 1 sequential-read cost of the *delivered* slice —
+                    # what ServingMetrics calibrates against observed time.
+                    est_slice_ns=report.fresh_rows * self.cost_model.tuple_read_ns,
+                )
+        else:
+            with profiler.stage(stage):
+                report = stepper.step()
+        if profiler.enabled:
+            # Same clock endpoints as the span above (the clock only moves
+            # on charges inside the step), so stage sums match trace sums.
+            profiler.record_stage(
+                stage, self.clock.elapsed_ns - started_ns, rows=report.fresh_rows
+            )
+        self.last_stage = report.stage
+
+    def estimated_remaining_rows(self) -> float:
+        """Cost hint for shortest-expected-remaining-cost scheduling."""
+        return self.stepper.estimated_remaining_rows()
+
+    def finish(self, service_ns: float) -> RunReport:
+        return self._report(
+            self.stepper.result, service_ns, engine_counters(self.engine),
+            self.engine.backend.name, audit=self._audit,
+        )
+
+    def finish_partial(self, service_ns: float) -> RunReport:
+        """Deadline-cut answer: the current top-k estimate, stamped with the
+        ε the delivered samples actually achieved (Theorem 1 inverted)."""
+        result = self.stepper.partial_result()
+        return self._report(
+            result, service_ns, engine_counters(self.engine),
+            self.engine.backend.name, audit=False,
+            partial=not self.stepper.done,
+            achieved_epsilon=self.stepper.achieved_epsilon(result.matching),
+            achieved_delta=self.config.delta,
+        )
+
+
+class _ScanJob(_Job):
+    """The exact-scan baseline as a single atomic step."""
+
+    _result: MatchResult | None = None
+
+    @property
+    def done(self) -> bool:
+        return self._result is not None
+
+    def estimated_remaining_rows(self) -> float:
+        """Cost hint for serving policies: a scan reads every row, once."""
+        return 0.0 if self.done else float(self.prepared.shuffled.num_rows)
+
+    def step(self) -> None:
+        profiler = self.profiler
+        started_ns = self.clock.elapsed_ns if profiler.enabled else 0.0
+        with self.tracer.span(
+            "stepper.scan",
+            clock=self.clock,
+            name=self.name,
+            tenant=self.tenant,
+            rows=self.prepared.shuffled.num_rows,
+        ):
+            with profiler.stage("scan"):
+                self._result, _ = run_scan(
+                    self.prepared.shuffled,
+                    self.prepared.query,
+                    self.prepared.target,
+                    self.config.k,
+                    self.config.sigma,
+                    self.cost_model,
+                    self.clock,
+                    backend=self._backend,
+                )
+        if profiler.enabled:
+            profiler.record_stage(
+                "scan",
+                self.clock.elapsed_ns - started_ns,
+                rows=self.prepared.shuffled.num_rows,
+            )
+        self.last_stage = "scan"
+
+    def finish(self, service_ns: float) -> RunReport:
+        return self._report(
+            self._result, service_ns, scan_counters(self.prepared.shuffled),
+            self._backend.name if self._backend is not None else "serial",
+            audit=self._audit,
+        )
+
+
+def _make_job(
+    name: str,
+    prepared: PreparedQuery,
+    approach: str,
+    config: HistSimConfig,
+    cost_model: CostModel,
+    clock: SimulatedClock,
+    *,
+    seed: int,
+    max_step_rows: int | None = None,
+    kernel: str = "auto",
+    **options,
+) -> _Job:
+    """The resumable job that runs ``approach`` on ``prepared`` against
+    ``clock`` — what a session schedules and :func:`run_approach` steps.
+    ``options`` are :class:`_Job`'s: ``audit``, ``backend`` and telemetry."""
+    if approach not in APPROACHES:
+        raise ValueError(f"approach must be one of {APPROACHES}, got {approach!r}")
+    args = (name, prepared, approach, config, cost_model, clock)
+    if approach == "scan":
+        return _ScanJob(*args, **options)
+    return _StepperJob(
+        *args, seed=seed, max_step_rows=max_step_rows, kernel=kernel, **options
+    )
+
+
 def run_approach(
     prepared: PreparedQuery,
     approach: str,
@@ -313,53 +548,21 @@ def run_approach(
 ) -> RunReport:
     """Execute one approach on a prepared query and report result + cost.
 
-    ``backend`` selects the execution backend for every approach — the
-    sampling approaches' block counts and the exact ``"scan"``'s single
-    counting pass are sharded once they reach a worker backend's floor —
-    with byte-identical results either way; the
-    caller owns its lifetime (:meth:`ExecutionBackend.close`).
-    ``kernel`` selects the counting kernel (all choices byte-identical).
+    The job a session would schedule, stepped to completion on a clock of
+    its own — so the report also carries that clock's per-component
+    ``breakdown``.  ``backend`` selects the execution backend for every
+    approach — the sampling approaches' block counts and the exact
+    ``"scan"``'s single counting pass are sharded once they reach a worker
+    backend's floor — with byte-identical results either way; the caller
+    owns its lifetime (:meth:`ExecutionBackend.close`).  ``kernel`` selects
+    the counting kernel (all choices byte-identical).
     """
-    if approach not in APPROACHES:
-        raise ValueError(f"approach must be one of {APPROACHES}, got {approach!r}")
-    rng = np.random.default_rng(seed)
     clock = SimulatedClock()
-    backend_name = "serial"
-
-    if approach == "scan":
-        result, clock = run_scan(
-            prepared.shuffled,
-            prepared.query,
-            prepared.target,
-            config.k,
-            config.sigma,
-            cost_model,
-            clock,
-            backend=backend,
-        )
-        counters = scan_counters(prepared.shuffled)
-        if backend is not None:
-            backend_name = backend.name
-    else:
-        engine = make_engine(
-            prepared, approach, config, cost_model, clock, rng, backend, kernel=kernel
-        )
-        stats_engine = StatsEngine(cost_model, clock)
-        algo = HistSim(
-            engine, prepared.target, config, stats_cost=stats_engine, backend=backend
-        )
-        result = algo.run()
-        counters = engine_counters(engine)
-        backend_name = engine.backend.name
-
-    return assemble_report(
-        prepared,
-        approach,
-        result,
-        config,
-        clock.elapsed_ns,
-        counters,
-        breakdown=clock.snapshot(),
-        audit=audit,
-        backend=backend_name,
+    job = _make_job(
+        prepared.query.name or prepared.query.candidate_attribute,
+        prepared, approach, config, cost_model, clock,
+        seed=seed, audit=audit, backend=backend, kernel=kernel,
     )
+    while not job.done:
+        job.step()
+    return replace(job.finish(clock.elapsed_ns), breakdown=clock.snapshot())

@@ -30,9 +30,11 @@ into the skeleton of a serving system:
   the table's MiB), so the next miss on that template does not recount
   the table.
 
-Results are identical to standalone :func:`~repro.system.fastmatch.run_approach`
-runs with the same prepared query, config, and seed: interleaving reorders
-only *when* each query's work happens on the clock, never *what* it samples.
+Each job is built by :mod:`repro.system.fastmatch` — the same job
+:func:`~repro.system.fastmatch.run_approach` steps alone on a clock of its
+own.  Interleaving reorders only *when* each job's work happens on the
+shared clock, never *what* it samples, so a session's answer equals
+``run_approach``'s for the same prepared query, config, and seed.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import numpy as np
 
 from ..bitmap.builder import build_bitmap_index
 from ..core.config import HistSimConfig
-from ..core.histsim import HistSim, HistSimStepper
 from ..core.target import resolve_target
 from ..obs.profiler import NULL_PROFILER
 from ..obs.tracer import NULL_TRACER
@@ -62,16 +63,10 @@ from .fastmatch import (
     APPROACHES,
     DEFAULT_BLOCK_SIZE,
     PreparedQuery,
-    assemble_report,
-    engine_counters,
-    make_engine,
+    _make_job,
     prepared_pair_codes,
-    scan_counters,
 )
-from .report import RunReport
-from .scan import run_scan
 from .scheduler import BatchScheduler, ScheduleResult
-from .stats_engine import StatsEngine
 
 __all__ = ["CacheStats", "MatchSession"]
 
@@ -117,238 +112,6 @@ class CacheStats:
         if self.total_evictions:
             parts.append(f"evicted={self.total_evictions}")
         return " ".join(parts) if parts else "empty"
-
-
-class _StepperJob:
-    """One query's resumable execution unit inside a session."""
-
-    def __init__(
-        self,
-        name: str,
-        prepared: PreparedQuery,
-        approach: str,
-        config: HistSimConfig,
-        cost_model: CostModel,
-        clock: SimulatedClock,
-        seed: int,
-        audit: bool,
-        max_step_rows: int | None,
-        backend: ExecutionBackend,
-        tracer=NULL_TRACER,
-        tenant: str | None = None,
-        profiler=NULL_PROFILER,
-        kernel: str = "auto",
-    ) -> None:
-        self.name = name
-        self.approach = approach
-        self.prepared = prepared
-        self.config = config
-        self.clock = clock
-        self.tracer = tracer
-        self.tenant = tenant
-        self.profiler = profiler
-        #: Stage the most recent step executed in ("stage1"/"stage2"/
-        #: "stage3"); the engine stamps it on its ``engine.step`` spans.
-        self.last_stage: str | None = None
-        self._cost_model = cost_model
-        self._audit = audit
-        rng = np.random.default_rng(seed)
-        self.engine = make_engine(
-            prepared, approach, config, cost_model, clock, rng, backend,
-            profiler=profiler, kernel=kernel,
-        )
-        stats_engine = StatsEngine(cost_model, clock)
-        algorithm = HistSim(
-            self.engine, prepared.target, config, stats_cost=stats_engine,
-            backend=backend,
-        )
-        self.stepper = HistSimStepper(algorithm=algorithm, max_step_rows=max_step_rows)
-
-    @property
-    def done(self) -> bool:
-        return self.stepper.done
-
-    def step(self) -> None:
-        profiler = self.profiler
-        if not self.tracer.enabled and not profiler.enabled:
-            self.stepper.step()
-            return
-        # The calibration signal: the lookahead estimate before and after
-        # each slice, against the rows the slice actually delivered.
-        # estimated_remaining_rows() is pure (no clock charges, no RNG),
-        # so traced runs stay byte-identical to untraced ones.
-        stepper = self.stepper
-        est_before = stepper.estimated_remaining_rows()
-        stage = stepper.stage_name
-        started_ns = self.clock.elapsed_ns
-        if self.tracer.enabled:
-            with self.tracer.span(
-                f"stepper.{stage}", clock=self.clock, name=self.name,
-                tenant=self.tenant,
-            ) as span:
-                with profiler.stage(stage):
-                    report = stepper.step()
-                span.set(
-                    round=report.round_index,
-                    fresh_rows=report.fresh_rows,
-                    done=report.done,
-                    est_rows_before=est_before,
-                    est_rows_after=stepper.estimated_remaining_rows(),
-                    est_ns_before=est_before * self._cost_model.tuple_read_ns,
-                    # Eq. 1 sequential-read cost of the *delivered* slice —
-                    # what ServingMetrics calibrates against observed time.
-                    est_slice_ns=report.fresh_rows * self._cost_model.tuple_read_ns,
-                )
-        else:
-            with profiler.stage(stage):
-                report = stepper.step()
-        if profiler.enabled:
-            # Same clock endpoints as the span above (the clock only moves
-            # on charges inside the step), so stage sums match trace sums.
-            profiler.record_stage(
-                stage, self.clock.elapsed_ns - started_ns, rows=report.fresh_rows
-            )
-        self.last_stage = report.stage
-
-    def estimated_remaining_rows(self) -> float:
-        """Cost hint for shortest-expected-remaining-cost scheduling."""
-        return self.stepper.estimated_remaining_rows()
-
-    def estimated_remaining_ns(self) -> float:
-        """Optimistic remaining service time: the lookahead row estimate at
-        pure sequential-read cost.  A lower bound (probes, stats, and block
-        overheads come on top), which is exactly what feasibility shedding
-        wants — a deadline even this cannot meet is certainly doomed."""
-        return self.estimated_remaining_rows() * self._cost_model.tuple_read_ns
-
-    def _profile_dict(self) -> dict | None:
-        if not self.profiler.enabled:
-            return None
-        return self.profiler.snapshot().to_dict()
-
-    def finish(self, service_ns: float) -> RunReport:
-        return assemble_report(
-            self.prepared,
-            self.approach,
-            self.stepper.result,
-            self.config,
-            service_ns,
-            engine_counters(self.engine),
-            audit=self._audit,
-            query_name=self.name,
-            backend=self.engine.backend.name,
-            profile=self._profile_dict(),
-        )
-
-    def finish_partial(self, service_ns: float) -> RunReport:
-        """Deadline-cut answer: the current top-k estimate, stamped with the
-        ε the delivered samples actually achieved (Theorem 1 inverted)."""
-        result = self.stepper.partial_result()
-        return assemble_report(
-            self.prepared,
-            self.approach,
-            result,
-            self.config,
-            service_ns,
-            engine_counters(self.engine),
-            audit=False,
-            query_name=self.name,
-            backend=self.engine.backend.name,
-            partial=not self.stepper.done,
-            achieved_epsilon=self.stepper.achieved_epsilon(result.matching),
-            achieved_delta=self.config.delta,
-            profile=self._profile_dict(),
-        )
-
-
-class _ScanJob:
-    """The exact-scan baseline as a single atomic scheduler step."""
-
-    def __init__(
-        self,
-        name: str,
-        prepared: PreparedQuery,
-        config: HistSimConfig,
-        cost_model: CostModel,
-        clock: SimulatedClock,
-        audit: bool,
-        backend: ExecutionBackend | None = None,
-        tracer=NULL_TRACER,
-        tenant: str | None = None,
-        profiler=NULL_PROFILER,
-    ) -> None:
-        self.name = name
-        self.approach = "scan"
-        self.prepared = prepared
-        self.config = config
-        self.cost_model = cost_model
-        self.clock = clock
-        self.tracer = tracer
-        self.tenant = tenant
-        self.profiler = profiler
-        self.last_stage: str | None = None
-        self._audit = audit
-        self._backend = backend
-        self._result = None
-
-    @property
-    def done(self) -> bool:
-        return self._result is not None
-
-    def estimated_remaining_rows(self) -> float:
-        """Cost hint for serving policies: a scan reads every row, once."""
-        return 0.0 if self.done else float(self.prepared.shuffled.num_rows)
-
-    def estimated_remaining_ns(self) -> float:
-        """Optimistic remaining service time of the full sequential pass."""
-        return self.estimated_remaining_rows() * self.cost_model.tuple_read_ns
-
-    def step(self) -> None:
-        profiler = self.profiler
-        started_ns = self.clock.elapsed_ns if profiler.enabled else 0.0
-        with self.tracer.span(
-            "stepper.scan",
-            clock=self.clock,
-            name=self.name,
-            tenant=self.tenant,
-            rows=self.prepared.shuffled.num_rows,
-        ):
-            with profiler.stage("scan"):
-                self._result, _ = run_scan(
-                    self.prepared.shuffled,
-                    self.prepared.query,
-                    self.prepared.target,
-                    self.config.k,
-                    self.config.sigma,
-                    self.cost_model,
-                    self.clock,
-                    backend=self._backend,
-                )
-        if profiler.enabled:
-            profiler.record_stage(
-                "scan",
-                self.clock.elapsed_ns - started_ns,
-                rows=self.prepared.shuffled.num_rows,
-            )
-        self.last_stage = "scan"
-
-    def finish(self, service_ns: float) -> RunReport:
-        return assemble_report(
-            self.prepared,
-            "scan",
-            self._result,
-            self.config,
-            service_ns,
-            scan_counters(self.prepared.shuffled),
-            audit=self._audit,
-            query_name=self.name,
-            backend=self._backend.name if self._backend is not None else "serial",
-            profile=(
-                self.profiler.snapshot().to_dict()
-                if self.profiler.enabled
-                else None
-            ),
-        )
 
 
 class MatchSession:
@@ -864,32 +627,23 @@ class MatchSession:
         config = self._make_config(query, config)
         job_name = name or query.name or f"query-{self._submitted}"
         self._submitted += 1
-        # Per-job child profiler: the job's RunReport carries its own
-        # profile while records still roll up into the session aggregate.
-        job_profiler = self.profiler.fork()
-        if approach == "scan":
-            return _ScanJob(
-                job_name, prepared, config, self.cost_model, self.clock, self.audit,
-                backend=self.backend,
-                tracer=self.tracer,
-                tenant=self.tenant,
-                profiler=job_profiler,
-            )
-        return _StepperJob(
+        return _make_job(
             job_name,
             prepared,
             approach,
             config,
             self.cost_model,
             self.clock,
-            seed,
-            self.audit,
-            max_step_rows,
-            self.backend,
+            seed=seed,
+            audit=self.audit,
+            backend=self.backend,
+            max_step_rows=max_step_rows,
+            kernel=self.kernel,
             tracer=self.tracer,
             tenant=self.tenant,
-            profiler=job_profiler,
-            kernel=self.kernel,
+            # Per-job child profiler: the job's RunReport carries its own
+            # profile while records still roll up into the session aggregate.
+            profiler=self.profiler.fork(),
         )
 
     def job_for_request(self, request, default_max_step_rows: int | None = None):

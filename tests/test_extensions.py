@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     ArraySampler,
+    HistSim,
     HistSimConfig,
     StageStats,
     audit_result,
@@ -230,7 +231,9 @@ class TestRangeK:
         with pytest.raises(ValueError):
             choose_k(distances, alive, 3, 2)
 
-    def test_run_with_adaptive_k(self):
+    @staticmethod
+    def adaptive_world():
+        """Three flat candidates among twelve skewed ones, k in [2, 6]."""
         rng = np.random.default_rng(12)
         dists = []
         for i in range(12):
@@ -240,17 +243,13 @@ class TestRangeK:
                 base /= base.sum()
             dists.append(base)
         z, x = make_population(rng, [6000] * 12, dists)
-        sampler = ArraySampler(z, x, 12, 6, np.random.default_rng(13))
+        make_sampler = lambda: ArraySampler(z, x, 12, 6, np.random.default_rng(13))
         config = HistSimConfig(k=1, epsilon=0.2, delta=0.05, sigma=0.0, stage1_samples=4000)
-        result = run_histsim_range_k(sampler, np.ones(6), config, k_min=2, k_max=6)
-        # The natural gap sits after the 3 planted flat candidates.
-        assert result.k == 3
-        assert set(result.matching) == {0, 1, 2}
+        return make_sampler, config, 2, 6
 
-    def test_run_pinned_with_pruned_candidates(self):
-        """One run with a fifth of the candidates pruned, pinned to the
-        answer from before τ was computed over the alive rows only and the
-        result assembled by the shared ``HistSim`` code."""
+    @staticmethod
+    def pruned_world():
+        """Thirty candidates, every fifth one rare, k in [2, 8]."""
         rng = np.random.default_rng(2024)
         dists, sizes = [], []
         for i in range(30):
@@ -261,16 +260,48 @@ class TestRangeK:
             dists.append(base)
             sizes.append(15 if i % 5 == 4 else 5000)  # every fifth one is rare
         z, x = make_population(rng, sizes, dists)
-        sampler = ArraySampler(z, x, 30, 6, np.random.default_rng(99))
+        make_sampler = lambda: ArraySampler(z, x, 30, 6, np.random.default_rng(99))
         config = HistSimConfig(
             k=1, epsilon=0.2, delta=0.05, sigma=0.002, stage1_samples=20000
         )
-        result = run_histsim_range_k(sampler, np.ones(6), config, k_min=2, k_max=8)
+        return make_sampler, config, 2, 8
+
+    def test_run_with_adaptive_k(self):
+        make_sampler, config, k_min, k_max = self.adaptive_world()
+        result = run_histsim_range_k(make_sampler(), np.ones(6), config, k_min, k_max)
+        # The natural gap sits after the 3 planted flat candidates.
+        assert result.k == 3
+        assert set(result.matching) == {0, 1, 2}
+
+    @pytest.mark.parametrize("world", ["adaptive_world", "pruned_world"])
+    def test_equals_plain_run_at_chosen_k(self, world):
+        """Range-k is stage 1, a choice of k, then a plain run at that k:
+        every field — stage split included — equals ``HistSim`` at the
+        chosen k on a fresh sampler."""
+        make_sampler, config, k_min, k_max = getattr(self, world)()
+        ranged = run_histsim_range_k(make_sampler(), np.ones(6), config, k_min, k_max)
+        plain = HistSim(make_sampler(), np.ones(6), config.with_(k=ranged.k)).run()
+        assert ranged.matching == plain.matching
+        assert ranged.pruned == plain.pruned
+        assert ranged.exact == plain.exact
+        assert ranged.stats == plain.stats
+        assert ranged.rounds == plain.rounds
+        np.testing.assert_array_equal(ranged.histograms, plain.histograms)
+        np.testing.assert_array_equal(ranged.distances, plain.distances)
+
+    def test_run_pinned_with_pruned_candidates(self):
+        """One run with a fifth of the candidates pruned, pinned to the
+        answer from before τ was computed over the alive rows only and the
+        result assembled by the shared ``HistSim`` code.  The stage split
+        is the stepper's, as on every other entry point."""
+        make_sampler, config, k_min, k_max = self.pruned_world()
+        result = run_histsim_range_k(make_sampler(), np.ones(6), config, k_min, k_max)
 
         assert result.matching == (2, 1, 0, 3)
         assert result.pruned == (4, 9, 14, 19, 24, 29)
         assert result.stats == StageStats(
-            stage3_samples=28393, pruned_candidates=6, surviving_candidates=24, rounds=1
+            stage1_samples=12009, stage2_samples=16384, stage3_samples=0,
+            pruned_candidates=6, surviving_candidates=24, rounds=1,
         )
         assert [trace.matching for trace in result.rounds] == [(2, 3, 1, 0)]
         assert not result.exact

@@ -75,6 +75,25 @@ class TestMatchHistograms:
             (table.column("channel") == 0).sum()
         )
 
+    def test_predicate_evaluated_once(self, table, monkeypatch):
+        """One-shot preparation (shared with ``prepare_workload``) takes the
+        predicate's mask once: it is the row filter and it filters the
+        ground-truth pass."""
+        calls = []
+        original = Equals.mask
+
+        def counting_mask(self, t):
+            calls.append(t.num_rows)
+            return original(self, t)
+
+        monkeypatch.setattr(Equals, "mask", counting_mask)
+        report = match_histograms(
+            table, "product", "age", k=3, epsilon=0.2,
+            predicate=Equals("channel", 0), seed=2,
+        )
+        assert calls == [table.num_rows]
+        assert report.audit.ok
+
     def test_exact_scan_approach(self, table):
         report = match_histograms(table, "product", "age", k=3, approach="scan")
         assert report.result.exact

@@ -104,11 +104,10 @@ class TestRoundAccounting:
         second = np.zeros((3, 4), dtype=np.int64)
         second[0, 1] = 10
         s.record_round_counts(second)
-        target = np.ones(4)
-        round_tau = s.round_distances(target)
-        # Round estimate is concentrated on group 1 despite cumulative history.
-        expected = np.abs(np.array([0, 1, 0, 0]) - 0.25).sum()
-        assert round_tau[0] == pytest.approx(expected)
+        # The round holds group 1 only, despite the cumulative history.
+        assert s.round_counts[0].tolist() == [0, 10, 0, 0]
+        assert s.round_samples[0] == 10
+        assert s.counts[0].tolist() == [100, 0, 0, 0]
 
     def test_record_validates_shape_and_sign(self):
         s = make_state()
@@ -133,22 +132,3 @@ class TestExhaustion:
         assert exhausted[0]
         assert not exhausted[1]
         assert exhausted[2]  # zero-row candidate is trivially exhausted
-
-    def test_round_exhausted_counts_pending_round(self):
-        s = make_state(rows=np.array([4, 100, 0]))
-        fresh = np.zeros((3, 4), dtype=np.int64)
-        fresh[0] = 1
-        s.record_round_counts(fresh)
-        assert s.round_exhausted()[0]
-        assert not s.exhausted()[0]
-
-
-class TestDistances:
-    def test_distances_match_definition(self):
-        s = make_state(candidates=2, groups=2)
-        s.counts[0] = [10, 10]
-        s.counts[1] = [20, 0]
-        target = np.array([1.0, 1.0])
-        tau = s.distances(target)
-        assert tau[0] == pytest.approx(0.0)
-        assert tau[1] == pytest.approx(1.0)
