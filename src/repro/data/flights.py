@@ -31,6 +31,7 @@ import numpy as np
 from ..storage.schema import CategoricalAttribute, Schema
 from ..storage.table import ColumnTable
 from .generator import (
+    _one_of,
     assemble,
     at_distance,
     conditional_column,
@@ -80,6 +81,9 @@ _Q3_CLUSTER = (10, 11, 12, 13, 14)
 _Q3_DISTANCES = (0.02, 0.05, 0.08, 0.10, 0.12)
 _Q3_STRAGGLERS = (342, 343)
 _Q3_STRAGGLER_DISTANCE = 0.7
+
+#: Late departure hours: the peaks of q1's stragglers and of the crowd.
+_LATE_HOURS = (13, 14, 15, 20, 21, 22, 23)
 
 _Q4_DISTANCES = (0.05, 0.08, 0.11, 0.14, 0.17, 0.20, 0.22, 0.25, 0.28, 0.30)
 
@@ -135,7 +139,6 @@ def build_flights(rows: int = DEFAULT_ROWS, seed: int = 7) -> Dataset:
 
     hub = _hour_profile_hub()
     regional = _hour_profile_regional()
-    late_hours = (13, 14, 15, 20, 21, 22, 23)
 
     # --- DepHour: q1 and q2 geometry ---------------------------------------
     hours = np.zeros((NUM_ORIGINS, NUM_HOURS))
@@ -150,13 +153,13 @@ def build_flights(rows: int = DEFAULT_ROWS, seed: int = 7) -> Dataset:
             regional, distance, rng, jitter=50_000.0, peaks=1 if rank % 2 else 5
         )
     for origin in _Q1_STRAGGLERS:
-        peak = int(rng.choice(late_hours))
+        peak = _one_of(_LATE_HOURS, rng)
         hours[origin] = at_distance(hub, _Q1_STRAGGLER_DISTANCE, rng, peak=peak, jitter=20_000.0)
     for origin in range(NUM_ORIGINS):
         if hours[origin].sum() > 0:
             continue
         # The crowd: far from both cluster bases (late/midday peaks).
-        peak = int(rng.choice(late_hours))
+        peak = _one_of(_LATE_HOURS, rng)
         hours[origin] = at_distance(
             hub, float(rng.uniform(1.2, 1.45)), rng, peak=peak, jitter=5_000.0
         )

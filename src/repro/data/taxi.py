@@ -33,6 +33,7 @@ import numpy as np
 from ..storage.schema import CategoricalAttribute, Schema
 from ..storage.table import ColumnTable
 from .generator import (
+    _one_of,
     assemble,
     at_distance,
     conditional_column,
@@ -74,6 +75,7 @@ _MONTH_STRAGGLER_DISTANCE = 0.75
 
 _RUSH_HOURS = (7, 8, 9, 17, 18, 19)
 _NIGHT_HOURS = (0, 1, 2, 3, 4)
+_RESIDENTIAL_HOURS = (6, 7, 18, 19, 20)
 
 #: Selectivity floor of the busy band: 1.5x the paper's default sigma.
 _BUSY_FLOOR_SHARE = 0.0012
@@ -144,7 +146,7 @@ def build_taxi(rows: int = DEFAULT_ROWS, seed: int = 7) -> Dataset:
     for loc, distance in zip(_FLAT_HOUR_CLUSTER, _HOUR_CLUSTER_DISTANCES):
         hours[loc] = at_distance(uniform_hours, distance, rng, jitter=50_000.0)
     for loc in _HOUR_STRAGGLERS:
-        peak = int(rng.choice(_RUSH_HOURS))
+        peak = _one_of(_RUSH_HOURS, rng)
         hours[loc] = at_distance(
             uniform_hours, _HOUR_STRAGGLER_DISTANCE, rng, peak=peak, jitter=20_000.0
         )
@@ -163,19 +165,19 @@ def build_taxi(rows: int = DEFAULT_ROWS, seed: int = 7) -> Dataset:
     kinds = rng.integers(0, 3, size=NUM_LOCATIONS)
     crowd_hour_distance = rng.uniform(1.45, 1.7, size=NUM_LOCATIONS)
     crowd_month_distance = rng.uniform(1.2, 1.4, size=NUM_LOCATIONS)
+    crowd_peak_hours = (_RUSH_HOURS, _NIGHT_HOURS, _RESIDENTIAL_HOURS)
+    # Step ``loc`` fills only row ``loc``, so the rows planted above are the
+    # only ones with mass at every step.
+    hour_planted = hours.any(axis=1)
+    month_planted = months.any(axis=1)
     for loc in range(NUM_LOCATIONS):
-        if hours[loc].sum() == 0:
-            if kinds[loc] == 0:
-                peak = int(rng.choice(_RUSH_HOURS))
-            elif kinds[loc] == 1:
-                peak = int(rng.choice(_NIGHT_HOURS))
-            else:
-                peak = int(rng.choice((6, 7, 18, 19, 20)))
+        if not hour_planted[loc]:
+            peak = _one_of(crowd_peak_hours[kinds[loc]], rng)
             hours[loc] = at_distance(
                 uniform_hours, float(crowd_hour_distance[loc]), rng, peak=peak,
                 jitter=5_000.0,
             )
-        if months[loc].sum() == 0:
+        if not month_planted[loc]:
             months[loc] = at_distance(
                 uniform_months, float(crowd_month_distance[loc]), rng,
                 peak=int(rng.integers(0, NUM_MONTHS)), jitter=5_000.0,

@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+from ..bitmap import BlockBitmapIndex, build_bitmap_index
 from ..core.target import TargetSpec
 from ..query.spec import HistogramQuery
 from ..storage.blocks import BlockLayout
@@ -95,6 +96,8 @@ WORKLOAD_QUERIES: dict[str, tuple[str, HistogramQuery]] = {
 QUERY_NAMES = tuple(WORKLOAD_QUERIES)
 
 _PREPARED_CACHE: dict[tuple, PreparedQuery] = {}
+#: (dataset, rows, seed, block_size, candidate attribute) -> bitmap index.
+_INDEX_CACHE: dict[tuple, BlockBitmapIndex] = {}
 
 
 def workload_query(name: str) -> tuple[str, HistogramQuery]:
@@ -114,7 +117,8 @@ def prepare_workload(
 
     Preparation (dataset build, shuffle layout, bitmap index, exact ground
     truth, target resolution) is deterministic given ``seed`` and shared
-    across approaches so comparisons run on identical substrates.
+    across approaches so comparisons run on identical substrates.  Queries
+    over one candidate attribute of one dataset share its bitmap index.
     """
     key = (name, rows, seed, block_size)
     if key not in _PREPARED_CACHE:
@@ -126,5 +130,12 @@ def prepare_workload(
         shuffled = ShuffledTable(
             dataset.table, BlockLayout(dataset.table.num_rows, block_size)
         )
-        _PREPARED_CACHE[key] = PreparedQuery._on_layout(shuffled, query)
+        index_key = (dataset_name, rows, seed, block_size, query.candidate_attribute)
+        if index_key not in _INDEX_CACHE:
+            _INDEX_CACHE[index_key] = build_bitmap_index(
+                shuffled, query.candidate_attribute
+            )
+        _PREPARED_CACHE[key] = PreparedQuery._on_layout(
+            shuffled, query, index=_INDEX_CACHE[index_key]
+        )
     return _PREPARED_CACHE[key]

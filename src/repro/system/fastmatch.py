@@ -150,11 +150,18 @@ class PreparedQuery:
         return cls._on_layout(shuffle_table(table, block_size, rng), query)
 
     @classmethod
-    def _on_layout(cls, shuffled: ShuffledTable, query: HistogramQuery) -> "PreparedQuery":
+    def _on_layout(
+        cls,
+        shuffled: ShuffledTable,
+        query: HistogramQuery,
+        index: BlockBitmapIndex | None = None,
+    ) -> "PreparedQuery":
         """Index, row filter, ground truth and target of ``query`` on an
         existing layout — the one-shot preparation, shared by :meth:`prepare`
-        and :func:`repro.data.prepare_workload`.  The predicate is evaluated
-        once: its mask is the row filter and filters the ground-truth pass."""
+        and :func:`repro.data.prepare_workload` (which passes the ``index``
+        its queries over one candidate attribute share).  The predicate is
+        evaluated once: its mask is the row filter and filters the
+        ground-truth pass."""
         if isinstance(query.predicate, TruePredicate):
             row_filter = None
         else:
@@ -163,7 +170,11 @@ class PreparedQuery:
         return cls(
             query=query,
             shuffled=shuffled,
-            index=build_bitmap_index(shuffled, query.candidate_attribute),
+            index=(
+                build_bitmap_index(shuffled, query.candidate_attribute)
+                if index is None
+                else index
+            ),
             exact_counts=exact,
             target=resolve_target(query.target, exact),
             row_filter=row_filter,

@@ -147,6 +147,61 @@ class TestBlockBitmapIndex:
             assert str(packed.value) == str(unpacked.value)
 
 
+def one_shot_packed(column, cardinality, block_size):
+    """The unchunked build: one dense (cardinality, num_blocks) byte matrix."""
+    num_blocks = -(-column.size // block_size)
+    bits = np.zeros((cardinality, num_blocks), dtype=np.uint8)
+    bits[column, np.arange(column.size) // block_size] = 1
+    return np.packbits(bits, axis=1)
+
+
+class TestChunkedBuild:
+    """The build's scratch is bounded; its bytes are the one-shot build's."""
+
+    @pytest.mark.parametrize("scratch_blocks", [0, 8, 13, 16, 20, 1_000])
+    @pytest.mark.parametrize(
+        "n, cardinality, block_size",
+        [(1003, 11, 4), (997, 3, 1), (250, 7, 3), (64, 5, 8), (8 * 40 * 6, 40, 6)],
+    )
+    def test_identical_bytes_for_any_chunk(
+        self, monkeypatch, scratch_blocks, n, cardinality, block_size
+    ):
+        from repro.bitmap import bitmap_index
+
+        # Room for ``scratch_blocks`` unpacked blocks: the build rounds down
+        # to a multiple of 8, with 8 as the floor.
+        monkeypatch.setattr(
+            bitmap_index, "_BUILD_SCRATCH_BYTES", scratch_blocks * cardinality
+        )
+        rng = np.random.default_rng(n + cardinality)
+        col = rng.integers(0, cardinality, size=n)
+        idx = BlockBitmapIndex.build(col, cardinality, block_size)
+        expected = one_shot_packed(col, cardinality, block_size)
+        assert idx._packed.dtype == np.uint8
+        np.testing.assert_array_equal(idx._packed, expected)
+        assert idx.num_blocks == -(-n // block_size)
+
+    def test_chunks_cover_a_ragged_tail(self, monkeypatch):
+        """num_blocks not a multiple of 8 or of the chunk, tiny scratch."""
+        from repro.bitmap import bitmap_index
+
+        monkeypatch.setattr(bitmap_index, "_BUILD_SCRATCH_BYTES", 1)
+        col = np.arange(37 * 5) % 9  # 37 blocks of 5 rows
+        idx = BlockBitmapIndex.build(col, 9, 5)
+        assert idx.num_blocks == 37 and idx._packed.shape == (9, 5)
+        np.testing.assert_array_equal(idx._packed, one_shot_packed(col, 9, 5))
+        np.testing.assert_array_equal(
+            idx.chunk_presence(np.arange(9), 0, 37),
+            brute_force_presence(col, 9, 5),
+        )
+
+    def test_benchmark_shapes_build_in_one_chunk(self):
+        from repro.bitmap import bitmap_index
+
+        taxi_400k_blocks = -(-400_000 // 32)
+        assert 7641 * taxi_400k_blocks <= bitmap_index._BUILD_SCRATCH_BYTES
+
+
 class TestDensityMap:
     def test_block_counts_match_brute_force(self, column):
         dm = DensityMap.build(column, 11, block_size=64)
