@@ -39,7 +39,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ..parallel.backend import ExecutionBackend, SerialBackend
+from ..parallel.backend import ExecutionBackend
 from ..parallel.kernels import rows_per_candidate
 from .config import HistSimConfig
 from .deviation import (
@@ -128,10 +128,9 @@ class HistSim:
     stats_cost:
         Optional hook charging statistics-engine work to a simulated clock.
     backend:
-        The :class:`~repro.parallel.ExecutionBackend` every sampling request
-        routes through (default: serial pass-through).  The algorithm's
-        decisions are backend-independent by construction — backends only
-        change *how* the same counts are produced.
+        Unused, and still accepted so callers that pass one keep working:
+        HistSim only asks its sampler for counts, and the sampler's engine
+        counts on its own :class:`~repro.parallel.ExecutionBackend`.
     """
 
     def __init__(
@@ -155,7 +154,6 @@ class HistSim:
         #: distance to this vector.
         self._target_bar = normalize(target)
         self.config = config
-        self.backend = backend or SerialBackend()
         self._stats_cost = stats_cost or (lambda stage, ops: None)
         self.state = CandidateState(
             sampler.num_candidates, sampler.num_groups, sampler.candidate_rows()
@@ -202,7 +200,7 @@ class HistSim:
         cfg = self.config
         n_total = self.sampler.total_rows
         m = cfg.effective_stage1_samples(n_total)
-        counts = self.backend.run_uniform(self.sampler, m)
+        counts = self.sampler.sample_uniform(m)
         observed = rows_per_candidate(counts)
         self.state.counts += counts
         self.state.samples += observed
@@ -365,7 +363,7 @@ class HistSim:
         always correct, and return the exact top-k."""
         self.state.fold_round_into_cumulative()
         self.state.record_round_counts(
-            self.backend.run_sampling(self.sampler, np.full(self.alive.size, np.inf))
+            self.sampler.sample_until(np.full(self.alive.size, np.inf))
         )
         self.state.fold_round_into_cumulative()
         tau = self.alive_distances(self.state.counts)
@@ -489,7 +487,7 @@ class HistSimStepper:
 
     Parameters
     ----------
-    sampler, target, config, stats_cost, backend:
+    sampler, target, config, stats_cost:
         Forwarded to :class:`HistSim` when no ``algorithm`` is given.
     algorithm:
         An existing :class:`HistSim` to drive (mutually exclusive with the
@@ -512,7 +510,6 @@ class HistSimStepper:
         *,
         algorithm: HistSim | None = None,
         max_step_rows: int | None = None,
-        backend: ExecutionBackend | None = None,
     ) -> None:
         if algorithm is None:
             if sampler is None or target is None:
@@ -522,14 +519,12 @@ class HistSimStepper:
                 np.asarray(target, dtype=np.float64),
                 config or HistSimConfig(),
                 stats_cost,
-                backend,
             )
         elif (
             sampler is not None
             or target is not None
             or config is not None
             or stats_cost is not None
-            or backend is not None
         ):
             raise ValueError(
                 "pass either an existing algorithm or constructor arguments, not both"
@@ -739,14 +734,9 @@ class HistSimStepper:
         return min(estimate, float(algo.sampler.total_rows))
 
     def _sample(self, needed: np.ndarray) -> np.ndarray:
-        """One sampling request through the algorithm's execution backend,
-        bounded by ``max_step_rows`` when configured."""
-        algo = self.algorithm
-        if self.max_step_rows is None:
-            return algo.backend.run_sampling(algo.sampler, needed)
-        return algo.backend.run_sampling(
-            algo.sampler, needed, max_rows=self.max_step_rows
-        )
+        """One sampling request to the algorithm's sampler, bounded by
+        ``max_step_rows`` when configured."""
+        return self.algorithm.sampler.sample_until(needed, max_rows=self.max_step_rows)
 
     def _slice_complete(self, fresh_rows: int) -> bool:
         """A bounded call that delivered fewer rows than its bound stopped

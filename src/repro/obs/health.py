@@ -181,21 +181,22 @@ class HealthMonitor:
 
     def _check_workers(self) -> HealthCheck | None:
         backend = self._backend()
-        pool = getattr(backend, "_pool", None)
-        if pool is None or getattr(pool, "closed", False):
-            return None  # no pool spawned (serial/threads or still lazy)
-        alive = int(pool.alive_workers)
-        expected = int(pool.n_workers)
-        if alive >= expected:
+        # The slots, not the spawning ``executor`` property: a probe never
+        # starts workers.
+        slots = getattr(backend, "_slots", None)
+        if slots is None:
+            return None  # no workers started (serial, or still lazy)
+        alive, started = slots.alive(), slots.started
+        if alive >= started:
             return HealthCheck(
-                "workers", OK, f"worker pool: {alive}/{expected} alive",
-                float(alive), float(expected),
+                "workers", OK, f"worker pool: {alive}/{started} alive",
+                float(alive), float(started),
             )
         status = CRITICAL if alive == 0 else DEGRADED
         return HealthCheck(
             "workers", status,
-            f"worker pool: only {alive}/{expected} workers alive",
-            float(alive), float(expected),
+            f"worker pool: only {alive}/{started} workers alive",
+            float(alive), float(started),
         )
 
     def _check_shm(self) -> HealthCheck | None:

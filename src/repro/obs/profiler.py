@@ -26,7 +26,7 @@ job's own clock* — the same endpoints the stage's trace span carries, so
 profile stage sums reconcile with PR 7 traces exactly.
 
 Kernel ``ns`` semantics per kernel name: backend kernels record real
-``perf_counter_ns`` work time (worker-side time for the process pool);
+``perf_counter_ns`` work time (worker-side time for the worker backends);
 ``engine.deliver`` records the *simulated* I/O cost the cost model charged,
 putting the Eq. 1 estimate next to measured kernel time in one table;
 ``engine.tally`` records the real time and bytes of a deferred window's

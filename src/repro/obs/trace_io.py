@@ -48,8 +48,8 @@ SCHEMA_VERSION = 1
 
 #: Span name → lifecycle stage for per-stage aggregation.  ``queue`` and
 #: ``step`` tile the request's engine-clock lifetime; ``stage1/2/3`` and
-#: ``scan`` split step time by stepper stage; ``shard``/``pool`` are
-#: real-time (monotonic-clock) backend fan-out costs nested inside steps
+#: ``scan`` split step time by stepper stage; ``shard`` is the
+#: real-time (monotonic-clock) backend fan-out cost nested inside steps
 #: (``backend.window`` is one fanned-out ``count_blocks``: a whole sampling
 #: call's blocks on a worker backend, not one window's — the name is kept).
 STAGE_OF_SPAN = {
@@ -62,7 +62,6 @@ STAGE_OF_SPAN = {
     "stepper.scan": "scan",
     "backend.window": "shard",
     "backend.table": "shard",
-    "pool.run": "pool",
 }
 
 
@@ -202,7 +201,7 @@ class TraceSummary:
         )
         lines = [header, "-" * len(header)]
         denominator = self.total_latency_ns or 1.0
-        order = ["queue", "step", "settle", "stage1", "stage2", "stage3", "scan", "shard", "pool"]
+        order = ["queue", "step", "settle", "stage1", "stage2", "stage3", "scan", "shard"]
         for stage in sorted(self.stages, key=lambda s: (order.index(s) if s in order else 99, s)):
             budget = self.stages[stage]
             share = budget.total_ns / denominator

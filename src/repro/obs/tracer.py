@@ -4,8 +4,8 @@ A span is an interval ``[t0_ns, t1_ns]`` on *some* clock's timeline plus
 a name and a flat attribute dict.  Which clock matters: under simulated
 replay the interesting timeline is the :class:`SimulatedClock`'s virtual
 nanoseconds (span durations there are exactly the cost-model charges the
-work incurred), while backend fan-out and pool waits are real-time
-quantities stamped on the process monotonic clock.  Every record
+work incurred), while backend fan-out is a real-time
+quantity stamped on the process monotonic clock.  Every record
 therefore carries the *name* of the clock that stamped it, and consumers
 (:func:`repro.obs.trace_io.summarize_records`) group by timeline instead
 of assuming one.
@@ -192,7 +192,7 @@ class Tracer:
     ----------
     clock:
         Default time source for spans that don't pass their own (backend
-        windows, pool waits).  ``None`` falls back to the process
+        fan-outs).  ``None`` falls back to the process
         monotonic clock; front doors bind it to the service clock on
         construction so the default timeline matches the engine's.
     max_spans:

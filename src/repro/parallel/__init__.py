@@ -11,10 +11,11 @@ serial path's exact semantics:
 - only a count of at least ``min_fan_out_rows`` rows is sharded (a round
   trip pays from about a million rows a call, which no window has; smaller
   counts run inline, as on serial): a :class:`ShardPlanner` partitions the
-  blocks into row-balanced shards, a persistent :class:`WorkerPool` counts
-  each shard against columns published in
-  :class:`multiprocessing.shared_memory` (zero-copy for workers), and a
-  :class:`ShardMerger` sums the per-shard count matrices.
+  blocks into row-balanced shards, a persistent executor's workers count
+  each shard (against columns published in
+  :class:`multiprocessing.shared_memory`, zero-copy, when the workers are
+  processes), and a :class:`ShardMerger` sums the per-shard count
+  matrices.
 
 Because the shards partition the *same* rows the serial path would count,
 and integer addition is exact and commutative, the merged
@@ -29,9 +30,10 @@ uniform without-replacement sample.
 :class:`SerialBackend` reproduces today's single-process behaviour exactly.
 :class:`WorkerBackend` is the one fan-out (inline floor, plan, dispatch,
 span, profile, exact merge) under two transports that differ only in how
-a list of shards is run: :class:`ShardedBackend` on a pool of processes
-over shared memory, :class:`ThreadPoolBackend` on an in-process thread
-pool (no fork, no shared memory; its threads overlap in the gather and the
+a shard is run: :class:`ShardedBackend` on a
+:class:`~concurrent.futures.ProcessPoolExecutor` over shared memory,
+:class:`ThreadPoolBackend` on a :class:`~concurrent.futures.ThreadPoolExecutor`
+(no fork, no shared memory; its threads overlap in the gather and the
 pair-code ufuncs, not in ``np.bincount``, which holds the GIL).
 :func:`make_backend` resolves a CLI/config spec into an instance; worker
 pinning (``cpu_affinity=``) is set on a transport's constructor only.
@@ -56,10 +58,8 @@ from .kernels import (
     count_codes,
     count_window,
     pair_code_dtype,
-    resolve_kernel,
 )
 from .merge import ShardMerger
-from .pool import WorkerPool
 from .shard import Shard, ShardPlanner
 from .sharded import ShardedBackend
 from .shm import SegmentRef, SharedMemoryStore, attach_segment
@@ -86,7 +86,6 @@ __all__ = [
     "SharedMemoryStore",
     "ThreadPoolBackend",
     "WorkerBackend",
-    "WorkerPool",
     "apply_affinity",
     "attach_segment",
     "available_cpus",
@@ -99,7 +98,6 @@ __all__ = [
     "make_backend",
     "pair_code_dtype",
     "plan_affinity",
-    "resolve_kernel",
 ]
 
 #: Backend names accepted by the CLI and :class:`~repro.system.MatchSession`.

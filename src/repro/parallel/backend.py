@@ -1,12 +1,7 @@
-"""The execution-backend seam all sampling routes through.
+"""The execution-backend seam all counting routes through.
 
 :class:`ExecutionBackend` has two levels of hooks:
 
-- **algorithm level** — :meth:`run_uniform` / :meth:`run_sampling` wrap the
-  :class:`~repro.core.sampler.TupleSampler` calls HistSim makes (stage-1
-  uniform pass, stage-2 round budgets, stage-3 reconstruction).  The default
-  implementations delegate straight to the sampler; a future distributed
-  backend can intercept whole sampling requests here.
 - **engine level** — :meth:`count_blocks` counts the ``(candidate, group)``
   cells of a set of blocks (gather + filter + count) for the block sampling
   engine: one window's blocks, or every block a sampling call delivered
@@ -30,8 +25,9 @@ shared-memory segments).
 :class:`SerialBackend` implements both levels with exactly the code the
 engine ran before the seam existed, so it *is* today's behaviour.
 :class:`WorkerBackend` is the one fan-out both worker transports share
-(plan → dispatch → span → profile → merge); a transport supplies only how
-a list of shards is run.
+(plan → submit/gather on a :mod:`concurrent.futures` executor → span →
+profile → merge); a transport supplies only its executor and its
+per-shard call.
 """
 
 from __future__ import annotations
@@ -40,7 +36,9 @@ import os
 import threading
 import time
 from abc import ABC, abstractmethod
+from concurrent.futures import BrokenExecutor, Executor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +46,7 @@ from ..obs.profiler import NULL_PROFILER
 from ..obs.tracer import NULL_TRACER
 from ..storage.blocks import BlockLayout
 from ..storage.shuffle import ShuffledTable
-from .affinity import AFFINITY_POLICIES
+from .affinity import AFFINITY_POLICIES, plan_affinity
 from .kernels import (
     KernelChoice,
     _count_pairs_moved,
@@ -58,7 +56,7 @@ from .kernels import (
 )
 from .merge import ShardMerger
 from .shard import Shard, ShardPlanner
-from .worker import ShardResult
+from .worker import ShardResult, WorkerSlots
 
 __all__ = [
     "DEFAULT_MIN_FAN_OUT_ROWS",
@@ -148,7 +146,7 @@ class ExecutionBackend(ABC):
 
     name: str = "abstract"
 
-    #: Observability hook: fan-out windows, pool waits, and shared-memory
+    #: Observability hook: fan-out windows and shared-memory
     #: lifecycle report here.  The class-level default is the shared no-op,
     #: so backends constructed anywhere stay untraced until a session or
     #: registry calls :meth:`set_tracer`.  Tracing never touches counting:
@@ -169,18 +167,6 @@ class ExecutionBackend(ABC):
     def set_profiler(self, profiler) -> None:
         """Attach a :class:`~repro.obs.Profiler` (or ``None`` to detach)."""
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-
-    # ---------------------------------------------------------- algorithm level
-
-    def run_uniform(self, sampler, m: int) -> np.ndarray:
-        """Execute a stage-1 uniform sampling request."""
-        return sampler.sample_uniform(m)
-
-    def run_sampling(
-        self, sampler, needed: np.ndarray, max_rows: float | None = None
-    ) -> np.ndarray:
-        """Execute a budgeted (stage-2/3) sampling request."""
-        return sampler.sample_until(needed, max_rows=max_rows)
 
     # ------------------------------------------------------------- engine level
 
@@ -301,13 +287,15 @@ class WorkerBackend(ExecutionBackend):
     """Counting fanned out to ``n_workers`` workers, whatever carries it.
 
     Owns everything the transports share: the inline floor, task-id
-    allocation, the ``backend.window`` / ``backend.table`` span, the
-    ``{name}.window`` / ``{name}.table`` profile row (worker-side
-    nanoseconds from :attr:`ShardResult.elapsed_ns`) and the exact merge.
-    A transport implements :meth:`_run_shards`, and may re-plan with
-    :meth:`plan_shards`.  Shards partition the same rows the serial path
-    counts and are merged by exact integer addition, so every result is
-    byte-identical to serial execution.
+    allocation, the lazily started executor and its :class:`WorkerSlots`
+    (liveness, pins), the one submit/gather, the ``backend.window`` /
+    ``backend.table`` span, the ``{name}.window`` / ``{name}.table`` profile
+    row (worker-side nanoseconds from :attr:`ShardResult.elapsed_ns`) and
+    the exact merge.  A transport implements :meth:`_new_executor` and
+    :meth:`_shard_calls`, and may re-plan with :meth:`plan_shards`.  Shards
+    partition the same rows the serial path counts and are merged by exact
+    integer addition, so every result is byte-identical to serial
+    execution.
 
     Every public method is safe to call from multiple threads at once — a
     backend is shared by all sessions of a registry, and concurrent steps
@@ -353,18 +341,64 @@ class WorkerBackend(ExecutionBackend):
         self.shard_tasks = 0
         self.inline_windows = 0
         self.closed = False
-        # Serializes bookkeeping (counters, task-id allocation, the
-        # transport's lazily started workers) under concurrent steps; the
-        # shards themselves run outside it, so concurrent calls overlap.
+        # Serializes bookkeeping (counters, task-id allocation, the lazily
+        # started executor) under concurrent steps; the shards themselves
+        # run outside it, so concurrent calls overlap.
         self._lock = threading.Lock()
+        self._executor: Executor | None = None
+        self._slots: WorkerSlots | None = None
 
-    def plan_shards(
-        self, blocks: np.ndarray, layout: BlockLayout, total_rows: int, cells: int
-    ) -> list[Shard]:
-        """Row-balanced contiguous shards, one per worker."""
-        return ShardPlanner(self.n_workers).plan(blocks, layout)
+    # -------------------------------------------------------------- executor
 
     @abstractmethod
+    def _new_executor(
+        self, cpusets: list[set[int]] | None
+    ) -> tuple[Executor, WorkerSlots]:
+        """A fresh executor of ``n_workers`` workers, each started by
+        :func:`~repro.parallel.worker.start_worker` with the returned slots
+        and ``cpusets``."""
+
+    @abstractmethod
+    def _shard_calls(
+        self,
+        source: CountSource,
+        shards: list[Shard],
+        base_id: int,
+        table_filter: np.ndarray | None,
+    ) -> list[Callable[[], ShardResult]]:
+        """One call per shard, to run on a worker; shard ``i`` under task id
+        ``base_id + i``.  ``table_filter`` is an exact pass's row mask
+        (``source.row_filter`` is then ``None``)."""
+
+    @property
+    def executor(self) -> Executor:
+        """The workers' executor, started on first use.
+
+        An executor a dead worker broke is dropped by the call that saw it
+        die (:meth:`_run_shards`), so the next count starts a fresh one: the
+        backend recovers for later queries instead of failing every count.
+        """
+        with self._lock:
+            if self.closed:
+                raise RuntimeError(f"{type(self).__name__} is closed")
+            if self._executor is None:
+                self._executor, self._slots = self._new_executor(
+                    plan_affinity(self.cpu_affinity, self.n_workers)
+                )
+            return self._executor
+
+    @property
+    def alive_workers(self) -> int:
+        """Started workers still running (0 before the executor starts)."""
+        slots = self._slots
+        return 0 if slots is None else slots.alive()
+
+    @property
+    def affinity_applied(self) -> int:
+        """Workers whose CPU pin took (0 unpinned or on other platforms)."""
+        slots = self._slots
+        return 0 if slots is None else slots.pinned
+
     def _run_shards(
         self,
         source: CountSource,
@@ -372,9 +406,52 @@ class WorkerBackend(ExecutionBackend):
         base_id: int,
         table_filter: np.ndarray | None,
     ) -> list[ShardResult]:
-        """Count every shard on the workers; results in shard order, shard
-        ``i`` under task id ``base_id + i``.  ``table_filter`` is an exact
-        pass's row mask (``source.row_filter`` is then ``None``)."""
+        """Submit one future per shard, then gather the results in shard
+        order.
+
+        Any failure is a :class:`RuntimeError` — partial counts are never
+        merged.  A failed shard cancels the call's futures that have not
+        started; a dead worker (a broken executor) also drops the executor,
+        so the next count respawns it; a :meth:`close` racing the call ends
+        it too, never in a bare ``CancelledError`` or a hang.
+        """
+        executor = self.executor
+        futures, results = [], []
+        try:
+            for call in self._shard_calls(source, shards, base_id, table_filter):
+                futures.append(executor.submit(call))
+            for future in futures:
+                results.append(future.result())
+        except Exception as exc:
+            for future in futures:
+                future.cancel()
+            if isinstance(exc, BrokenExecutor):
+                self._drop_executor(executor)
+                raise RuntimeError(
+                    f"worker died with {len(shards) - len(results)} shard task(s) "
+                    "outstanding; the next count starts new workers"
+                ) from exc
+            if self.closed:
+                raise RuntimeError(
+                    f"{type(self).__name__} closed with shard task(s) outstanding"
+                ) from exc
+            raise RuntimeError(
+                f"shard task {base_id + len(results)} failed: {exc}"
+            ) from exc
+        return results
+
+    def _drop_executor(self, executor: Executor) -> None:
+        with self._lock:
+            if self._executor is not executor:
+                return  # a concurrent call already dropped it
+            self._executor = self._slots = None
+        executor.shutdown(wait=True)
+
+    def plan_shards(
+        self, blocks: np.ndarray, layout: BlockLayout, total_rows: int, cells: int
+    ) -> list[Shard]:
+        """Row-balanced contiguous shards, one per worker."""
+        return ShardPlanner(self.n_workers).plan(blocks, layout)
 
     def _below_floor(self, rows: int) -> bool:
         return rows < max(1, self.min_fan_out_rows)
@@ -431,9 +508,8 @@ class WorkerBackend(ExecutionBackend):
             source.num_candidates * source.num_groups,
         )
         # Task ids are unique across the backend's lifetime and advance
-        # before the run, even if it fails: neither a failed call's
-        # stragglers nor a concurrent call of another tenant can be
-        # mistaken for this call's shards.
+        # before the run, even if it fails, so an error or a merge check
+        # names one shard of one call, whatever else runs concurrently.
         with self._lock:
             base_id = self.shard_tasks
             self.shard_tasks += len(shards)
@@ -476,3 +552,14 @@ class WorkerBackend(ExecutionBackend):
             "shard_tasks": self.shard_tasks,
             "cpu_affinity": self.cpu_affinity or "none",
         }
+
+    def close(self) -> None:
+        """Shut the executor down, cancelling shards not yet started.
+        Idempotent."""
+        with self._lock:
+            if self.closed:
+                return
+            self.closed = True
+            executor, self._executor, self._slots = self._executor, None, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)

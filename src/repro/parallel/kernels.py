@@ -76,7 +76,6 @@ __all__ = [
     "count_pairs",
     "count_window",
     "pair_code_dtype",
-    "resolve_kernel",
     "rows_per_candidate",
     "tally_window",
 ]
@@ -84,7 +83,7 @@ __all__ = [
 #: Concrete kernel names, in the order auto-selection prefers them.
 KERNELS = ("fused", "narrow", "classic")
 
-#: What sessions/CLI accept: ``"auto"`` picks per :func:`resolve_kernel`.
+#: What sessions/CLI accept: ``"auto"`` picks per :func:`choose_kernel`.
 KERNEL_SPECS = ("auto", "classic", "narrow", "fused")
 
 
@@ -283,16 +282,6 @@ def choose_kernel(
     else:
         name = "classic"
     return KernelChoice(name, code_dtype)
-
-
-def resolve_kernel(
-    kernel: str,
-    num_candidates: int,
-    num_groups: int,
-    codes: np.ndarray | None = None,
-) -> str:
-    """The concrete kernel name a spec resolves to (see :func:`choose_kernel`)."""
-    return choose_kernel(kernel, num_candidates, num_groups, codes).name
 
 
 def _block_gather(blocks: np.ndarray, layout: BlockLayout):

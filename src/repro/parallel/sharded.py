@@ -1,18 +1,18 @@
-"""The process transport: shards counted by a pool over shared memory.
+"""The process transport: shards counted by worker processes over shared memory.
 
 :class:`ShardedBackend` is a :class:`~repro.parallel.backend.WorkerBackend`
 whose workers are processes.  The coordinator's control flow (scan order,
 windows, policies, budgets, statistical tests) is untouched; only a count
 of at least ``min_fan_out_rows`` rows — in practice a deferred sampling
-call's end count or a whole-table exact pass — crosses into the pool:
+call's end count or a whole-table exact pass — crosses to the workers:
 
 1. the shared fan-out plans row-balanced contiguous shards, one per worker;
 2. the dataset's columns (and the query's row filter or pair codes) are
    published to shared memory once per session via
    :class:`~repro.parallel.shm.SharedMemoryStore` — workers attach
    zero-copy;
-3. the persistent :class:`~repro.parallel.pool.WorkerPool` counts each
-   shard;
+3. a persistent :class:`concurrent.futures.ProcessPoolExecutor` counts
+   each shard (:func:`~repro.parallel.worker.run_task`);
 4. :class:`~repro.parallel.merge.ShardMerger` sums the per-shard matrices
    into exactly the fresh-count state the serial path would have produced.
 
@@ -24,13 +24,14 @@ serial backend.
 
 from __future__ import annotations
 
-import numpy as np
+import multiprocessing as mp
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from multiprocessing import resource_tracker
 
 from .backend import CountSource, WorkerBackend
-from .pool import WorkerPool
-from .shard import Shard
 from .shm import SharedMemoryStore
-from .worker import ShardResult, ShardTask
+from .worker import ShardTask, WorkerSlots, run_task, start_worker
 
 __all__ = ["ShardedBackend"]
 
@@ -38,63 +39,57 @@ __all__ = ["ShardedBackend"]
 class ShardedBackend(WorkerBackend):
     """Shared-memory multi-process counting behind the backend seam.
 
-    Takes :class:`~repro.parallel.backend.WorkerBackend`'s arguments, plus
-    ``start_method``, the worker start method (default: ``fork`` where
-    available).  The pool is spawned on the first count large enough to
-    shard, then reused for every subsequent count and query; the pinning
-    policy is forwarded to it.
+    Takes :class:`~repro.parallel.backend.WorkerBackend`'s arguments.  The
+    worker processes start on the first count large enough to shard —
+    forked where the platform can, spawned elsewhere — and then serve every
+    later count and query.
     """
 
     name = "sharded"
 
-    def __init__(
-        self, n_workers: int | None = None, *, start_method: str | None = None,
-        **options,
-    ) -> None:
+    def __init__(self, n_workers: int | None = None, **options) -> None:
         super().__init__(n_workers, **options)
-        self.start_method = start_method
         self.store = SharedMemoryStore()
-        self._pool: WorkerPool | None = None
         # Tables whose columns were published, pinned by identity: segment
         # cache keys use id(table), so the object must outlive the cache
         # entry (a recycled id would silently serve another dataset's data).
         self._pinned_tables: dict[int, object] = {}
 
-    # ------------------------------------------------------------------ pool
+    # -------------------------------------------------------------- executor
 
-    @property
-    def pool(self) -> WorkerPool:
-        """The persistent worker pool, spawned on first use.
-
-        A pool that closed itself (worker death fails the in-flight window
-        and poisons the pool so stale results can't leak) is replaced by a
-        fresh one here, so the backend recovers for subsequent queries
-        instead of failing every later window against a dead pool.
-        """
-        with self._lock:
-            if self.closed:
-                raise RuntimeError("ShardedBackend is closed")
-            if self._pool is not None and self._pool.closed:
-                self._pool = None
-            if self._pool is None:
-                self._pool = WorkerPool(
-                    self.n_workers,
-                    start_method=self.start_method,
-                    cpu_affinity=self.cpu_affinity,
-                )
-                self._pool.tracer = self.tracer
-            return self._pool
+    def _new_executor(self, cpusets):
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        # fork children share the parent's resource tracker; attach-time
+        # registration bookkeeping differs accordingly (see attach_segment).
+        shared_tracker = method == "fork"
+        if shared_tracker:
+            # Only a tracker that exists at fork time is shared.  The
+            # workers usually start before the coordinator's first
+            # SharedMemory does, and a worker forked without a tracker would
+            # start a private one on its first attach, keep the attach-time
+            # registration there, and unlink segments it does not own when
+            # it exits.
+            resource_tracker.ensure_running()
+        ctx = mp.get_context(method)
+        slots = WorkerSlots(self.n_workers, ctx)
+        executor = ProcessPoolExecutor(
+            self.n_workers,
+            mp_context=ctx,
+            initializer=start_worker,
+            initargs=(slots, cpusets, shared_tracker),
+        )
+        # Fork the workers now, under the backend's lock (the first submit
+        # forks them all), not on a count's first submit: a concurrent
+        # count publishing a segment holds the resource tracker's lock, and
+        # a worker forked in that instant would hang on its first attach.
+        executor.submit(int)
+        return executor, slots
 
     def set_tracer(self, tracer) -> None:
-        """Attach a tracer to the backend, its pool, and its shm store.
-
-        The store reports publish/unpublish/close through the tracer's
-        event callback; an already-running pool picks the tracer up too.
-        """
+        """Attach a tracer to the backend and its shm store, which reports
+        publish/unpublish/close through the tracer's event callback."""
         super().set_tracer(tracer)
         with self._lock:
-            if self._pool is not None:
-                self._pool.tracer = self.tracer
             self.store.on_event = (
                 self.tracer.callback() if self.tracer.enabled else None
             )
@@ -111,7 +106,7 @@ class ShardedBackend(WorkerBackend):
         pinned while published (the store pins filter arrays; tables are
         pinned here), so an id can never be recycled while its cache entry
         lives.  Eviction happens through :meth:`unpublish` (driven by the
-        session layer's LRU): segments are unlinked immediately and pool
+        session layer's LRU): segments are unlinked immediately and the
         workers drop their cached attachments via the epoch GC watermark
         shipped with every task.
         """
@@ -137,27 +132,20 @@ class ShardedBackend(WorkerBackend):
 
     # --------------------------------------------------------------- counting
 
-    def _run_shards(
-        self,
-        source: CountSource,
-        shards: list[Shard],
-        base_id: int,
-        table_filter: np.ndarray | None,
-    ) -> list[ShardResult]:
-        """Ship each shard to the pool as a task of segment refs.
+    def _shard_calls(self, source, shards, base_id, table_filter):
+        """Ship each shard to a worker as a task of segment refs.
 
         A sampling source's filter travels as a published segment.  An
         exact pass's mask ships as per-shard slices instead: the pass is
         one-shot, and a throwaway full-table mask in shared memory would
         stay pinned by worker attachment caches.
         """
-        pool = self.pool
         layout = source.shuffled.layout
         with self._lock:
             z_ref, x_ref, filter_ref, codes_ref = self._refs(source)
             gc_epoch, live_segments = self.store.gc_state()
-        tasks = [
-            ShardTask(
+        return [
+            partial(run_task, ShardTask(
                 task_id=base_id + shard.index,
                 blocks=shard.blocks,
                 z_ref=z_ref,
@@ -176,10 +164,9 @@ class ShardedBackend(WorkerBackend):
                 live_segments=live_segments,
                 codes_ref=codes_ref,
                 kernel=source.kernel,
-            )
+            ))
             for shard in shards
         ]
-        return pool.run(tasks)
 
     # --------------------------------------------------------------- lifecycle
 
@@ -203,13 +190,8 @@ class ShardedBackend(WorkerBackend):
                 self._pinned_tables.pop(identity, None)
 
     def close(self) -> None:
-        """Shut the pool down and unlink every shared-memory segment."""
-        with self._lock:
-            if self.closed:
-                return
-            self.closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
-        self.store.close()
-        self._pinned_tables.clear()
+        """Shut the workers down and unlink every shared-memory segment."""
+        super().close()
+        with self._lock:  # not while a racing count publishes
+            self.store.close()
+            self._pinned_tables.clear()

@@ -35,17 +35,15 @@ shards than workers rather than larger ones.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from ..storage.blocks import BlockLayout
-from .affinity import apply_affinity, plan_affinity
-from .backend import CountSource, WorkerBackend
-from .kernels import count_window
+from .backend import WorkerBackend
 from .shard import Shard, ShardPlanner
-from .worker import ShardResult
+from .worker import WorkerSlots, count_shard, start_worker
 
 __all__ = ["ThreadPoolBackend"]
 
@@ -59,19 +57,6 @@ __all__ = ["ThreadPoolBackend"]
 MAX_SHARD_ROWS = 262_144
 
 
-def _timed_count(task_id: int, *args, **kwargs) -> ShardResult:
-    """One shard's :func:`count_window`, timed on the thread that runs it."""
-    started = time.perf_counter_ns()
-    counts, moved = count_window(*args, **kwargs)
-    return ShardResult(
-        task_id=task_id,
-        counts=counts,
-        rows=int(counts.sum()),
-        elapsed_ns=float(time.perf_counter_ns() - started),
-        moved_bytes=moved,
-    )
-
-
 class ThreadPoolBackend(WorkerBackend):
     """In-process multi-threaded counting behind the backend seam.
 
@@ -81,41 +66,17 @@ class ThreadPoolBackend(WorkerBackend):
 
     name = "threads"
 
-    def __init__(self, n_workers: int | None = None, **options) -> None:
-        super().__init__(n_workers, **options)
-        self.affinity_applied = 0
-        self._executor: ThreadPoolExecutor | None = None
-        self._affinity_next = 0
-
     # -------------------------------------------------------------- executor
 
-    def _pin_worker_thread(self, cpusets: list[set[int]]) -> None:
-        """Executor-thread initializer: pin the calling thread to its CPU."""
-        with self._lock:
-            index = self._affinity_next
-            self._affinity_next += 1
-        if apply_affinity(0, cpusets[index % len(cpusets)]):
-            with self._lock:
-                self.affinity_applied += 1
-
-    @property
-    def executor(self) -> ThreadPoolExecutor:
-        """The shared counting executor, created on first use."""
-        with self._lock:
-            if self.closed:
-                raise RuntimeError("ThreadPoolBackend is closed")
-            if self._executor is None:
-                cpusets = plan_affinity(self.cpu_affinity, self.n_workers)
-                kwargs = {}
-                if cpusets:
-                    kwargs["initializer"] = self._pin_worker_thread
-                    kwargs["initargs"] = (cpusets,)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.n_workers,
-                    thread_name_prefix="repro-count",
-                    **kwargs,
-                )
-            return self._executor
+    def _new_executor(self, cpusets):
+        slots = WorkerSlots(self.n_workers)
+        executor = ThreadPoolExecutor(
+            max_workers=self.n_workers,
+            thread_name_prefix="repro-count",
+            initializer=start_worker,
+            initargs=(slots, cpusets),
+        )
+        return executor, slots
 
     # --------------------------------------------------------------- counting
 
@@ -132,22 +93,15 @@ class ThreadPoolBackend(WorkerBackend):
         bounded = min(-(-total_rows // MAX_SHARD_ROWS), total_rows // cells)
         return ShardPlanner(max(self.n_workers, bounded)).plan(blocks, layout)
 
-    def _run_shards(
-        self,
-        source: CountSource,
-        shards: list[Shard],
-        base_id: int,
-        table_filter: np.ndarray | None,
-    ) -> list[ShardResult]:
+    def _shard_calls(self, source, shards, base_id, table_filter):
         """Threads read the coordinator's arrays directly — no refs, no
         copies; an exact pass's mask goes to every shard whole."""
-        executor = self.executor
         table = source.shuffled.table
         z, x = table.column(source.z_name), table.column(source.x_name)
         row_filter = source.row_filter if table_filter is None else table_filter
-        futures = [
-            executor.submit(
-                _timed_count,
+        return [
+            partial(
+                count_shard,
                 base_id + shard.index,
                 z,
                 x,
@@ -161,16 +115,3 @@ class ThreadPoolBackend(WorkerBackend):
             )
             for shard in shards
         ]
-        return [future.result() for future in futures]
-
-    # --------------------------------------------------------------- lifecycle
-
-    def close(self) -> None:
-        """Shut the executor down.  Idempotent."""
-        with self._lock:
-            if self.closed:
-                return
-            self.closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)

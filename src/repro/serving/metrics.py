@@ -19,7 +19,7 @@ Three observability upgrades over the endpoint-only original:
   :meth:`record_shed` is a thin admission-time wrapper over it.
 - **span-fed stage budgets** — the metrics object is a tracer *sink*
   (:meth:`observe_span`): subscribe it to a :class:`~repro.obs.Tracer`
-  and per-stage duration sketches (queue/step/stage1..3/shard/pool) fill
+  and per-stage duration sketches (queue/step/stage1..3/shard) fill
   themselves from the same spans the trace file records.
 
 :meth:`expose_text` renders everything in Prometheus text exposition
@@ -149,8 +149,8 @@ class ServingMetrics:
         """Tracer-sink seam: fold one span into the per-stage sketches.
 
         Only span names with a lifecycle stage mapping contribute
-        (``queue.wait``, ``engine.step``, ``stepper.*``, backend windows,
-        pool runs); events and unknown spans are ignored.
+        (``queue.wait``, ``engine.step``, ``stepper.*``, backend
+        fan-outs); events and unknown spans are ignored.
         """
         if record.kind != "span":
             return

@@ -3,7 +3,7 @@ simulated I/O, and the cost model standing in for the paper's hardware."""
 
 from .blocks import BlockLayout
 from .cost_model import CACHELINE_BITS, DEFAULT_COST_MODEL, CostModel
-from .io_manager import BlockRead, IOManager
+from .io_manager import IOManager
 from .schema import BinnedAttribute, CategoricalAttribute, Schema
 from .shuffle import ShuffledTable, shuffle_table
 from .table import ColumnTable
@@ -13,7 +13,6 @@ __all__ = [
     "CACHELINE_BITS",
     "DEFAULT_COST_MODEL",
     "CostModel",
-    "BlockRead",
     "IOManager",
     "BinnedAttribute",
     "CategoricalAttribute",

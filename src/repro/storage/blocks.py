@@ -59,28 +59,6 @@ class BlockLayout:
         blocks = np.asarray(blocks, dtype=np.int64)
         return np.minimum(self.block_size, self.num_rows - blocks * self.block_size)
 
-    def run_bounds(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Contiguous-run row spans ``[start, stop)`` covered by ``blocks``.
-
-        Consecutive block indexes collapse into one span, so a window of
-        adjacent blocks (the common case under sequential scan order) walks
-        as a handful of slices instead of a per-row index gather.  Spans are
-        emitted in the order blocks appear; concatenating the spans' rows
-        yields exactly :meth:`rows_of_blocks`.
-        """
-        blocks = np.asarray(blocks, dtype=np.int64)
-        if blocks.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        if blocks.min() < 0 or blocks.max() >= self.num_blocks:
-            raise ValueError("block index out of range")
-        breaks = np.flatnonzero(np.diff(blocks) != 1)
-        first = blocks[np.concatenate(([0], breaks + 1))]
-        last = blocks[np.concatenate((breaks, [blocks.size - 1]))]
-        starts = first * self.block_size
-        stops = np.minimum((last + 1) * self.block_size, self.num_rows)
-        return starts, stops
-
     def rows_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Tuple offsets covered by the given block indexes, in block order."""
         blocks = np.asarray(blocks, dtype=np.int64)
@@ -93,28 +71,3 @@ class BlockLayout:
         lengths = stops - starts
         offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths)
         return np.arange(lengths.sum(), dtype=np.int64) + offsets
-
-    def iter_chunks(self, start_block: int, chunk: int):
-        """Yield ``(first_block, last_block_exclusive)`` windows of at most
-        ``chunk`` blocks, beginning at ``start_block`` and wrapping around the
-        end of the table exactly once (the paper starts each run at a random
-        scan position, Section 5.2)."""
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        if not 0 <= start_block < max(self.num_blocks, 1):
-            raise ValueError(f"start_block {start_block} out of range")
-        produced = 0
-        cursor = start_block
-        while produced < self.num_blocks:
-            stop = min(cursor + chunk, self.num_blocks)
-            yield cursor, stop
-            produced += stop - cursor
-            cursor = stop if stop < self.num_blocks else 0
-            if cursor == 0 and produced < self.num_blocks:
-                # Wrapped: continue from the top toward start_block.
-                while cursor < start_block:
-                    stop = min(cursor + chunk, start_block)
-                    yield cursor, stop
-                    produced += stop - cursor
-                    cursor = stop
-                break

@@ -397,8 +397,7 @@ class _StepperJob(_Job):
         )
         stats_engine = StatsEngine(self.cost_model, self.clock)
         algorithm = HistSim(
-            self.engine, self.prepared.target, self.config, stats_cost=stats_engine,
-            backend=self._backend,
+            self.engine, self.prepared.target, self.config, stats_cost=stats_engine
         )
         self.stepper = HistSimStepper(algorithm=algorithm, max_step_rows=max_step_rows)
 

@@ -13,7 +13,7 @@ either front door (thread or asyncio) can serve many datasets at once:
   serving), so deadlines and latencies across tenants live on a single
   coherent timeline.
 - **one backend** — all sessions share the registry's execution backend:
-  for ``backend="sharded"`` that is one :class:`~repro.parallel.WorkerPool`
+  for ``backend="sharded"`` that is one set of worker processes
   and one shared-memory store across every tenant, spawned once and
   amortized over all of them.  The registry owns the backend's lifetime;
   sessions treat it as borrowed.

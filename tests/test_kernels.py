@@ -35,7 +35,6 @@ from repro.parallel import (
     KERNEL_SPECS,
     ShardedBackend,
     ThreadPoolBackend,
-    WorkerPool,
     apply_affinity,
     build_pair_codes,
     check_pair_codes,
@@ -45,7 +44,6 @@ from repro.parallel import (
     make_backend,
     pair_code_dtype,
     plan_affinity,
-    resolve_kernel,
 )
 from repro.parallel.kernels import rows_per_candidate, tally_window
 from repro.query import Equals, HistogramQuery, InRange
@@ -81,29 +79,29 @@ class TestPairCodeDtype:
         assert pair_code_dtype(0, 0) == np.dtype(np.uint8)
 
 
-class TestResolveKernel:
+class TestChooseKernelName:
     def test_classic_always_wins_when_asked(self):
         codes = np.zeros(4, dtype=np.uint8)
-        assert resolve_kernel("classic", 4, 4, codes=codes) == "classic"
+        assert choose_kernel("classic", 4, 4, codes=codes).name == "classic"
 
     def test_codes_force_fused(self):
         codes = np.zeros(4, dtype=np.uint8)
-        assert resolve_kernel("auto", 4, 4, codes=codes) == "fused"
-        assert resolve_kernel("narrow", 4, 4, codes=codes) == "fused"
+        assert choose_kernel("auto", 4, 4, codes=codes).name == "fused"
+        assert choose_kernel("narrow", 4, 4, codes=codes).name == "fused"
 
     def test_auto_narrow_when_codes_fit(self):
-        assert resolve_kernel("auto", 16, 16) == "narrow"
+        assert choose_kernel("auto", 16, 16).name == "narrow"
 
     def test_auto_classic_when_code_space_huge(self):
-        assert resolve_kernel("auto", 2**17, 2**16) == "classic"
+        assert choose_kernel("auto", 2**17, 2**16).name == "classic"
 
     def test_fused_without_codes_degrades(self):
-        assert resolve_kernel("fused", 16, 16) == "narrow"
-        assert resolve_kernel("fused", 2**17, 2**16) == "classic"
+        assert choose_kernel("fused", 16, 16).name == "narrow"
+        assert choose_kernel("fused", 2**17, 2**16).name == "classic"
 
     def test_rejects_unknown_spec(self):
         with pytest.raises(ValueError):
-            resolve_kernel("turbo", 4, 4)
+            choose_kernel("turbo", 4, 4).name
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,6 @@ class TestCountWindowIdentity:
         for spec in KERNEL_SPECS:
             for prepared in (None, codes):
                 choice = choose_kernel(spec, 6, 4, codes=prepared)
-                assert choice.name == resolve_kernel(spec, 6, 4, codes=prepared)
                 assert choice.code_dtype == pair_code_dtype(6, 4)
                 by_spec = count_window(
                     z, x, blocks, layout, 6, 4, codes=prepared, kernel=spec
@@ -956,12 +953,23 @@ class TestAffinity:
         else:  # pragma: no cover - non-Linux
             assert apply_affinity(0, cpus[0]) is False
 
-    def test_worker_pool_pins_and_counts(self):
-        with WorkerPool(2, cpu_affinity="compact") as pool:
-            import os
+    def test_worker_pool_pins_and_counts(self, table):
+        """Each worker process pins itself as it starts; the count is read
+        once every worker has claimed its slot, not raced against start-up."""
+        import os
+        import time
 
-            expected = 2 if hasattr(os, "sched_setaffinity") else 0
-            assert pool.affinity_applied == expected
+        expected = 2 if hasattr(os, "sched_setaffinity") else 0
+        reference = exact_candidate_counts(table, QUERY)
+        with ShardedBackend(2, min_fan_out_rows=0, cpu_affinity="compact") as backend:
+            counts = exact_candidate_counts(table, QUERY, backend=backend)
+            deadline = time.monotonic() + 30
+            while backend._slots.started < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert backend._slots.started == 2
+            assert backend.affinity_applied == expected
+            assert backend.alive_workers == 2
+        np.testing.assert_array_equal(counts, reference)
 
     def test_thread_backend_pins_on_first_use(self, table):
         backend = ThreadPoolBackend(2, min_fan_out_rows=0, cpu_affinity="spread")

@@ -144,7 +144,7 @@ class TestTracer:
 
     def test_span_at_with_string_clock_label(self):
         tracer = Tracer(SimulatedClock())
-        record = tracer.span_at("pool.run", 10.0, 30.0, clock="monotonic", tasks=2)
+        record = tracer.span_at("backend.window", 10.0, 30.0, clock="monotonic", shards=2)
         assert record.clock == "monotonic"  # not the tracer's default clock
         assert record.duration_ns == 20.0
 

@@ -178,8 +178,5 @@ def test_concurrent_telemetry_complete_and_identical(
         assert windows, "fan-out windows left no spans"
         assert all(r.clock == "monotonic" for r in windows)
     if backend_spec == "sharded":
-        pool_runs = [r for r in records if r.name == "pool.run"]
-        assert pool_runs, "worker-pool runs left no spans"
-        assert all(r.attrs["tasks"] >= 1 for r in pool_runs)
         shm_events = [r for r in records if r.name == "shm.publish"]
         assert shm_events, "shared-memory publishes left no events"

@@ -1,15 +1,21 @@
 """Unit tests for the sharded execution subsystem's building blocks:
-planner, shared-memory store, worker kernel, pool, and merger, and the
-worker-backend contract both transports hold."""
+planner, shared-memory store, worker kernel, workers, and merger, the
+worker-backend contract both transports hold, and the process transport's
+faults (a killed worker, a close racing a count)."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,12 +34,11 @@ from repro.parallel import (
     ShardedBackend,
     SharedMemoryStore,
     ThreadPoolBackend,
-    WorkerPool,
     count_window,
     make_backend,
 )
 from repro.parallel.backend import DEFAULT_MIN_FAN_OUT_ROWS, SerialBackend
-from repro.parallel.worker import ShardResult, ShardTask
+from repro.parallel.worker import ShardResult, ShardTask, run_task
 from repro.sampling import BlockSamplingEngine, ScanAllPolicy
 from repro.storage import CostModel
 from repro.storage.blocks import BlockLayout
@@ -126,7 +131,9 @@ class TestSharedMemoryStore:
             data = np.arange(100, dtype=np.uint16)
             ref = store.publish("key", data)
             assert ref.dtype == np.dtype(np.uint16).str
-            shm, view = attach_segment(ref)
+            # The creating process shares its own tracker: undoing the
+            # attach-time registration would strip the store's.
+            shm, view = attach_segment(ref, shared_tracker=True)
             np.testing.assert_array_equal(view, data)
             assert view.dtype == np.uint16
             shm.close()
@@ -322,15 +329,8 @@ class TestShardMerger:
 
 
 # ---------------------------------------------------------------------------
-# WorkerPool
+# Worker executors (process transport unless parametrised)
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def pool():
-    p = WorkerPool(2)
-    yield p
-    p.close()
 
 
 def make_tasks(store: SharedMemoryStore, n: int, c: int, g: int, n_shards: int):
@@ -361,16 +361,42 @@ def make_tasks(store: SharedMemoryStore, n: int, c: int, g: int, n_shards: int):
     return tasks, expected
 
 
-class TestWorkerPool:
-    def test_run_counts_match_local(self, pool):
-        with SharedMemoryStore() as store:
-            tasks, expected = make_tasks(store, n=2048, c=6, g=4, n_shards=2)
-            results = pool.run(tasks)
-            merged = ShardMerger(6, 4).merge(results)
-            np.testing.assert_array_equal(merged, expected)
-            assert pool.tasks_dispatched >= len(tasks)
+def wait_started(backend, n: int, timeout: float = 30.0) -> None:
+    """Block until ``n`` workers of the backend's executor claimed a slot."""
+    deadline = time.monotonic() + timeout
+    while backend._slots.started < n and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert backend._slots.started == n
 
-    def test_task_failure_raises_with_context(self, pool):
+
+def wait_until(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert predicate()
+
+
+def workers_health(backend):
+    """The health monitor's ``workers`` check over a bare backend."""
+    from repro.obs.health import HealthMonitor
+
+    door = SimpleNamespace(service=SimpleNamespace(backend=backend))
+    return HealthMonitor(door)._check_workers()
+
+
+class TestWorkerPool:
+    def test_run_counts_match_local(self):
+        table = fake_table(20_000, 6, 4, seed=3)
+        with ShardedBackend(2, min_fan_out_rows=0) as backend:
+            counts = backend.count_table(table, "z", "x", 6, 4)
+            assert backend.shard_tasks >= 2
+        np.testing.assert_array_equal(
+            counts, SerialBackend().count_table(table, "z", "x", 6, 4)
+        )
+
+    def test_task_failure_raises_with_context(self, transport, monkeypatch):
+        """A failed shard is a RuntimeError naming its task, chained to the
+        worker's own exception; the workers stay up for the next count."""
         bad = ShardTask(
             task_id=0,
             blocks=np.array([0], dtype=np.int64),
@@ -382,52 +408,137 @@ class TestWorkerPool:
             num_candidates=2,
             num_groups=2,
         )
-        with pytest.raises(RuntimeError, match="shard task"):
-            pool.run([bad])
+        table = fake_table(2048, 6, 4, seed=3)
+        with transport(2, min_fan_out_rows=0) as backend:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    backend, "_shard_calls", lambda *args: [partial(run_task, bad)]
+                )
+                with pytest.raises(RuntimeError, match="shard task 7 failed") as info:
+                    backend._run_shards(None, [], 7, None)
+            assert isinstance(info.value.__cause__, FileNotFoundError)
+            np.testing.assert_array_equal(
+                backend.count_table(table, "z", "x", 6, 4),
+                SerialBackend().count_table(table, "z", "x", 6, 4),
+            )
+
+    def test_failed_shard_cancels_the_calls_unstarted_shards(self, monkeypatch):
+        ran, release = [], threading.Event()
+
+        def fail():
+            raise ValueError("kernel broke")
+
+        calls = [fail, partial(release.wait, 10), partial(ran.append, "late")]
+        with ThreadPoolBackend(1, min_fan_out_rows=0) as backend:
+            monkeypatch.setattr(backend, "_shard_calls", lambda *args: calls)
+            with pytest.raises(RuntimeError, match="shard task 0 failed: kernel broke"):
+                backend._run_shards(None, [], 0, None)
+            release.set()
+        assert ran == []
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            ShardedBackend(0)
 
     def test_bad_affinity_starts_no_process(self):
-        """An unknown pinning policy is refused before any worker starts,
-        by the backend's constructor and by the pool's own."""
+        """An unknown pinning policy is refused before any worker starts."""
         before = len(multiprocessing.active_children())
         with pytest.raises(ValueError, match="cpu_affinity"):
             ShardedBackend(2, cpu_affinity="bogus")
-        with pytest.raises(ValueError, match="cpu_affinity"):
-            WorkerPool(2, cpu_affinity="bogus")
         assert len(multiprocessing.active_children()) == before
 
     def test_close_stops_workers(self):
-        p = WorkerPool(1)
-        assert p.alive_workers == 1
-        p.close()
-        assert p.alive_workers == 0
-        p.close()  # idempotent
-        with pytest.raises(RuntimeError):
-            p.run([])
+        backend = ShardedBackend(2, min_fan_out_rows=0)
+        table = fake_table(2048, 6, 4, seed=3)
+        backend.count_table(table, "z", "x", 6, 4)
+        wait_started(backend, 2)
+        assert backend.alive_workers == 2
+        backend.close()
+        assert backend.alive_workers == 0
+        backend.close()  # idempotent
+        with pytest.raises(RuntimeError, match="closed"):
+            backend.count_table(table, "z", "x", 6, 4)
 
-    def test_worker_death_poisons_pool(self):
-        p = WorkerPool(1, result_timeout_s=0.2)
-        try:
-            p._workers[0].terminate()
-            p._workers[0].join(timeout=5.0)
-            with SharedMemoryStore() as store:
-                tasks, _ = make_tasks(store, n=256, c=2, g=2, n_shards=1)
-                with pytest.raises(RuntimeError, match="worker died"):
-                    p.run(tasks)
-            # The failed run closed the pool: no later run can merge
-            # partial or stale results.
-            assert p.closed
-        finally:
-            p.close()
 
-    def test_rejects_duplicate_task_ids(self, pool):
-        with SharedMemoryStore() as store:
-            tasks, _ = make_tasks(store, n=256, c=2, g=2, n_shards=1)
-            with pytest.raises(ValueError, match="unique"):
-                pool.run([tasks[0], tasks[0]])
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="SIGKILL required")
+class TestWorkerFaults:
+    """A dead process worker ends the count it breaks in a typed error and
+    the next count on fresh workers; nothing is left in /dev/shm."""
+
+    def test_killed_worker_is_seen_then_fails_one_count_then_respawns(self):
+        before = shm_files()
+        table = fake_table(5000, 6, 4, seed=7)
+        serial = SerialBackend().count_table(table, "z", "x", 6, 4)
+        with ShardedBackend(2, min_fan_out_rows=0) as backend:
+            np.testing.assert_array_equal(
+                backend.count_table(table, "z", "x", 6, 4), serial
+            )
+            wait_started(backend, 2)
+            assert workers_health(backend).status == "ok"
+            os.kill(backend._slots.pids()[0], signal.SIGKILL)
+            # Read from the slots alone: no count runs in between.
+            wait_until(lambda: workers_health(backend).status != "ok")
+            with pytest.raises(RuntimeError, match="worker died"):
+                backend.count_table(table, "z", "x", 6, 4)
+            np.testing.assert_array_equal(
+                backend.count_table(table, "z", "x", 6, 4), serial
+            )
+            wait_started(backend, 2)
+            assert backend.alive_workers == 2
+            assert workers_health(backend).status == "ok"
+        assert shm_files() <= before
+
+    def test_worker_killed_mid_count_fails_that_count(self, monkeypatch):
+        before = shm_files()
+        table = fake_table(5000, 6, 4, seed=7)
+        with ShardedBackend(2, min_fan_out_rows=0) as backend:
+            backend.count_table(table, "z", "x", 6, 4)
+            wait_started(backend, 2)
+            victim = backend._slots.pids()[0]
+            # The shards sleep in the workers, so the kill lands mid-count.
+            calls = [partial(time.sleep, 5.0), partial(time.sleep, 5.0)]
+            with monkeypatch.context() as patch:
+                patch.setattr(backend, "_shard_calls", lambda *args: calls)
+                killer = threading.Timer(0.3, os.kill, (victim, signal.SIGKILL))
+                killer.start()
+                try:
+                    with pytest.raises(RuntimeError, match="worker died"):
+                        backend._run_shards(None, [], 0, None)
+                finally:
+                    killer.join()
+            np.testing.assert_array_equal(
+                backend.count_table(table, "z", "x", 6, 4),
+                SerialBackend().count_table(table, "z", "x", 6, 4),
+            )
+        assert shm_files() <= before
+
+    def test_close_racing_a_count_ends_in_an_error_or_the_answer(self):
+        before = shm_files()
+        table = fake_table(200_000, 6, 4, seed=9)
+        serial = SerialBackend().count_table(table, "z", "x", 6, 4)
+        for delay in (0.0, 0.005, 0.02, 0.05):
+            backend = ShardedBackend(2, min_fan_out_rows=0)
+            outcomes = []
+
+            def count():
+                try:
+                    for _ in range(20):
+                        counts = backend.count_table(table, "z", "x", 6, 4)
+                        outcomes.append(np.array_equal(counts, serial))
+                except RuntimeError as exc:
+                    outcomes.append(exc)
+
+            counter = threading.Thread(target=count)
+            counter.start()
+            time.sleep(delay)
+            backend.close()
+            counter.join(timeout=60)
+            assert not counter.is_alive(), "count hung on a closed backend"
+            assert outcomes and all(
+                outcome is True or isinstance(outcome, RuntimeError)
+                for outcome in outcomes
+            ), outcomes
+        assert shm_files() <= before
 
 
 #: A whole process's worth of sharded counting — the pool starts before the
@@ -454,7 +565,7 @@ TRACKER_CYCLE = textwrap.dedent(
         counts = exact_candidate_counts(
             table, HistogramQuery("z", "x", k=1), backend=backend
         )
-        assert backend.pool.tasks_dispatched > 0 and backend.store.num_segments > 0
+        assert backend.shard_tasks > 0 and backend.store.num_segments > 0
         assert int(counts.sum()) == 4096
     finally:
         backend.close()
@@ -497,15 +608,15 @@ class TestMakeBackend:
         assert backend.describe() == {"backend": "serial"}
 
     def test_sharded_backend_respawns_a_dead_pool(self):
-        backend = ShardedBackend(1, min_fan_out_rows=0)
-        try:
-            first = backend.pool
-            first.close()  # as after a worker death mid-window
-            replacement = backend.pool
+        table = fake_table(2048, 6, 4, seed=3)
+        with ShardedBackend(1, min_fan_out_rows=0) as backend:
+            first = backend.executor
+            backend._drop_executor(first)  # as after a worker death mid-count
+            replacement = backend.executor
             assert replacement is not first
-            assert replacement.alive_workers == 1
-        finally:
-            backend.close()
+            backend.count_table(table, "z", "x", 6, 4)
+            wait_started(backend, 1)
+            assert backend.alive_workers == 1
 
     def test_existing_instance_passthrough(self):
         backend = SerialBackend()
@@ -550,7 +661,11 @@ class TestAttachmentGC:
     def test_worker_drops_stale_attachments_on_epoch_advance(self):
         """A single worker caches attachments across tasks, then forgets the
         ones a newer task's GC watermark no longer lists as live."""
-        p = WorkerPool(1)
+        backend = ShardedBackend(1)
+
+        def run(tasks):
+            return [backend.executor.submit(run_task, t).result() for t in tasks]
+
         try:
             with SharedMemoryStore() as store:
                 tasks_a, _ = make_tasks(store, n=512, c=3, g=2, n_shards=1)
@@ -565,7 +680,7 @@ class TestAttachmentGC:
                     )
                     for t in tasks_a
                 ]
-                (res_a,) = p.run(stamped_a)
+                (res_a,) = run(stamped_a)
                 assert res_a.cached_attachments == 2  # z + x of dataset A
 
                 # A second dataset joins: the worker now caches 4 segments.
@@ -588,7 +703,7 @@ class TestAttachmentGC:
                     gc_epoch=epoch,
                     live_segments=live,
                 )
-                (res_b,) = p.run([task_b])
+                (res_b,) = run([task_b])
                 assert res_b.cached_attachments == 4
 
                 # Dataset A is evicted: the next watermark drops its two.
@@ -603,11 +718,11 @@ class TestAttachmentGC:
                         "live_segments": live,
                     }
                 )
-                (res_b2,) = p.run([task_b2])
+                (res_b2,) = run([task_b2])
                 assert res_b2.cached_attachments == 2
                 np.testing.assert_array_equal(res_b2.counts, res_b.counts)
         finally:
-            p.close()
+            backend.close()
 
     @pytest.mark.skipif(
         not os.path.isdir("/dev/shm"), reason="/dev/shm tmpfs required"
@@ -667,7 +782,7 @@ class TestAttachmentGC:
 
             assert backend.store.epoch > 0
             assert not (old_names & set(os.listdir("/dev/shm")))
-            assert backend.pool.alive_workers == 1  # pool never restarted
+            assert backend.alive_workers == 1  # workers never restarted
             # Seed 1's columns were published (− evicted_bytes) AND seed 0's
             # pages were released (+ evicted_bytes): net /dev/shm usage must
             # not grow by another dataset's worth, which it did before GC.
@@ -753,8 +868,7 @@ class TestWorkerBackendContract:
             assert backend.inline_windows == 1
             assert backend.shard_tasks == 0
             # Never even spun up.
-            assert getattr(backend, "_executor", None) is None
-            assert getattr(backend, "_pool", None) is None
+            assert backend._executor is None
         np.testing.assert_array_equal(counts, expected)
         np.testing.assert_array_equal(
             table_counts, SerialBackend().count_table(table, "z", "x", 5, 3)
@@ -791,8 +905,7 @@ class TestWorkerBackendContract:
             assert engine.counters.windows == 33
             assert backend.inline_windows == engine.counters.windows
             assert backend.shard_tasks == 0
-            assert getattr(backend, "_executor", None) is None
-            assert getattr(backend, "_pool", None) is None
+            assert backend._executor is None
             np.testing.assert_array_equal(counts, expected)
 
             backend.set_tracer(tracer)
@@ -1040,12 +1153,12 @@ class TestThreadPoolBackend:
         """The merge compares each shard's tally with the rows the planner
         gave it, so a kernel that dropped a block is an error, not a
         slightly smaller histogram."""
-        from repro.parallel import ThreadPoolBackend, count_window, threaded
+        from repro.parallel import ThreadPoolBackend, count_window, worker
 
         def lossy(z, x, blocks, *args, **kwargs):
             return count_window(z, x, blocks[:-1], *args, **kwargs)
 
-        monkeypatch.setattr(threaded, "count_window", lossy)
+        monkeypatch.setattr(worker, "count_window", lossy)
         table = fake_table(5000, 6, 4, seed=7)
         with ThreadPoolBackend(2, min_fan_out_rows=0) as backend:
             with pytest.raises(ValueError, match="tallied .* rows, planned"):
@@ -1053,72 +1166,42 @@ class TestThreadPoolBackend:
 
 
 # ---------------------------------------------------------------------------
-# WorkerPool under concurrent run() callers
+# One worker backend under concurrent callers
 # ---------------------------------------------------------------------------
 
 
-def make_tagged_tasks(store, tag, base_id, n, c, g, n_shards, seed):
-    """Like make_tasks, but with caller-unique shm keys and task ids."""
-    rng = np.random.default_rng(seed)
-    z = rng.integers(0, c, n).astype(np.uint8)
-    x = rng.integers(0, g, n).astype(np.uint8)
-    layout = BlockLayout(n, 32)
-    z_ref = store.publish(f"{tag}-z", z)
-    x_ref = store.publish(f"{tag}-x", x)
-    blocks = np.arange(layout.num_blocks, dtype=np.int64)
-    shards = ShardPlanner(n_shards).plan(blocks, layout)
-    tasks = [
-        ShardTask(
-            task_id=base_id + s.index,
-            blocks=s.blocks,
-            z_ref=z_ref,
-            x_ref=x_ref,
-            filter_ref=None,
-            block_size=layout.block_size,
-            num_rows=layout.num_rows,
-            num_candidates=c,
-            num_groups=g,
-        )
-        for s in shards
-    ]
-    expected = np.bincount(z.astype(np.int64) * g + x, minlength=c * g).reshape(c, g)
-    return tasks, expected
-
-
 class TestWorkerPoolConcurrentRuns:
-    def test_interleaved_runs_never_cross_settle(self, pool):
-        """Two threads drive overlapping run() windows through one pool;
-        each caller must gather exactly its own shard results (the
-        single-drainer deposit protocol), every time."""
-        import threading
-
-        with SharedMemoryStore() as store:
-            jobs = [
-                make_tagged_tasks(
-                    store, tag=f"c{i}", base_id=1000 * (i + 1),
-                    n=2048 + 256 * i, c=5, g=3, n_shards=2, seed=30 + i,
-                )
-                for i in range(2)
+    def test_interleaved_runs_never_cross_settle(self, transport):
+        """Two threads count through one shared backend at once — one whole
+        tables, one block sets — and each must get exactly its own counts,
+        every time."""
+        tables = [fake_table(2048 + 256 * i, 5, 3, seed=30 + i) for i in range(2)]
+        source = table_source(tables[1], 5, 3)
+        blocks = np.arange(1, source.shuffled.layout.num_blocks, 2, dtype=np.int64)
+        expected = [
+            SerialBackend().count_table(tables[0], "z", "x", 5, 3),
+            SerialBackend().count_blocks(source, blocks),
+        ]
+        errors = []
+        barrier = threading.Barrier(2)
+        with transport(2, min_fan_out_rows=0) as backend:
+            calls = [
+                lambda: backend.count_table(tables[0], "z", "x", 5, 3),
+                lambda: backend.count_blocks(source, blocks),
             ]
-            errors = []
-            barrier = threading.Barrier(len(jobs))
 
             def caller(i):
-                tasks, expected = jobs[i]
                 try:
                     barrier.wait(timeout=10)
                     for _ in range(8):
-                        merged = ShardMerger(5, 3).merge(pool.run(tasks))
-                        np.testing.assert_array_equal(merged, expected)
+                        np.testing.assert_array_equal(calls[i](), expected[i])
                 except Exception as exc:
                     errors.append((i, exc))
 
-            threads = [
-                threading.Thread(target=caller, args=(i,))
-                for i in range(len(jobs))
-            ]
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
-            assert not errors, errors
+            assert backend.shard_tasks >= 2 * 8
+        assert not errors, errors

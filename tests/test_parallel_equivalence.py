@@ -13,6 +13,7 @@ mid-round, predicates — plus session-level serving and resource cleanup
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -212,6 +213,14 @@ def test_session_equivalence_and_backend_attribution(table):
         assert b.report.backend == "sharded"
 
 
+def wait_all_started(backend) -> None:
+    """Block until every worker process has claimed its slot (they start
+    together; each claims as it comes up)."""
+    deadline = time.monotonic() + 30
+    while backend._slots.started < backend.n_workers and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 def test_session_close_releases_shared_memory_and_workers(table):
     before = shm_files()
     session = MatchSession(table, backend="sharded", workers=2)
@@ -219,28 +228,31 @@ def test_session_close_releases_shared_memory_and_workers(table):
     session.backend.min_fan_out_rows = 0
     session.submit(queries()[0], config=session_config(3), seed=4)
     session.run()
-    store = session.backend.store
-    pool = session.backend.pool
+    backend = session.backend
+    store = backend.store
     assert store.num_segments > 0
     created = set(store.segment_names())
     if os.path.isdir("/dev/shm"):
         assert created <= shm_files()
-    assert pool.alive_workers == 2
+    slots = backend._slots
+    wait_all_started(backend)
+    assert backend.alive_workers == 2
 
     session.close()
     assert shm_files() <= before  # nothing we created survives
     assert store.num_segments == 0
-    assert pool.alive_workers == 0
+    assert slots.alive() == 0  # every worker process exited
+    assert backend.alive_workers == 0
     session.close()  # idempotent
     with pytest.raises(RuntimeError):
-        session.backend.pool.run([])
+        _ = backend.executor
 
 
 def test_closed_backend_refuses_new_work(table):
     backend = ShardedBackend(1, min_fan_out_rows=0)
     backend.close()
     with pytest.raises(RuntimeError):
-        _ = backend.pool
+        _ = backend.executor
 
 
 def test_shared_backend_reused_across_sessions(table):
@@ -258,7 +270,8 @@ def test_shared_backend_reused_across_sessions(table):
                 )
                 run = session.run()
             assert run[0].report.result.stats == serial.result.stats
-        assert backend.pool.alive_workers == 2
+        wait_all_started(backend)
+        assert backend.alive_workers == 2
 
 
 def test_exact_counts_sharded_identity(table):

@@ -319,8 +319,8 @@ def test_health_monitor_never_spawns_the_lazy_worker_pool(flights_table):
         finally:
             door.shutdown()
         assert report.status == OK
-        # The probe must read the pool slot, not the spawning property.
-        assert registry.backend._pool is None
+        # The probe must read the worker slots, not the spawning property.
+        assert registry.backend._executor is None
         names = [c.name for c in report.checks]
         assert "workers" not in names  # nothing spawned -> nothing to grade
         assert "clock_skew" in names

@@ -134,10 +134,8 @@ def layout_and_batches(draw):
 def assert_charged_per_block(io, batches, exact):
     """``read_cost`` on a fresh manager charges each batch what summing
     ``block_read_cost`` over its blocks does (the closed form against the
-    per-block sum it replaced), ``read_blocks`` charges the same, and the
-    counters of both follow."""
+    per-block sum it replaced), and its counters follow."""
     cm, layout = io.cost_model, io.shuffled.layout
-    twin = IOManager(io.shuffled, cm)
     blocks_read = rows_read = 0
     total = 0.0
     for blocks in batches:
@@ -150,13 +148,12 @@ def assert_charged_per_block(io, batches, exact):
             assert cost == per_block
         else:
             assert math.isclose(cost, per_block, rel_tol=1e-12)
-        assert twin.read_blocks(blocks, ("z",)).cost_ns == cost
         blocks_read += blocks.size
         rows_read += int(tuples.sum())
         total += cost
-        assert io.total_blocks_read == twin.total_blocks_read == blocks_read
-        assert io.total_rows_read == twin.total_rows_read == rows_read
-        assert io.total_cost_ns == twin.total_cost_ns == total
+        assert io.total_blocks_read == blocks_read
+        assert io.total_rows_read == rows_read
+        assert io.total_cost_ns == total
 
 
 class TestColumnTable:
@@ -252,21 +249,6 @@ class TestBlockLayout:
         layout = BlockLayout(10, 3)
         assert layout.rows_of_blocks(np.array([], dtype=int)).size == 0
 
-    def test_iter_chunks_wraps_exactly_once(self):
-        layout = BlockLayout(num_rows=100, block_size=10)  # 10 blocks
-        windows = list(layout.iter_chunks(start_block=7, chunk=4))
-        covered = []
-        for lo, hi in windows:
-            covered.extend(range(lo, hi))
-        assert sorted(covered) == list(range(10))
-        assert len(covered) == 10  # no block visited twice
-        assert windows[0] == (7, 10)
-
-    def test_iter_chunks_from_zero(self):
-        layout = BlockLayout(num_rows=95, block_size=10)
-        windows = list(layout.iter_chunks(0, 4))
-        assert windows == [(0, 4), (4, 8), (8, 10)]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BlockLayout(-1, 10)
@@ -277,22 +259,6 @@ class TestBlockLayout:
             layout.block_bounds(4)
         with pytest.raises(ValueError):
             layout.block_of_row(10)
-
-    @given(
-        st.integers(min_value=1, max_value=500),
-        st.integers(min_value=1, max_value=64),
-        st.integers(min_value=0, max_value=63),
-        st.integers(min_value=1, max_value=32),
-    )
-    @settings(max_examples=80)
-    def test_iter_chunks_partition_property(self, rows, block_size, start, chunk):
-        layout = BlockLayout(rows, block_size)
-        start = start % layout.num_blocks
-        covered = []
-        for lo, hi in layout.iter_chunks(start, chunk):
-            assert lo < hi
-            covered.extend(range(lo, hi))
-        assert sorted(covered) == list(range(layout.num_blocks))
 
 
 class TestShuffledTable:
@@ -356,48 +322,31 @@ class TestCostModel:
 
 
 class TestIOManager:
-    def test_read_blocks_gathers_rows(self):
-        t = small_table(300)
-        s = shuffle_table(t, block_size=50, rng=np.random.default_rng(5))
-        io = IOManager(s, CostModel())
-        read = io.read_blocks(np.array([1, 3]), ("z", "x"))
-        assert read.rows_read == 100
-        assert read.blocks_read == 2
-        np.testing.assert_array_equal(
-            read.columns["z"], s.table.column("z")[np.r_[50:100, 150:200]]
-        )
-        assert read.cost_ns > 0
-        assert io.total_rows_read == 100
-
     def test_short_final_block(self):
         t = small_table(120)
         s = shuffle_table(t, block_size=50, rng=np.random.default_rng(5))
         io = IOManager(s, CostModel())
-        read = io.read_blocks(np.array([2]), ("z",))
-        assert read.rows_read == 20
+        io.read_cost(np.array([2]))
+        assert io.total_rows_read == 20
 
     def test_requires_sorted_unique(self):
         t = small_table(300)
         s = shuffle_table(t, block_size=50, rng=np.random.default_rng(5))
         io = IOManager(s, CostModel())
         with pytest.raises(ValueError):
-            io.read_blocks(np.array([3, 1]), ("z",))
+            io.read_cost(np.array([3, 1]))
         with pytest.raises(ValueError):
-            io.read_blocks(np.array([1, 1]), ("z",))
+            io.read_cost(np.array([1, 1]))
 
     def test_empty_request(self):
         t = small_table(300)
         s = shuffle_table(t, block_size=50, rng=np.random.default_rng(5))
         io = IOManager(s, CostModel())
-        read = io.read_blocks(np.array([], dtype=int), ("z", "x"))
-        assert read.rows_read == 0 and read.cost_ns == 0.0
-        # Empty reads carry each column's schema dtype, so concatenating an
-        # empty read with a real one never upcasts the compact encoding.
-        for name in ("z", "x"):
-            assert read.columns[name].dtype == s.table.column(name).dtype
+        assert io.read_cost(np.array([], dtype=int)) == 0.0
+        assert io.total_blocks_read == io.total_rows_read == 0
 
     @pytest.mark.parametrize(("num_rows", "block_size", "blocks"), READ_COST_CASES)
-    def test_read_cost_matches_read_blocks_accounting(
+    def test_read_cost_matches_per_block_accounting(
         self, num_rows, block_size, blocks
     ):
         s = shuffle_table(small_table(num_rows), block_size, np.random.default_rng(5))
@@ -407,17 +356,16 @@ class TestIOManager:
             io.read_cost(np.array([3, 1]))
 
     def test_read_cost_rejects_blocks_outside_the_layout(self):
-        """Both ends, by ``read_blocks``' own error, before a counter moves
-        (the tail arithmetic would otherwise charge negative rows)."""
+        """Both ends, before a counter moves (the tail arithmetic would
+        otherwise charge negative rows)."""
         s = shuffle_table(small_table(100), 32, np.random.default_rng(5))
         assert s.num_blocks == 4
         io = IOManager(s, CostModel())
         for blocks in ([2, 3, 7], [4], [-1, 0, 2], [-3]):
-            for read in (io.read_cost, lambda b: io.read_blocks(b, ("z",))):
-                with pytest.raises(ValueError, match="block index out of range"):
-                    read(np.array(blocks))
-                assert io.total_blocks_read == io.total_rows_read == 0
-                assert io.total_cost_ns == 0.0
+            with pytest.raises(ValueError, match="block index out of range"):
+                io.read_cost(np.array(blocks))
+            assert io.total_blocks_read == io.total_rows_read == 0
+            assert io.total_cost_ns == 0.0
         assert io.read_cost(np.array([0, 3])) == CostModel().block_read_cost([32, 4])
 
     @settings(max_examples=80, deadline=None)
