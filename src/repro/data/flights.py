@@ -34,6 +34,7 @@ from .generator import (
     _one_of,
     assemble,
     at_distance,
+    candidate_column,
     conditional_column,
     independent_column,
     jittered,
@@ -202,7 +203,7 @@ def build_flights(rows: int = DEFAULT_ROWS, seed: int = 7) -> Dataset:
         )
 
     # --- Assemble -------------------------------------------------------------
-    z = np.repeat(np.arange(NUM_ORIGINS, dtype=np.int64), sizes)
+    z = candidate_column(sizes)
     columns = {
         "origin": z,
         "dest": conditional_column(sizes, dests, rng),

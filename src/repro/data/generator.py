@@ -10,6 +10,7 @@ The helpers here control both directly:
 - :func:`zipf_weights` / :func:`sizes_from_weights` — skewed selectivities;
 - :func:`jittered` — Dirichlet perturbations of a base shape, with
   ``concentration`` controlling expected distance from the base;
+- :func:`candidate_column` — the candidate column, candidate-major;
 - :func:`conditional_column` — a grouping column whose distribution depends
   on the candidate column;
 - :func:`assemble` — final single shared permutation, so generated tables
@@ -23,6 +24,17 @@ and :func:`independent_column` search ``rng.random(size)`` in the CDF that
 ``rng.choice(G, size, p=dist / dist.sum())`` builds (through an exact
 bucket table for large draws), and ``_one_of`` draws the
 ``integers(0, len(options))`` that ``rng.choice(options)`` draws.
+
+The two column helpers return the values ``rng.choice`` returns at the
+width a :class:`~repro.storage.table.ColumnTable` stores them
+(:func:`~repro.storage.table.storage_dtype` of ``G``: ``uint8`` up to 256
+groups, ``uint16`` up to 65,536), not as ``int64``.  They draw their
+uniforms ``_DRAW_CHUNK_ROWS`` at a time.  ``Generator.random`` turns each
+64-bit output of the bit generator into one double, so
+``rng.random(a)`` then ``rng.random(b)`` is ``rng.random(a + b)`` split in
+two, and leaves the same ``bit_generator.state``; the chunks bound the
+float64 scratch of a draw without moving a byte of the stream.
+
 ``tests/test_data.py`` holds the helpers to their ``rng`` oracles and pins
 the sha256 of every column the three builders make.
 """
@@ -31,6 +43,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..storage.table import storage_dtype
+
 __all__ = [
     "zipf_weights",
     "sizes_from_weights",
@@ -38,6 +52,7 @@ __all__ = [
     "peaked",
     "mixture",
     "at_distance",
+    "candidate_column",
     "conditional_column",
     "independent_column",
     "assemble",
@@ -264,26 +279,60 @@ _BUCKET_MIN_ROWS = 1 << 14
 _BUCKET_BITS = 12
 
 
-def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """``cdf.searchsorted(uniforms, side="right")``, exactly.
-
-    A large draw first looks each uniform's bucket up in a table.  Where no
-    CDF entry lies inside a bucket, every uniform in it gets the answer the
-    search gives at the bucket's left edge; only the uniforms in the few
-    buckets a CDF entry splits are searched.  ``u * 2**bits`` is exact, so
-    its integer part is the bucket ``u`` lies in.
-    """
-    if uniforms.size < _BUCKET_MIN_ROWS:
-        return cdf.searchsorted(uniforms, side="right")
+def _bucket_table(cdf: np.ndarray) -> np.ndarray:
+    """Per bucket of [0, 1): the group every uniform in it draws, or -1
+    where a CDF entry splits the bucket (see :func:`_inverse_cdf`)."""
     buckets = 1 << _BUCKET_BITS
     edges = np.arange(buckets + 1) / buckets
     at_left_edge = cdf.searchsorted(edges[:-1], side="right")
     below_right_edge = cdf.searchsorted(edges[1:], side="left")
-    table = np.where(at_left_edge == below_right_edge, at_left_edge, -1)
-    out = table[(uniforms * buckets).astype(np.intp)]
+    return np.where(at_left_edge == below_right_edge, at_left_edge, -1)
+
+
+def _inverse_cdf(
+    cdf: np.ndarray, uniforms: np.ndarray, table: np.ndarray | None
+) -> np.ndarray:
+    """``cdf.searchsorted(uniforms, side="right")``, exactly.
+
+    Given ``cdf``'s :func:`_bucket_table`, each uniform's bucket is looked up
+    in it first.  Where no CDF entry lies inside a bucket, every uniform in
+    it gets the answer the search gives at the bucket's left edge; only the
+    uniforms in the few buckets a CDF entry splits are searched.
+    ``u * 2**bits`` is exact, so its integer part is the bucket ``u`` lies in.
+    """
+    if table is None:
+        return cdf.searchsorted(uniforms, side="right")
+    out = table[(uniforms * (1 << _BUCKET_BITS)).astype(np.intp)]
     split = np.flatnonzero(out < 0)
     out[split] = cdf.searchsorted(uniforms[split], side="right")
     return out
+
+
+#: Uniforms drawn per ``rng.random`` call while filling a column.  A draw's
+#: scratch (the uniforms, their bucket numbers and the looked-up groups,
+#: ~32 B a row) stays near 2 MiB however long the column is.  On a 2-vCPU
+#: Xeon, chunks of 2**14 to 2**20 rows build FLIGHTS / POLICE at 1M rows and
+#: TAXI at 400k equally fast within the host's noise; at 2**20 the scratch
+#: shows in the builders' traced peak (POLICE at 1M: 2.7 → 3.2 times its
+#: table), and below 2**16 nothing more comes off it.
+_DRAW_CHUNK_ROWS = 1 << 16
+
+
+def _draw_into(out: np.ndarray, cdf: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill ``out`` with ``cdf.searchsorted(rng.random(out.size), side="right")``,
+    drawing the uniforms ``_DRAW_CHUNK_ROWS`` at a time."""
+    table = _bucket_table(cdf) if out.size >= _BUCKET_MIN_ROWS else None
+    for start in range(0, out.size, _DRAW_CHUNK_ROWS):
+        stop = min(start + _DRAW_CHUNK_ROWS, out.size)
+        out[start:stop] = _inverse_cdf(cdf, rng.random(stop - start), table)
+
+
+def candidate_column(sizes: np.ndarray) -> np.ndarray:
+    """Candidate ``i`` repeated ``sizes[i]`` times, in candidate-major order
+    (the order :func:`conditional_column` draws in), as
+    ``storage_dtype(len(sizes))``."""
+    sizes = np.asarray(sizes)
+    return np.repeat(np.arange(sizes.size, dtype=storage_dtype(sizes.size)), sizes)
 
 
 def conditional_column(
@@ -295,7 +344,8 @@ def conditional_column(
     Returned in candidate-major order — :func:`assemble` applies the final
     shared permutation.  Candidate ``i`` draws what
     ``rng.choice(G, sizes[i], p=distributions[i] / distributions[i].sum())``
-    draws; a candidate with no rows draws nothing and is not checked.
+    draws; a candidate with no rows draws nothing and is not checked.  The
+    column's dtype is ``storage_dtype(G)``.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     distributions = np.asarray(distributions, dtype=np.float64)
@@ -305,11 +355,11 @@ def conditional_column(
         raise ValueError("sizes must be non-negative")
     live = np.flatnonzero(sizes)
     cdfs = _choice_cdfs(distributions[live])
-    out = np.empty(int(sizes.sum()), dtype=np.int64)
+    out = np.empty(int(sizes.sum()), dtype=storage_dtype(distributions.shape[1]))
     stop = 0
     for cdf, size in zip(cdfs, sizes[live].tolist()):
         start, stop = stop, stop + size
-        out[start:stop] = _inverse_cdf(cdf, rng.random(size))
+        _draw_into(out[start:stop], cdf, rng)
     return out
 
 
@@ -317,12 +367,15 @@ def independent_column(
     total_rows: int, distribution: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """A column independent of the candidate attribute: what
-    ``rng.choice(G, total_rows, p=distribution / distribution.sum())`` draws."""
+    ``rng.choice(G, total_rows, p=distribution / distribution.sum())`` draws,
+    as ``storage_dtype(G)``."""
     distribution = np.asarray(distribution, dtype=np.float64)
     if distribution.ndim != 1:
         raise ValueError("distribution must be 1-D")
     (cdf,) = _choice_cdfs(distribution[np.newaxis])
-    return _inverse_cdf(cdf, rng.random(total_rows)).astype(np.int64, copy=False)
+    out = np.empty(total_rows, dtype=storage_dtype(distribution.size))
+    _draw_into(out, cdf, rng)
+    return out
 
 
 def assemble(

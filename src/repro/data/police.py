@@ -30,6 +30,7 @@ from ..storage.table import ColumnTable
 from .generator import (
     assemble,
     at_distance,
+    candidate_column,
     conditional_column,
     independent_column,
     sizes_from_weights,
@@ -143,8 +144,8 @@ def build_police(rows: int = DEFAULT_ROWS, seed: int = 7) -> Dataset:
     # join (the paper's queries never correlate road with violation), and
     # the final shared permutation in :func:`assemble` preserves every
     # within-row pairing.
-    road = np.repeat(np.arange(NUM_ROADS, dtype=np.int64), road_sizes)
-    violation = np.repeat(np.arange(NUM_VIOLATIONS, dtype=np.int64), violation_sizes)
+    road = candidate_column(road_sizes)
+    violation = candidate_column(violation_sizes)
     driver_gender = conditional_column(violation_sizes, gender, rng)
 
     columns = {

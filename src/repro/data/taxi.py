@@ -36,6 +36,7 @@ from .generator import (
     _one_of,
     assemble,
     at_distance,
+    candidate_column,
     conditional_column,
     independent_column,
     sizes_from_weights,
@@ -183,7 +184,7 @@ def build_taxi(rows: int = DEFAULT_ROWS, seed: int = 7) -> Dataset:
                 peak=int(rng.integers(0, NUM_MONTHS)), jitter=5_000.0,
             )
 
-    z = np.repeat(np.arange(NUM_LOCATIONS, dtype=np.int64), sizes)
+    z = candidate_column(sizes)
     columns = {
         "location": z,
         "hour_of_day": conditional_column(sizes, hours, rng),

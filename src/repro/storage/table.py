@@ -1,10 +1,11 @@
 """Column-oriented table (paper Section 4.3: "FastMatch uses a column-oriented
 storage engine, as is common for analytics tasks").
 
-Columns are dictionary/bin-encoded int64 NumPy arrays, one per schema
-attribute.  The table is immutable after construction except for
-:meth:`permuted`, which returns a row-shuffled copy (the preprocessing step
-of Section 4.2, Challenge 1).
+Columns are dictionary/bin-encoded integer NumPy arrays, one per schema
+attribute, each stored at :func:`storage_dtype` of its cardinality.  The
+table is immutable after construction except for :meth:`permuted`, which
+returns a row-shuffled copy (the preprocessing step of Section 4.2,
+Challenge 1).
 """
 
 from __future__ import annotations
@@ -13,11 +14,23 @@ import numpy as np
 
 from .schema import Schema
 
-__all__ = ["ColumnTable"]
+__all__ = ["ColumnTable", "storage_dtype"]
+
+
+def storage_dtype(cardinality: int) -> np.dtype:
+    """The narrowest dtype that holds codes ``0 .. cardinality - 1``: the
+    width a :class:`ColumnTable` stores a column of that cardinality at."""
+    return np.min_scalar_type(max(cardinality - 1, 0))
 
 
 class ColumnTable:
-    """An encoded, column-oriented, in-memory relation."""
+    """An encoded, column-oriented, in-memory relation.
+
+    The table takes ownership of its columns.  A column that already has
+    its storage dtype is stored as given, not copied, and frozen
+    (``writeable=False``), so a write through the caller's reference to
+    it raises rather than changing the table.
+    """
 
     def __init__(self, schema: Schema, columns: dict[str, np.ndarray]) -> None:
         if set(columns) != set(schema.names):
@@ -42,8 +55,9 @@ class ColumnTable:
             # Store at the narrowest width that holds the code range; callers
             # widen at arithmetic sites.  Matters at millions of rows across
             # 7-10 attributes (Table 2 scale).
-            compact = np.min_scalar_type(max(cardinality - 1, 0))
-            self._columns[name] = arr.astype(compact, copy=False)
+            stored = arr.astype(storage_dtype(cardinality), copy=False)
+            stored.setflags(write=False)
+            self._columns[name] = stored
 
     @property
     def num_rows(self) -> int:
@@ -58,9 +72,7 @@ class ColumnTable:
         """The encoded column for an attribute (read-only view)."""
         if name not in self._columns:
             raise KeyError(f"no column named {name!r}")
-        view = self._columns[name].view()
-        view.flags.writeable = False
-        return view
+        return self._columns[name].view()
 
     def cardinality(self, name: str) -> int:
         return self.schema.cardinality(name)

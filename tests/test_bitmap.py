@@ -195,11 +195,25 @@ class TestChunkedBuild:
             brute_force_presence(col, 9, 5),
         )
 
-    def test_benchmark_shapes_build_in_one_chunk(self):
+    def test_taxi_shape_builds_in_bounded_chunks(self, monkeypatch):
+        """TAXI's location column at 400k rows (95 MB unpacked) builds in
+        several chunks, none wider than the bound, to the one-shot bytes."""
         from repro.bitmap import bitmap_index
+        from repro.data import build_taxi
 
-        taxi_400k_blocks = -(-400_000 // 32)
-        assert 7641 * taxi_400k_blocks <= bitmap_index._BUILD_SCRATCH_BYTES
+        column = build_taxi(rows=400_000, seed=7).table.column("location")
+        chunks = []
+        packed_presence = bitmap_index._packed_presence
+
+        def counted(rows, cardinality, num_blocks, block_size):
+            chunks.append(cardinality * num_blocks)
+            return packed_presence(rows, cardinality, num_blocks, block_size)
+
+        monkeypatch.setattr(bitmap_index, "_packed_presence", counted)
+        idx = BlockBitmapIndex.build(column, 7641, 32)
+        assert len(chunks) >= 2
+        assert max(chunks) <= bitmap_index._BUILD_SCRATCH_BYTES
+        np.testing.assert_array_equal(idx._packed, one_shot_packed(column, 7641, 32))
 
 
 class TestDensityMap:

@@ -1,6 +1,7 @@
 """Tests for the synthetic datasets, generator machinery, and workloads."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,7 +278,9 @@ class TestGeneratorOracles:
         ours, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         got = conditional_column(np.array(sizes), dists, ours)
         want = _reference_conditional_column(sizes, dists, ref)
-        assert got.dtype == np.int64 and got.shape == (sum(sizes),)
+        # The storage width, ColumnTable's rule: uint8 to 256 groups, then uint16.
+        width = np.uint8 if num_groups <= 256 else np.uint16
+        assert got.dtype == width and got.shape == (sum(sizes),)
         np.testing.assert_array_equal(got, want)
         assert ours.bit_generator.state == ref.bit_generator.state
 
@@ -310,10 +313,9 @@ class TestGeneratorOracles:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("num_groups", [1, 2, 5, 31, 351, 5_000])
-    def test_inverse_cdf_is_searchsorted(self, monkeypatch, num_groups):
+    def test_inverse_cdf_is_searchsorted(self, num_groups):
         """The bucket table answers exactly what the search answers, for
         uniforms on bucket edges, on CDF entries and one ulp either side."""
-        monkeypatch.setattr(generator, "_BUCKET_MIN_ROWS", 0)
         rng = np.random.default_rng(num_groups)
         dist = rng.random(num_groups)
         dist[rng.random(num_groups) < 0.3] = 0.0
@@ -327,7 +329,8 @@ class TestGeneratorOracles:
         ]
         uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
         np.testing.assert_array_equal(
-            _inverse_cdf(cdf, uniforms), cdf.searchsorted(uniforms, side="right")
+            _inverse_cdf(cdf, uniforms, generator._bucket_table(cdf)),
+            cdf.searchsorted(uniforms, side="right"),
         )
 
     @pytest.mark.parametrize("num_groups", [2, 24, 351])
@@ -343,6 +346,31 @@ class TestGeneratorOracles:
         )
         assert ours.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("chunk_rows", [7, 1_000, 4_097])
+    @pytest.mark.parametrize("num_groups", [2, 24, 351])
+    def test_draws_spanning_chunks_equal_choice(
+        self, monkeypatch, chunk_rows, num_groups
+    ):
+        """Draws cut into many ``_DRAW_CHUNK_ROWS`` chunks, below and above
+        the bucket-table threshold, equal ``rng.choice`` value for value and
+        leave the generator where it leaves it."""
+        monkeypatch.setattr(generator, "_DRAW_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(num_groups)
+        dists = rng.random((5, num_groups))
+        big = generator._BUCKET_MIN_ROWS
+        sizes = [big + 3, 0, chunk_rows + 1, 2 * big, chunk_rows]
+        ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+        np.testing.assert_array_equal(
+            conditional_column(np.array(sizes), dists, ours),
+            _reference_conditional_column(sizes, dists, ref),
+        )
+        assert ours.bit_generator.state == ref.bit_generator.state
+        for total_rows in (chunk_rows - 1, chunk_rows, 3 * chunk_rows + 2, big + 5):
+            got = independent_column(total_rows, dists[0], ours)
+            want = ref.choice(num_groups, size=total_rows, p=dists[0] / dists[0].sum())
+            np.testing.assert_array_equal(got, want)
+            assert ours.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("num_groups", [1, 2, 12, 31, 400])
     @pytest.mark.parametrize("total_rows", [0, 1, 1_000, 70_000])
     def test_independent_column_equals_choice(self, num_groups, total_rows):
@@ -350,7 +378,7 @@ class TestGeneratorOracles:
         ours, ref = np.random.default_rng(2), np.random.default_rng(2)
         got = independent_column(total_rows, dist, ours)
         want = ref.choice(num_groups, size=total_rows, p=dist / dist.sum())
-        assert got.dtype == np.int64
+        assert got.dtype == (np.uint8 if num_groups <= 256 else np.uint16)
         np.testing.assert_array_equal(got, want)
         assert ours.bit_generator.state == ref.bit_generator.state
 
@@ -379,7 +407,7 @@ class TestGeneratorOracles:
         )
         assert ours.bit_generator.state == ref.bit_generator.state
         empty = conditional_column(np.zeros(3, int), dists, ours)
-        assert empty.dtype == np.int64 and empty.size == 0
+        assert empty.dtype == np.uint8 and empty.size == 0
 
     @pytest.mark.parametrize(
         "sizes, dists",
@@ -460,6 +488,19 @@ def test_builder_columns_are_pinned(dataset, rows):
         for name in table.schema.names
     }
     assert got == _COLUMN_SHA256[(dataset, rows)]
+
+
+def test_builder_peaks_near_its_table():
+    """Columns are drawn and permuted at their stored width: building POLICE
+    peaks at no more than four times the table it returns (drawing at int64
+    and narrowing in ``ColumnTable`` peaked near fifteen times)."""
+    tracemalloc.start()
+    try:
+        table = build_police(rows=200_000, seed=7).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * table.nbytes
 
 
 @pytest.fixture(scope="module")

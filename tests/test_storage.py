@@ -167,6 +167,22 @@ class TestColumnTable:
         with pytest.raises(ValueError):
             t.column("z")[0] = 3
 
+    def test_takes_ownership_of_a_compact_column(self):
+        """A column already at its storage width is stored, not copied, and
+        frozen: a later write through the caller's reference raises.  A wider
+        column is narrowed into a copy and the caller's stays writable."""
+        schema = Schema((CategoricalAttribute("z", ("a", "b", "c")),))
+        compact = np.array([0, 2, 1, 2], dtype=np.uint8)
+        t = ColumnTable(schema, {"z": compact})
+        with pytest.raises(ValueError):
+            compact[0] = 1
+        np.testing.assert_array_equal(t.column("z"), [0, 2, 1, 2])
+        wide = np.array([0, 2, 1, 2], dtype=np.int64)
+        t = ColumnTable(schema, {"z": wide})
+        wide[0] = 1
+        assert t.column("z").dtype == np.uint8
+        np.testing.assert_array_equal(t.column("z"), [0, 2, 1, 2])
+
     def test_validates_codes(self):
         schema = Schema((CategoricalAttribute("z", ("a", "b")),))
         with pytest.raises(ValueError):
