@@ -63,7 +63,7 @@ from repro.data import load_dataset, workload_query
 from repro.core.config import HistSimConfig
 from repro.obs import TraceReader, TraceWriter, Tracer, summarize_records
 from repro.parallel import BACKENDS
-from repro.serving import POLICIES, QueryRequest
+from repro.serving import POLICIES, AsyncFrontDoor, FrontDoor, QueryRequest
 from repro.system import MatchSession, SessionRegistry, run_approach
 
 #: Queries cycled to fill the trace (all on FLIGHTS: one session serves it).
@@ -168,7 +168,7 @@ def run_policy(table, policy: str, trace, args) -> dict:
     # the benchmark JSON.  Tracing never changes answers or the simulated
     # timeline; the identity checks run untraced and guard exactly that.
     session = MatchSession(table, tracer=Tracer())
-    door = session.serve(policy=policy, max_queue=args.max_queue)
+    door = FrontDoor(session, policy=policy, max_queue=args.max_queue)
     try:
         outcomes = door.replay(trace)
     finally:
@@ -200,7 +200,7 @@ def run_traced_export(table, trace, args, path: Path) -> dict:
     writer = TraceWriter(path)
     tracer.subscribe(writer)
     session = MatchSession(table, tracer=tracer)
-    door = session.serve(policy="edf", max_queue=args.max_queue)
+    door = FrontDoor(session, policy="edf", max_queue=args.max_queue)
     try:
         outcomes = door.replay(trace)
     finally:
@@ -227,7 +227,7 @@ def run_multitenant_policy(tables: dict, policy: str, trace, args) -> dict:
     registry = SessionRegistry()
     for dataset_name, table in tables.items():
         registry.add_dataset(dataset_name, table)
-    door = registry.serve(policy=policy, max_queue=args.max_queue)
+    door = FrontDoor(registry, policy=policy, max_queue=args.max_queue)
     try:
         outcomes = door.replay(trace)
     finally:
@@ -247,7 +247,7 @@ def verify_async_front_door_identity(tables: dict, args) -> None:
         registry = SessionRegistry()
         for dataset_name, table in tables.items():
             registry.add_dataset(dataset_name, table)
-        async with registry.serve_async(policy="edf-f") as door:
+        async with AsyncFrontDoor(registry, policy="edf-f") as door:
             handles = {}
             for dataset_name, query_names in TENANTS.items():
                 _, query = workload_query(query_names[0])
@@ -290,7 +290,7 @@ def verify_front_door_identity(table, args) -> None:
     _, query = workload_query(FLIGHTS_QUERIES[0])
     config = config_for_query(query, table.num_rows)
     session = MatchSession(table)
-    door = session.serve(policy="edf")
+    door = FrontDoor(session, policy="edf")
     (outcome,) = door.replay(
         [(0.0, QueryRequest(query, config=config, seed=args.seed))]
     )
@@ -317,7 +317,7 @@ def run_concurrent_steps(tables: dict, args) -> dict:
     One ``SessionRegistry`` on a real :class:`WallClock` with the chosen
     execution backend; every tenant's prepared artifacts are warmed first,
     so the measured interval is step execution, not preparation.  The same
-    request batch is then served through ``serve_async`` twice — classic
+    request batch is then served through an ``AsyncFrontDoor`` twice — classic
     inline single-slot, and ``--max-concurrent-steps`` executor slots — and
     wall latencies are compared.  Answers must be byte-identical across
     the two modes (concurrency shapes latency, never answers).
@@ -339,8 +339,8 @@ def run_concurrent_steps(tables: dict, args) -> dict:
             registry.session(dataset_name).prepared(query, seed=args.seed)
 
         async def drive():
-            async with registry.serve_async(
-                policy="fifo", max_concurrent_steps=slots
+            async with AsyncFrontDoor(
+                registry, policy="fifo", max_concurrent_steps=slots
             ) as door:
                 handles = []
                 for i in range(n_requests):

@@ -72,7 +72,7 @@ from .obs import (
     summarize_records,
 )
 from .parallel import BACKENDS, KERNEL_SPECS, WORKER_BACKENDS, make_backend
-from .serving import POLICIES, QueryRequest
+from .serving import POLICIES, AsyncFrontDoor, FrontDoor, QueryRequest
 from .system import APPROACHES, MatchSession, SessionRegistry, run_approach
 from .system.visualize import render_result
 
@@ -652,7 +652,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     exporter = None
     try:
         if args.use_async:
-            door = registry.serve_async(
+            door = AsyncFrontDoor(
+                registry,
                 policy=args.policy,
                 max_queue=args.max_queue,
                 max_concurrent_steps=args.max_concurrent_steps,
@@ -673,7 +674,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                     "use --async for concurrent steps",
                     file=sys.stderr,
                 )
-            door = registry.serve(policy=args.policy, max_queue=args.max_queue)
+            door = FrontDoor(registry, policy=args.policy, max_queue=args.max_queue)
             if args.stats_out is not None:
                 exporter = StatsExporter(
                     door, args.stats_out, interval_s=args.stats_interval

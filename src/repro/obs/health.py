@@ -4,7 +4,7 @@
 both expose the same ``admission``/``engine``/``metrics``/``service``
 surface) and reads the spine without touching it: queue depth against the
 admission bound, in-flight steps against the step slots, worker-pool
-liveness, shared-memory bytes against a budget, registry cache pressure,
+liveness, shared-memory bytes against a budget, artifact-cache pressure,
 and clock skew across tenants.  Every poll yields a typed
 :class:`HealthReport` whose :meth:`~HealthReport.to_dict` is exactly what
 an HTTP tier's ``/healthz`` will serialize.
@@ -217,15 +217,15 @@ class HealthMonitor:
         )
 
     def _check_cache(self) -> HealthCheck | None:
-        service = self.service
-        cache_bytes = getattr(service, "cache_bytes", None)
-        if cache_bytes is None:
+        # A session door and a registry door alike: the service's one cache.
+        cache = getattr(self.service, "cache", None)
+        if cache is None:
             return None
         return _utilization_check(
             "cache",
-            float(cache_bytes),
-            None if getattr(service, "max_cached_bytes", None) is None
-            else float(service.max_cached_bytes),
+            float(cache.nbytes),
+            None if cache.max_cached_bytes is None
+            else float(cache.max_cached_bytes),
             "prepared-artifact cache bytes",
         )
 

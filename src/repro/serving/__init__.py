@@ -11,9 +11,10 @@ rather than as a batch:
   thin adapters of one sans-IO drive core, accepting
   :class:`QueryRequest`\\ s while others run; the thread door also
   replays open-loop arrival traces on the simulated clock
-  (deterministic).  Either drives one
-  :class:`~repro.system.MatchSession` or a multi-dataset
-  :class:`~repro.system.SessionRegistry`;
+  (deterministic).  Either is built directly over the service it drives
+  — one :class:`~repro.system.MatchSession` or a multi-dataset
+  :class:`~repro.system.SessionRegistry`: ``FrontDoor(session)``,
+  ``AsyncFrontDoor(registry)``;
 - :class:`AdmissionController` — bounded queue depth with load shedding
   (typed :class:`AdmissionRejected`);
 - policies (:data:`POLICIES`: FIFO, round-robin, EDF, feasibility-aware

@@ -35,6 +35,10 @@ class ShuffledTable:
     def num_blocks(self) -> int:
         return self.layout.num_blocks
 
+    @property
+    def nbytes(self) -> int:
+        return self.table.nbytes
+
     def random_start_block(self, rng: np.random.Generator) -> int:
         """A uniform starting block for a run (Section 5.2: 'started from a
         random position in the shuffled data')."""

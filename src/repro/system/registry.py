@@ -17,14 +17,14 @@ either front door (thread or asyncio) can serve many datasets at once:
   and one shared-memory store across every tenant, spawned once and
   amortized over all of them.  The registry owns the backend's lifetime;
   sessions treat it as borrowed.
-- **one cache budget** — ``max_cached_bytes`` bounds the *sum* of the
-  tenants' prepared-artifact caches, orphaned ground truths included.
-  Sessions report every cache touch/insert/evict to the registry (the
-  ``cache_governor`` seam), which keeps a global LRU over
-  ``(session, prepared-key)`` entries.  When the sum overflows it drops
-  the sessions' orphans first, then evicts the globally least-recently-
-  used evictable entry — so one hot tenant can use the whole budget while
-  idle tenants shrink, instead of every tenant hoarding a fixed slice.
+- **one cache** — every session shares the registry's
+  :class:`~repro.system.cache.ArtifactCache`: ``max_cached_bytes`` bounds
+  the *sum* of the tenants' artifacts under one LRU, so one hot tenant can
+  use the whole budget while idle tenants shrink, instead of every tenant
+  hoarding a fixed slice.
+
+Serve it through ``FrontDoor(registry)`` or ``AsyncFrontDoor(registry)``
+(:mod:`repro.serving`).
 
 Routing and registry bookkeeping never touch sampling: a request served
 through a registry is byte-identical to the same request served by a
@@ -34,7 +34,7 @@ standalone session over the same dataset.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterator
+from typing import Iterator
 
 from ..obs.profiler import NULL_PROFILER
 from ..obs.tracer import NULL_TRACER
@@ -42,6 +42,7 @@ from ..parallel import ExecutionBackend, make_backend
 from ..serving.request import UnknownDataset
 from ..storage.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..storage.table import ColumnTable
+from .cache import ArtifactCache
 from .clock import Clock, SimulatedClock
 from .fastmatch import DEFAULT_BLOCK_SIZE
 from .session import MatchSession
@@ -69,10 +70,10 @@ class SessionRegistry:
         Shared :class:`Clock` for all sessions (default: a fresh
         :class:`SimulatedClock`).
     max_cached_bytes:
-        Global bound on the sum of all sessions' prepared-artifact cache
-        bytes; ``None`` leaves each session to its own limits.  Each
-        session's most recent entry is never evicted (it is the one being
-        served), so the floor is one entry per active tenant.
+        Bound on the shared :attr:`cache` — the sum of all sessions'
+        prepared-artifact bytes; ``None`` (default) leaves it unbounded.
+        Each session's most recent entry is never evicted (it is the one
+        being served), so the floor is one entry per active tenant.
     block_size, cost_model, audit:
         Defaults applied to every session (overridable per
         :meth:`add_dataset` call).
@@ -92,8 +93,8 @@ class SessionRegistry:
         tracer=None,
         profiler=None,
     ) -> None:
-        if max_cached_bytes is not None and max_cached_bytes < 1:
-            raise ValueError(f"max_cached_bytes must be >= 1, got {max_cached_bytes}")
+        #: The one cache every session shares: one LRU, one byte budget.
+        self.cache = ArtifactCache(max_cached_bytes=max_cached_bytes)
         self.clock = clock if clock is not None else SimulatedClock()
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.backend = make_backend(backend, workers)
@@ -111,17 +112,10 @@ class SessionRegistry:
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         if self.profiler.enabled:
             self.backend.set_profiler(self.profiler)
-        self.max_cached_bytes = max_cached_bytes
         self.block_size = block_size
         self.cost_model = cost_model
         self.audit = audit
         self._sessions: OrderedDict[str, MatchSession] = OrderedDict()
-        # Global recency of cached prepared entries, oldest first, keyed by
-        # (session identity, prepared key) — maintained via the sessions'
-        # cache_governor callbacks.
-        self._lru: OrderedDict[
-            tuple[int, Hashable], tuple[MatchSession, Hashable]
-        ] = OrderedDict()
         self.closed = False
 
     # --------------------------------------------------------------- datasets
@@ -131,10 +125,10 @@ class SessionRegistry:
     ) -> MatchSession:
         """Register ``table`` under ``key``; returns its new session.
 
-        The session runs on the registry's shared clock and backend and
-        reports into the registry's global cache budget.  Extra keyword
-        arguments are forwarded to :class:`MatchSession` (per-tenant cache
-        bounds, policy, ...).
+        The session runs on the registry's shared clock, backend and
+        cache.  Extra keyword arguments are forwarded to
+        :class:`MatchSession` (policy, kernel, ...); per-tenant cache bounds
+        raise :class:`ValueError` — the shared cache's bound is the one.
         """
         if self.closed:
             raise RuntimeError("SessionRegistry is closed")
@@ -150,7 +144,7 @@ class SessionRegistry:
             table,
             backend=self.backend,
             clock=self.clock,
-            cache_governor=self,
+            cache=self.cache,
             **session_kwargs,
         )
         # Per-tenant attribution: the dataset key labels this session's
@@ -196,103 +190,6 @@ class SessionRegistry:
     def job_for_request(self, request, default_max_step_rows: int | None = None):
         """Route the request and build its resumable job (front-door seam)."""
         return self.route(request).job_for_request(request, default_max_step_rows)
-
-    # ----------------------------------------------------------- cache budget
-
-    @property
-    def cache_bytes(self) -> int:
-        """Bytes held by all sessions' cached prepared artifacts and
-        orphaned ground truths."""
-        return sum(session.cache_bytes for session in self._sessions.values())
-
-    @property
-    def cached_entries(self) -> int:
-        """Prepared entries cached across all sessions."""
-        return len(self._lru)
-
-    def cache_touched(self, session: MatchSession, key: Hashable) -> None:
-        """Governor callback: ``key`` is now ``session``'s (and the
-        registry's) most recently used prepared entry."""
-        self._lru[(id(session), key)] = (session, key)
-        self._lru.move_to_end((id(session), key))
-
-    def cache_evicted(self, session: MatchSession, key: Hashable) -> None:
-        """Governor callback: the entry left ``session``'s cache."""
-        self._lru.pop((id(session), key), None)
-
-    def enforce_budget(self) -> int:
-        """Evict globally-LRU prepared entries until under the byte budget.
-
-        The sessions' orphaned ground truths go first, each session's
-        coldest before its next: without them the sum is that of the
-        prepared entries alone, so the same entries are evicted as if no
-        orphan had been kept.  Eviction order is the registry-wide recency
-        order, not per-session: the coldest entry goes first regardless of
-        which tenant holds it.  Entries a session refuses to release (its
-        most recent one) are skipped.  Returns the number of entries
-        evicted.
-        """
-        if self.max_cached_bytes is None:
-            return 0
-        evicted = 0
-        while self.cache_bytes > self.max_cached_bytes:
-            if any(session.drop_orphan() for session in self._sessions.values()):
-                continue
-            for session, key in list(self._lru.values()):
-                if session.evict_prepared(key):
-                    evicted += 1
-                    break
-            else:
-                break  # nothing evictable (every survivor is in use)
-        return evicted
-
-    # ---------------------------------------------------------------- serving
-
-    def serve(
-        self,
-        *,
-        policy: str = "edf",
-        max_queue: int | None = None,
-        default_deadline_ns: float | None = None,
-        default_max_step_rows: int | None = None,
-        max_concurrent_steps: int = 1,
-    ):
-        """A thread/replay :class:`~repro.serving.FrontDoor` over every
-        registered dataset; requests route by their ``dataset`` key.
-        ``max_concurrent_steps`` > 1 runs steps of different tenants
-        concurrently on a bounded executor (answers stay byte-identical)."""
-        from ..serving.frontdoor import FrontDoor
-
-        return FrontDoor(
-            self,
-            policy=policy,
-            max_queue=max_queue,
-            default_deadline_ns=default_deadline_ns,
-            default_max_step_rows=default_max_step_rows,
-            max_concurrent_steps=max_concurrent_steps,
-        )
-
-    def serve_async(
-        self,
-        *,
-        policy: str = "edf",
-        max_queue: int | None = None,
-        default_deadline_ns: float | None = None,
-        default_max_step_rows: int | None = None,
-        max_concurrent_steps: int = 1,
-    ):
-        """An :class:`~repro.serving.AsyncFrontDoor` over every registered
-        dataset (asyncio; start it from inside a running event loop)."""
-        from ..serving.async_frontdoor import AsyncFrontDoor
-
-        return AsyncFrontDoor(
-            self,
-            policy=policy,
-            max_queue=max_queue,
-            default_deadline_ns=default_deadline_ns,
-            default_max_step_rows=default_max_step_rows,
-            max_concurrent_steps=max_concurrent_steps,
-        )
 
     # -------------------------------------------------------------- lifecycle
 

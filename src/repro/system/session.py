@@ -21,14 +21,14 @@ into the skeleton of a serving system:
   round-robin by default) interleaves their steps on the session's shared
   simulated clock, reporting per-query latency and aggregate throughput.
   For *online* serving — accepting requests while others run, admission
-  control, deadlines — put a :class:`repro.serving.FrontDoor` in front
-  (:meth:`MatchSession.serve`).
-- **Bounded caches** — ``max_cached_queries``/``max_cached_bytes`` turn
-  the artifact cache into an LRU for long-lived serving deployments, with
-  shared-memory segment unpublish on eviction.  An evicted template's
-  ground truth stays behind as an *orphan* (a few KiB of counts against
-  the table's MiB), so the next miss on that template does not recount
-  the table.
+  control, deadlines — put a :class:`repro.serving.FrontDoor` (or
+  :class:`~repro.serving.AsyncFrontDoor`) in front: ``FrontDoor(session)``.
+- **Bounded caches** — an :class:`~repro.system.cache.ArtifactCache`
+  decides which prepared queries stay: the session's own, or one a
+  :class:`~repro.system.registry.SessionRegistry` shares among its
+  tenants.  An evicted template's ground truth stays behind as an
+  *orphan* (a few KiB of counts against the table's MiB), so the next
+  miss on that template does not recount the table.
 
 Each job is built by :mod:`repro.system.fastmatch` — the same job
 :func:`~repro.system.fastmatch.run_approach` steps alone on a clock of its
@@ -56,8 +56,9 @@ from ..query.predicate import TruePredicate
 from ..query.spec import HistogramQuery
 from ..serving.engine import ServingOutcome
 from ..storage.cost_model import DEFAULT_COST_MODEL, CostModel
-from ..storage.shuffle import shuffle_table
+from ..storage.shuffle import ShuffledTable, shuffle_table
 from ..storage.table import ColumnTable
+from .cache import ArtifactCache
 from .clock import Clock, SimulatedClock
 from .fastmatch import (
     APPROACHES,
@@ -74,6 +75,17 @@ __all__ = ["CacheStats", "MatchSession"]
 def _template(query: HistogramQuery) -> tuple:
     """The ground-truth cache key: what a query's exact counts depend on."""
     return (query.candidate_attribute, query.grouping_attribute, query.predicate)
+
+
+def _per_row(entry: PreparedQuery) -> list:
+    """An entry's per-row artifacts: shuffle, index, row filter, pair codes."""
+    parts = (entry.shuffled, entry.index, entry.row_filter, entry.pair_codes)
+    return [part for part in parts if part is not None]
+
+
+def _published(artifacts) -> list:
+    """What a backend may publish of ``artifacts`` (a shuffle's table)."""
+    return [a.table if isinstance(a, ShuffledTable) else a for a in artifacts]
 
 
 @dataclass
@@ -160,27 +172,20 @@ class MatchSession:
         (:data:`repro.serving.POLICIES`; default round-robin).  Latency
         shaping only — per-query results are policy-independent.
     max_cached_queries, max_cached_bytes:
-        Bounds on the prepared-artifact cache for long-lived serving
-        sessions: exceeding either evicts least-recently-used prepared
-        queries, releasing the per-row sub-artifacts (shuffle, index, row
-        filters, pair codes) that no cached query references any more —
-        including their shared-memory segments via
-        :meth:`~repro.parallel.ExecutionBackend.unpublish`.  The evicted
-        template's ground truth is kept as an *orphan*, so a later miss on
-        it skips the table pass; orphans count in :attr:`cache_bytes`,
-        hold at most ``table.nbytes`` together (the coldest goes first),
-        and are all dropped before ``max_cached_bytes`` evicts any
-        prepared query — so which prepared queries are cached never
-        depends on them.  ``None`` (default) keeps the cache unbounded.
-        The most recent entry is never evicted, so a single query larger
-        than ``max_cached_bytes`` still runs.
-    cache_governor:
-        Optional cross-session cache coordinator (duck-typed; a
-        :class:`~repro.system.registry.SessionRegistry`).  It is notified
-        on every prepared-cache touch/insert/eviction
-        (``cache_touched(session, key)`` / ``cache_evicted(session, key)``)
-        and asked to enforce its *global* budget after inserts
-        (``enforce_budget()``), on top of this session's own bounds.
+        Bounds on the session's own :class:`ArtifactCache` (``None``, the
+        default: unbounded), whose eviction rule governs them.  An
+        eviction releases the per-row sub-artifacts (shuffle, index, row
+        filters, pair codes) no cached query references any more —
+        unpublishing their shared-memory segments via
+        :meth:`~repro.parallel.ExecutionBackend.unpublish` — and keeps the
+        template's ground truth as an *orphan*, so a later miss on it
+        skips the table pass; orphans count in :attr:`cache_bytes` and
+        hold at most ``table.nbytes`` together (the coldest goes first).
+    cache:
+        An :class:`ArtifactCache` shared with other sessions (a
+        :class:`~repro.system.registry.SessionRegistry` passes its own);
+        its bounds are the shared ones, so ``max_cached_queries`` and
+        ``max_cached_bytes`` must stay ``None``.
 
     Usage
     -----
@@ -205,16 +210,17 @@ class MatchSession:
         policy: str = "rr",
         max_cached_queries: int | None = None,
         max_cached_bytes: int | None = None,
-        cache_governor=None,
+        cache: ArtifactCache | None = None,
         tracer=None,
         profiler=None,
     ) -> None:
-        if max_cached_queries is not None and max_cached_queries < 1:
-            raise ValueError(
-                f"max_cached_queries must be >= 1, got {max_cached_queries}"
+        if cache is None:
+            cache = ArtifactCache(
+                max_cached_queries=max_cached_queries,
+                max_cached_bytes=max_cached_bytes,
             )
-        if max_cached_bytes is not None and max_cached_bytes < 1:
-            raise ValueError(f"max_cached_bytes must be >= 1, got {max_cached_bytes}")
+        elif max_cached_queries is not None or max_cached_bytes is not None:
+            raise ValueError("a shared cache's bounds are its own: no max_cached_*")
         if kernel not in KERNEL_SPECS:
             raise ValueError(f"kernel must be one of {KERNEL_SPECS}, got {kernel!r}")
         self.table = table
@@ -242,17 +248,15 @@ class MatchSession:
             self.backend.set_profiler(self.profiler)
         self.scheduler = BatchScheduler(self.clock, backend=self.backend, policy=policy)
         self.cache_stats = CacheStats()
-        self.max_cached_queries = max_cached_queries
-        self.max_cached_bytes = max_cached_bytes
-        self._governor = cache_governor
-        self._shuffle_cache: dict = {}
-        self._index_cache: dict = {}
+        #: Which prepared queries stay cached (shared under a registry).
+        self.cache = cache
+        cache.sessions.append(self)
+        #: Per-row artifacts (shuffle, index, row filters, pair codes) under
+        #: ``(layer, key)``, shared by every cached entry that uses them.
+        self._artifacts: dict = {}
         #: Ground truth per template; outlives its prepared entries as an
         #: orphan, kept in the order the templates were orphaned.
         self._exact_cache: OrderedDict = OrderedDict()
-        self._filter_cache: dict = {}
-        self._codes_cache: dict = {}
-        self._prepared_cache: OrderedDict = OrderedDict()
         self._submitted = 0
         self.closed = False
 
@@ -282,6 +286,9 @@ class MatchSession:
             cache[key] = build()
         return cache[key]
 
+    def _artifact(self, layer: str, key, build):
+        return self._cached(self._artifacts, (layer, key), layer, build)
+
     @property
     def cache_hits(self) -> int:
         """Total prepared-artifact cache hits across all layers."""
@@ -295,31 +302,11 @@ class MatchSession:
         Shared artifacts are counted once (two queries over one shuffle pay
         for it once), matching what eviction can actually free.
         """
-        seen: set[int] = set()
-        total = 0
-        for prepared in self._prepared_cache.values():
-            for obj, nbytes in (
-                (prepared.shuffled, prepared.shuffled.table.nbytes),
-                (prepared.index, prepared.index.nbytes),
-                (prepared.exact_counts, prepared.exact_counts.nbytes),
-                (
-                    prepared.row_filter,
-                    prepared.row_filter.nbytes
-                    if prepared.row_filter is not None
-                    else 0,
-                ),
-                (
-                    prepared.pair_codes,
-                    prepared.pair_codes.nbytes
-                    if prepared.pair_codes is not None
-                    else 0,
-                ),
-            ):
-                if obj is None or id(obj) in seen:
-                    continue
-                seen.add(id(obj))
-                total += nbytes
-        return total + self._orphan_bytes()
+        held = {}
+        for prepared in self.cache.entries(self).values():
+            for artifact in (*_per_row(prepared), prepared.exact_counts):
+                held[id(artifact)] = artifact.nbytes
+        return sum(held.values()) + self._orphan_bytes()
 
     def _orphan_bytes(self) -> int:
         return sum(counts.nbytes for _, counts in self._orphans())
@@ -327,7 +314,7 @@ class MatchSession:
     def _orphans(self) -> list:
         """``(template, counts)`` of the kept ground truths no cached
         prepared query references, coldest first."""
-        live = {id(p.exact_counts) for p in self._prepared_cache.values()}
+        live = {id(p.exact_counts) for p in self.cache.entries(self).values()}
         return [
             (template, counts)
             for template, counts in self._exact_cache.items()
@@ -335,8 +322,8 @@ class MatchSession:
         ]
 
     def drop_orphan(self) -> bool:
-        """Drop the coldest orphaned ground truth (cross-session budget
-        hook); returns whether there was one."""
+        """Drop the coldest orphaned ground truth (the cache's first resort
+        over its byte bound); returns whether there was one."""
         orphans = self._orphans()
         if not orphans:
             return False
@@ -344,99 +331,28 @@ class MatchSession:
         self._record_eviction("ground_truth")
         return True
 
-    def _drop_from(self, cache: dict, artifact, layer: str) -> None:
-        """Remove ``artifact`` from one sub-cache, counting an eviction only
-        if that sub-cache held it (an adopted entry's artifacts never were)."""
-        keys = [key for key, value in cache.items() if value is artifact]
-        for key in keys:
-            del cache[key]
-        if keys:
-            self._record_eviction(layer)
-
-    def _release_artifacts(self, evicted: PreparedQuery) -> None:
-        """Drop the evicted entry's per-row sub-artifacts no live entry
-        still uses, unpublish their shared-memory segments from the
-        backend, and keep its ground truth as the newest orphan — within
-        ``table.nbytes`` of orphans, shedding the coldest."""
-        live = list(self._prepared_cache.values())
-        unpublish: list = []
-        if not any(p.shuffled is evicted.shuffled for p in live):
-            self._drop_from(self._shuffle_cache, evicted.shuffled, "shuffle")
-            unpublish.append(evicted.shuffled.table)
-        if not any(p.index is evicted.index for p in live):
-            self._drop_from(self._index_cache, evicted.index, "index")
-        if evicted.row_filter is not None and not any(
-            p.row_filter is evicted.row_filter for p in live
-        ):
-            self._drop_from(self._filter_cache, evicted.row_filter, "row_filter")
-            unpublish.append(evicted.row_filter)
-        if evicted.pair_codes is not None and not any(
-            p.pair_codes is evicted.pair_codes for p in live
-        ):
-            self._drop_from(self._codes_cache, evicted.pair_codes, "pair_codes")
-            unpublish.append(evicted.pair_codes)
-        if unpublish:
-            self.backend.unpublish(*unpublish)
-        template = _template(evicted.query)
-        if self._exact_cache.get(template) is evicted.exact_counts and not any(
-            p.exact_counts is evicted.exact_counts for p in live
+    def _release_artifacts(self, gone: PreparedQuery) -> None:
+        """Drop the per-row artifacts of an entry that left the cache
+        (evicted or replaced) which no cached entry still uses, unpublish
+        their shared-memory segments from the backend, and keep its ground
+        truth as the newest orphan — within ``table.nbytes`` of orphans,
+        shedding the coldest.  A layer counts an eviction only if it held
+        the artifact (an adopted entry's never were)."""
+        live = list(self.cache.entries(self).values())
+        held = {id(a) for p in live for a in _per_row(p)}
+        freed = {id(a): a for a in _per_row(gone) if id(a) not in held}
+        for slot in [s for s, a in self._artifacts.items() if id(a) in freed]:
+            del self._artifacts[slot]
+            self._record_eviction(slot[0])
+        if freed:
+            self.backend.unpublish(*_published(freed.values()))
+        template = _template(gone.query)
+        if self._exact_cache.get(template) is gone.exact_counts and not any(
+            p.exact_counts is gone.exact_counts for p in live
         ):
             self._exact_cache.move_to_end(template)
             while self._orphan_bytes() > self.table.nbytes:
                 self.drop_orphan()
-
-    def _over_cache_bounds(self) -> bool:
-        if (
-            self.max_cached_queries is not None
-            and len(self._prepared_cache) > self.max_cached_queries
-        ):
-            return True
-        return self._over_cache_bytes()
-
-    def _over_cache_bytes(self) -> bool:
-        return (
-            self.max_cached_bytes is not None
-            and self.cache_bytes > self.max_cached_bytes
-        )
-
-    def _evict_prepared(self, key) -> None:
-        """Drop one cached prepared query, release its per-row artifacts,
-        and tell the cross-session governor (if any) the slot is gone."""
-        evicted = self._prepared_cache.pop(key)
-        self._record_eviction("prepared")
-        self._release_artifacts(evicted)
-        if self._governor is not None:
-            self._governor.cache_evicted(self, key)
-
-    def evict_prepared(self, key) -> bool:
-        """Evict one specific cached entry (cross-session budget hook).
-
-        Refuses the session's most recent entry — it is the one being
-        served — and unknown keys; returns whether an eviction happened.
-        """
-        if key not in self._prepared_cache or len(self._prepared_cache) <= 1:
-            return False
-        if key == next(reversed(self._prepared_cache)):
-            return False
-        self._evict_prepared(key)
-        return True
-
-    def _enforce_cache_bounds(self) -> None:
-        """Evict least-recently-used prepared queries until within bounds.
-
-        Over ``max_cached_bytes``, orphaned ground truths go first: with
-        all of them gone the bytes are those of the cached prepared
-        queries alone, so the same entries are evicted as if no orphan had
-        been kept.  The most recent entry always survives (it is the one
-        being served), so an over-budget single query degrades to
-        cache-nothing-else rather than failing.
-        """
-        while True:
-            if self._over_cache_bytes() and self.drop_orphan():
-                continue
-            if len(self._prepared_cache) <= 1 or not self._over_cache_bounds():
-                return
-            self._evict_prepared(next(iter(self._prepared_cache)))
 
     def prepared(self, query: HistogramQuery, seed: int = 0) -> PreparedQuery:
         """The cached :class:`PreparedQuery` for ``(query, block_size, seed)``.
@@ -455,35 +371,29 @@ class MatchSession:
         artifacts and resolves the target from the kept counts.
         """
         key = (query, self.block_size, seed)
-        if key in self._prepared_cache:
-            self._record_cache("prepared", True)
-            self._prepared_cache.move_to_end(key)
-            if self._governor is not None:
-                self._governor.cache_touched(self, key)
-            return self._prepared_cache[key]
-        self._record_cache("prepared", False)
+        cached = self.cache.get(self, key)
+        self._record_cache("prepared", cached is not None)
+        if cached is not None:
+            return cached
         query.validate_against(self.table)
-        shuffled = self._cached(
-            self._shuffle_cache,
-            (self.block_size, seed),
+        shuffled = self._artifact(
             "shuffle",
+            (self.block_size, seed),
             lambda: shuffle_table(
                 self.table, self.block_size, np.random.default_rng(seed)
             ),
         )
-        index = self._cached(
-            self._index_cache,
-            (query.candidate_attribute, self.block_size, seed),
+        index = self._artifact(
             "index",
+            (query.candidate_attribute, self.block_size, seed),
             lambda: build_bitmap_index(shuffled, query.candidate_attribute),
         )
         if isinstance(query.predicate, TruePredicate):
             row_filter = None
         else:
-            row_filter = self._cached(
-                self._filter_cache,
-                (query.predicate, self.block_size, seed),
+            row_filter = self._artifact(
                 "row_filter",
+                (query.predicate, self.block_size, seed),
                 lambda: query.predicate.mask(shuffled.table),
             )
         pair_codes = None
@@ -492,16 +402,10 @@ class MatchSession:
             # the *shuffled* table folded with the predicate's row filter,
             # shared by every query over the same (candidate, grouping,
             # predicate) on this layout.
-            pair_codes = self._cached(
-                self._codes_cache,
-                (
-                    query.candidate_attribute,
-                    query.grouping_attribute,
-                    query.predicate,
-                    self.block_size,
-                    seed,
-                ),
+            pair_codes = self._artifact(
                 "pair_codes",
+                (query.candidate_attribute, query.grouping_attribute,
+                 query.predicate, self.block_size, seed),
                 lambda: prepared_pair_codes(shuffled, query, row_filter),
             )
         # Exact counts are aggregates, invariant to the shuffle permutation —
@@ -522,12 +426,7 @@ class MatchSession:
             row_filter=row_filter,
             pair_codes=pair_codes,
         )
-        self._prepared_cache[key] = prepared
-        if self._governor is not None:
-            self._governor.cache_touched(self, key)
-        self._enforce_cache_bounds()
-        if self._governor is not None:
-            self._governor.enforce_budget()
+        self.cache.put(self, key, prepared)
         return prepared
 
     def _ground_truth(self, shuffled, query, row_filter, pair_codes) -> np.ndarray:
@@ -574,14 +473,7 @@ class MatchSession:
                 f"{prepared.shuffled.layout.block_size}; "
                 f"this session uses {self.block_size}"
             )
-        key = (prepared.query, self.block_size, seed)
-        self._prepared_cache[key] = prepared
-        self._prepared_cache.move_to_end(key)
-        if self._governor is not None:
-            self._governor.cache_touched(self, key)
-        self._enforce_cache_bounds()
-        if self._governor is not None:
-            self._governor.enforce_budget()
+        self.cache.put(self, (prepared.query, self.block_size, seed), prepared)
 
     # -------------------------------------------------------------- execution
 
@@ -695,57 +587,6 @@ class MatchSession:
         """Drain all submitted queries on the shared clock (session policy)."""
         return self.scheduler.run()
 
-    def serve(
-        self,
-        *,
-        policy: str = "edf",
-        max_queue: int | None = None,
-        default_deadline_ns: float | None = None,
-        default_max_step_rows: int | None = None,
-        max_concurrent_steps: int = 1,
-    ):
-        """An online :class:`~repro.serving.FrontDoor` over this session.
-
-        The front door accepts :class:`~repro.serving.QueryRequest`\\ s
-        while earlier ones run, sheds load beyond ``max_queue``, and
-        settles per-request deadlines; its shutdown closes this session
-        (idempotently).  ``max_concurrent_steps`` > 1 offloads steps to a
-        bounded executor so different requests' steps run concurrently
-        (answers stay byte-identical; latency changes).
-        """
-        from ..serving.frontdoor import FrontDoor
-
-        return FrontDoor(
-            self,
-            policy=policy,
-            max_queue=max_queue,
-            default_deadline_ns=default_deadline_ns,
-            default_max_step_rows=default_max_step_rows,
-            max_concurrent_steps=max_concurrent_steps,
-        )
-
-    def serve_async(
-        self,
-        *,
-        policy: str = "edf",
-        max_queue: int | None = None,
-        default_deadline_ns: float | None = None,
-        default_max_step_rows: int | None = None,
-        max_concurrent_steps: int = 1,
-    ):
-        """An :class:`~repro.serving.AsyncFrontDoor` over this session
-        (asyncio driver; start it from inside a running event loop)."""
-        from ..serving.async_frontdoor import AsyncFrontDoor
-
-        return AsyncFrontDoor(
-            self,
-            policy=policy,
-            max_queue=max_queue,
-            default_deadline_ns=default_deadline_ns,
-            default_max_step_rows=default_max_step_rows,
-            max_concurrent_steps=max_concurrent_steps,
-        )
-
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
@@ -755,15 +596,19 @@ class MatchSession:
         serves, and a caller using the session as a context manager then
         closes it again; both orders are safe.  Only a backend the session
         created itself is closed — a passed-in instance belongs to its
-        creator (who may be sharing it across sessions).  Orphaned ground
-        truths are dropped: no later miss can use them.  After close,
+        creator (who may be sharing it across sessions), so the session
+        unpublishes its artifacts' shared-memory segments from it.  The
+        session's entries leave the cache, uncounted, and its ground truths
+        go with them: no later miss can use them.  After close,
         :meth:`make_job`/:meth:`submit` raise.
         """
         if self.closed:
             return
         self.closed = True
-        while self.drop_orphan():
-            pass
+        held = [a for p in self.cache.discard(self) for a in _per_row(p)]
+        self.backend.unpublish(*_published([*held, *self._artifacts.values()]))
+        self._artifacts.clear()
+        self._exact_cache.clear()
         if self._owns_backend:
             self.backend.close()
 

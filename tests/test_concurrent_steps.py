@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    AsyncFrontDoor,
     FrontDoor,
     MatchSession,
     QueryRequest,
@@ -121,8 +122,8 @@ class TestConcurrencyIdentityMatrix:
 
         async def drive():
             session = MatchSession(table, backend=backend)
-            async with session.serve_async(
-                policy=policy, max_concurrent_steps=concurrency
+            async with AsyncFrontDoor(
+                session, policy=policy, max_concurrent_steps=concurrency
             ) as door:
                 handles = [
                     await door.submit(make_request(3, "first")),
@@ -180,8 +181,8 @@ class TestConcurrencyIdentityMatrix:
         registry.add_dataset("b", table_b)
 
         async def drive():
-            async with registry.serve_async(
-                policy="fifo", max_concurrent_steps=2
+            async with AsyncFrontDoor(
+                registry, policy="fifo", max_concurrent_steps=2
             ) as door:
                 handles = [
                     await door.submit(make_request(3, "a0", dataset="a")),

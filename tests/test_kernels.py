@@ -817,7 +817,7 @@ class TestPairCodeCache:
             session.prepared(channel_query, seed=5)
             before = session.cache_bytes
             assert before >= nbytes
-            assert session.evict_prepared((QUERY, session.block_size, 5))
+            assert session.cache.evict(session, (QUERY, session.block_size, 5))
             assert session.cache_stats.evictions.get("pair_codes") == 1
             assert session.cache_bytes <= before - nbytes
 
@@ -845,10 +845,10 @@ class TestPairCodeCache:
         session.prepared(like_four, seed=5)
         assert session.cache_bytes == base + per_entry
         session.prepared(QUERY, seed=5)  # most recent: the plain entry
-        assert session.evict_prepared((FILTERED_QUERY, session.block_size, 5))
+        assert session.cache.evict(session, (FILTERED_QUERY, session.block_size, 5))
         assert "pair_codes" not in session.cache_stats.evictions  # still used
         assert backend.unpublished == []
-        assert session.evict_prepared((like_four, session.block_size, 5))
+        assert session.cache.evict(session, (like_four, session.block_size, 5))
         assert session.cache_stats.evictions.get("pair_codes") == 1
         assert [a for a in backend.unpublished if a is folded] == [folded]
         assert any(a is row_filter for a in backend.unpublished)
@@ -889,7 +889,7 @@ class TestPairCodeCache:
             # predicated entry unlinks the folded one only.
             session.match(QUERY, config=config, seed=5)
             plain = session.prepared(QUERY, seed=5).pair_codes
-            assert session.evict_prepared((FILTERED_QUERY, session.block_size, 5))
+            assert session.cache.evict(session, (FILTERED_QUERY, session.block_size, 5))
             keys = backend.store.keys()
             assert ("codes", id(folded)) not in keys
             assert ("codes", id(plain)) in keys

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    AsyncFrontDoor,
     FrontDoor,
     MatchSession,
     QueryRequest,
@@ -116,8 +117,8 @@ def serve_via_thread_door(table, policy, slots=1):
 def serve_via_async_door(table, policy, slots=1):
     async def drive():
         session = MatchSession(table)
-        async with session.serve_async(
-            policy=policy, max_concurrent_steps=slots
+        async with AsyncFrontDoor(
+            session, policy=policy, max_concurrent_steps=slots
         ) as door:
             handles = [await door.submit(request) for request in requests()]
             return [await handle.outcome() for handle in handles]
@@ -126,14 +127,14 @@ def serve_via_async_door(table, policy, slots=1):
 
 
 def serve_via_replay(table, policy):
-    door = MatchSession(table).serve(policy=policy)
+    door = FrontDoor(MatchSession(table), policy=policy)
     outcomes = door.replay([(0.0, request) for request in requests()])
     door.shutdown()
     return list(outcomes)
 
 
 def serve_via_thread_pump(table, policy):
-    door = MatchSession(table).serve(policy=policy)
+    door = FrontDoor(MatchSession(table), policy=policy)
     handles = [door.submit(request) for request in requests()]
     outcomes = door.pump()
     assert outcomes == [handle.outcome(timeout=0) for handle in handles]
@@ -143,7 +144,7 @@ def serve_via_thread_pump(table, policy):
 
 def serve_via_async_pump(table, policy):
     async def drive():
-        door = MatchSession(table).serve_async(policy=policy)
+        door = AsyncFrontDoor(MatchSession(table), policy=policy)
         handles = [await door.submit(request) for request in requests()]
         outcomes = await door.pump()
         assert outcomes == [await handle.outcome() for handle in handles]
@@ -205,7 +206,7 @@ class TestAsyncDoorLifecycle:
 
         async def drive():
             session = MatchSession(table_a)
-            door = session.serve_async(policy="fifo")
+            door = AsyncFrontDoor(session, policy="fifo")
             door.start()
             handle = await door.submit(make_request(name="inflight"))
             await asyncio.gather(door.shutdown(), door.shutdown())
@@ -221,7 +222,7 @@ class TestAsyncDoorLifecycle:
 
         async def drive():
             session = MatchSession(table_a)
-            door = session.serve_async()
+            door = AsyncFrontDoor(session)
             door.start()
             await door.shutdown()
             with pytest.raises(ServingError):
@@ -242,7 +243,7 @@ class TestRegistryRouting:
         registry = SessionRegistry()
         registry.add_dataset("a", table_a)
         registry.add_dataset("b", table_b)
-        door = registry.serve(policy="rr")
+        door = FrontDoor(registry, policy="rr")
         outcomes = door.replay(
             [
                 (0.0, make_request(name="a0", dataset="a")),
@@ -300,7 +301,7 @@ class TestRegistryRouting:
         registry = SessionRegistry()
         registry.add_dataset("a", table_a)
         registry.add_dataset("b", table_b)
-        door = registry.serve(policy="fifo", max_queue=1)
+        door = FrontDoor(registry, policy="fifo", max_queue=1)
         outcomes = door.replay(
             [
                 (0.0, make_request(name="a0", dataset="a")),
@@ -321,7 +322,7 @@ class TestRegistryRouting:
         try:
             registry.add_dataset("a", table_a)
             registry.add_dataset("b", table_b)
-            door = registry.serve(policy="rr")
+            door = FrontDoor(registry, policy="rr")
             outcomes = door.replay(
                 [
                     (0.0, make_request(name="a0", dataset="a")),
@@ -365,24 +366,24 @@ class TestRegistryCacheBudget:
         _, key_a2 = self.prepare(registry, "a", seed=2)
         # Global recency: a1, b1, b2, a2.  Touch a1 -> b1, b2, a2, a1.
         session_a.prepared(make_query(3, "q"), seed=1)
-        assert registry.cached_entries == 4
+        assert len(registry.cache) == 4
         # Shrink the budget below the current footprint: b1 (globally the
         # oldest evictable entry) must go first — not a2, and not the
         # just-touched a1, even though tenant a holds more bytes.
-        registry.max_cached_bytes = registry.cache_bytes - 1
-        assert registry.enforce_budget() >= 1
-        assert key_b1 not in session_b._prepared_cache
-        assert key_b2 in session_b._prepared_cache
-        assert key_a1 in session_a._prepared_cache
-        assert key_a2 in session_a._prepared_cache
+        registry.cache.max_cached_bytes = registry.cache.nbytes - 1
+        assert registry.cache.trim() >= 1
+        assert key_b1 not in session_b.cache.entries(session_b)
+        assert key_b2 in session_b.cache.entries(session_b)
+        assert key_a1 in session_a.cache.entries(session_a)
+        assert key_a2 in session_a.cache.entries(session_a)
         assert session_b.cache_stats.evictions.get("prepared", 0) == 1
         # Next squeeze: b2 is now tenant b's sole (in-use) entry and is
         # skipped; the next globally-oldest evictable entry is a2.
-        registry.max_cached_bytes = registry.cache_bytes - 1
-        assert registry.enforce_budget() >= 1
-        assert key_b2 in session_b._prepared_cache
-        assert key_a2 not in session_a._prepared_cache
-        assert key_a1 in session_a._prepared_cache
+        registry.cache.max_cached_bytes = registry.cache.nbytes - 1
+        assert registry.cache.trim() >= 1
+        assert key_b2 in session_b.cache.entries(session_b)
+        assert key_a2 not in session_a.cache.entries(session_a)
+        assert key_a1 in session_a.cache.entries(session_a)
         registry.close()
 
     def test_budget_enforced_on_insert(self, table_a, table_b):
@@ -394,20 +395,20 @@ class TestRegistryCacheBudget:
         # Over budget on insert: the older tenant entry was evicted, but
         # each session's most recent (in-use) entry survives, so the floor
         # is one entry per tenant.
-        assert key_a1 in session_a._prepared_cache
-        assert key_b1 in session_b._prepared_cache
+        assert key_a1 in session_a.cache.entries(session_a)
+        assert key_b1 in session_b.cache.entries(session_b)
         _, key_b2 = self.prepare(registry, "b", seed=2)
-        assert key_b1 not in session_b._prepared_cache  # evictable, gone
-        assert key_b2 in session_b._prepared_cache
-        assert key_a1 in session_a._prepared_cache  # a's most recent
+        assert key_b1 not in session_b.cache.entries(session_b)  # evictable, gone
+        assert key_b2 in session_b.cache.entries(session_b)
+        assert key_a1 in session_a.cache.entries(session_a)  # a's most recent
         registry.close()
 
     def test_most_recent_entry_is_never_evicted(self, table_a):
         registry = SessionRegistry(max_cached_bytes=1)
         registry.add_dataset("a", table_a)
         session, key = self.prepare(registry, "a", seed=1)
-        assert key in session._prepared_cache  # over budget but in use
-        assert registry.enforce_budget() == 0
+        assert key in session.cache.entries(session)  # over budget but in use
+        assert registry.cache.trim() == 0
         registry.close()
 
     def test_results_identical_under_eviction_pressure(self, table_a, table_b):
@@ -415,7 +416,7 @@ class TestRegistryCacheBudget:
         registry = SessionRegistry(max_cached_bytes=1)
         registry.add_dataset("a", table_a)
         registry.add_dataset("b", table_b)
-        door = registry.serve(policy="fifo")
+        door = FrontDoor(registry, policy="fifo")
         outcomes = door.replay(
             [
                 (0.0, make_request(name="a0", dataset="a")),

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import MatchSession, QueryRequest, SessionRegistry
+from repro import FrontDoor, MatchSession, QueryRequest, SessionRegistry
 from repro.cli import main as cli_main
 from repro.core import HistSimConfig
 from repro.core.target import TargetSpec
@@ -356,7 +356,7 @@ def replay_requests(table, tracer=None, writer=None):
     session = MatchSession(table, tracer=tracer)
     if tracer is not None and writer is not None:
         tracer.subscribe(writer)
-    door = session.serve(policy="edf")
+    door = FrontDoor(session, policy="edf")
     try:
         outcomes = door.replay(
             [
@@ -413,7 +413,7 @@ class TestEndToEnd:
         tracer = Tracer()
         registry = SessionRegistry(tracer=tracer)
         registry.add_dataset("flights", table)
-        door = registry.serve(policy="fifo")
+        door = FrontDoor(registry, policy="fifo")
         try:
             door.replay(
                 [

@@ -22,7 +22,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import QueryRequest, SessionRegistry, match_histograms
+from repro import AsyncFrontDoor, QueryRequest, SessionRegistry, match_histograms
 from repro.core import HistSimConfig
 from repro.core.target import TargetSpec
 from repro.obs import Tracer
@@ -95,7 +95,7 @@ def drive_concurrent(table, backend, tracer):
     ``(outcomes, snapshots_checked)``."""
     registry = SessionRegistry(backend=backend, tracer=tracer)
     registry.add_dataset("d", table)
-    door = registry.serve_async(policy="fifo", max_concurrent_steps=4)
+    door = AsyncFrontDoor(registry, policy="fifo", max_concurrent_steps=4)
     torn: list[str] = []
     checked = 0
     stop = threading.Event()

@@ -235,6 +235,52 @@ class TestBackendUnpublish:
     def test_serial_unpublish_is_a_noop(self):
         SerialBackend().unpublish(object(), None)
 
+    def test_session_close_unpublishes_its_segments(self):
+        """A session over a borrowed backend takes its segments with it
+        on close, so sessions closed one after another over one shared
+        backend leave /dev/shm as they found it."""
+        from repro.core import HistSimConfig
+        from repro.core.target import TargetSpec
+        from repro.query import Equals, HistogramQuery
+        from repro.storage.schema import CategoricalAttribute, Schema
+        from repro.storage.table import ColumnTable
+        from repro.system import MatchSession
+
+        rng = np.random.default_rng(9)
+        n = 60_000
+        schema = Schema(
+            (
+                CategoricalAttribute("z", tuple(f"c{i}" for i in range(8))),
+                CategoricalAttribute("x", tuple(f"g{i}" for i in range(4))),
+            )
+        )
+        table = ColumnTable(
+            schema, {"z": rng.integers(0, 8, n), "x": rng.integers(0, 4, n)}
+        )
+        config = HistSimConfig(k=2, epsilon=0.25, delta=0.05, sigma=0.0)
+        queries = [
+            HistogramQuery("z", "x", target=TargetSpec(kind="closest_to_uniform"),
+                           k=2, name="plain"),
+            HistogramQuery("z", "x", target=TargetSpec(kind="closest_to_uniform"),
+                           k=2, predicate=Equals("x", 1), name="filtered"),
+        ]
+        backend = ShardedBackend(1, min_fan_out_rows=0)
+        try:
+            for kernel in ("auto", "fused"):
+                session = MatchSession(
+                    table, backend=backend, kernel=kernel, audit=False
+                )
+                for query in queries:
+                    session.match(query, config=config, seed=0)
+                names = set(backend.store.segment_names())
+                assert names
+                session.close()
+                assert backend.store.keys() == []
+                assert not (names & shm_files())
+                assert not backend.closed  # borrowed: still the creator's
+        finally:
+            backend.close()
+
 
 # ---------------------------------------------------------------------------
 # Counting kernel

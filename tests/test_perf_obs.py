@@ -32,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import MatchSession, QueryRequest, SessionRegistry
+from repro import FrontDoor, MatchSession, QueryRequest, SessionRegistry
 from repro.cli import main as cli_main
 from repro.core import HistSimConfig
 from repro.data import load_dataset, workload_query
@@ -313,7 +313,7 @@ def test_health_monitor_grades_a_fake_door():
 def test_health_monitor_never_spawns_the_lazy_worker_pool(flights_table):
     with SessionRegistry(backend="sharded", workers=2) as registry:
         registry.add_dataset("flights", flights_table)
-        door = registry.serve(policy="edf")
+        door = FrontDoor(registry, policy="edf")
         try:
             report = HealthMonitor(door).check()
         finally:
@@ -332,7 +332,7 @@ def test_stats_exporter_frames_and_calibration(
     tracer = Tracer()
     registry = SessionRegistry(tracer=tracer)
     registry.add_dataset("flights", flights_table)
-    door = registry.serve(policy="edf")
+    door = FrontDoor(registry, policy="edf")
     request = QueryRequest(
         flights_query, approach="fastmatch", config=small_config(flights_query),
         seed=3, dataset="flights", name="q",

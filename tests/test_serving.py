@@ -137,7 +137,7 @@ class TestFrontDoorEquivalence:
             seed=3,
         )
         session = MatchSession(table)
-        door = session.serve(policy=policy)
+        door = FrontDoor(session, policy=policy)
         outcomes = door.replay(
             [(0.0, make_request()), (0.0, make_request(k=2, name="second"))]
         )
@@ -172,7 +172,7 @@ class TestFrontDoorEquivalence:
 class TestDeadlines:
     def test_deadline_partial_reports_achieved_epsilon(self, table):
         session = MatchSession(table)
-        door = session.serve(policy="edf")
+        door = FrontDoor(session, policy="edf")
         # A deadline far too tight to finish, generous enough for stage 1.
         outcomes = door.replay(
             [(0.0, make_request(deadline_ns=5e4, max_step_rows=2000))]
@@ -190,7 +190,7 @@ class TestDeadlines:
 
     def test_deadline_miss_is_typed(self, table):
         session = MatchSession(table)
-        door = session.serve()
+        door = FrontDoor(session)
         outcomes = door.replay(
             [(0.0, make_request(deadline_ns=5e4, max_step_rows=2000,
                                 on_deadline="miss"))]
@@ -243,7 +243,7 @@ class TestDeadlines:
 class TestAdmission:
     def test_rejection_under_full_queue(self, table):
         session = MatchSession(table)
-        door = session.serve(policy="fifo", max_queue=2)
+        door = FrontDoor(session, policy="fifo", max_queue=2)
         outcomes = door.replay(
             [(0.0, make_request(name=f"r{i}")) for i in range(4)]
         )
@@ -259,7 +259,7 @@ class TestAdmission:
     def test_capacity_returns_after_completion(self, table):
         """Open-loop: later arrivals are admitted once earlier work drains."""
         session = MatchSession(table)
-        door = session.serve(policy="fifo", max_queue=1)
+        door = FrontDoor(session, policy="fifo", max_queue=1)
         outcomes = door.replay(
             [
                 (0.0, make_request(name="first")),
@@ -382,7 +382,7 @@ class TestShutdown:
 class TestReplay:
     def test_open_loop_idles_clock_to_next_arrival(self, table):
         session = MatchSession(table)
-        door = session.serve(policy="edf")
+        door = FrontDoor(session, policy="edf")
         outcomes = door.replay(
             [
                 (0.0, make_request(name="a")),

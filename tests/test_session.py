@@ -488,8 +488,9 @@ class TestAdoptedEviction:
         session.adopt(adopted, seed=5)
         session.prepared(q3, seed=5)
         assert session.cache_stats.evictions == {"prepared": 1}
-        assert len(session._shuffle_cache) == 1
-        assert len(session._index_cache) == 1
+        layers = [layer for layer, _ in session._artifacts]
+        assert layers.count("shuffle") == 1
+        assert layers.count("index") == 1
         assert len(session._exact_cache) == 1
         # The adopted ground truth was never in the session's cache, so it
         # is not kept as an orphan either.
@@ -497,6 +498,31 @@ class TestAdoptedEviction:
         fresh = MatchSession(flights)
         fresh.prepared(q3, seed=5)
         assert session.cache_bytes == fresh.cache_bytes
+
+    def test_adopt_over_own_entry_releases_its_artifacts(self):
+        """Adopting under a key the session built itself replaces that
+        entry: its shuffle and index are dropped and unpublished, its
+        ground truth kept as an orphan, and nothing of it outlives the
+        adopted entry's own eviction."""
+        flights = build_flights(rows=20_000, seed=7).table
+        _, q1 = workload_query("flights-q1")
+        _, q3 = workload_query("flights-q3")
+        backend = _RecordingBackend()
+        session = MatchSession(flights, backend=backend._inner, max_cached_queries=1)
+        session.backend = backend
+        own = session.prepared(q1, seed=5)
+        adopted = PreparedQuery.prepare(flights, q1, np.random.default_rng(5))
+        session.adopt(adopted, seed=5)
+        assert session.cache_stats.evictions == {"shuffle": 1, "index": 1}
+        assert any(a is own.shuffled.table for a in backend.unpublished)
+        assert session._orphans() == [(session_module._template(q1), own.exact_counts)]
+        fresh = MatchSession(flights)
+        fresh.adopt(adopted, seed=5)
+        assert session.cache_bytes == fresh.cache_bytes + own.exact_counts.nbytes
+        # Evicting the adopted entry leaves only q3's artifacts held.
+        last = session.prepared(q3, seed=5)
+        assert session.cache_stats.evictions["prepared"] == 1
+        assert [a for a in session._artifacts.values()] == [last.shuffled, last.index]
 
 
 class TestOrphanGroundTruth:
@@ -557,9 +583,8 @@ class TestOrphanGroundTruth:
         assert len(session._orphans()) == 1
         session.close()
         assert session._orphans() == []
-        fresh = MatchSession(table)
-        fresh.prepared(other, seed=4)
-        assert session.cache_bytes == fresh.cache_bytes
+        # The entries leave the cache with their session.
+        assert session.cache_bytes == 0 and len(session.cache) == 0
 
     def test_table_nbytes_caps_orphans_coldest_first(self):
         """A small table with a large code space: two ground truths fit in
@@ -597,6 +622,61 @@ class TestOrphanGroundTruth:
         ]
         assert session.cache_stats.evictions["ground_truth"] == 1
         assert sum(c.nbytes for _, c in session._orphans()) <= small.nbytes
+
+
+class TestSharedCacheBytes:
+    """A registry's sessions share one ArtifactCache: one LRU, one byte
+    bound, read by the health monitor behind either kind of door."""
+
+    def test_sessions_share_the_registry_cache(self, table):
+        registry = SessionRegistry(max_cached_bytes=10**9)
+        a = registry.add_dataset("a", table)
+        b = registry.add_dataset("b", table)
+        assert a.cache is b.cache is registry.cache
+        a.prepared(make_queries(1)[0], seed=1)
+        b.prepared(make_queries(1)[0], seed=2)
+        assert len(registry.cache) == 2
+        assert registry.cache.nbytes == a.cache_bytes + b.cache_bytes > 0
+        registry.close()
+        assert len(registry.cache) == 0
+
+    @pytest.mark.parametrize("bound", ["max_cached_queries", "max_cached_bytes"])
+    def test_per_tenant_bounds_rejected(self, table, bound):
+        registry = SessionRegistry(max_cached_bytes=10**9)
+        with pytest.raises(ValueError, match="shared cache"):
+            registry.add_dataset("a", table, **{bound: 4})
+        assert "a" not in registry
+        with pytest.raises(ValueError, match="shared cache"):
+            MatchSession(table, cache=registry.cache, **{bound: 4})
+
+    def test_health_reads_the_shared_byte_bound(self, table):
+        from repro.obs.health import HealthMonitor
+        from repro.serving import FrontDoor
+
+        def cache_check(service):
+            door = FrontDoor(service)
+            try:
+                (check,) = [
+                    c for c in HealthMonitor(door).check().checks if c.name == "cache"
+                ]
+            finally:
+                door.shutdown()
+            return check.value, check.limit
+
+        session = MatchSession(table, max_cached_bytes=10**9)
+        session.prepared(make_queries(1)[0])
+        nbytes = session.cache_bytes
+        assert cache_check(session) == (nbytes, 10**9)
+        registry = SessionRegistry(max_cached_bytes=2 * 10**9)
+        tenant = registry.add_dataset("a", table)
+        other = registry.add_dataset("b", table)
+        tenant.prepared(make_queries(1)[0])
+        other.prepared(make_queries(1)[0])
+        both, other_bytes = registry.cache.nbytes, other.cache_bytes
+        # A tenant's own door reads the cache it shares, bound and bytes...
+        assert cache_check(tenant) == (both, 2 * 10**9)
+        # ...and its entries leave the cache when that door closes it.
+        assert cache_check(registry) == (other_bytes, 2 * 10**9)
 
 
 # The session_cache_mix workload's twelve templates at 20k rows, and the
@@ -707,18 +787,18 @@ class TestOrphanInvariance:
         sessions = [registry.session(key) for key in registry]
         # An evicted entry leaves its ground truth behind...
         tenant = sessions[0]
-        assert tenant.evict_prepared(next(iter(tenant._prepared_cache)))
+        assert tenant.cache.evict(tenant, next(iter(tenant.cache.entries(tenant))))
         orphans = sum(len(s._orphans()) for s in sessions)
         assert orphans > 0
         # ...and a squeeze of one byte sheds an orphan, not an entry.
-        entries = registry.cached_entries
-        registry.max_cached_bytes = registry.cache_bytes - 1
-        assert registry.enforce_budget() == 0
-        assert registry.cached_entries == entries
+        entries = len(registry.cache)
+        registry.cache.max_cached_bytes = registry.cache.nbytes - 1
+        assert registry.cache.trim() == 0
+        assert len(registry.cache) == entries
         assert sum(len(s._orphans()) for s in sessions) == orphans - 1
         # Past every orphan and every evictable entry, it still stops.
-        registry.max_cached_bytes = 1
-        assert registry.enforce_budget() == entries - len(sessions)
+        registry.cache.max_cached_bytes = 1
+        assert registry.cache.trim() == entries - len(sessions)
         assert all(s._orphans() == [] for s in sessions)
-        assert registry.cached_entries == len(sessions)
+        assert len(registry.cache) == len(sessions)
         registry.close()
