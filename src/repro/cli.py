@@ -1,53 +1,41 @@
 """Command-line interface: run Table 3 workload queries end to end.
 
-Single query (prints the run report and ASCII visualizations):
-
-    python -m repro --query flights-q1 --approach fastmatch --rows 1000000
     python -m repro --list
-
-Multi-query batch (one MatchSession per dataset; prepared artifacts are
-shared across queries and execution is interleaved on one simulated clock):
-
+    python -m repro --query flights-q1 --approach fastmatch --rows 1000000
     python -m repro batch --queries flights-q1 flights-q3 flights-q4
-
-Online serving through the front door — admission control, a scheduling
-policy (including feasibility-aware ``edf-f``), per-query deadlines with
-ε-relaxed partial answers, and an open-loop trace replay mode.  All
-datasets in play are served *multi-tenant* through one
-``SessionRegistry`` behind a single front door (one shared clock, one
-worker pool), and ``--datasets`` pre-loads tenants explicitly:
-
     python -m repro serve --queries taxi-q1 taxi-q2 --repeat 4 \\
         --policy edf --deadline-ms 50 --max-queue 8
-    python -m repro serve --datasets flights,taxi --policy edf-f \\
-        --deadline-ms 50
     python -m repro serve --trace arrivals.jsonl --policy cost
-    python -m repro serve --datasets flights,taxi --async
-
-``--async`` drives the same requests through the asyncio
-``AsyncFrontDoor`` (one scheduler task, awaitable handles) instead of the
-synchronous open-loop replay.
-
-A trace file holds one JSON object per line:
-``{"query": "flights-q1", "arrival_ms": 12.5, "deadline_ms": 40}``
-(optional keys: ``approach``, ``seed``, ``on_deadline``).
-
-Parallel execution fans block counts and the exact Scan/ground-truth
-passes out to workers once a count reaches about a million rows (smaller
-ones run inline, as on serial), with byte-identical results.  Both worker
-backends share one fan-out and differ only in what carries a shard:
-``--backend sharded --workers N`` a persistent pool of shared-memory
-worker processes, ``--backend threads --workers N`` an in-process thread
-pool (no fork, no /dev/shm; the gather overlaps across threads,
-``np.bincount`` holds the GIL).  Workers are left unpinned; library
-callers can pin them through a backend's constructor (``cpu_affinity=``).
-Online serving
-can additionally run steps of different requests concurrently
-(``serve --async --max-concurrent-steps M``):
-
+    python -m repro serve --datasets flights,taxi --async \\
+        --backend threads --max-concurrent-steps 4
     python -m repro --query taxi-q1 --backend sharded --workers 4
-    python -m repro serve --queries taxi-q1 taxi-q2 --backend threads \\
-        --async --max-concurrent-steps 4
+
+A single query prints its run report and ASCII panels.  ``batch`` runs
+several queries through one MatchSession per dataset: prepared artifacts
+are shared and execution interleaves on one simulated clock.  ``serve``
+puts every dataset in play behind one front door over a multi-tenant
+``SessionRegistry`` (``--datasets`` pre-loads tenants): admission control,
+a scheduling policy (including feasibility-aware ``edf-f``), per-query
+deadlines with ε-relaxed partial answers, and an open-loop trace replay.
+A trace holds one JSON object per line,
+``{"query": "flights-q1", "arrival_ms": 12.5, "deadline_ms": 40}``
+(optional keys: ``approach``, ``seed``, ``on_deadline``).  ``--async``
+drives the same requests through the asyncio ``AsyncFrontDoor``, where
+``--max-concurrent-steps M`` runs steps of different requests at once.
+``trace``, ``profile`` and ``top`` read a run's telemetry.
+
+``--backend sharded`` (a pool of shared-memory worker processes) and
+``--backend threads`` (an in-process thread pool) fan a count of about a
+million rows or more out to ``--workers N``, with byte-identical results;
+smaller counts run inline, as on serial.  Workers are left unpinned;
+library callers can pin them through a backend's ``cpu_affinity=``.
+
+The run flags (``--approach --rows --epsilon --delta --sigma --k --seed
+--backend --workers --kernel``) are declared once, by
+``_add_run_arguments``.  Each command runs through its parser's ``run``
+default, and ``batch`` and ``serve`` build their requests in one place,
+``_requests``.  Bad input ends in a one-line error before any dataset is
+built, except a ``--rows`` below a dataset's minimum, caught at its build.
 """
 
 from __future__ import annotations
@@ -93,12 +81,12 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
-def _config(args: argparse.Namespace, query) -> HistSimConfig:
+def _config(args: argparse.Namespace, k: int) -> HistSimConfig:
     """The run configuration every subcommand builds from its flags: the
-    query's own k unless ``--k`` overrides it, and a stage-1 sample of a
+    query's own ``k`` unless ``--k`` overrides it, and a stage-1 sample of a
     twentieth of the rows, capped at 50,000."""
     return HistSimConfig(
-        k=args.k if args.k is not None else query.k,
+        k=k if args.k is None else args.k,
         epsilon=args.epsilon, delta=args.delta, sigma=args.sigma,
         stage1_samples=min(50_000, max(1, args.rows // 20)),
     )
@@ -125,43 +113,57 @@ def resolve_backend_args(args: argparse.Namespace) -> tuple[str, int | None]:
     return backend, workers
 
 
+def _add_run_arguments(parser: argparse.ArgumentParser, top: bool) -> None:
+    """The run flags, declared once for the top level and every subcommand
+    that runs queries.  Only the top level holds the defaults: a
+    subcommand's copy is SUPPRESSed, so a value given before the subcommand
+    (``repro --rows 5000 batch ...``) is not overwritten by its default."""
+    def default(value):
+        return value if top else argparse.SUPPRESS
+
+    parser.add_argument("--approach", choices=APPROACHES, default=default("fastmatch"),
+                        help="execution approach (default: fastmatch)")
+    parser.add_argument("--rows", type=int, default=default(1_000_000),
+                        help="dataset rows (default 1,000,000; paper-scale: 6,000,000)")
+    parser.add_argument("--epsilon", type=float, default=default(0.1),
+                        help="distance tolerance ε (default: 0.1)")
+    parser.add_argument("--delta", type=float, default=default(0.01),
+                        help="error probability δ (default: 0.01)")
+    parser.add_argument("--sigma", type=float, default=default(0.0008),
+                        help="selectivity threshold σ (default: 0.0008)")
+    parser.add_argument("--k", type=int, default=default(None),
+                        help="override the query's default k")
+    parser.add_argument("--seed", type=int, default=default(7),
+                        help="dataset and sampling seed (default: 7)")
+    parser.add_argument(
+        "--backend", choices=BACKENDS, default=default("serial"),
+        help="execution backend (default: serial; 'sharded' fans counting out "
+             "to a worker-process pool, 'threads' to an in-process thread pool "
+             "— both with byte-identical results)",
+    )
+    parser.add_argument("--workers", type=_positive_int, default=default(None),
+                        help="workers for --backend sharded/threads (default: CPU count)")
+    parser.add_argument(
+        "--kernel", choices=KERNEL_SPECS, default=default("auto"),
+        help="counting kernel: 'auto' picks the narrowest exact path, "
+             "'fused' adds a cached pair-code column (session layer), "
+             "'narrow'/'classic' force a specific path — all choices "
+             "produce byte-identical answers (default: auto)",
+    )
+
+
 def _add_batch_arguments(sub: argparse.ArgumentParser, queries_required: bool = True) -> None:
     sub.add_argument(
         "--queries", nargs="+", choices=QUERY_NAMES, required=queries_required,
         help="Table 3 queries to serve concurrently",
     )
-    # Flags the top-level parser also accepts use SUPPRESS so a value given
-    # before the subcommand (``repro --rows 5000 batch ...``) is not
-    # overwritten by a subparser default; the top-level defaults apply.
-    sub.add_argument(
-        "--approach", choices=APPROACHES, default=argparse.SUPPRESS,
-        help="execution approach for every query (default: fastmatch)",
-    )
-    sub.add_argument("--rows", type=int, default=argparse.SUPPRESS,
-                     help="dataset rows (default 1,000,000)")
     sub.add_argument("--repeat", type=_positive_int, default=1,
                      help="submit each query this many times (shows cache reuse)")
-    sub.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
-    sub.add_argument("--delta", type=float, default=argparse.SUPPRESS)
-    sub.add_argument("--sigma", type=float, default=argparse.SUPPRESS)
-    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub.add_argument(
         "--max-step-rows", type=_positive_int, default=None,
         help="bound rows sampled per scheduler step (finer interleaving)",
     )
-    sub.add_argument(
-        "--backend", choices=BACKENDS, default=argparse.SUPPRESS,
-        help="execution backend for sampling (default: serial)",
-    )
-    sub.add_argument(
-        "--workers", type=_positive_int, default=argparse.SUPPRESS,
-        help="workers for --backend sharded (processes) or threads "
-             "(default: CPU count)",
-    )
-    sub.add_argument(
-        "--kernel", choices=KERNEL_SPECS, default=argparse.SUPPRESS,
-        help="counting kernel (default: auto; all byte-identical)",
-    )
+    _add_run_arguments(sub, top=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,44 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="FastMatch/HistSim reproduction: top-k histogram matching",
     )
-    parser.add_argument("--list", action="store_true", help="list available queries")
+    parser.add_argument("--list", dest="run", action="store_const", const=_run_list,
+                        help="list available queries")
     parser.add_argument("--query", choices=QUERY_NAMES, help="Table 3 query to run")
-    parser.add_argument(
-        "--approach", choices=APPROACHES, default="fastmatch",
-        help="execution approach (default: fastmatch)",
-    )
-    parser.add_argument("--rows", type=int, default=1_000_000,
-                        help="dataset rows (default 1,000,000; paper-scale: 6,000,000)")
-    parser.add_argument("--epsilon", type=float, default=0.1)
-    parser.add_argument("--delta", type=float, default=0.01)
-    parser.add_argument("--sigma", type=float, default=0.0008)
-    parser.add_argument("--k", type=int, default=None,
-                        help="override the query's default k")
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--no-render", action="store_true",
                         help="skip the ASCII visualization panels")
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default="serial",
-        help="execution backend for sampling approaches (default: serial; "
-             "'sharded' fans a sampling call's block counting out to a "
-             "worker-process pool, 'threads' to an in-process thread pool "
-             "(the gather overlaps, bincount holds the GIL) — both with "
-             "byte-identical results)",
-    )
-    parser.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="workers for --backend sharded (processes) or threads "
-             "(default: CPU count)",
-    )
-    parser.add_argument(
-        "--kernel", choices=KERNEL_SPECS, default="auto",
-        help="counting kernel: 'auto' picks the narrowest exact path, "
-             "'fused' adds a cached pair-code column (session layer), "
-             "'narrow'/'classic' force a specific path — all choices "
-             "produce byte-identical answers (default: auto)",
-    )
+    _add_run_arguments(parser, top=True)
+    parser.set_defaults(run=_run_single)
 
-    subparsers = parser.add_subparsers(dest="command")
+    subparsers = parser.add_subparsers()
     batch = subparsers.add_parser(
         "batch",
         help="drain several queries through shared MatchSessions",
@@ -215,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "aggregate throughput, and artifact-cache reuse.",
     )
     _add_batch_arguments(batch)
-    batch.set_defaults(command="batch")
+    batch.set_defaults(run=_run_batch)
 
     serve = subparsers.add_parser(
         "serve",
@@ -278,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-interval", type=_positive_float, default=0.5,
         help="seconds between --stats-out frames (default: 0.5)",
     )
-    serve.set_defaults(command="serve")
+    serve.set_defaults(run=_run_serve)
 
     trace = subparsers.add_parser(
         "trace",
@@ -294,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("file", type=Path, help="JSONL trace file")
     trace.add_argument("--json", action="store_true",
                        help="emit the summary as JSON instead of a table")
-    trace.set_defaults(command="trace")
+    trace.set_defaults(run=_run_trace)
 
     profile = subparsers.add_parser(
         "profile",
@@ -307,28 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "samples renderable by any flamegraph tool.",
     )
     profile.add_argument("query", choices=QUERY_NAMES, help="Table 3 query")
-    profile.add_argument(
-        "--approach", choices=APPROACHES, default=argparse.SUPPRESS,
-        help="execution approach (default: fastmatch)",
-    )
-    profile.add_argument("--rows", type=int, default=argparse.SUPPRESS,
-                         help="dataset rows (default 1,000,000)")
-    profile.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    profile.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
-    profile.add_argument("--delta", type=float, default=argparse.SUPPRESS)
-    profile.add_argument("--sigma", type=float, default=argparse.SUPPRESS)
-    profile.add_argument(
-        "--backend", choices=BACKENDS, default=argparse.SUPPRESS,
-        help="execution backend (default: serial)",
-    )
-    profile.add_argument(
-        "--workers", type=_positive_int, default=argparse.SUPPRESS,
-        help="workers for --backend sharded/threads",
-    )
-    profile.add_argument(
-        "--kernel", choices=KERNEL_SPECS, default=argparse.SUPPRESS,
-        help="counting kernel (default: auto; all byte-identical)",
-    )
+    _add_run_arguments(profile, top=False)
     profile.add_argument(
         "--wall", action="store_true",
         help="also sample wall-clock stacks on a background thread and "
@@ -344,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--json", action="store_true",
                          help="emit the profile as JSON")
-    profile.set_defaults(command="profile")
+    profile.set_defaults(run=_run_profile)
 
     top = subparsers.add_parser(
         "top",
@@ -362,24 +314,42 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds between refreshes (default: 1.0)")
     top.add_argument("--once", action="store_true",
                      help="render one frame and exit (no screen clearing)")
-    top.set_defaults(command="top")
+    top.set_defaults(run=_run_top)
     return parser
+
+
+def _load_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser, name: str):
+    """The ``--rows``/``--seed`` build of one dataset (cached by the data
+    registry); a ``--rows`` below the dataset's minimum is a usage error."""
+    try:
+        return load_dataset(name, rows=args.rows, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _run_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    print("available queries:")
+    for name in QUERY_NAMES:
+        print(f"  {name}")
+    return 0
 
 
 def _run_single(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not args.query:
         parser.error("--query is required (or use --list)")
 
+    # Built first so a too-small --rows is a usage error; the preparation
+    # below takes the same build from the dataset cache.
+    _load_dataset(args, parser, workload_query(args.query)[0])
     prepared = prepare_workload(args.query, rows=args.rows, seed=args.seed)
-    config = _config(args, prepared.query)
+    config = _config(args, prepared.query.k)
 
     backend = make_backend(args.backend, args.workers)
     try:
         if args.approach == "scan":
             # The report IS the baseline; count it through the chosen
             # backend (byte-identical, exercises the sharded exact pass).
-            scan = run_approach(prepared, "scan", config, seed=args.seed, backend=backend)
-            report = scan
+            scan = report = run_approach(prepared, "scan", config, seed=args.seed, backend=backend)
         else:
             scan = run_approach(prepared, "scan", config, seed=args.seed)
             report = run_approach(
@@ -428,38 +398,108 @@ def _run_single(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-def _run_batch(args: argparse.Namespace) -> int:
-    # One MatchSession per dataset: a session owns one table, so queries are
-    # grouped by the dataset they run against.
-    by_dataset: dict[str, list[str]] = {}
-    for query_name in args.queries:
-        dataset_name, _ = workload_query(query_name)
-        by_dataset.setdefault(dataset_name, []).append(query_name)
+def _dataset_list(args: argparse.Namespace) -> list[str]:
+    """The validated ``--datasets`` tenants (empty when the flag is unset)."""
+    datasets = [d.strip() for d in (args.datasets or "").split(",") if d.strip()]
+    known = set(dataset_builders())
+    unknown = [d for d in datasets if d not in known]
+    if unknown:
+        raise SystemExit(f"unknown dataset(s) {unknown}; available: {sorted(known)}")
+    return datasets
+
+
+def _query_names(args: argparse.Namespace) -> list[str]:
+    """The workload queries to run: ``--queries``, or else every workload
+    query of the ``--datasets`` tenants."""
+    if args.queries:
+        return list(args.queries)
+    datasets = set(_dataset_list(args))
+    return [name for name in QUERY_NAMES if workload_query(name)[0] in datasets]
+
+
+def _trace_lines(path: Path):
+    """``(where, name suffix, line)`` for each event line of a JSONL trace."""
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"{path}: cannot read trace: {getattr(exc, 'strerror', None) or exc}")
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield f"{path}:{line_no}", f"@{line_no}", line
+
+
+def _requests(args: argparse.Namespace) -> list[tuple[float, QueryRequest]]:
+    """The run's requests as ``(arrival_ns, request)``, arrival-sorted.
+
+    Each entry is a ``--trace`` line (JSONL, open-loop timestamps) or one
+    synthesized from ``--queries``/``--datasets``/``--repeat`` (arriving at
+    time zero), and both become a request the same way: a key the entry
+    leaves out takes its flag's value.  ``request.dataset`` names the
+    tenant that serves it."""
+    trace = getattr(args, "trace", None)
+    if trace is None:
+        entries = [
+            (None, f"#{repeat}" if args.repeat > 1 else "", {"query": query_name})
+            for query_name in _query_names(args) for repeat in range(args.repeat)
+        ]
+    else:
+        entries = _trace_lines(trace)
+    requests: list[tuple[float, QueryRequest]] = []
+    for where, suffix, event in entries:
+        try:
+            if isinstance(event, str):
+                event = json.loads(event)
+            if not isinstance(event, dict):
+                raise ValueError(f"expected a JSON object, got {event!r}")
+            query_name = event["query"]
+            if query_name not in QUERY_NAMES:
+                raise SystemExit(f"{where}: unknown query {query_name!r}")
+            approach = event.get("approach", args.approach)
+            if approach not in APPROACHES:
+                raise ValueError(f"approach must be one of {APPROACHES}, got {approach!r}")
+            seed = event.get("seed", args.seed)
+            if not isinstance(seed, int):
+                raise ValueError(f"seed must be an integer, got {seed!r}")
+            deadline_ms = event.get("deadline_ms", getattr(args, "deadline_ms", None))
+            dataset_name, query = workload_query(query_name)
+            requests.append((float(event.get("arrival_ms", 0.0)) * 1e6, QueryRequest(
+                query,
+                approach=approach,
+                config=_config(args, query.k),
+                seed=seed,
+                max_step_rows=args.max_step_rows,
+                deadline_ns=None if deadline_ms is None else float(deadline_ms) * 1e6,
+                on_deadline=event.get("on_deadline", "partial"),
+                name=query_name + suffix,
+                dataset=dataset_name,
+            )))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SystemExit(f"{where}: bad trace event: {exc}")
+    return sorted(requests, key=lambda event: event[0])
+
+
+def _run_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    # One MatchSession per dataset: a session owns one table, so requests
+    # are grouped by the dataset they run against.
+    by_dataset: dict[str, list[QueryRequest]] = {}
+    for _, request in _requests(args):
+        by_dataset.setdefault(request.dataset, []).append(request)
 
     total_queries = 0
     total_elapsed = 0.0
-    for dataset_name, query_names in by_dataset.items():
-        dataset = load_dataset(dataset_name, rows=args.rows, seed=args.seed)
+    for dataset_name, requests in by_dataset.items():
+        dataset = _load_dataset(args, parser, dataset_name)
         # One session (and thus one worker pool / shared-memory store for the
-        # sharded backend) serves the dataset's whole batch.
+        # sharded backend) serves the dataset's whole batch.  Repeats share
+        # one seed so they hit the prepared-artifact cache (one
+        # shuffle/index for the whole batch) — the point of --repeat.
         with MatchSession(
             dataset.table, backend=args.backend, workers=args.workers,
             kernel=args.kernel,
         ) as session:
-            for query_name in query_names:
-                _, query = workload_query(query_name)
-                config = _config(args, query)
-                # Repeats share one seed so they hit the prepared-artifact cache
-                # (one shuffle/index for the whole batch) — the point of --repeat.
-                for repeat in range(args.repeat):
-                    session.submit(
-                        query,
-                        approach=args.approach,
-                        config=config,
-                        seed=args.seed,
-                        max_step_rows=args.max_step_rows,
-                        name=f"{query_name}" + (f"#{repeat}" if args.repeat > 1 else ""),
-                    )
+            for request in requests:
+                session.scheduler.add(session.job_for_request(request))
             run = session.run()
 
         backend_desc = ", ".join(
@@ -492,92 +532,12 @@ def _run_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dataset_list(args: argparse.Namespace) -> list[str]:
-    """The validated ``--datasets`` tenants (empty when the flag is unset)."""
-    datasets = [d.strip() for d in (args.datasets or "").split(",") if d.strip()]
-    known = set(dataset_builders())
-    unknown = [d for d in datasets if d not in known]
-    if unknown:
-        raise SystemExit(
-            f"unknown dataset(s) {unknown}; available: {sorted(known)}"
-        )
-    return datasets
-
-
-def _serve_query_names(args: argparse.Namespace) -> list[str]:
-    """The workload queries the serve command targets.
-
-    ``--queries`` wins; otherwise ``--datasets`` implies every workload
-    query of those datasets."""
-    if args.queries:
-        return list(args.queries)
-    datasets = set(_dataset_list(args))
-    return [name for name in QUERY_NAMES if workload_query(name)[0] in datasets]
-
-
-def _load_trace(args: argparse.Namespace) -> list[tuple[float, str, QueryRequest]]:
-    """Arrival events as ``(arrival_ns, dataset, request)``, arrival-sorted.
-
-    Sourced from ``--trace`` (JSONL, open-loop timestamps) or synthesized
-    from ``--queries``/``--datasets``/``--repeat`` (all arriving at time
-    zero).  Every request is tagged with its dataset key so one registry
-    front door routes it to the right tenant."""
-    events: list[tuple[float, str, QueryRequest]] = []
-
-    def request_for(query_name: str, *, deadline_ms, seed, approach,
-                    on_deadline="partial", label=None) -> tuple[str, QueryRequest]:
-        dataset_name, query = workload_query(query_name)
-        config = _config(args, query)
-        return dataset_name, QueryRequest(
-            query,
-            approach=approach,
-            config=config,
-            seed=seed,
-            max_step_rows=args.max_step_rows,
-            deadline_ns=None if deadline_ms is None else deadline_ms * 1e6,
-            on_deadline=on_deadline,
-            name=label or query_name,
-            dataset=dataset_name,
-        )
-
-    if args.trace is not None:
-        for line_no, line in enumerate(args.trace.read_text().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                event = json.loads(line)
-                query_name = event["query"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise SystemExit(f"{args.trace}:{line_no}: bad trace event: {exc}")
-            if query_name not in QUERY_NAMES:
-                raise SystemExit(
-                    f"{args.trace}:{line_no}: unknown query {query_name!r}"
-                )
-            try:
-                dataset_name, request = request_for(
-                    query_name,
-                    deadline_ms=event.get("deadline_ms", args.deadline_ms),
-                    seed=event.get("seed", args.seed),
-                    approach=event.get("approach", args.approach),
-                    on_deadline=event.get("on_deadline", "partial"),
-                    label=f"{query_name}@{line_no}",
-                )
-            except ValueError as exc:
-                raise SystemExit(f"{args.trace}:{line_no}: bad trace event: {exc}")
-            events.append((event.get("arrival_ms", 0.0) * 1e6, dataset_name, request))
-    else:
-        for query_name in _serve_query_names(args):
-            for repeat in range(args.repeat):
-                dataset_name, request = request_for(
-                    query_name,
-                    deadline_ms=args.deadline_ms,
-                    seed=args.seed,
-                    approach=args.approach,
-                    label=f"{query_name}" + (f"#{repeat}" if args.repeat > 1 else ""),
-                )
-                events.append((0.0, dataset_name, request))
-    return sorted(events, key=lambda e: e[0])
+def _drive_replay(door, events) -> list:
+    """Replay the arrivals open-loop through the FrontDoor, then shut it down."""
+    try:
+        return door.replay(events)
+    finally:
+        door.shutdown()
 
 
 def _drive_async(door, events) -> list:
@@ -597,7 +557,7 @@ def _drive_async(door, events) -> list:
         async with door:
             handles: list[tuple[int, object]] = []
             waiting = 0
-            for index, (_, _, request) in enumerate(events):
+            for index, (_, request) in enumerate(events):
                 # Backpressure: while the queue is full, await the oldest
                 # outstanding request (capacity reads are race-free in one
                 # event loop), so nothing is submitted into a rejection.
@@ -616,15 +576,16 @@ def _drive_async(door, events) -> list:
     return asyncio.run(drive())
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    events = _load_trace(args)
+def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.trace is None and not args.queries and not args.datasets:
+        parser.error("serve requires --queries, --datasets, or --trace")
+    events = _requests(args)
     if not events:
         raise SystemExit("nothing to serve: no queries matched")
 
     # --trace-out turns tracing on: one tracer collects spans from every
     # layer (engine, stepper, backend) and streams them to the JSONL file.
-    tracer = None
-    writer = None
+    tracer = writer = None
     if args.trace_out is not None:
         tracer = Tracer()
         writer = TraceWriter(args.trace_out)
@@ -639,11 +600,10 @@ def _run_serve(args: argparse.Namespace) -> int:
         tracer=tracer,
     )
     dataset_rows: dict[str, int] = {}
-    tenants = dict.fromkeys(
-        _dataset_list(args) + [name for _, name, _ in events]
-    )
-    for dataset_name in tenants:
-        dataset = load_dataset(dataset_name, rows=args.rows, seed=args.seed)
+    for dataset_name in dict.fromkeys(
+        _dataset_list(args) + [request.dataset for _, request in events]
+    ):
+        dataset = _load_dataset(args, parser, dataset_name)
         registry.add_dataset(dataset_name, dataset.table)
         dataset_rows[dataset_name] = dataset.table.num_rows
 
@@ -653,17 +613,10 @@ def _run_serve(args: argparse.Namespace) -> int:
     try:
         if args.use_async:
             door = AsyncFrontDoor(
-                registry,
-                policy=args.policy,
-                max_queue=args.max_queue,
+                registry, policy=args.policy, max_queue=args.max_queue,
                 max_concurrent_steps=args.max_concurrent_steps,
             )
-            if args.stats_out is not None:
-                exporter = StatsExporter(
-                    door, args.stats_out, interval_s=args.stats_interval
-                ).start()
-            outcomes = _drive_async(door, events)
-            mode = "async (closed-loop)"
+            drive, mode = _drive_async, "async (closed-loop)"
             if args.max_concurrent_steps > 1:
                 mode += f", {args.max_concurrent_steps} step slots"
         else:
@@ -675,17 +628,12 @@ def _run_serve(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
             door = FrontDoor(registry, policy=args.policy, max_queue=args.max_queue)
-            if args.stats_out is not None:
-                exporter = StatsExporter(
-                    door, args.stats_out, interval_s=args.stats_interval
-                ).start()
-            try:
-                outcomes = door.replay(
-                    [(arrival_ns, request) for arrival_ns, _, request in events]
-                )
-            finally:
-                door.shutdown()
-            mode = "replay (open-loop)"
+            drive, mode = _drive_replay, "replay (open-loop)"
+        if args.stats_out is not None:
+            exporter = StatsExporter(
+                door, args.stats_out, interval_s=args.stats_interval
+            ).start()
+        outcomes = drive(door, events)
     finally:
         if exporter is not None:
             exporter.stop()
@@ -696,14 +644,14 @@ def _run_serve(args: argparse.Namespace) -> int:
     print(f"mode       : {mode}, policy={args.policy}, "
           f"max_queue={args.max_queue or 'unbounded'}, "
           f"{len(events)} requests")
-    for (_, dataset_name, _), outcome in zip(events, outcomes):
+    for (_, request), outcome in zip(events, outcomes):
         extra = ""
         if outcome.status == "partial" and outcome.report is not None:
             extra = (f"  achieved_eps={outcome.report.achieved_epsilon:.3f}"
                      f" (asked {args.epsilon})")
         elif outcome.status == "completed" and outcome.deadline_ns is not None:
             extra = "  deadline=hit" if outcome.deadline_hit else "  deadline=late"
-        print(f"  {outcome.name:<16} [{dataset_name:<7}] {outcome.status:<9} "
+        print(f"  {outcome.name:<16} [{request.dataset:<7}] {outcome.status:<9} "
               f"latency={outcome.latency_seconds * 1e3:8.2f} ms  "
               f"steps={outcome.steps:<3d}{extra}")
     snap = door.metrics.snapshot()
@@ -727,7 +675,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_trace(args: argparse.Namespace) -> int:
+def _run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """``repro trace summarize FILE`` — the per-stage time-budget table."""
     if not args.file.exists():
         print(f"trace file not found: {args.file}", file=sys.stderr)
@@ -750,11 +698,11 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_profile(args: argparse.Namespace) -> int:
+def _run_profile(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """``repro profile QUERY`` — hot-path profile of one workload run."""
     dataset_name, query = workload_query(args.query)
-    dataset = load_dataset(dataset_name, rows=args.rows, seed=args.seed)
-    config = _config(args, query)
+    dataset = _load_dataset(args, parser, dataset_name)
+    config = _config(args, query.k)
     profiler = Profiler()
     tracer = Tracer()
     wall = WallProfiler(args.wall_interval_ms * 1e-3) if args.wall else None
@@ -884,7 +832,7 @@ def _render_top_frame(frame: dict, path: Path) -> str:
     return "\n".join(lines)
 
 
-def _run_top(args: argparse.Namespace) -> int:
+def _run_top(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """``repro top FILE`` — live dashboard over serve's --stats-out frames."""
     import time as _time
 
@@ -928,27 +876,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.backend, args.workers = resolve_backend_args(args)
-
-    command = getattr(args, "command", None)
-    if command == "batch":
-        return _run_batch(args)
-    if command == "trace":
-        return _run_trace(args)
-    if command == "profile":
-        return _run_profile(args)
-    if command == "top":
-        return _run_top(args)
-    if command == "serve":
-        if args.trace is None and not args.queries and not args.datasets:
-            parser.error("serve requires --queries, --datasets, or --trace")
-        return _run_serve(args)
-
-    if args.list:
-        print("available queries:")
-        for name in QUERY_NAMES:
-            print(f"  {name}")
-        return 0
-    return _run_single(args, parser)
+    try:  # --k, ε, δ and σ fail here, before any dataset is built
+        _config(args, k=1)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args.run(args, parser)
 
 
 if __name__ == "__main__":
