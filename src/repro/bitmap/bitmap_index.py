@@ -95,16 +95,21 @@ class BlockBitmapIndex:
         bits = np.unpackbits(self._packed[value])[: self.num_blocks]
         return bits.astype(bool)
 
+    def _checked_span(self, start_block: int, stop_block: int) -> int:
+        """The span of the window ``[start_block, stop_block)``, which must
+        lie inside the index; O(1)."""
+        if not 0 <= start_block <= stop_block <= self.num_blocks:
+            raise ValueError(
+                f"window [{start_block}, {stop_block}) outside [0, {self.num_blocks})"
+            )
+        return stop_block - start_block
+
     def _checked_window(
         self, values: np.ndarray, start_block: int, stop_block: int
     ) -> tuple[np.ndarray, int]:
         """Validate a window query; the values as int64 and the window's span."""
         values = np.asarray(values, dtype=np.int64)
-        if not 0 <= start_block <= stop_block <= self.num_blocks:
-            raise ValueError(
-                f"window [{start_block}, {stop_block}) outside [0, {self.num_blocks})"
-            )
-        span = stop_block - start_block
+        span = self._checked_span(start_block, stop_block)
         if values.size and span:  # an empty query touches no value
             if values.min() < 0 or values.max() >= self.cardinality:
                 raise ValueError("values out of range")
@@ -141,15 +146,38 @@ class BlockBitmapIndex:
         values, span = self._checked_window(values, start_block, stop_block)
         if values.size == 0 or span == 0:
             return np.zeros(span, dtype=bool)
+        every = values.size == self.cardinality and (np.diff(values) == 1).all()
+        return self._union_bits(slice(None) if every else values, start_block, stop_block)
+
+    def any_present_ascending(
+        self, values: np.ndarray, start_block: int, stop_block: int
+    ) -> np.ndarray:
+        """:meth:`any_present` for ``values`` ascending and distinct — the
+        sampling engine's active set, a ``flatnonzero``.
+
+        Such a set is in range when its two ends are, so the check is O(1)
+        instead of a min/max pass, and it is every candidate exactly when it
+        has ``cardinality`` entries.  The window is checked as
+        :meth:`any_present` checks it: a descending one raises.
+        """
+        span = self._checked_span(start_block, stop_block)
+        if values.size == 0 or span == 0:
+            return np.zeros(span, dtype=bool)
+        if values[0] < 0 or values[-1] >= self.cardinality:
+            raise ValueError("values out of range")
+        every = values.size == self.cardinality
+        return self._union_bits(slice(None) if every else values, start_block, stop_block)
+
+    def _union_bits(self, rows, start_block: int, stop_block: int) -> np.ndarray:
+        """OR of the packed ``rows`` (a checked value array, or a slice) over
+        the non-empty window ``[start_block, stop_block)``, one bit per block."""
         byte0 = start_block >> 3
         byte1 = -(-stop_block // 8)
-        if values.size == self.cardinality and (np.diff(values) == 1).all():
-            rows = self._packed[:, byte0:byte1]
-        else:
-            rows = self._packed[values, byte0:byte1]
-        bits = np.unpackbits(np.bitwise_or.reduce(rows, axis=0))
+        bits = np.unpackbits(
+            np.bitwise_or.reduce(self._packed[rows, byte0:byte1], axis=0)
+        )
         offset = start_block - byte0 * 8
-        return bits[offset : offset + span].view(np.bool_)
+        return bits[offset : offset + stop_block - start_block].view(np.bool_)
 
     def first_present(
         self, values: np.ndarray, start_block: int, stop_block: int

@@ -37,6 +37,31 @@ inline, exactly as serial does.
 Both return the same matrices and charge the same clock: simulated I/O is
 accounted here, per window, never by the backend.
 
+A window is built once, ascending, and checked once.  It is arithmetic on
+the random start block and the scan position: one run of the table, or, in
+the one window per pass that wraps, the head run from block 0 followed by
+the tail run up to the table's end, each a slice of the consumed mask.
+Stage 1 still trims its row budget off the *scan* (tail, then head).  What
+the construction proves, the layers below read instead of re-checking:
+
+- the policy takes the window's span from its two ends (and uses the bit
+  slice itself as the read mask when the window is one run); a window
+  whose last block is below its first raises there;
+- the active set is a ``flatnonzero``, so the bitmap range-checks it at its
+  two ends (:meth:`~repro.bitmap.BlockBitmapIndex.any_present_ascending`);
+- the I/O manager charges a delivered subset from its size and last block
+  (:meth:`~repro.storage.io_manager.IOManager.charge`);
+- the deferred regime's call-end count concatenates the call's ascending
+  windows, or, when the call scanned past the table's end, reads its
+  blocks off a mask.
+
+The public entry points keep every check for arbitrary input:
+:meth:`IOManager.read_cost <repro.storage.io_manager.IOManager.read_cost>`
+still rejects an unsorted or out-of-range batch,
+:meth:`BlockBitmapIndex.any_present
+<repro.bitmap.BlockBitmapIndex.any_present>` still min/max-checks its
+values, and :func:`~repro.parallel.count_window` its blocks.
+
 ``row_filter`` and ``codes`` go together.  The filter is the engine's own
 business — rows per candidate, the deferred regime's tally, ``total_rows``.
 The prepared pair-code column, when the engine is given one, is by contract
@@ -229,15 +254,8 @@ class BlockSamplingEngine:
             start_block = shuffled.random_start_block(rng or np.random.default_rng())
         if self.layout.num_blocks and not 0 <= start_block < self.layout.num_blocks:
             raise ValueError(f"start_block {start_block} out of range")
-        num_blocks = self.layout.num_blocks
-        self._scan_order = (
-            np.concatenate(
-                [np.arange(start_block, num_blocks), np.arange(0, start_block)]
-            )
-            if num_blocks
-            else np.empty(0, dtype=np.int64)
-        )
-        self._scan_pos = 0
+        self._start = start_block
+        self._scan_pos = 0  # blocks of the current pass already scanned
 
     # -------------------------------------------------------- protocol surface
 
@@ -267,15 +285,33 @@ class BlockSamplingEngine:
 
     # ------------------------------------------------------------- internals
 
-    def _window(self) -> np.ndarray:
-        """Next window of candidate (non-consumed) blocks in scan order."""
-        num_blocks = self._scan_order.size
+    def _window(self) -> tuple[np.ndarray, int]:
+        """The next window's unconsumed blocks, ascending, and how many of
+        them this window reaches only after wrapping past the table's end
+        (its head run; 0 unless the window wraps).
+
+        The window is ``window_blocks`` scan positions from the cursor, cut
+        at the end of the pass.  Its blocks are one run of the table, or,
+        once per pass, two: the table's tail from the cursor on and its head
+        from block 0.  Each run is a slice of the consumed mask, and the
+        head comes first, so the window is ascending as built.
+        """
+        num_blocks = self.layout.num_blocks
         if num_blocks == 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64), 0
         stop = min(self._scan_pos + self.window_blocks, num_blocks)
-        window = self._scan_order[self._scan_pos : stop]
+        first, last = self._start + self._scan_pos, self._start + stop
         self._scan_pos = stop % num_blocks
-        return window[~self._consumed[window]]
+        if first >= num_blocks:  # wholly past the wrap
+            first, last = first - num_blocks, last - num_blocks
+        if last <= num_blocks:
+            return self._unconsumed_run(first, last), 0
+        head = self._unconsumed_run(0, last - num_blocks)
+        return np.concatenate((head, self._unconsumed_run(first, num_blocks))), head.size
+
+    def _unconsumed_run(self, lo: int, hi: int) -> np.ndarray:
+        """The unconsumed blocks of ``[lo, hi)``, ascending."""
+        return (~self._consumed[lo:hi]).nonzero()[0] + lo
 
     def _deliver_blocks(
         self, blocks: np.ndarray, call: list[np.ndarray]
@@ -290,19 +326,13 @@ class BlockSamplingEngine:
         windows accumulate into.  Deferred regime: the window only tallies
         the candidate column and ``call`` collects the delivered block sets.
 
-        ``blocks`` come from :meth:`_window`: distinct, not yet consumed, and
-        in *scan* order — ascending, except in the one window per pass that
-        runs from the table's last block on to block 0.  Only that window is
-        sorted here (its first block is then above its last); the I/O
-        manager still rejects any batch that is not ascending.  A caller
-        that trims a window (:meth:`sample_uniform`) does so before this
-        call, so what it keeps is a prefix of the scan, not of the sort.
+        ``blocks`` are a subset of one :meth:`_window`: distinct, not yet
+        consumed and ascending, so the I/O manager charges them from their
+        size and last block alone.
         """
         if blocks.size == 0:
             return np.zeros(self._num_candidates, dtype=np.int64), 0, 0.0
-        if blocks[0] > blocks[-1]:
-            blocks = np.sort(blocks)
-        cost_ns = self.io.read_cost(blocks)
+        cost_ns = self.io.charge(int(blocks.size), int(blocks[-1]))
         profiler = self.profiler
         if self._deferred:
             started = time.perf_counter_ns() if profiler.enabled else 0
@@ -347,11 +377,16 @@ class BlockSamplingEngine:
         """The count matrix of everything one sampling call delivered."""
         if not call:
             return np.zeros((self._num_candidates, self._num_groups), dtype=np.int64)
-        if self._deferred:
-            return self.backend.count_blocks(
-                self._source, np.sort(np.concatenate(call))
-            )
-        return call[0]
+        if not self._deferred:
+            return call[0]
+        if all(prev[-1] < nxt[0] for prev, nxt in zip(call, call[1:])):
+            blocks = np.concatenate(call)  # ascending windows, in order
+        else:  # the call scanned past the table's end
+            taken = np.zeros(self.layout.num_blocks, dtype=bool)
+            for window in call:
+                taken[window] = True
+            blocks = np.flatnonzero(taken)
+        return self.backend.count_blocks(self._source, blocks)
 
     # ---------------------------------------------------------------- stage 1
 
@@ -368,7 +403,7 @@ class BlockSamplingEngine:
         windows_without_blocks = 0
         max_windows = -(-max(self.layout.num_blocks, 1) // self.window_blocks) + 1
         while delivered < m and not self.fully_scanned:
-            blocks = self._window()
+            blocks, wrapped = self._window()
             self.counters.windows += 1
             if blocks.size == 0:
                 windows_without_blocks += 1
@@ -376,10 +411,12 @@ class BlockSamplingEngine:
                     break
                 continue
             windows_without_blocks = 0
-            # Trim to the minimal prefix reaching the budget.
-            cumulative = np.cumsum(self.layout.rows_per_block(blocks))
-            cutoff = int(np.searchsorted(cumulative, m - delivered)) + 1
-            blocks = blocks[:cutoff]
+            # Trim to the minimal prefix of the *scan* reaching the budget:
+            # the tail piece, then the head piece the scan wraps to.
+            head, tail = blocks[:wrapped], blocks[wrapped:]
+            scan_rows = self.layout.rows_per_block(np.concatenate((tail, head)))
+            cutoff = int(np.searchsorted(np.cumsum(scan_rows), m - delivered)) + 1
+            blocks = np.concatenate((head[: max(cutoff - tail.size, 0)], tail[:cutoff]))
             _, rows, io_cost = self._deliver_blocks(blocks, call)
             self.clock.charge_serial(io=io_cost)
             delivered += rows
@@ -426,7 +463,7 @@ class BlockSamplingEngine:
                 break
             if max_rows is not None and delivered_call >= max_rows:
                 break
-            blocks = self._window()
+            blocks, _ = self._window()
             windows_used += 1
             self.counters.windows += 1
             if blocks.size == 0:

@@ -12,6 +12,13 @@ the decision itself costs:
 - :class:`AnyActiveLookaheadPolicy` — Algorithm 3: per active candidate,
   stream the window's contiguous bits; cache-efficient, and the decision
   overlaps I/O (FastMatch).
+
+A policy is handed a window as the sampling engine builds it: ``blocks``
+ascending and distinct, and ``active_values`` ascending and distinct (a
+``flatnonzero``).  So a window's span is read off its two ends, and a
+window that is one run of blocks is its own bit slice.  A policy that reads a
+span rejects a window whose last block is below its first with
+``ValueError`` (:func:`_window_span`) instead of marking the wrong range.
 """
 
 from __future__ import annotations
@@ -30,6 +37,18 @@ __all__ = [
     "AnyActiveLookaheadPolicy",
     "POLICIES",
 ]
+
+
+def _window_span(blocks: np.ndarray) -> tuple[int, int]:
+    """``(lo, hi)``: the non-empty ascending window's first block and one
+    past its last, read off its two ends in O(1)."""
+    lo, hi = int(blocks[0]), int(blocks[-1]) + 1
+    if hi <= lo:
+        raise ValueError(
+            f"window runs from block {lo} down to block {hi - 1}: "
+            "blocks must be ascending"
+        )
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -98,9 +117,10 @@ class AnyActiveSyncPolicy:
                 overlaps_io=False,
                 probes=0,
             )
-        lo = int(blocks.min())
-        hi = int(blocks.max()) + 1
-        first = index.first_present(active_values, lo, hi)[blocks - lo]
+        lo, hi = _window_span(blocks)
+        first = index.first_present(active_values, lo, hi)
+        if blocks.size != hi - lo:
+            first = first[blocks - lo]
         found = first < active_values.size
         probes = np.where(found, first + 1, active_values.size)
         total_probes = int(probes.sum())
@@ -139,9 +159,10 @@ class AnyActiveLookaheadPolicy:
                 overlaps_io=True,
                 probes=0,
             )
-        lo = int(blocks.min())
-        hi = int(blocks.max()) + 1
-        read_mask = index.any_present(active_values, lo, hi)[blocks - lo]
+        lo, hi = _window_span(blocks)
+        read_mask = index.any_present_ascending(active_values, lo, hi)
+        if blocks.size != hi - lo:
+            read_mask = read_mask[blocks - lo]
         span = hi - lo
         lines = -(-span // CACHELINE_BITS)
         return PolicyDecision(
@@ -193,8 +214,7 @@ class DensityAnyActivePolicy:
         if active_values.max() >= self.candidate_value_masks.shape[0]:
             raise ValueError("active candidate index outside the mask table")
         union = self.candidate_value_masks[active_values].any(axis=0)
-        lo = int(blocks.min())
-        hi = int(blocks.max()) + 1
+        lo, hi = _window_span(blocks)
         per_block = self.density_map.tuples_matching(union, lo, hi)
         read_mask = per_block[blocks - lo] > 0
         # Density entries are wider than bits; charge one line per 64

@@ -110,7 +110,10 @@ class AsyncFrontDoor(DriveCore):
         steps of *different* requests overlap on a multi-core machine
         where NumPy releases the GIL (gathers, ufuncs; ``np.bincount`` and
         the Python around it do not).  Answers stay byte-identical
-        in either mode; only wall-clock latency changes.
+        in either mode, and only answers: above one slot, steps settle in
+        the order they finish, so simulated latencies vary from run to run
+        as well as wall-clock ones, and so do cache hit counts when
+        requests share a session.
 
     All methods must be called from one event loop.  In single-slot mode
     the door is single-threaded by construction; in multi-slot mode all

@@ -112,8 +112,11 @@ class FrontDoor(DriveCore):
         deterministic single-slot mode (steps run inline in the scheduler
         thread).  Above 1 the scheduler dispatches picked steps to a
         bounded executor, so steps of *different* requests run
-        concurrently — answers stay byte-identical (each job consumes its
-        own fixed sampling order), only wall-clock latency changes.
+        concurrently.  Answers stay byte-identical (each job consumes its
+        own fixed sampling order); nothing else is promised.  Steps settle
+        in the order they finish, so simulated latencies vary from run to
+        run as well as wall-clock ones, and so do cache hit counts when
+        requests share a session.
     tracer:
         Optional :class:`~repro.obs.Tracer`; defaults to the service's.
     """

@@ -146,6 +146,53 @@ class TestBlockBitmapIndex:
                 idx.chunk_presence(values, lo, hi)
             assert str(packed.value) == str(unpacked.value)
 
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["empty", "all", "subset", "one"]),
+    )
+    @settings(max_examples=120)
+    def test_property_any_present_ascending_is_any_present(
+        self, n, cardinality, block_size, seed, kind
+    ):
+        """On an ascending, distinct value set (the engine's active set) the
+        end-checked query answers what the fully checked one does."""
+        rng = np.random.default_rng(seed)
+        col = rng.integers(0, cardinality, size=n)
+        idx = BlockBitmapIndex.build(col, cardinality, block_size)
+        values = {
+            "empty": np.array([], dtype=np.int64),
+            "all": np.arange(cardinality),
+            "subset": np.flatnonzero(rng.random(cardinality) < 0.5),
+            "one": np.array([int(rng.integers(0, cardinality))]),
+        }[kind]
+        lo = int(rng.integers(0, idx.num_blocks + 1))
+        hi = int(rng.integers(lo, idx.num_blocks + 1))
+        got = idx.any_present_ascending(values, lo, hi)
+        assert got.dtype == np.bool_ and got.shape == (hi - lo,)
+        np.testing.assert_array_equal(got, idx.any_present(values, lo, hi))
+
+    def test_any_present_ascending_validation_matches_any_present(self, column):
+        """Its two end checks reject every ascending set and window the
+        full check does, with the same message."""
+        idx = BlockBitmapIndex.build(column, 11, block_size=64)
+        bad_calls = [
+            (np.array([0]), 5, 3),                   # inverted window
+            (np.array([0]), 0, idx.num_blocks + 1),  # past the last block
+            (np.array([0]), -1, 2),
+            (np.array([11]), 0, 4),                  # value out of range
+            (np.array([3, 11]), 0, 4),
+            (np.array([-1, 3]), 0, 4),
+        ]
+        for values, lo, hi in bad_calls:
+            with pytest.raises(ValueError) as ascending:
+                idx.any_present_ascending(values, lo, hi)
+            with pytest.raises(ValueError) as checked:
+                idx.any_present(values, lo, hi)
+            assert str(ascending.value) == str(checked.value)
+
 
 def one_shot_packed(column, cardinality, block_size):
     """The unchunked build: one dense (cardinality, num_blocks) byte matrix."""

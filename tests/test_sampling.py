@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.bitmap import BlockBitmapIndex, build_bitmap_index
+from repro.bitmap import BlockBitmapIndex, build_bitmap_index, build_density_map
 from repro.core.sampler import TupleSampler
 from repro.parallel import (
     SerialBackend,
@@ -16,6 +18,7 @@ from repro.sampling import (
     AnyActiveLookaheadPolicy,
     AnyActiveSyncPolicy,
     BlockSamplingEngine,
+    DensityAnyActivePolicy,
     ScanAllPolicy,
 )
 from repro.sampling.policies import PolicyDecision
@@ -513,10 +516,29 @@ class RecordingBackend(SerialBackend):
 
 class ParentLoopEngine(BlockSamplingEngine):
     """The sampling loops as they stood before the regimes: every window
-    sorted, charged block by block (``block_read_cost`` over a per-block
-    row array, not the I/O manager's closed form), counted to a full matrix
-    at once and summed into a fresh ``zeros``.  It shares no accounting
-    arithmetic with the engine it is the reference for."""
+    cut from a precomputed scan order and kept in it (the one window per
+    pass that wraps runs from the table's end on to block 0), sorted only
+    for delivery, charged block by block (``block_read_cost`` over a
+    per-block row array, not the I/O manager's closed form), counted to a
+    full matrix at once and summed into a fresh ``zeros``.  It shares no
+    window or accounting code with the engine it is the reference for;
+    only the start block is read off it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        num_blocks = self.layout.num_blocks
+        self._scan_order = np.concatenate(
+            [np.arange(self._start, num_blocks), np.arange(0, self._start)]
+        )
+        self._parent_pos = 0
+
+    def _parent_window(self):
+        """The next window of unconsumed blocks, in scan order."""
+        num_blocks = self._scan_order.size
+        stop = min(self._parent_pos + self.window_blocks, num_blocks)
+        window = self._scan_order[self._parent_pos : stop]
+        self._parent_pos = stop % num_blocks
+        return window[~self._consumed[window]]
 
     def _deliver_parent(self, blocks):
         if blocks.size == 0:
@@ -544,7 +566,7 @@ class ParentLoopEngine(BlockSamplingEngine):
         windows_without_blocks = 0
         max_windows = -(-max(self.layout.num_blocks, 1) // self.window_blocks) + 1
         while delivered < m and not self.fully_scanned:
-            blocks = self._window()
+            blocks = self._parent_window()
             self.counters.windows += 1
             if blocks.size == 0:
                 windows_without_blocks += 1
@@ -579,7 +601,10 @@ class ParentLoopEngine(BlockSamplingEngine):
                 break
             if max_rows is not None and delivered_call >= max_rows:
                 break
-            blocks = self._window()
+            # The parent's policies spanned a window by its min and max, in
+            # any order; today's read its two ends, so they see it sorted —
+            # the same blocks, span and marks.
+            blocks = np.sort(self._parent_window())
             windows_used += 1
             self.counters.windows += 1
             if blocks.size == 0:
@@ -792,7 +817,7 @@ class TestRegimeIdentity:
         )
 
     @pytest.mark.parametrize("regime", ["deferred", "dense"])
-    def test_regime_stage2_sorts_a_straddling_window_for_delivery(self, regime):
+    def test_regime_stage2_delivers_a_straddling_window_ascending(self, regime):
         engine, backend = self.straddle_engine(regime, 237, AnyActiveLookaheadPolicy())
         fresh = engine.sample_until(np.full(engine.num_candidates, np.inf), max_rows=1)
         assert fresh.sum() == 190 and engine.counters.windows == 1
@@ -807,9 +832,10 @@ class TestRegimeIdentity:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "known bug: AnyActive takes a wrap window's span from blocks.min() "
-            "to blocks.max(), the whole table, so it is charged and probed for "
-            "every block; the fix moves the end-to-end benchmark's pinned clock"
+            "known bug: AnyActive spans a wrap window from its first block to "
+            "its last (block 0 to the table's end, the whole table), so it is "
+            "charged and probed for every block; the fix moves the end-to-end "
+            "benchmark's pinned clock"
         ),
     )
     def test_regime_wrap_window_marks_only_its_two_pieces(self):
@@ -993,6 +1019,214 @@ class TestRegimeAccounting:
         fresh = engine.sample_until(np.full(engine.num_candidates, 20.0))
         assert fresh.any()
         np.testing.assert_array_equal(fresh, self.expected_counts(engine, before))
+
+
+# ---------------------------------------------------------------------------
+# The window contract: each window is built once, ascending, and checked
+# once — and reads, charges and counts what the parent's scan-order window did
+# ---------------------------------------------------------------------------
+
+
+WINDOW_POLICIES = {
+    "lookahead": AnyActiveLookaheadPolicy,
+    "sync": AnyActiveSyncPolicy,
+    "scan_all": ScanAllPolicy,
+}
+
+
+@st.composite
+def window_cases(draw):
+    """A small world (its last block possibly short), an engine's window
+    size and start block, blocks consumed before the first call, and a
+    script: stage 1, up to three budgeted stage-2 calls, then a drain."""
+    block_size = draw(st.integers(1, 12))
+    num_blocks = draw(st.integers(2, 40))
+    candidates = draw(st.integers(1, 10))
+    budgets = st.lists(
+        st.sampled_from([0.0, 1.0, 5.0, 20.0, np.inf]),
+        min_size=candidates, max_size=candidates,
+    )
+    return dict(
+        block_size=block_size,
+        num_blocks=num_blocks,
+        tail=draw(st.sampled_from([1, block_size]) | st.integers(1, block_size)),
+        candidates=candidates,
+        groups=draw(st.integers(1, 6)),
+        window=draw(st.integers(1, num_blocks + 2)),
+        start=draw(st.integers(0, num_blocks - 1)),
+        pre=sorted(draw(st.sets(st.integers(0, num_blocks - 1), max_size=num_blocks - 1))),
+        policy=draw(st.sampled_from(sorted(WINDOW_POLICIES))),
+        filtered=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+        m=draw(st.integers(0, num_blocks * block_size)),
+        calls=draw(st.lists(st.tuples(budgets, st.none() | st.integers(0, 200)), max_size=3)),
+    )
+
+
+def window_example(**overrides):
+    """10 blocks of 5 rows (the last holds 3) in 4-block windows from block
+    7: 7..9 + 0, then 1..4 and 5..6 wholly past the wrap, then pass two."""
+    case = dict(
+        block_size=5, num_blocks=10, tail=3, candidates=8, groups=3, window=4,
+        start=7, pre=[], policy="lookahead", filtered=False, seed=3, m=16,
+        calls=[],
+    )
+    return {**case, **overrides}
+
+
+#: One example per window kind the property test must see (the test below
+#: checks that each one does): the window that wraps, its stage-1 trim
+#: reaching into the head piece; a window wholly past the wrap; and a
+#: second-pass window, reading what the first pass skipped.
+WINDOW_EXAMPLES = {
+    "wrap": window_example(pre=[8]),
+    "after_wrap": window_example(m=0, pre=[2], calls=[([5.0] * 8, 30)]),
+    "second_pass": window_example(
+        m=0, calls=[([20.0] + [0.0] * 7, None)], policy="sync", filtered=True
+    ),
+}
+
+
+def window_world(case):
+    num_rows = (case["num_blocks"] - 1) * case["block_size"] + case["tail"]
+    world = make_world(
+        n=num_rows, candidates=case["candidates"], groups=case["groups"],
+        block_size=case["block_size"], seed=case["seed"],
+    )
+    assert world[0].num_blocks == case["num_blocks"]
+    return world
+
+
+def window_engine(cls, world, case):
+    """``cls`` on the case's world, counting on a :class:`RecordingBackend`,
+    with ``case["pre"]`` already read: marked consumed and its rows
+    delivered, as an earlier call would leave them."""
+    shuffled, index = world
+    table = shuffled.table
+    engine = cls(
+        shuffled=shuffled, candidate_attribute="z", grouping_attribute="x",
+        index=index, cost_model=CostModel(), clock=RecordingClock(),
+        policy=WINDOW_POLICIES[case["policy"]](), window_blocks=case["window"],
+        row_filter=table.column("x") % 2 == 0 if case["filtered"] else None,
+        start_block=case["start"], backend=RecordingBackend(),
+    )
+    pre = np.array(case["pre"], dtype=np.int64)
+    rows = engine.layout.rows_of_blocks(pre)
+    if engine._row_filter is not None:
+        rows = rows[engine._row_filter[rows]]
+    engine._delivered += np.bincount(
+        table.column("z")[rows], minlength=engine.num_candidates
+    )
+    engine._consumed[pre] = True
+    engine._unconsumed -= pre.size
+    return engine
+
+
+def window_script(engine, case):
+    """Run the case's calls; per call, what it returned, the blocks it
+    consumed, the clock charges it made and the engine's state after it."""
+    script = [("uniform", case["m"])] + [("until", call) for call in case["calls"]]
+    script.append(("until", ([np.inf] * engine.num_candidates, None)))
+    out = []
+    for kind, arg in script:
+        before, charged = engine._consumed.copy(), len(engine.clock.charges)
+        if kind == "uniform":
+            fresh = engine.sample_uniform(arg)
+        else:
+            fresh = engine.sample_until(np.array(arg[0]), max_rows=arg[1])
+        assert fresh.dtype == np.int64
+        counters = engine.counters
+        out.append((
+            fresh.tolist(),
+            np.flatnonzero(engine._consumed & ~before).tolist(),
+            engine.clock.charges[charged:],
+            (counters.blocks_read, counters.blocks_skipped,
+             counters.rows_delivered, counters.probes, counters.windows),
+            engine.delivered_rows().tolist(),
+            engine.fully_scanned,
+        ))
+    return out
+
+
+class KindRecordingOracle(ParentLoopEngine):
+    """The oracle, noting the kind of every scan-order window that held an
+    unconsumed block."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kinds, self.passes = set(), 0
+
+    def _parent_window(self):
+        scan = self._scan_order[self._parent_pos : self._parent_pos + self.window_blocks]
+        self.passes += self._parent_pos == 0
+        window = super()._parent_window()
+        if window.size:
+            self.kinds.add(
+                "second_pass" if self.passes > 1
+                else "wrap" if scan[0] > scan[-1]
+                else "after_wrap" if scan[0] < self._start
+                else "before_wrap"
+            )
+        return window
+
+
+class TestWindowContract:
+    @settings(max_examples=150, deadline=None)
+    @given(case=window_cases())
+    @example(case=WINDOW_EXAMPLES["wrap"])
+    @example(case=WINDOW_EXAMPLES["after_wrap"])
+    @example(case=WINDOW_EXAMPLES["second_pass"])
+    def test_window_engine_matches_the_parent_oracle(self, case):
+        """Ascending windows built from the consumed mask consume the
+        blocks, return the matrices, make the clock charges and reach the
+        counters of the parent's scan-order windows, call by call."""
+        world = window_world(case)
+        engine = window_engine(BlockSamplingEngine, world, case)
+        got = window_script(engine, case)
+        want = window_script(window_engine(ParentLoopEngine, world, case), case)
+        assert got == want
+        for blocks in engine.backend.calls:  # each count is one ascending batch
+            assert (np.diff(blocks) > 0).all()
+
+    @pytest.mark.parametrize("kind", list(WINDOW_EXAMPLES))
+    def test_window_examples_cover_every_kind(self, kind):
+        case = WINDOW_EXAMPLES[kind]
+        oracle = window_engine(KindRecordingOracle, window_world(case), case)
+        window_script(oracle, case)
+        assert kind in oracle.kinds, oracle.kinds
+
+    def test_window_descending_is_rejected_by_every_span_policy(self):
+        """The parent's wrap window, in scan order, spans nothing: each
+        policy that reads a span raises instead of marking the wrong range
+        (``ScanAllPolicy`` reads no span; it reads every block given)."""
+        shuffled, index = make_world()  # 120 blocks
+        policies = [
+            AnyActiveSyncPolicy(),
+            AnyActiveLookaheadPolicy(),
+            DensityAnyActivePolicy(np.eye(8, dtype=bool), build_density_map(shuffled, "z")),
+        ]
+        active = np.arange(8)
+        for policy in policies:
+            for window in (np.r_[115:120, 0:5], np.array([6, 5])):
+                with pytest.raises(ValueError, match="ascending"):
+                    policy.select(index, window, active, CostModel(), True)
+            ascending = policy.select(index, np.r_[0:5, 115:120], active, CostModel(), True)
+            assert ascending.read_mask.shape == (10,)
+
+    @pytest.mark.parametrize("policy_cls", [AnyActiveLookaheadPolicy, AnyActiveSyncPolicy])
+    def test_window_out_of_range_active_value_raises_on_the_engine_path(self, policy_cls):
+        """The active set is range-checked at its ends, so a candidate the
+        index has no bitmap for still raises (an index over 4 values, an
+        engine over 8)."""
+        shuffled, _ = make_world()
+        narrow = BlockBitmapIndex.build(
+            np.minimum(shuffled.table.column("z"), 3), 4, shuffled.layout.block_size
+        )
+        engine, _ = make_engine(shuffled, narrow, policy_cls())
+        needed = np.zeros(engine.num_candidates)
+        needed[[1, 7]] = 10
+        with pytest.raises(ValueError, match="values out of range"):
+            engine.sample_until(needed)
 
 
 class TestRegimeMatrix:

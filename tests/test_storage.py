@@ -410,3 +410,26 @@ class TestIOManager:
         shuffled, batches = world
         cm = CostModel(block_overhead_ns=overhead, tuple_read_ns=per_tuple)
         assert_charged_per_block(IOManager(shuffled, cm), batches, exact=False)
+
+    @settings(max_examples=80, deadline=None)
+    @given(world=layout_and_batches(), per_tuple=st.floats(0.0, 1000.0))
+    def test_charge_is_read_cost_from_size_and_last_block(self, world, per_tuple):
+        """The sampling engine's O(1) charge of an ascending batch is what
+        ``read_cost`` charges after checking it: same cost, same counters."""
+        shuffled, batches = world
+        cm = CostModel(tuple_read_ns=per_tuple)
+        checked, direct = IOManager(shuffled, cm), IOManager(shuffled, cm)
+        for blocks in batches:
+            assert direct.charge(blocks.size, int(blocks[-1])) == checked.read_cost(blocks)
+        for attribute in ("total_blocks_read", "total_rows_read", "total_cost_ns"):
+            assert getattr(direct, attribute) == getattr(checked, attribute)
+        assert direct.charge(0, 0) == 0.0
+
+    def test_charge_rejects_a_last_block_outside_the_layout(self):
+        s = shuffle_table(small_table(100), 32, np.random.default_rng(5))
+        io = IOManager(s, CostModel())
+        for last in (4, -1):
+            with pytest.raises(ValueError, match="block index out of range"):
+                io.charge(2, last)
+        assert io.total_blocks_read == io.total_rows_read == 0
+        assert io.total_cost_ns == 0.0
