@@ -145,10 +145,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="workers for --backend sharded/threads (default: CPU count)")
     parser.add_argument(
         "--kernel", choices=KERNEL_SPECS, default=default("auto"),
-        help="counting kernel: 'auto' picks the narrowest exact path, "
-             "'fused' adds a cached pair-code column (session layer), "
-             "'narrow'/'classic' force a specific path — all choices "
-             "produce byte-identical answers (default: auto)",
+        help="counting kernel: 'fused' prepares each query's pair-code "
+             "column and counts it, 'auto' builds codes per window — "
+             "byte-identical answers either way (default: auto)",
     )
 
 
@@ -352,9 +351,10 @@ def _run_single(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             scan = report = run_approach(prepared, "scan", config, seed=args.seed, backend=backend)
         else:
             scan = run_approach(prepared, "scan", config, seed=args.seed)
+            if args.kernel == "fused":
+                prepared = prepared.with_pair_codes()
             report = run_approach(
-                prepared, args.approach, config, seed=args.seed,
-                backend=backend, kernel=args.kernel,
+                prepared, args.approach, config, seed=args.seed, backend=backend
             )
     finally:
         backend.close()

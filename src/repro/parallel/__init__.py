@@ -50,11 +50,8 @@ from .backend import (
 )
 from .kernels import (
     KERNEL_SPECS,
-    KERNELS,
-    KernelChoice,
     build_pair_codes,
     check_pair_codes,
-    choose_kernel,
     count_codes,
     count_window,
     pair_code_dtype,
@@ -69,12 +66,10 @@ from .worker import ShardResult, ShardTask
 __all__ = [
     "AFFINITY_POLICIES",
     "BACKENDS",
-    "KERNELS",
     "KERNEL_SPECS",
     "WORKER_BACKENDS",
     "CountSource",
     "ExecutionBackend",
-    "KernelChoice",
     "SegmentRef",
     "SerialBackend",
     "Shard",
@@ -91,7 +86,6 @@ __all__ = [
     "available_cpus",
     "build_pair_codes",
     "check_pair_codes",
-    "choose_kernel",
     "count_codes",
     "count_pairs",
     "count_window",

@@ -47,13 +47,7 @@ from ..obs.tracer import NULL_TRACER
 from ..storage.blocks import BlockLayout
 from ..storage.shuffle import ShuffledTable
 from .affinity import AFFINITY_POLICIES, plan_affinity
-from .kernels import (
-    KernelChoice,
-    _count_pairs_moved,
-    choose_kernel,
-    count_pairs,
-    count_window,
-)
+from .kernels import count_pairs, count_window
 from .merge import ShardMerger
 from .shard import Shard, ShardPlanner
 from .worker import ShardResult, WorkerSlots
@@ -106,25 +100,11 @@ class CountSource:
     #: attributed to the job even on a backend shared across tenants.
     #: Defaults to the shared no-op (one branch on the hot path).
     profiler: object = NULL_PROFILER
-    #: Prepared pair-code column (:func:`~repro.parallel.kernels.build_pair_codes`)
-    #: enabling the fused kernel; ``None`` when not prepared.  A column
-    #: folded with the query's row filter comes with ``row_filter=None`` —
-    #: the sampling engine hands over one or the other.
+    #: Prepared pair-code column (:func:`~repro.parallel.kernels.build_pair_codes`),
+    #: counted instead of ``z`` and ``x`` when present; ``None`` when not
+    #: prepared.  A column folded with the query's row filter comes with
+    #: ``row_filter=None`` — the sampling engine hands over one or the other.
     codes: np.ndarray | None = None
-    #: Kernel forwarded to :func:`~repro.parallel.kernels.count_window`:
-    #: given as a spec, held as the choice it resolves to for this code
-    #: space and ``codes`` — made once here, not once per window.
-    kernel: str | KernelChoice = "auto"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kernel, KernelChoice):
-            object.__setattr__(
-                self,
-                "kernel",
-                choose_kernel(
-                    self.kernel, self.num_candidates, self.num_groups, self.codes
-                ),
-            )
 
 
 def exact_pass_source(
@@ -197,7 +177,6 @@ class ExecutionBackend(ABC):
             source.num_groups,
             row_filter=source.row_filter,
             codes=source.codes,
-            kernel=source.kernel,
         )
         if profiler.enabled:
             profiler.record_kernel(
@@ -224,27 +203,33 @@ class ExecutionBackend(ABC):
         """Exact ``(candidate, group)`` counts over every row of ``table``.
 
         ``row_filter`` (a boolean row mask) drops rows before counting;
-        ``None`` means no predicate.  The default implementation is the
-        serial single-pass bincount; sharded backends partition the rows and
-        merge, with byte-identical results (exact integer sums over a
-        disjoint row partition).
+        ``None`` means no predicate.  The default implementation is one
+        serial :func:`~repro.parallel.kernels.count_window` over every block
+        of the exact-pass layout (:func:`exact_pass_source`) — a zero-copy
+        run; worker backends partition the same blocks and merge, with
+        byte-identical results (exact integer sums over a disjoint row
+        partition).
         """
         profiler = self.profiler
         started = time.perf_counter_ns() if profiler.enabled else 0
-        z = table.column(z_name)
-        x = table.column(x_name)
-        moved = 0
-        if row_filter is not None:
-            z = z[row_filter]
-            x = x[row_filter]
-            moved += int(z.nbytes + x.nbytes)
-        counts, code_bytes = _count_pairs_moved(z, x, num_candidates, num_groups)
+        source, blocks = exact_pass_source(
+            table, z_name, x_name, num_candidates, num_groups, profiler
+        )
+        counts, moved = count_window(
+            table.column(z_name),
+            table.column(x_name),
+            blocks,
+            source.shuffled.layout,
+            num_candidates,
+            num_groups,
+            row_filter=row_filter,
+        )
         if profiler.enabled:
             profiler.record_kernel(
                 "serial.count_table",
                 float(time.perf_counter_ns() - started),
                 rows=int(counts.sum()),
-                nbytes=moved + code_bytes,
+                nbytes=moved,
                 bincounts=1,
             )
         return counts

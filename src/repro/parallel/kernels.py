@@ -1,77 +1,68 @@
 """Counting kernels: the one place window counting arithmetic lives.
 
 Every backend routes the gather + filter + bincount of a window's blocks
-through :func:`count_window`, which dispatches to one of three registered
-kernels — all byte-identical in output to the legacy serial path, differing
-only in how many bytes they materialize on the way:
+through :func:`count_window`, which picks its path from what it is handed:
 
-- ``"classic"`` — the legacy arithmetic, verbatim: an int64 row-index
-  gather (:meth:`~repro.storage.blocks.BlockLayout.rows_of_blocks`), fancy
-  indexing into fresh stored-dtype arrays, an int64 upcast of both columns,
-  then ``z * G + x`` in int64 and one bincount.  Kept as the reference
-  kernel the identity tests pin the others against.
-- ``"narrow"`` — gathers the window as whole blocks (a zero-copy slice
-  when the blocks are one contiguous run, otherwise one ``take`` through a
-  ``(num_blocks, block_size)`` view) instead of materializing a row-index
-  array, and computes the pair codes directly in :func:`pair_code_dtype` —
-  the narrowest dtype that holds ``num_candidates * num_groups`` codes —
-  skipping the per-window int64 upcasts entirely.  Selected automatically
-  whenever the code space fits ``uint32``.
-- ``"fused"`` — counts a *prepared pair-code column* (``z * G + x``
-  materialized once per ``(z, x, predicate)`` by :func:`build_pair_codes`
-  and cached in the session's prepared-artifact layer), so per-window work
-  degenerates to block gather + bincount.  A single-run window bincounts a
-  zero-copy view: zero bytes moved.
+- with a **prepared pair-code column** (``z * G + x`` materialized once per
+  ``(z, x, predicate)`` by :func:`build_pair_codes` and cached in the
+  session's prepared-artifact layer), a block gather of that column and one
+  bincount — a single-run window bincounts a zero-copy view;
+- without one, the same block gather of ``z`` and ``x`` and the pair codes
+  built per window in :func:`pair_code_dtype`, the narrowest dtype that
+  holds ``num_candidates * num_groups`` codes (no row-index array, no int64
+  upcast).
+
+Both are one kernel, ``_block_kernel``.  The block gather is a zero-copy
+slice when the blocks are one contiguous run, otherwise one ``take``
+through a ``(num_blocks, block_size)`` view.  ``kernel="classic"`` runs the
+legacy arithmetic instead, verbatim — an int64 row-index gather
+(:meth:`~repro.storage.blocks.BlockLayout.rows_of_blocks`), fancy indexing,
+an int64 upcast of both columns, ``z * G + x`` in int64 and one bincount —
+kept as the reference the identity tests and the kernel microbench compare
+against; nothing in the library selects it.
 
 **The sentinel bin.**  A code column built under a row filter carries the
 filter: every row the filter drops holds the one code no pair can have,
-``C*G`` (the column's dtype is chosen to hold it).  The fused kernel
-therefore always counts into ``C*G + 1`` bins and drops the last — one
+``C*G`` (the column's dtype is chosen to hold it).  A prepared column is
+therefore always counted into ``C*G + 1`` bins and the last dropped — one
 expression for plain and folded columns, no filter gather and no boolean
 compress per window — and :func:`count_codes` takes a predicated query's
-exact ground truth as one ``bincount`` of the column.  A code *above* the
-sentinel is rejected, never miscounted.  :func:`check_pair_codes` is the
-cheap test a consumer runs on a column it is handed together with the
-filter it is said to carry.
+exact ground truth as one ``bincount`` of the column.  A code *above* the sentinel is
+rejected, never miscounted.  :func:`check_pair_codes` is the cheap test a
+consumer runs on a column it is handed together with the filter it is said
+to carry.
 
 Codes are exact in any of these dtypes (values are validated in
 ``[0, cardinality)`` by :class:`~repro.storage.table.ColumnTable`, and the
 narrow dtype is chosen to hold ``C*G - 1``, or the sentinel ``C*G`` for a
 folded column), and ``np.bincount`` output is int64 regardless of input
-dtype, so kernel choice can never change counts — only bytes moved and
+dtype, so the path taken can never change counts — only bytes moved and
 nanoseconds spent.
 
-Beside the kernels sits :func:`tally_window`, the candidate-column-only
+Beside the kernel sits :func:`tally_window`, the candidate-column-only
 reduction — the matrix's row sums without the matrix — that the sampling
 engine runs per window when the code space is larger than a window's rows
 and the ``(candidate, group)`` cells are counted once per sampling call
-instead.  It is not a kernel: nothing selects it, and it reuses the kernels'
-whole-block gather.  :func:`rows_per_candidate` is the same vector taken
-from a matrix already counted — the one row-sum expression of the engine
-and the algorithm.
+instead.  It reuses the kernel's whole-block gather.
+:func:`rows_per_candidate` is the same vector taken from a matrix already
+counted — the one row-sum expression of the engine and the algorithm.
 
-Each kernel returns ``(counts, moved_bytes)`` where ``moved_bytes`` counts
-bytes *materialized into fresh arrays* by the kernel (gathers, upcasts,
-code arrays, filter outputs); zero-copy views contribute nothing.  That is
-the quantity the profiler's ``bytes_moved`` counter reports and the kernel
-benchmark gates on.
+:func:`count_window` returns ``(counts, moved_bytes)`` where
+``moved_bytes`` counts bytes *materialized into fresh arrays* (gathers,
+upcasts, code arrays, filter outputs); zero-copy views contribute nothing.
+That is the quantity the profiler's ``bytes_moved`` counter reports.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from ..storage.blocks import BlockLayout
 
 __all__ = [
-    "KERNELS",
     "KERNEL_SPECS",
-    "KernelChoice",
     "build_pair_codes",
     "check_pair_codes",
-    "choose_kernel",
     "count_codes",
     "count_pairs",
     "count_window",
@@ -80,11 +71,14 @@ __all__ = [
     "tally_window",
 ]
 
-#: Concrete kernel names, in the order auto-selection prefers them.
-KERNELS = ("fused", "narrow", "classic")
+#: What sessions and the CLI accept: ``"fused"`` prepares and caches each
+#: query's pair-code column, ``"auto"`` counts one only where an artifact
+#: already has it.  Either way the answers are byte-identical.
+KERNEL_SPECS = ("auto", "fused")
 
-#: What sessions/CLI accept: ``"auto"`` picks per :func:`choose_kernel`.
-KERNEL_SPECS = ("auto", "classic", "narrow", "fused")
+#: The code dtypes, narrowest first: ``bincount`` accepts each, and never
+#: ``uint64``.
+_CODE_DTYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.int64))
 
 
 def pair_code_dtype(num_candidates: int, num_groups: int) -> np.dtype:
@@ -94,15 +88,16 @@ def pair_code_dtype(num_candidates: int, num_groups: int) -> np.dtype:
     accepts them), otherwise ``int64`` — never ``uint64``, which
     ``bincount`` rejects.
     """
-    return _narrowest_dtype(max(int(num_candidates) * int(num_groups) - 1, 0))
+    return _narrowest_dtype(int(num_candidates) * int(num_groups) - 1)
 
 
 def _narrowest_dtype(top: int) -> np.dtype:
-    """Narrowest ``bincount``-able dtype holding every value in ``[0, top]``."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if top <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
+    """Narrowest ``bincount``-able dtype holding every value in ``[0, top]``.
+
+    Three integer comparisons, so a window that builds its codes can
+    resolve the dtype on every call.
+    """
+    return _CODE_DTYPES[(top > 0xFF) + (top > 0xFFFF) + (top > 0xFFFF_FFFF)]
 
 
 def _pair_codes(
@@ -127,7 +122,7 @@ def build_pair_codes(
     num_groups: int,
     row_filter: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The prepared pair-code column the ``"fused"`` kernel counts.
+    """The prepared pair-code column :func:`count_window` counts.
 
     Materialized once per ``(z, x)`` column pair and ``row_filter`` (memory
     cost: one item of the code dtype per row) and cached/published like any
@@ -231,57 +226,9 @@ def count_pairs(
     z: np.ndarray, x: np.ndarray, num_candidates: int, num_groups: int
 ) -> np.ndarray:
     """Bincount already-gathered ``(z, x)`` codes into a count matrix."""
-    return _count_pairs_moved(z, x, num_candidates, num_groups)[0]
-
-
-def _count_pairs_moved(
-    z: np.ndarray, x: np.ndarray, num_candidates: int, num_groups: int
-) -> tuple[np.ndarray, int]:
-    """:func:`count_pairs` plus the bytes it materialized (the code array)."""
     codes = _pair_codes(z, x, num_groups, pair_code_dtype(num_candidates, num_groups))
     flat = np.bincount(codes, minlength=num_candidates * num_groups)
-    counts = flat.reshape(num_candidates, num_groups).astype(np.int64, copy=False)
-    return counts, int(codes.nbytes)
-
-
-class KernelChoice(NamedTuple):
-    """A kernel spec resolved against one code space.
-
-    What :func:`count_window` dispatches on.  A caller that counts many
-    windows over one ``(z, x)`` pair (:class:`~repro.parallel.CountSource`)
-    resolves once with :func:`choose_kernel` and passes the choice in the
-    spec's place, together with the ``codes`` it was resolved for.
-    """
-
-    name: str
-    code_dtype: np.dtype
-
-
-def choose_kernel(
-    kernel: str,
-    num_candidates: int,
-    num_groups: int,
-    codes: np.ndarray | None = None,
-) -> KernelChoice:
-    """Auto-selection: the concrete kernel (and code dtype) a spec resolves to.
-
-    A prepared code column always wins (the expensive part is already
-    paid).  Otherwise ``"narrow"`` whenever the code space fits below
-    int64 — including for ``kernel="fused"`` without codes, which degrades
-    gracefully rather than failing — and ``"classic"`` as the fallback.
-    """
-    if kernel not in KERNEL_SPECS:
-        raise ValueError(f"kernel must be one of {KERNEL_SPECS}, got {kernel!r}")
-    code_dtype = pair_code_dtype(num_candidates, num_groups)
-    if kernel == "classic":
-        name = "classic"
-    elif codes is not None:
-        name = "fused"
-    elif code_dtype != np.dtype(np.int64):
-        name = "narrow"
-    else:
-        name = "classic"
-    return KernelChoice(name, code_dtype)
+    return flat.reshape(num_candidates, num_groups).astype(np.int64, copy=False)
 
 
 def _block_gather(blocks: np.ndarray, layout: BlockLayout):
@@ -326,7 +273,6 @@ def _block_gather(blocks: np.ndarray, layout: BlockLayout):
 
 def _classic_kernel(
     z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice,
-    codes, code_dtype,
 ) -> tuple[np.ndarray, int]:
     """The legacy serial path, with its materializations accounted."""
     rows = layout.rows_of_blocks(blocks)
@@ -354,60 +300,44 @@ def _classic_kernel(
     return counts, moved
 
 
-def _narrow_kernel(
+def _block_kernel(
     z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice,
-    codes, code_dtype,
+    codes,
 ) -> tuple[np.ndarray, int]:
-    """Whole-block gather + narrow-dtype codes (no row index, no upcast)."""
-    gather = _block_gather(blocks, layout)
-    zz, z_moved = gather(z)
-    xx, x_moved = gather(x)
-    moved = z_moved + x_moved
-    if row_filter is not None:
-        keep, keep_moved = gather(row_filter)
-        moved += keep_moved
-    else:
-        keep = filter_slice
-    if keep is not None:
-        zz = zz[keep]
-        xx = xx[keep]
-        moved += int(zz.nbytes + xx.nbytes)
-    flat_codes = _pair_codes(zz, xx, num_groups, code_dtype)
-    moved += int(flat_codes.nbytes)
-    flat = np.bincount(flat_codes, minlength=num_candidates * num_groups)
-    counts = flat.reshape(num_candidates, num_groups).astype(np.int64, copy=False)
-    return counts, moved
-
-
-def _fused_kernel(
-    z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice,
-    codes, code_dtype,
-) -> tuple[np.ndarray, int]:
-    """Block gather + bincount over the prepared pair-code column.
+    """Whole-block gather + bincount of pair codes: the prepared column's
+    when there is one, otherwise narrow codes built from the gathered
+    ``z`` and ``x``.
 
     A folded column (:func:`build_pair_codes` with its ``row_filter``) comes
     with no filter and counts its dropped rows into the sentinel bin; a
     plain column with an explicit filter still compresses.
     """
     gather = _block_gather(blocks, layout)
-    flat_codes, moved = gather(codes)
     if row_filter is not None:
-        keep, keep_moved = gather(row_filter)
-        moved += keep_moved
+        keep, moved = gather(row_filter)
     else:
-        keep = filter_slice
+        keep, moved = filter_slice, 0
+    if codes is not None:
+        flat_codes, codes_moved = gather(codes)
+        moved += codes_moved
+        if keep is not None:
+            flat_codes = flat_codes[keep]
+            moved += int(flat_codes.nbytes)
+        return _count_codes(flat_codes, num_candidates, num_groups), moved
+    zz, z_moved = gather(z)
+    xx, x_moved = gather(x)
     if keep is not None:
-        flat_codes = flat_codes[keep]
-        moved += int(flat_codes.nbytes)
-    return _count_codes(flat_codes, num_candidates, num_groups), moved
-
-
-#: The kernel registry :func:`count_window` dispatches through.
-KERNEL_REGISTRY = {
-    "classic": _classic_kernel,
-    "narrow": _narrow_kernel,
-    "fused": _fused_kernel,
-}
+        zz = zz[keep]
+        xx = xx[keep]
+        moved += int(zz.nbytes + xx.nbytes)
+    flat_codes = _pair_codes(
+        zz, xx, num_groups, pair_code_dtype(num_candidates, num_groups)
+    )
+    moved += z_moved + x_moved + int(flat_codes.nbytes)
+    # Codes built here hold no sentinel: no spare bin, nothing to check.
+    flat = np.bincount(flat_codes, minlength=num_candidates * num_groups)
+    counts = flat.reshape(num_candidates, num_groups).astype(np.int64, copy=False)
+    return counts, moved
 
 
 def count_window(
@@ -421,31 +351,33 @@ def count_window(
     row_filter: np.ndarray | None = None,
     filter_slice: np.ndarray | None = None,
     codes: np.ndarray | None = None,
-    kernel: str | KernelChoice = "auto",
+    kernel: str = "auto",
 ) -> tuple[np.ndarray, int]:
     """Count ``(z, x)`` pairs of the rows covered by ``blocks``.
 
-    The shared entry point of every backend's window counting: resolves
-    ``kernel`` (a spec, see :func:`choose_kernel`, or a choice already
-    made for this code space and ``codes``), dispatches to the registry,
-    and returns the int64 ``(num_candidates, num_groups)`` count matrix
-    plus the bytes the kernel materialized.
+    The shared entry point of every backend's window counting: returns the
+    int64 ``(num_candidates, num_groups)`` count matrix plus the bytes
+    materialized on the way.  ``codes`` is the prepared pair-code column
+    (:func:`build_pair_codes`); when given, it is what is counted, and a
+    column built with a ``row_filter`` already carries it and is passed
+    without one.  ``kernel="classic"`` runs the legacy reference arithmetic
+    on ``z`` and ``x`` instead; any other value lets the inputs decide.
 
     The filter comes either as ``row_filter`` (a full-table boolean mask)
     or ``filter_slice`` (a mask already aligned to the blocks' rows in
-    block order) — mutually exclusive, same arithmetic.  ``codes`` is the
-    prepared pair-code column (:func:`build_pair_codes`) enabling the
-    fused kernel; a column built with a ``row_filter`` already carries it
-    and is passed without one.
+    block order) — mutually exclusive, same arithmetic.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.size == 0:
         return np.zeros((num_candidates, num_groups), dtype=np.int64), 0
-    if not isinstance(kernel, KernelChoice):
-        kernel = choose_kernel(kernel, num_candidates, num_groups, codes=codes)
-    return KERNEL_REGISTRY[kernel.name](
+    if kernel == "classic":
+        return _classic_kernel(
+            z, x, blocks, layout, num_candidates, num_groups,
+            row_filter, filter_slice,
+        )
+    return _block_kernel(
         z, x, blocks, layout, num_candidates, num_groups,
-        row_filter, filter_slice, codes, kernel.code_dtype,
+        row_filter, filter_slice, codes,
     )
 
 
@@ -453,9 +385,9 @@ def rows_per_candidate(counts: np.ndarray) -> np.ndarray:
     """Rows per candidate of a ``(candidate, group)`` count matrix.
 
     ``counts.sum(axis=1)`` as a fresh int64 vector, by the reduction that is
-    2–3x faster on the narrow C-ordered matrices every kernel returns (3.3
-    against 7.6 µs at 347 x 24, 9 against 27 at 2110 x 2) and level with it
-    on square ones.  Integer addition, so exact in any order.  Only a
+    2–3x faster on the narrow C-ordered matrices :func:`count_window`
+    returns (3.3 against 7.6 µs at 347 x 24, 9 against 27 at 2110 x 2) and
+    level with it on square ones.  Integer addition, so exact in any order.  Only a
     Fortran-ordered or few-cell matrix takes longer this way (under a
     microsecond, 15% at 7641 x 24); nothing here produces one, so there is
     one expression.  ``dtype`` keeps ``sum``'s widening of a narrower
@@ -478,7 +410,8 @@ def tally_window(
     gather of the candidate column (and of the filter), one bincount to
     ``num_candidates`` cells.  What block selection needs from a window
     whose ``(candidate, group)`` cells are counted later, all at once.
-    Returns the int64 tally plus the bytes materialized, as the kernels do.
+    Returns the int64 tally plus the bytes materialized, as
+    :func:`count_window` does.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.size == 0:

@@ -163,7 +163,6 @@ class ShardedBackend(WorkerBackend):
                 gc_epoch=gc_epoch,
                 live_segments=live_segments,
                 codes_ref=codes_ref,
-                kernel=source.kernel,
             ))
             for shard in shards
         ]

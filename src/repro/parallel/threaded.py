@@ -111,7 +111,6 @@ class ThreadPoolBackend(WorkerBackend):
                 source.num_groups,
                 row_filter=row_filter,
                 codes=source.codes,
-                kernel=source.kernel,
             )
             for shard in shards
         ]

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..storage.blocks import BlockLayout
 from .affinity import apply_affinity
-from .kernels import KernelChoice, count_window
+from .kernels import count_window
 from .shm import SegmentRef, attach_segment
 
 __all__ = [
@@ -65,12 +65,10 @@ class ShardTask:
     #: releasing pages the coordinator unlinked on cache eviction.
     gc_epoch: int = 0
     live_segments: tuple[str, ...] | None = None
-    #: Prepared pair-code column (published to shared memory) enabling the
-    #: fused kernel; ``None`` when the session has not prepared one.
+    #: Prepared pair-code column (published to shared memory), counted
+    #: instead of ``z`` and ``x``; ``None`` when the session has not
+    #: prepared one.
     codes_ref: SegmentRef | None = None
-    #: Kernel spec, or the coordinator's resolved choice, forwarded to
-    #: :func:`~repro.parallel.kernels.count_window`.
-    kernel: str | KernelChoice = "auto"
 
 
 @dataclass(frozen=True)
@@ -243,5 +241,4 @@ def run_task(task: ShardTask) -> ShardResult:
         row_filter=_view(task.filter_ref),
         filter_slice=task.filter_values,
         codes=_view(task.codes_ref),
-        kernel=task.kernel,
     )

@@ -81,12 +81,7 @@ import numpy as np
 from ..bitmap.bitmap_index import BlockBitmapIndex
 from ..obs.profiler import NULL_PROFILER
 from ..parallel.backend import CountSource, ExecutionBackend, SerialBackend
-from ..parallel.kernels import (
-    check_pair_codes,
-    choose_kernel,
-    rows_per_candidate,
-    tally_window,
-)
+from ..parallel.kernels import check_pair_codes, rows_per_candidate, tally_window
 from ..storage.cost_model import CostModel
 from ..storage.io_manager import IOManager
 from ..storage.shuffle import ShuffledTable
@@ -133,7 +128,7 @@ class BlockSamplingEngine:
         Optional boolean row mask (extra WHERE predicate).  AnyActive still
         keys on ``Z`` presence — a conservative superset of matching blocks
         — while delivered tuples are filtered exactly: by the backend's
-        kernel, or by ``codes`` when the engine has them.
+        count, or by ``codes`` when the engine has them.
     backend:
         The :class:`~repro.parallel.ExecutionBackend` that counts the
         delivered blocks.  Default: a private serial backend.
@@ -143,12 +138,9 @@ class BlockSamplingEngine:
         counting-kernel effort even on a shared backend.  ``None`` (the
         default) wires the shared no-op profiler: one attribute load and
         branch per window, no allocation.
-    kernel:
-        Counting-kernel spec forwarded to the backend via the
-        :class:`CountSource` (see :mod:`~repro.parallel.kernels`).
-        ``"auto"`` (the default) picks the cheapest byte-identical kernel.
     codes:
-        Optional prepared pair-code column enabling the fused kernel, one
+        Optional prepared pair-code column, counted instead of ``Z`` and
+        ``X`` whenever given (see :mod:`~repro.parallel.kernels`), one
         entry per row, **folded with this engine's** ``row_filter``
         (:func:`~repro.parallel.kernels.build_pair_codes` given the same
         mask; :meth:`PreparedQuery.with_pair_codes
@@ -179,7 +171,6 @@ class BlockSamplingEngine:
         start_block: int | None = None,
         backend: ExecutionBackend | None = None,
         profiler=None,
-        kernel: str = "auto",
         codes: np.ndarray | None = None,
         candidate_totals: np.ndarray | None = None,
     ) -> None:
@@ -217,9 +208,6 @@ class BlockSamplingEngine:
             if codes.shape != (shuffled.num_rows,):
                 raise ValueError("codes must have one entry per row")
             check_pair_codes(codes, row_filter, self._num_candidates, self._num_groups)
-        choice = choose_kernel(kernel, self._num_candidates, self._num_groups, codes)
-        if choice.name != "fused":
-            codes = None  # "classic" reads z, x and the filter, not the column
         # Either the folded column or the filter, never both.
         self._source = CountSource(
             shuffled=shuffled,
@@ -230,7 +218,6 @@ class BlockSamplingEngine:
             row_filter=row_filter if codes is None else None,
             profiler=self.profiler,
             codes=codes,
-            kernel=choice,
         )
 
         if candidate_totals is None:

@@ -21,10 +21,11 @@ A :class:`~repro.system.session.MatchSession` hands such jobs to its
 scheduler; :func:`run_approach` builds the same job on a clock of its own
 and steps it to completion.
 
-``PreparedQuery.pair_codes`` — the column the fused kernel counts — is
-always *folded with the artifact's own* ``row_filter``: rows the predicate
-drops hold the sentinel code, so an engine over the artifact hands its
-backend the column and no filter.  :func:`prepared_pair_codes` is the one
+``PreparedQuery.pair_codes`` — the column window counting reads instead
+of ``z`` and ``x`` when an artifact has one — is always *folded with the
+artifact's own* ``row_filter``: rows the predicate drops hold the sentinel
+code, so an engine over the artifact hands its backend the column and no
+filter.  :func:`prepared_pair_codes` is the one
 builder (the session caches its output; :meth:`PreparedQuery.with_pair_codes`
 applies it to an artifact prepared without a session), which is what keeps a
 column from being paired with a filter it was not built from.
@@ -123,9 +124,9 @@ class PreparedQuery:
     #: Optional prepared pair-code column, **folded with this artifact's**
     #: ``row_filter`` (:func:`prepared_pair_codes`): built by the session
     #: layer when its kernel is ``"fused"``, or by :meth:`with_pair_codes`;
-    #: enables take+bincount window counting, filtered or not.  ``None`` for
-    #: one-shot runs — building it costs a full-column pass, worth paying
-    #: only when the artifact is cached.  A column built any other way
+    #: makes every window count a take+bincount, filtered or not.  ``None``
+    #: for one-shot runs by default — building it costs a full-column pass,
+    #: worth paying when the artifact is cached.  A column built any other way
     #: would count rows the predicate drops; the engine only spot-checks.
     pair_codes: np.ndarray | None = None
 
@@ -218,10 +219,10 @@ def make_engine(
 ) -> BlockSamplingEngine:
     """Build the block sampling engine for one sampling approach — the one
     a stepper job samples through.  ``backend`` routes the engine's
-    block delivery (serial by default; sharded when opted in); ``kernel``
-    selects the counting kernel, and the prepared query's ``pair_codes``
-    (when built; folded with its ``row_filter``) ride along to enable the
-    fused one."""
+    block delivery (serial by default; sharded when opted in), and the
+    prepared query's ``pair_codes`` (when built; folded with its
+    ``row_filter``) are what its windows count.  ``kernel`` is accepted and
+    ignored: how a window is counted follows from the artifact."""
     if approach == "fastmatch":
         policy = AnyActiveLookaheadPolicy()
         window = config.lookahead
@@ -246,7 +247,6 @@ def make_engine(
         row_filter=prepared.row_filter,
         backend=backend,
         profiler=profiler,
-        kernel=kernel,
         codes=prepared.pair_codes,
         candidate_totals=prepared.candidate_totals,
     )
@@ -387,13 +387,13 @@ class _StepperJob(_Job):
     by whoever drives it."""
 
     def __init__(
-        self, *args, seed: int, max_step_rows: int | None, kernel: str, **options
+        self, *args, seed: int, max_step_rows: int | None, **options
     ) -> None:
         super().__init__(*args, **options)
         rng = np.random.default_rng(seed)
         self.engine = make_engine(
             self.prepared, self.approach, self.config, self.cost_model, self.clock,
-            rng, self._backend, profiler=self.profiler, kernel=kernel,
+            rng, self._backend, profiler=self.profiler,
         )
         stats_engine = StatsEngine(self.cost_model, self.clock)
         algorithm = HistSim(
@@ -530,7 +530,6 @@ def _make_job(
     *,
     seed: int,
     max_step_rows: int | None = None,
-    kernel: str = "auto",
     **options,
 ) -> _Job:
     """The resumable job that runs ``approach`` on ``prepared`` against
@@ -541,9 +540,7 @@ def _make_job(
     args = (name, prepared, approach, config, cost_model, clock)
     if approach == "scan":
         return _ScanJob(*args, **options)
-    return _StepperJob(
-        *args, seed=seed, max_step_rows=max_step_rows, kernel=kernel, **options
-    )
+    return _StepperJob(*args, seed=seed, max_step_rows=max_step_rows, **options)
 
 
 def run_approach(
@@ -554,7 +551,6 @@ def run_approach(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     audit: bool = True,
     backend: ExecutionBackend | None = None,
-    kernel: str = "auto",
 ) -> RunReport:
     """Execute one approach on a prepared query and report result + cost.
 
@@ -564,14 +560,15 @@ def run_approach(
     approach — the sampling approaches' block counts and the exact
     ``"scan"``'s single counting pass are sharded once they reach a worker
     backend's floor — with byte-identical results either way; the caller
-    owns its lifetime (:meth:`ExecutionBackend.close`).  ``kernel`` selects
-    the counting kernel (all choices byte-identical).
+    owns its lifetime (:meth:`ExecutionBackend.close`).  Windows count the
+    artifact's pair-code column when it has one
+    (:meth:`PreparedQuery.with_pair_codes`).
     """
     clock = SimulatedClock()
     job = _make_job(
         prepared.query.name or prepared.query.candidate_attribute,
         prepared, approach, config, cost_model, clock,
-        seed=seed, audit=audit, backend=backend, kernel=kernel,
+        seed=seed, audit=audit, backend=backend,
     )
     while not job.done:
         job.step()

@@ -38,7 +38,7 @@ from typing import Iterator
 
 from ..obs.profiler import NULL_PROFILER
 from ..obs.tracer import NULL_TRACER
-from ..parallel import ExecutionBackend, make_backend
+from ..parallel import KERNEL_SPECS, ExecutionBackend, make_backend
 from ..serving.request import UnknownDataset
 from ..storage.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..storage.table import ColumnTable
@@ -63,9 +63,10 @@ class SessionRegistry:
         Worker count for ``backend="sharded"`` (processes) or
         ``backend="threads"`` (threads).
     kernel:
-        Default counting-kernel spec for every session
+        Default ``kernel`` of every session, ``"auto"`` or ``"fused"``
         (:data:`~repro.parallel.KERNEL_SPECS`; overridable per
-        :meth:`add_dataset` call).  All kernels are byte-identical.
+        :meth:`add_dataset` call), checked here.  Answers are
+        byte-identical either way.
     clock:
         Shared :class:`Clock` for all sessions (default: a fresh
         :class:`SimulatedClock`).
@@ -93,6 +94,8 @@ class SessionRegistry:
         tracer=None,
         profiler=None,
     ) -> None:
+        if kernel not in KERNEL_SPECS:
+            raise ValueError(f"kernel must be one of {KERNEL_SPECS}, got {kernel!r}")
         #: The one cache every session shares: one LRU, one byte budget.
         self.cache = ArtifactCache(max_cached_bytes=max_cached_bytes)
         self.clock = clock if clock is not None else SimulatedClock()

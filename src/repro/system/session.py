@@ -153,13 +153,13 @@ class MatchSession:
         Worker count for ``backend="sharded"`` (processes; default: CPU
         count) or ``backend="threads"`` (threads).
     kernel:
-        Counting-kernel spec for every query's window counting
-        (:data:`~repro.parallel.KERNEL_SPECS`; default ``"auto"``).  All
-        kernels are byte-identical; ``"fused"`` additionally builds and
-        caches a pair-code column per ``(candidate, grouping, predicate)``
-        in the prepared-artifact layer, so window counting — filtered or
-        not — degenerates to take + bincount at the memory cost of one
-        narrow column.
+        ``"auto"`` (default) or ``"fused"``
+        (:data:`~repro.parallel.KERNEL_SPECS`), with byte-identical answers.
+        ``"fused"`` builds and caches a pair-code column per ``(candidate,
+        grouping, predicate)`` in the prepared-artifact layer, so window
+        counting — filtered or not — degenerates to take + bincount at the
+        memory cost of one narrow column.  Under ``"auto"`` windows build
+        their codes, unless an adopted artifact brings its column.
     clock:
         The :class:`~repro.system.clock.Clock` every job of this session
         charges (default: a fresh :class:`SimulatedClock`).  A
@@ -398,7 +398,7 @@ class MatchSession:
             )
         pair_codes = None
         if self.kernel == "fused":
-            # The fused kernel's prepared artifact: the pair-code column of
+            # The pair-code column every window of the query counts: that of
             # the *shuffled* table folded with the predicate's row filter,
             # shared by every query over the same (candidate, grouping,
             # predicate) on this layout.
@@ -530,7 +530,6 @@ class MatchSession:
             audit=self.audit,
             backend=self.backend,
             max_step_rows=max_step_rows,
-            kernel=self.kernel,
             tracer=self.tracer,
             tenant=self.tenant,
             # Per-job child profiler: the job's RunReport carries its own

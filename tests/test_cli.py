@@ -138,6 +138,10 @@ BAD_TRACE_EVENTS = [
     (["serve", "--queries", "flights-q1", "--sigma", "-1"], None, "sigma must be in [0, 1]"),
     (["--rows", "20000", "batch", "--queries", "taxi-q1"], None, "TAXI needs at least"),
     (["--query", "flights-q1", "--rows", "0"], None, "FLIGHTS needs at least"),
+    (["--query", "flights-q1", "--kernel", "classic"], None,
+     "argument --kernel: invalid choice: 'classic'"),
+    (["batch", "--queries", "flights-q1", "--kernel", "narrow"], None,
+     "argument --kernel: invalid choice: 'narrow'"),
     (["serve", "--trace", "/nonexistent/arrivals.jsonl"], None, "cannot read trace"),
     (["serve", "--trace", "{trace}"], b"\xff\xfe", "cannot read trace"),
 ] + [

@@ -1,17 +1,18 @@
-"""Counting-kernel layer: byte-identity, auto-selection, bytes-moved
-accounting, the pair-code artifact cache, and affinity-aware placement.
+"""Counting-kernel layer: byte-identity, bytes-moved accounting, the
+pair-code artifact cache, and affinity-aware placement.
 
-Acceptance properties of the native-speed-kernels PR:
+Properties pinned here:
 
-- every kernel (classic / narrow / fused) produces byte-identical count
-  matrices to a straight-line legacy reference, across stored dtypes,
-  code-space cardinalities, filter shapes, and block-subset geometries;
-- auto-selection picks the narrowest exact path and degrades gracefully
-  (``fused`` without a prepared code column falls back, never fails);
+- ``count_window`` — with codes built per window, with a prepared code
+  column, by default and as the ``classic`` reference — produces
+  byte-identical count matrices to a straight-line legacy reference, across
+  stored dtypes, code-space cardinalities, filter shapes, and block-subset
+  geometries; so does a serial exact table pass;
 - end-to-end runs are byte-identical (answers, simulated clock, RunReport
-  counters) across serial / threads / sharded x every kernel spec;
-- the fused kernel measurably moves fewer bytes than the classic one
-  (profiler ``bytes_moved``), which is the whole point;
+  counters) across serial / threads / sharded x every session kernel spec,
+  against a classic-counted baseline;
+- counting a prepared column measurably moves fewer bytes than the classic
+  arithmetic (profiler ``bytes_moved``), which is the whole point;
 - ``MatchSession(kernel="fused")`` caches the pair-code column as a
   prepared artifact, folded with the query's predicate: repeats hit,
   eviction releases it, the ground truth is one bincount of it;
@@ -33,28 +34,29 @@ from repro.obs import Profiler
 from repro.parallel import (
     AFFINITY_POLICIES,
     KERNEL_SPECS,
+    SerialBackend,
     ShardedBackend,
     ThreadPoolBackend,
     apply_affinity,
     build_pair_codes,
     check_pair_codes,
-    choose_kernel,
     count_codes,
     count_window,
     make_backend,
     pair_code_dtype,
     plan_affinity,
 )
+from repro.parallel.backend import EXACT_PASS_BLOCK_ROWS
 from repro.parallel.kernels import rows_per_candidate, tally_window
-from repro.query import Equals, HistogramQuery, InRange
+from repro.query import Equals, HistogramQuery, InRange, TruePredicate
 from repro.query.executor import exact_candidate_counts
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
 from repro.storage.blocks import BlockLayout
-from repro.system import MatchSession
+from repro.system import MatchSession, SessionRegistry
 
 
 # ---------------------------------------------------------------------------
-# pair-code dtype + auto-selection
+# pair-code dtype
 # ---------------------------------------------------------------------------
 
 
@@ -77,31 +79,6 @@ class TestPairCodeDtype:
 
     def test_degenerate_zero(self):
         assert pair_code_dtype(0, 0) == np.dtype(np.uint8)
-
-
-class TestChooseKernelName:
-    def test_classic_always_wins_when_asked(self):
-        codes = np.zeros(4, dtype=np.uint8)
-        assert choose_kernel("classic", 4, 4, codes=codes).name == "classic"
-
-    def test_codes_force_fused(self):
-        codes = np.zeros(4, dtype=np.uint8)
-        assert choose_kernel("auto", 4, 4, codes=codes).name == "fused"
-        assert choose_kernel("narrow", 4, 4, codes=codes).name == "fused"
-
-    def test_auto_narrow_when_codes_fit(self):
-        assert choose_kernel("auto", 16, 16).name == "narrow"
-
-    def test_auto_classic_when_code_space_huge(self):
-        assert choose_kernel("auto", 2**17, 2**16).name == "classic"
-
-    def test_fused_without_codes_degrades(self):
-        assert choose_kernel("fused", 16, 16).name == "narrow"
-        assert choose_kernel("fused", 2**17, 2**16).name == "classic"
-
-    def test_rejects_unknown_spec(self):
-        with pytest.raises(ValueError):
-            choose_kernel("turbo", 4, 4).name
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +121,7 @@ def block_subsets(num_blocks):
 
 
 def expected_moved(kernel, z, x, codes, rows, kept, row_filter, filtered):
-    """Bytes a non-classic kernel materializes for a window whose gather
+    """Bytes a non-classic count materializes for a window whose gather
     copies ``rows`` rows (none for one contiguous run, a zero-copy slice)
     of which ``kept`` pass the filter: the gathered columns, the gathered
     ``row_filter``, the filtered columns, the code array."""
@@ -184,12 +161,13 @@ class TestCountWindowIdentity:
             expected = legacy_reference(
                 z, x, blocks, layout, c, g, row_filter, filter_slice
             )
-            for kernel in KERNEL_SPECS:
+            # None: no ``kernel`` argument at all, the default.
+            for kernel in (None, "classic") + KERNEL_SPECS:
                 counts, moved = count_window(
                     z, x, blocks, layout, c, g,
                     row_filter=row_filter, filter_slice=filter_slice,
                     codes=codes if kernel == "fused" else None,
-                    kernel=kernel,
+                    **({} if kernel is None else {"kernel": kernel}),
                 )
                 assert counts.dtype == np.int64
                 assert moved >= 0
@@ -226,7 +204,7 @@ class TestCountWindowIdentity:
                 z, x, blocks, layout, c, g, row_filter=row_filter,
                 filter_slice=filter_slice, kernel="classic",
             )
-            for kernel in ("narrow", "fused"):
+            for kernel in KERNEL_SPECS:
                 counts, moved = count_window(
                     z, x, blocks, layout, c, g, row_filter=row_filter,
                     filter_slice=filter_slice,
@@ -243,7 +221,7 @@ class TestCountWindowIdentity:
                 # The folded column: classic's counts, the code gather only.
                 folded = build_pair_codes(z, x, c, g, row_filter=row_filter)
                 counts, moved = count_window(
-                    z, x, blocks, layout, c, g, codes=folded, kernel="fused"
+                    z, x, blocks, layout, c, g, codes=folded
                 )
                 np.testing.assert_array_equal(counts, classic)
                 assert moved == gathered * folded.itemsize
@@ -252,7 +230,7 @@ class TestCountWindowIdentity:
         layout = BlockLayout(num_rows=100, block_size=10)
         z = np.zeros(100, dtype=np.uint8)
         codes = build_pair_codes(z, z, 3, 3)
-        for kernel in ("classic", "narrow", "fused"):
+        for kernel in ("classic",) + KERNEL_SPECS:
             for blocks in ([0, 10], [-1, 3], [2, 4, 11]):
                 with pytest.raises(ValueError, match="block index out of range"):
                     count_window(
@@ -260,32 +238,10 @@ class TestCountWindowIdentity:
                         codes=codes if kernel == "fused" else None, kernel=kernel,
                     )
 
-    def test_resolved_choice_counts_like_its_spec(self):
-        """A :class:`CountSource` hands count_window the choice it resolved
-        once; it must dispatch exactly as the spec does."""
-        layout = BlockLayout(num_rows=640, block_size=32)
-        rng = np.random.default_rng(4)
-        z = rng.integers(0, 6, size=640).astype(np.uint8)
-        x = rng.integers(0, 4, size=640).astype(np.uint8)
-        codes = build_pair_codes(z, x, 6, 4)
-        blocks = np.arange(1, 20, 2, dtype=np.int64)
-        for spec in KERNEL_SPECS:
-            for prepared in (None, codes):
-                choice = choose_kernel(spec, 6, 4, codes=prepared)
-                assert choice.code_dtype == pair_code_dtype(6, 4)
-                by_spec = count_window(
-                    z, x, blocks, layout, 6, 4, codes=prepared, kernel=spec
-                )
-                by_choice = count_window(
-                    z, x, blocks, layout, 6, 4, codes=prepared, kernel=choice
-                )
-                np.testing.assert_array_equal(by_spec[0], by_choice[0])
-                assert by_spec[1] == by_choice[1]
-
     def test_empty_blocks(self):
         layout = BlockLayout(num_rows=100, block_size=10)
         z = np.zeros(100, dtype=np.uint8)
-        for kernel in KERNEL_SPECS:
+        for kernel in ("classic",) + KERNEL_SPECS:
             counts, moved = count_window(
                 z, z, np.empty(0, dtype=np.int64), layout, 3, 3, kernel=kernel
             )
@@ -298,9 +254,7 @@ class TestCountWindowIdentity:
         x = rng.integers(0, 4, size=640).astype(np.uint8)
         codes = build_pair_codes(z, x, 6, 4)
         blocks = np.arange(5, 15, dtype=np.int64)  # one contiguous run
-        counts, moved = count_window(
-            z, x, blocks, layout, 6, 4, codes=codes, kernel="fused"
-        )
+        counts, moved = count_window(z, x, blocks, layout, 6, 4, codes=codes)
         assert moved == 0  # zero-copy slice view straight into bincount
         np.testing.assert_array_equal(
             counts, legacy_reference(z, x, blocks, layout, 6, 4)
@@ -314,10 +268,8 @@ class TestCountWindowIdentity:
         codes = build_pair_codes(z, x, 10, 8)
         blocks = np.arange(0, layout.num_blocks, 2, dtype=np.int64)
         _, classic = count_window(z, x, blocks, layout, 10, 8, kernel="classic")
-        _, narrow = count_window(z, x, blocks, layout, 10, 8, kernel="narrow")
-        _, fused = count_window(
-            z, x, blocks, layout, 10, 8, codes=codes, kernel="fused"
-        )
+        _, narrow = count_window(z, x, blocks, layout, 10, 8)
+        _, fused = count_window(z, x, blocks, layout, 10, 8, codes=codes)
         assert narrow < 0.3 * classic  # no row-index array, no int64 upcast
         assert fused < narrow  # one narrow column instead of two
 
@@ -445,9 +397,8 @@ FOLD_CODE_SPACES = [
 
 
 class TestFoldedCodes:
-    """A code column built under a row filter counts, on the fused kernel
-    and with no filter, what classic counts from ``z``, ``x`` and the
-    filter."""
+    """A code column built under a row filter counts, with no filter, what
+    classic counts from ``z``, ``x`` and the filter."""
 
     @given(
         data=st.data(),
@@ -478,9 +429,7 @@ class TestFoldedCodes:
         classic, _ = count_window(
             z, x, blocks, layout, c, g, row_filter=row_filter, kernel="classic"
         )
-        counts, moved = count_window(
-            z, x, blocks, layout, c, g, codes=folded, kernel="fused"
-        )
+        counts, moved = count_window(z, x, blocks, layout, c, g, codes=folded)
         assert counts.dtype == np.int64 and counts.shape == (c, g)
         np.testing.assert_array_equal(counts, classic)
         single_run = blocks[-1] - blocks[0] == blocks.size - 1
@@ -503,14 +452,12 @@ class TestFoldedCodes:
         blocks = np.arange(layout.num_blocks, dtype=np.int64)
         codes = np.full(64, c * g + 1, dtype=np.uint16)
         with pytest.raises(ValueError, match="above the sentinel"):
-            count_window(z, z, blocks, layout, c, g, codes=codes, kernel="fused")
+            count_window(z, z, blocks, layout, c, g, codes=codes)
         with pytest.raises(ValueError, match="above the sentinel"):
             count_codes(codes, c, g)
         # The sentinel itself is every row dropped.
         codes = np.full(64, c * g, dtype=np.uint16)
-        counts, _ = count_window(
-            z, z, blocks, layout, c, g, codes=codes, kernel="fused"
-        )
+        counts, _ = count_window(z, z, blocks, layout, c, g, codes=codes)
         assert counts.shape == (c, g) and not counts.any()
 
     def test_fold_plain_codes_with_an_explicit_filter_still_compress(self):
@@ -527,8 +474,7 @@ class TestFoldedCodes:
             z, x, blocks, layout, 40, 30, row_filter=row_filter, kernel="classic"
         )
         counts, moved = count_window(
-            z, x, blocks, layout, 40, 30, row_filter=row_filter, codes=plain,
-            kernel="fused",
+            z, x, blocks, layout, 40, 30, row_filter=row_filter, codes=plain
         )
         np.testing.assert_array_equal(counts, classic)
         rows = layout.rows_of_blocks(blocks)
@@ -556,7 +502,7 @@ class TestBuildPairCodes:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end identity: backends x kernels
+# end-to-end identity: backends x session kernel specs
 # ---------------------------------------------------------------------------
 
 
@@ -610,8 +556,9 @@ def run_session(table, query, *, kernel, backend="serial", workers=None,
 class TestEndToEndIdentity:
     @pytest.mark.parametrize("query", [QUERY, FILTERED_QUERY],
                              ids=["plain", "filtered"])
-    def test_backends_x_kernels_byte_identical(self, table, query):
-        baseline = run_session(table, query, kernel="classic")
+    def test_backends_x_kernels_byte_identical(self, table, query, classic_counting):
+        with classic_counting():
+            baseline = run_session(table, query, kernel="auto")
         backends = [
             ("serial", None),
             ("threads", 2),
@@ -633,8 +580,9 @@ class TestEndToEndIdentity:
                 assert report.result.pruned == baseline.report.result.pruned
                 assert report.result.stats == baseline.report.result.stats
                 assert report.result.rounds == baseline.report.result.rounds
-                # Same simulated clock and same observable effort: kernel
-                # choice changes bytes moved, never the answer or the cost —
+                # Same simulated clock and same observable effort: how a
+                # window is counted changes bytes moved, never the answer or
+                # the cost —
                 # a fused session's folded codes and the ground truth it
                 # takes from them included (the audit reads that truth).
                 assert report.elapsed_ns == baseline.report.elapsed_ns
@@ -644,15 +592,17 @@ class TestEndToEndIdentity:
                 assert outcome.steps == baseline.steps
                 assert outcome.service_ns == baseline.service_ns
 
-    def test_fused_profile_moves_measurably_fewer_bytes(self, table):
-        moved = {}
-        for kernel in ("classic", "fused"):
-            profiler = Profiler()
-            outcome = run_session(table, QUERY, kernel=kernel, profiler=profiler)
-            moved[kernel] = outcome.report.profile["totals"]["bytes_moved"]
-        assert moved["fused"] > 0  # filters/multi-run gathers still copy
+    def test_fused_profile_moves_measurably_fewer_bytes(self, table, classic_counting):
+        def bytes_moved(kernel):
+            outcome = run_session(table, QUERY, kernel=kernel, profiler=Profiler())
+            return outcome.report.profile["totals"]["bytes_moved"]
+
+        with classic_counting():
+            classic = bytes_moved("auto")
+        fused = bytes_moved("fused")
+        assert fused > 0  # filters/multi-run gathers still copy
         # The acceptance bar is >= 30% fewer bytes; in practice it is ~95%.
-        assert moved["fused"] < 0.7 * moved["classic"]
+        assert fused < 0.7 * classic
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +701,37 @@ class TestPairCodeCache:
         truth = kernels["session.ground_truth"]
         assert (truth["calls"], truth["bincounts"], truth["bytes"]) == (1, 1, 0)
         assert truth["rows"] == int(want.sum())
+        # The table pass it replaces (``want`` above): one serial
+        # count_window over the exact-pass blocks, equal to the legacy
+        # reference with and without a filter, and recorded as one bincount
+        # of the kept rows' gathered columns and codes.
+        c, g = query.cardinalities(table)
+        z = table.column(query.candidate_attribute)
+        x = table.column(query.grouping_attribute)
+        row_filter = (
+            None if isinstance(query.predicate, TruePredicate)
+            else query.predicate.mask(table)
+        )
+        layout = BlockLayout(table.num_rows, EXACT_PASS_BLOCK_ROWS)
+        everything = np.arange(layout.num_blocks, dtype=np.int64)
+        np.testing.assert_array_equal(
+            want, legacy_reference(z, x, everything, layout, c, g, row_filter)
+        )
+        backend, profiler = SerialBackend(), Profiler()
+        backend.set_profiler(profiler)
+        np.testing.assert_array_equal(
+            backend.count_table(
+                table, query.candidate_attribute, query.grouping_attribute, c, g,
+                row_filter,
+            ),
+            want,
+        )
+        kept = table.num_rows if row_filter is None else int(row_filter.sum())
+        compressed = 0 if row_filter is None else kept * (z.itemsize + x.itemsize)
+        (label, record), = profiler.snapshot().kernels["unattributed"].items()
+        assert label == "serial.count_table"
+        assert (record["calls"], record["bincounts"], record["rows"]) == (1, 1, kept)
+        assert record["bytes"] == compressed + kept * pair_code_dtype(c, g).itemsize
 
     def test_fold_ground_truth_on_session_cache_mix_templates(self):
         """The benchmark workload's twelve templates, on its dataset."""
@@ -799,8 +780,8 @@ class TestPairCodeCache:
             session.prepared(OTHER_FILTER_QUERY, seed=5)
             assert calls == [FILTERED_QUERY.predicate, OTHER_FILTER_QUERY.predicate]
 
-    def test_classic_session_builds_no_codes(self, table):
-        with MatchSession(table, kernel="classic") as session:
+    def test_auto_session_builds_no_codes(self, table):
+        with MatchSession(table, kernel="auto") as session:
             assert session.prepared(QUERY, seed=5).pair_codes is None
             assert "pair_codes" not in session.cache_stats.misses
 
@@ -876,7 +857,7 @@ class TestPairCodeCache:
         backend = ShardedBackend(2, min_fan_out_rows=0)
         try:
             session = MatchSession(table, kernel="fused", backend=backend)
-            serial = run_session(table, FILTERED_QUERY, kernel="narrow")
+            serial = run_session(table, FILTERED_QUERY, kernel="auto")
             outcome = session.match(FILTERED_QUERY, config=config, seed=5)
             assert outcome.report.result.matching == serial.report.result.matching
             assert outcome.report.counters == serial.report.counters
@@ -902,8 +883,13 @@ class TestPairCodeCache:
             assert not {f for f in os.listdir("/dev/shm") if f.startswith("repro-")}
 
     def test_rejects_unknown_kernel(self, table):
-        with pytest.raises(ValueError):
-            MatchSession(table, kernel="turbo")
+        """At construction, for a session and a registry alike — the removed
+        ``classic`` and ``narrow`` specs included."""
+        for kernel in ("turbo", "classic", "narrow"):
+            with pytest.raises(ValueError, match="kernel must be one of"):
+                MatchSession(table, kernel=kernel)
+            with pytest.raises(ValueError, match="kernel must be one of"):
+                SessionRegistry(kernel=kernel)
 
 
 # ---------------------------------------------------------------------------

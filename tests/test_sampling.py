@@ -654,8 +654,8 @@ def regime_engine(
     cls, world, policy, backend, filtered, clock=None, profiler=None, folded=False,
     start_block=37,
 ):
-    """``folded`` hands the engine its pair-code column (so it counts on the
-    fused kernel, with no filter at the backend) instead of none."""
+    """``folded`` hands the engine its pair-code column (so it counts the
+    column, with no filter at the backend) instead of none."""
     shuffled, index = world
     table = shuffled.table
     row_filter = table.column("x") < 3 if filtered else None
@@ -1230,8 +1230,9 @@ class TestWindowContract:
 
 
 class TestRegimeMatrix:
-    """Whole runs agree across backends, kernels, filters and step bounds,
-    at every step — for a query whose code space (700 x 48 = 33,600 cells)
+    """Whole runs agree across backends, counting paths (codes built per
+    window, a prepared column, the classic reference), filters and step
+    bounds, at every step — for a query whose code space (700 x 48 = 33,600 cells)
     is above every approach's window, and for one (40 x 12 = 480) below
     every approach's window — the same regime on every backend."""
 
@@ -1294,7 +1295,7 @@ class TestRegimeMatrix:
                 backend.close()
 
     @staticmethod
-    def run(prepared, approach, backend, kernel, max_step_rows):
+    def run(prepared, approach, backend, max_step_rows):
         """Step the query to its end: the report, and the partial answer
         after every step."""
         from repro.core import HistSim, HistSimConfig
@@ -1310,7 +1311,7 @@ class TestRegimeMatrix:
         clock = SimulatedClock()
         engine = make_engine(
             prepared, approach, config, CostModel(), clock,
-            np.random.default_rng(5), backend, kernel=kernel,
+            np.random.default_rng(5), backend,
         )
         algorithm = HistSim(
             engine, prepared.target, config,
@@ -1341,10 +1342,15 @@ class TestRegimeMatrix:
     @pytest.mark.parametrize("approach", ["scanmatch", "syncmatch", "fastmatch"])
     @pytest.mark.parametrize("size", list(WORLDS))
     def test_regime_matrix_reports_equal_the_serial_unbounded_run(
-        self, prepared, backends, size, approach, filtered
+        self, prepared, backends, size, approach, filtered, classic_counting
     ):
+        from dataclasses import replace
+
         artifact = prepared[size, filtered]
-        want, whole_steps, engine = self.run(artifact, approach, None, "auto", None)
+        # The artifact as a one-shot run prepares it: codes built per window.
+        codeless = replace(artifact, pair_codes=None)
+        with classic_counting():
+            want, whole_steps, engine = self.run(codeless, approach, None, None)
         cells = engine.num_candidates * engine.num_groups
         window_rows = engine.window_blocks * engine.layout.block_size
         assert engine._deferred == (size == "deferred") == (cells > window_rows)
@@ -1355,9 +1361,9 @@ class TestRegimeMatrix:
         for max_step_rows in (None, 500, 7000):
             reference_partials = None
             for name, backend in backends.items():
-                for kernel in ("auto", "classic", "fused"):
+                for counted in (artifact, codeless):
                     got, partials, engine = self.run(
-                        artifact, approach, backend, kernel, max_step_rows
+                        counted, approach, backend, max_step_rows
                     )
                     assert engine._deferred == (size == "deferred")
                     self.assert_results_equal(got.result, want.result)
@@ -1425,12 +1431,12 @@ class TestFoldContract:
     cannot be the filter's is rejected at construction."""
 
     @staticmethod
-    def engine(world, row_filter, codes, kernel="auto"):
+    def engine(world, row_filter, codes):
         shuffled, index = world
         return BlockSamplingEngine(
             shuffled=shuffled, candidate_attribute="z", grouping_attribute="x",
             index=index, cost_model=CostModel(), clock=SimulatedClock(),
-            start_block=0, row_filter=row_filter, codes=codes, kernel=kernel,
+            start_block=0, row_filter=row_filter, codes=codes,
         )
 
     @pytest.fixture
@@ -1446,12 +1452,9 @@ class TestFoldContract:
         folded = build_pair_codes(z, x, 8, 4, row_filter=row_filter)
         source = self.engine(world, row_filter, folded)._source
         assert source.codes is folded and source.row_filter is None
-        assert source.kernel.name == "fused"
-        # No codes, or a kernel that does not read them: the filter goes.
-        for codes, kernel in ((None, "fused"), (folded, "classic")):
-            source = self.engine(world, row_filter, codes, kernel)._source
-            assert source.codes is None and source.row_filter is not None
-            assert source.kernel.name != "fused"
+        # No codes: the filter goes.
+        source = self.engine(world, row_filter, None)._source
+        assert source.codes is None and source.row_filter is row_filter
 
     def test_fold_rejects_a_column_of_another_filter(self, world):
         z, x, row_filter = self.columns(world)
