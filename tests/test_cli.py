@@ -138,15 +138,16 @@ BAD_TRACE_EVENTS = [
     (["serve", "--queries", "flights-q1", "--sigma", "-1"], None, "sigma must be in [0, 1]"),
     (["--rows", "20000", "batch", "--queries", "taxi-q1"], None, "TAXI needs at least"),
     (["--query", "flights-q1", "--rows", "0"], None, "FLIGHTS needs at least"),
-    (["--query", "flights-q1", "--kernel", "classic"], None,
-     "argument --kernel: invalid choice: 'classic'"),
-    (["batch", "--queries", "flights-q1", "--kernel", "narrow"], None,
-     "argument --kernel: invalid choice: 'narrow'"),
     (["serve", "--trace", "/nonexistent/arrivals.jsonl"], None, "cannot read trace"),
     (["serve", "--trace", "{trace}"], b"\xff\xfe", "cannot read trace"),
 ] + [
     (["serve", "--trace", "{trace}", "--rows", "20000"], event, "{trace}:3: bad trace event: ")
     for event in BAD_TRACE_EVENTS
+] + [
+    (["--query", "flights-q1", "--kernel", "classic"], None,
+     "argument --kernel: invalid choice: 'classic'"),
+    (["batch", "--queries", "flights-q1", "--kernel", "narrow"], None,
+     "argument --kernel: invalid choice: 'narrow'"),
 ])
 def test_bad_input_is_a_one_line_error(argv, event, message, tmp_path, capsys):
     """A bad flag value fails through the parser (exit 2) before any dataset

@@ -701,10 +701,17 @@ class TestPairCodeCache:
         truth = kernels["session.ground_truth"]
         assert (truth["calls"], truth["bincounts"], truth["bytes"]) == (1, 1, 0)
         assert truth["rows"] == int(want.sum())
-        # The table pass it replaces (``want`` above): one serial
-        # count_window over the exact-pass blocks, equal to the legacy
-        # reference with and without a filter, and recorded as one bincount
-        # of the kept rows' gathered columns and codes.
+
+    @pytest.mark.parametrize(
+        "query", [QUERY, FILTERED_QUERY, OTHER_FILTER_QUERY, FILTERED_SIBLING],
+        ids=lambda q: q.name,
+    )
+    def test_serial_count_table_pins_the_legacy_reference(self, table, query):
+        """The table pass a fused session's ground truth replaces: one serial
+        count_window over the exact-pass blocks, equal to the legacy
+        reference with and without a filter, and recorded as one bincount
+        of the kept rows' gathered columns and codes."""
+        want = exact_candidate_counts(table, query)
         c, g = query.cardinalities(table)
         z = table.column(query.candidate_attribute)
         x = table.column(query.grouping_attribute)
@@ -882,13 +889,15 @@ class TestPairCodeCache:
         if os.path.isdir("/dev/shm"):
             assert not {f for f in os.listdir("/dev/shm") if f.startswith("repro-")}
 
-    def test_rejects_unknown_kernel(self, table):
+    @pytest.mark.parametrize("kernel", ["turbo", "classic", "narrow"])
+    @pytest.mark.parametrize("owner", ["session", "registry"])
+    def test_rejects_unknown_kernel(self, table, owner, kernel):
         """At construction, for a session and a registry alike — the removed
         ``classic`` and ``narrow`` specs included."""
-        for kernel in ("turbo", "classic", "narrow"):
-            with pytest.raises(ValueError, match="kernel must be one of"):
+        with pytest.raises(ValueError, match="kernel must be one of"):
+            if owner == "session":
                 MatchSession(table, kernel=kernel)
-            with pytest.raises(ValueError, match="kernel must be one of"):
+            else:
                 SessionRegistry(kernel=kernel)
 
 
