@@ -3,14 +3,11 @@ per-block density maps (Appendix A.1.2)."""
 
 from .bitmap_index import BlockBitmapIndex
 from .builder import build_bitmap_index, build_density_map, build_indexes
-from .compressed import WahBitmap, compress_index
 from .density_map import DensityMap
 
 __all__ = [
     "BlockBitmapIndex",
     "DensityMap",
-    "WahBitmap",
-    "compress_index",
     "build_bitmap_index",
     "build_density_map",
     "build_indexes",

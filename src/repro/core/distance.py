@@ -111,8 +111,24 @@ def row_distances(counts: np.ndarray, q_bar: np.ndarray) -> np.ndarray:
     """:func:`candidate_distances` past its shape checks, to a target that
     :func:`normalize` already scaled (callers that hold one target for many
     calls normalize it once).  Every operation is row-wise, so a row's
-    distance has the same bits whichever other rows the matrix holds."""
-    return np.abs(normalize(counts) - q_bar[None, :]).sum(axis=1)
+    distance has the same bits whichever other rows the matrix holds.
+
+    ``np.abs(normalize(counts) - q_bar).sum(axis=1)`` bit for bit, in one
+    float matrix instead of five: integer counts are summed exactly per row
+    and divided straight into float64 (a zero row by 1, as
+    :func:`normalize` does), then the target is subtracted and the absolute
+    value taken in place.  Negative counts are rejected by one ``min``.
+    """
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        counts = counts.astype(np.float64, copy=False)
+    if counts.size and counts.min() < 0:
+        raise ValueError("histogram counts must be non-negative")
+    total = counts.sum(axis=1, keepdims=True)
+    out = np.true_divide(counts, np.where(total > 0, total, 1), dtype=np.float64)
+    np.subtract(out, q_bar, out=out)
+    np.abs(out, out=out)
+    return out.sum(axis=1)
 
 
 def subset_distances(

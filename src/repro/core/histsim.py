@@ -803,7 +803,12 @@ class HistSimStepper:
         algo = self.algorithm
         if st.needed is None:
             st.needed = algo.stage3_needed(st.matching)
-        row_sums = algo.state.record_round_counts(self._sample(st.needed))
+        if algo.sampler.fully_scanned or not st.needed.any():
+            # Nothing left to read, or nothing needed: the sampler would
+            # deliver, count and charge nothing, so it is not called.
+            row_sums = np.zeros(algo.alive.size, dtype=np.int64)
+        else:
+            row_sums = algo.state.record_round_counts(self._sample(st.needed))
         fresh_rows = int(row_sums.sum())
         st.fresh_rows += fresh_rows
         st.needed = np.maximum(st.needed - row_sums, 0.0)

@@ -71,7 +71,7 @@ class CandidateState:
             raise ValueError(
                 f"expected counts of shape {self.round_counts.shape}, got {fresh.shape}"
             )
-        if np.any(fresh < 0):
+        if fresh.min() < 0:  # one reduction; the shape is never empty
             raise ValueError("fresh counts must be non-negative")
         row_sums = rows_per_candidate(fresh)
         self.round_counts += fresh

@@ -47,7 +47,7 @@ from ..obs.tracer import NULL_TRACER
 from ..storage.blocks import BlockLayout
 from ..storage.shuffle import ShuffledTable
 from .affinity import AFFINITY_POLICIES, plan_affinity
-from .kernels import count_pairs, count_window
+from .kernels import count_pairs, count_window, count_window_ascending
 from .merge import ShardMerger
 from .shard import Shard, ShardPlanner
 from .worker import ShardResult, WorkerSlots
@@ -152,10 +152,15 @@ class ExecutionBackend(ABC):
 
     @abstractmethod
     def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
-        """Count the rows of a (sorted, unique, non-empty) set of blocks.
+        """Count the rows of a set of blocks: an int64 array, sorted and
+        unique, as the sampling engine builds every window.
 
-        Returns the fresh int64 ``(candidate, group)`` count matrix, the
-        caller's to keep and modify.
+        The contract is what lets the inline count check the blocks at
+        their two ends
+        (:func:`~repro.parallel.kernels.count_window_ascending`) and a
+        worker backend read its per-call row count off their size and last
+        block.  Returns the fresh int64 ``(candidate, group)`` count matrix,
+        the caller's to keep and modify.
         """
 
     def _count_inline(
@@ -164,11 +169,12 @@ class ExecutionBackend(ABC):
         """Count ``blocks`` in the calling thread, recorded under ``label``:
         the serial backend's ``count_blocks``, and the worker backends' path
         below their ``min_fan_out_rows`` floor (the kernel their workers
-        run, so the short-circuit cannot change results)."""
+        run, entered for an ascending window, so the short-circuit cannot
+        change results)."""
         profiler = source.profiler
         started = time.perf_counter_ns() if profiler.enabled else 0
         table = source.shuffled.table
-        counts, moved = count_window(
+        counts, moved = count_window_ascending(
             table.column(source.z_name),
             table.column(source.x_name),
             blocks,
@@ -442,7 +448,9 @@ class WorkerBackend(ExecutionBackend):
         return rows < max(1, self.min_fan_out_rows)
 
     def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
-        total_rows = int(source.shuffled.layout.rows_per_block(blocks).sum())
+        total_rows = source.shuffled.layout.ascending_rows(
+            int(blocks.size), int(blocks[-1]) if blocks.size else 0
+        )
         if self._below_floor(total_rows):
             # Same kernel, same rows, no round trip (and no shard planning —
             # the plan would be discarded).

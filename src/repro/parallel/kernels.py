@@ -1,7 +1,8 @@
 """Counting kernels: the one place window counting arithmetic lives.
 
 Every backend routes the gather + filter + bincount of a window's blocks
-through :func:`count_window`, which picks its path from what it is handed:
+through :func:`count_window` (or its ascending entry, below), which picks
+its path from what it is handed:
 
 - with a **prepared pair-code column** (``z * G + x`` materialized once per
   ``(z, x, predicate)`` by :func:`build_pair_codes` and cached in the
@@ -14,8 +15,25 @@ through :func:`count_window`, which picks its path from what it is handed:
 
 Both are one kernel, ``_block_kernel``.  The block gather is a zero-copy
 slice when the blocks are one contiguous run, otherwise one ``take``
-through a ``(num_blocks, block_size)`` view.  ``kernel="classic"`` runs the
-legacy arithmetic instead, verbatim — an int64 row-index gather
+through a ``(num_blocks, block_size)`` view; the window's plan (one run or
+not, and where the table's short last block sits) is made once per call
+and serves every column gathered, with no per-call closure.
+
+The sampling engine's ascending-window contract reaches the kernel here.
+:func:`count_window` and :func:`tally_window` take blocks in any order,
+repeats included, and check them with a min/max pass and, for contiguity,
+a ``diff``.  Their ascending entries, :func:`count_window_ascending` and
+:func:`tally_window_ascending`, take a window ascending and distinct — what
+the engine builds, and what
+:meth:`~repro.parallel.ExecutionBackend.count_blocks` documents — and read
+the same facts off its two ends in O(1): it is in range when its first and
+last blocks are, one run when it spans as many blocks as it holds, and only
+its last block can be the short one.  The engine's tally and every inline
+``count_blocks`` (serial, and a worker backend below its floor) call them;
+counts and bytes are those of the public functions.
+
+``count_window(kernel="classic")`` runs the legacy arithmetic instead,
+verbatim — an int64 row-index gather
 (:meth:`~repro.storage.blocks.BlockLayout.rows_of_blocks`), fancy indexing,
 an int64 upcast of both columns, ``z * G + x`` in int64 and one bincount —
 kept as the reference the identity tests and the kernel microbench compare
@@ -66,9 +84,11 @@ __all__ = [
     "count_codes",
     "count_pairs",
     "count_window",
+    "count_window_ascending",
     "pair_code_dtype",
     "rows_per_candidate",
     "tally_window",
+    "tally_window_ascending",
 ]
 
 #: What sessions and the CLI accept: ``"fused"`` prepares and caches each
@@ -231,44 +251,71 @@ def count_pairs(
     return flat.reshape(num_candidates, num_groups).astype(np.int64, copy=False)
 
 
-def _block_gather(blocks: np.ndarray, layout: BlockLayout):
-    """``gather(column) -> (rows, moved_bytes)`` for one window's blocks.
+def _plan_ascending(blocks: np.ndarray, layout: BlockLayout) -> tuple[bool, tuple]:
+    """``(run, short_at)`` of a non-empty window ascending and distinct, as
+    the sampling engine builds it, checked at its two ends in O(1).
 
-    The rows are those of :meth:`BlockLayout.rows_of_blocks`, in the order
-    the blocks appear.  One contiguous run is a zero-copy slice; anything
-    else is taken as whole blocks through a ``(num_blocks, block_size)``
-    view — one call whatever the number of runs.
+    Such a window is in range when its first and last blocks are, and one
+    contiguous run exactly when it spans ``size`` blocks.  Only its last
+    block can be the table's short one.
     """
+    first, last = int(blocks[0]), int(blocks[-1])
+    if first < 0 or last >= layout.num_blocks:
+        raise ValueError("block index out of range")
+    if last - first == blocks.size - 1:
+        return True, ()
+    short = last == layout.num_rows // layout.block_size
+    return False, (blocks.size - 1,) if short else ()
+
+
+def _plan_any(blocks: np.ndarray, layout: BlockLayout) -> tuple[bool, tuple]:
+    """:func:`_plan_ascending` for blocks in any order, repeats included:
+    a min/max range check and a pass for contiguity."""
     top = int(blocks.max())
     if blocks.min() < 0 or top >= layout.num_blocks:
         raise ValueError("block index out of range")
-    size = layout.block_size
     first, last = int(blocks[0]), int(blocks[-1])
     if last - first == blocks.size - 1 and (np.diff(blocks) == 1).all():
-        lo, hi = first * size, min((last + 1) * size, layout.num_rows)
-        return lambda column: (column[lo:hi], 0)
+        return True, ()
+    whole = layout.num_rows // layout.block_size
+    return False, tuple(np.flatnonzero(blocks == whole)) if top == whole else ()
+
+
+def _gather(
+    column: np.ndarray,
+    blocks: np.ndarray,
+    layout: BlockLayout,
+    run: bool,
+    short_at: tuple,
+) -> tuple[np.ndarray, int]:
+    """``(rows, moved_bytes)``: ``column`` at the rows of ``blocks``, in the
+    order the blocks appear (those of :meth:`BlockLayout.rows_of_blocks`).
+
+    ``run`` and ``short_at`` are the window's plan (:func:`_plan_ascending`
+    or :func:`_plan_any`), made once per call for every column it gathers.
+    One contiguous run is a zero-copy slice; anything else is taken as whole
+    blocks through a ``(num_blocks, block_size)`` view, one call whatever the
+    number of runs, with the short last block spliced in wherever the window
+    names it (``short_at``).
+    """
+    size = layout.block_size
+    if run:
+        lo = int(blocks[0]) * size
+        return column[lo : min(lo + blocks.size * size, layout.num_rows)], 0
     whole = layout.num_rows // size
     body_rows = whole * size
-    # The short last block (index ``whole``, when there is one) has its own
-    # length, so it is spliced in wherever the window names it — last, for
-    # a sorted window.
-    short_at = np.flatnonzero(blocks == whole) if top == whole else blocks[:0]
-
-    def gather(column: np.ndarray) -> tuple[np.ndarray, int]:
-        body = column[:body_rows].reshape(whole, size)
-        if short_at.size == 0:
-            out = body.take(blocks, axis=0).reshape(-1)
-        else:
-            pieces, prev = [], 0
-            for at in short_at:
-                pieces.append(body.take(blocks[prev:at], axis=0).reshape(-1))
-                pieces.append(column[body_rows:])
-                prev = at + 1
-            pieces.append(body.take(blocks[prev:], axis=0).reshape(-1))
-            out = np.concatenate(pieces)
-        return out, int(out.nbytes)
-
-    return gather
+    body = column[:body_rows].reshape(whole, size)
+    if not short_at:
+        out = body.take(blocks, axis=0).reshape(-1)
+    else:
+        pieces, prev = [], 0
+        for at in short_at:
+            pieces.append(body.take(blocks[prev:at], axis=0).reshape(-1))
+            pieces.append(column[body_rows:])
+            prev = at + 1
+        pieces.append(body.take(blocks[prev:], axis=0).reshape(-1))
+        out = np.concatenate(pieces)
+    return out, int(out.nbytes)
 
 
 def _classic_kernel(
@@ -302,30 +349,29 @@ def _classic_kernel(
 
 def _block_kernel(
     z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice,
-    codes,
+    codes, plan,
 ) -> tuple[np.ndarray, int]:
     """Whole-block gather + bincount of pair codes: the prepared column's
     when there is one, otherwise narrow codes built from the gathered
-    ``z`` and ``x``.
+    ``z`` and ``x``.  ``plan`` is the window's ``(run, short_at)``.
 
     A folded column (:func:`build_pair_codes` with its ``row_filter``) comes
     with no filter and counts its dropped rows into the sentinel bin; a
     plain column with an explicit filter still compresses.
     """
-    gather = _block_gather(blocks, layout)
     if row_filter is not None:
-        keep, moved = gather(row_filter)
+        keep, moved = _gather(row_filter, blocks, layout, *plan)
     else:
         keep, moved = filter_slice, 0
     if codes is not None:
-        flat_codes, codes_moved = gather(codes)
+        flat_codes, codes_moved = _gather(codes, blocks, layout, *plan)
         moved += codes_moved
         if keep is not None:
             flat_codes = flat_codes[keep]
             moved += int(flat_codes.nbytes)
         return _count_codes(flat_codes, num_candidates, num_groups), moved
-    zz, z_moved = gather(z)
-    xx, x_moved = gather(x)
+    zz, z_moved = _gather(z, blocks, layout, *plan)
+    xx, x_moved = _gather(x, blocks, layout, *plan)
     if keep is not None:
         zz = zz[keep]
         xx = xx[keep]
@@ -357,11 +403,13 @@ def count_window(
 
     The shared entry point of every backend's window counting: returns the
     int64 ``(num_candidates, num_groups)`` count matrix plus the bytes
-    materialized on the way.  ``codes`` is the prepared pair-code column
-    (:func:`build_pair_codes`); when given, it is what is counted, and a
-    column built with a ``row_filter`` already carries it and is passed
-    without one.  ``kernel="classic"`` runs the legacy reference arithmetic
-    on ``z`` and ``x`` instead; any other value lets the inputs decide.
+    materialized on the way.  ``blocks`` may come in any order, repeats
+    included; they are range-checked with a min/max pass.  ``codes`` is the
+    prepared pair-code column (:func:`build_pair_codes`); when given, it is
+    what is counted, and a column built with a ``row_filter`` already
+    carries it and is passed without one.  ``kernel="classic"`` runs the
+    legacy reference arithmetic on ``z`` and ``x`` instead; any other value
+    lets the inputs decide.
 
     The filter comes either as ``row_filter`` (a full-table boolean mask)
     or ``filter_slice`` (a mask already aligned to the blocks' rows in
@@ -377,7 +425,35 @@ def count_window(
         )
     return _block_kernel(
         z, x, blocks, layout, num_candidates, num_groups,
-        row_filter, filter_slice, codes,
+        row_filter, filter_slice, codes, _plan_any(blocks, layout),
+    )
+
+
+def count_window_ascending(
+    z: np.ndarray,
+    x: np.ndarray,
+    blocks: np.ndarray,
+    layout: BlockLayout,
+    num_candidates: int,
+    num_groups: int,
+    *,
+    row_filter: np.ndarray | None = None,
+    codes: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """:func:`count_window` for an int64 window ascending and distinct, as
+    the sampling engine builds it and
+    :meth:`~repro.parallel.ExecutionBackend.count_blocks` is handed it.
+
+    The same counts and bytes, with the checks that construction makes
+    O(1): the range is read off the window's first and last block, and it
+    is one run exactly when it spans as many blocks as it holds.  A block out
+    of range at either end raises the same :class:`ValueError`.
+    """
+    if blocks.size == 0:
+        return np.zeros((num_candidates, num_groups), dtype=np.int64), 0
+    return _block_kernel(
+        z, x, blocks, layout, num_candidates, num_groups,
+        row_filter, None, codes, _plan_ascending(blocks, layout),
     )
 
 
@@ -396,6 +472,19 @@ def rows_per_candidate(counts: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", counts, dtype=np.int64)
 
 
+def _tally(
+    z, blocks, layout, num_candidates, row_filter, plan
+) -> tuple[np.ndarray, int]:
+    """The candidate-column gather + bincount of both tally entries."""
+    zz, moved = _gather(z, blocks, layout, *plan)
+    if row_filter is not None:
+        keep, keep_moved = _gather(row_filter, blocks, layout, *plan)
+        zz = zz[keep]
+        moved += keep_moved + int(zz.nbytes)
+    tally = np.bincount(zz, minlength=num_candidates)
+    return tally.astype(np.int64, copy=False), moved
+
+
 def tally_window(
     z: np.ndarray,
     blocks: np.ndarray,
@@ -411,16 +500,29 @@ def tally_window(
     ``num_candidates`` cells.  What block selection needs from a window
     whose ``(candidate, group)`` cells are counted later, all at once.
     Returns the int64 tally plus the bytes materialized, as
-    :func:`count_window` does.
+    :func:`count_window` does, and checks ``blocks`` as it does.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.size == 0:
         return np.zeros(num_candidates, dtype=np.int64), 0
-    gather = _block_gather(blocks, layout)
-    zz, moved = gather(z)
-    if row_filter is not None:
-        keep, keep_moved = gather(row_filter)
-        zz = zz[keep]
-        moved += keep_moved + int(zz.nbytes)
-    tally = np.bincount(zz, minlength=num_candidates)
-    return tally.astype(np.int64, copy=False), moved
+    return _tally(
+        z, blocks, layout, num_candidates, row_filter, _plan_any(blocks, layout)
+    )
+
+
+def tally_window_ascending(
+    z: np.ndarray,
+    blocks: np.ndarray,
+    layout: BlockLayout,
+    num_candidates: int,
+    *,
+    row_filter: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """:func:`tally_window` for an int64 window ascending and distinct,
+    checked at its two ends as :func:`count_window_ascending` checks it:
+    the deferred regime's per-window tally."""
+    if blocks.size == 0:
+        return np.zeros(num_candidates, dtype=np.int64), 0
+    return _tally(
+        z, blocks, layout, num_candidates, row_filter, _plan_ascending(blocks, layout)
+    )

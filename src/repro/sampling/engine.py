@@ -41,8 +41,11 @@ A window is built once, ascending, and checked once.  It is arithmetic on
 the random start block and the scan position: one run of the table, or, in
 the one window per pass that wraps, the head run from block 0 followed by
 the tail run up to the table's end, each a slice of the consumed mask.
-Stage 1 still trims its row budget off the *scan* (tail, then head).  What
-the construction proves, the layers below read instead of re-checking:
+Every sampling call runs the same window step (:meth:`_sample`) — stage 1,
+stages 2 and 3 and the wrap window alike — with what it reads every window
+taken off the engine once per call.  Stage 1 still trims its row budget off
+the *scan* (tail, then head).  What the construction proves, the layers
+below read instead of re-checking, down to the counting kernel:
 
 - the policy takes the window's span from its two ends (and uses the bit
   slice itself as the read mask when the window is one run); a window
@@ -50,7 +53,14 @@ the construction proves, the layers below read instead of re-checking:
 - the active set is a ``flatnonzero``, so the bitmap range-checks it at its
   two ends (:meth:`~repro.bitmap.BlockBitmapIndex.any_present_ascending`);
 - the I/O manager charges a delivered subset from its size and last block
-  (:meth:`~repro.storage.io_manager.IOManager.charge`);
+  (:meth:`~repro.storage.io_manager.IOManager.charge`), and a worker
+  backend reads its per-call row floor off the same two numbers
+  (:meth:`~repro.storage.blocks.BlockLayout.ascending_rows`);
+- the kernel range-checks a delivered subset at its two ends and knows it
+  for one run when it spans as many blocks as it holds: the deferred
+  regime's tally (:func:`~repro.parallel.kernels.tally_window_ascending`)
+  and every inline ``count_blocks``
+  (:func:`~repro.parallel.kernels.count_window_ascending`);
 - the deferred regime's call-end count concatenates the call's ascending
   windows, or, when the call scanned past the table's end, reads its
   blocks off a mask.
@@ -60,7 +70,9 @@ The public entry points keep every check for arbitrary input:
 still rejects an unsorted or out-of-range batch,
 :meth:`BlockBitmapIndex.any_present
 <repro.bitmap.BlockBitmapIndex.any_present>` still min/max-checks its
-values, and :func:`~repro.parallel.count_window` its blocks.
+values, and :func:`~repro.parallel.count_window` and
+:func:`~repro.parallel.kernels.tally_window` take blocks in any order and
+min/max-check them.
 
 ``row_filter`` and ``codes`` go together.  The filter is the engine's own
 business — rows per candidate, the deferred regime's tally, ``total_rows``.
@@ -81,7 +93,11 @@ import numpy as np
 from ..bitmap.bitmap_index import BlockBitmapIndex
 from ..obs.profiler import NULL_PROFILER
 from ..parallel.backend import CountSource, ExecutionBackend, SerialBackend
-from ..parallel.kernels import check_pair_codes, rows_per_candidate, tally_window
+from ..parallel.kernels import (
+    check_pair_codes,
+    rows_per_candidate,
+    tally_window_ascending,
+)
 from ..storage.cost_model import CostModel
 from ..storage.io_manager import IOManager
 from ..storage.shuffle import ShuffledTable
@@ -272,96 +288,23 @@ class BlockSamplingEngine:
 
     # ------------------------------------------------------------- internals
 
-    def _window(self) -> tuple[np.ndarray, int]:
-        """The next window's unconsumed blocks, ascending, and how many of
-        them this window reaches only after wrapping past the table's end
-        (its head run; 0 unless the window wraps).
-
-        The window is ``window_blocks`` scan positions from the cursor, cut
-        at the end of the pass.  Its blocks are one run of the table, or,
-        once per pass, two: the table's tail from the cursor on and its head
-        from block 0.  Each run is a slice of the consumed mask, and the
-        head comes first, so the window is ascending as built.
-        """
-        num_blocks = self.layout.num_blocks
-        if num_blocks == 0:
-            return np.empty(0, dtype=np.int64), 0
-        stop = min(self._scan_pos + self.window_blocks, num_blocks)
-        first, last = self._start + self._scan_pos, self._start + stop
-        self._scan_pos = stop % num_blocks
-        if first >= num_blocks:  # wholly past the wrap
-            first, last = first - num_blocks, last - num_blocks
-        if last <= num_blocks:
-            return self._unconsumed_run(first, last), 0
-        head = self._unconsumed_run(0, last - num_blocks)
-        return np.concatenate((head, self._unconsumed_run(first, num_blocks))), head.size
-
     def _unconsumed_run(self, lo: int, hi: int) -> np.ndarray:
-        """The unconsumed blocks of ``[lo, hi)``, ascending."""
-        return (~self._consumed[lo:hi]).nonzero()[0] + lo
-
-    def _deliver_blocks(
-        self, blocks: np.ndarray, call: list[np.ndarray]
-    ) -> tuple[np.ndarray, int, float]:
-        """Deliver one window's blocks, mark them consumed.
-
-        Returns what the loop needs now — fresh rows per candidate, their
-        total, and the simulated I/O cost — and leaves what the caller needs
-        at the end in ``call``, the sampling call's own scratch list
-        (:meth:`_fresh_counts` turns it into the matrix).  Dense regime: the
-        backend counts the window and ``call`` holds the one matrix the
-        windows accumulate into.  Deferred regime: the window only tallies
-        the candidate column and ``call`` collects the delivered block sets.
-
-        ``blocks`` are a subset of one :meth:`_window`: distinct, not yet
-        consumed and ascending, so the I/O manager charges them from their
-        size and last block alone.
-        """
-        if blocks.size == 0:
-            return np.zeros(self._num_candidates, dtype=np.int64), 0, 0.0
-        cost_ns = self.io.charge(int(blocks.size), int(blocks[-1]))
-        profiler = self.profiler
-        if self._deferred:
-            started = time.perf_counter_ns() if profiler.enabled else 0
-            row_sums, moved = tally_window(
-                self.shuffled.table.column(self._z_name),
-                blocks,
-                self.layout,
-                self._num_candidates,
-                row_filter=self._row_filter,
-            )
-            call.append(blocks)
-            if profiler.enabled:
-                # rows/blocks stay zero: the call-end count tallies them.
-                profiler.record_kernel(
-                    "engine.tally",
-                    float(time.perf_counter_ns() - started),
-                    nbytes=moved,
-                    bincounts=1,
-                )
-        else:
-            counts = self.backend.count_blocks(self._source, blocks)
-            row_sums = rows_per_candidate(counts)
-            if call:
-                call[0] += counts
-            else:
-                call.append(counts)
-        rows = int(row_sums.sum())
-        self._delivered += row_sums
-        self._consumed[blocks] = True
-        self._unconsumed -= int(blocks.size)
-        self.counters.blocks_read += int(blocks.size)
-        self.counters.rows_delivered += rows
-        if profiler.enabled:
-            # Simulated I/O charge, not wall time, so kept out of the
-            # real-kernel-nanosecond total; rows/blocks are zero because
-            # the backend kernel tallies them.
-            profiler.record_kernel("engine.deliver", float(cost_ns))
-            profiler.bump("windows")
-        return row_sums, rows, cost_ns
+        """The unconsumed blocks of ``[lo, hi)``, ascending: a slice of the
+        consumed mask, read as the whole range when none of it is taken."""
+        taken = self._consumed[lo:hi]
+        if not taken.any():
+            return np.arange(lo, hi)
+        blocks = np.logical_not(taken).nonzero()[0]
+        blocks += lo
+        return blocks
 
     def _fresh_counts(self, call: list[np.ndarray]) -> np.ndarray:
-        """The count matrix of everything one sampling call delivered."""
+        """The count matrix of everything one sampling call delivered.
+
+        ``call`` is the call's own scratch list: in the dense regime the one
+        matrix its windows accumulated into, in the deferred regime the
+        block sets its windows tallied, counted here at once.
+        """
         if not call:
             return np.zeros((self._num_candidates, self._num_groups), dtype=np.int64)
         if not self._deferred:
@@ -375,6 +318,172 @@ class BlockSamplingEngine:
             blocks = np.flatnonzero(taken)
         return self.backend.count_blocks(self._source, blocks)
 
+    def _sample(
+        self, m: int | None, goal: np.ndarray | None, max_rows: float | None
+    ) -> np.ndarray:
+        """The one window loop of every sampling call.
+
+        Stage 1 (``goal is None``) reads each window whole, in scan order,
+        until ``m`` rows are delivered, trimmed to the minimal prefix of the
+        *scan* reaching the budget (the tail piece, then the head piece the
+        scan wraps to), and charges its I/O serially.  Later stages
+        (``goal`` per candidate) let the policy select each window's blocks
+        for the candidates still short of their goal, and charge the I/O
+        pipelined with, or serialized behind, the policy's marking cost.
+
+        Either way a window is built from the consumed-mask slices of one
+        run (two, for the window that wraps), ascending; its selected
+        blocks are charged by the I/O manager from their size and last
+        block, counted (dense regime: the backend counts their matrix now)
+        or tallied (deferred regime: the candidate column only), and marked
+        consumed.  What the loop reads every window is taken off ``self``
+        once per call — not at construction, so a policy or backend swapped
+        between calls is the one used.
+        """
+        layout = self.layout
+        num_blocks = layout.num_blocks
+        width = self.window_blocks
+        start = self._start
+        consumed = self._consumed
+        delivered = self._delivered
+        counters = self.counters
+        clock = self.clock
+        io = self.io
+        cost_model = self.cost_model
+        policy = self.policy
+        index = self.index
+        backend = self.backend
+        source = self._source
+        profiler = self.profiler
+        deferred = self._deferred
+        row_filter = self._row_filter
+        num_candidates = self._num_candidates
+        cells = num_candidates * self._num_groups
+        z = self.shuffled.table.column(self._z_name) if deferred else None
+        uniform = goal is None
+        if not uniform:
+            fresh_rows = np.zeros(num_candidates, dtype=np.float64)
+            resident = cost_model.bitmaps_resident(num_candidates, num_blocks)
+            windows_budget = 2 * (-(-max(num_blocks, 1) // width)) + 2
+        call: list[np.ndarray] = []
+        rows_call = 0
+        windows_used = 0
+        # Stage 1 needs no window budget: each pass of the scan visits every
+        # unconsumed block, and each window holding one reads at least one.
+        while True:
+            if uniform:
+                if rows_call >= m or self._unconsumed == 0:
+                    break
+            else:
+                if windows_used > windows_budget:
+                    raise RuntimeError(
+                        "sampling engine exceeded its window budget; "
+                        "active candidates could not be satisfied in two passes"
+                    )
+                active = np.flatnonzero(fresh_rows < goal)
+                if active.size == 0 or self._unconsumed == 0:
+                    break
+                if max_rows is not None and rows_call >= max_rows:
+                    break
+
+            # The window: ``width`` scan positions from the cursor, cut at
+            # the end of the pass — one run of the table, or, once per pass,
+            # the head run from block 0 followed by the tail run from the
+            # cursor, so ascending as built.
+            pos = self._scan_pos
+            stop = min(pos + width, num_blocks)
+            first, last = start + pos, start + stop
+            self._scan_pos = stop % num_blocks
+            windows_used += 1
+            counters.windows += 1
+            if first >= num_blocks:  # wholly past the wrap
+                first, last = first - num_blocks, last - num_blocks
+            if last <= num_blocks:
+                blocks, wrapped = self._unconsumed_run(first, last), 0
+            else:
+                head = self._unconsumed_run(0, last - num_blocks)
+                blocks = np.concatenate((head, self._unconsumed_run(first, num_blocks)))
+                wrapped = head.size
+            if blocks.size == 0:
+                continue
+
+            if uniform:
+                head, tail = blocks[:wrapped], blocks[wrapped:]
+                scan = np.concatenate((tail, head)) if wrapped else blocks
+                cumulative = np.cumsum(layout.rows_per_block(scan))
+                cutoff = int(np.searchsorted(cumulative, m - rows_call)) + 1
+                to_read = tail[:cutoff]
+                if cutoff > tail.size and wrapped:
+                    to_read = np.concatenate((head[: cutoff - tail.size], tail))
+            else:
+                decision: PolicyDecision = policy.select(
+                    index, blocks, active, cost_model, resident
+                )
+                counters.probes += decision.probes
+                to_read = blocks[decision.read_mask]
+                counters.blocks_skipped += int(blocks.size - to_read.size)
+
+            count = int(to_read.size)
+            rows, io_cost = 0, 0.0
+            if count:
+                lo, hi = int(to_read[0]), int(to_read[-1])
+                io_cost = io.charge(count, hi)
+                if deferred:
+                    started = time.perf_counter_ns() if profiler.enabled else 0
+                    row_sums, moved = tally_window_ascending(
+                        z, to_read, layout, num_candidates, row_filter=row_filter
+                    )
+                    call.append(to_read)
+                    if profiler.enabled:
+                        # rows/blocks stay zero: the call-end count tallies them.
+                        profiler.record_kernel(
+                            "engine.tally",
+                            float(time.perf_counter_ns() - started),
+                            nbytes=moved,
+                            bincounts=1,
+                        )
+                else:
+                    counts = backend.count_blocks(source, to_read)
+                    row_sums = rows_per_candidate(counts)
+                    if call:
+                        call[0] += counts
+                    else:
+                        call.append(counts)
+                rows = int(row_sums.sum())
+                delivered += row_sums
+                if hi - lo == count - 1:
+                    consumed[lo : hi + 1] = True
+                else:
+                    consumed[to_read] = True
+                self._unconsumed -= count
+                counters.blocks_read += count
+                counters.rows_delivered += rows
+                if profiler.enabled:
+                    # Simulated I/O charge, not wall time, so kept out of the
+                    # real-kernel-nanosecond total; rows/blocks are zero
+                    # because the backend kernel tallies them.
+                    profiler.record_kernel("engine.deliver", float(io_cost))
+                    profiler.bump("windows")
+                if not uniform:
+                    fresh_rows += row_sums
+            rows_call += rows
+
+            if uniform:
+                clock.charge_serial(io=io_cost)
+            elif decision.overlaps_io:
+                clock.charge_pipelined(io_ns=io_cost, mark_ns=decision.mark_cost_ns)
+            else:
+                # Synchronous path: block selection, the per-block candidate
+                # state refresh, and a blocking engine↔I/O handoff all
+                # serialize with I/O (Challenge 4).
+                clock.charge_serial(
+                    io=io_cost,
+                    mark=decision.mark_cost_ns
+                    + cost_model.sync_handoff_cost(int(blocks.size)),
+                    update=cost_model.sync_update_cost(rows, cells),
+                )
+        return self._fresh_counts(call)
+
     # ---------------------------------------------------------------- stage 1
 
     def sample_uniform(self, m: int) -> np.ndarray:
@@ -385,29 +494,7 @@ class BlockSamplingEngine:
         """
         if m < 0:
             raise ValueError(f"m must be non-negative, got {m}")
-        call: list[np.ndarray] = []
-        delivered = 0
-        windows_without_blocks = 0
-        max_windows = -(-max(self.layout.num_blocks, 1) // self.window_blocks) + 1
-        while delivered < m and not self.fully_scanned:
-            blocks, wrapped = self._window()
-            self.counters.windows += 1
-            if blocks.size == 0:
-                windows_without_blocks += 1
-                if windows_without_blocks > max_windows:
-                    break
-                continue
-            windows_without_blocks = 0
-            # Trim to the minimal prefix of the *scan* reaching the budget:
-            # the tail piece, then the head piece the scan wraps to.
-            head, tail = blocks[:wrapped], blocks[wrapped:]
-            scan_rows = self.layout.rows_per_block(np.concatenate((tail, head)))
-            cutoff = int(np.searchsorted(np.cumsum(scan_rows), m - delivered)) + 1
-            blocks = np.concatenate((head[: max(cutoff - tail.size, 0)], tail[:cutoff]))
-            _, rows, io_cost = self._deliver_blocks(blocks, call)
-            self.clock.charge_serial(io=io_cost)
-            delivered += rows
-        return self._fresh_counts(call)
+        return self._sample(m, None, None)
 
     # ---------------------------------------------------------------- stage 2+
 
@@ -432,56 +519,4 @@ class BlockSamplingEngine:
             )
         remaining = (self._totals - self._delivered).astype(np.float64)
         goal = np.minimum(np.maximum(needed, 0.0), remaining)
-        call: list[np.ndarray] = []
-        fresh_rows = np.zeros(self._num_candidates, dtype=np.float64)
-        delivered_call = 0
-        resident = self.cost_model.bitmaps_resident(
-            self._num_candidates, self.layout.num_blocks
-        )
-
-        num_blocks = max(self.layout.num_blocks, 1)
-        windows_budget = 2 * (-(-num_blocks // self.window_blocks)) + 2
-        windows_used = 0
-        while windows_used <= windows_budget:
-            active = np.flatnonzero(fresh_rows < goal)
-            if active.size == 0:
-                break
-            if self.fully_scanned:
-                break
-            if max_rows is not None and delivered_call >= max_rows:
-                break
-            blocks, _ = self._window()
-            windows_used += 1
-            self.counters.windows += 1
-            if blocks.size == 0:
-                continue
-            decision: PolicyDecision = self.policy.select(
-                self.index, blocks, active, self.cost_model, resident
-            )
-            self.counters.probes += decision.probes
-            to_read = blocks[decision.read_mask]
-            self.counters.blocks_skipped += int(blocks.size - to_read.size)
-            row_sums, rows, io_cost = self._deliver_blocks(to_read, call)
-            if decision.overlaps_io:
-                self.clock.charge_pipelined(io_ns=io_cost, mark_ns=decision.mark_cost_ns)
-            else:
-                # Synchronous path: block selection, the per-block candidate
-                # state refresh, and a blocking engine↔I/O handoff all
-                # serialize with I/O (Challenge 4).
-                update_cost = self.cost_model.sync_update_cost(
-                    rows, self._num_candidates * self._num_groups
-                )
-                handoff = self.cost_model.sync_handoff_cost(int(blocks.size))
-                self.clock.charge_serial(
-                    io=io_cost,
-                    mark=decision.mark_cost_ns + handoff,
-                    update=update_cost,
-                )
-            fresh_rows += row_sums
-            delivered_call += rows
-        else:
-            raise RuntimeError(
-                "sampling engine exceeded its window budget; "
-                "active candidates could not be satisfied in two passes"
-            )
-        return self._fresh_counts(call)
+        return self._sample(None, goal, max_rows)

@@ -5,8 +5,11 @@ condenses them into a frozen :class:`~repro.system.report.ServingReport`
 (percentile latencies, deadline-hit rate, shed count, per-stage and
 per-tenant breakdowns) for benchmarks and the CLI.  Internally locked:
 with executor-offloaded steps (``max_concurrent_steps > 1``) settles can
-land from multiple threads, so recording and snapshotting serialize on
-the metrics' own lock rather than relying on any driver's.
+land from multiple threads, so recording serializes on the metrics' own
+lock rather than relying on any driver's.  Readers copy the counters and
+sketch state under that lock and compute percentiles and text outside it,
+so a busy reader never holds up a ``record_*`` call for longer than the
+copy.
 
 Three observability upgrades over the endpoint-only original:
 
@@ -187,6 +190,34 @@ class ServingMetrics:
 
     # ------------------------------------------------------------- snapshot
 
+    def _copy(self) -> "ServingMetrics":
+        """A private copy of every counter and sketch, taken under the lock.
+
+        Readers render from the copy, outside the lock: the lock is held
+        for O(sketch capacity) list copies per sketch, never for a
+        percentile or a formatted line, so a reader looping
+        :meth:`snapshot` or :meth:`expose_text` does not stall the
+        ``record_*`` calls of the step path.
+        """
+        twin = ServingMetrics.__new__(ServingMetrics)
+        with self._lock:
+            twin.__dict__.update(self.__dict__)
+            twin._latency = self._latency.copy()
+            twin._service = self._service.copy()
+            twin._stage_ns = {k: v.copy() for k, v in self._stage_ns.items()}
+            twin._stage_rows = dict(self._stage_rows)
+            twin._tenant_counts = {
+                k: dict(v) for k, v in self._tenant_counts.items()
+            }
+            twin._tenant_latency = {
+                k: v.copy() for k, v in self._tenant_latency.items()
+            }
+            twin._stage_est_ns = dict(self._stage_est_ns)
+            twin._tenant_est_ns = dict(self._tenant_est_ns)
+            twin._tenant_observed_ns = dict(self._tenant_observed_ns)
+        twin._lock = threading.Lock()
+        return twin
+
     @property
     def requests(self) -> int:
         return (
@@ -202,59 +233,59 @@ class ServingMetrics:
 
     def snapshot(self) -> ServingReport:
         """Frozen aggregate view of everything recorded so far."""
-        with self._lock:
-            p50, p95, p99 = self._latency.percentiles((50, 95, 99))
-            per_stage = {}
-            for stage, sketch in sorted(self._stage_ns.items()):
-                entry = {
-                    "count": sketch.count,
-                    "total_ms": sketch.total * 1e-6,
-                    "p50_ms": sketch.percentile(50) * 1e-6,
-                    "p99_ms": sketch.percentile(99) * 1e-6,
-                    "rows": self._stage_rows.get(stage, 0),
-                }
-                est_ns = self._stage_est_ns.get(stage)
-                if est_ns:
-                    # Eq. 1 estimate next to the observed stage cost.
-                    entry["est_total_ms"] = est_ns * 1e-6
-                    entry["calibration_ratio"] = sketch.total / est_ns
-                per_stage[stage] = entry
-            per_tenant = {}
-            for tenant, counts in sorted(self._tenant_counts.items()):
-                sketch = self._tenant_latency.get(tenant)
-                est_ns = self._tenant_est_ns.get(tenant, 0.0)
-                per_tenant[tenant] = {
-                    **counts,
-                    "p50_latency_ms": (
-                        sketch.percentile(50) * 1e-6 if sketch is not None else 0.0
-                    ),
-                    "mean_latency_ms": (
-                        sketch.mean * 1e-6 if sketch is not None else 0.0
-                    ),
-                    # observed/Eq. 1-estimated stage cost; 0.0 until this
-                    # tenant's stepper spans have been observed.
-                    "calibration_ratio": (
-                        self._tenant_observed_ns.get(tenant, 0.0) / est_ns
-                        if est_ns > 0
-                        else 0.0
-                    ),
-                }
-            return ServingReport(
-                requests=self.requests,
-                completed=self.completed,
-                partial=self.partial,
-                missed=self.missed,
-                shed=self.shed,
-                cancelled=self.cancelled,
-                deadline_hit_rate=self.deadline_hit_rate,
-                p50_latency_ms=p50 * 1e-6,
-                p95_latency_ms=p95 * 1e-6,
-                p99_latency_ms=p99 * 1e-6,
-                mean_latency_ms=self._latency.mean * 1e-6,
-                mean_service_ms=self._service.mean * 1e-6,
-                per_stage=per_stage,
-                per_tenant=per_tenant,
-            )
+        m = self._copy()
+        p50, p95, p99 = m._latency.percentiles((50, 95, 99))
+        per_stage = {}
+        for stage, sketch in sorted(m._stage_ns.items()):
+            entry = {
+                "count": sketch.count,
+                "total_ms": sketch.total * 1e-6,
+                "p50_ms": sketch.percentile(50) * 1e-6,
+                "p99_ms": sketch.percentile(99) * 1e-6,
+                "rows": m._stage_rows.get(stage, 0),
+            }
+            est_ns = m._stage_est_ns.get(stage)
+            if est_ns:
+                # Eq. 1 estimate next to the observed stage cost.
+                entry["est_total_ms"] = est_ns * 1e-6
+                entry["calibration_ratio"] = sketch.total / est_ns
+            per_stage[stage] = entry
+        per_tenant = {}
+        for tenant, counts in sorted(m._tenant_counts.items()):
+            sketch = m._tenant_latency.get(tenant)
+            est_ns = m._tenant_est_ns.get(tenant, 0.0)
+            per_tenant[tenant] = {
+                **counts,
+                "p50_latency_ms": (
+                    sketch.percentile(50) * 1e-6 if sketch is not None else 0.0
+                ),
+                "mean_latency_ms": (
+                    sketch.mean * 1e-6 if sketch is not None else 0.0
+                ),
+                # observed/Eq. 1-estimated stage cost; 0.0 until this
+                # tenant's stepper spans have been observed.
+                "calibration_ratio": (
+                    m._tenant_observed_ns.get(tenant, 0.0) / est_ns
+                    if est_ns > 0
+                    else 0.0
+                ),
+            }
+        return ServingReport(
+            requests=m.requests,
+            completed=m.completed,
+            partial=m.partial,
+            missed=m.missed,
+            shed=m.shed,
+            cancelled=m.cancelled,
+            deadline_hit_rate=m.deadline_hit_rate,
+            p50_latency_ms=p50 * 1e-6,
+            p95_latency_ms=p95 * 1e-6,
+            p99_latency_ms=p99 * 1e-6,
+            mean_latency_ms=m._latency.mean * 1e-6,
+            mean_service_ms=m._service.mean * 1e-6,
+            per_stage=per_stage,
+            per_tenant=per_tenant,
+        )
 
     def merged_tenant_latency(self) -> QuantileSketch | None:
         """All tenants' latency sketches merged into one (no re-recording).
@@ -264,12 +295,16 @@ class ServingMetrics:
         per-tenant sketches are read, never mutated.
         """
         with self._lock:
-            if not self._tenant_latency:
-                return None
-            merged = QuantileSketch(self._sketch_capacity)
-            for tenant in sorted(self._tenant_latency):
-                merged.merge(self._tenant_latency[tenant])
-            return merged
+            sketches = [
+                self._tenant_latency[tenant].copy()
+                for tenant in sorted(self._tenant_latency)
+            ]
+        if not sketches:
+            return None
+        merged = QuantileSketch(self._sketch_capacity)
+        for sketch in sketches:
+            merged.merge(sketch)
+        return merged
 
     # ------------------------------------------------------------ exposition
 
@@ -281,94 +316,94 @@ class ServingMetrics:
         stages become labels.  No client library is required — the text
         format is plain lines.
         """
-        with self._lock:
-            lines: list[str] = []
+        m = self._copy()
+        lines: list[str] = []
 
-            def summary(metric: str, help_text: str, series) -> None:
-                # series: iterable of (label_str, sketch)
-                lines.append(f"# HELP {metric} {help_text}")
-                lines.append(f"# TYPE {metric} summary")
-                for labels, sketch in series:
-                    sep = "," if labels else ""
-                    p50, p95, p99 = sketch.percentiles((50, 95, 99))
-                    for q, value in (("0.5", p50), ("0.95", p95), ("0.99", p99)):
-                        lines.append(
-                            f'{metric}{{{labels}{sep}quantile="{q}"}} {value * 1e-9:.9f}'
-                        )
-                    label_part = f"{{{labels}}}" if labels else ""
-                    lines.append(f"{metric}_sum{label_part} {sketch.total * 1e-9:.9f}")
-                    lines.append(f"{metric}_count{label_part} {sketch.count}")
-
-            lines.append("# HELP repro_requests_total Finalized requests by status.")
-            lines.append("# TYPE repro_requests_total counter")
-            for status, value in (
-                (COMPLETED, self.completed),
-                (PARTIAL, self.partial),
-                (MISS, self.missed),
-                (SHED, self.shed),
-                (CANCELLED, self.cancelled),
-            ):
-                lines.append(f'repro_requests_total{{status="{status}"}} {value}')
-            lines.append(
-                "# HELP repro_deadline_requests_total Requests that carried a deadline."
-            )
-            lines.append("# TYPE repro_deadline_requests_total counter")
-            lines.append(f"repro_deadline_requests_total {self.deadline_requests}")
-            lines.append(
-                "# HELP repro_deadline_hits_total Deadline-carrying requests that completed in time."
-            )
-            lines.append("# TYPE repro_deadline_hits_total counter")
-            lines.append(f"repro_deadline_hits_total {self.deadline_hits}")
-            summary(
-                "repro_request_latency_seconds",
-                "Submission-to-finalization latency.",
-                [("", self._latency)],
-            )
-            summary(
-                "repro_request_service_seconds",
-                "Per-request service time (own steps only).",
-                [("", self._service)],
-            )
-            if self._stage_ns:
-                summary(
-                    "repro_stage_seconds",
-                    "Time spent per lifecycle stage (span-fed).",
-                    [
-                        (f'stage="{stage}"', sketch)
-                        for stage, sketch in sorted(self._stage_ns.items())
-                    ],
-                )
-            if self._tenant_counts:
-                lines.append(
-                    "# HELP repro_tenant_requests_total Finalized requests by tenant and status."
-                )
-                lines.append("# TYPE repro_tenant_requests_total counter")
-                for tenant, counts in sorted(self._tenant_counts.items()):
-                    for status in _STATUSES:
-                        lines.append(
-                            f'repro_tenant_requests_total{{tenant="{tenant}",status="{status}"}}'
-                            f" {counts[status]}"
-                        )
-            if self._tenant_latency:
-                summary(
-                    "repro_tenant_latency_seconds",
-                    "Submission-to-finalization latency by tenant.",
-                    [
-                        (f'tenant="{tenant}"', sketch)
-                        for tenant, sketch in sorted(self._tenant_latency.items())
-                    ],
-                )
-            if self._tenant_est_ns:
-                lines.append(
-                    "# HELP repro_tenant_calibration_ratio "
-                    "Observed over Eq. 1-estimated stage cost."
-                )
-                lines.append("# TYPE repro_tenant_calibration_ratio gauge")
-                for tenant in sorted(self._tenant_est_ns):
-                    est = self._tenant_est_ns[tenant]
-                    observed = self._tenant_observed_ns.get(tenant, 0.0)
+        def summary(metric: str, help_text: str, series) -> None:
+            # series: iterable of (label_str, sketch)
+            lines.append(f"# HELP {metric} {help_text}")
+            lines.append(f"# TYPE {metric} summary")
+            for labels, sketch in series:
+                sep = "," if labels else ""
+                p50, p95, p99 = sketch.percentiles((50, 95, 99))
+                for q, value in (("0.5", p50), ("0.95", p95), ("0.99", p99)):
                     lines.append(
-                        f'repro_tenant_calibration_ratio{{tenant="{tenant}"}} '
-                        f"{observed / est:.6f}"
+                        f'{metric}{{{labels}{sep}quantile="{q}"}} {value * 1e-9:.9f}'
                     )
-            return "\n".join(lines) + "\n"
+                label_part = f"{{{labels}}}" if labels else ""
+                lines.append(f"{metric}_sum{label_part} {sketch.total * 1e-9:.9f}")
+                lines.append(f"{metric}_count{label_part} {sketch.count}")
+
+        lines.append("# HELP repro_requests_total Finalized requests by status.")
+        lines.append("# TYPE repro_requests_total counter")
+        for status, value in (
+            (COMPLETED, m.completed),
+            (PARTIAL, m.partial),
+            (MISS, m.missed),
+            (SHED, m.shed),
+            (CANCELLED, m.cancelled),
+        ):
+            lines.append(f'repro_requests_total{{status="{status}"}} {value}')
+        lines.append(
+            "# HELP repro_deadline_requests_total Requests that carried a deadline."
+        )
+        lines.append("# TYPE repro_deadline_requests_total counter")
+        lines.append(f"repro_deadline_requests_total {m.deadline_requests}")
+        lines.append(
+            "# HELP repro_deadline_hits_total Deadline-carrying requests that completed in time."
+        )
+        lines.append("# TYPE repro_deadline_hits_total counter")
+        lines.append(f"repro_deadline_hits_total {m.deadline_hits}")
+        summary(
+            "repro_request_latency_seconds",
+            "Submission-to-finalization latency.",
+            [("", m._latency)],
+        )
+        summary(
+            "repro_request_service_seconds",
+            "Per-request service time (own steps only).",
+            [("", m._service)],
+        )
+        if m._stage_ns:
+            summary(
+                "repro_stage_seconds",
+                "Time spent per lifecycle stage (span-fed).",
+                [
+                    (f'stage="{stage}"', sketch)
+                    for stage, sketch in sorted(m._stage_ns.items())
+                ],
+            )
+        if m._tenant_counts:
+            lines.append(
+                "# HELP repro_tenant_requests_total Finalized requests by tenant and status."
+            )
+            lines.append("# TYPE repro_tenant_requests_total counter")
+            for tenant, counts in sorted(m._tenant_counts.items()):
+                for status in _STATUSES:
+                    lines.append(
+                        f'repro_tenant_requests_total{{tenant="{tenant}",status="{status}"}}'
+                        f" {counts[status]}"
+                    )
+        if m._tenant_latency:
+            summary(
+                "repro_tenant_latency_seconds",
+                "Submission-to-finalization latency by tenant.",
+                [
+                    (f'tenant="{tenant}"', sketch)
+                    for tenant, sketch in sorted(m._tenant_latency.items())
+                ],
+            )
+        if m._tenant_est_ns:
+            lines.append(
+                "# HELP repro_tenant_calibration_ratio "
+                "Observed over Eq. 1-estimated stage cost."
+            )
+            lines.append("# TYPE repro_tenant_calibration_ratio gauge")
+            for tenant in sorted(m._tenant_est_ns):
+                est = m._tenant_est_ns[tenant]
+                observed = m._tenant_observed_ns.get(tenant, 0.0)
+                lines.append(
+                    f'repro_tenant_calibration_ratio{{tenant="{tenant}"}} '
+                    f"{observed / est:.6f}"
+                )
+        return "\n".join(lines) + "\n"

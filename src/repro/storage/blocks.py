@@ -57,7 +57,18 @@ class BlockLayout:
     def rows_per_block(self, blocks: np.ndarray) -> np.ndarray:
         """Tuples stored in each given block (the final block may be short)."""
         blocks = np.asarray(blocks, dtype=np.int64)
+        if blocks.size and (blocks.min() < 0 or blocks.max() >= self.num_blocks):
+            raise ValueError("block index out of range")
         return np.minimum(self.block_size, self.num_rows - blocks * self.block_size)
+
+    def ascending_rows(self, count: int, last_block: int) -> int:
+        """Tuples in ``count`` distinct blocks ascending to ``last_block``,
+        in O(1): every block but the table's last holds ``block_size`` rows,
+        so only the batch's last block can be short.  ``last_block`` is
+        range-checked as :meth:`block_bounds` checks it."""
+        if count == 0:
+            return 0
+        return (count - 1) * self.block_size + self.block_rows(last_block)
 
     def rows_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Tuple offsets covered by the given block indexes, in block order."""

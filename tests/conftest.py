@@ -13,8 +13,9 @@ from repro.parallel import kernels
 @pytest.fixture
 def classic_counting():
     """A context manager under which every in-process backend count —
-    windows and exact table passes alike — runs the legacy reference
-    arithmetic, ``count_window(..., kernel="classic")``.
+    windows (the inline path's ascending entry) and exact table passes
+    alike — runs the legacy reference arithmetic,
+    ``count_window(..., kernel="classic")``.
 
     The classic baseline of the identity matrices, set by the test rather
     than by a product option.  The reference reads ``z``, ``x`` and the
@@ -30,6 +31,7 @@ def classic_counting():
     def classic():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(backend_module, "count_window", count_classic)
+            patch.setattr(backend_module, "count_window_ascending", count_classic)
             yield
 
     return classic

@@ -230,3 +230,61 @@ class TestSubsetDistances:
         assert tau[[0, 2]].tobytes() == row_distances((counts + fresh)[[0, 2]], q_bar).tobytes()
         assert np.isinf(tau[1])
         assert np.array_equal(counts, before[0]) and np.array_equal(fresh, before[1])
+
+
+class TestRowDistances:
+    """One float matrix, the bits of the five-pass expression."""
+
+    @staticmethod
+    def five_passes(counts, q_bar):
+        return np.abs(normalize(counts) - q_bar[None, :]).sum(axis=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), counts=count_matrices)
+    def test_row_distances_bits_equal_normalize_abs_sum(self, data, counts):
+        empty = data.draw(hnp.arrays(dtype=bool, shape=counts.shape[0]), label="empty")
+        counts = np.where(empty[:, None], 0, counts)  # zero rows
+        target = data.draw(
+            hnp.arrays(
+                dtype=np.float64,
+                shape=counts.shape[1],
+                elements=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            ).filter(nonzero),
+            label="target",
+        )
+        q_bar = normalize(target)
+        got = row_distances(counts, q_bar)
+        assert got.dtype == np.float64
+        assert got.tobytes() == self.five_passes(counts, q_bar).tobytes()
+
+    @pytest.mark.parametrize("shape", [(347, 24), (7641, 24), (2110, 2), (40, 351)])
+    def test_row_distances_bits_at_workload_shapes(self, shape):
+        rng = np.random.default_rng(shape[0])
+        counts = rng.integers(0, 5000, size=shape)
+        counts[rng.random(shape[0]) < 0.2] = 0
+        q_bar = normalize(rng.random(shape[1]))
+        got = row_distances(counts, q_bar)
+        assert got.tobytes() == self.five_passes(counts, q_bar).tobytes()
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda c: c.astype(np.float64) / 7.0,  # fractional totals below 1
+            lambda c: c.astype(np.float32),
+            lambda c: c.astype(np.uint16),
+            lambda c: c > 2,
+        ],
+    )
+    def test_row_distances_bits_for_other_dtypes(self, convert):
+        rng = np.random.default_rng(5)
+        counts = convert(rng.integers(0, 6, size=(30, 7)))
+        q_bar = normalize(rng.random(7))
+        got = row_distances(counts, q_bar)
+        assert got.tobytes() == self.five_passes(counts, q_bar).tobytes()
+
+    def test_row_distances_rejects_a_negative_count(self):
+        counts = np.array([[1, 2, 3], [4, -1, 6]], dtype=np.int64)
+        with pytest.raises(ValueError, match="non-negative"):
+            row_distances(counts, normalize(np.ones(3)))
+        with pytest.raises(ValueError, match="non-negative"):
+            row_distances(counts.astype(np.float64), normalize(np.ones(3)))

@@ -47,7 +47,12 @@ from repro.parallel import (
     plan_affinity,
 )
 from repro.parallel.backend import EXACT_PASS_BLOCK_ROWS
-from repro.parallel.kernels import rows_per_candidate, tally_window
+from repro.parallel.kernels import (
+    count_window_ascending,
+    rows_per_candidate,
+    tally_window,
+    tally_window_ascending,
+)
 from repro.query import Equals, HistogramQuery, InRange, TruePredicate
 from repro.query.executor import exact_candidate_counts
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
@@ -231,7 +236,9 @@ class TestCountWindowIdentity:
         z = np.zeros(100, dtype=np.uint8)
         codes = build_pair_codes(z, z, 3, 3)
         for kernel in ("classic",) + KERNEL_SPECS:
-            for blocks in ([0, 10], [-1, 3], [2, 4, 11]):
+            # The last two: out of range between in-range ends, where only
+            # an ascending window's ends vouch for the rest.
+            for blocks in ([0, 10], [-1, 3], [2, 4, 11], [3, 10, 1], [4, -1, 2]):
                 with pytest.raises(ValueError, match="block index out of range"):
                     count_window(
                         z, z, np.array(blocks), layout, 3, 3,
@@ -339,9 +346,112 @@ class TestTallyWindow:
         tally, moved = tally_window(z, np.empty(0, dtype=np.int64), layout, 3)
         np.testing.assert_array_equal(tally, np.zeros(3, dtype=np.int64))
         assert moved == 0
-        for blocks in ([0, 10], [-1, 3], [2, 4, 11]):
+        for blocks in ([0, 10], [-1, 3], [2, 4, 11], [3, 10, 1], [4, -1, 2]):
             with pytest.raises(ValueError, match="block index out of range"):
                 tally_window(z, np.array(blocks), layout, 3)
+
+
+class TestAscendingEntry:
+    """``count_window_ascending`` / ``tally_window_ascending`` — what the
+    engine's tally and the inline ``count_blocks`` path call — equal the
+    public functions on every ascending window, and reject a window out of
+    range at either end with the same error."""
+
+    @given(
+        data=st.data(),
+        num_rows=st.integers(min_value=1, max_value=400),
+        block_size=st.integers(min_value=1, max_value=37),
+        counted=st.sampled_from(["zx", "codes", "folded"]),
+        filtered=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ascending_entry_equals_the_public_functions(
+        self, data, num_rows, block_size, counted, filtered, seed
+    ):
+        c, g = 9, 4
+        rng = np.random.default_rng(seed)
+        layout = BlockLayout(num_rows=num_rows, block_size=block_size)
+        z = rng.integers(0, c, size=num_rows).astype(np.uint8)
+        x = rng.integers(0, g, size=num_rows).astype(np.uint16)
+        row_filter = rng.random(num_rows) < 0.6 if filtered else None
+        codes = None
+        if counted != "zx":
+            codes = build_pair_codes(
+                z, x, c, g, row_filter=row_filter if counted == "folded" else None
+            )
+        # A folded column carries its filter: it is counted without one.
+        count_filter = None if counted == "folded" else row_filter
+        blocks = draw_blocks(data, layout)
+        want = count_window(
+            z, x, blocks, layout, c, g, row_filter=count_filter, codes=codes
+        )
+        got = count_window_ascending(
+            z, x, blocks, layout, c, g, row_filter=count_filter, codes=codes
+        )
+        assert got[0].dtype == np.int64
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]  # the same bytes materialized
+        np.testing.assert_array_equal(
+            got[0], legacy_reference(z, x, blocks, layout, c, g, row_filter)
+        )
+        tally = tally_window_ascending(z, blocks, layout, c, row_filter=row_filter)
+        want_tally = tally_window(z, blocks, layout, c, row_filter=row_filter)
+        np.testing.assert_array_equal(tally[0], want_tally[0])
+        assert tally[0].dtype == np.int64 and tally[1] == want_tally[1]
+
+    @pytest.mark.parametrize("n", [1003, 1024])  # with and without a short block
+    @pytest.mark.parametrize(
+        "shape", ["all", "contiguous", "scattered", "single", "alternate_to_last",
+                  "alternate_before_last"],
+    )
+    def test_ascending_entry_on_every_window_shape(self, n, shape):
+        """One run, many runs, the short last block, with a filter and with
+        a folded column: counts and bytes of the public function."""
+        rng = np.random.default_rng(n)
+        c, g = 40, 30
+        layout = BlockLayout(num_rows=n, block_size=32)
+        z = rng.integers(0, c, size=n).astype(np.uint8)
+        x = rng.integers(0, g, size=n).astype(np.uint16)
+        row_filter = rng.random(n) < 0.6
+        folded = build_pair_codes(z, x, c, g, row_filter=row_filter)
+        blocks = block_subsets(layout.num_blocks)[shape]
+        for kwargs in ({}, {"row_filter": row_filter}, {"codes": folded}):
+            want = count_window(z, x, blocks, layout, c, g, **kwargs)
+            got = count_window_ascending(z, x, blocks, layout, c, g, **kwargs)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1]
+        for kwargs in ({}, {"row_filter": row_filter}):
+            want = tally_window(z, blocks, layout, c, **kwargs)
+            got = tally_window_ascending(z, blocks, layout, c, **kwargs)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1]
+
+    @pytest.mark.parametrize("blocks", [[-1, 3, 5], [0, 4, 10], [10], [-1]])
+    def test_ascending_entry_rejects_an_end_out_of_range(self, blocks):
+        """The first or the last block out of range raises what the public
+        functions raise."""
+        layout = BlockLayout(num_rows=100, block_size=10)
+        z = np.zeros(100, dtype=np.uint8)
+        blocks = np.array(blocks, dtype=np.int64)
+        for count in (
+            lambda: count_window_ascending(z, z, blocks, layout, 3, 3),
+            lambda: tally_window_ascending(z, blocks, layout, 3),
+            lambda: count_window(z, z, blocks, layout, 3, 3),
+            lambda: tally_window(z, blocks, layout, 3),
+        ):
+            with pytest.raises(ValueError, match="block index out of range"):
+                count()
+
+    def test_ascending_entry_empty(self):
+        layout = BlockLayout(num_rows=100, block_size=10)
+        z = np.zeros(100, dtype=np.uint8)
+        empty = np.empty(0, dtype=np.int64)
+        counts, moved = count_window_ascending(z, z, empty, layout, 3, 3)
+        assert counts.shape == (3, 3) and counts.dtype == np.int64
+        assert not counts.any() and moved == 0
+        tally, moved = tally_window_ascending(z, empty, layout, 3)
+        assert tally.tolist() == [0, 0, 0] and moved == 0
 
 
 class TestRowsPerCandidate:

@@ -226,6 +226,27 @@ class TestQuantileSketch:
             b.observe(i)
         assert a._samples == b._samples  # seeded: runs reproduce
 
+    @pytest.mark.parametrize("observed", [0, 10, 5000])
+    def test_copy_is_an_independent_twin(self, observed):
+        """A copy holds the same state, reservoir included: fed the same
+        stream afterwards, both keep the same samples; neither sees the
+        other's later observations."""
+        sketch = QuantileSketch(64)
+        for i in range(observed):
+            sketch.observe(i)
+        twin = sketch.copy()
+        assert twin._samples == sketch._samples and twin._samples is not sketch._samples
+        assert (twin.count, twin.total, twin.minimum, twin.maximum) == (
+            sketch.count, sketch.total, sketch.minimum, sketch.maximum
+        )
+        assert twin.percentiles((50, 99)) == sketch.percentiles((50, 99))
+        for i in range(300):
+            sketch.observe(7 * i)
+            twin.observe(7 * i)
+        assert twin._samples == sketch._samples
+        sketch.observe(-1.0)
+        assert twin.count == sketch.count - 1 and twin.minimum != -1.0
+
 
 # ---------------------------------------------------------------------------
 # ServingMetrics: one recording seam, bounded sketches, exposition
@@ -283,6 +304,48 @@ class TestServingMetrics:
         assert snap.per_stage["queue"]["count"] == 1
         assert snap.per_stage["stage2"]["rows"] == 64
         assert snap.per_stage["stage2"]["total_ms"] == pytest.approx(300.0 * 1e-6)
+
+    def test_readers_compute_no_percentile_under_the_lock(self, monkeypatch):
+        """``snapshot``, ``expose_text`` and ``merged_tenant_latency`` copy
+        under the lock and compute every percentile, mean and merge outside
+        it — the ``record_*`` calls of the step path wait for a copy at
+        most — and read exactly what they read before."""
+        metrics = ServingMetrics(sketch_capacity=32)
+        tracer = Tracer(SimulatedClock())
+        tracer.subscribe(metrics)
+        for i in range(200):
+            tenant = ("flights", "police")[i % 2]
+            metrics.record_outcome(
+                outcome_like("completed", deadline_ns=5e6, deadline_hit=i % 3 == 0,
+                             latency_ns=1e5 * (i + 1)),
+                tenant=tenant,
+            )
+            tracer.span_at("stepper.stage2", 10.0 * i, 10.0 * i + 7.0 + i,
+                           name="r", fresh_rows=i, est_slice_ns=5.0, tenant=tenant)
+        metrics.record_shed(tenant="taxi")
+        expected = (metrics.snapshot(), metrics.expose_text(),
+                    metrics.merged_tenant_latency().percentiles((50, 99)))
+
+        reads = []
+
+        def outside_the_lock(read):
+            def checked(sketch, *args):
+                assert not metrics._lock.locked(), read.__name__
+                reads.append(read.__name__)
+                return read(sketch, *args)
+            return checked
+
+        for name in ("percentile", "percentiles", "merge"):
+            monkeypatch.setattr(
+                QuantileSketch, name, outside_the_lock(getattr(QuantileSketch, name))
+            )
+        monkeypatch.setattr(
+            QuantileSketch, "mean", property(outside_the_lock(QuantileSketch.mean.fget))
+        )
+        got = (metrics.snapshot(), metrics.expose_text(),
+               metrics.merged_tenant_latency().percentiles((50, 99)))
+        assert got == expected
+        assert {"percentile", "percentiles", "mean", "merge"} <= set(reads)
 
     def test_prometheus_exposition(self):
         metrics = ServingMetrics()

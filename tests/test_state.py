@@ -116,6 +116,17 @@ class TestRoundAccounting:
         with pytest.raises(ValueError):
             s.record_round_counts(np.full((3, 4), -1))
 
+    def test_record_rejects_one_negative_cell(self):
+        """The sign check is one reduction over the whole batch: a single
+        negative cell among positive ones is found, and a rejected batch
+        moves nothing."""
+        s = make_state()
+        fresh = np.full((3, 4), 5, dtype=np.int64)
+        fresh[2, 3] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            s.record_round_counts(fresh)
+        assert not s.round_counts.any() and not s.round_samples.any()
+
 
 class TestExhaustion:
     def test_exhausted_without_rows_is_never(self):

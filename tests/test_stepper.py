@@ -198,6 +198,100 @@ class TestStateMachine:
             HistSimStepper(make_sampler(population), target, CONFIG, max_step_rows=0)
 
 
+class SpySampler:
+    """Delegates to a sampler and notes the stepper's stage at every
+    sampling call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.stepper = None
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    @property
+    def fully_scanned(self):
+        return self.inner.fully_scanned
+
+    def sample_uniform(self, m):
+        self.calls.append(("uniform", self.stepper.stage_name))
+        return self.inner.sample_uniform(m)
+
+    def sample_until(self, needed, max_rows=None):
+        self.calls.append(("until", self.stepper.stage_name))
+        return self.inner.sample_until(needed, max_rows=max_rows)
+
+
+@pytest.fixture
+def indistinct():
+    """10 candidates of 1,500 rows; three all but equal to the target, so
+    no round can separate them and stage 2 reads the whole table."""
+    rng = np.random.default_rng(1234)
+    groups = 8
+    target = np.full(groups, 1.0 / groups)
+    dists = [
+        tilted(target, i, 0.001) if i < 3 else tilted(target, i % groups, 0.9)
+        for i in range(10)
+    ]
+    z, x = synth_population(rng, [1500] * 10, dists)
+    return z, x, 10, groups, target
+
+
+class TestStage3AfterFullScan:
+    @pytest.mark.parametrize("max_step_rows", [None, 700])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_fully_scanned_stage3_makes_no_sampler_call(
+        self, indistinct, k, max_step_rows
+    ):
+        """Stage 3 of a run that already read every row calls no sampler
+        and returns the exact top-k, every histogram exact."""
+        z, x, candidates, groups, target = indistinct
+        config = CONFIG.with_(k=k)
+        spy = SpySampler(make_sampler(indistinct))
+        stepper = HistSimStepper(spy, target, config, max_step_rows=max_step_rows)
+        spy.stepper = stepper
+        while not isinstance(stepper.stage, Stage3):
+            stepper.step()
+        assert spy.inner.fully_scanned
+        calls_before_stage3 = list(spy.calls)
+        report = stepper.step()
+        assert report.done and report.fresh_rows == 0
+        assert spy.calls == calls_before_stage3  # no call in stage 3
+        assert ("until", "stage3") not in spy.calls
+        result = stepper.result
+
+        full = np.zeros((candidates, groups), dtype=np.int64)
+        np.add.at(full, (z, x), 1)
+        tau = candidate_distances(full, target)
+        assert result.exact and result.stats.stage3_samples == 0
+        assert sorted(result.matching) == sorted(
+            select_matching(tau, np.ones(candidates, dtype=bool), k).tolist()
+        )
+        assert np.array_equal(result.histograms, full[list(result.matching)])
+        # Step-driven, bounded or not, and run to completion agree.
+        assert_results_identical(
+            result, run_histsim(make_sampler(indistinct), target, config)
+        )
+
+    def test_zero_needed_stage3_makes_no_sampler_call(self, population):
+        """A stage 3 whose matching candidates already hold the target's
+        rows asks the sampler for nothing, and so does not call it."""
+        target = population[-1]
+        spy = SpySampler(make_sampler(population))
+        stepper = HistSimStepper(spy, target, CONFIG)
+        spy.stepper = stepper
+        while not isinstance(stepper.stage, Stage3):
+            stepper.step()
+        algo = stepper.algorithm
+        stepper.stage.needed = np.zeros(algo.alive.size)  # the target is met
+        before = (list(spy.calls), spy.inner.delivered_rows())
+        report = stepper.step()
+        assert report.done and report.fresh_rows == 0
+        assert spy.calls == before[0]
+        assert np.array_equal(spy.inner.delivered_rows(), before[1])
+
+
 class TestIncrementalSampling:
     """sample_until(max_rows=...) — the substrate the stepper relies on."""
 

@@ -277,6 +277,42 @@ class TestBlockLayout:
             layout.block_of_row(10)
 
 
+    @pytest.mark.parametrize("block", [4, 7, -1, 100])
+    def test_rows_per_block_rejects_out_of_range_blocks(self, block):
+        """On a 100-row layout of 32-row blocks (blocks 0..3), an
+        out-of-range block raises as its siblings do, instead of a row
+        count of 32 - 32 * block + 100 (or a full block for -1)."""
+        layout = BlockLayout(num_rows=100, block_size=32)
+        for blocks in ([block], [0, block, 2], [3, block, 1]):
+            with pytest.raises(ValueError, match="block index out of range"):
+                layout.rows_per_block(np.array(blocks))
+        with pytest.raises(ValueError):
+            layout.rows_of_blocks(np.array([block]))
+        with pytest.raises(ValueError):
+            layout.block_bounds(block)
+
+    def test_rows_per_block_in_range(self):
+        layout = BlockLayout(num_rows=100, block_size=32)
+        assert layout.rows_per_block(np.array([3, 0, 3, 1])).tolist() == [4, 32, 4, 32]
+        assert layout.rows_per_block(np.array([], dtype=np.int64)).size == 0
+
+    @pytest.mark.parametrize(("num_rows", "block_size"), [(100, 32), (96, 32), (5, 1)])
+    def test_ascending_rows_equals_the_per_block_sum(self, num_rows, block_size):
+        """The O(1) count of an ascending batch — what the I/O manager
+        charges and a worker backend's floor reads — is the per-block sum,
+        and its last block is range-checked."""
+        layout = BlockLayout(num_rows=num_rows, block_size=block_size)
+        rng = np.random.default_rng(num_rows)
+        for _ in range(50):
+            size = int(rng.integers(1, layout.num_blocks + 1))
+            blocks = np.sort(rng.choice(layout.num_blocks, size, replace=False))
+            assert layout.ascending_rows(blocks.size, int(blocks[-1])) == int(
+                layout.rows_per_block(blocks).sum()
+            )
+        assert layout.ascending_rows(0, 0) == 0
+        with pytest.raises(ValueError):
+            layout.ascending_rows(2, layout.num_blocks)
+
 class TestShuffledTable:
     def test_shuffle_table(self):
         t = small_table(500)
