@@ -109,18 +109,17 @@ class QuantileSketch:
         return self
 
     def copy(self) -> "QuantileSketch":
-        """An independent sketch in the same state — the retained samples,
-        the exact aggregates and the reservoir's random state — in
-        O(capacity), with no percentile computed."""
-        twin = QuantileSketch.__new__(QuantileSketch)
-        twin.capacity = self.capacity
+        """An independent sketch holding the same retained samples and
+        exact aggregates, in O(capacity), with no percentile computed.
+
+        A copy is for reading: its reservoir's random stream starts afresh
+        rather than continuing this sketch's."""
+        twin = QuantileSketch(self.capacity)
         twin.count = self.count
         twin.total = self.total
         twin.minimum = self.minimum
         twin.maximum = self.maximum
         twin._samples = list(self._samples)
-        twin._rng = random.Random()
-        twin._rng.setstate(self._rng.getstate())
         return twin
 
     # ------------------------------------------------------------- queries

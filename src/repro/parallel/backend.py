@@ -448,9 +448,7 @@ class WorkerBackend(ExecutionBackend):
         return rows < max(1, self.min_fan_out_rows)
 
     def count_blocks(self, source: CountSource, blocks: np.ndarray) -> np.ndarray:
-        total_rows = source.shuffled.layout.ascending_rows(
-            int(blocks.size), int(blocks[-1]) if blocks.size else 0
-        )
+        total_rows = source.shuffled.layout.ascending_rows(blocks)
         if self._below_floor(total_rows):
             # Same kernel, same rows, no round trip (and no shard planning —
             # the plan would be discarded).

@@ -20,17 +20,17 @@ not, and where the table's short last block sits) is made once per call
 and serves every column gathered, with no per-call closure.
 
 The sampling engine's ascending-window contract reaches the kernel here.
-:func:`count_window` and :func:`tally_window` take blocks in any order,
-repeats included, and check them with a min/max pass and, for contiguity,
-a ``diff``.  Their ascending entries, :func:`count_window_ascending` and
-:func:`tally_window_ascending`, take a window ascending and distinct — what
-the engine builds, and what
-:meth:`~repro.parallel.ExecutionBackend.count_blocks` documents — and read
+:func:`count_window` takes blocks in any order, repeats included, and
+checks them with a min/max pass and, for contiguity, a ``diff``.  Its
+ascending entry, :func:`count_window_ascending`, takes a window ascending
+and distinct — what the engine builds, and what
+:meth:`~repro.parallel.ExecutionBackend.count_blocks` documents — and reads
 the same facts off its two ends in O(1): it is in range when its first and
 last blocks are, one run when it spans as many blocks as it holds, and only
-its last block can be the short one.  The engine's tally and every inline
-``count_blocks`` (serial, and a worker backend below its floor) call them;
-counts and bytes are those of the public functions.
+its last block can be the short one.  Every inline ``count_blocks``
+(serial, and a worker backend below its floor) calls it; counts and bytes
+are those of :func:`count_window`.  :func:`tally_window`, which only the
+engine calls, takes the ascending contract itself.
 
 ``count_window(kernel="classic")`` runs the legacy arithmetic instead,
 verbatim — an int64 row-index gather
@@ -88,7 +88,6 @@ __all__ = [
     "pair_code_dtype",
     "rows_per_candidate",
     "tally_window",
-    "tally_window_ascending",
 ]
 
 #: What sessions and the CLI accept: ``"fused"`` prepares and caches each
@@ -472,19 +471,6 @@ def rows_per_candidate(counts: np.ndarray) -> np.ndarray:
     return np.einsum("ij->i", counts, dtype=np.int64)
 
 
-def _tally(
-    z, blocks, layout, num_candidates, row_filter, plan
-) -> tuple[np.ndarray, int]:
-    """The candidate-column gather + bincount of both tally entries."""
-    zz, moved = _gather(z, blocks, layout, *plan)
-    if row_filter is not None:
-        keep, keep_moved = _gather(row_filter, blocks, layout, *plan)
-        zz = zz[keep]
-        moved += keep_moved + int(zz.nbytes)
-    tally = np.bincount(zz, minlength=num_candidates)
-    return tally.astype(np.int64, copy=False), moved
-
-
 def tally_window(
     z: np.ndarray,
     blocks: np.ndarray,
@@ -498,31 +484,19 @@ def tally_window(
     The row sums of :func:`count_window`'s matrix without the matrix: one
     gather of the candidate column (and of the filter), one bincount to
     ``num_candidates`` cells.  What block selection needs from a window
-    whose ``(candidate, group)`` cells are counted later, all at once.
-    Returns the int64 tally plus the bytes materialized, as
-    :func:`count_window` does, and checks ``blocks`` as it does.
+    whose ``(candidate, group)`` cells are counted later, all at once: the
+    deferred regime's per-window tally.  Returns the int64 tally plus the
+    bytes materialized, as :func:`count_window` does.  ``blocks`` is an
+    int64 window ascending and distinct, as the engine builds it, checked
+    at its two ends as :func:`count_window_ascending` checks it.
     """
-    blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.size == 0:
         return np.zeros(num_candidates, dtype=np.int64), 0
-    return _tally(
-        z, blocks, layout, num_candidates, row_filter, _plan_any(blocks, layout)
-    )
-
-
-def tally_window_ascending(
-    z: np.ndarray,
-    blocks: np.ndarray,
-    layout: BlockLayout,
-    num_candidates: int,
-    *,
-    row_filter: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """:func:`tally_window` for an int64 window ascending and distinct,
-    checked at its two ends as :func:`count_window_ascending` checks it:
-    the deferred regime's per-window tally."""
-    if blocks.size == 0:
-        return np.zeros(num_candidates, dtype=np.int64), 0
-    return _tally(
-        z, blocks, layout, num_candidates, row_filter, _plan_ascending(blocks, layout)
-    )
+    plan = _plan_ascending(blocks, layout)
+    zz, moved = _gather(z, blocks, layout, *plan)
+    if row_filter is not None:
+        keep, keep_moved = _gather(row_filter, blocks, layout, *plan)
+        zz = zz[keep]
+        moved += keep_moved + int(zz.nbytes)
+    tally = np.bincount(zz, minlength=num_candidates)
+    return tally.astype(np.int64, copy=False), moved

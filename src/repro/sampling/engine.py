@@ -58,9 +58,11 @@ below read instead of re-checking, down to the counting kernel:
   (:meth:`~repro.storage.blocks.BlockLayout.ascending_rows`);
 - the kernel range-checks a delivered subset at its two ends and knows it
   for one run when it spans as many blocks as it holds: the deferred
-  regime's tally (:func:`~repro.parallel.kernels.tally_window_ascending`)
-  and every inline ``count_blocks``
+  regime's tally (:func:`~repro.parallel.kernels.tally_window`) and every
+  inline ``count_blocks``
   (:func:`~repro.parallel.kernels.count_window_ascending`);
+- stage 1 trims its row budget off the window's size and whether its tail
+  ends on the table's short last block, with no per-block row array;
 - the deferred regime's call-end count concatenates the call's ascending
   windows, or, when the call scanned past the table's end, reads its
   blocks off a mask.
@@ -70,9 +72,8 @@ The public entry points keep every check for arbitrary input:
 still rejects an unsorted or out-of-range batch,
 :meth:`BlockBitmapIndex.any_present
 <repro.bitmap.BlockBitmapIndex.any_present>` still min/max-checks its
-values, and :func:`~repro.parallel.count_window` and
-:func:`~repro.parallel.kernels.tally_window` take blocks in any order and
-min/max-check them.
+values, and :func:`~repro.parallel.count_window` takes blocks in any
+order and min/max-checks them.
 
 ``row_filter`` and ``codes`` go together.  The filter is the engine's own
 business — rows per candidate, the deferred regime's tally, ``total_rows``.
@@ -96,7 +97,7 @@ from ..parallel.backend import CountSource, ExecutionBackend, SerialBackend
 from ..parallel.kernels import (
     check_pair_codes,
     rows_per_candidate,
-    tally_window_ascending,
+    tally_window,
 )
 from ..storage.cost_model import CostModel
 from ..storage.io_manager import IOManager
@@ -342,6 +343,8 @@ class BlockSamplingEngine:
         """
         layout = self.layout
         num_blocks = layout.num_blocks
+        block_size = layout.block_size
+        shortfall = -layout.num_rows % block_size  # rows the last block lacks
         width = self.window_blocks
         start = self._start
         consumed = self._consumed
@@ -408,9 +411,13 @@ class BlockSamplingEngine:
                 continue
 
             if uniform:
+                # The scan reads the tail, then the head.  Every block holds
+                # ``block_size`` rows but the table's short last one, which
+                # only the tail can end on.
                 head, tail = blocks[:wrapped], blocks[wrapped:]
-                scan = np.concatenate((tail, head)) if wrapped else blocks
-                cumulative = np.cumsum(layout.rows_per_block(scan))
+                cumulative = np.arange(1, blocks.size + 1) * block_size
+                if shortfall and tail.size and tail[-1] == num_blocks - 1:
+                    cumulative[tail.size - 1 :] -= shortfall
                 cutoff = int(np.searchsorted(cumulative, m - rows_call)) + 1
                 to_read = tail[:cutoff]
                 if cutoff > tail.size and wrapped:
@@ -430,7 +437,7 @@ class BlockSamplingEngine:
                 io_cost = io.charge(count, hi)
                 if deferred:
                     started = time.perf_counter_ns() if profiler.enabled else 0
-                    row_sums, moved = tally_window_ascending(
+                    row_sums, moved = tally_window(
                         z, to_read, layout, num_candidates, row_filter=row_filter
                     )
                     call.append(to_read)

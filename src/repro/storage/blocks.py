@@ -61,14 +61,15 @@ class BlockLayout:
             raise ValueError("block index out of range")
         return np.minimum(self.block_size, self.num_rows - blocks * self.block_size)
 
-    def ascending_rows(self, count: int, last_block: int) -> int:
-        """Tuples in ``count`` distinct blocks ascending to ``last_block``,
-        in O(1): every block but the table's last holds ``block_size`` rows,
-        so only the batch's last block can be short.  ``last_block`` is
-        range-checked as :meth:`block_bounds` checks it."""
-        if count == 0:
+    def ascending_rows(self, blocks: np.ndarray) -> int:
+        """Tuples in ``blocks``, distinct and ascending, in O(1) from their
+        size and last block: every block but the table's last holds
+        ``block_size`` rows, so only the batch's last block can be short.
+        The last block is range-checked as :meth:`block_bounds` checks it;
+        no blocks hold no rows."""
+        if blocks.size == 0:
             return 0
-        return (count - 1) * self.block_size + self.block_rows(last_block)
+        return (blocks.size - 1) * self.block_size + self.block_rows(int(blocks[-1]))
 
     def rows_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Tuple offsets covered by the given block indexes, in block order."""

@@ -69,7 +69,8 @@ class IOManager:
         layout = self.shuffled.layout
         if not 0 <= last_block < layout.num_blocks:
             raise ValueError("block index out of range")
-        rows = layout.ascending_rows(count, last_block)
+        # Ascending, so only the batch's last block can be the table's short one.
+        rows = (count - 1) * layout.block_size + layout.block_rows(last_block)
         cost = self.cost_model.scan_cost(rows, count)
         self.total_blocks_read += count
         self.total_rows_read += rows

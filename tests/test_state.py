@@ -115,16 +115,12 @@ class TestRoundAccounting:
             s.record_round_counts(np.zeros((2, 4), dtype=np.int64))
         with pytest.raises(ValueError):
             s.record_round_counts(np.full((3, 4), -1))
-
-    def test_record_rejects_one_negative_cell(self):
-        """The sign check is one reduction over the whole batch: a single
-        negative cell among positive ones is found, and a rejected batch
-        moves nothing."""
-        s = make_state()
-        fresh = np.full((3, 4), 5, dtype=np.int64)
-        fresh[2, 3] = -1
+        # A single negative cell among positive ones; a rejected batch
+        # moves nothing.
+        one_negative = np.full((3, 4), 5, dtype=np.int64)
+        one_negative[2, 3] = -1
         with pytest.raises(ValueError, match="non-negative"):
-            s.record_round_counts(fresh)
+            s.record_round_counts(one_negative)
         assert not s.round_counts.any() and not s.round_samples.any()
 
 

@@ -306,12 +306,12 @@ class TestBlockLayout:
         for _ in range(50):
             size = int(rng.integers(1, layout.num_blocks + 1))
             blocks = np.sort(rng.choice(layout.num_blocks, size, replace=False))
-            assert layout.ascending_rows(blocks.size, int(blocks[-1])) == int(
+            assert layout.ascending_rows(blocks) == int(
                 layout.rows_per_block(blocks).sum()
             )
-        assert layout.ascending_rows(0, 0) == 0
+        assert layout.ascending_rows(np.empty(0, dtype=np.int64)) == 0
         with pytest.raises(ValueError):
-            layout.ascending_rows(2, layout.num_blocks)
+            layout.ascending_rows(np.array([0, layout.num_blocks]))
 
 class TestShuffledTable:
     def test_shuffle_table(self):
