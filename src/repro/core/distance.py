@@ -107,7 +107,9 @@ def candidate_distances(counts: np.ndarray, target: np.ndarray) -> np.ndarray:
     return row_distances(counts, q_bar)
 
 
-def row_distances(counts: np.ndarray, q_bar: np.ndarray) -> np.ndarray:
+def row_distances(
+    counts: np.ndarray, q_bar: np.ndarray, totals: np.ndarray | None = None
+) -> np.ndarray:
     """:func:`candidate_distances` past its shape checks, to a target that
     :func:`normalize` already scaled (callers that hold one target for many
     calls normalize it once).  Every operation is row-wise, so a row's
@@ -118,13 +120,21 @@ def row_distances(counts: np.ndarray, q_bar: np.ndarray) -> np.ndarray:
     and divided straight into float64 (a zero row by 1, as
     :func:`normalize` does), then the target is subtracted and the absolute
     value taken in place.  Negative counts are rejected by one ``min``.
+
+    ``totals``, when the caller already holds them, are the rows' sums
+    (HistSim's per-candidate sample counts): the division uses them instead
+    of summing every row again.  They are the same exact integers, so the
+    bits are the same.
     """
     counts = np.asarray(counts)
     if counts.dtype.kind not in "iu":
         counts = counts.astype(np.float64, copy=False)
     if counts.size and counts.min() < 0:
         raise ValueError("histogram counts must be non-negative")
-    total = counts.sum(axis=1, keepdims=True)
+    if totals is None:
+        total = counts.sum(axis=1, keepdims=True)
+    else:
+        total = np.asarray(totals)[:, None]
     out = np.true_divide(counts, np.where(total > 0, total, 1), dtype=np.float64)
     np.subtract(out, q_bar, out=out)
     np.abs(out, out=out)
@@ -136,13 +146,16 @@ def subset_distances(
     q_bar: np.ndarray,
     rows: np.ndarray,
     in_flight: np.ndarray | None = None,
+    totals: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distances of the candidates ``rows`` only, as a full-length vector.
 
     ``rows`` holds sorted, distinct candidate indices (``np.flatnonzero`` of
     an alive mask) and ``q_bar`` a normalized target, as for
     :func:`row_distances`; ``in_flight`` is an optional second count matrix
-    added to ``counts`` on those rows (a stage-2 round's fresh counts).
+    added to ``counts`` on those rows (a stage-2 round's fresh counts), and
+    ``totals`` the optional per-candidate row sums of ``counts`` (plus
+    ``in_flight``), full length, as :func:`row_distances` takes them.
     Only the listed rows are gathered and normalized — the cost is
     ``|rows| × |V_X|``, not ``|V_Z| × |V_X|`` — and when ``rows`` lists every
     candidate the matrices are used as they are, without a gather copy.
@@ -152,13 +165,15 @@ def subset_distances(
     num_candidates = counts.shape[0]
     if rows.size == num_candidates:
         return row_distances(
-            counts if in_flight is None else counts + in_flight, q_bar
+            counts if in_flight is None else counts + in_flight, q_bar, totals
         )
     gathered = counts[rows]
     if in_flight is not None:
         gathered = gathered + in_flight[rows]
     distances = np.full(num_candidates, np.inf)
-    distances[rows] = row_distances(gathered, q_bar)
+    distances[rows] = row_distances(
+        gathered, q_bar, None if totals is None else totals[rows]
+    )
     return distances
 
 

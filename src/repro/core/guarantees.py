@@ -8,11 +8,11 @@ compute the Δd metric of Section 5.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import candidate_distances, l1_distance
+from .distance import candidate_distances, normalize
 from .result import MatchResult
 
 __all__ = ["AuditTruth", "GuaranteeAudit", "audit_result", "true_top_k", "delta_d"]
@@ -25,12 +25,16 @@ class AuditTruth:
 
     Every audit of one prepared query shares it
     (``PreparedQuery.audit_truth``), so ``|V_Z| × |V_X|`` ground-truth work is
-    paid once per artifact instead of three times per report.
+    paid once per artifact instead of three times per report.  So are the
+    selectivity masks and true top-k sets it computes, memoized per
+    ``σ`` and ``(k, σ)`` as read-only arrays: they depend on nothing else.
+    Two threads that miss the memo at once only compute the same value twice.
     """
 
     distances: np.ndarray
     rows: np.ndarray
     total: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, exact_counts: np.ndarray, target: np.ndarray) -> "AuditTruth":
@@ -42,19 +46,33 @@ class AuditTruth:
         return cls(distances=distances, rows=rows, total=float(rows.sum()))
 
     def meets_selectivity(self, sigma: float) -> np.ndarray:
-        """Fresh mask of the candidates with ``N_i/N ≥ σ``."""
-        if sigma > 0:
-            return self.rows / self.total >= sigma
-        return np.ones(self.rows.size, dtype=bool)
+        """Read-only mask of the candidates with ``N_i/N ≥ σ``."""
+        key = ("selective", sigma)
+        mask = self._memo.get(key)
+        if mask is None:
+            if sigma > 0:
+                mask = self.rows / self.total >= sigma
+            else:
+                mask = np.ones(self.rows.size, dtype=bool)
+            mask.setflags(write=False)
+            self._memo[key] = mask
+        return mask
 
     def top_k(self, k: int, sigma: float) -> np.ndarray:
-        """``M*``: see :func:`true_top_k`."""
+        """``M*`` as a read-only array: see :func:`true_top_k`."""
         if self.total <= 0:
             raise ValueError("exact counts are empty")
-        eligible = self.meets_selectivity(sigma)
-        eligible &= self.rows > 0
-        order = np.argsort(np.where(eligible, self.distances, np.inf), kind="stable")
-        return order[: min(k, int(eligible.sum()))]
+        key = ("top_k", k, sigma)
+        top = self._memo.get(key)
+        if top is None:
+            eligible = self.meets_selectivity(sigma) & (self.rows > 0)
+            order = np.argsort(
+                np.where(eligible, self.distances, np.inf), kind="stable"
+            )
+            top = order[: min(k, int(eligible.sum()))]
+            top.setflags(write=False)
+            self._memo[key] = top
+        return top
 
     def delta_d(self, returned: np.ndarray, k: int, sigma: float) -> float:
         """Δd of a returned set: see :func:`delta_d`."""
@@ -76,7 +94,7 @@ def true_top_k(
     This is ``M*`` as computed by the Scan baseline: candidates with
     ``N_i/N < σ`` are excluded exactly, the rest ranked by true distance.
     """
-    return AuditTruth.of(exact_counts, target).top_k(k, sigma)
+    return AuditTruth.of(exact_counts, target).top_k(k, sigma).copy()
 
 
 def delta_d(
@@ -153,7 +171,7 @@ def audit_result(
         )
 
     worst_output = float(true_distances[returned].max())
-    eligible_outside = truth.meets_selectivity(sigma)
+    eligible_outside = truth.meets_selectivity(sigma).copy()
     eligible_outside[returned] = False
     if eligible_outside.any():
         separation_ok = bool(
@@ -162,10 +180,12 @@ def audit_result(
     else:
         separation_ok = True
 
-    worst_reconstruction = 0.0
-    for position, candidate in enumerate(returned):
-        err = l1_distance(result.histograms[position], exact_counts[candidate])
-        worst_reconstruction = max(worst_reconstruction, err)
+    # The returned rows' L1 errors in one pass: a row of a 2-D reduction is
+    # summed as the 1-D vector ``l1_distance`` sums, so the bits are its own.
+    errors = np.abs(
+        normalize(result.histograms) - normalize(exact_counts[returned])
+    ).sum(axis=1)
+    worst_reconstruction = float(errors.max(initial=0.0))
     reconstruction_ok = worst_reconstruction < epsilon
 
     return GuaranteeAudit(

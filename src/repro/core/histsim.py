@@ -40,7 +40,6 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from ..parallel.backend import ExecutionBackend
-from ..parallel.kernels import rows_per_candidate
 from .config import HistSimConfig
 from .deviation import (
     deviation_log_pvalue,
@@ -179,18 +178,23 @@ class HistSim:
         return self._stage3_target_cache[1]
 
     def alive_distances(
-        self, counts: np.ndarray, in_flight: np.ndarray | None = None
+        self,
+        counts: np.ndarray,
+        totals: np.ndarray,
+        in_flight: np.ndarray | None = None,
     ) -> np.ndarray:
         """``d(counts_i [+ in_flight_i], q)`` for every alive candidate ``i``.
 
-        The statistics cost what ``A`` needs, as :meth:`finish_round` charges
-        them: pruned candidates' rows are neither gathered nor normalized
-        and read ``inf``.  Every consumer (``select_matching``,
-        ``split_point``, the round budgets and P-values) indexes by
-        ``matching`` / ``others`` / ``alive`` only.
+        ``totals`` are the row sums the state already holds for those
+        counts (``samples``, ``round_samples`` or their sum), so no row is
+        summed again.  The statistics cost what ``A`` needs, as
+        :meth:`finish_round` charges them: pruned candidates' rows are
+        neither gathered nor normalized and read ``inf``.  Every consumer
+        (``select_matching``, ``split_point``, the round budgets and
+        P-values) indexes by ``matching`` / ``others`` / ``alive`` only.
         """
         return subset_distances(
-            counts, self._target_bar, np.flatnonzero(self.alive), in_flight
+            counts, self._target_bar, np.flatnonzero(self.alive), in_flight, totals
         )
 
     # ------------------------------------------------------------------ stage 1
@@ -200,10 +204,7 @@ class HistSim:
         cfg = self.config
         n_total = self.sampler.total_rows
         m = cfg.effective_stage1_samples(n_total)
-        counts = self.sampler.sample_uniform(m)
-        observed = rows_per_candidate(counts)
-        self.state.counts += counts
-        self.state.samples += observed
+        observed = self.state.record_counts(self.sampler.sample_uniform(m))
 
         delivered = int(observed.sum())
         pvalues = underrepresentation_pvalues(observed, n_total, cfg.sigma, delivered)
@@ -262,7 +263,9 @@ class HistSim:
     ) -> np.ndarray:
         """P-values (log) of the round's null hypotheses (Lemmas 2–3, Theorem 1)."""
         cfg = self.config
-        tau_round = self.alive_distances(self.state.round_counts)
+        tau_round = self.alive_distances(
+            self.state.round_counts, self.state.round_samples
+        )
         eps_test = np.full(self.alive.size, -np.inf, dtype=np.float64)
         eps_test[matching] = s + cfg.epsilon / 2.0 - tau_round[matching]
         if s - cfg.epsilon / 2.0 >= 0.0:
@@ -286,7 +289,7 @@ class HistSim:
         alive_count = int(self.alive.sum())
         if alive_count > self.config.k:
             return None
-        tau = self.alive_distances(self.state.counts)
+        tau = self.alive_distances(self.state.counts, self.state.samples)
         return select_matching(tau, self.alive, alive_count)
 
     def begin_round(self, round_index: int, delta_upper: float) -> RoundPlan:
@@ -295,7 +298,7 @@ class HistSim:
         :meth:`finish_round`."""
         cfg = self.config
         self.state.fold_round_into_cumulative()
-        tau = self.alive_distances(self.state.counts)
+        tau = self.alive_distances(self.state.counts, self.state.samples)
         matching = select_matching(tau, self.alive, cfg.k)
         # Complement of M within the alive set via a boolean mask (cheaper
         # than a per-round set difference).
@@ -354,7 +357,7 @@ class HistSim:
         if self.sampler.fully_scanned:
             # Exact knowledge: fold and return the exact top-k.
             self.state.fold_round_into_cumulative()
-            tau = self.alive_distances(self.state.counts)
+            tau = self.alive_distances(self.state.counts, self.state.samples)
             return select_matching(tau, self.alive, self.config.k)
         return None
 
@@ -366,7 +369,7 @@ class HistSim:
             self.sampler.sample_until(np.full(self.alive.size, np.inf))
         )
         self.state.fold_round_into_cumulative()
-        tau = self.alive_distances(self.state.counts)
+        tau = self.alive_distances(self.state.counts, self.state.samples)
         return select_matching(tau, self.alive, self.config.k)
 
     # ------------------------------------------------------------------ stage 3
@@ -392,7 +395,7 @@ class HistSim:
     ) -> MatchResult:
         """Sort the matching set by final distance and package the output."""
         histograms = self.state.counts[matching]
-        tau = row_distances(histograms, self._target_bar)
+        tau = row_distances(histograms, self._target_bar, self.state.samples[matching])
         order = np.argsort(tau, kind="stable")
         stats = StageStats(
             stage1_samples=stage1_samples,
@@ -600,7 +603,9 @@ class HistSimStepper:
         """τ of the alive candidates over cumulative plus in-flight round
         counts — summed on the alive rows only, and again non-mutating."""
         state = self.algorithm.state
-        return self.algorithm.alive_distances(state.counts, state.round_counts)
+        return self.algorithm.alive_distances(
+            state.counts, state.samples + state.round_samples, state.round_counts
+        )
 
     def partial_result(self) -> MatchResult:
         """Best-effort result from the work done so far (deadline path).

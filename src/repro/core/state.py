@@ -18,6 +18,17 @@ __all__ = ["CandidateState"]
 class CandidateState:
     """Vectors of per-candidate sampling state.
 
+    ``samples`` and ``round_samples`` are always the row sums of ``counts``
+    and ``round_counts``: every batch is recorded with its row sums, so
+    readers divide by these totals instead of summing the matrices again.
+
+    The round's counts live in one buffer that is written only by the
+    round's batches: the first batch of an empty round is copied into it,
+    later ones are added.  A fold adds it into ``counts`` and marks the
+    round empty without a ``|V_Z| × |V_X|`` zero-fill; between rounds
+    ``round_counts`` reads as a read-only matrix of zeros, never as the
+    folded round's stale buffer.
+
     Parameters
     ----------
     num_candidates:
@@ -47,7 +58,9 @@ class CandidateState:
         self.counts = np.zeros((num_candidates, num_groups), dtype=np.int64)
         # Fresh samples for the current stage-2 round only.
         self.round_samples = np.zeros(num_candidates, dtype=np.int64)
-        self.round_counts = np.zeros((num_candidates, num_groups), dtype=np.int64)
+        self._round_buffer = np.empty_like(self.counts)
+        self._round_held = False  # whether the buffer holds the round
+        self._no_round: np.ndarray | None = None  # zeros, made when first read
         if candidate_rows is not None:
             rows = np.asarray(candidate_rows, dtype=np.int64)
             if rows.shape != (num_candidates,):
@@ -60,21 +73,54 @@ class CandidateState:
         else:
             self.candidate_rows = None
 
+    @property
+    def round_counts(self) -> np.ndarray:
+        """``(candidate, group)`` counts of the current round's fresh
+        samples; zeros (read-only) while the round is empty."""
+        if self._round_held:
+            return self._round_buffer
+        if self._no_round is None:
+            self._no_round = np.zeros(self.counts.shape, dtype=np.int64)
+            self._no_round.setflags(write=False)
+        return self._no_round
+
+    def _shaped(self, counts: np.ndarray) -> np.ndarray:
+        counts = np.asarray(counts)
+        if counts.shape != self.counts.shape:
+            raise ValueError(
+                f"expected counts of shape {self.counts.shape}, got {counts.shape}"
+            )
+        return counts
+
+    def record_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Add a batch straight into the cumulative state (stage 1, which
+        has no round); returns its per-candidate row sums.  Into an empty
+        state the batch is copied, not added to zeros."""
+        counts = self._shaped(counts)
+        row_sums = rows_per_candidate(counts)
+        if self.samples.any():
+            self.counts += counts
+        else:
+            np.copyto(self.counts, counts)
+        self.samples += row_sums
+        return row_sums
+
     def record_round_counts(self, fresh_counts: np.ndarray) -> np.ndarray:
         """Add a batch of fresh per-(candidate, group) counts to the round state.
 
         Returns the batch's per-candidate row sums — the one reduction of
         the batch, for callers that need fresh rows per candidate or in total.
+        The batch is copied or added into the state's own buffer, never kept.
         """
-        fresh = np.asarray(fresh_counts)
-        if fresh.shape != self.round_counts.shape:
-            raise ValueError(
-                f"expected counts of shape {self.round_counts.shape}, got {fresh.shape}"
-            )
+        fresh = self._shaped(fresh_counts)
         if fresh.min() < 0:  # one reduction; the shape is never empty
             raise ValueError("fresh counts must be non-negative")
         row_sums = rows_per_candidate(fresh)
-        self.round_counts += fresh
+        if self._round_held:
+            self._round_buffer += fresh
+        else:
+            np.copyto(self._round_buffer, fresh)
+            self._round_held = True
         self.round_samples += row_sums
         return row_sums
 
@@ -83,19 +129,20 @@ class CandidateState:
 
         An empty round (round 1 folds right after stage 1, which wrote the
         cumulative state directly; stage 3 folds again after a rejected
-        round already did) has only zeros to add and to clear, so the two
-        ``|V_Z| × |V_X|`` passes are skipped.
+        round already did) has only zeros to add, so the ``|V_Z| × |V_X|``
+        pass is skipped.
         """
         if not self.round_samples.any():
             return
-        self.counts += self.round_counts
+        self.counts += self._round_buffer
         self.samples += self.round_samples
         self.reset_round()
 
     def reset_round(self) -> None:
-        """Clear the fresh-sample accumulators (start of a stage-2 round)."""
+        """Clear the fresh-sample accumulators (start of a stage-2 round):
+        the buffer is marked empty, not zero-filled."""
         self.round_samples[:] = 0
-        self.round_counts[:] = 0
+        self._round_held = False
 
     def exhausted(self) -> np.ndarray:
         """Mask of candidates whose every row has been observed (exact histograms).

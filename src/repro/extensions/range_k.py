@@ -55,7 +55,7 @@ class _RangeKHistSim(HistSim):
 
     def run_stage1(self) -> np.ndarray:
         pruned = super().run_stage1()
-        tau = self.alive_distances(self.state.counts)
+        tau = self.alive_distances(self.state.counts, self.state.samples)
         k = choose_k(tau, self.alive, self.k_min, self.k_max)
         self.config = self.config.with_(k=k)
         return pruned

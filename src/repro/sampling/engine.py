@@ -22,8 +22,14 @@ the histograms are read only when the call returns.  So a window is
 delivered in one of two regimes, fixed at construction by one rule over
 the code space, the same on every backend:
 
-- **dense**: the backend counts the window's matrix at once and the row
-  sums come free with it;
+- **dense**: the backend counts the window's matrix at once and the call
+  accumulates it.  Each matrix is reduced only as far as something reads
+  it: a stage-2/3 window sums the rows of the candidates still active (the
+  next active set reads nothing else, and a candidate that met its goal
+  stays met), a stage-1 window none, and the call sums its accumulated
+  matrix once, at its end, into the delivered totals.  A window's row
+  count is block arithmetic — its size times ``block_size``, less the
+  short last block's shortfall — or, under a row filter, the matrix's sum;
 - **deferred**: the window only tallies the candidate column —
   O(rows + candidates) instead of O(rows + cells) — and the call counts all
   of its blocks in one ``count_blocks`` before returning.
@@ -373,122 +379,141 @@ class BlockSamplingEngine:
         windows_used = 0
         # Stage 1 needs no window budget: each pass of the scan visits every
         # unconsumed block, and each window holding one reads at least one.
-        while True:
-            if uniform:
-                if rows_call >= m or self._unconsumed == 0:
-                    break
-            else:
-                if windows_used > windows_budget:
-                    raise RuntimeError(
-                        "sampling engine exceeded its window budget; "
-                        "active candidates could not be satisfied in two passes"
-                    )
-                active = np.flatnonzero(fresh_rows < goal)
-                if active.size == 0 or self._unconsumed == 0:
-                    break
-                if max_rows is not None and rows_call >= max_rows:
-                    break
-
-            # The window: ``width`` scan positions from the cursor, cut at
-            # the end of the pass — one run of the table, or, once per pass,
-            # the head run from block 0 followed by the tail run from the
-            # cursor, so ascending as built.
-            pos = self._scan_pos
-            stop = min(pos + width, num_blocks)
-            first, last = start + pos, start + stop
-            self._scan_pos = stop % num_blocks
-            windows_used += 1
-            counters.windows += 1
-            if first >= num_blocks:  # wholly past the wrap
-                first, last = first - num_blocks, last - num_blocks
-            if last <= num_blocks:
-                blocks, wrapped = self._unconsumed_run(first, last), 0
-            else:
-                head = self._unconsumed_run(0, last - num_blocks)
-                blocks = np.concatenate((head, self._unconsumed_run(first, num_blocks)))
-                wrapped = head.size
-            if blocks.size == 0:
-                continue
-
-            if uniform:
-                # The scan reads the tail, then the head.  Every block holds
-                # ``block_size`` rows but the table's short last one, which
-                # only the tail can end on.
-                head, tail = blocks[:wrapped], blocks[wrapped:]
-                cumulative = np.arange(1, blocks.size + 1) * block_size
-                if shortfall and tail.size and tail[-1] == num_blocks - 1:
-                    cumulative[tail.size - 1 :] -= shortfall
-                cutoff = int(np.searchsorted(cumulative, m - rows_call)) + 1
-                to_read = tail[:cutoff]
-                if cutoff > tail.size and wrapped:
-                    to_read = np.concatenate((head[: cutoff - tail.size], tail))
-            else:
-                decision: PolicyDecision = policy.select(
-                    index, blocks, active, cost_model, resident
-                )
-                counters.probes += decision.probes
-                to_read = blocks[decision.read_mask]
-                counters.blocks_skipped += int(blocks.size - to_read.size)
-
-            count = int(to_read.size)
-            rows, io_cost = 0, 0.0
-            if count:
-                lo, hi = int(to_read[0]), int(to_read[-1])
-                io_cost = io.charge(count, hi)
-                if deferred:
-                    started = time.perf_counter_ns() if profiler.enabled else 0
-                    row_sums, moved = tally_window(
-                        z, to_read, layout, num_candidates, row_filter=row_filter
-                    )
-                    call.append(to_read)
-                    if profiler.enabled:
-                        # rows/blocks stay zero: the call-end count tallies them.
-                        profiler.record_kernel(
-                            "engine.tally",
-                            float(time.perf_counter_ns() - started),
-                            nbytes=moved,
-                            bincounts=1,
+        try:
+            while True:
+                if uniform:
+                    if rows_call >= m or self._unconsumed == 0:
+                        break
+                else:
+                    if windows_used > windows_budget:
+                        raise RuntimeError(
+                            "sampling engine exceeded its window budget; "
+                            "active candidates could not be satisfied in two passes"
                         )
-                else:
-                    counts = backend.count_blocks(source, to_read)
-                    row_sums = rows_per_candidate(counts)
-                    if call:
-                        call[0] += counts
-                    else:
-                        call.append(counts)
-                rows = int(row_sums.sum())
-                delivered += row_sums
-                if hi - lo == count - 1:
-                    consumed[lo : hi + 1] = True
-                else:
-                    consumed[to_read] = True
-                self._unconsumed -= count
-                counters.blocks_read += count
-                counters.rows_delivered += rows
-                if profiler.enabled:
-                    # Simulated I/O charge, not wall time, so kept out of the
-                    # real-kernel-nanosecond total; rows/blocks are zero
-                    # because the backend kernel tallies them.
-                    profiler.record_kernel("engine.deliver", float(io_cost))
-                    profiler.bump("windows")
-                if not uniform:
-                    fresh_rows += row_sums
-            rows_call += rows
+                    active = np.flatnonzero(fresh_rows < goal)
+                    if active.size == 0 or self._unconsumed == 0:
+                        break
+                    if max_rows is not None and rows_call >= max_rows:
+                        break
 
-            if uniform:
-                clock.charge_serial(io=io_cost)
-            elif decision.overlaps_io:
-                clock.charge_pipelined(io_ns=io_cost, mark_ns=decision.mark_cost_ns)
-            else:
-                # Synchronous path: block selection, the per-block candidate
-                # state refresh, and a blocking engine↔I/O handoff all
-                # serialize with I/O (Challenge 4).
-                clock.charge_serial(
-                    io=io_cost,
-                    mark=decision.mark_cost_ns
-                    + cost_model.sync_handoff_cost(int(blocks.size)),
-                    update=cost_model.sync_update_cost(rows, cells),
-                )
+                # The window: ``width`` scan positions from the cursor, cut at
+                # the end of the pass — one run of the table, or, once per pass,
+                # the head run from block 0 followed by the tail run from the
+                # cursor, so ascending as built.
+                pos = self._scan_pos
+                stop = min(pos + width, num_blocks)
+                first, last = start + pos, start + stop
+                self._scan_pos = stop % num_blocks
+                windows_used += 1
+                counters.windows += 1
+                if first >= num_blocks:  # wholly past the wrap
+                    first, last = first - num_blocks, last - num_blocks
+                if last <= num_blocks:
+                    blocks, wrapped = self._unconsumed_run(first, last), 0
+                else:
+                    head = self._unconsumed_run(0, last - num_blocks)
+                    blocks = np.concatenate((head, self._unconsumed_run(first, num_blocks)))
+                    wrapped = head.size
+                if blocks.size == 0:
+                    continue
+
+                if uniform:
+                    # The scan reads the tail, then the head.  Every block holds
+                    # ``block_size`` rows but the table's short last one, which
+                    # only the tail can end on.
+                    head, tail = blocks[:wrapped], blocks[wrapped:]
+                    cumulative = np.arange(1, blocks.size + 1) * block_size
+                    if shortfall and tail.size and tail[-1] == num_blocks - 1:
+                        cumulative[tail.size - 1 :] -= shortfall
+                    cutoff = int(np.searchsorted(cumulative, m - rows_call)) + 1
+                    to_read = tail[:cutoff]
+                    if cutoff > tail.size and wrapped:
+                        to_read = np.concatenate((head[: cutoff - tail.size], tail))
+                else:
+                    decision: PolicyDecision = policy.select(
+                        index, blocks, active, cost_model, resident
+                    )
+                    counters.probes += decision.probes
+                    to_read = blocks[decision.read_mask]
+                    counters.blocks_skipped += int(blocks.size - to_read.size)
+
+                count = int(to_read.size)
+                rows, io_cost = 0, 0.0
+                if count:
+                    lo, hi = int(to_read[0]), int(to_read[-1])
+                    io_cost = io.charge(count, hi)
+                    if deferred:
+                        started = time.perf_counter_ns() if profiler.enabled else 0
+                        row_sums, moved = tally_window(
+                            z, to_read, layout, num_candidates, row_filter=row_filter
+                        )
+                        call.append(to_read)
+                        if profiler.enabled:
+                            # rows/blocks stay zero: the call-end count tallies them.
+                            profiler.record_kernel(
+                                "engine.tally",
+                                float(time.perf_counter_ns() - started),
+                                nbytes=moved,
+                                bincounts=1,
+                            )
+                        rows = int(row_sums.sum())
+                        delivered += row_sums
+                        if not uniform:
+                            fresh_rows += row_sums
+                    else:
+                        counts = backend.count_blocks(source, to_read)
+                        if call:
+                            call[0] += counts
+                        else:
+                            call.append(counts)
+                        if row_filter is None:  # every row of every block
+                            rows = count * block_size
+                            if hi == num_blocks - 1:
+                                rows -= shortfall
+                        else:
+                            rows = int(counts.sum())
+                        if not uniform:
+                            # Only the active candidates' rows decide the next
+                            # active set: one that met its goal stays met.
+                            if active.size == num_candidates:
+                                fresh_rows += rows_per_candidate(counts)
+                            else:
+                                fresh_rows[active] += rows_per_candidate(counts[active])
+                    if hi - lo == count - 1:
+                        consumed[lo : hi + 1] = True
+                    else:
+                        consumed[to_read] = True
+                    self._unconsumed -= count
+                    counters.blocks_read += count
+                    counters.rows_delivered += rows
+                    if profiler.enabled:
+                        # Simulated I/O charge, not wall time, so kept out of the
+                        # real-kernel-nanosecond total; rows/blocks are zero
+                        # because the backend kernel tallies them.
+                        profiler.record_kernel("engine.deliver", float(io_cost))
+                        profiler.bump("windows")
+                rows_call += rows
+
+                if uniform:
+                    clock.charge_serial(io=io_cost)
+                elif decision.overlaps_io:
+                    clock.charge_pipelined(io_ns=io_cost, mark_ns=decision.mark_cost_ns)
+                else:
+                    # Synchronous path: block selection, the per-block candidate
+                    # state refresh, and a blocking engine↔I/O handoff all
+                    # serialize with I/O (Challenge 4).
+                    clock.charge_serial(
+                        io=io_cost,
+                        mark=decision.mark_cost_ns
+                        + cost_model.sync_handoff_cost(int(blocks.size)),
+                        update=cost_model.sync_update_cost(rows, cells),
+                    )
+        finally:
+            # The dense regime sums rows per candidate once per call, over the
+            # call's matrix: nothing reads ``delivered`` mid-call, and a call
+            # that raised still accounts for the blocks it consumed.
+            if call and not deferred:
+                delivered += rows_per_candidate(call[0])
         return self._fresh_counts(call)
 
     # ---------------------------------------------------------------- stage 1

@@ -288,3 +288,51 @@ class TestRowDistances:
             row_distances(counts, normalize(np.ones(3)))
         with pytest.raises(ValueError, match="non-negative"):
             row_distances(counts.astype(np.float64), normalize(np.ones(3)))
+
+
+class TestHeldTotals:
+    """Row sums the caller holds divide as re-summed ones do, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(347, 24), (347, 351), (7641, 24), (2110, 2)])
+    def test_held_totals_keep_the_bits_at_workload_shapes(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        counts = rng.integers(0, 5000, size=shape)
+        counts[rng.random(shape[0]) < 0.2] = 0
+        fresh = rng.integers(0, 50, size=shape)
+        q_bar = normalize(rng.random(shape[1]))
+        totals = counts.sum(axis=1)
+        got = row_distances(counts, q_bar, totals)
+        assert got.tobytes() == row_distances(counts, q_bar).tobytes()
+        for alive in (np.ones(shape[0], dtype=bool), rng.random(shape[0]) < 0.3):
+            rows = np.flatnonzero(alive)
+            for in_flight, held in ((None, totals), (fresh, totals + fresh.sum(axis=1))):
+                got = subset_distances(counts, q_bar, rows, in_flight, held)
+                want = subset_distances(counts, q_bar, rows, in_flight)
+                assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), counts=count_matrices)
+    def test_held_totals_keep_the_bits_with_zero_rows(self, data, counts):
+        empty = data.draw(hnp.arrays(dtype=bool, shape=counts.shape[0]), label="empty")
+        counts = np.where(empty[:, None], 0, counts)
+        alive = data.draw(hnp.arrays(dtype=bool, shape=counts.shape[0]), label="alive")
+        target = data.draw(
+            hnp.arrays(
+                dtype=np.float64,
+                shape=counts.shape[1],
+                elements=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            ).filter(nonzero),
+            label="target",
+        )
+        q_bar = normalize(target)
+        totals = counts.sum(axis=1)
+        got = row_distances(counts, q_bar, totals)
+        assert got.tobytes() == row_distances(counts, q_bar).tobytes()
+        rows = np.flatnonzero(alive)
+        got = subset_distances(counts, q_bar, rows, totals=totals)
+        assert got.tobytes() == subset_distances(counts, q_bar, rows).tobytes()
+
+    def test_held_totals_still_reject_a_negative_count(self):
+        counts = np.array([[1, 2, 3], [4, -1, 6]], dtype=np.int64)
+        with pytest.raises(ValueError, match="non-negative"):
+            row_distances(counts, normalize(np.ones(3)), counts.sum(axis=1))

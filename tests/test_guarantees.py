@@ -253,3 +253,148 @@ class TestCachedTruth:
         truth = AuditTruth.of(exact, target)
         assert truth.top_k(2, 0.0).tolist() == true_top_k(exact, target, 2).tolist()
         assert truth.delta_d([0, 2], 2, 0.0) == delta_d([0, 2], exact, target, 2)
+
+
+def per_row_reconstruction(result, exact_counts):
+    """Guarantee 2's worst error as one ``l1_distance`` call per returned row."""
+    worst = 0.0
+    for position, candidate in enumerate(result.matching):
+        err = l1_distance(result.histograms[position], exact_counts[candidate])
+        worst = max(worst, err)
+    return worst
+
+
+class TestBatchedAudit:
+    """The returned rows' errors in one 2-D pass carry the per-row bits."""
+
+    @pytest.mark.parametrize("num_groups", [2, 24, 351])
+    @pytest.mark.parametrize("output_size", [1, 3, 10])
+    def test_batched_reconstruction_keeps_the_per_row_bits(
+        self, num_groups, output_size
+    ):
+        rng = np.random.default_rng(num_groups * 100 + output_size)
+        exact = rng.integers(0, 5000, size=(300, num_groups))
+        exact[rng.random(300) < 0.1] //= 1000
+        target = rng.random(num_groups) + 0.01
+        matching = rng.permutation(300)[:output_size]
+        noise = rng.integers(-3, 4, size=(output_size, num_groups))
+        histograms = np.maximum(exact[matching] // 7 + noise, 0)
+        result = MatchResult(
+            matching=tuple(matching.tolist()),
+            histograms=histograms,
+            distances=np.zeros(output_size),
+            pruned=(),
+            exact=False,
+            stats=StageStats(),
+        )
+        audit = audit_result(result, exact, target, 0.1, 0.0)
+        want = per_row_reconstruction(result, exact)
+        got = audit.worst_reconstruction_error
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert_audits_equal(audit, reference_audit(result, exact, target, 0.1, 0.0))
+
+    def test_batched_reconstruction_of_an_all_zero_histogram(self, world):
+        exact, target = world
+        result = make_result([0, 2], np.array([[0.0, 0.0], [25.0, 75.0]]))
+        audit = audit_result(result, exact, target, 0.1, 0.0)
+        worst = per_row_reconstruction(result, exact)
+        assert audit.worst_reconstruction_error == worst == 1.0
+        assert not audit.reconstruction_ok
+
+    def test_batched_reconstruction_with_k_one(self, world):
+        exact, target = world
+        result = make_result([1], [[40.0, 60.0]])
+        assert result.k == 1
+        audit = audit_result(result, exact, target, 0.1, 0.0)
+        assert audit.worst_reconstruction_error == per_row_reconstruction(result, exact)
+        assert_audits_equal(audit, reference_audit(result, exact, target, 0.1, 0.0))
+
+    def test_batched_reconstruction_with_fewer_than_k_returned(self, world):
+        """A deadline-cut answer may hold fewer rows than the query's k
+        (here 3 of 4 eligible); the audit reads the rows it holds."""
+        exact, target = world
+        result = make_result([2, 0], [[20.0, 80.0], [0.0, 0.0]])
+        audit = audit_result(result, exact, target, 0.1, 0.0)
+        assert audit.worst_reconstruction_error == per_row_reconstruction(result, exact)
+        assert_audits_equal(audit, reference_audit(result, exact, target, 0.1, 0.0))
+
+
+class TestTruthMemo:
+    """``top_k`` and ``meets_selectivity`` are computed once per key."""
+
+    def test_memo_returns_equal_read_only_values(self, world):
+        exact, target = world
+        truth = AuditTruth.of(exact, target)
+        fresh = AuditTruth.of(exact, target)
+        for sigma in (0.0, 0.2):
+            mask = truth.meets_selectivity(sigma)
+            assert truth.meets_selectivity(sigma) is mask
+            assert not mask.flags.writeable
+            top = truth.top_k(2, sigma)
+            assert truth.top_k(2, sigma) is top
+            assert not top.flags.writeable
+            np.testing.assert_array_equal(top, true_top_k(exact, target, 2, sigma))
+            np.testing.assert_array_equal(mask, fresh.meets_selectivity(sigma))
+        assert truth.top_k(3, 0.0).tolist() == [0, 1, 2]  # another k, another entry
+        assert true_top_k(exact, target, 2).flags.writeable  # the public copy
+
+    def test_memo_second_call_does_not_argsort(self, world, monkeypatch):
+        exact, target = world
+        truth = AuditTruth.of(exact, target)
+        calls = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        first = truth.delta_d([0, 2], 2, 0.0)
+        assert len(calls) == 1
+        assert truth.delta_d([0, 2], 2, 0.0) == first
+        result = make_result([0, 2], exact[[0, 2]])
+        audit_result(result, exact, target, 0.1, 0.0, truth=truth)
+        assert len(calls) == 1
+
+    def test_audit_leaves_the_memoized_mask_unchanged(self, world):
+        exact, target = world
+        truth = AuditTruth.of(exact, target)
+        mask = truth.meets_selectivity(0.0).copy()
+        result = make_result([0, 1], exact[[0, 1]])
+        audit_result(result, exact, target, 0.1, 0.0, truth=truth)
+        np.testing.assert_array_equal(truth.meets_selectivity(0.0), mask)
+
+    def test_memo_under_racing_threads_hands_out_equal_values(self, world):
+        """Step threads share one prepared query's truth: a race may compute
+        an entry twice, but every caller reads the single-thread value."""
+        import sys
+        import threading
+
+        exact, target = world
+        keys = [(k, sigma) for k in (1, 2, 3) for sigma in (0.0, 0.2, 0.3)]
+        reference = AuditTruth.of(exact, target)
+        want = {key: reference.top_k(*key).tolist() for key in keys}
+        truth = AuditTruth.of(exact, target)
+        wrong = []
+
+        def reader(offset):
+            for i in range(200):
+                key = keys[(i + offset) % len(keys)]
+                if truth.top_k(*key).tolist() != want[key]:
+                    wrong.append(key)
+                mask = truth.meets_selectivity(key[1])
+                if mask.tolist() != reference.meets_selectivity(key[1]).tolist():
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

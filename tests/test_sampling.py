@@ -1425,6 +1425,107 @@ class TestRegimeTelemetry:
             )
 
 
+class ActiveRecordingPolicy:
+    """A policy that keeps the active set of every window it reads."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.read = []
+
+    def select(self, index, blocks, active_values, cost_model, resident):
+        decision = self.inner.select(index, blocks, active_values, cost_model, resident)
+        if decision.read_mask.any():
+            self.read.append(active_values.copy())
+        return decision
+
+
+class TestRowSums:
+    """A dense call sums rows per candidate only where something reads
+    them: the active candidates' rows per stage-2 window, and the call's
+    whole matrix once, at its end, for the delivered totals."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        import repro.sampling.engine as engine_module
+
+        seen = []
+        real = engine_module.rows_per_candidate
+
+        def rows_per_candidate(counts):
+            seen.append(np.array(counts, copy=True))
+            return real(counts)
+
+        monkeypatch.setattr(engine_module, "rows_per_candidate", rows_per_candidate)
+        return seen
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
+    @pytest.mark.parametrize(
+        "policy_cls", [AnyActiveLookaheadPolicy, AnyActiveSyncPolicy, ScanAllPolicy]
+    )
+    @pytest.mark.parametrize("backend_name", ["serial", "threads", "sharded"])
+    def test_row_sums_per_window_and_once_per_call(
+        self, spy, backend_name, policy_cls, filtered
+    ):
+        world = make_world(n=5990, block_size=25, **REGIME_WORLDS["dense"])
+        policy = ActiveRecordingPolicy(policy_cls())
+        engine = regime_engine(
+            BlockSamplingEngine, world, policy, RecordingBackend(backend_name), filtered
+        )
+        assert not engine._deferred
+        fresh = engine.sample_uniform(700)
+        assert len(spy) == 1  # no per-window sums in a uniform call
+        np.testing.assert_array_equal(spy[0], fresh)
+        np.testing.assert_array_equal(engine.delivered_rows(), fresh.sum(axis=1))
+
+        some = np.zeros(engine.num_candidates)
+        some[[0, 2, 5]] = 90, 60, 15
+        every = np.full(engine.num_candidates, 40.0)
+        sizes = set()
+        for needed in (some, every):
+            spy.clear()
+            policy.read.clear()
+            before = engine.delivered_rows()
+            fresh = engine.sample_until(needed)
+            windows, whole = spy[:-1], spy[-1]
+            assert len(windows) == len(policy.read) > 1
+            for summed, active in zip(windows, policy.read):
+                assert summed.shape == (active.size, engine.num_groups)
+                sizes.add(active.size)
+            np.testing.assert_array_equal(whole, fresh)
+            np.testing.assert_array_equal(
+                engine.delivered_rows() - before, fresh.sum(axis=1)
+            )
+        # Windows with every candidate active sum the matrix as it is; the
+        # others sum the gathered active rows only.
+        assert max(sizes) == engine.num_candidates > min(sizes)
+
+    def test_row_sums_of_a_call_that_raised_are_still_delivered(self, spy):
+        world = make_world(n=5990, block_size=25, **REGIME_WORLDS["dense"])
+        backend = RecordingBackend()
+        engine = regime_engine(
+            BlockSamplingEngine, world, AnyActiveLookaheadPolicy(), backend, False
+        )
+        engine.sample_uniform(500)
+        counted = backend.count_blocks
+        calls = []
+
+        def fails_second(source, blocks):
+            calls.append(blocks)
+            if len(calls) == 2:
+                raise RuntimeError("injected count_blocks failure")
+            return counted(source, blocks)
+
+        backend.count_blocks = fails_second
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.sample_until(np.full(engine.num_candidates, 60.0))
+        consumed = TestRegimeAccounting.expected_counts(
+            engine, np.zeros_like(engine._consumed)
+        )
+        np.testing.assert_array_equal(engine.delivered_rows(), consumed.sum(axis=1))
+        assert engine.counters.rows_delivered == consumed.sum()
+
+
 class TestFoldContract:
     """The code column an engine is given is its own row filter's: the
     backend gets the column or the filter, never both, and a column that

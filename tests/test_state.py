@@ -124,6 +124,79 @@ class TestRoundAccounting:
         assert not s.round_counts.any() and not s.round_samples.any()
 
 
+class TestRoundBuffer:
+    """The round's counts live in the state's own buffer, copied or added
+    into, and read as zeros between rounds without a zero-fill."""
+
+    def test_fold_reads_zeros_without_writing_the_buffer(self):
+        s = make_state()
+        s.record_round_counts(np.full((3, 4), 2, dtype=np.int64))
+        s._round_buffer.setflags(write=False)  # a zero-fill would raise
+        s.fold_round_into_cumulative()
+        assert s.round_counts.tolist() == [[0] * 4] * 3
+        assert not s.round_samples.any()
+        assert s.counts.tolist() == [[2] * 4] * 3
+        # The next round starts from its own first batch, not the stale one.
+        s._round_buffer.setflags(write=True)
+        second = np.arange(12, dtype=np.int64).reshape(3, 4)
+        s.record_round_counts(second)
+        np.testing.assert_array_equal(s.round_counts, second)
+        np.testing.assert_array_equal(s.round_samples, second.sum(axis=1))
+
+    def test_zeros_between_rounds_are_read_only(self):
+        s = make_state()
+        s.record_round_counts(np.ones((3, 4), dtype=np.int64))
+        s.fold_round_into_cumulative()
+        with pytest.raises(ValueError):
+            s.round_counts[0, 0] = 1
+
+    def test_a_recorded_batch_is_not_kept(self):
+        s = make_state()
+        first = np.ones((3, 4), dtype=np.int64)
+        s.record_round_counts(first)
+        first[:] = 99  # the caller reuses its matrix
+        assert s.round_counts.tolist() == [[1] * 4] * 3
+        second = np.full((3, 4), 2, dtype=np.int64)
+        s.record_round_counts(second)
+        second[:] = 99
+        assert s.round_counts.tolist() == [[3] * 4] * 3
+        stage1 = np.full((3, 4), 5, dtype=np.int64)
+        s.record_counts(stage1)
+        stage1[:] = 99
+        assert s.counts.tolist() == [[5] * 4] * 3
+
+    def test_record_counts_copies_into_an_empty_state_and_adds_after(self):
+        s = make_state()
+        s.counts.setflags(write=False)
+        with pytest.raises(ValueError):  # copied into, so written
+            s.record_counts(np.ones((3, 4), dtype=np.int64))
+        s.counts.setflags(write=True)
+        row_sums = s.record_counts(np.ones((3, 4), dtype=np.int64))
+        assert row_sums.tolist() == [4, 4, 4]
+        s.record_counts(np.full((3, 4), 2, dtype=np.int64))
+        assert s.counts.tolist() == [[3] * 4] * 3
+        assert s.samples.tolist() == [12, 12, 12]
+        with pytest.raises(ValueError):
+            s.record_counts(np.zeros((2, 4), dtype=np.int64))
+
+    def test_held_totals_are_the_row_sums_after_every_step(self):
+        rng = np.random.default_rng(11)
+        s = make_state(candidates=6, groups=5)
+        s.record_counts(rng.integers(0, 9, size=(6, 5)))
+        for _ in range(300):
+            move = rng.integers(4)
+            if move == 0:
+                s.fold_round_into_cumulative()
+            elif move == 1:
+                s.reset_round()
+            else:
+                batch = rng.integers(0, 9, size=(6, 5))
+                batch[rng.random(6) < 0.5] = 0  # some all-zero batches
+                s.record_round_counts(batch * (rng.random() < 0.8))
+            np.testing.assert_array_equal(s.samples, s.counts.sum(axis=1))
+            np.testing.assert_array_equal(s.round_samples, s.round_counts.sum(axis=1))
+
+
 class TestExhaustion:
     def test_exhausted_without_rows_is_never(self):
         s = make_state()
