@@ -5,6 +5,9 @@ target resolution -> FastMatch -> guarantee audit) for all nine queries at
 reduced row counts, checking invariants that must hold at any scale.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,11 @@ from repro.data import QUERY_NAMES, prepare_workload
 from repro.system import run_approach
 
 ROWS = {"flights": 120_000, "taxi": 400_000, "police": 150_000}
+
+#: Each query's FastMatch outcome at this module's scale, seed and config.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "table3_outcomes.json").read_text()
+)
 
 
 def rows_for(query_name: str) -> int:
@@ -53,6 +61,37 @@ class TestEveryWorkload:
         d = report.result.distances
         assert np.all(np.diff(d) >= -1e-12)
         assert np.all((d >= 0) & (d <= 2.0))
+
+    def test_fastmatch_outcome_is_pinned(self, query_name):
+        """The run's top-k ids, rounds, engine counters and simulated
+        elapsed time equal the pinned ones in ``data/table3_outcomes.json``.
+
+        Every quantity here is deterministic for the dataset seed and the
+        run seed: the clock is simulated and the engine's block choices
+        depend only on the active sets.  A failure means a change moved a
+        sampling decision (which blocks were read or skipped, how many
+        rounds ran, which candidates were returned) or a charge to the
+        simulated clock.  A change meant to keep answers and costs
+        byte-identical must not touch this file; one meant to move them
+        re-pins it and says why.
+        """
+        prepared = prepare_workload(query_name, rows=rows_for(query_name), seed=7)
+        config = HistSimConfig(
+            k=prepared.query.k, epsilon=0.2, delta=0.05, sigma=0.0008,
+            stage1_samples=20_000,
+        )
+        report = run_approach(prepared, "fastmatch", config, seed=5)
+        counters = report.counters
+        got = {
+            "matching": [int(i) for i in report.result.matching],
+            "rounds": int(report.result.stats.rounds),
+            "rows_delivered": int(counters["rows_delivered"]),
+            "blocks_read": int(counters["blocks_read"]),
+            "blocks_skipped": int(counters["blocks_skipped"]),
+            "probes": int(counters["probes"]),
+            "elapsed_ns": report.elapsed_ns,
+        }
+        assert got == GOLDEN[query_name]
 
     def test_scan_matches_true_top_k(self, query_name):
         prepared = prepare_workload(query_name, rows=rows_for(query_name), seed=7)
