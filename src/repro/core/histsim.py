@@ -197,6 +197,26 @@ class HistSim:
             counts, self._target_bar, np.flatnonzero(self.alive), in_flight, totals
         )
 
+    # --------------------------------------------------------------- sampling
+
+    def sample_uniform(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """One :meth:`~TupleSampler.sample_uniform` call: its count matrix
+        and the matrix's row sums, read off ``delivered_rows()`` before and
+        after the call (the :class:`TupleSampler` contract) instead of
+        summed from the matrix."""
+        before = self.sampler.delivered_rows()
+        counts = self.sampler.sample_uniform(m)
+        return counts, self.sampler.delivered_rows() - before
+
+    def sample_until(
+        self, needed: np.ndarray, max_rows: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One :meth:`~TupleSampler.sample_until` call, with its row sums
+        as :meth:`sample_uniform` takes them."""
+        before = self.sampler.delivered_rows()
+        counts = self.sampler.sample_until(needed, max_rows=max_rows)
+        return counts, self.sampler.delivered_rows() - before
+
     # ------------------------------------------------------------------ stage 1
 
     def run_stage1(self) -> np.ndarray:
@@ -204,7 +224,7 @@ class HistSim:
         cfg = self.config
         n_total = self.sampler.total_rows
         m = cfg.effective_stage1_samples(n_total)
-        observed = self.state.record_counts(self.sampler.sample_uniform(m))
+        observed = self.state.record_counts(*self.sample_uniform(m))
 
         delivered = int(observed.sum())
         pvalues = underrepresentation_pvalues(observed, n_total, cfg.sigma, delivered)
@@ -366,7 +386,7 @@ class HistSim:
         always correct, and return the exact top-k."""
         self.state.fold_round_into_cumulative()
         self.state.record_round_counts(
-            self.sampler.sample_until(np.full(self.alive.size, np.inf))
+            *self.sample_until(np.full(self.alive.size, np.inf))
         )
         self.state.fold_round_into_cumulative()
         tau = self.alive_distances(self.state.counts, self.state.samples)
@@ -738,10 +758,10 @@ class HistSimStepper:
             estimate = ahead + float(np.maximum(0, algo.stage3_target - samples).sum())
         return min(estimate, float(algo.sampler.total_rows))
 
-    def _sample(self, needed: np.ndarray) -> np.ndarray:
+    def _sample(self, needed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One sampling request to the algorithm's sampler, bounded by
-        ``max_step_rows`` when configured."""
-        return self.algorithm.sampler.sample_until(needed, max_rows=self.max_step_rows)
+        ``max_step_rows`` when configured: the counts and their row sums."""
+        return self.algorithm.sample_until(needed, max_rows=self.max_step_rows)
 
     def _slice_complete(self, fresh_rows: int) -> bool:
         """A bounded call that delivered fewer rows than its bound stopped
@@ -775,8 +795,7 @@ class HistSimStepper:
         if st.plan is None:
             st.plan = algo.begin_round(st.round_index, st.delta_upper)
         remaining = np.maximum(st.plan.budgets - algo.state.round_samples, 0.0)
-        fresh = self._sample(remaining)
-        fresh_rows = int(algo.state.record_round_counts(fresh).sum())
+        fresh_rows = int(algo.state.record_round_counts(*self._sample(remaining)).sum())
         st.fresh_rows += fresh_rows
         if self._slice_complete(fresh_rows):
             matching = algo.finish_round(st.plan, st.fresh_rows)
@@ -813,7 +832,7 @@ class HistSimStepper:
             # deliver, count and charge nothing, so it is not called.
             row_sums = np.zeros(algo.alive.size, dtype=np.int64)
         else:
-            row_sums = algo.state.record_round_counts(self._sample(st.needed))
+            row_sums = algo.state.record_round_counts(*self._sample(st.needed))
         fresh_rows = int(row_sums.sum())
         st.fresh_rows += fresh_rows
         st.needed = np.maximum(st.needed - row_sums, 0.0)

@@ -10,6 +10,10 @@ storage and bitmap substrates.
 Uniformity contract: every sampler must deliver tuples that are uniform
 without replacement *per candidate* — satisfied here by drawing from a
 random permutation of the rows (Challenge 1, Section 4.2).
+
+Delivery contract: each sampling call grows ``delivered_rows()`` by exactly
+the row sums of the matrix it returns.  HistSim reads a call's row sums as
+that difference, taken around the call, instead of summing the matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +44,15 @@ class TupleSampler(Protocol):
         ...
 
     def delivered_rows(self) -> np.ndarray:
-        """Per-candidate number of rows delivered so far."""
+        """Per-candidate number of rows delivered so far, as a fresh int64
+        vector.
+
+        Each :meth:`sample_uniform` or :meth:`sample_until` call grows it by
+        exactly the row sums of the matrix the call returns (nothing else
+        moves it).  HistSim relies on this: it takes the vector before and
+        after every sampling call and hands the difference to its
+        :class:`~repro.core.state.CandidateState` as the batch's row sums.
+        """
         ...
 
     def candidate_rows(self) -> np.ndarray | None:
@@ -94,7 +106,10 @@ class ArraySampler:
     ``_num_candidates`` / ``_num_groups``, the permuted group stream ``_x``,
     the per-candidate ``_totals`` / ``_delivered`` rows, the ``_cursor`` and
     ``_batch_size``: a sampler over another row source sets those in its
-    constructor and counts a slice in :meth:`_deliver`.
+    constructor and counts a slice in :meth:`_deliver`, which adds the
+    slice's row sums to ``_delivered`` — so every call grows
+    :meth:`delivered_rows` by exactly its matrix's row sums, the
+    :class:`TupleSampler` delivery contract.
     """
 
     def __init__(

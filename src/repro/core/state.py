@@ -21,6 +21,10 @@ class CandidateState:
     ``samples`` and ``round_samples`` are always the row sums of ``counts``
     and ``round_counts``: every batch is recorded with its row sums, so
     readers divide by these totals instead of summing the matrices again.
+    HistSim hands each batch's row sums in, read off its sampler's
+    ``delivered_rows()`` (the :class:`~repro.core.sampler.TupleSampler`
+    delivery contract), so a batch is not summed here either; a batch
+    recorded without them is summed once.
 
     The round's counts live in one buffer that is written only by the
     round's batches: the first batch of an empty round is copied into it,
@@ -92,12 +96,26 @@ class CandidateState:
             )
         return counts
 
-    def record_counts(self, counts: np.ndarray) -> np.ndarray:
+    def _row_sums(self, counts: np.ndarray, row_sums: np.ndarray | None) -> np.ndarray:
+        """The batch's per-candidate row sums: handed in, or summed here."""
+        if row_sums is None:
+            return rows_per_candidate(counts)
+        if row_sums.shape != self.samples.shape:
+            raise ValueError(
+                f"expected row sums of shape {self.samples.shape}, got {row_sums.shape}"
+            )
+        return row_sums
+
+    def record_counts(
+        self, counts: np.ndarray, row_sums: np.ndarray | None = None
+    ) -> np.ndarray:
         """Add a batch straight into the cumulative state (stage 1, which
-        has no round); returns its per-candidate row sums.  Into an empty
-        state the batch is copied, not added to zeros."""
+        has no round); returns its per-candidate row sums — ``row_sums``
+        when the caller hands them in (they must be the batch's), else
+        summed here.  Into an empty state the batch is copied, not added
+        to zeros."""
         counts = self._shaped(counts)
-        row_sums = rows_per_candidate(counts)
+        row_sums = self._row_sums(counts, row_sums)
         if self.samples.any():
             self.counts += counts
         else:
@@ -105,17 +123,22 @@ class CandidateState:
         self.samples += row_sums
         return row_sums
 
-    def record_round_counts(self, fresh_counts: np.ndarray) -> np.ndarray:
+    def record_round_counts(
+        self, fresh_counts: np.ndarray, row_sums: np.ndarray | None = None
+    ) -> np.ndarray:
         """Add a batch of fresh per-(candidate, group) counts to the round state.
 
         Returns the batch's per-candidate row sums — the one reduction of
-        the batch, for callers that need fresh rows per candidate or in total.
-        The batch is copied or added into the state's own buffer, never kept.
+        the batch, for callers that need fresh rows per candidate or in
+        total.  A caller that already holds them (HistSim reads them off
+        its sampler's ``delivered_rows()``) hands them in as ``row_sums``
+        and the matrix is not summed again.  The batch is copied or added
+        into the state's own buffer, never kept.
         """
         fresh = self._shaped(fresh_counts)
         if fresh.min() < 0:  # one reduction; the shape is never empty
             raise ValueError("fresh counts must be non-negative")
-        row_sums = rows_per_candidate(fresh)
+        row_sums = self._row_sums(fresh, row_sums)
         if self._round_held:
             self._round_buffer += fresh
         else:

@@ -17,7 +17,13 @@ Both are one kernel, ``_block_kernel``.  The block gather is a zero-copy
 slice when the blocks are one contiguous run, otherwise one ``take``
 through a ``(num_blocks, block_size)`` view; the window's plan (one run or
 not, and where the table's short last block sits) is made once per call
-and serves every column gathered, with no per-call closure.
+and serves every column gathered, with no per-call closure.  A window far
+larger than an engine window — the deferred regime's call-end count, a
+worker's shard — that holds a few long runs gathers nothing: its codes
+are built run by run from zero-copy slices into one buffer and bincounted
+once (``_run_kernel``; the size and run-length cut is
+``_RUN_PATH_BLOCKS`` / ``_RUN_PATH_RUN_BLOCKS``).  Below the size cut the
+plan stays O(1); above it one ``diff`` pass finds the runs.
 
 The sampling engine's ascending-window contract reaches the kernel here.
 :func:`count_window` takes blocks in any order, repeats included, and
@@ -120,16 +126,21 @@ def _narrowest_dtype(top: int) -> np.dtype:
 
 
 def _pair_codes(
-    z: np.ndarray, x: np.ndarray, num_groups: int, dtype: np.dtype
+    z: np.ndarray,
+    x: np.ndarray,
+    num_groups: int,
+    dtype: np.dtype,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``z * num_groups + x`` computed directly in ``dtype``.
+    """``z * num_groups + x`` computed directly in ``dtype`` (into ``out``,
+    a ``dtype`` slice of a larger buffer, when given).
 
     ``casting="unsafe"`` is required for the cross-kind cast (stored
     columns may be unsigned, the target may differ) and is exact here:
     values are validated non-negative and the dtype holds the full code
     span.
     """
-    codes = np.multiply(z, num_groups, dtype=dtype, casting="unsafe")
+    codes = np.multiply(z, num_groups, out=out, dtype=dtype, casting="unsafe")
     np.add(codes, x, out=codes, casting="unsafe")
     return codes
 
@@ -346,6 +357,80 @@ def _classic_kernel(
     return counts, moved
 
 
+#: A window that is not one run takes the run path (:func:`_long_runs`)
+#: from this many blocks up: below it the plan stays O(1), so no engine
+#: window of the default 1,024-block lookahead pays for finding its runs.
+_RUN_PATH_BLOCKS = 4096
+
+#: ... and when its runs average at least this many blocks.  A run costs
+#: about 3 µs of ufunc calls, and the gather it saves about 7 ns a block.
+#: On the deferred regime's call-end counts of ``table4_oneshot`` (seed 7,
+#: best of nine, 2-vCPU Xeon) the run path took 0.83-0.89x the gather's
+#: time on flights-q4 (29,687 blocks in 2 runs), 0.99-1.00x on taxi-q2
+#: windows of 6-9 runs (11.2k blocks, 1,250-1,874 a run), 0.97-1.03x at
+#: 20-26 runs and 0.98-1.13x on taxi-q1's 30-67 runs (167-374 a run).
+_RUN_PATH_RUN_BLOCKS = 1024
+
+
+def _long_runs(blocks: np.ndarray) -> np.ndarray | None:
+    """Where each run of ``blocks`` after the first starts, when the window
+    is large and its runs long enough to count in place (one ``diff``
+    pass); ``None`` otherwise.  A run is a stretch of consecutive blocks
+    in the order given."""
+    if blocks.size < _RUN_PATH_BLOCKS:
+        return None
+    breaks = np.flatnonzero(np.diff(blocks) != 1)
+    if blocks.size < (breaks.size + 1) * _RUN_PATH_RUN_BLOCKS:
+        return None
+    return breaks + 1
+
+
+def _run_rows(
+    blocks: np.ndarray, breaks: np.ndarray, layout: BlockLayout
+) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` row range of each run, in window order; a run
+    ending on the table's short last block stops at the last row."""
+    size = layout.block_size
+    firsts = blocks[np.concatenate(([0], breaks))] * size
+    stops = np.minimum(
+        (blocks[np.append(breaks, blocks.size) - 1] + 1) * size, layout.num_rows
+    )
+    return list(zip(firsts.tolist(), stops.tolist()))
+
+
+def _run_kernel(
+    z, x, spans, num_candidates, num_groups, row_filter, filter_slice, codes,
+) -> tuple[np.ndarray, int]:
+    """:func:`_block_kernel` for a window of few long runs (``spans``, their
+    row ranges): the pair codes are built run by run into one buffer from
+    zero-copy slices of ``z`` and ``x`` (or copied from the prepared
+    column's), and bincounted once.  No block is gathered, so the buffer
+    (and a filter's compress) is all that is materialized."""
+    if codes is not None:
+        flat_codes = np.concatenate([codes[lo:hi] for lo, hi in spans])
+    else:
+        dtype = pair_code_dtype(num_candidates, num_groups)
+        flat_codes = np.empty(sum(hi - lo for lo, hi in spans), dtype=dtype)
+        at = 0
+        for lo, hi in spans:
+            _pair_codes(
+                z[lo:hi], x[lo:hi], num_groups, dtype, out=flat_codes[at : at + hi - lo]
+            )
+            at += hi - lo
+    moved = int(flat_codes.nbytes)
+    keep = filter_slice
+    if row_filter is not None:
+        keep = np.concatenate([row_filter[lo:hi] for lo, hi in spans])
+        moved += int(keep.nbytes)
+    if keep is not None:
+        flat_codes = flat_codes[keep]
+        moved += int(flat_codes.nbytes)
+    if codes is not None:
+        return _count_codes(flat_codes, num_candidates, num_groups), moved
+    flat = np.bincount(flat_codes, minlength=num_candidates * num_groups)
+    return flat.reshape(num_candidates, num_groups).astype(np.int64, copy=False), moved
+
+
 def _block_kernel(
     z, x, blocks, layout, num_candidates, num_groups, row_filter, filter_slice,
     codes, plan,
@@ -356,8 +441,15 @@ def _block_kernel(
 
     A folded column (:func:`build_pair_codes` with its ``row_filter``) comes
     with no filter and counts its dropped rows into the sentinel bin; a
-    plain column with an explicit filter still compresses.
+    plain column with an explicit filter still compresses.  A large window
+    of few long runs gathers nothing (:func:`_run_kernel`).
     """
+    breaks = None if plan[0] else _long_runs(blocks)
+    if breaks is not None:
+        return _run_kernel(
+            z, x, _run_rows(blocks, breaks, layout), num_candidates, num_groups,
+            row_filter, filter_slice, codes,
+        )
     if row_filter is not None:
         keep, moved = _gather(row_filter, blocks, layout, *plan)
     else:

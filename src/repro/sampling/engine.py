@@ -32,7 +32,10 @@ the code space, the same on every backend:
   short last block's shortfall — or, under a row filter, the matrix's sum;
 - **deferred**: the window only tallies the candidate column —
   O(rows + candidates) instead of O(rows + cells) — and the call counts all
-  of its blocks in one ``count_blocks`` before returning.
+  of its blocks in one ``count_blocks`` before returning.  That call-end
+  window can hold most of the table in a few long runs (a near-full
+  stage-2 pass); the kernel then counts it run by run, from zero-copy
+  slices, instead of gathering its blocks.
 
 A window defers when its matrix would be mostly zeros:
 ``num_candidates * num_groups`` exceeds ``window_blocks * block_size``,
@@ -57,7 +60,8 @@ below read instead of re-checking, down to the counting kernel:
   slice itself as the read mask when the window is one run); a window
   whose last block is below its first raises there;
 - the active set is a ``flatnonzero``, so the bitmap range-checks it at its
-  two ends (:meth:`~repro.bitmap.BlockBitmapIndex.any_present_ascending`);
+  two ends and, once most candidates are active, reads the few inactive
+  ones' bits instead (:meth:`~repro.bitmap.BlockBitmapIndex.any_present_ascending`);
 - the I/O manager charges a delivered subset from its size and last block
   (:meth:`~repro.storage.io_manager.IOManager.charge`), and a worker
   backend reads its per-call row floor off the same two numbers
@@ -288,6 +292,10 @@ class BlockSamplingEngine:
         return self._unconsumed == 0
 
     def delivered_rows(self) -> np.ndarray:
+        """Rows delivered per candidate.  Each call grows it by exactly its
+        matrix's row sums — per window in the deferred regime, once at the
+        call's end in the dense one — so HistSim reads a call's row sums
+        here instead of summing the matrix again."""
         return self._delivered.copy()
 
     def candidate_rows(self) -> np.ndarray | None:

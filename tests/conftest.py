@@ -35,3 +35,21 @@ def classic_counting():
             yield
 
     return classic
+
+
+@pytest.fixture
+def delivered_rows_contract():
+    """``checked(sampler, call)``: run ``call(sampler)`` — one sampling
+    call — and assert the :class:`~repro.core.sampler.TupleSampler`
+    contract HistSim relies on: ``delivered_rows()`` grew by exactly the
+    returned matrix's row sums.  Returns the matrix."""
+    import numpy as np
+
+    def checked(sampler, call):
+        before = np.asarray(sampler.delivered_rows()).copy()
+        counts = call(sampler)
+        grown = np.asarray(sampler.delivered_rows()) - before
+        np.testing.assert_array_equal(grown, np.asarray(counts).sum(axis=1))
+        return counts
+
+    return checked

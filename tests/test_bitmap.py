@@ -330,3 +330,160 @@ class TestBuilder:
         truth = brute_force_presence(shuffled.table.column("z"), 5, 32)
         got = idx.chunk_presence(np.arange(5), 0, idx.num_blocks)
         np.testing.assert_array_equal(got, truth)
+
+
+def brute_force_distinct(column, block_size):
+    """Distinct values per block, block by block."""
+    num_blocks = -(-column.size // block_size)
+    return np.array(
+        [np.unique(column[b * block_size : (b + 1) * block_size]).size
+         for b in range(num_blocks)],
+        dtype=np.int64,
+    )
+
+
+class TestDistinctCounts:
+    """Each block's count of distinct values, kept beside the bits: what a
+    block's column of bits sums to, however the build computed it."""
+
+    @given(
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["scratch", "sorted"]),
+        st.sampled_from([None, 1, 3]),
+    )
+    @settings(max_examples=120)
+    def test_distinct_counts_are_brute_force(
+        self, n, cardinality, block_size, seed, how, scratch_blocks
+    ):
+        """From the build's scratch or from each block's sorted rows, in one
+        chunk or several, and derived again from the packed bits alone."""
+        from repro.bitmap import bitmap_index
+
+        rng = np.random.default_rng(seed)
+        col = rng.integers(0, cardinality, size=n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                bitmap_index, "_SORT_BLOCKS_ABOVE", 10**9 if how == "scratch" else 0
+            )
+            if scratch_blocks is not None:  # chunks of 8 blocks
+                patch.setattr(
+                    bitmap_index, "_BUILD_SCRATCH_BYTES", scratch_blocks * cardinality
+                )
+            idx = BlockBitmapIndex.build(col, cardinality, block_size)
+        truth = brute_force_distinct(col, block_size)
+        np.testing.assert_array_equal(idx._distinct, truth)
+        assert idx._distinct.dtype == np.min_scalar_type(min(block_size, cardinality))
+        from_bits = BlockBitmapIndex(idx._packed, cardinality, idx.num_blocks)
+        np.testing.assert_array_equal(from_bits._distinct, truth)
+
+    def test_distinct_counts_from_bits_in_chunks(self, monkeypatch):
+        """An index constructed from packed bits sums them a bounded chunk
+        of bytes at a time, to the same counts."""
+        from repro.bitmap import bitmap_index
+
+        col = np.random.default_rng(3).integers(0, 300, size=20_000)
+        idx = BlockBitmapIndex.build(col, 300, 4)
+        monkeypatch.setattr(bitmap_index, "_BUILD_SCRATCH_BYTES", 300 * 8)
+        from_bits = BlockBitmapIndex(idx._packed, 300, idx.num_blocks)
+        np.testing.assert_array_equal(from_bits._distinct, brute_force_distinct(col, 4))
+
+    def test_distinct_counts_shape_checked(self, column):
+        idx = BlockBitmapIndex.build(column, 11, block_size=64)
+        with pytest.raises(ValueError, match="distinct"):
+            BlockBitmapIndex(idx._packed, 11, idx.num_blocks, idx._distinct[:-1])
+
+    def test_taxi_shape_counts(self):
+        """TAXI's location column (7,641 values over 32-row blocks) takes
+        the sorted path; its counts are the scratch path's."""
+        from repro.bitmap import bitmap_index
+        from repro.data import build_taxi
+
+        column = build_taxi(rows=350_000, seed=7).table.column("location")
+        assert 7641 > bitmap_index._SORT_BLOCKS_ABOVE * 32
+        idx = BlockBitmapIndex.build(column, 7641, 32)
+        np.testing.assert_array_equal(
+            idx._distinct,
+            BlockBitmapIndex(idx._packed, 7641, idx.num_blocks)._distinct,
+        )
+
+
+class TestSmallerSideMarking:
+    """``any_present_ascending`` reads the inactive values' bits when they
+    are the smaller side, and answers what the OR of the active ones does."""
+
+    @given(
+        st.integers(min_value=1, max_value=500),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["none", "one", "all_but_one", "few", "half"]),
+        st.sampled_from([0, 8, 10**9]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_property_any_present_ascending_either_side(
+        self, n, cardinality, block_size, seed, inactive, side, chunked, to_end
+    ):
+        """Every active set from all values to one, over windows starting
+        off a byte boundary and ending in the table's last partial byte,
+        on an index built in one chunk or several: the read mask is
+        ``chunk_presence(...).any(axis=0)`` whichever side is read
+        (``side`` 0 always reads the inactive values, 10**9 never)."""
+        from repro.bitmap import bitmap_index
+
+        rng = np.random.default_rng(seed)
+        col = rng.integers(0, cardinality, size=n)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunked:
+                patch.setattr(bitmap_index, "_BUILD_SCRATCH_BYTES", cardinality)
+            idx = BlockBitmapIndex.build(col, cardinality, block_size)
+        dropped = {
+            "none": 0,
+            "one": min(1, cardinality - 1),
+            "all_but_one": cardinality - 1,
+            "few": int(rng.integers(0, max(1, cardinality // 8) + 1)),
+            "half": cardinality // 2,
+        }[inactive]
+        values = np.sort(rng.choice(cardinality, cardinality - dropped, replace=False))
+        lo = int(rng.integers(0, idx.num_blocks))
+        hi = idx.num_blocks if to_end else int(rng.integers(lo + 1, idx.num_blocks + 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitmap_index, "_INACTIVE_SIDE", side)
+            got = idx.any_present_ascending(values, lo, hi)
+        assert got.dtype == np.bool_ and got.shape == (hi - lo,)
+        np.testing.assert_array_equal(
+            got, idx.chunk_presence(values, lo, hi).any(axis=0)
+        )
+
+    def test_any_present_ascending_or_reduces_only_the_larger_inactive_side(
+        self, monkeypatch
+    ):
+        """With one value inactive of 40 no active row is OR-reduced (the
+        one inactive row is read instead); with half inactive the 20 active
+        rows are; with every value active, none is and every block reads."""
+        col = np.random.default_rng(5).integers(0, 40, size=4000)
+        idx = BlockBitmapIndex.build(col, 40, 10)
+        reduced = []
+        union_bits = idx._union_bits
+
+        def spy(rows, start_block, stop_block):
+            reduced.append(np.asarray(rows).size)
+            return union_bits(rows, start_block, stop_block)
+
+        monkeypatch.setattr(idx, "_union_bits", spy)
+        one_off = np.delete(np.arange(40), 17)
+        np.testing.assert_array_equal(
+            idx.any_present_ascending(one_off, 3, 300),
+            idx.chunk_presence(one_off, 3, 300).any(axis=0),
+        )
+        assert reduced == []
+        idx.any_present_ascending(np.arange(0, 40, 2), 3, 300)
+        assert reduced == [20]
+        np.testing.assert_array_equal(
+            idx.any_present_ascending(np.arange(40), 3, 300), np.ones(297, dtype=bool)
+        )
+        assert reduced == [20]

@@ -451,6 +451,134 @@ class TestAscendingEntry:
         assert tally.tolist() == [0, 0, 0] and moved == 0
 
 
+class TestRunPath:
+    """A large window of few long runs is counted run by run: its pair
+    codes are built (or copied) from zero-copy slices into one buffer and
+    bincounted once, to the counts of the whole-block gather."""
+
+    @pytest.fixture
+    def forced(self, monkeypatch):
+        """Every window of two or more runs takes the run path; the list
+        records each ``_run_kernel`` call's row ranges."""
+        from repro.parallel import kernels
+
+        monkeypatch.setattr(kernels, "_RUN_PATH_BLOCKS", 1)
+        monkeypatch.setattr(kernels, "_RUN_PATH_RUN_BLOCKS", 1)
+        spans = []
+        run_kernel = kernels._run_kernel
+
+        def spy(z, x, run_rows, *args):
+            spans.append(run_rows)
+            return run_kernel(z, x, run_rows, *args)
+
+        monkeypatch.setattr(kernels, "_run_kernel", spy)
+        return spans
+
+    @staticmethod
+    def windows(num_blocks):
+        return {
+            "one_run": np.arange(3, num_blocks - 2, dtype=np.int64),
+            "two_runs": np.r_[2:9, 12:num_blocks - 1].astype(np.int64),
+            "two_runs_to_the_short_block": np.r_[0:5, 7:num_blocks].astype(np.int64),
+            "many_runs": np.flatnonzero(np.arange(num_blocks) % 5 != 2),
+            "single_blocks": np.arange(1, num_blocks, 2, dtype=np.int64),
+        }
+
+    @pytest.mark.parametrize("n", [1003, 1024])  # with and without a short block
+    @pytest.mark.parametrize(
+        "shape", ["one_run", "two_runs", "two_runs_to_the_short_block",
+                  "many_runs", "single_blocks"],
+    )
+    @pytest.mark.parametrize(
+        "counted", ["zx", "zx_filtered", "codes", "codes_filtered", "folded",
+                    "filter_slice"],
+    )
+    def test_run_path_equals_the_gather(self, forced, n, shape, counted):
+        rng = np.random.default_rng(n)
+        c, g = 40, 30
+        layout = BlockLayout(num_rows=n, block_size=32)
+        z = rng.integers(0, c, size=n).astype(np.uint8)
+        x = rng.integers(0, g, size=n).astype(np.uint16)
+        row_filter = rng.random(n) < 0.6
+        blocks = self.windows(layout.num_blocks)[shape]
+        rows = layout.rows_of_blocks(blocks)
+        kwargs = {
+            "zx": {},
+            "zx_filtered": {"row_filter": row_filter},
+            "codes": {"codes": build_pair_codes(z, x, c, g)},
+            "codes_filtered": {
+                "codes": build_pair_codes(z, x, c, g), "row_filter": row_filter
+            },
+            "folded": {"codes": build_pair_codes(z, x, c, g, row_filter=row_filter)},
+            "filter_slice": {"filter_slice": row_filter[rows]},
+        }[counted]
+        filtered = counted != "zx" and counted != "codes"
+        want = legacy_reference(
+            z, x, blocks, layout, c, g, row_filter if filtered else None
+        )
+        got, moved = count_window(z, x, blocks, layout, c, g, **kwargs)
+        assert got.dtype == np.int64 and got.shape == (c, g)
+        np.testing.assert_array_equal(got, want)
+        if "filter_slice" not in kwargs:
+            ascending = count_window_ascending(z, x, blocks, layout, c, g, **kwargs)
+            np.testing.assert_array_equal(ascending[0], want)
+            assert ascending[1] == moved
+        if shape == "one_run":  # a zero-copy slice, not the run path
+            assert forced == []
+            return
+        # The runs cover the window's rows, short last block included.
+        assert sum(hi - lo for lo, hi in forced[-1]) == rows.size
+        itemsize = (
+            kwargs["codes"].itemsize if "codes" in kwargs
+            else pair_code_dtype(c, g).itemsize
+        )
+        expected = rows.size * itemsize  # the one code buffer
+        if "row_filter" in kwargs:
+            expected += rows.size  # the filter's slices, concatenated
+        if filtered and counted != "folded":
+            expected += int(row_filter[rows].sum()) * itemsize  # the compress
+        assert moved == expected
+
+    def test_run_path_with_repeats_in_any_order(self, forced):
+        """``count_window`` takes blocks in any order, repeats included: a
+        run is a stretch of consecutive blocks as given."""
+        rng = np.random.default_rng(7)
+        layout = BlockLayout(num_rows=1003, block_size=32)
+        z = rng.integers(0, 9, size=1003).astype(np.uint8)
+        x = rng.integers(0, 4, size=1003).astype(np.uint8)
+        blocks = np.array([20, 21, 22, 5, 6, 31, 5, 6, 7, 30, 31], dtype=np.int64)
+        got, _ = count_window(z, x, blocks, layout, 9, 4)
+        np.testing.assert_array_equal(got, legacy_reference(z, x, blocks, layout, 9, 4))
+        assert len(forced[-1]) == 5
+        assert forced[-1][-1] == (30 * 32, 1003)  # ends on the short block
+
+    def test_the_rule(self):
+        """At the module's constants a window takes the run path from
+        ``_RUN_PATH_BLOCKS`` blocks when its runs average at least
+        ``_RUN_PATH_RUN_BLOCKS``; an engine window of the default lookahead
+        never does, and is not even ``diff``-ed."""
+        from repro.parallel import kernels
+
+        cut, run = kernels._RUN_PATH_BLOCKS, kernels._RUN_PATH_RUN_BLOCKS
+        assert cut > 1024
+        two = np.r_[0 : cut // 2, cut // 2 + 3 : cut + 3].astype(np.int64)
+        assert two.size == cut
+        np.testing.assert_array_equal(kernels._long_runs(two), [cut // 2])
+        assert kernels._long_runs(two[:-1]) is None  # below the cut
+        many = np.flatnonzero(np.arange(2 * cut) % run != 0)  # runs of run - 1
+        assert many.size >= cut and kernels._long_runs(many) is None
+        dense = np.arange(0, 2048, 2, dtype=np.int64)  # 1,024 single blocks
+        assert kernels._long_runs(dense.view(_NoDiff)) is None
+
+
+class _NoDiff(np.ndarray):
+    """A window whose ``diff`` fails the test: the O(1) side of the cut."""
+
+    def __array_function__(self, func, types, args, kwargs):
+        assert func is not np.diff, "a window below the cut was diff-ed"
+        return super().__array_function__(func, types, args, kwargs)
+
+
 class TestRowsPerCandidate:
     """The one row-sum expression is ``counts.sum(axis=1)``: same values,
     int64, its own memory, whatever the matrix's layout or integer dtype."""

@@ -122,3 +122,121 @@ class TestValidation:
             ArraySampler(np.array([0, 1]), np.array([0]), 2, 2, rng)
         with pytest.raises(ValueError):
             ArraySampler(np.array([0]), np.array([0]), 2, 2, rng, batch_size=0)
+
+
+# ---------------------------------------------------------------------------
+# The delivered_rows() contract HistSim reads each call's row sums from
+# ---------------------------------------------------------------------------
+
+
+def contract_calls(num_candidates):
+    """A stage-1 call, bounded and unbounded budgeted calls, then the rest:
+    every kind of call HistSim makes, until the data runs out."""
+    some = np.zeros(num_candidates)
+    some[[0, 2, num_candidates - 1]] = np.inf, 60, 15
+    return [
+        lambda s: s.sample_uniform(700),
+        lambda s: s.sample_until(some, max_rows=300),
+        lambda s: s.sample_until(some, max_rows=300),
+        lambda s: s.sample_until(np.full(num_candidates, 40.0)),
+        lambda s: s.sample_uniform(0),
+        lambda s: s.sample_until(np.full(num_candidates, np.inf), max_rows=900),
+        lambda s: s.sample_until(np.full(num_candidates, np.inf)),
+        lambda s: s.sample_until(np.full(num_candidates, np.inf)),  # nothing left
+    ]
+
+
+def contract_world(groups, block_size=25):
+    """40 candidates over 240 blocks of 25 rows.  With 8-block windows (200
+    rows) 4 groups (160 cells) count each window at once, 8 (320 cells)
+    tally it and count once per call."""
+    from repro.bitmap import build_bitmap_index
+    from repro.storage import CategoricalAttribute, ColumnTable, Schema, shuffle_table
+
+    rng = np.random.default_rng(groups)
+    schema = Schema((
+        CategoricalAttribute("z", tuple(f"z{i}" for i in range(40))),
+        CategoricalAttribute("x", tuple(f"x{i}" for i in range(groups))),
+    ))
+    table = ColumnTable(schema, {
+        "z": rng.integers(0, 40, size=6000), "x": rng.integers(0, groups, size=6000),
+    })
+    shuffled = shuffle_table(table, block_size, rng)
+    return shuffled, build_bitmap_index(shuffled, "z")
+
+
+class TestDeliveredRowsContract:
+    """Every in-tree sampler grows ``delivered_rows()`` by exactly the row
+    sums of each matrix it returns — what HistSim hands its state instead
+    of summing the matrix again."""
+
+    @pytest.mark.parametrize("backend_name", ["serial", "threads", "sharded"])
+    def test_engine_keeps_the_delivered_rows_contract(
+        self, delivered_rows_contract, backend_name
+    ):
+        from repro.parallel import ShardedBackend, ThreadPoolBackend, build_pair_codes
+        from repro.sampling import AnyActiveLookaheadPolicy, BlockSamplingEngine
+        from repro.storage import CostModel
+        from repro.system import SimulatedClock
+
+        backend = {
+            "serial": lambda: None,
+            "threads": lambda: ThreadPoolBackend(2, min_fan_out_rows=0),
+            "sharded": lambda: ShardedBackend(2, min_fan_out_rows=0),
+        }[backend_name]()
+        try:
+            for groups, deferred in ((4, False), (8, True)):
+                shuffled, index = contract_world(groups)
+                table = shuffled.table
+                for counted in ("plain", "filtered", "folded"):
+                    row_filter = table.column("x") < 3 if counted != "plain" else None
+                    codes = None
+                    if counted == "folded":
+                        codes = build_pair_codes(
+                            table.column("z"), table.column("x"), 40, groups,
+                            row_filter=row_filter,
+                        )
+                    engine = BlockSamplingEngine(
+                        shuffled=shuffled, candidate_attribute="z",
+                        grouping_attribute="x", index=index, cost_model=CostModel(),
+                        clock=SimulatedClock(), policy=AnyActiveLookaheadPolicy(),
+                        window_blocks=8, row_filter=row_filter, start_block=37,
+                        backend=backend, codes=codes,
+                    )
+                    assert engine._deferred == deferred
+                    seen = 0
+                    for call in contract_calls(40):
+                        seen += delivered_rows_contract(engine, call).sum()
+                    assert engine.fully_scanned and seen == engine.total_rows
+        finally:
+            if backend is not None:
+                backend.close()
+
+    def test_array_samplers_keep_the_delivered_rows_contract(
+        self, delivered_rows_contract
+    ):
+        from repro.extensions.predicates import PredicateCandidateSampler
+        from repro.extensions.sum_aggregation import MeasureBiasedSampler
+        from repro.query import Equals, InRange
+
+        shuffled, _ = contract_world(4)
+        table = shuffled.table
+        z, x = table.column("z"), table.column("x")
+        rng = np.random.default_rng(3)
+        samplers = [
+            ArraySampler(z, x, 40, 4, rng, batch_size=256),
+            MeasureBiasedSampler(
+                z, x, rng.random(z.size), 40, 4, rng, batch_size=256
+            ),
+            PredicateCandidateSampler(
+                table,
+                [Equals("z", 3), InRange("z", 0, 20), InRange("z", 10, 40)]
+                + [Equals("z", v) for v in range(37)],
+                "x", rng, batch_size=256,
+            ),
+        ]
+        for sampler in samplers:
+            assert sampler.num_candidates == 40
+            for call in contract_calls(40):
+                delivered_rows_contract(sampler, call)
+            assert sampler.fully_scanned

@@ -715,6 +715,32 @@ def regime_calls(engine):
     return out
 
 
+class TestParentLoopDouble:
+    def test_parent_loop_keeps_the_delivered_rows_contract(
+        self, delivered_rows_contract
+    ):
+        """The reference double keeps the contract HistSim reads row sums
+        from, in every regime and with a filter."""
+        for regime in REGIME_WORLDS:
+            world = make_world(n=5990, block_size=25, **REGIME_WORLDS[regime])
+            for filtered in (False, True):
+                engine = regime_engine(
+                    ParentLoopEngine, world, AnyActiveLookaheadPolicy(),
+                    RecordingBackend(), filtered,
+                )
+                needed = np.zeros(engine.num_candidates)
+                needed[[0, 2, 5, -1]] = np.inf, 60, 15, np.inf
+                delivered_rows_contract(engine, lambda e: e.sample_uniform(700))
+                delivered_rows_contract(
+                    engine, lambda e: e.sample_until(needed, max_rows=300)
+                )
+                delivered_rows_contract(
+                    engine,
+                    lambda e: e.sample_until(np.full(e.num_candidates, np.inf)),
+                )
+                assert engine.fully_scanned
+
+
 class TestRegimeIdentity:
     @pytest.mark.parametrize("folded", [False, True], ids=["nocodes", "fold"])
     @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])

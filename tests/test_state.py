@@ -197,6 +197,64 @@ class TestRoundBuffer:
             np.testing.assert_array_equal(s.round_samples, s.round_counts.sum(axis=1))
 
 
+class TestHandedRowSums:
+    """A caller that holds a batch's row sums hands them in; the state then
+    skips its own reduction and ends exactly where re-summing would."""
+
+    def test_handed_row_sums_equal_re_summing(self, monkeypatch):
+        import repro.core.state as state_module
+
+        rng = np.random.default_rng(29)
+        summed, handed = make_state(6, 5), make_state(6, 5)
+        moves = []
+        for _ in range(300):
+            move = int(rng.integers(5))
+            batch = rng.integers(0, 9, size=(6, 5))
+            batch[rng.random(6) < 0.5] = 0
+            moves.append((move, batch * (rng.random() < 0.8)))
+        for move, batch in moves:  # the reference sums every batch itself
+            if move == 0:
+                summed.fold_round_into_cumulative()
+            elif move == 1:
+                summed.reset_round()
+            elif move == 2:
+                summed.record_counts(batch)
+            else:
+                summed.record_round_counts(batch)
+
+        def no_sum(counts):
+            raise AssertionError("the handed-in row sums were summed again")
+
+        monkeypatch.setattr(state_module, "rows_per_candidate", no_sum)
+        for move, batch in moves:
+            row_sums = batch.sum(axis=1)
+            if move == 0:
+                handed.fold_round_into_cumulative()
+            elif move == 1:
+                handed.reset_round()
+            elif move == 2:
+                assert handed.record_counts(batch, row_sums) is row_sums
+            else:
+                assert handed.record_round_counts(batch, row_sums) is row_sums
+                row_sums[:] = -1  # the caller's vector is added, not kept
+        for name in ("counts", "samples", "round_counts", "round_samples"):
+            np.testing.assert_array_equal(getattr(handed, name), getattr(summed, name))
+
+    def test_handed_row_sums_keep_the_checks(self):
+        s = make_state()
+        sums = np.full(3, 4, dtype=np.int64)
+        with pytest.raises(ValueError, match="non-negative"):
+            s.record_round_counts(np.full((3, 4), -1), sums)
+        with pytest.raises(ValueError, match="row sums"):
+            s.record_round_counts(np.ones((3, 4), dtype=np.int64), sums[:2])
+        with pytest.raises(ValueError, match="row sums"):
+            s.record_counts(np.ones((3, 4), dtype=np.int64), sums[:2])
+        batch = np.ones((3, 4), dtype=np.int64)
+        s.record_round_counts(batch, sums)
+        batch[:] = 99
+        assert s.round_counts.tolist() == [[1] * 4] * 3  # copied, not aliased
+
+
 class TestExhaustion:
     def test_exhausted_without_rows_is_never(self):
         s = make_state()

@@ -223,6 +223,23 @@ class SpySampler:
         return self.inner.sample_until(needed, max_rows=max_rows)
 
 
+def test_spy_sampler_keeps_the_delivered_rows_contract(
+    indistinct, delivered_rows_contract
+):
+    """The spy forwards ``delivered_rows()`` to the sampler it wraps, so a
+    run through it reads each call's row sums as a bare run does."""
+    _, _, candidates, _, target = indistinct
+    spy = SpySampler(make_sampler(indistinct))
+    stepper = HistSimStepper(spy, target, CONFIG, max_step_rows=700)
+    spy.stepper = stepper
+    delivered_rows_contract(spy, lambda s: s.sample_uniform(900))
+    delivered_rows_contract(
+        spy, lambda s: s.sample_until(np.full(candidates, 300.0), max_rows=700)
+    )
+    delivered_rows_contract(spy, lambda s: s.sample_until(np.full(candidates, np.inf)))
+    assert spy.inner.fully_scanned and len(spy.calls) == 3
+
+
 @pytest.fixture
 def indistinct():
     """10 candidates of 1,500 rows; three all but equal to the target, so
