@@ -57,9 +57,13 @@ def _packed_presence(
     and each block's count of distinct values."""
     bits = np.zeros((cardinality, num_blocks), dtype=np.uint8)
     if rows.size:
-        # Row r sets byte (rows[r], r // block_size): one flat index per row.
-        at = rows.astype(np.intp) * num_blocks
-        at += np.arange(num_blocks, dtype=np.intp).repeat(block_size)[: rows.size]
+        # Row r sets byte (rows[r], r // block_size): one flat index per row,
+        # its block added block by block in place (no second per-row array).
+        at = np.multiply(rows, num_blocks, dtype=np.intp)
+        whole = rows.size // block_size
+        body = at[: whole * block_size].reshape(whole, block_size)
+        body += np.arange(whole, dtype=np.intp)[:, None]
+        at[whole * block_size :] += whole
         bits.reshape(-1)[at] = 1
     dtype = _distinct_dtype(cardinality, block_size)
     if cardinality > _SORT_BLOCKS_ABOVE * block_size:
