@@ -30,6 +30,11 @@ __all__ = ["BlockBitmapIndex"]
 #: 8 MiB saves another 9 MiB at 6M rows and is no faster.
 _BUILD_SCRATCH_BYTES = 16 << 20
 
+#: Rows whose flat scratch index :func:`_packed_presence` holds at once
+#: (8 bytes each): 512 KiB of index, so the build's transient memory is its
+#: scratch.
+_SCATTER_ROWS = 1 << 16
+
 #: Distinct counts are read off the build's scratch, ``cardinality`` bytes
 #: a block, until sorting each block's own ``block_size`` rows is cheaper:
 #: above ``_SORT_BLOCKS_ABOVE * block_size`` values.  On a 2-vCPU Xeon the
@@ -56,15 +61,18 @@ def _packed_presence(
     """Packed presence bits of ``rows`` over their own ``num_blocks`` blocks,
     and each block's count of distinct values."""
     bits = np.zeros((cardinality, num_blocks), dtype=np.uint8)
-    if rows.size:
-        # Row r sets byte (rows[r], r // block_size): one flat index per row,
-        # its block added block by block in place (no second per-row array).
-        at = np.multiply(rows, num_blocks, dtype=np.intp)
-        whole = rows.size // block_size
+    flat = bits.reshape(-1)
+    # Row r sets byte (rows[r], r // block_size), through one flat index per
+    # row, made a bounded slab of whole blocks at a time.
+    step = max(1, _SCATTER_ROWS // block_size)
+    for first in range(0, num_blocks, step):
+        slab = rows[first * block_size : (first + step) * block_size]
+        at = np.multiply(slab, num_blocks, dtype=np.intp)
+        whole = slab.size // block_size
         body = at[: whole * block_size].reshape(whole, block_size)
-        body += np.arange(whole, dtype=np.intp)[:, None]
-        at[whole * block_size :] += whole
-        bits.reshape(-1)[at] = 1
+        body += np.arange(first, first + whole, dtype=np.intp)[:, None]
+        at[whole * block_size :] += first + whole  # the short last block
+        flat[at] = 1
     dtype = _distinct_dtype(cardinality, block_size)
     if cardinality > _SORT_BLOCKS_ABOVE * block_size:
         distinct = _distinct_sorted(rows, num_blocks, block_size, dtype)

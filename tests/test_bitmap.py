@@ -205,21 +205,24 @@ def one_shot_packed(column, cardinality, block_size):
 class TestChunkedBuild:
     """The build's scratch is bounded; its bytes are the one-shot build's."""
 
+    @pytest.mark.parametrize("scatter_rows", [1, 7, 1 << 16])
     @pytest.mark.parametrize("scratch_blocks", [0, 8, 13, 16, 20, 1_000])
     @pytest.mark.parametrize(
         "n, cardinality, block_size",
         [(1003, 11, 4), (997, 3, 1), (250, 7, 3), (64, 5, 8), (8 * 40 * 6, 40, 6)],
     )
     def test_identical_bytes_for_any_chunk(
-        self, monkeypatch, scratch_blocks, n, cardinality, block_size
+        self, monkeypatch, scratch_blocks, n, cardinality, block_size, scatter_rows
     ):
         from repro.bitmap import bitmap_index
 
         # Room for ``scratch_blocks`` unpacked blocks: the build rounds down
-        # to a multiple of 8, with 8 as the floor.
+        # to a multiple of 8, with 8 as the floor.  The scatter index is
+        # made ``scatter_rows`` rows (at least one block) at a time.
         monkeypatch.setattr(
             bitmap_index, "_BUILD_SCRATCH_BYTES", scratch_blocks * cardinality
         )
+        monkeypatch.setattr(bitmap_index, "_SCATTER_ROWS", scatter_rows)
         rng = np.random.default_rng(n + cardinality)
         col = rng.integers(0, cardinality, size=n)
         idx = BlockBitmapIndex.build(col, cardinality, block_size)
