@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 
+import numpy as np
 import pytest
 
 from repro.parallel import backend as backend_module
@@ -43,7 +44,6 @@ def delivered_rows_contract():
     call — and assert the :class:`~repro.core.sampler.TupleSampler`
     contract HistSim relies on: ``delivered_rows()`` grew by exactly the
     returned matrix's row sums.  Returns the matrix."""
-    import numpy as np
 
     def checked(sampler, call):
         before = np.asarray(sampler.delivered_rows()).copy()
