@@ -5,6 +5,9 @@ Three stages, each spending an error budget of δ/3:
 1. **Prune rare candidates** — ``m`` uniform samples; hypergeometric
    under-representation P-values; Holm–Bonferroni rejection removes
    candidates that are rare (``N_i/N < σ``) with family-wise confidence.
+   The P-value rises with a candidate's count, so the step-down is one
+   count threshold (:func:`~repro.core.hypergeometric.rare_candidates`);
+   from then on the state keeps the survivors' histograms only.
 2. **Identify the top-k** — rounds of fresh samples.  Each round picks the
    empirical matching set ``M`` and a split point ``s``, budgets fresh
    samples per candidate (Eq. 1), then runs the union-intersection test of
@@ -48,8 +51,8 @@ from .deviation import (
     stage3_sample_target,
 )
 from .distance import normalize, row_distances, subset_distances
-from .hypergeometric import underrepresentation_pvalues
-from .multiple_testing import holm_bonferroni, simultaneous_rejection_log
+from .hypergeometric import rare_candidates
+from .multiple_testing import simultaneous_rejection_log
 from .result import MatchResult, RoundTrace, StageStats
 from .sampler import TupleSampler
 from .state import CandidateState
@@ -185,17 +188,26 @@ class HistSim:
     ) -> np.ndarray:
         """``d(counts_i [+ in_flight_i], q)`` for every alive candidate ``i``.
 
-        ``totals`` are the row sums the state already holds for those
-        counts (``samples``, ``round_samples`` or their sum), so no row is
+        ``counts`` / ``in_flight`` are the state's matrices (``counts``,
+        ``round_counts``), whose rows :meth:`CandidateState.rows` maps;
+        ``totals`` are the full-length row sums the state already holds for
+        them (``samples``, ``round_samples`` or their sum), so no row is
         summed again.  The statistics cost what ``A`` needs, as
-        :meth:`finish_round` charges them: pruned candidates' rows are
-        neither gathered nor normalized and read ``inf``.  Every consumer
-        (``select_matching``, ``split_point``, the round budgets and
-        P-values) indexes by ``matching`` / ``others`` / ``alive`` only.
+        :meth:`finish_round` charges them: once stage 1 has pruned, the
+        state holds the survivors' rows only, and pruned candidates read
+        ``inf``.  Every consumer (``select_matching``, ``split_point``, the
+        round budgets and P-values) indexes by ``matching`` / ``others`` /
+        ``alive`` only.
         """
-        return subset_distances(
-            counts, self._target_bar, np.flatnonzero(self.alive), in_flight, totals
+        alive = np.flatnonzero(self.alive)
+        held = self.state.survivors
+        if held is None:
+            return subset_distances(counts, self._target_bar, alive, in_flight, totals)
+        tau = np.full(self.alive.size, np.inf)
+        tau[held] = subset_distances(
+            counts, self._target_bar, self.state.rows(alive), in_flight, totals[held]
         )
+        return tau
 
     # --------------------------------------------------------------- sampling
 
@@ -224,15 +236,18 @@ class HistSim:
         cfg = self.config
         n_total = self.sampler.total_rows
         m = cfg.effective_stage1_samples(n_total)
-        observed = self.state.record_counts(*self.sample_uniform(m))
-
-        delivered = int(observed.sum())
-        pvalues = underrepresentation_pvalues(observed, n_total, cfg.sigma, delivered)
-        pruned = holm_bonferroni(pvalues, cfg.stage_delta)
+        counts, observed = self.sample_uniform(m)
+        # The prune reads the row sums only, so the state drops the pruned
+        # rows before the batch is recorded: only survivors' rows are copied.
+        pruned = rare_candidates(
+            observed, n_total, cfg.sigma, int(observed.sum()), cfg.stage_delta
+        )
         self._stats_cost(
             "stage1", int(observed.max(initial=0)) + self.alive.size
         )
         self.alive &= ~pruned
+        self.state.keep_only(self.alive)
+        self.state.record_counts(counts, observed)
         return pruned
 
     # ------------------------------------------------------------------ stage 2
@@ -281,7 +296,8 @@ class HistSim:
         s: float,
         exhausted: np.ndarray,
     ) -> np.ndarray:
-        """P-values (log) of the round's null hypotheses (Lemmas 2–3, Theorem 1)."""
+        """P-values (log) of the round's null hypotheses (Lemmas 2–3,
+        Theorem 1), one per alive candidate in ascending id order."""
         cfg = self.config
         tau_round = self.alive_distances(
             self.state.round_counts, self.state.round_samples
@@ -293,14 +309,15 @@ class HistSim:
         else:
             # Null ``τ* ≤ s − ε/2 < 0`` is vacuously false (Algorithm 1, line 22).
             eps_test[others] = np.inf
+        alive = np.flatnonzero(self.alive)
         log_p = deviation_log_pvalue(
-            eps_test, self.state.round_samples, self.sampler.num_groups
+            eps_test[alive], self.state.round_samples[alive], self.sampler.num_groups
         )
         # Exhausted candidates have exact τ; the split-point construction
         # places their true distance on the correct side of s, so the null is
         # certainly false (DESIGN.md §5).
         log_p = np.asarray(log_p, dtype=np.float64)
-        log_p[exhausted] = -np.inf
+        log_p[exhausted[alive]] = -np.inf
         return log_p
 
     def stage2_shortcut(self) -> np.ndarray | None:
@@ -350,8 +367,7 @@ class HistSim:
         log_p = self._round_log_pvalues(
             plan.matching, plan.others, plan.split, plan.exhausted
         )
-        alive_idx = np.flatnonzero(self.alive)
-        rejected = simultaneous_rejection_log(log_p[alive_idx], plan.delta_upper)
+        rejected = simultaneous_rejection_log(log_p, plan.delta_upper)
         self._stats_cost(
             "stage2",
             int(self.alive.sum()) * self.sampler.num_groups
@@ -367,7 +383,7 @@ class HistSim:
                     np.where(np.isfinite(plan.budgets), plan.budgets, 0).sum()
                 ),
                 fresh_samples=fresh_rows,
-                max_log_pvalue=float(np.max(log_p[alive_idx])),
+                max_log_pvalue=float(np.max(log_p)),
                 rejected=rejected,
             )
         )
@@ -414,7 +430,7 @@ class HistSim:
         stage3_samples: int,
     ) -> MatchResult:
         """Sort the matching set by final distance and package the output."""
-        histograms = self.state.counts[matching]
+        histograms = self.state.counts[self.state.rows(matching)]
         tau = row_distances(histograms, self._target_bar, self.state.samples[matching])
         order = np.argsort(tau, kind="stable")
         stats = StageStats(
@@ -678,9 +694,10 @@ class HistSimStepper:
             surviving_candidates=int(algo.alive.sum()),
             rounds=len(algo.rounds),
         )
+        rows = state.rows(matching)
         return MatchResult(
             matching=tuple(matching.tolist()),
-            histograms=state.counts[matching] + state.round_counts[matching],
+            histograms=state.counts[rows] + state.round_counts[rows],
             distances=tau[matching],
             pruned=tuple(np.flatnonzero(pruned_mask).tolist()),
             exact=algo.sampler.fully_scanned,

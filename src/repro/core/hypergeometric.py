@@ -12,9 +12,15 @@ had selectivity at least σ.  The tail is stochastically smallest at
 ``N_i = ⌈σN⌉`` over the null region, so this P-value is valid for the whole
 composite null.
 
-The paper notes that stage 1 shares computation across candidates by sorting
-them by ``n_i`` and evaluating at most ``max_i n_i`` pdf terms;
-:func:`underrepresentation_pvalues` does exactly that.  With ``K = ⌈σN⌉`` the
+The paper notes that stage 1 shares computation across candidates: one run
+of pdf terms serves every count.  Here that run is a table: for each
+``(N, ⌈σN⌉, m)`` the left tail at every count ``0..min(⌈σN⌉, m)`` is
+computed once, made read-only and kept in a bounded process-wide cache
+(:func:`left_tail_table`), and :func:`underrepresentation_pvalues` looks
+each count up in it — no sort, no ``np.unique``.  The tails are cumulative
+sums taken in order, so the table's entries equal, bit for bit, the tails a
+shorter run would give (:func:`_left_tail` over just the observed counts).
+With ``K = ⌈σN⌉`` the
 support is ``[lo, hi] = [max(0, m+K−N), min(K, m)]``.  The first term is a
 product of at most ``min`` factors,
 
@@ -36,13 +42,24 @@ most 1.5e-14 over every ``(N, K, m, n)`` with ``N ≤ 60``, 9e-15 at
 ``N = 10⁶, K = 800, m = 5·10⁴`` and 5e-14 at the ``e^−418`` point above,
 where the spacing of doubles near ``log f = −418`` alone is 6e-14.  SciPy's
 ``hypergeom.cdf`` is off by up to 1.3e-9 at those two large points.
+
+Because a candidate's P-value never falls as its count grows, stage 1's
+Holm–Bonferroni step-down is a count threshold (:func:`rare_candidates`,
+:func:`~repro.core.multiple_testing.holm_count_threshold`): the pruned
+candidates are exactly those whose count lies below one cut.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from .multiple_testing import holm_count_threshold
+
 __all__ = [
+    "left_tail_table",
+    "rare_candidates",
     "rare_threshold",
     "underrepresentation_pvalue",
     "underrepresentation_pvalues",
@@ -74,15 +91,54 @@ def underrepresentation_pvalues(
 ) -> np.ndarray:
     """Vectorized stage-1 P-values ``Σ_{j≤n_i} f(j; N, ⌈σN⌉, m)`` for all candidates.
 
-    Shares computation across candidates: one run of pdf terms up to the
-    largest observed count serves every *distinct* count, then is broadcast
-    back, mirroring the paper's shared-computation optimization (Section
-    3.5, "Computational Complexity").
+    Shares computation across candidates: every count is looked up in one
+    cached table of tails (:func:`left_tail_table`), mirroring the paper's
+    shared-computation optimization (Section 3.5, "Computational
+    Complexity").
     """
+    counts = _checked_counts(observed, total_rows, sample_size)
+    threshold = rare_threshold(total_rows, sigma)
+    if threshold == 0:
+        # sigma == 0: nothing is rare; the null (N_i >= 0) always holds and
+        # the left tail at any count is 1.
+        return np.ones_like(counts, dtype=np.float64)
+    table = left_tail_table(total_rows, threshold, sample_size)
+    return table[np.minimum(counts, table.size - 1, dtype=np.intp)]
+
+
+def rare_candidates(
+    observed: np.ndarray,
+    total_rows: int,
+    sigma: float,
+    sample_size: int,
+    alpha: float,
+) -> np.ndarray:
+    """Stage 1's prune mask: the candidates whose "not rare" null
+    Holm–Bonferroni rejects at family-wise level ``alpha``.
+
+    Equal to ``holm_bonferroni(underrepresentation_pvalues(observed, ...),
+    alpha)``, but as a count threshold: the P-value never falls as the count
+    grows, so the step-down walks the histogram of counts upward
+    (:func:`~repro.core.multiple_testing.holm_count_threshold`) and the
+    rejected set is every count below the first one that fails.  Cost
+    ``O(|V_Z| + min(⌈σN⌉, m))``, with no sort.
+    """
+    counts = _checked_counts(observed, total_rows, sample_size)
+    threshold = rare_threshold(total_rows, sigma)
+    if threshold == 0:
+        pvalue_by_count = np.ones(1)  # sigma == 0: every P-value is 1
+    else:
+        pvalue_by_count = left_tail_table(total_rows, threshold, sample_size)
+    return counts < holm_count_threshold(counts, pvalue_by_count, alpha)
+
+
+def _checked_counts(
+    observed: np.ndarray, total_rows: int, sample_size: int
+) -> np.ndarray:
     counts = np.asarray(observed)
     if counts.ndim != 1:
         raise ValueError("observed must be a 1-D array of per-candidate counts")
-    if np.any(counts < 0):
+    if counts.size and counts.min() < 0:
         raise ValueError("observed counts must be non-negative")
     if sample_size < 0:
         raise ValueError(f"sample_size must be non-negative, got {sample_size}")
@@ -90,15 +146,22 @@ def underrepresentation_pvalues(
         raise ValueError(
             f"cannot draw {sample_size} samples without replacement from {total_rows} rows"
         )
+    return counts
 
-    threshold = rare_threshold(total_rows, sigma)
-    if threshold == 0:
-        # sigma == 0: nothing is rare; the null (N_i >= 0) always holds and
-        # the left tail at any count is 1.
-        return np.ones_like(counts, dtype=np.float64)
 
-    unique_counts, inverse = np.unique(counts, return_inverse=True)
-    return _left_tail(unique_counts, total_rows, threshold, sample_size)[inverse]
+@lru_cache(maxsize=32)
+def left_tail_table(total_rows: int, threshold: int, sample_size: int) -> np.ndarray:
+    """``P(HypGeo(N, K, m) ≤ c)`` for ``c = 0..min(K, m)``, read-only.
+
+    The last entry is 1; a count past it reads that entry.  Tables are
+    cached process-wide, at most 32 of them (least recently used first
+    out), and shared by every caller: ``functools.lru_cache`` is safe to
+    call from several threads, and the returned array cannot be written.
+    """
+    hi = min(threshold, sample_size)
+    table = _left_tail(np.arange(hi + 1), total_rows, threshold, sample_size)
+    table.setflags(write=False)
+    return table
 
 
 def _left_tail(sorted_counts: np.ndarray, n: int, k: int, m: int) -> np.ndarray:

@@ -5,7 +5,10 @@ Two testers are used by HistSim:
 - :func:`holm_bonferroni` — stage 1 rejects a *subset* of "candidate i is not
   rare" nulls while controlling family-wise type-1 error.  Holm's step-down
   procedure is uniformly more powerful than plain Bonferroni and valid under
-  arbitrary dependence.
+  arbitrary dependence.  Stage 1's P-values are a non-decreasing function
+  of each candidate's sample count, so HistSim runs the same procedure as
+  a count threshold (:func:`holm_count_threshold`): one pass over the
+  histogram of counts instead of a sort of the P-values.
 - :func:`simultaneous_rejection` — stage 2's all-or-nothing
   union-intersection tester (Lemma 4): reject *every* null iff
   ``max_i p_i ≤ δ_upper``; this rejects at least one true null with
@@ -18,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "holm_bonferroni",
+    "holm_count_threshold",
     "bonferroni",
     "simultaneous_rejection",
     "simultaneous_rejection_log",
@@ -59,6 +63,37 @@ def holm_bonferroni(pvalues: np.ndarray, alpha: float) -> np.ndarray:
     still_rejecting = np.cumprod(passes).astype(bool)
     rejected[order[still_rejecting]] = True
     return rejected
+
+
+def holm_count_threshold(
+    counts: np.ndarray, pvalue_by_count: np.ndarray, alpha: float
+) -> int:
+    """Holm's step-down when each P-value is a non-decreasing function of
+    an integer count: returns the cut ``c`` such that the procedure rejects
+    exactly the hypotheses with ``count < c``.
+
+    ``pvalue_by_count[c]`` is the P-value of a count ``c``; a count past the
+    table's end reads its last entry.  Sorted by count, the ``j(c)``
+    hypotheses with smaller counts come first, so the smallest threshold a
+    count-``c`` hypothesis meets is ``alpha / (n − j(c))``.  Walking the
+    histogram of counts upward, the first count whose P-value exceeds that
+    threshold stops the step-down.  Equal counts have equal P-values and
+    later positions only larger thresholds, so a tie group passes or fails
+    whole, as in :func:`holm_bonferroni` over the looked-up P-values (the
+    same divisions, so the same bits).  Cost ``O(n + len(pvalue_by_count))``.
+    """
+    p = _validate_pvalues(pvalue_by_count)
+    _validate_level(alpha)
+    if p.size == 0 or np.any(np.diff(p) < 0):
+        raise ValueError("pvalue_by_count must be a non-empty, non-decreasing table")
+    counts = np.asarray(counts)
+    hist = np.bincount(np.minimum(counts, p.size - 1, dtype=np.intp), minlength=p.size)
+    present = np.flatnonzero(hist)
+    smaller = (np.cumsum(hist) - hist)[present]  # j(c) at each present count
+    fails = p[present] > alpha / (counts.size - smaller)
+    if fails.any():
+        return int(present[np.argmax(fails)])
+    return int(counts.max()) + 1 if counts.size else 0
 
 
 def bonferroni(pvalues: np.ndarray, alpha: float) -> np.ndarray:

@@ -33,6 +33,17 @@ class CandidateState:
     ``round_counts`` reads as a read-only matrix of zeros, never as the
     folded round's stale buffer.
 
+    Survivor rows: once stage 1 has pruned candidates, :meth:`keep_only`
+    narrows ``counts`` and the round buffer to the survivors' rows
+    (``survivors``, ascending candidate ids), so each later record, fold
+    and distance costs ``|A| × |V_X|``, not ``|V_Z| × |V_X|``.  Row ``r``
+    of the matrices then holds candidate ``survivors[r]``; read a
+    candidate's histogram through :meth:`rows`, which maps candidate ids
+    to rows.  Batches still arrive full-shaped (``num_candidates`` rows)
+    and are checked whole; the survivors' rows are gathered out of them,
+    and that gather is the copy.  ``samples``, ``round_samples`` and
+    ``candidate_rows`` stay full length, indexed by candidate id.
+
     Parameters
     ----------
     num_candidates:
@@ -62,6 +73,10 @@ class CandidateState:
         self.counts = np.zeros((num_candidates, num_groups), dtype=np.int64)
         # Fresh samples for the current stage-2 round only.
         self.round_samples = np.zeros(num_candidates, dtype=np.int64)
+        #: Candidate ids of the matrices' rows once narrowed; None while
+        #: row ``i`` is candidate ``i``.
+        self.survivors: np.ndarray | None = None
+        self._row_of: np.ndarray | None = None  # candidate id -> row, -1 if dropped
         self._round_buffer = np.empty_like(self.counts)
         self._round_held = False  # whether the buffer holds the round
         self._no_round: np.ndarray | None = None  # zeros, made when first read
@@ -88,13 +103,53 @@ class CandidateState:
             self._no_round.setflags(write=False)
         return self._no_round
 
+    def rows(self, candidates: np.ndarray) -> np.ndarray:
+        """The rows of ``counts`` / ``round_counts`` that hold the given
+        candidate ids; raises for a candidate whose rows were dropped."""
+        if self._row_of is None:
+            return candidates
+        rows = self._row_of[candidates]
+        if rows.size and rows.min() < 0:
+            raise ValueError("a pruned candidate's histogram is not kept")
+        return rows
+
+    def keep_only(self, survivors: np.ndarray) -> None:
+        """Keep the histograms of the candidates in the boolean mask
+        ``survivors`` only; a no-op when it drops nobody.  A dropped
+        candidate cannot come back."""
+        ids = np.flatnonzero(survivors)
+        rows = self.rows(ids)
+        if rows.size == self.counts.shape[0]:
+            return
+        # Only held data is gathered; empty matrices are made at the new size.
+        if self.samples.any():
+            self.counts = self.counts[rows]
+        else:
+            self.counts = np.zeros((ids.size, self.num_groups), dtype=np.int64)
+        if self._round_held:
+            self._round_buffer = self._round_buffer[rows]
+        else:
+            self._round_buffer = np.empty_like(self.counts)
+        self._no_round = None
+        self.survivors = ids
+        self._row_of = np.full(self.num_candidates, -1, dtype=np.int64)
+        self._row_of[ids] = np.arange(ids.size)
+
     def _shaped(self, counts: np.ndarray) -> np.ndarray:
+        """The batch as an array, checked to be full-shaped and non-negative
+        (one ``min`` over the batch) before anything moves."""
         counts = np.asarray(counts)
-        if counts.shape != self.counts.shape:
-            raise ValueError(
-                f"expected counts of shape {self.counts.shape}, got {counts.shape}"
-            )
+        shape = (self.num_candidates, self.num_groups)
+        if counts.shape != shape:
+            raise ValueError(f"expected counts of shape {shape}, got {counts.shape}")
+        if counts.min() < 0:  # one reduction; the shape is never empty
+            raise ValueError("counts must be non-negative")
         return counts
+
+    def _held(self, counts: np.ndarray) -> np.ndarray:
+        """The batch's rows that the state keeps: all of it, or the
+        survivors' rows gathered out (a copy)."""
+        return counts if self.survivors is None else counts[self.survivors]
 
     def _row_sums(self, counts: np.ndarray, row_sums: np.ndarray | None) -> np.ndarray:
         """The batch's per-candidate row sums: handed in, or summed here."""
@@ -117,9 +172,9 @@ class CandidateState:
         counts = self._shaped(counts)
         row_sums = self._row_sums(counts, row_sums)
         if self.samples.any():
-            self.counts += counts
+            self.counts += self._held(counts)
         else:
-            np.copyto(self.counts, counts)
+            np.copyto(self.counts, self._held(counts))
         self.samples += row_sums
         return row_sums
 
@@ -136,14 +191,14 @@ class CandidateState:
         into the state's own buffer, never kept.
         """
         fresh = self._shaped(fresh_counts)
-        if fresh.min() < 0:  # one reduction; the shape is never empty
-            raise ValueError("fresh counts must be non-negative")
         row_sums = self._row_sums(fresh, row_sums)
         if self._round_held:
-            self._round_buffer += fresh
-        else:
+            self._round_buffer += self._held(fresh)
+        elif self.survivors is None:
             np.copyto(self._round_buffer, fresh)
-            self._round_held = True
+        else:  # the survivor gather is the copy
+            self._round_buffer = fresh[self.survivors].astype(np.int64, copy=False)
+        self._round_held = True
         self.round_samples += row_sums
         return row_sums
 
@@ -152,8 +207,8 @@ class CandidateState:
 
         An empty round (round 1 folds right after stage 1, which wrote the
         cumulative state directly; stage 3 folds again after a rejected
-        round already did) has only zeros to add, so the ``|V_Z| × |V_X|``
-        pass is skipped.
+        round already did) has only zeros to add, so the matrix pass is
+        skipped.
         """
         if not self.round_samples.any():
             return

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.hypergeometric import underrepresentation_pvalues
-from ..core.multiple_testing import holm_bonferroni
+from ..core.hypergeometric import rare_candidates
 
 __all__ = ["UnknownDomainPruneResult", "prune_unknown_domain"]
 
@@ -53,8 +52,7 @@ def prune_unknown_domain(
 
     seen, counts = np.unique(sampled_values, return_counts=True)
     observed = np.concatenate([counts, [0]])  # trailing dummy: unseen values
-    pvalues = underrepresentation_pvalues(observed, total_rows, sigma, m)
-    rejected = holm_bonferroni(pvalues, delta / 3.0)
+    rejected = rare_candidates(observed, total_rows, sigma, m, delta / 3.0)
 
     pruned_seen = tuple(int(v) for v, r in zip(seen, rejected[:-1]) if r)
     return UnknownDomainPruneResult(

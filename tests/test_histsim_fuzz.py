@@ -7,6 +7,8 @@ audited.  This complements the targeted statistical tests in
 test_histsim.py with breadth.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ArraySampler,
+    CandidateState,
     HistSimConfig,
     audit_result,
     run_histsim,
@@ -89,3 +92,55 @@ def test_histsim_deterministic_given_seed(population):
     assert a.matching == b.matching
     np.testing.assert_array_equal(a.histograms, b.histograms)
     assert a.stats.total_samples == b.stats.total_samples
+
+
+@st.composite
+def skewed_populations(draw):
+    """A few large candidates among many small ones, and a σ that makes
+    stage 1 prune some of the small ones."""
+    num_candidates = draw(st.integers(min_value=2, max_value=40))
+    num_groups = draw(st.integers(min_value=1, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    sizes = np.where(
+        rng.random(num_candidates) < 0.3,
+        rng.integers(200, 1_500, size=num_candidates),
+        rng.integers(1, 40, size=num_candidates),
+    )
+    z = rng.permutation(np.repeat(np.arange(num_candidates), sizes))
+    x = rng.integers(0, num_groups, size=z.size)
+    k = draw(st.integers(min_value=1, max_value=num_candidates))
+    sigma = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    return z, x, num_candidates, num_groups, k, sigma, seed
+
+
+@given(skewed_populations())
+@settings(max_examples=60, deadline=None)
+def test_pruning_runs_match_full_matrix_runs(population):
+    """At σ > 0 stage 1 prunes and the state keeps the survivors' rows
+    only; the result is the one a state keeping every row gives."""
+    z, x, num_candidates, num_groups, k, sigma, seed = population
+    config = HistSimConfig(
+        k=k, epsilon=0.3, delta=0.1, sigma=sigma, stage1_samples=2_000,
+        stage1_max_fraction=0.5, min_round_samples=32,
+    )
+    target = uniform_target(num_groups)
+
+    def one_run():
+        sampler = ArraySampler(
+            z, x, num_candidates, num_groups, np.random.default_rng(seed), batch_size=97
+        )
+        return run_histsim(sampler, target, config)
+
+    narrowed = one_run()
+    with mock.patch.object(CandidateState, "keep_only", lambda self, survivors: None):
+        full = one_run()
+    assert narrowed.matching == full.matching
+    assert narrowed.histograms.tobytes() == full.histograms.tobytes()
+    assert narrowed.distances.tobytes() == full.distances.tobytes()
+    assert (narrowed.pruned, narrowed.exact, narrowed.stats, narrowed.rounds) == (
+        full.pruned, full.exact, full.stats, full.rounds
+    )
+    assert not (set(narrowed.matching) & set(narrowed.pruned))
+    assert len(narrowed.matching) <= k
+    assert narrowed.histograms.shape == (len(narrowed.matching), num_groups)

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.multiple_testing import (
     bonferroni,
     holm_bonferroni,
+    holm_count_threshold,
     simultaneous_rejection,
     simultaneous_rejection_log,
 )
@@ -83,6 +84,53 @@ class TestHolmBonferroni:
             if holm_bonferroni(p, 0.1).any():
                 errors += 1
         assert errors / trials <= 0.13
+
+
+@st.composite
+def counted_families(draw):
+    """Integer counts and a non-decreasing P-value table over them, with
+    ties in both (many counts share a value, many values share a P-value)."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    steps = draw(hnp.arrays(np.float64, size, elements=st.sampled_from([0.0, 0.001, 0.01, 0.2])))
+    table = np.minimum(np.cumsum(steps), 1.0)
+    counts = draw(hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(0, size + 2)))
+    return counts, table
+
+
+class TestHolmCountThreshold:
+    """Holm over P-values that are a non-decreasing function of a count is a
+    cut on the count."""
+
+    @given(counted_families(), st.floats(min_value=0.001, max_value=0.9))
+    @settings(max_examples=300)
+    def test_equals_sort_based_holm(self, family, alpha):
+        counts, table = family
+        cut = holm_count_threshold(counts, table, alpha)
+        expected = holm_bonferroni(table[np.minimum(counts, table.size - 1)], alpha)
+        np.testing.assert_array_equal(counts < cut, expected)
+
+    def test_tie_group_fails_whole(self):
+        # Positions 2..3 meet alpha/2 and alpha/1; a shared P-value of
+        # 0.04 fails the first, so neither is rejected.
+        table = np.array([0.001, 0.04, 1.0])
+        counts = np.array([1, 0, 1])
+        assert holm_count_threshold(counts, table, 0.05) == 1
+        assert not holm_bonferroni(table[counts], 0.05)[[0, 2]].any()
+
+    def test_all_and_none(self):
+        assert holm_count_threshold(np.array([3, 7, 7]), np.zeros(4), 0.05) == 8
+        assert holm_count_threshold(np.array([0, 1]), np.ones(2), 0.05) == 0
+        assert holm_count_threshold(np.array([], dtype=np.int64), np.ones(2), 0.05) == 0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            holm_count_threshold(np.array([0]), np.array([0.5, 0.1]), 0.05)
+        with pytest.raises(ValueError):
+            holm_count_threshold(np.array([0]), np.array([]), 0.05)
+        with pytest.raises(ValueError):
+            holm_count_threshold(np.array([0]), np.array([1.5]), 0.05)
+        with pytest.raises(ValueError):
+            holm_count_threshold(np.array([0]), np.array([0.5]), 1.0)
 
 
 class TestSimultaneousRejection:

@@ -124,6 +124,27 @@ class TestRoundAccounting:
         assert not s.round_counts.any() and not s.round_samples.any()
 
 
+    def test_record_counts_validates_shape_and_sign(self):
+        """Stage 1's record path checks the batch as the round path does:
+        a negative cell is rejected even when the handed row sums are
+        positive, before anything moves."""
+        s = make_state()
+        with pytest.raises(ValueError):
+            s.record_counts(np.zeros((2, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="non-negative"):
+            s.record_counts(np.full((3, 4), -1))
+        one_negative = np.full((3, 4), 5, dtype=np.int64)
+        one_negative[2, 3] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            s.record_counts(one_negative, np.full(3, 19, dtype=np.int64))
+        assert not s.counts.any() and not s.samples.any()
+        s.record_counts(np.ones((3, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="non-negative"):
+            s.record_counts(one_negative, np.full(3, 19, dtype=np.int64))
+        assert s.counts.tolist() == [[1] * 4] * 3
+        assert s.samples.tolist() == [4, 4, 4]
+
+
 class TestRoundBuffer:
     """The round's counts live in the state's own buffer, copied or added
     into, and read as zeros between rounds without a zero-fill."""
@@ -253,6 +274,91 @@ class TestHandedRowSums:
         s.record_round_counts(batch, sums)
         batch[:] = 99
         assert s.round_counts.tolist() == [[1] * 4] * 3  # copied, not aliased
+
+
+class TestSurvivorRows:
+    """After :meth:`keep_only` the matrices hold the survivors' rows only;
+    read through :meth:`rows`, every survivor's histogram is what a state
+    that kept every row holds."""
+
+    def test_narrowed_state_matches_a_full_one(self):
+        rng = np.random.default_rng(17)
+        full, narrow = make_state(7, 5), make_state(7, 5)
+        for s in (full, narrow):
+            s.record_counts(np.arange(35).reshape(7, 5))
+        keep = np.array([True, False, True, True, False, False, True])
+        narrow.keep_only(keep)
+        ids = np.flatnonzero(keep)
+        assert narrow.survivors.tolist() == ids.tolist()
+        assert narrow.counts.shape == (4, 5)
+        assert narrow.round_counts.shape == (4, 5)
+        for _ in range(300):
+            move = int(rng.integers(4))
+            batch = rng.integers(0, 9, size=(7, 5)) * (rng.random() < 0.8)
+            for s in (full, narrow):
+                if move == 0:
+                    s.fold_round_into_cumulative()
+                elif move == 1:
+                    s.reset_round()
+                elif move == 2:
+                    s.record_counts(batch)
+                else:
+                    s.record_round_counts(batch)
+            rows = narrow.rows(ids)
+            np.testing.assert_array_equal(narrow.counts[rows], full.counts[ids])
+            np.testing.assert_array_equal(
+                narrow.round_counts[rows], full.round_counts[ids]
+            )
+            for name in ("samples", "round_samples"):  # full length, by id
+                np.testing.assert_array_equal(getattr(narrow, name), getattr(full, name))
+
+    def test_rows_map_ids_and_refuse_dropped_candidates(self):
+        s = make_state(5, 2)
+        ids = np.array([0, 3, 4])
+        assert s.rows(ids) is ids  # nothing dropped: row i is candidate i
+        s.keep_only(np.array([False, True, False, True, True]))
+        assert s.rows(np.array([1, 3, 4])).tolist() == [0, 1, 2]
+        assert s.rows(np.empty(0, dtype=np.int64)).size == 0
+        with pytest.raises(ValueError, match="pruned"):
+            s.rows(np.array([1, 2]))
+        with pytest.raises(ValueError, match="pruned"):  # cannot come back
+            s.keep_only(np.array([True, True, False, False, False]))
+
+    def test_keep_only_of_everyone_changes_nothing(self):
+        s = make_state()
+        counts = s.counts
+        s.keep_only(np.ones(3, dtype=bool))
+        assert s.counts is counts and s.survivors is None
+
+    def test_a_held_round_is_narrowed_with_the_counts(self):
+        s = make_state(4, 3)
+        s.record_round_counts(np.arange(12).reshape(4, 3))
+        s.keep_only(np.array([True, False, False, True]))
+        assert s.round_counts.tolist() == [[0, 1, 2], [9, 10, 11]]
+        s.fold_round_into_cumulative()
+        assert s.counts.tolist() == [[0, 1, 2], [9, 10, 11]]
+        assert s.samples.tolist() == [3, 12, 21, 30]
+
+    def test_batches_stay_full_shaped_checked_and_copied(self):
+        s = make_state(4, 3)
+        s.keep_only(np.array([True, False, True, False]))
+        with pytest.raises(ValueError):  # survivor-shaped is the wrong shape
+            s.record_round_counts(np.ones((2, 3), dtype=np.int64))
+        dropped_negative = np.ones((4, 3), dtype=np.int64)
+        dropped_negative[1, 0] = -1  # in a dropped candidate's row
+        for record in (s.record_round_counts, s.record_counts):
+            with pytest.raises(ValueError, match="non-negative"):
+                record(dropped_negative)
+        assert not s.round_samples.any() and not s.samples.any()
+        first = np.ones((4, 3), dtype=np.int32)
+        s.record_round_counts(first)
+        first[:] = 99
+        second = np.full((4, 3), 2, dtype=np.int64)
+        s.record_round_counts(second)
+        second[:] = 99
+        assert s.round_counts.dtype == np.int64
+        assert s.round_counts.tolist() == [[3] * 3] * 2
+        assert s.round_samples.tolist() == [9, 9, 9, 9]
 
 
 class TestExhaustion:

@@ -346,13 +346,24 @@ class TestIncrementalSampling:
 # ---------------------------------------------------------------------------
 
 
+def full_counts(algo):
+    """Cumulative plus in-flight counts as a ``|V_Z| × |V_X|`` matrix, each
+    alive candidate's row read through the state's row accessor; the rows
+    of pruned candidates, which the state no longer keeps, are zero."""
+    state, alive = algo.state, np.flatnonzero(algo.alive)
+    counts = np.zeros((algo.alive.size, state.num_groups), dtype=np.int64)
+    rows = state.rows(alive)
+    counts[alive] = state.counts[rows] + state.round_counts[rows]
+    return counts
+
+
 def reference_partial_result(stepper):
     """``partial_result`` as it stood while it summed and normalized the
     count matrices of *every* candidate, pruned ones included."""
     algo, stage = stepper.algorithm, stepper.stage
     if isinstance(stage, Done):
         return stage.result
-    counts = algo.state.counts + algo.state.round_counts
+    counts = full_counts(algo)
     samples = algo.state.samples + algo.state.round_samples
     run_samples = int(samples.sum()) - stepper._before_stage1
     if run_samples <= 0:
@@ -400,7 +411,7 @@ def reference_remaining_rows(stepper):
     cfg = algo.config
     if isinstance(st, Done):
         return 0.0
-    counts = algo.state.counts + algo.state.round_counts
+    counts = full_counts(algo)
     samples = algo.state.samples + algo.state.round_samples
     tau = candidate_distances(counts, algo.target)
     matching = select_matching(tau, algo.alive, cfg.k)
