@@ -10,7 +10,7 @@ the data").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["HistSimConfig", "DEFAULT_CONFIG"]
 
@@ -38,36 +38,11 @@ class HistSimConfig:
     lookahead:
         Number of blocks marked per batch by the asynchronous block-selection
         thread (Section 4.2, Challenge 4).
-    round_budget_factor:
-        Oversampling multiplier on Eq. 1's per-round budgets.  Eq. 1 sizes
-        ``n'_i`` so that an observed margin exactly equal to the estimated
-        margin lands the P-value exactly at δ_upper — a knife's edge where
-        each candidate clears only with probability ~1/2 and the joint test
-        of Lemma 4 essentially never rejects.  A factor of 4 lets the
-        observed margin shrink to half its estimate before the candidate's
-        test fails; the paper's C++ system gets equivalent slack implicitly
-        by sampling at block granularity (its rounds overshoot Eq. 1 too,
-        terminating "within 4 or 5 iterations in practice", Section 3.5).
-    round_budget_cap:
-        Cap on any single candidate's round budget, expressed as a multiple
-        of the stage-3 reconstruction target and *doubling every round*
-        (iterative deepening).  Eq. 1 budgets assume the margin estimates
-        are exact; right after stage 1 a candidate may have only dozens of
-        samples, and a noisy margin can demand a full-scan-sized budget in
-        one round.  The paper's setting hides this (a misbudget costs a few
-        percent of a 600M-row scan); at laptop scale it forces full passes.
-        Capping keeps early rounds cheap, and genuinely hard boundaries
-        still get exponentially growing budgets — with total work within 2×
-        of the uncapped final round.  Correctness is unaffected: the paper
-        proves HistSim correct for *any* per-round sample counts.
-        Set to ``math.inf`` to disable.
-    min_round_samples:
-        Floor on the per-round fresh-sample budget, preventing degenerate
-        rounds when every margin ε'_i is huge.
-    max_rounds:
-        Safety valve on stage-2 rounds; the paper observes 4–5 rounds in
-        practice.  Hitting the cap falls back to an exhaustive scan, which is
-        always correct.
+
+    How stage 2 sizes its rounds is not configurable: the oversampling
+    factor, the per-round cap and floor, and the round limit are the
+    constants ``ROUND_BUDGET_FACTOR``, ``ROUND_BUDGET_CAP``,
+    ``MIN_ROUND_SAMPLES`` and ``MAX_ROUNDS`` of :mod:`repro.core.histsim`.
     """
 
     k: int = 10
@@ -77,10 +52,6 @@ class HistSimConfig:
     stage1_samples: int = 500_000
     stage1_max_fraction: float = 0.1
     lookahead: int = 1024
-    round_budget_factor: float = 4.0
-    round_budget_cap: float = 1.0
-    min_round_samples: int = 256
-    max_rounds: int = 64
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -99,20 +70,6 @@ class HistSimConfig:
             )
         if self.lookahead < 1:
             raise ValueError(f"lookahead must be >= 1, got {self.lookahead}")
-        if self.round_budget_factor < 1.0:
-            raise ValueError(
-                f"round_budget_factor must be >= 1, got {self.round_budget_factor}"
-            )
-        if self.round_budget_cap <= 0:
-            raise ValueError(
-                f"round_budget_cap must be positive, got {self.round_budget_cap}"
-            )
-        if self.min_round_samples < 1:
-            raise ValueError(
-                f"min_round_samples must be >= 1, got {self.min_round_samples}"
-            )
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
     @property
     def stage_delta(self) -> float:

@@ -116,10 +116,13 @@ def row_distances(
     distance has the same bits whichever other rows the matrix holds.
 
     ``np.abs(normalize(counts) - q_bar).sum(axis=1)`` bit for bit, in one
-    float matrix instead of five: integer counts are summed exactly per row
-    and divided straight into float64 (a zero row by 1, as
-    :func:`normalize` does), then the target is subtracted and the absolute
-    value taken in place.  Negative counts are rejected by one ``min``.
+    float matrix instead of five: integer counts are summed exactly per row,
+    the sums converted to float64 once (a zero row's to 1, as
+    :func:`normalize` does), and the counts divided straight into float64 by
+    them; then the target is subtracted and the absolute value taken in
+    place.  Integers below 2⁵³ convert to float64 exactly, so dividing by a
+    float total gives the bits an integer one would.  Negative counts are
+    rejected by one ``min``.
 
     ``totals``, when the caller already holds them, are the rows' sums
     (HistSim's per-candidate sample counts): the division uses them instead
@@ -131,11 +134,9 @@ def row_distances(
         counts = counts.astype(np.float64, copy=False)
     if counts.size and counts.min() < 0:
         raise ValueError("histogram counts must be non-negative")
-    if totals is None:
-        total = counts.sum(axis=1, keepdims=True)
-    else:
-        total = np.asarray(totals)[:, None]
-    out = np.true_divide(counts, np.where(total > 0, total, 1), dtype=np.float64)
+    total = counts.sum(axis=1) if totals is None else np.asarray(totals)
+    divisor = np.where(total > 0, total, 1).astype(np.float64)
+    out = np.true_divide(counts, divisor[:, None])
     np.subtract(out, q_bar, out=out)
     np.abs(out, out=out)
     return out.sum(axis=1)

@@ -75,6 +75,38 @@ __all__ = [
 #: clock can charge statistics-engine time (Section 4.3).
 StatsCostHook = Callable[[str, int], None]
 
+#: Oversampling multiplier on Eq. 1's per-round budgets.  Eq. 1 sizes
+#: ``n'_i`` so that an observed margin exactly equal to the estimated margin
+#: lands the P-value exactly at δ_upper — a knife's edge where each
+#: candidate clears only with probability ~1/2 and the joint test of Lemma 4
+#: essentially never rejects.  A factor of 4 lets the observed margin shrink
+#: to half its estimate before the candidate's test fails; the paper's C++
+#: system gets equivalent slack implicitly by sampling at block granularity
+#: (its rounds overshoot Eq. 1 too, terminating "within 4 or 5 iterations in
+#: practice", Section 3.5).
+ROUND_BUDGET_FACTOR = 4.0
+
+#: Cap on any single candidate's round budget, as a multiple of the stage-3
+#: reconstruction target that *doubles every round* (iterative deepening).
+#: Eq. 1 budgets assume the margin estimates are exact; right after stage 1 a
+#: candidate may have only dozens of samples, and a noisy margin can demand a
+#: full-scan-sized budget in one round.  The paper's setting hides this (a
+#: misbudget costs a few percent of a 600M-row scan); at laptop scale it
+#: forces full passes.  Capping keeps early rounds cheap, and genuinely hard
+#: boundaries still get exponentially growing budgets — with total work
+#: within 2× of the uncapped final round.  Correctness is unaffected: the
+#: paper proves HistSim correct for *any* per-round sample counts.
+ROUND_BUDGET_CAP = 1.0
+
+#: Floor on a candidate's per-round fresh-sample budget, preventing
+#: degenerate rounds when every margin ε'_i is huge.
+MIN_ROUND_SAMPLES = 256
+
+#: Safety valve on stage-2 rounds; the paper observes 4–5 rounds in
+#: practice.  Hitting it falls back to an exhaustive scan, which is always
+#: correct.
+MAX_ROUNDS = 64
+
 
 def select_matching(distances: np.ndarray, alive: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` smallest distance estimates among alive candidates.
@@ -267,7 +299,7 @@ class HistSim:
         Budgets are capped by an iterative-deepening ceiling (a multiple of
         the stage-3 target, doubling per round) so that margin estimates
         that are still noisy right after stage 1 cannot demand a full-scan-
-        sized budget in one round; see HistSimConfig.round_budget_cap.
+        sized budget in one round; see :data:`ROUND_BUDGET_CAP`.
         """
         cfg = self.config
         margins = np.zeros(self.alive.size, dtype=np.float64)
@@ -275,15 +307,12 @@ class HistSim:
         margins[others] = tau[others] - (s - cfg.epsilon / 2.0)
         budgets = np.zeros(self.alive.size, dtype=np.float64)
         idx = np.concatenate([matching, others])
-        budgets[idx] = cfg.round_budget_factor * stage2_sample_budget(
+        budgets[idx] = ROUND_BUDGET_FACTOR * stage2_sample_budget(
             margins[idx], delta_upper, self.sampler.num_groups
         )
-        if np.isfinite(cfg.round_budget_cap):
-            ceiling = (
-                cfg.round_budget_cap * self.stage3_target * 2.0 ** (round_index - 1)
-            )
-            budgets[idx] = np.minimum(budgets[idx], ceiling)
-        budgets[idx] = np.maximum(budgets[idx], cfg.min_round_samples)
+        ceiling = ROUND_BUDGET_CAP * self.stage3_target * 2.0 ** (round_index - 1)
+        budgets[idx] = np.minimum(budgets[idx], ceiling)
+        budgets[idx] = np.maximum(budgets[idx], MIN_ROUND_SAMPLES)
         # Exhausted candidates cannot yield fresh rows; their test is settled
         # by exactness instead.
         budgets[exhausted] = 0.0
@@ -398,7 +427,7 @@ class HistSim:
         return None
 
     def exhaust_stage2(self) -> np.ndarray:
-        """Safety valve after ``max_rounds``: exhaust the data, which is
+        """Safety valve after :data:`MAX_ROUNDS`: exhaust the data, which is
         always correct, and return the exact top-k."""
         self.state.fold_round_into_cumulative()
         self.state.record_round_counts(
@@ -473,7 +502,7 @@ class Stage2Round:
 
     ``plan`` is None until the round's budgets have been computed; it stays
     set while the round's sampling is split across steps
-    (``max_step_rows``).  ``exhaust`` marks the post-``max_rounds`` safety
+    (``max_step_rows``).  ``exhaust`` marks the post-:data:`MAX_ROUNDS` safety
     valve, whose full scan is performed as its own step.
     """
 
@@ -768,7 +797,7 @@ class HistSimStepper:
                 rem = np.maximum(st.plan.budgets - algo.state.round_samples, 0.0)
                 ahead = float(np.where(np.isfinite(rem), rem, 0.0).sum())
             else:
-                ahead = float(cfg.min_round_samples * max(int(algo.alive.sum()), 1))
+                ahead = float(MIN_ROUND_SAMPLES * max(int(algo.alive.sum()), 1))
             # Stage 3 then tops up the current empirical top-k.
             matching = select_matching(self._current_distances(), algo.alive, cfg.k)
             samples = self._current_samples()[matching]
@@ -818,7 +847,7 @@ class HistSimStepper:
             matching = algo.finish_round(st.plan, st.fresh_rows)
             if matching is not None:
                 self._enter_stage3(matching)
-            elif st.round_index >= algo.config.max_rounds:
+            elif st.round_index >= MAX_ROUNDS:
                 self.stage = Stage2Round(
                     round_index=st.round_index + 1,
                     delta_upper=st.delta_upper,

@@ -61,7 +61,6 @@ class MeasureBiasedSampler(ArraySampler):
         num_groups: int,
         rng: np.random.Generator,
         batch_size: int = 8192,
-        stream_length: int | None = None,
     ) -> None:
         z = np.asarray(z)
         x = np.asarray(x)
@@ -70,10 +69,7 @@ class MeasureBiasedSampler(ArraySampler):
             raise ValueError("z, x, and measure must have equal shapes")
         if np.any(measure < 0) or measure.sum() <= 0:
             raise ValueError("measure must be non-negative with positive total")
-        length = z.size if stream_length is None else int(stream_length)
-        if length < 1:
-            raise ValueError(f"stream_length must be >= 1, got {length}")
-        draws = rng.choice(z.size, size=length, replace=True, p=measure / measure.sum())
+        draws = rng.choice(z.size, size=z.size, replace=True, p=measure / measure.sum())
         super().__init__(
             z[draws], x[draws], num_candidates, num_groups, rng, batch_size=batch_size
         )

@@ -297,31 +297,40 @@ class Profiler:
     # -------------------------------------------------------------- snapshot
 
     def snapshot(self) -> ProfileSnapshot:
-        """Frozen aggregate of everything recorded so far."""
+        """Frozen aggregate of everything recorded so far.
+
+        Only the raw accumulators are copied under the lock; totals and the
+        per-stage tables are built outside it, so a reader holds up a
+        ``record_*`` call of the step path for the copy at most.
+        """
         with self._lock:
-            kernels: dict[str, dict[str, dict]] = {}
-            totals = {
-                "rows_gathered": 0,
-                "blocks_touched": 0,
-                "bytes_moved": 0,
-                "bincount_calls": 0,
-                "kernel_calls": 0,
-                "kernel_ns": 0.0,
-            }
-            for (stage, kernel), stats in self._kernels.items():
-                kernels.setdefault(stage, {})[kernel] = stats.to_dict()
-                totals["rows_gathered"] += stats.rows
-                totals["blocks_touched"] += stats.blocks
-                totals["bytes_moved"] += stats.nbytes
-                totals["bincount_calls"] += stats.bincounts
-                totals["kernel_calls"] += stats.calls
-                if kernel != "engine.deliver":
-                    # engine.deliver ns is the simulated I/O charge, not
-                    # measured kernel time; keep the wall total pure.
-                    totals["kernel_ns"] += stats.ns
-            totals.update(self._counters)
-            stages = {s: st.to_dict() for s, st in sorted(self._stages.items())}
-            return ProfileSnapshot(totals=totals, stages=stages, kernels=kernels)
+            raw = [(key, stats.to_dict()) for key, stats in self._kernels.items()]
+            stages = {s: st.to_dict() for s, st in self._stages.items()}
+            counters = dict(self._counters)
+        kernels: dict[str, dict[str, dict]] = {}
+        totals = {
+            "rows_gathered": 0,
+            "blocks_touched": 0,
+            "bytes_moved": 0,
+            "bincount_calls": 0,
+            "kernel_calls": 0,
+            "kernel_ns": 0.0,
+        }
+        for (stage, kernel), stats in raw:
+            kernels.setdefault(stage, {})[kernel] = stats
+            totals["rows_gathered"] += stats["rows"]
+            totals["blocks_touched"] += stats["blocks"]
+            totals["bytes_moved"] += stats["bytes"]
+            totals["bincount_calls"] += stats["bincounts"]
+            totals["kernel_calls"] += stats["calls"]
+            if kernel != "engine.deliver":
+                # engine.deliver ns is the simulated I/O charge, not
+                # measured kernel time; keep the wall total pure.
+                totals["kernel_ns"] += stats["ns"]
+        totals.update(counters)
+        return ProfileSnapshot(
+            totals=totals, stages=dict(sorted(stages.items())), kernels=kernels
+        )
 
 
 # --------------------------------------------------------------------------

@@ -36,6 +36,11 @@ from typing import Callable, Mapping
 
 __all__ = ["NULL_TRACER", "NullTracer", "SpanRecord", "Tracer"]
 
+#: How many records a :class:`Tracer` keeps in memory (a deque; oldest
+#: dropped).  Sinks see every record regardless — retention only bounds
+#: :attr:`Tracer.spans`.
+MAX_SPANS = 65536
+
 
 def _clock_label(clock) -> str:
     if clock is None or isinstance(clock, str):
@@ -195,9 +200,6 @@ class Tracer:
         fan-outs).  ``None`` falls back to the process
         monotonic clock; front doors bind it to the service clock on
         construction so the default timeline matches the engine's.
-    max_spans:
-        In-memory retention (a deque; oldest dropped).  Sinks see every
-        record regardless — retention only bounds :attr:`spans`.
 
     Sinks subscribe via :meth:`subscribe` and must expose
     ``observe_span(record)``; both :class:`~repro.serving.ServingMetrics`
@@ -208,11 +210,11 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, clock=None, max_spans: int = 65536) -> None:
+    def __init__(self, clock=None) -> None:
         self.clock = clock
         self._lock = threading.Lock()
         self._id = 0
-        self.spans: deque[SpanRecord] = deque(maxlen=max_spans)
+        self.spans: deque[SpanRecord] = deque(maxlen=MAX_SPANS)
         self._sinks: list = []
         self._local = threading.local()
 

@@ -429,10 +429,8 @@ class ServingEngine:
         it can overestimate by orders of magnitude (the stage-3 residual
         is a theoretical target that the run's actual samples largely
         cover), so a mid-run screen would shed requests that were about to
-        finish.  The policy's ``feasibility_margin`` additionally discounts
-        the estimate (``now + margin × estimate > deadline``).
+        finish.
         """
-        margin = getattr(self.policy, "feasibility_margin", 1.0)
         for entry in list(self._entries):  # finalizing drops entries
             if entry.deadline_ns is None or entry.steps > 0 or entry.in_flight:
                 continue
@@ -440,7 +438,7 @@ class ServingEngine:
             if remaining == float("inf"):
                 continue
             now = entry.clock.elapsed_ns
-            if now + margin * remaining > entry.deadline_ns:
+            if now + remaining > entry.deadline_ns:
                 self._settle_expired(
                     entry,
                     now,

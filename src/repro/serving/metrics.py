@@ -70,9 +70,8 @@ class _ShedOutcome:
 class ServingMetrics:
     """Mutable counters + bounded sketches behind the snapshot API."""
 
-    def __init__(self, *, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._sketch_capacity = sketch_capacity
         self.completed = 0
         self.partial = 0
         self.missed = 0
@@ -80,8 +79,8 @@ class ServingMetrics:
         self.cancelled = 0
         self.deadline_requests = 0
         self.deadline_hits = 0
-        self._latency = QuantileSketch(sketch_capacity)
-        self._service = QuantileSketch(sketch_capacity)
+        self._latency = QuantileSketch(DEFAULT_SKETCH_CAPACITY)
+        self._service = QuantileSketch(DEFAULT_SKETCH_CAPACITY)
         # stage -> duration sketch (ns) and rows processed, fed by spans.
         self._stage_ns: dict[str, QuantileSketch] = {}
         self._stage_rows: dict[str, int] = {}
@@ -133,7 +132,7 @@ class ServingMetrics:
                     sketch = self._tenant_latency.get(tenant)
                     if sketch is None:
                         sketch = self._tenant_latency[tenant] = QuantileSketch(
-                            self._sketch_capacity
+                            DEFAULT_SKETCH_CAPACITY
                         )
                     sketch.observe(outcome.latency_ns)
 
@@ -167,7 +166,7 @@ class ServingMetrics:
         with self._lock:
             sketch = self._stage_ns.get(stage)
             if sketch is None:
-                sketch = self._stage_ns[stage] = QuantileSketch(self._sketch_capacity)
+                sketch = self._stage_ns[stage] = QuantileSketch(DEFAULT_SKETCH_CAPACITY)
             sketch.observe(record.duration_ns)
             if isinstance(rows, (int, float)):
                 self._stage_rows[stage] = self._stage_rows.get(stage, 0) + int(rows)
@@ -301,7 +300,7 @@ class ServingMetrics:
             ]
         if not sketches:
             return None
-        merged = QuantileSketch(self._sketch_capacity)
+        merged = QuantileSketch(DEFAULT_SKETCH_CAPACITY)
         for sketch in sketches:
             merged.merge(sketch)
         return merged

@@ -118,12 +118,6 @@ class FeasibleEdfPolicy(EdfPolicy):
     name = "edf-f"
     feasibility_aware = True
 
-    #: Discount on the remaining-cost lookahead in the engine's doomed
-    #: test (``now + margin × estimate > deadline``).  1.0 trusts the
-    #: at-submission estimate outright; shrinking toward 0 sheds less and
-    #: degenerates to plain EDF.
-    feasibility_margin: float = 1.0
-
 
 class ShortestCostPolicy(SchedulingPolicy):
     """Shortest expected remaining cost (the paper's lookahead estimate)."""

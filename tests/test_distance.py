@@ -257,7 +257,19 @@ class TestRowDistances:
         assert got.dtype == np.float64
         assert got.tobytes() == self.five_passes(counts, q_bar).tobytes()
 
-    @pytest.mark.parametrize("shape", [(347, 24), (7641, 24), (2110, 2), (40, 351)])
+    @staticmethod
+    def integer_divisor(counts, q_bar):
+        """Integer counts over integer totals, divided into float64."""
+        total = counts.sum(axis=1, keepdims=True)
+        out = np.true_divide(counts, np.where(total > 0, total, 1), dtype=np.float64)
+        return np.abs(out - q_bar).sum(axis=1)
+
+    @pytest.mark.parametrize(
+        "shape",
+        # The nine Table-3 queries' |V_Z| × |V_X|, and a short, wide one.
+        [(347, 24), (347, 7), (347, 351), (7641, 24), (7641, 12), (210, 2),
+         (210, 5), (2110, 2), (40, 351)],
+    )
     def test_row_distances_bits_at_workload_shapes(self, shape):
         rng = np.random.default_rng(shape[0])
         counts = rng.integers(0, 5000, size=shape)
@@ -265,6 +277,10 @@ class TestRowDistances:
         q_bar = normalize(rng.random(shape[1]))
         got = row_distances(counts, q_bar)
         assert got.tobytes() == self.five_passes(counts, q_bar).tobytes()
+        # Totals converted to float64 once divide to the integer totals' bits.
+        assert got.tobytes() == self.integer_divisor(counts, q_bar).tobytes()
+        held = row_distances(counts, q_bar, counts.sum(axis=1))
+        assert held.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize(
         "convert",

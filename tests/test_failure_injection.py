@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bitmap import BlockBitmapIndex, build_density_map
-from repro.core import ArraySampler, HistSim, HistSimConfig, run_histsim
+from repro.core import ArraySampler, HistSim, HistSimConfig, histsim, run_histsim
 from repro.sampling import BlockSamplingEngine, DensityAnyActivePolicy, ScanAllPolicy
 from repro.sampling.policies import PolicyDecision
 from repro.storage import (
@@ -113,23 +113,22 @@ class TestEngineFailureModes:
         result = run_histsim(sampler, np.ones(3), config)
         assert 0 not in result.matching
 
-    def test_max_rounds_fallback_is_exact(self):
+    def test_max_rounds_fallback_is_exact(self, monkeypatch):
         """Forcing stage 2 to exhaust its round budget falls back to a scan."""
+        monkeypatch.setattr(histsim, "MAX_ROUNDS", 2)
+        monkeypatch.setattr(histsim, "MIN_ROUND_SAMPLES", 64)
         rng = np.random.default_rng(7)
         # Two candidates with identical distributions: impossible to separate.
         z = rng.integers(0, 4, size=20_000)
         x = rng.integers(0, 4, size=20_000)
         sampler = ArraySampler(z, x, 4, 4, rng)
-        config = HistSimConfig(
-            k=2, epsilon=0.01, delta=0.01, sigma=0.0, max_rounds=2,
-            min_round_samples=64,
-        )
+        config = HistSimConfig(k=2, epsilon=0.01, delta=0.01, sigma=0.0)
         result = run_histsim(sampler, np.ones(4), config)
         assert result.exact  # fell back to the always-correct full scan
         assert len(result.matching) == 2
 
     def test_exhaust_fallback_counts_the_rows_it_reads(self):
-        """The ``max_rounds`` safety valve scans what is left *into the
+        """The ``MAX_ROUNDS`` safety valve scans what is left *into the
         state*: its "exact" top-k must rest on every row, not on the rows
         seen before it."""
         rng = np.random.default_rng(8)

@@ -19,9 +19,17 @@ from repro.core import (
     CandidateState,
     HistSimConfig,
     audit_result,
+    histsim,
     run_histsim,
     uniform_target,
 )
+
+
+def small_rounds():
+    """A stage-2 round floor of 32 rows instead of ``MIN_ROUND_SAMPLES``, so
+    that populations this small run rounds rather than one that reads them
+    whole."""
+    return mock.patch.object(histsim, "MIN_ROUND_SAMPLES", 32)
 
 
 @st.composite
@@ -43,12 +51,10 @@ def test_histsim_structural_invariants(population):
     z, x, num_candidates, num_groups, k, seed = population
     rng = np.random.default_rng(seed + 1)
     sampler = ArraySampler(z, x, num_candidates, num_groups, rng, batch_size=257)
-    config = HistSimConfig(
-        k=k, epsilon=0.3, delta=0.1, sigma=0.0, stage1_samples=200,
-        min_round_samples=32,
-    )
+    config = HistSimConfig(k=k, epsilon=0.3, delta=0.1, sigma=0.0, stage1_samples=200)
     target = uniform_target(num_groups)
-    result = run_histsim(sampler, target, config)
+    with small_rounds():
+        result = run_histsim(sampler, target, config)
 
     # Output structure.
     assert len(result.matching) == len(set(result.matching))
@@ -76,17 +82,15 @@ def test_histsim_structural_invariants(population):
 @settings(max_examples=30, deadline=None)
 def test_histsim_deterministic_given_seed(population):
     z, x, num_candidates, num_groups, k, seed = population
-    config = HistSimConfig(
-        k=k, epsilon=0.3, delta=0.1, sigma=0.0, stage1_samples=200,
-        min_round_samples=32,
-    )
+    config = HistSimConfig(k=k, epsilon=0.3, delta=0.1, sigma=0.0, stage1_samples=200)
     target = uniform_target(num_groups)
 
     def one_run():
         sampler = ArraySampler(
             z, x, num_candidates, num_groups, np.random.default_rng(seed), batch_size=97
         )
-        return run_histsim(sampler, target, config)
+        with small_rounds():
+            return run_histsim(sampler, target, config)
 
     a, b = one_run(), one_run()
     assert a.matching == b.matching
@@ -122,7 +126,7 @@ def test_pruning_runs_match_full_matrix_runs(population):
     z, x, num_candidates, num_groups, k, sigma, seed = population
     config = HistSimConfig(
         k=k, epsilon=0.3, delta=0.1, sigma=sigma, stage1_samples=2_000,
-        stage1_max_fraction=0.5, min_round_samples=32,
+        stage1_max_fraction=0.5
     )
     target = uniform_target(num_groups)
 
@@ -130,7 +134,8 @@ def test_pruning_runs_match_full_matrix_runs(population):
         sampler = ArraySampler(
             z, x, num_candidates, num_groups, np.random.default_rng(seed), batch_size=97
         )
-        return run_histsim(sampler, target, config)
+        with small_rounds():
+            return run_histsim(sampler, target, config)
 
     narrowed = one_run()
     with mock.patch.object(CandidateState, "keep_only", lambda self, survivors: None):

@@ -40,7 +40,9 @@ from repro.obs import (
     summarize_records,
     validate_record,
 )
+from repro.obs import tracer as tracer_module
 from repro.query import HistogramQuery
+from repro.serving import metrics as metrics_module
 from repro.serving.metrics import ServingMetrics
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
 from repro.system.clock import SimulatedClock
@@ -173,8 +175,9 @@ class TestTracer:
         assert record.kind == "event"
         assert record.attrs == {"segment": "seg-0", "nbytes": 64}
 
-    def test_retention_is_bounded_but_sinks_are_not(self):
-        tracer = Tracer(SimulatedClock(), max_spans=8)
+    def test_retention_is_bounded_but_sinks_are_not(self, monkeypatch):
+        monkeypatch.setattr(tracer_module, "MAX_SPANS", 8)
+        tracer = Tracer(SimulatedClock())
         count = SimpleNamespace(n=0)
         tracer.subscribe(
             SimpleNamespace(observe_span=lambda r: setattr(count, "n", count.n + 1))
@@ -274,10 +277,11 @@ class TestServingMetrics:
         with pytest.raises(ValueError, match="unknown outcome status"):
             ServingMetrics().record_outcome(outcome_like("exploded"))
 
-    def test_bounded_snapshot_close_to_exact(self):
+    def test_bounded_snapshot_close_to_exact(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "DEFAULT_SKETCH_CAPACITY", 256)
         rng = np.random.default_rng(2)
         latencies = rng.uniform(1e6, 9e6, size=5000)
-        metrics = ServingMetrics(sketch_capacity=256)
+        metrics = ServingMetrics()
         for latency in latencies:
             metrics.record_outcome(
                 outcome_like("completed", latency_ns=latency, service_ns=latency / 2)
@@ -307,7 +311,8 @@ class TestServingMetrics:
         under the lock and compute every percentile, mean and merge outside
         it — the ``record_*`` calls of the step path wait for a copy at
         most — and read exactly what they read before."""
-        metrics = ServingMetrics(sketch_capacity=32)
+        monkeypatch.setattr(metrics_module, "DEFAULT_SKETCH_CAPACITY", 32)
+        metrics = ServingMetrics()
         tracer = Tracer(SimulatedClock())
         tracer.subscribe(metrics)
         for i in range(200):

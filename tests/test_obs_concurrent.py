@@ -11,13 +11,18 @@ backends this must hold:
   ``expose_text()`` mid-run only ever sees internally consistent views
   (status counts sum to the request total);
 - **identity** — traced concurrent answers are byte-identical to the
-  untraced serial reference (tracing observes, never steers).
+  untraced serial reference (tracing observes, never steers);
+- **no stall** — a door serving while a reader thread renders its metrics
+  and profile in a loop stays within a stated factor of the quiet run.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +30,8 @@ import pytest
 from repro import AsyncFrontDoor, QueryRequest, SessionRegistry, match_histograms
 from repro.core import HistSimConfig
 from repro.core.target import TargetSpec
-from repro.obs import Tracer
+from repro.obs import Profiler, Tracer
+from repro.obs.sketch import DEFAULT_SKETCH_CAPACITY
 from repro.parallel import ShardedBackend, ThreadPoolBackend
 from repro.query import HistogramQuery
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
@@ -180,3 +186,85 @@ def test_concurrent_telemetry_complete_and_identical(
     if backend_spec == "sharded":
         shm_events = [r for r in records if r.name == "shm.publish"]
         assert shm_events, "shared-memory publishes left no events"
+
+
+#: How much longer a door may serve while a reader loops over its
+#: telemetry, plus an allowance for a host whose quiet run is a few
+#: milliseconds.  On a 2-vCPU host, with the short switch interval below,
+#: the reader stretched a 0.05 s serve to 0.12-0.16 s; with the metrics
+#: rendered under their lock, to 1.5-3 s.  When percentiles were computed
+#: under that lock, such a reader stretched a 0.03 s serve to 12.9 s.
+STALL_FACTOR = 10.0
+STALL_ALLOWANCE_S = 0.25
+
+
+def fill_metrics(metrics, tenants: int = 16) -> None:
+    """Give every latency sketch a full reservoir, as a door that has
+    served for a while has, so a render has real percentiles to compute."""
+    rng = np.random.default_rng(0)
+    outcome = SimpleNamespace(
+        status="completed", deadline_ns=None, deadline_hit=False,
+        latency_ns=0.0, service_ns=0.0,
+    )
+    for latency in rng.uniform(1e5, 1e7, size=(DEFAULT_SKETCH_CAPACITY, tenants)):
+        for tenant, value in enumerate(latency):
+            outcome.latency_ns = outcome.service_ns = value
+            metrics.record_outcome(outcome, tenant=f"t{tenant}")
+
+
+def serve_timed(table, *, reader: bool) -> tuple[float, int]:
+    """Wall time of serving 12 requests through a door with a tracer and a
+    profiler, and how many rounds a reader thread rendered meanwhile: each
+    round is ``expose_text()``, the metrics ``snapshot()`` and the
+    profiler's ``snapshot()``."""
+    profiler = Profiler()
+    registry = SessionRegistry(backend="serial", tracer=Tracer(), profiler=profiler)
+    registry.add_dataset("d", table)
+    door = AsyncFrontDoor(registry, policy="fifo", max_concurrent_steps=2)
+    fill_metrics(door.metrics)
+    stop = threading.Event()
+    rounds = 0
+
+    def read_in_a_loop():
+        nonlocal rounds
+        while not stop.is_set():
+            door.metrics.expose_text()
+            door.metrics.snapshot()
+            profiler.snapshot()
+            rounds += 1
+
+    async def drive():
+        async with door:
+            handles = [await door.submit(make_request(i)) for i in range(12)]
+            return [await handle.outcome() for handle in handles]
+
+    thread = threading.Thread(target=read_in_a_loop, daemon=True)
+    if reader:
+        thread.start()
+    started = time.perf_counter()
+    try:
+        outcomes = asyncio.run(drive())
+    finally:
+        elapsed = time.perf_counter() - started
+        stop.set()
+        if reader:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert all(o.status == "completed" for o in outcomes)
+    return elapsed, rounds
+
+
+def test_a_looping_reader_does_not_stall_serving(table):
+    # A short switch interval hands the interpreter lock over often, so the
+    # measured stretch is what the telemetry's own locks cost rather than
+    # how long the reader may keep the interpreter lock.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        serve_timed(table, reader=False)  # warm-up
+        quiet = min(serve_timed(table, reader=False)[0] for _ in range(2))
+        loaded, rounds = serve_timed(table, reader=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rounds > 0
+    assert loaded <= STALL_FACTOR * quiet + STALL_ALLOWANCE_S, (loaded, quiet)

@@ -138,6 +138,50 @@ def test_fork_rolls_up_into_parent_with_stage_attribution():
     assert aggregate.totals["windows"] == 1
 
 
+def test_snapshot_is_built_outside_the_lock(monkeypatch):
+    """``snapshot()`` copies the accumulators under the profiler's lock and
+    builds the :class:`ProfileSnapshot` outside it, so a reader holds up a
+    ``record_*`` call of the step path for the copy at most."""
+    profiler = Profiler()
+    with profiler.stage("stage2"):
+        profiler.record_kernel(
+            "serial.count", 1000.0, rows=64, blocks=2, nbytes=512, bincounts=1
+        )
+        profiler.record_kernel("engine.deliver", 9999.0)
+    with profiler.stage("stage1"):
+        profiler.record_kernel("serial.count", 10.0, rows=3, blocks=1)
+    profiler.record_stage("stage2", 50.0, rows=64)
+    profiler.record_stage("stage1", 5.0, rows=3)
+    profiler.bump("windows", 2)
+
+    locked_while_built = []
+
+    def build(**fields):
+        locked_while_built.append(profiler._lock.locked())
+        return ProfileSnapshot(**fields)
+
+    monkeypatch.setattr(profiler_module, "ProfileSnapshot", build)
+    snapshot = profiler.snapshot()
+    assert locked_while_built == [False]
+    count = {"calls": 1, "ns": 1000.0, "rows": 64, "blocks": 2, "bytes": 512,
+             "bincounts": 1}
+    deliver = {"calls": 1, "ns": 9999.0, "rows": 0, "blocks": 0, "bytes": 0,
+               "bincounts": 0}
+    stage1 = {"calls": 1, "ns": 10.0, "rows": 3, "blocks": 1, "bytes": 0,
+              "bincounts": 0}
+    assert snapshot.kernels == {
+        "stage2": {"serial.count": count, "engine.deliver": deliver},
+        "stage1": {"serial.count": stage1},
+    }
+    assert list(snapshot.stages) == ["stage1", "stage2"]
+    assert snapshot.stages["stage2"] == {"steps": 1, "ns": 50.0, "rows": 64}
+    assert snapshot.totals == {
+        "rows_gathered": 67, "blocks_touched": 3, "bytes_moved": 512,
+        "bincount_calls": 1, "kernel_calls": 3, "kernel_ns": 1010.0,
+        "windows": 2,
+    }
+
+
 def test_profiled_runs_are_byte_identical_across_backends(
     flights_table, flights_query
 ):

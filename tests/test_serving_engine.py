@@ -12,7 +12,6 @@ import pytest
 
 from repro.serving import ServingMetrics
 from repro.serving.engine import ServingEngine
-from repro.serving.policies import FeasibleEdfPolicy, make_policy
 from repro.system import Clock, SimulatedClock, WallClock
 
 
@@ -260,18 +259,6 @@ class TestFeasibilityShedding:
         # The estimate-free job ran until its deadline actually expired.
         assert outcomes["blind"].status == "partial"
         assert outcomes["free"].status == "completed"
-
-    def test_zero_margin_degenerates_to_edf(self):
-        policy = make_policy("edf-f")
-        assert isinstance(policy, FeasibleEdfPolicy)
-        policy.feasibility_margin = 0.0
-        clock = SimulatedClock()
-        engine = ServingEngine(clock, policy=policy)
-        engine.submit(FakeJob("doomed", work=5, clock=clock), deadline_ns=30.0)
-        outcomes = engine.run_until_idle()
-        # Never shed up front: it ran until the deadline really expired.
-        assert outcomes[0].steps == 3
-        assert outcomes[0].status == "partial"
 
 
 class CountingJob(FakeJob):

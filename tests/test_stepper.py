@@ -17,7 +17,14 @@ from repro.core import (
     run_histsim,
 )
 from repro.core.distance import candidate_distances
-from repro.core.histsim import Done, Stage1, Stage2Round, Stage3, select_matching
+from repro.core.histsim import (
+    MIN_ROUND_SAMPLES,
+    Done,
+    Stage1,
+    Stage2Round,
+    Stage3,
+    select_matching,
+)
 from repro.core.result import MatchResult, StageStats
 from repro.data import prepare_workload
 from repro.storage.cost_model import DEFAULT_COST_MODEL
@@ -425,7 +432,7 @@ def reference_remaining_rows(stepper):
             rem = np.maximum(st.plan.budgets - algo.state.round_samples, 0.0)
             estimate = float(np.where(np.isfinite(rem), rem, 0.0).sum()) + residual
         else:
-            estimate = float(cfg.min_round_samples * max(int(algo.alive.sum()), 1)) + residual
+            estimate = float(MIN_ROUND_SAMPLES * max(int(algo.alive.sum()), 1)) + residual
     else:
         needed = st.needed if st.needed is not None else algo.stage3_needed(st.matching)
         estimate = float(np.where(np.isfinite(needed), needed, 0.0).sum())

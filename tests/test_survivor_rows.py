@@ -9,7 +9,7 @@ did before — and require the same public outputs after every step.
 import numpy as np
 import pytest
 
-from repro.core import ArraySampler, HistSim, HistSimConfig, HistSimStepper
+from repro.core import ArraySampler, HistSim, HistSimConfig, HistSimStepper, histsim
 from repro.core.state import CandidateState
 from repro.extensions.dual_epsilon import DualEpsilonHistSim
 from repro.extensions.range_k import _RangeKHistSim
@@ -34,8 +34,7 @@ def population():
 
 
 CONFIG = HistSimConfig(
-    k=3, epsilon=0.15, delta=0.05, sigma=0.005, stage1_samples=4_000,
-    min_round_samples=64,
+    k=3, epsilon=0.15, delta=0.05, sigma=0.005, stage1_samples=4_000
 )
 
 VARIANTS = {
@@ -83,6 +82,7 @@ def trace(population, variant, max_step_rows):
 @pytest.mark.parametrize("max_step_rows", [None, 700])
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_survivor_rows_match_the_full_matrix(population, variant, max_step_rows, monkeypatch):
+    monkeypatch.setattr(histsim, "MIN_ROUND_SAMPLES", 64)
     narrowed, narrowed_result, algo = trace(population, variant, max_step_rows)
     with monkeypatch.context() as patch:
         patch.setattr(CandidateState, "keep_only", lambda self, survivors: None)

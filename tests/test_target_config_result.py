@@ -105,8 +105,6 @@ class TestHistSimConfig:
             {"stage1_samples": 0},
             {"stage1_max_fraction": 0.0},
             {"lookahead": 0},
-            {"min_round_samples": 0},
-            {"max_rounds": 0},
         ],
     )
     def test_validation(self, kwargs):
