@@ -267,10 +267,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the worker backends' floor, the rows "
                              "one call needs to fan out (--rows-per-call "
                              "always uses 0)")
-    parser.add_argument("--max-concurrent-steps", type=int, default=1,
-                        help="recorded in the JSON schema: the serving-layer "
-                             "step-slot count these backend numbers pair "
-                             "with (see bench_serving.py)")
     parser.add_argument("--tiny", action="store_true",
                         help="CI smoke mode: small data, forced pool usage")
     parser.add_argument("--rows-per-call", default=None, metavar="N,N,...",
@@ -309,7 +305,6 @@ def main(argv: list[str] | None = None) -> int:
     results = {
         "cpu_count": os.cpu_count(),
         "tiny": args.tiny,
-        "max_concurrent_steps": args.max_concurrent_steps,
         "datasets": [],
     }
     rows_out = []

@@ -50,19 +50,15 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
-import time
 
 import numpy as np
 
 from pathlib import Path
 
 from common import RESULTS_DIR, format_table, save_report
-from repro.cli import resolve_backend_args
 from repro.data import load_dataset, workload_query
 from repro.core.config import HistSimConfig
 from repro.obs import TraceReader, TraceWriter, Tracer, summarize_records
-from repro.parallel import BACKENDS
 from repro.serving import POLICIES, AsyncFrontDoor, FrontDoor, QueryRequest
 from repro.system import MatchSession, SessionRegistry, run_approach
 
@@ -311,90 +307,6 @@ def verify_front_door_identity(table, args) -> None:
     )
 
 
-def run_concurrent_steps(tables: dict, args) -> dict:
-    """Wall-clock multi-tenant serving with 1 vs N step-execution slots.
-
-    One ``SessionRegistry`` on a real :class:`WallClock` with the chosen
-    execution backend; every tenant's prepared artifacts are warmed first,
-    so the measured interval is step execution, not preparation.  The same
-    request batch is then served through an ``AsyncFrontDoor`` twice — classic
-    inline single-slot, and ``--max-concurrent-steps`` executor slots — and
-    wall latencies are compared.  Answers must be byte-identical across
-    the two modes (concurrency shapes latency, never answers).
-    """
-    from repro.system.clock import WallClock
-
-    mix = [(ds, q) for ds, queries in TENANTS.items() for q in queries]
-    n_requests = min(args.requests, 4 * len(mix))
-    modes = []
-    matchings: dict[int, list] = {}
-    for slots in sorted({1, args.max_concurrent_steps}):
-        registry = SessionRegistry(
-            backend=args.backend, workers=args.workers, clock=WallClock()
-        )
-        for dataset_name, table in tables.items():
-            registry.add_dataset(dataset_name, table)
-        for dataset_name, query_name in mix:
-            _, query = workload_query(query_name)
-            registry.session(dataset_name).prepared(query, seed=args.seed)
-
-        async def drive():
-            async with AsyncFrontDoor(
-                registry, policy="fifo", max_concurrent_steps=slots
-            ) as door:
-                handles = []
-                for i in range(n_requests):
-                    dataset_name, query_name = mix[i % len(mix)]
-                    _, query = workload_query(query_name)
-                    handles.append(
-                        await door.submit(
-                            QueryRequest(
-                                query,
-                                config=config_for_query(
-                                    query, tables[dataset_name].num_rows
-                                ),
-                                seed=args.seed,
-                                max_step_rows=args.max_step_rows,
-                                name=f"{query_name}#{i}",
-                                dataset=dataset_name,
-                            )
-                        )
-                    )
-                return [await handle.outcome() for handle in handles]
-
-        started = time.perf_counter()
-        outcomes = asyncio.run(drive())
-        makespan_s = time.perf_counter() - started
-        assert all(o.status == "completed" for o in outcomes)
-        matchings[slots] = [o.report.result.matching for o in outcomes]
-        latencies_ms = np.array([o.latency_ms for o in outcomes])
-        modes.append(
-            {
-                "slots": slots,
-                "p50_latency_ms": float(np.percentile(latencies_ms, 50)),
-                "p99_latency_ms": float(np.percentile(latencies_ms, 99)),
-                "makespan_ms": makespan_s * 1e3,
-            }
-        )
-
-    first = next(iter(matchings.values()))
-    for slots, got in matchings.items():
-        assert got == first, (
-            f"answers changed under {slots} concurrent step slots"
-        )
-    inline, concurrent = modes[0], modes[-1]
-    return {
-        "backend": args.backend,
-        "workers": args.workers,
-        "max_concurrent_steps": args.max_concurrent_steps,
-        "requests": n_requests,
-        "cpu_count": os.cpu_count(),
-        "modes": modes,
-        "p99_speedup": inline["p99_latency_ms"] / concurrent["p99_latency_ms"],
-        "makespan_speedup": inline["makespan_ms"] / concurrent["makespan_ms"],
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=1_000_000,
@@ -414,23 +326,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--async", dest="use_async", action="store_true",
                         help="also verify byte-identity through the "
                              "asyncio AsyncFrontDoor")
-    parser.add_argument("--backend", choices=BACKENDS, default="serial",
-                        help="execution backend of the wall-clock "
-                             "concurrent-steps section")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for --backend sharded/threads "
-                             "(ignored, with a warning, for serial)")
-    parser.add_argument("--max-concurrent-steps", type=int, default=4,
-                        help="step-execution slots of the concurrent mode "
-                             "in the wall-clock section")
     parser.add_argument("--trace-out", type=Path, default=None,
                         help="also replay the single-tenant trace with JSONL "
                              "span export to this path, validating the "
                              "schema and the queue+step tiling invariant")
     args = parser.parse_args(argv)
-    args.backend, args.workers = resolve_backend_args(args)
-    if args.max_concurrent_steps < 1:
-        parser.error("--max-concurrent-steps must be >= 1")
 
     if args.tiny:
         args.rows = 60_000
@@ -465,8 +365,6 @@ def main(argv: list[str] | None = None) -> int:
         overload=mt_overload, rng_seed=args.seed + 1, tag_dataset=True,
     )
 
-    concurrent = run_concurrent_steps(tables, args)
-
     trace_export = None
     if args.trace_out is not None:
         trace_export = run_traced_export(table, trace, args, args.trace_out)
@@ -477,10 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         "overload": args.overload,
         "max_queue": args.max_queue,
         "max_step_rows": args.max_step_rows,
-        "backend": args.backend,
-        "max_concurrent_steps": args.max_concurrent_steps,
         "mean_service_ms": mu_ns * 1e-6,
-        "concurrent_steps": concurrent,
         "trace": trace_export,
         "policies": [run_policy(table, policy, trace, args) for policy in POLICIES],
         "multi_tenant": {
@@ -550,22 +445,6 @@ def main(argv: list[str] | None = None) -> int:
                 for r in results["policies"]
                 for stage, budget in r["per_stage"].items()
             ],
-        )
-        + "\n"
-        + format_table(
-            f"Concurrent step slots — {concurrent['requests']} wall-clock "
-            f"requests, fifo, backend={args.backend} "
-            f"({os.cpu_count()} cpu)",
-            ["slots", "p50 ms", "p99 ms", "makespan ms"],
-            [
-                [
-                    m["slots"],
-                    f"{m['p50_latency_ms']:.1f}",
-                    f"{m['p99_latency_ms']:.1f}",
-                    f"{m['makespan_ms']:.1f}",
-                ]
-                for m in concurrent["modes"]
-            ],
         ),
     )
 
@@ -598,42 +477,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{mt_edf['deadline_hit_rate']:.3f}"
     )
 
-    print(
-        f"concurrent steps ({args.backend}, "
-        f"{args.max_concurrent_steps} slots): p99 speedup "
-        f"{concurrent['p99_speedup']:.2f}x, makespan speedup "
-        f"{concurrent['makespan_speedup']:.2f}x"
-    )
-    if (os.cpu_count() or 1) >= 2:
-        # No-regression gate (CI): on a multi-core host, concurrent slots
-        # must not make multi-tenant tail latency meaningfully worse.  On a
-        # single core the GIL serializes tiny steps anyway; the numbers are
-        # recorded but not asserted.
-        inline_p99 = concurrent["modes"][0]["p99_latency_ms"]
-        concurrent_p99 = concurrent["modes"][-1]["p99_latency_ms"]
-        if concurrent_p99 > inline_p99 * 1.5:
-            print(
-                "ERROR: concurrent-step p99 "
-                f"({concurrent_p99:.1f} ms) regressed past 1.5x the inline "
-                f"p99 ({inline_p99:.1f} ms) on a multi-core host"
-            )
-            return 1
-        if args.backend != "serial" and args.max_concurrent_steps > 1:
-            # Speedup gate: with a GIL-releasing backend and multiple step
-            # slots on real cores, concurrency must actually buy something —
-            # either tail latency or makespan improves.  A run where both
-            # speedups sit at or below 1.0x means offloading broke.
-            best = max(concurrent["p99_speedup"], concurrent["makespan_speedup"])
-            if best <= 1.0:
-                print(
-                    "ERROR: no measured speedup from "
-                    f"{args.max_concurrent_steps} step slots on "
-                    f"{os.cpu_count()} cores (p99 "
-                    f"{concurrent['p99_speedup']:.2f}x, makespan "
-                    f"{concurrent['makespan_speedup']:.2f}x) — "
-                    "concurrent offloading is not helping"
-                )
-                return 1
     return 0
 
 

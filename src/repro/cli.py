@@ -6,8 +6,7 @@
     python -m repro serve --queries taxi-q1 taxi-q2 --repeat 4 \\
         --policy edf --deadline-ms 50 --max-queue 8
     python -m repro serve --trace arrivals.jsonl --policy cost
-    python -m repro serve --datasets flights,taxi --async \\
-        --backend threads --max-concurrent-steps 4
+    python -m repro serve --datasets flights,taxi --async --backend threads
     python -m repro --query taxi-q1 --backend sharded --workers 4
 
 A single query prints its run report and ASCII panels.  ``batch`` runs
@@ -20,8 +19,7 @@ deadlines with ε-relaxed partial answers, and an open-loop trace replay.
 A trace holds one JSON object per line,
 ``{"query": "flights-q1", "arrival_ms": 12.5, "deadline_ms": 40}``
 (optional keys: ``approach``, ``seed``, ``on_deadline``).  ``--async``
-drives the same requests through the asyncio ``AsyncFrontDoor``, where
-``--max-concurrent-steps M`` runs steps of different requests at once.
+drives the same requests through the asyncio ``AsyncFrontDoor``.
 ``trace``, ``profile`` and ``top`` read a run's telemetry.
 
 ``--backend sharded`` (a pool of shared-memory worker processes) and
@@ -227,13 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive requests through the asyncio AsyncFrontDoor (one "
              "scheduler task, awaitable handles) instead of the "
              "synchronous open-loop replay",
-    )
-    serve.add_argument(
-        "--max-concurrent-steps", type=_positive_int, default=1,
-        help="step-execution slots for --async: above 1, steps of "
-             "different requests run concurrently on a bounded executor "
-             "(answers stay byte-identical; replay mode is deterministic "
-             "single-slot and ignores this)",
     )
     serve.add_argument(
         "--trace-out", type=Path, default=None,
@@ -613,20 +604,10 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     try:
         if args.use_async:
             door = AsyncFrontDoor(
-                registry, policy=args.policy, max_queue=args.max_queue,
-                max_concurrent_steps=args.max_concurrent_steps,
+                registry, policy=args.policy, max_queue=args.max_queue
             )
             drive, mode = _drive_async, "async (closed-loop)"
-            if args.max_concurrent_steps > 1:
-                mode += f", {args.max_concurrent_steps} step slots"
         else:
-            if args.max_concurrent_steps > 1:
-                print(
-                    "warning: --max-concurrent-steps is ignored in replay mode "
-                    "(the open-loop trace is deterministic single-slot); "
-                    "use --async for concurrent steps",
-                    file=sys.stderr,
-                )
             door = FrontDoor(registry, policy=args.policy, max_queue=args.max_queue)
             drive, mode = _drive_replay, "replay (open-loop)"
         if args.stats_out is not None:
@@ -798,7 +779,7 @@ def _render_top_frame(frame: dict, path: Path) -> str:
         f"queue      : {queue.get('in_flight', 0)} in flight "
         f"(bound {max_queue if max_queue is not None else 'unbounded'}), "
         f"{queue.get('pending', 0)} pending, "
-        f"{queue.get('stepping', 0)}/{queue.get('step_slots', 1)} step slots",
+        f"{queue.get('stepping', 0)} stepping",
         f"shm        : {shm.get('bytes', 0) / 2**20:.2f} MiB in "
         f"{shm.get('segments', 0)} segments",
         f"served     : {serving.get('requests', 0)} requests — "

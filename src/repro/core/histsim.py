@@ -777,19 +777,21 @@ class HistSimStepper:
         currently planned, and budgets assume current margin estimates.
         Shortest-expected-remaining-cost scheduling only needs relative
         ordering, which this tracks well (it shrinks monotonically within a
-        stage as samples arrive).
+        stage as samples arrive).  Capped at the rows not yet delivered: no
+        run reads a row twice.
         """
         algo = self.algorithm
         cfg = algo.config
         if isinstance(self.stage, Done):
             return 0.0
         st = self.stage
+        delivered = int(self._current_samples().sum())
+        unread = float(max(0, algo.sampler.total_rows - delivered))
         if isinstance(st, Stage3):
             needed = st.needed if st.needed is not None else algo.stage3_needed(st.matching)
             estimate = float(np.where(np.isfinite(needed), needed, 0.0).sum())
         elif isinstance(st, Stage2Round) and st.exhaust:
-            scanned = int(self._current_samples().sum())
-            estimate = float(max(0, algo.sampler.total_rows - scanned))
+            estimate = unread
         else:
             if isinstance(st, Stage1):
                 ahead = float(cfg.effective_stage1_samples(algo.sampler.total_rows))
@@ -802,7 +804,7 @@ class HistSimStepper:
             matching = select_matching(self._current_distances(), algo.alive, cfg.k)
             samples = self._current_samples()[matching]
             estimate = ahead + float(np.maximum(0, algo.stage3_target - samples).sum())
-        return min(estimate, float(algo.sampler.total_rows))
+        return min(estimate, unread)
 
     def _sample(self, needed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One sampling request to the algorithm's sampler, bounded by

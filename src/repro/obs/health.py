@@ -3,9 +3,9 @@
 :class:`HealthMonitor` is constructed over a front door (sync or asyncio —
 both expose the same ``admission``/``engine``/``metrics``/``service``
 surface) and reads the spine without touching it: queue depth against the
-admission bound, in-flight steps against the step slots, worker-pool
-liveness, shared-memory bytes against a budget, artifact-cache pressure,
-and clock skew across tenants.  Every poll yields a typed
+admission bound, worker-pool liveness, shared-memory bytes against a
+budget, artifact-cache pressure, and clock skew across tenants.  Every
+poll yields a typed
 :class:`HealthReport` whose :meth:`~HealthReport.to_dict` is exactly what
 an HTTP tier's ``/healthz`` will serialize.
 
@@ -41,7 +41,7 @@ CRITICAL = "critical"
 
 _SEVERITY = {OK: 0, DEGRADED: 1, CRITICAL: 2}
 
-#: Utilization thresholds for bounded resources (queue, steps, shm, cache).
+#: Utilization thresholds for bounded resources (queue, shm, cache).
 DEGRADED_UTILIZATION = 0.8
 CRITICAL_UTILIZATION = 1.0
 
@@ -113,8 +113,8 @@ class HealthMonitor:
     ----------
     door:
         A :class:`~repro.serving.FrontDoor` or
-        :class:`~repro.serving.AsyncFrontDoor`; admission, engine, and the
-        served service (session or registry) are resolved from it.
+        :class:`~repro.serving.AsyncFrontDoor`; admission and the served
+        service (session or registry) are resolved from it.
     shm_budget_bytes:
         Optional budget the shared-memory store's live bytes are graded
         against (``None``: report bytes, never alarm).
@@ -134,9 +134,6 @@ class HealthMonitor:
     ) -> None:
         self.door = door
         self.admission = getattr(door, "admission", None)
-        self.engine = getattr(door, "engine", None)
-        self.metrics = getattr(door, "metrics", None)
-        self.max_concurrent_steps = getattr(door, "max_concurrent_steps", 1)
         self.service = getattr(door, "service", None)
         self.shm_budget_bytes = shm_budget_bytes
         self.max_clock_skew_ns = max_clock_skew_ns
@@ -167,16 +164,6 @@ class HealthMonitor:
             None if self.admission.max_queue is None
             else float(self.admission.max_queue),
             "admitted requests in flight",
-        )
-
-    def _check_steps(self) -> HealthCheck | None:
-        if self.engine is None:
-            return None
-        return _utilization_check(
-            "steps",
-            float(self.engine.in_flight),
-            float(self.max_concurrent_steps),
-            "concurrent step slots in use",
         )
 
     def _check_workers(self) -> HealthCheck | None:
@@ -262,7 +249,6 @@ class HealthMonitor:
             c
             for c in (
                 self._check_queue(),
-                self._check_steps(),
                 self._check_workers(),
                 self._check_shm(),
                 self._check_cache(),
@@ -328,7 +314,6 @@ class StatsExporter:
                 "max_queue": getattr(admission, "max_queue", None),
                 "pending": getattr(engine, "pending", 0),
                 "stepping": getattr(engine, "in_flight", 0),
-                "step_slots": getattr(self.door, "max_concurrent_steps", 1),
             },
             "shm": {
                 "bytes": getattr(store, "total_bytes", 0),

@@ -206,10 +206,10 @@ class _StageScope:
 class Profiler:
     """Deterministic hot-path counters, attributable per HistSim stage.
 
-    Thread-safe: a registry shares one backend across tenants, and
-    executor-offloaded steps record from worker threads; the stage label is
-    thread-local (each scheduler slice runs wholly on one thread), the
-    accumulators are lock-protected.
+    Thread-safe: a registry shares one backend across tenants, and a door's
+    scheduler thread records while readers snapshot from others; the stage
+    label is thread-local (each scheduler slice runs wholly on one thread),
+    the accumulators are lock-protected.
 
     ``fork()`` returns a child whose records also roll up into this
     profiler, so a session can hand each job its own child (per-job

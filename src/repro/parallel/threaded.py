@@ -23,11 +23,7 @@ Compared to the process transport
   publication or epoch GC;
 - **zero serialization** — shards see the coordinator's columns (and an
   exact pass's whole row mask) directly; there is no task pickling and no
-  per-dataset publish step, so the backend has no warm-up cliff;
-- **natural fit for concurrent steps** — when a front door runs steps of
-  different sessions concurrently (``max_concurrent_steps > 1``), each
-  step's counts fan out into one shared executor; thread workers compose
-  with that, where a per-session process pool would multiply.
+  per-dataset publish step, so the backend has no warm-up cliff.
 
 Shards are bounded (:data:`MAX_SHARD_ROWS`), so a large call becomes more
 shards than workers rather than larger ones.

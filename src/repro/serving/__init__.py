@@ -6,7 +6,7 @@ rather than as a batch:
 
 - :class:`ServingEngine` — the pure, clock-agnostic scheduling core
   (one turn: settle / pick-next / advance-job; no threads, no locks)
-  every driver runs on;
+  every driver runs on, one step at a time;
 - :class:`FrontDoor` (threads) and :class:`AsyncFrontDoor` (asyncio) —
   thin adapters of one sans-IO drive core, accepting
   :class:`QueryRequest`\\ s while others run; the thread door also

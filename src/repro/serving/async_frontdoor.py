@@ -43,7 +43,6 @@ every policy.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 from .drive import DriveCore
 from .engine import ServingOutcome, TrackedJob
@@ -101,24 +100,10 @@ class AsyncFrontDoor(DriveCore):
         ``async with`` exit) closes it.
     policy, max_queue, default_deadline_ns, default_max_step_rows:
         As for the thread :class:`~repro.serving.FrontDoor`.
-    max_concurrent_steps:
-        Step-execution slots.  The default 1 keeps the classic
-        single-tasked mode: steps run inline in the scheduler task, fully
-        deterministic on a simulated clock.  Above 1 the scheduler
-        offloads picked steps to a bounded thread-pool executor
-        (``loop.run_in_executor``) and settles each as it completes, so
-        steps of *different* requests overlap on a multi-core machine
-        where NumPy releases the GIL (gathers, ufuncs; ``np.bincount`` and
-        the Python around it do not).  Answers stay byte-identical
-        in either mode, and only answers: above one slot, steps settle in
-        the order they finish, so simulated latencies vary from run to run
-        as well as wall-clock ones, and so do cache hit counts when
-        requests share a session.
 
-    All methods must be called from one event loop.  In single-slot mode
-    the door is single-threaded by construction; in multi-slot mode all
-    scheduling still happens in the event loop (pick, settle, admission,
-    handles) and only ``job.step()`` runs on executor threads.
+    All methods must be called from one event loop.  The door is
+    single-threaded by construction: every step runs inline in the
+    scheduler task, fully deterministic on a simulated clock.
     """
 
     label = "async front door"
@@ -167,45 +152,23 @@ class AsyncFrontDoor(DriveCore):
     async def _loop(self) -> None:
         """The scheduler task: one turn per pass through the event loop.
 
-        All engine calls stay in the event loop.  With one slot the turn
-        runs its step inline and settles it at once; with more,
-        ``run_in_executor`` threads run ``job.step()`` and set the wake
-        event when they report, so the task sleeps until a step completes
-        or a request arrives.
+        Each turn runs its step inline and settles it at once; the task
+        yields to the loop between slices and sleeps while nothing is
+        runnable, until a request arrives or shutdown begins.
         """
         reason = None
-        loop = asyncio.get_running_loop()
-        executor, start = None, None
-        running: set[asyncio.Future] = set()
-        if self.max_concurrent_steps != 1:
-            executor = ThreadPoolExecutor(
-                max_workers=self.max_concurrent_steps,
-                thread_name_prefix="repro-step",
-            )
-
-            def run_step(entry: TrackedJob) -> None:
-                self.engine.run_step(entry)
-                loop.call_soon_threadsafe(self._wake.set)
-
-            def start(entry: TrackedJob) -> None:
-                future = loop.run_in_executor(executor, run_step, entry)
-                running.add(future)
-                future.add_done_callback(running.discard)
-
         try:
             while True:
-                started = self.turn(start)
+                started = self.turn()
                 if self._drained:
                     break
                 if started:
                     # Submitters and other tasks get the loop between slices.
                     await asyncio.sleep(0)
                 else:
-                    # Park until a submit, a completion or shutdown sets the
-                    # event.  No wakeup can slip through: there is no await
-                    # between the turn (and the exit check) and this clear,
-                    # and a completion reported since is set by a callback
-                    # that only runs once this task awaits.
+                    # Park until a submit or shutdown sets the event.  No
+                    # wakeup can slip through: there is no await between the
+                    # turn (and the exit check) and this clear.
                     self._wake.clear()
                     await self._wake.wait()
         except asyncio.CancelledError:
@@ -215,12 +178,6 @@ class AsyncFrontDoor(DriveCore):
             # A failing scheduler must not strand the requests' handles.
             reason = f"async front door scheduler failed: {exc!r}"
         finally:
-            # Let in-flight steps finish before cancelling what remains —
-            # the service close that follows shutdown must not pull the
-            # backend out from under a running step.
-            if executor is not None:
-                await asyncio.gather(*running, return_exceptions=True)
-                executor.shutdown(wait=True)
             self._close(reason)
 
     async def pump(self) -> list[ServingOutcome]:

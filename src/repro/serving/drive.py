@@ -6,11 +6,12 @@ admit path, the accepting → stopping → drained state machine, the handle
 table, and the scheduling turn (:meth:`DriveCore.turn` — the engine's
 :meth:`~repro.serving.engine.ServingEngine.turn` plus handle resolution).
 Plain Python: no threads, no event loop, no lock of its own.  The adapter
-that subclasses it provides mutual exclusion, decides where a picked step
-runs (inline for one slot, a bounded executor for more) and how a caller
-waits (``threading.Event`` / ``asyncio.Event``); ``pump``, ``replay`` and a
-no-driver ``shutdown`` just call the inline turn until idle.  The batch
-drain (:class:`~repro.system.scheduler.BatchScheduler`) has no service,
+that subclasses it provides mutual exclusion, decides where the one picked
+step runs (on the scheduler thread outside the door lock, or inline in the
+scheduler task) and how a caller waits (``threading.Event`` /
+``asyncio.Event``); ``pump``, ``replay`` and a no-driver ``shutdown`` just
+call the inline turn until idle.  The batch drain
+(:class:`~repro.system.scheduler.BatchScheduler`) has no service,
 admission or handles, so it calls the engine's turn directly.
 """
 
@@ -51,12 +52,13 @@ class DriveCore:
         max_concurrent_steps: int = 1,
         tracer=None,
     ) -> None:
-        if max_concurrent_steps < 1:
+        # A door runs one step at a time; the keyword accepts only that.
+        if max_concurrent_steps != 1:
             raise ValueError(
-                f"max_concurrent_steps must be >= 1, got {max_concurrent_steps}"
+                "a door runs one step at a time; max_concurrent_steps must "
+                f"be 1, got {max_concurrent_steps}"
             )
         self.service = service
-        self.max_concurrent_steps = max_concurrent_steps
         # Tracing: explicit tracer beats the service's (sessions/registries
         # carry one when constructed with tracer=...); default is the no-op.
         self.tracer = tracer or getattr(service, "tracer", None) or NULL_TRACER
@@ -151,19 +153,17 @@ class DriveCore:
         finalized — also when a step failed and the engine folded the
         failure into every pending outcome.
 
-        ``start`` is the adapter's runner over the door's step slots; the
-        default runs one step inline, settled before the turn returns.
-        After a no-drain stop the turn does nothing: :meth:`_close` cancels
-        what is pending, and a step still running reports too late to be
-        settled.  Returns the number of steps started; the entries it
-        finalized are appended to ``finished`` when given.
+        ``start`` is the adapter's runner for the picked step; the default
+        runs it inline, settled before the turn returns.  After a no-drain
+        stop the turn does nothing: :meth:`_close` cancels what is pending,
+        and a step still running reports too late to be settled.  Returns
+        the number of steps started (0 or 1); the entries it finalized are
+        appended to ``finished`` when given.
         """
         if self._stopping and not self._drain_on_stop:
             return 0
         try:
-            return self.engine.turn(
-                start, 1 if start is None else self.max_concurrent_steps
-            )
+            return self.engine.turn(start)
         finally:
             # pick() finalizes expiries/sheds even when nothing is
             # dispatchable; those handles resolve promptly too.

@@ -8,8 +8,8 @@ the no-thread pumps and the batch drain
 calls one method, :meth:`ServingEngine.turn`, and differs only in how a
 picked step is *started*.  The engine itself holds no locks, spawns no
 threads, and never blocks: drivers own concurrency and serialize their
-calls into it (only :meth:`ServingEngine.run_step` may run concurrently
-with them); the engine owns scheduling semantics.
+calls into it (only :meth:`ServingEngine.run_step` may run outside them);
+the engine owns scheduling semantics.  One step runs at a time.
 
 A turn joins three phases:
 
@@ -18,13 +18,12 @@ A turn joins three phases:
   already mid-step), and mark the choice in-flight;
 - **dispatch** — the driver's injected ``start`` arranges for
   :meth:`ServingEngine.run_step` (``job.step()``, then report completion)
-  to run at once (the default — the classic, deterministic single-slot
-  mode), in a thread-pool executor (concurrent steps of different
-  sessions), or via ``loop.run_in_executor`` from asyncio;
+  to run at once (the default), or hands the pick back so the driver runs
+  it outside its lock (the thread door);
 - :meth:`ServingEngine.settle` — stamp the step's service time on the
   job's own clock, finalize completion, and re-run expiry — within the
-  same turn for a runner that completes at once, in whichever turn
-  follows its report otherwise.
+  same turn for a runner that completes at once, in the next turn
+  otherwise.
 
 It is also **clock-agnostic**: the engine runs against the
 :class:`~repro.system.clock.Clock` protocol, so the same scheduling code
@@ -259,8 +258,8 @@ class ServingEngine:
         #: long-lived door scans pending work and retains no finished job.
         self._entries: list[TrackedJob] = []
         self._fresh: list[TrackedJob] = []
-        #: Completions reported by :meth:`run_step` and not yet settled.
-        #: Runners on other threads append; only the driver's turn pops.
+        #: Completions reported by :meth:`run_step` and not yet settled;
+        #: only the driver's turn pops.
         self._reported: deque[tuple[TrackedJob, Exception | None]] = deque()
         self._order = 0
 
@@ -454,11 +453,10 @@ class ServingEngine:
 
         Expires overdue jobs, sheds infeasible ones (feasibility-aware
         policies only), then lets the policy select among the dispatchable
-        entries — runnable jobs not already mid-step, so a multi-slot
-        driver never double-dispatches one job.  Returns ``None`` when
-        nothing is dispatchable (the engine may still have steps in
-        flight).  The caller must :meth:`run_step` the entry — wherever it
-        likes — and a later :meth:`turn` settles it exactly once.
+        entries — runnable jobs not already mid-step.  Returns ``None``
+        when nothing is dispatchable.  The caller must :meth:`run_step`
+        the entry — wherever it likes — and a later :meth:`turn` settles
+        it exactly once.
         """
         self._expire_due()
         if getattr(self.policy, "feasibility_aware", False):
@@ -487,10 +485,7 @@ class ServingEngine:
         """Settle phase: account a completed step and finalize if done.
 
         Service time is stamped on the entry's *own* clock, from the
-        reading :meth:`pick` took to now — under concurrent steps on one
-        shared clock that attributes neighbours' overlapped charges too,
-        which is the single-server convention (wall-clock deployments, the
-        reason to run concurrently, measure real elapsed time anyway).
+        reading :meth:`pick` took to now.
         """
         if not entry.in_flight:
             raise RuntimeError(f"entry {entry.name!r} has no step to settle")
@@ -536,8 +531,8 @@ class ServingEngine:
         """Dispatch phase: advance a picked job one bounded step, then report
         its completion for a later :meth:`turn` to settle.
 
-        The only engine method a driver may run off its scheduling thread.
-        A failing step is reported, not raised: the turn that settles it
+        The only engine method a driver may run outside its lock.  A
+        failing step is reported, not raised: the turn that settles it
         folds the failure into every pending outcome.
         """
         try:
@@ -556,11 +551,10 @@ class ServingEngine:
                 raise err
             self.settle(entry)
 
-    def turn(
-        self, start: Callable[[TrackedJob], object] | None = None, slots: int = 1
-    ) -> int:
-        """One scheduling turn: settle reported completions, :meth:`pick`
-        into the free step slots, hand each pick to ``start``, settle again.
+    def turn(self, start: Callable[[TrackedJob], object] | None = None) -> int:
+        """One scheduling turn: settle a reported completion, :meth:`pick`
+        at most one entry unless a step is still in flight, hand it to
+        ``start``, settle again.
 
         ``start`` arranges for :meth:`run_step` to run on the entry; the
         default runs it here and now, so the closing pass settles it and
@@ -569,17 +563,12 @@ class ServingEngine:
         dispatchable).  Re-raises a reported step's exception after
         cancelling every pending job with it as the reason.
         """
-        start = start or self.run_step
         self._settle_reported()
-        started = 0
-        for _ in range(slots - self.in_flight):
-            entry = self.pick()
-            if entry is None:
-                break
-            start(entry)
-            started += 1
+        entry = None if self.in_flight else self.pick()
+        if entry is not None:
+            (start or self.run_step)(entry)
         self._settle_reported()
-        return started
+        return int(entry is not None)
 
     def run_until_idle(self) -> tuple[ServingOutcome, ...]:
         """Drain every pending job; returns outcomes finalized by this call."""

@@ -38,8 +38,6 @@ The front door never changes what a query computes: a request served here
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Iterable
 
 from .drive import DriveCore
@@ -106,17 +104,9 @@ class FrontDoor(DriveCore):
         Deadline applied to requests that do not set their own.
     default_max_step_rows:
         Time-slice granularity for requests that do not set their own
-        (``None`` keeps per-round steps).
-    max_concurrent_steps:
-        Step-execution slots.  The default 1 keeps the classic
-        deterministic single-slot mode (steps run inline in the scheduler
-        thread).  Above 1 the scheduler dispatches picked steps to a
-        bounded executor, so steps of *different* requests run
-        concurrently.  Answers stay byte-identical (each job consumes its
-        own fixed sampling order); nothing else is promised.  Steps settle
-        in the order they finish, so simulated latencies vary from run to
-        run as well as wall-clock ones, and so do cache hit counts when
-        requests share a session.
+        (``None`` keeps per-round steps).  One step runs at a time, so
+        this bound is what keeps a long step from holding up a request
+        queued behind it.
     tracer:
         Optional :class:`~repro.obs.Tracer`; defaults to the service's.
     """
@@ -152,30 +142,17 @@ class FrontDoor(DriveCore):
                 raise ServingError("pump() cannot run alongside start()")
             return self.drain()
 
-    def _run_step(self, entry: TrackedJob) -> None:
-        """An executor thread's runner: step, report, wake the scheduler."""
-        self.engine.run_step(entry)
-        with self._wake:
-            self._wake.notify_all()
-
     def _loop(self) -> None:
-        """The scheduler thread: turn under the door lock, start what the
+        """The scheduler thread: turn under the door lock, run the step the
         turn picked outside it.
 
-        The engine stays single-threaded — every pick, settle and handle
-        resolution runs here under the lock; only ``job.step()`` runs
-        without it, inline (one slot) or on executor threads that pulse
-        the condition when they report.
+        Every pick, settle and handle resolution runs here under the lock;
+        only ``job.step()`` runs without it, still on this thread, and the
+        next turn settles it.  So no step is running when the epilogue
+        cancels what remains and shutdown closes the service.
         """
         reason = None
         picked: list[TrackedJob] = []
-        executor, run = None, self.engine.run_step
-        if self.max_concurrent_steps != 1:
-            executor = ThreadPoolExecutor(
-                max_workers=self.max_concurrent_steps,
-                thread_name_prefix="repro-step",
-            )
-            run = partial(executor.submit, self._run_step)
         try:
             while True:
                 with self._wake:
@@ -185,18 +162,13 @@ class FrontDoor(DriveCore):
                     if not started:
                         self._wake.wait(timeout=0.05)
                 for entry in picked:
-                    run(entry)
+                    self.engine.run_step(entry)
                 picked.clear()
         except Exception as exc:
             # A failing scheduler must not strand the requests' handles:
             # the failure is folded into every unresolved outcome below.
             reason = f"front door scheduler failed: {exc!r}"
         finally:
-            # Let in-flight steps finish before cancelling what remains —
-            # shutdown must not close the backend under a running step.
-            # (Outside the lock: workers need it to report completion.)
-            if executor is not None:
-                executor.shutdown(wait=True)
             with self._wake:
                 self._close(reason)
 

@@ -4,9 +4,9 @@ The counters update as requests finalize; :meth:`ServingMetrics.snapshot`
 condenses them into a frozen :class:`~repro.system.report.ServingReport`
 (percentile latencies, deadline-hit rate, shed count, per-stage and
 per-tenant breakdowns) for benchmarks and the CLI.  Internally locked:
-with executor-offloaded steps (``max_concurrent_steps > 1``) settles can
-land from multiple threads, so recording serializes on the metrics' own
-lock rather than relying on any driver's.  Readers copy the counters and
+a door records from its scheduler while dashboards, exporters and health
+probes read from other threads, so recording serializes on the metrics'
+own lock rather than relying on any driver's.  Readers copy the counters and
 sketch state under that lock and compute percentiles and text outside it,
 so a busy reader never holds up a ``record_*`` call for longer than the
 copy.

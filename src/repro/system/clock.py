@@ -115,8 +115,8 @@ class SimulatedClock(Clock):
     def __init__(self) -> None:
         self.elapsed_ns = 0.0
         self.breakdown: dict[str, float] = defaultdict(float)
-        # Concurrent steps (executor-offloaded dispatch) may charge one
-        # shared clock from several threads; charges must not tear.
+        # A thread door steps outside its lock while submitters and probes
+        # on other threads read the same clock; charges must not tear.
         self._lock = threading.Lock()
 
     def charge_serial(self, **costs_ns: float) -> None:

@@ -48,18 +48,13 @@ CASES: dict[str, tuple[list[str], int]] = {
          "--rows", "150000", "--deadline-ms", "5", "--max-queue", "2"], 0),
     "serve_datasets_async": (
         ["serve", "--datasets", "flights,police", "--rows", "60000", "--async"], 0),
-    # One request: with two in flight, each one's simulated latency depends
-    # on which step slot reports first.
-    "serve_async_slots_rr": (
-        ["serve", "--queries", "police-q1", "--rows", "60000",
-         "--async", "--max-concurrent-steps", "2", "--policy", "rr"], 0),
+    "serve_async_rr": (
+        ["serve", "--queries", "police-q1", "police-q2", "--rows", "60000",
+         "--async", "--policy", "rr"], 0),
     "serve_trace_cost": (
         ["serve", "--trace", TRACE, "--rows", "20000", "--policy", "cost"], 0),
     "serve_flags_before": (
         ["--rows", "20000", "--seed", "5", "serve", "--queries", "flights-q2"], 0),
-    "serve_replay_slots_warning": (
-        ["serve", "--queries", "flights-q1", "--rows", "20000",
-         "--max-concurrent-steps", "3"], 0),
     "serve_usage_error": (["serve"], 2),
     "serve_unknown_dataset": (["serve", "--datasets", "flights,nope"], 1),
 }

@@ -13,8 +13,8 @@ Two scales:
 
 - ``integration`` is ``test_workload_integration.py``'s rows and config.
   There every run reads the whole table after stage 1.  On flights-q4 and
-  police-q3 the estimate is capped at the table's rows rather than the
-  rows still unread, so it over-predicts by the stage-1 sample (0.90).
+  police-q3 the estimate reaches its cap, the rows not yet read, and is
+  exact (1.00).
 - ``1M`` is the end-to-end benchmark's rows (TAXI at 400k) and the paper
   benches' config.  The estimate never over-predicts: 1.54-8.38 over all
   queries, median 3.43.
@@ -49,12 +49,12 @@ BANDS = {
         "flights-q1": (1.14, 1.15),
         "flights-q2": (1.07, 1.08),
         "flights-q3": (1.18, 1.19),
-        "flights-q4": (0.90, 0.90),
+        "flights-q4": (1.00, 1.00),
         "taxi-q1": (1.69, 1.76),
         "taxi-q2": (1.72, 1.78),
         "police-q1": (2.44, 2.46),
         "police-q2": (2.40, 2.41),
-        "police-q3": (0.89, 0.90),
+        "police-q3": (1.00, 1.00),
     },
     "1M": {
         "flights-q1": (3.39, 4.16),

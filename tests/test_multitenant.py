@@ -1,10 +1,11 @@
 """Multi-tenant serving tests: SessionRegistry routing, the global cache
-budget, and the driver-equivalence acceptance matrix.
+budget, and the driver-equivalence acceptance matrices.
 
 Acceptance property of the engine/driver split: per-query answers are
 byte-identical across the thread ``FrontDoor``, the asyncio
-``AsyncFrontDoor``, and the ``BatchScheduler`` drain, for every policy —
-drivers and policies shape latency, never answers.
+``AsyncFrontDoor``, and the ``BatchScheduler`` drain, for every policy and
+on every execution backend — drivers, policies and backends shape latency,
+never answers.
 """
 
 import asyncio
@@ -22,9 +23,11 @@ from repro import (
 )
 from repro.core import HistSimConfig
 from repro.core.target import TargetSpec
+from repro.parallel import ShardedBackend, ThreadPoolBackend
 from repro.query import HistogramQuery
 from repro.serving import POLICIES, UnknownDataset
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
+from repro.system.clock import WallClock
 
 EPS, DELTA = 0.2, 0.05
 CANDIDATES, GROUPS = 12, 5
@@ -106,20 +109,18 @@ def serve_via_batch(table, policy):
     return list(run)
 
 
-def serve_via_thread_door(table, policy, slots=1):
+def serve_via_thread_door(table, policy):
     session = MatchSession(table)
-    with FrontDoor(session, policy=policy, max_concurrent_steps=slots) as door:
+    with FrontDoor(session, policy=policy) as door:
         door.start()
         handles = [door.submit(request) for request in requests()]
         return [handle.outcome(timeout=60) for handle in handles]
 
 
-def serve_via_async_door(table, policy, slots=1):
+def serve_via_async_door(table, policy):
     async def drive():
         session = MatchSession(table)
-        async with AsyncFrontDoor(
-            session, policy=policy, max_concurrent_steps=slots
-        ) as door:
+        async with AsyncFrontDoor(session, policy=policy) as door:
             handles = [await door.submit(request) for request in requests()]
             return [await handle.outcome() for handle in handles]
 
@@ -155,18 +156,16 @@ def serve_via_async_pump(table, policy):
 
 
 DRIVERS = {
-    "thread-1": serve_via_thread_door,
-    "thread-2": lambda table, policy: serve_via_thread_door(table, policy, 2),
-    "async-1": serve_via_async_door,
-    "async-2": lambda table, policy: serve_via_async_door(table, policy, 2),
+    "thread": serve_via_thread_door,
+    "async": serve_via_async_door,
     "replay": serve_via_replay,
     "thread-pump": serve_via_thread_pump,
     "async-pump": serve_via_async_pump,
     "batch": serve_via_batch,
 }
-#: Single slot, simulated clock, every request submitted before the first
-#: slice: the schedule itself is deterministic, not only the answers.
-DETERMINISTIC = ("async-1", "replay", "thread-pump", "async-pump", "batch")
+#: Simulated clock, every request submitted before the first slice: the
+#: schedule itself is deterministic, not only the answers.
+DETERMINISTIC = ("async", "replay", "thread-pump", "async-pump", "batch")
 
 
 class TestDriverEquivalence:
@@ -186,8 +185,8 @@ class TestDriverEquivalence:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_single_slot_schedule_identical_across_drivers(self, table_a, policy):
-        """One turn, one schedule: the single-slot adapters agree on when
-        every request finished, in how many steps, at what service time."""
+        """One turn, one schedule: the adapters agree on when every request
+        finished, in how many steps, at what service time."""
         schedules = {
             driver: [
                 (o.finished_ns, o.steps, o.service_ns)
@@ -196,6 +195,93 @@ class TestDriverEquivalence:
             for driver in DETERMINISTIC
         }
         assert len(set(map(tuple, schedules.values()))) == 1, schedules
+
+
+# ---------------------------------------------------------------------------
+# Door identity matrix: each door over each execution backend
+# ---------------------------------------------------------------------------
+
+
+def make_backend_under_test(spec: str):
+    """Backend instances that fan every count out, so the pools really run."""
+    if spec == "serial":
+        return "serial"
+    if spec == "threads":
+        return ThreadPoolBackend(2, min_fan_out_rows=0)
+    return ShardedBackend(2, min_fan_out_rows=0)
+
+
+def matrix_requests(dataset=None):
+    return [
+        make_request(3, name="first", dataset=dataset),
+        make_request(2, name="second", dataset=dataset),
+        make_request(3, name="third", dataset=dataset),
+    ]
+
+
+def matrix_via_thread_door(table_a, table_b, backend, policy):
+    with FrontDoor(MatchSession(table_a, backend=backend), policy=policy) as door:
+        door.start()
+        handles = [door.submit(request) for request in matrix_requests()]
+        return [handle.result(timeout=120) for handle in handles]
+
+
+def matrix_via_async_door(table_a, table_b, backend, policy):
+    async def drive():
+        session = MatchSession(table_a, backend=backend)
+        async with AsyncFrontDoor(session, policy=policy) as door:
+            handles = [await door.submit(r) for r in matrix_requests()]
+            return [await handle.result() for handle in handles]
+
+    return asyncio.run(drive())
+
+
+def matrix_via_registry(table_a, table_b, backend, policy):
+    """Two tenants behind one async door on a wall clock, the live-serving
+    deployment shape; the second tenant's request is served last."""
+    registry = SessionRegistry(backend=backend, clock=WallClock())
+    registry.add_dataset("a", table_a)
+    registry.add_dataset("b", table_b)
+
+    async def drive():
+        async with AsyncFrontDoor(registry, policy=policy) as door:
+            handles = [await door.submit(r) for r in matrix_requests("a")]
+            handles.append(
+                await door.submit(make_request(3, name="fourth", dataset="b"))
+            )
+            return [await handle.result() for handle in handles]
+
+    return asyncio.run(drive())
+
+
+DOORS = {
+    "thread": matrix_via_thread_door,
+    "async": matrix_via_async_door,
+    "registry": matrix_via_registry,
+}
+
+
+class TestDoorIdentityMatrix:
+    @pytest.mark.parametrize("policy", ["fifo", "edf-f"])
+    @pytest.mark.parametrize("backend_spec", ["serial", "threads", "sharded"])
+    @pytest.mark.parametrize("door", sorted(DOORS))
+    def test_door_matches_standalone(
+        self, table_a, table_b, door, backend_spec, policy
+    ):
+        backend = make_backend_under_test(backend_spec)
+        try:
+            reports = DOORS[door](table_a, table_b, backend, policy)
+            if backend_spec != "serial":
+                assert backend.shard_tasks > 0  # the pool really ran
+                assert not backend.closed  # a passed-in backend is borrowed
+        finally:
+            if backend_spec != "serial":
+                backend.close()
+        expected = [(table_a, 3), (table_a, 2), (table_a, 3), (table_b, 3)]
+        assert len(reports) == (4 if door == "registry" else 3)
+        for i, (report, (table, k)) in enumerate(zip(reports, expected)):
+            where = f"{door}/{backend_spec}/{policy}/request {i}"
+            assert_reports_identical(report, standalone(table, k), where)
 
 
 class TestAsyncDoorLifecycle:

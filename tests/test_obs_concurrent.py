@@ -1,8 +1,9 @@
-"""Telemetry under concurrent step execution: nothing lost, nothing torn.
+"""Telemetry read while a door serves: nothing lost, nothing torn.
 
-With ``max_concurrent_steps > 1`` settles land from executor threads, so
-spans and metrics are recorded concurrently.  Across all three execution
-backends this must hold:
+The thread door's scheduler thread records spans and metrics while the
+test's submitting thread and reader threads poll the same metrics, and a
+worker backend's threads or processes count the steps' windows.  Across
+all three execution backends this must hold:
 
 - **no lost telemetry** — every request produces exactly one
   ``request.finalized`` event, and the ``engine.step`` span count equals
@@ -10,15 +11,14 @@ backends this must hold:
 - **no torn snapshots** — a thread hammering ``metrics.snapshot()`` and
   ``expose_text()`` mid-run only ever sees internally consistent views
   (status counts sum to the request total);
-- **identity** — traced concurrent answers are byte-identical to the
-  untraced serial reference (tracing observes, never steers);
+- **identity** — traced answers served under a reader are byte-identical
+  to the untraced serial reference (tracing observes, never steers);
 - **no stall** — a door serving while a reader thread renders its metrics
   and profile in a loop stays within a stated factor of the quiet run.
 """
 
 from __future__ import annotations
 
-import asyncio
 import sys
 import threading
 import time
@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import AsyncFrontDoor, QueryRequest, SessionRegistry, match_histograms
+from repro import FrontDoor, QueryRequest, SessionRegistry, match_histograms
 from repro.core import HistSimConfig
 from repro.core.target import TargetSpec
 from repro.obs import Profiler, Tracer
@@ -96,12 +96,12 @@ def make_backend(spec: str):
 
 
 def drive_concurrent(table, backend, tracer):
-    """Serve N requests through a concurrent async registry door while a
+    """Serve N requests through a thread registry door while a
     snapshot-hammering thread checks for torn reads.  Returns
     ``(outcomes, snapshots_checked)``."""
     registry = SessionRegistry(backend=backend, tracer=tracer)
     registry.add_dataset("d", table)
-    door = AsyncFrontDoor(registry, policy="fifo", max_concurrent_steps=4)
+    door = FrontDoor(registry, policy="fifo")
     torn: list[str] = []
     checked = 0
     stop = threading.Event()
@@ -123,17 +123,15 @@ def drive_concurrent(table, backend, tracer):
                 torn.append("exposition missing counters")
             checked += 1
 
-    async def drive():
-        async with door:
-            handles = [
-                await door.submit(make_request(i)) for i in range(N_REQUESTS)
-            ]
-            return [await handle.outcome() for handle in handles]
+    def drive():
+        with door.start():
+            handles = [door.submit(make_request(i)) for i in range(N_REQUESTS)]
+            return [handle.outcome(timeout=120) for handle in handles]
 
     reader = threading.Thread(target=hammer, daemon=True)
     reader.start()
     try:
-        outcomes = asyncio.run(drive())
+        outcomes = drive()
     finally:
         stop.set()
         reader.join(timeout=10)
@@ -157,7 +155,7 @@ def test_concurrent_telemetry_complete_and_identical(
             backend.close()
 
     assert all(o.status == "completed" for o in outcomes)
-    # Identity: tracing + concurrency + backend never change answers.
+    # Identity: tracing, a reader and the backend never change answers.
     for i, outcome in enumerate(outcomes):
         reference = references[3 if i % 2 == 0 else 2]
         where = f"{backend_spec}/r{i}"
@@ -176,7 +174,7 @@ def test_concurrent_telemetry_complete_and_identical(
     step_spans = [r for r in records if r.name == "engine.step"]
     assert len(step_spans) == sum(o.steps for o in outcomes)
     assert all(r.attrs["tenant"] == "d" for r in step_spans)
-    # Span ids are unique even when emitted from many threads.
+    # Span ids are unique even when emitted from several threads.
     span_ids = [r.span_id for r in records]
     assert len(span_ids) == len(set(span_ids))
     if backend_spec != "serial":
@@ -220,7 +218,7 @@ def serve_timed(table, *, reader: bool) -> tuple[float, int]:
     profiler = Profiler()
     registry = SessionRegistry(backend="serial", tracer=Tracer(), profiler=profiler)
     registry.add_dataset("d", table)
-    door = AsyncFrontDoor(registry, policy="fifo", max_concurrent_steps=2)
+    door = FrontDoor(registry, policy="fifo")
     fill_metrics(door.metrics)
     stop = threading.Event()
     rounds = 0
@@ -233,17 +231,17 @@ def serve_timed(table, *, reader: bool) -> tuple[float, int]:
             profiler.snapshot()
             rounds += 1
 
-    async def drive():
-        async with door:
-            handles = [await door.submit(make_request(i)) for i in range(12)]
-            return [await handle.outcome() for handle in handles]
+    def drive():
+        with door.start():
+            handles = [door.submit(make_request(i)) for i in range(12)]
+            return [handle.outcome(timeout=120) for handle in handles]
 
     thread = threading.Thread(target=read_in_a_loop, daemon=True)
     if reader:
         thread.start()
     started = time.perf_counter()
     try:
-        outcomes = asyncio.run(drive())
+        outcomes = drive()
     finally:
         elapsed = time.perf_counter() - started
         stop.set()

@@ -36,6 +36,7 @@ from repro.serving import (
 from repro.obs import Tracer
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
 from repro.system import BatchScheduler, SimulatedClock
+from repro.system.clock import WallClock
 
 
 @pytest.fixture(scope="module")
@@ -489,9 +490,9 @@ def failing_service():
     return service, [make_request(name=name) for name in service.jobs]
 
 
-def fail_thread_door(slots):
+def fail_thread_door():
     service, requests = failing_service()
-    door = FrontDoor(service, policy="fifo", max_queue=8, max_concurrent_steps=slots)
+    door = FrontDoor(service, policy="fifo", max_queue=8)
     handles = [door.submit(request) for request in requests]
     door.start()
     outcomes = [handle.outcome(timeout=30) for handle in handles]  # must not hang
@@ -523,12 +524,10 @@ def fail_replay():
     return door, [handle.outcome(timeout=0)]
 
 
-def fail_async_door(slots):
+def fail_async_door():
     async def drive():
         service, requests = failing_service()
-        door = AsyncFrontDoor(
-            service, policy="fifo", max_queue=8, max_concurrent_steps=slots
-        )
+        door = AsyncFrontDoor(service, policy="fifo", max_queue=8)
         door.start()
         handles = [await door.submit(request) for request in requests]
         outcomes = [
@@ -556,10 +555,8 @@ def fail_async_pump():
 
 
 FAILING_ADAPTERS = {
-    "thread-1": lambda: fail_thread_door(1),
-    "thread-2": lambda: fail_thread_door(2),
-    "async-1": lambda: fail_async_door(1),
-    "async-2": lambda: fail_async_door(2),
+    "thread": fail_thread_door,
+    "async": fail_async_door,
     "replay": fail_replay,
     "thread-pump": fail_thread_pump,
     "async-pump": fail_async_pump,
@@ -593,14 +590,13 @@ class TestSchedulerThreadFailure:
         # The failure is raised once; the next drain reports what it cost.
         assert [o.status for o in scheduler.run()] == ["cancelled", "cancelled"]
 
-    @pytest.mark.parametrize("slots", [1, 2])
-    def test_shutdown_timeout_leaves_session_open(self, slots):
+    def test_shutdown_timeout_leaves_session_open(self):
         """An expired shutdown timeout must not close the backend under the
         still-running step — and must expire on time, not at the step's
         end; a later shutdown finishes the job."""
         service = CannedService()
         slow = service.jobs["slow"] = SlowJob("slow", service.clock)
-        door = FrontDoor(service, policy="fifo", max_concurrent_steps=slots)
+        door = FrontDoor(service, policy="fifo")
         door.start()
         handle = door.submit(make_request(name="slow"))
         assert slow.entered.wait(30)  # the step is running: no sleep budget
@@ -615,17 +611,14 @@ class TestSchedulerThreadFailure:
         assert service.closed
         assert handle.outcome(timeout=1).status == "completed"
 
-    @pytest.mark.parametrize("slots", [1, 2])
-    def test_cancel_while_in_flight_discards_the_straggler(self, slots):
+    def test_cancel_while_in_flight_discards_the_straggler(self):
         """shutdown(drain=False) during a step: the request is cancelled at
         once, the step is left to finish before the service closes, and
         its late settle is discarded — never finalized twice."""
         service = CannedService()
         slow = service.jobs["slow"] = SlowJob("slow", service.clock)
         service.jobs["queued"] = FakeJob("queued", 3, service.clock)
-        door = FrontDoor(
-            service, policy="fifo", max_queue=4, max_concurrent_steps=slots
-        )
+        door = FrontDoor(service, policy="fifo", max_queue=4)
         handles = [
             door.submit(make_request(name="slow")),
             door.submit(make_request(name="queued")),
@@ -634,22 +627,45 @@ class TestSchedulerThreadFailure:
         assert slow.entered.wait(30)
         closer = threading.Thread(target=door.shutdown, kwargs={"drain": False})
         closer.start()
-        if slots == 1:
-            # The scheduler thread is inside the step; the cancel lands
-            # once it returns.
-            assert not handles[0].done
+        # The scheduler thread is inside the step; the cancel lands once it
+        # returns.
+        assert not handles[0].done
         slow.release.set()
         closer.join(30)
         assert not closer.is_alive() and service.closed
         outcomes = [handle.outcome(timeout=1) for handle in handles]
-        if slots == 1:
-            assert [o.status for o in outcomes] == ["cancelled", "cancelled"]
-            assert outcomes[0].steps == 0  # the finished step was not counted
-        else:
-            assert outcomes[0].status == "cancelled"
+        assert [o.status for o in outcomes] == ["cancelled", "cancelled"]
+        assert outcomes[0].steps == 0  # the finished step was not counted
         snap = door.metrics.snapshot()
         assert snap.requests == 2  # one finalization per request
         assert door.engine._entries == [] and door.admission.in_flight == 0
+
+
+class TestHeadOfLine:
+    def test_a_long_step_blocks_the_deadline_behind_it(self):
+        """One step runs at a time: a fast request queued behind another's
+        1 s step misses its 0.5 s deadline on the wall clock.  A bounded
+        ``max_step_rows`` is what keeps a step short."""
+        service = CannedService(clock=WallClock())
+        service.jobs["slow"] = SlowJob("slow", service.clock, step_s=1.0)
+        service.jobs["fast"] = FakeJob("fast", 3, service.clock)
+        door = FrontDoor(service, policy="fifo")
+        # Both are queued before the scheduler starts, so FIFO grants the
+        # slow request's step first.
+        slow = door.submit(make_request(name="slow"))
+        fast = door.submit(
+            make_request(name="fast", deadline_ns=0.5e9, on_deadline="miss")
+        )
+        door.start()
+        assert fast.outcome(timeout=30).status == "miss"
+        assert slow.outcome(timeout=30).status == "completed"
+        door.shutdown()
+        assert service.closed
+
+    def test_a_door_has_one_step_slot(self):
+        FrontDoor(CannedService(), max_concurrent_steps=1).shutdown()
+        with pytest.raises(ValueError, match="one step at a time"):
+            FrontDoor(CannedService(), max_concurrent_steps=2)
 
 
 class TestStepperServingHooks:

@@ -371,6 +371,23 @@ class TestPickDispatchSettle:
 
         assert drain(three_phase=True) == drain(three_phase=False)
 
+    def test_turn_starts_one_step_at_a_time(self):
+        """A turn whose start only records the pick (the thread door runs
+        it later, outside its lock) starts nothing more until that step
+        has reported; the next turn settles it and picks again."""
+        clock = SimulatedClock()
+        engine = ServingEngine(clock, policy="fifo")
+        engine.submit(FakeJob("a", work=1, clock=clock))
+        engine.submit(FakeJob("b", work=1, clock=clock))
+        picked = []
+        assert engine.turn(picked.append) == 1
+        assert engine.turn(picked.append) == 0  # a is still stepping
+        assert [e.name for e in picked] == ["a"]
+        engine.run_step(picked[0])
+        assert engine.turn(picked.append) == 1  # settles a, picks b
+        assert [e.name for e in picked] == ["a", "b"]
+        assert [e.name for e in engine.take_finished()] == ["a"]
+
     def test_settle_requires_a_picked_step(self):
         clock = SimulatedClock()
         engine = ServingEngine(clock, policy="fifo")

@@ -420,6 +420,7 @@ def reference_remaining_rows(stepper):
         return 0.0
     counts = full_counts(algo)
     samples = algo.state.samples + algo.state.round_samples
+    unread = float(max(0, algo.sampler.total_rows - int(samples.sum())))
     tau = candidate_distances(counts, algo.target)
     matching = select_matching(tau, algo.alive, cfg.k)
     residual = float(np.maximum(0, algo.stage3_target - samples[matching]).sum())
@@ -427,7 +428,7 @@ def reference_remaining_rows(stepper):
         estimate = float(cfg.effective_stage1_samples(algo.sampler.total_rows)) + residual
     elif isinstance(st, Stage2Round):
         if st.exhaust:
-            estimate = float(max(0, algo.sampler.total_rows - int(samples.sum())))
+            estimate = unread
         elif st.plan is not None:
             rem = np.maximum(st.plan.budgets - algo.state.round_samples, 0.0)
             estimate = float(np.where(np.isfinite(rem), rem, 0.0).sum()) + residual
@@ -436,7 +437,7 @@ def reference_remaining_rows(stepper):
     else:
         needed = st.needed if st.needed is not None else algo.stage3_needed(st.matching)
         estimate = float(np.where(np.isfinite(needed), needed, 0.0).sum())
-    return min(estimate, float(algo.sampler.total_rows))
+    return min(estimate, unread)
 
 
 class TestServingHooksOverAliveRows:

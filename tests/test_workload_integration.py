@@ -22,9 +22,36 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "table3_outcomes.json").read_text()
 )
 
+#: The end-to-end benchmark's rows (TAXI at 400k) and the paper benches'
+#: config, where most runs stop before the data runs out.
+ROWS_1M = {"flights": 1_000_000, "taxi": 400_000, "police": 1_000_000}
+CONFIG_1M = dict(epsilon=0.1, delta=0.01, sigma=0.0008, stage1_samples=50_000)
+GOLDEN_1M = json.loads(
+    (Path(__file__).parent / "data" / "table3_outcomes_1M.json").read_text()
+)
+#: The runs of ``GOLDEN_1M`` that read less than the whole table.
+EARLY_STOPS_1M = (
+    "flights-q1", "flights-q2", "flights-q3",
+    "police-q1", "police-q2", "police-q3",
+)
+
 
 def rows_for(query_name: str) -> int:
     return ROWS[query_name.split("-")[0]]
+
+
+def pinned_fields(report) -> dict:
+    """The run's top-k ids, rounds, engine counters and simulated time."""
+    counters = report.counters
+    return {
+        "matching": [int(i) for i in report.result.matching],
+        "rounds": int(report.result.stats.rounds),
+        "rows_delivered": int(counters["rows_delivered"]),
+        "blocks_read": int(counters["blocks_read"]),
+        "blocks_skipped": int(counters["blocks_skipped"]),
+        "probes": int(counters["probes"]),
+        "elapsed_ns": report.elapsed_ns,
+    }
 
 
 @pytest.mark.parametrize("query_name", QUERY_NAMES)
@@ -81,17 +108,18 @@ class TestEveryWorkload:
             stage1_samples=20_000,
         )
         report = run_approach(prepared, "fastmatch", config, seed=5)
-        counters = report.counters
-        got = {
-            "matching": [int(i) for i in report.result.matching],
-            "rounds": int(report.result.stats.rounds),
-            "rows_delivered": int(counters["rows_delivered"]),
-            "blocks_read": int(counters["blocks_read"]),
-            "blocks_skipped": int(counters["blocks_skipped"]),
-            "probes": int(counters["probes"]),
-            "elapsed_ns": report.elapsed_ns,
-        }
-        assert got == GOLDEN[query_name]
+        assert pinned_fields(report) == GOLDEN[query_name]
+
+    def test_fastmatch_outcome_is_pinned_at_1M(self, query_name):
+        """As above at ``ROWS_1M`` and ``CONFIG_1M``, pinned in
+        ``data/table3_outcomes_1M.json``: the pin that covers runs which
+        stop early, so a moved stopping decision shows here."""
+        prepared = prepare_workload(
+            query_name, rows=ROWS_1M[query_name.split("-")[0]], seed=7
+        )
+        config = HistSimConfig(k=prepared.query.k, **CONFIG_1M)
+        report = run_approach(prepared, "fastmatch", config, seed=5)
+        assert pinned_fields(report) == GOLDEN_1M[query_name]
 
     def test_scan_matches_true_top_k(self, query_name):
         prepared = prepare_workload(query_name, rows=rows_for(query_name), seed=7)
@@ -102,3 +130,13 @@ class TestEveryWorkload:
         )
         assert set(report.result.matching) == set(int(i) for i in expected)
         assert report.audit.delta_d == pytest.approx(0.0)
+
+
+def test_the_1M_pin_covers_early_stops():
+    """Every outcome of ``table3_outcomes.json`` reads the whole table; the
+    1M pin must keep holding runs that stop before the data runs out."""
+    early = {
+        name for name, pin in GOLDEN_1M.items()
+        if pin["rows_delivered"] < ROWS_1M[name.split("-")[0]]
+    }
+    assert early == set(EARLY_STOPS_1M)
