@@ -180,6 +180,8 @@ class HistSim:
             raise ValueError(
                 f"target must have {sampler.num_groups} entries, got shape {target.shape}"
             )
+        if not np.isfinite(target).all():
+            raise ValueError("target entries must be finite")
         if target.sum() <= 0 or np.any(target < 0):
             raise ValueError("target must be non-negative with positive mass")
         self.sampler = sampler

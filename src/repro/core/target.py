@@ -47,8 +47,11 @@ class TargetSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("explicit", "candidate", "closest_to_uniform"):
             raise ValueError(f"unknown target kind: {self.kind!r}")
-        if self.kind == "explicit" and self.vector is None:
-            raise ValueError("explicit targets require a vector")
+        if self.kind == "explicit":
+            if self.vector is None:
+                raise ValueError("explicit targets require a vector")
+            if not np.isfinite(np.asarray(self.vector, dtype=np.float64)).all():
+                raise ValueError("explicit target entries must be finite")
         if self.kind == "candidate" and self.candidate is None:
             raise ValueError("candidate targets require a candidate index")
 
@@ -72,6 +75,8 @@ def resolve_target(spec: TargetSpec, exact_counts: np.ndarray) -> np.ndarray:
                 f"explicit target has {q.shape[0] if q.ndim else 0} entries, "
                 f"query produces {num_groups} groups"
             )
+        if not np.isfinite(q).all():
+            raise ValueError("explicit target entries must be finite")
         if np.any(q < 0) or q.sum() <= 0:
             raise ValueError("explicit target must be non-negative with positive mass")
         return q

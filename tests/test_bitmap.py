@@ -80,9 +80,17 @@ class TestBlockBitmapIndex:
             BlockBitmapIndex.build(np.array([11]), 11, 4)
 
     def test_nbytes_one_bit_per_block_per_value(self):
+        """A dense value costs one bit a block; a value that never occurs is
+        an empty list and costs nothing."""
+        every = np.tile(np.arange(16), 6400)
+        idx = BlockBitmapIndex.build(every, 16, block_size=16)  # 6400 blocks
+        assert idx.nbytes == 16 * 800
+        assert idx.chunk_presence(np.arange(16), 0, 6400).all()
         col = np.zeros(6400, dtype=int)
         idx = BlockBitmapIndex.build(col, 16, block_size=1)  # 6400 blocks
-        assert idx.nbytes == 16 * 800
+        assert idx.nbytes == 800
+        np.testing.assert_array_equal(idx.blocks_with_value(0), np.ones(6400, dtype=bool))
+        assert not idx.chunk_presence(np.arange(1, 16), 0, 6400).any()
 
     @given(
         st.integers(min_value=1, max_value=300),
@@ -202,8 +210,65 @@ def one_shot_packed(column, cardinality, block_size):
     return np.packbits(bits, axis=1)
 
 
+class DenseReference:
+    """Every query of :class:`BlockBitmapIndex` answered from the dense
+    packed matrix of :func:`one_shot_packed`, unpacking each window whole:
+    the layout the index kept for every value before it listed the rare
+    ones, and the truth its answers are checked against."""
+
+    def __init__(self, column, cardinality, block_size):
+        self.packed = one_shot_packed(np.asarray(column), cardinality, block_size)
+        self.cardinality = cardinality
+        self.num_blocks = -(-np.asarray(column).size // block_size)
+
+    def chunk_presence(self, values, start_block, stop_block):
+        values = np.asarray(values, dtype=np.int64)
+        bits = np.unpackbits(self.packed[values], axis=1)[:, : self.num_blocks]
+        return bits[:, start_block:stop_block].astype(bool)
+
+    def any_present(self, values, start_block, stop_block):
+        return self.chunk_presence(values, start_block, stop_block).any(axis=0)
+
+    any_present_ascending = any_present
+
+    def first_present(self, values, start_block, stop_block):
+        presence = self.chunk_presence(values, start_block, stop_block)
+        first = np.argmax(presence, axis=0).astype(np.int64) if presence.size else (
+            np.zeros(stop_block - start_block, dtype=np.int64))
+        first[~presence.any(axis=0)] = len(values)
+        return first
+
+    def contains(self, value, block):
+        return bool(self.chunk_presence([value], block, block + 1)[0, 0])
+
+    def blocks_with_value(self, value):
+        return self.chunk_presence([value], 0, self.num_blocks)[0]
+
+    @property
+    def distinct(self):
+        return sum(
+            self.chunk_presence(values, 0, self.num_blocks).sum(axis=0)
+            for values in np.array_split(
+                np.arange(self.cardinality), -(-self.cardinality // 512)
+            )
+        )
+
+
+def assert_same_presence(idx, reference):
+    """Every value's every block, through the index's public queries, 512
+    values at a time."""
+    assert idx.num_blocks == reference.num_blocks
+    for first in range(0, reference.cardinality, 512):
+        values = np.arange(first, min(first + 512, reference.cardinality))
+        np.testing.assert_array_equal(
+            idx.chunk_presence(values, 0, idx.num_blocks),
+            reference.chunk_presence(values, 0, reference.num_blocks),
+        )
+    np.testing.assert_array_equal(idx.distinct, reference.distinct)
+
+
 class TestChunkedBuild:
-    """The build's scratch is bounded; its bytes are the one-shot build's."""
+    """The build's scratch is bounded; its answers are the one-shot build's."""
 
     @pytest.mark.parametrize("scatter_rows", [1, 7, 1 << 16])
     @pytest.mark.parametrize("scratch_blocks", [0, 8, 13, 16, 20, 1_000])
@@ -226,9 +291,7 @@ class TestChunkedBuild:
         rng = np.random.default_rng(n + cardinality)
         col = rng.integers(0, cardinality, size=n)
         idx = BlockBitmapIndex.build(col, cardinality, block_size)
-        expected = one_shot_packed(col, cardinality, block_size)
-        assert idx._packed.dtype == np.uint8
-        np.testing.assert_array_equal(idx._packed, expected)
+        assert_same_presence(idx, DenseReference(col, cardinality, block_size))
         assert idx.num_blocks == -(-n // block_size)
 
     def test_chunks_cover_a_ragged_tail(self, monkeypatch):
@@ -238,32 +301,35 @@ class TestChunkedBuild:
         monkeypatch.setattr(bitmap_index, "_BUILD_SCRATCH_BYTES", 1)
         col = np.arange(37 * 5) % 9  # 37 blocks of 5 rows
         idx = BlockBitmapIndex.build(col, 9, 5)
-        assert idx.num_blocks == 37 and idx._packed.shape == (9, 5)
-        np.testing.assert_array_equal(idx._packed, one_shot_packed(col, 9, 5))
+        assert idx.num_blocks == 37
+        assert_same_presence(idx, DenseReference(col, 9, 5))
         np.testing.assert_array_equal(
             idx.chunk_presence(np.arange(9), 0, 37),
             brute_force_presence(col, 9, 5),
         )
 
     def test_taxi_shape_builds_in_bounded_chunks(self, monkeypatch):
-        """TAXI's location column at 400k rows (95 MB unpacked) builds in
-        several chunks, none wider than the bound, to the one-shot bytes."""
+        """TAXI's location column at 400k rows: only its dense values go
+        through the scratch, in chunks none wider than the bound, and the
+        answers are the one-shot build's."""
         from repro.bitmap import bitmap_index
         from repro.data import build_taxi
 
         column = build_taxi(rows=400_000, seed=7).table.column("location")
+        monkeypatch.setattr(bitmap_index, "_BUILD_SCRATCH_BYTES", 4 << 20)
         chunks = []
         packed_presence = bitmap_index._packed_presence
 
-        def counted(rows, cardinality, num_blocks, block_size):
-            chunks.append(cardinality * num_blocks)
-            return packed_presence(rows, cardinality, num_blocks, block_size)
+        def counted(codes, dense, num_blocks, block_size, dtype):
+            chunks.append((dense + 1) * num_blocks)
+            return packed_presence(codes, dense, num_blocks, block_size, dtype)
 
         monkeypatch.setattr(bitmap_index, "_packed_presence", counted)
         idx = BlockBitmapIndex.build(column, 7641, 32)
         assert len(chunks) >= 2
         assert max(chunks) <= bitmap_index._BUILD_SCRATCH_BYTES
-        np.testing.assert_array_equal(idx._packed, one_shot_packed(column, 7641, 32))
+        assert sum(chunks) < 7641 * idx.num_blocks // 4  # the listed values skip it
+        assert_same_presence(idx, DenseReference(column, 7641, 32))
 
 
 class TestDensityMap:
@@ -346,8 +412,9 @@ def brute_force_distinct(column, block_size):
 
 
 class TestDistinctCounts:
-    """Each block's count of distinct values, kept beside the bits: what a
-    block's column of bits sums to, however the build computed it."""
+    """Each block's count of distinct values (the dense ones kept beside the
+    bits, the listed ones counted off the lists): what a block's column of
+    bits sums to, however the build computed it."""
 
     @given(
         st.integers(min_value=1, max_value=400),
@@ -356,13 +423,14 @@ class TestDistinctCounts:
         st.integers(min_value=0, max_value=2**32 - 1),
         st.sampled_from(["scratch", "sorted"]),
         st.sampled_from([None, 1, 3]),
+        st.sampled_from([1, 8, 10**9]),
     )
     @settings(max_examples=120)
     def test_distinct_counts_are_brute_force(
-        self, n, cardinality, block_size, seed, how, scratch_blocks
+        self, n, cardinality, block_size, seed, how, scratch_blocks, list_cost
     ):
         """From the build's scratch or from each block's sorted rows, in one
-        chunk or several, and derived again from the packed bits alone."""
+        chunk or several, with few values listed or many."""
         from repro.bitmap import bitmap_index
 
         rng = np.random.default_rng(seed)
@@ -371,46 +439,40 @@ class TestDistinctCounts:
             patch.setattr(
                 bitmap_index, "_SORT_BLOCKS_ABOVE", 10**9 if how == "scratch" else 0
             )
+            patch.setattr(bitmap_index, "_LIST_COST", list_cost)
             if scratch_blocks is not None:  # chunks of 8 blocks
                 patch.setattr(
                     bitmap_index, "_BUILD_SCRATCH_BYTES", scratch_blocks * cardinality
                 )
             idx = BlockBitmapIndex.build(col, cardinality, block_size)
         truth = brute_force_distinct(col, block_size)
-        np.testing.assert_array_equal(idx._distinct, truth)
-        assert idx._distinct.dtype == np.min_scalar_type(min(block_size, cardinality))
-        from_bits = BlockBitmapIndex(idx._packed, cardinality, idx.num_blocks)
-        np.testing.assert_array_equal(from_bits._distinct, truth)
+        np.testing.assert_array_equal(idx.distinct, truth)
+        assert idx.distinct.dtype == np.min_scalar_type(min(block_size, cardinality))
 
     def test_distinct_counts_from_bits_in_chunks(self, monkeypatch):
-        """An index constructed from packed bits sums them a bounded chunk
-        of bytes at a time, to the same counts."""
+        """Built a bounded chunk of blocks at a time, the counts are the
+        brute-force ones."""
         from repro.bitmap import bitmap_index
 
         col = np.random.default_rng(3).integers(0, 300, size=20_000)
-        idx = BlockBitmapIndex.build(col, 300, 4)
         monkeypatch.setattr(bitmap_index, "_BUILD_SCRATCH_BYTES", 300 * 8)
-        from_bits = BlockBitmapIndex(idx._packed, 300, idx.num_blocks)
-        np.testing.assert_array_equal(from_bits._distinct, brute_force_distinct(col, 4))
+        idx = BlockBitmapIndex.build(col, 300, 4)
+        np.testing.assert_array_equal(idx.distinct, brute_force_distinct(col, 4))
 
     def test_distinct_counts_shape_checked(self, column):
+        """One count a block, a short last block included."""
         idx = BlockBitmapIndex.build(column, 11, block_size=64)
-        with pytest.raises(ValueError, match="distinct"):
-            BlockBitmapIndex(idx._packed, 11, idx.num_blocks, idx._distinct[:-1])
+        assert idx.distinct.shape == (idx.num_blocks,) == (16,)
+        assert idx.distinct[-1] == np.unique(column[15 * 64 :]).size
 
     def test_taxi_shape_counts(self):
-        """TAXI's location column (7,641 values over 32-row blocks) takes
-        the sorted path; its counts are the scratch path's."""
-        from repro.bitmap import bitmap_index
+        """TAXI's location column (7,641 values over 32-row blocks, most of
+        them listed): dense counts plus listed ones are the brute force's."""
         from repro.data import build_taxi
 
         column = build_taxi(rows=350_000, seed=7).table.column("location")
-        assert 7641 > bitmap_index._SORT_BLOCKS_ABOVE * 32
         idx = BlockBitmapIndex.build(column, 7641, 32)
-        np.testing.assert_array_equal(
-            idx._distinct,
-            BlockBitmapIndex(idx._packed, 7641, idx.num_blocks)._distinct,
-        )
+        np.testing.assert_array_equal(idx.distinct, brute_force_distinct(column, 32))
 
 
 class TestSmallerSideMarking:
@@ -490,3 +552,130 @@ class TestSmallerSideMarking:
             idx.any_present_ascending(np.arange(40), 3, 300), np.ones(297, dtype=bool)
         )
         assert reduced == [20]
+
+
+def skewed_column(rng, n, cardinality):
+    """A column whose values' frequencies fall off as a power law: a few
+    values fill most blocks (kept dense), a long tail occurs a few times
+    (listed) or never."""
+    weights = (np.arange(cardinality) + 1.0) ** -rng.uniform(1.0, 3.0)
+    return rng.choice(cardinality, size=n, p=weights / weights.sum())
+
+
+class TestDenseReference:
+    """The index against :class:`DenseReference`, the dense layout kept as
+    the reference: every query answers what it answers, whichever form
+    each value is kept in."""
+
+    @given(
+        st.integers(min_value=1, max_value=4000),
+        st.integers(min_value=1, max_value=8000),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0, 8, 10**9]),
+        st.sampled_from([1, 8]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_every_query_is_the_dense_reference(
+        self, n, cardinality, block_size, seed, side, list_cost
+    ):
+        """Over skewed columns (cardinality 1–8,000, a short last block when
+        ``block_size`` does not divide ``n``), windows starting and ending
+        anywhere, ascending active sets from empty to all, both sides of
+        ``_INACTIVE_SIDE`` (0 always reads the inactive values, 10**9
+        never)."""
+        from repro.bitmap import bitmap_index
+
+        rng = np.random.default_rng(seed)
+        col = skewed_column(rng, n, cardinality)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitmap_index, "_LIST_COST", list_cost)
+            idx = BlockBitmapIndex.build(col, cardinality, block_size)
+        ref = DenseReference(col, cardinality, block_size)
+        lo = int(rng.integers(0, idx.num_blocks + 1))
+        hi = int(rng.integers(lo, idx.num_blocks + 1))
+        size = int(rng.choice([0, 1, rng.integers(0, cardinality + 1), cardinality]))
+        active = np.sort(rng.choice(cardinality, size=size, replace=False))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitmap_index, "_INACTIVE_SIDE", side)
+            got = idx.any_present_ascending(active, lo, hi)
+        assert got.dtype == np.bool_ and got.shape == (hi - lo,)
+        np.testing.assert_array_equal(got, ref.any_present(active, lo, hi))
+        some = rng.integers(0, cardinality, size=int(rng.integers(0, 40)))  # any order, repeats
+        np.testing.assert_array_equal(idx.any_present(some, lo, hi), ref.any_present(some, lo, hi))
+        np.testing.assert_array_equal(
+            idx.chunk_presence(some, lo, hi), ref.chunk_presence(some, lo, hi)
+        )
+        np.testing.assert_array_equal(
+            idx.first_present(active[:200], lo, hi), ref.first_present(active[:200], lo, hi)
+        )
+        for value in some[:5]:
+            np.testing.assert_array_equal(
+                idx.blocks_with_value(int(value)), ref.blocks_with_value(int(value))
+            )
+            block = int(rng.integers(0, idx.num_blocks))
+            assert idx.contains(int(value), block) == ref.contains(int(value), block)
+        np.testing.assert_array_equal(idx.distinct, ref.distinct)
+
+    def test_skewed_columns_keep_both_forms(self):
+        """The property's columns do exercise both forms."""
+        col = skewed_column(np.random.default_rng(1), 4000, 8000)
+        idx = BlockBitmapIndex.build(col, 8000, 1)
+        listed = np.flatnonzero(idx._rank < 0)
+        dense = np.flatnonzero(idx._rank >= 0)
+        occurring = np.unique(col)
+        assert dense.size and np.intersect1d(listed, occurring).size
+
+    def test_taxi_location_footprint(self):
+        """TAXI's location index at 400k rows in 32-row blocks: 11.39 MiB of
+        dense bits, under 2 MiB with its rare values listed."""
+        from repro.data import build_taxi
+
+        column = build_taxi(rows=400_000, seed=7).table.column("location")
+        idx = BlockBitmapIndex.build(column, 7641, 32)
+        assert 7641 * -(-idx.num_blocks // 8) / 2**20 > 11.3
+        assert idx.nbytes < 2 * 2**20
+
+    @pytest.mark.parametrize("approach", ["fastmatch", "syncmatch"])
+    def test_table3_read_masks_and_probes_match_a_dense_run(self, approach, monkeypatch):
+        """On the nine Table-3 queries (integration scale), AnyActive's
+        lookahead and Sync policies read the same blocks for the same
+        probes, window by window, as with the dense reference index."""
+        import dataclasses
+
+        from repro.core import HistSimConfig
+        from repro.data import QUERY_NAMES, prepare_workload
+        from repro.sampling import policies
+        from repro.system import run_approach
+
+        decisions = []
+        for cls in (policies.AnyActiveLookaheadPolicy, policies.AnyActiveSyncPolicy):
+            def spy(self, index, blocks, active, cost_model, resident, _select=cls.select):
+                decision = _select(self, index, blocks, active, cost_model, resident)
+                decisions.append((blocks.copy(), decision.read_mask.copy(), decision.probes))
+                return decision
+            monkeypatch.setattr(cls, "select", spy)
+        rows = {"flights": 120_000, "taxi": 400_000, "police": 150_000}
+        for name in QUERY_NAMES:
+            prepared = prepare_workload(name, rows=rows[name.split("-")[0]], seed=7)
+            column = prepared.shuffled.table.column(prepared.query.candidate_attribute)
+            dense = dataclasses.replace(prepared, index=DenseReference(
+                column, prepared.index.cardinality, prepared.shuffled.layout.block_size,
+            ))
+            config = HistSimConfig(
+                k=prepared.query.k, epsilon=0.2, delta=0.05, sigma=0.0008,
+                stage1_samples=20_000,
+            )
+            runs = []
+            for which in (prepared, dense):
+                decisions.clear()
+                report = run_approach(which, approach, config, seed=5, audit=False)
+                runs.append((list(decisions), report.counters, report.elapsed_ns))
+            (ours, counters, elapsed), (theirs, dense_counters, dense_elapsed) = runs
+            assert ours, name
+            assert len(ours) == len(theirs), name
+            for (blocks, mask, probes), (blocks2, mask2, probes2) in zip(ours, theirs):
+                np.testing.assert_array_equal(blocks, blocks2)
+                np.testing.assert_array_equal(mask, mask2)
+                assert probes == probes2
+            assert counters == dense_counters and elapsed == dense_elapsed, name

@@ -127,6 +127,16 @@ class TestHistSimBasics:
         assert "stage3" in calls
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_target_entry_rejected(clear_separation, bad):
+    z, x, candidates, groups, target = clear_separation
+    sampler = ArraySampler(z, x, candidates, groups, np.random.default_rng(13))
+    target = np.array(target, dtype=np.float64)
+    target[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        HistSim(sampler, target, HistSimConfig(k=3))
+
+
 class TestStage1Pruning:
     def test_rare_candidates_pruned(self):
         rng = np.random.default_rng(5)

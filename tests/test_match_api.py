@@ -59,6 +59,13 @@ class TestMatchHistograms:
         )
         assert set(report.result.matching) == {0, 1, 2}
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_explicit_vector_with_non_finite_entry_rejected(self, table, bad):
+        target = np.full(6, 1 / 6)
+        target[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            match_histograms(table, "product", "age", target=target, k=3, epsilon=0.15)
+
     def test_target_spec_passthrough(self, table):
         spec = TargetSpec(kind="candidate", candidate=7)
         report = match_histograms(table, "product", "age", target=spec, k=1, epsilon=0.2)

@@ -60,6 +60,19 @@ class TestTargetSpec:
         spec = TargetSpec(kind="closest_to_uniform")
         np.testing.assert_allclose(resolve_target(spec, exact), [10.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_explicit_non_finite_entry_rejected_by_spec(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TargetSpec(kind="explicit", vector=(bad, 0.25, 0.25, 0.25))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_explicit_non_finite_entry_rejected_by_resolve(self, bad):
+        """A spec whose vector went non-finite after construction."""
+        spec = TargetSpec(kind="explicit", vector=(0.25, 0.25, 0.25, 0.25))
+        object.__setattr__(spec, "vector", (0.25, bad, 0.25, 0.25))
+        with pytest.raises(ValueError, match="finite"):
+            resolve_target(spec, self.exact)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TargetSpec(kind="nonsense")
