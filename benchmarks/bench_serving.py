@@ -1,6 +1,6 @@
 """Serving benchmark — open-loop Poisson arrivals through the front door.
 
-Not a paper figure: this benchmark exercises the async serving subsystem
+Not a paper figure: this benchmark exercises the online serving subsystem
 (admission control + deadline-aware scheduling + bounded steppers) under
 the load shape the ROADMAP north star implies — requests arriving on their
 own schedule, not as a batch.  A fixed Poisson arrival trace over the
@@ -31,7 +31,8 @@ Checks:
 
 - a request served through the front door (no deadline) returns results
   byte-identical to a standalone ``run_approach`` execution — and, with
-  ``--async``, so does one served through the asyncio ``AsyncFrontDoor``;
+  ``--async``, so does one request per tenant through an ``edf-f``
+  registry door on its scheduler thread, its handles awaited from asyncio;
 - under overload, EDF beats FIFO on deadline-hit rate (the classic
   single-server scheduling result, and PR 4's acceptance criterion);
 - FIFO actually misses deadlines under overload (otherwise the comparison
@@ -59,7 +60,7 @@ from common import RESULTS_DIR, format_table, save_report
 from repro.data import load_dataset, workload_query
 from repro.core.config import HistSimConfig
 from repro.obs import TraceReader, TraceWriter, Tracer, summarize_records
-from repro.serving import POLICIES, AsyncFrontDoor, FrontDoor, QueryRequest
+from repro.serving import POLICIES, FrontDoor, QueryRequest
 from repro.system import MatchSession, SessionRegistry, run_approach
 
 #: Queries cycled to fill the trace (all on FLIGHTS: one session serves it).
@@ -237,17 +238,19 @@ def run_multitenant_policy(tables: dict, policy: str, trace, args) -> dict:
 
 
 def verify_async_front_door_identity(tables: dict, args) -> None:
-    """One request per tenant through the AsyncFrontDoor == standalone."""
+    """One request per tenant through a registry door, its handles awaited
+    from asyncio, == standalone."""
 
     async def drive():
         registry = SessionRegistry()
         for dataset_name, table in tables.items():
             registry.add_dataset(dataset_name, table)
-        async with AsyncFrontDoor(registry, policy="edf-f") as door:
+        with FrontDoor(registry, policy="edf-f") as door:
+            door.start()
             handles = {}
             for dataset_name, query_names in TENANTS.items():
                 _, query = workload_query(query_names[0])
-                handles[dataset_name] = await door.submit(
+                handles[dataset_name] = door.submit(
                     QueryRequest(
                         query,
                         config=config_for_query(
@@ -257,7 +260,7 @@ def verify_async_front_door_identity(tables: dict, args) -> None:
                         dataset=dataset_name,
                     )
                 )
-            return {ds: await h.outcome() for ds, h in handles.items()}
+            return {ds: await h for ds, h in handles.items()}
 
     outcomes = asyncio.run(drive())
     for dataset_name, outcome in outcomes.items():
@@ -271,13 +274,13 @@ def verify_async_front_door_identity(tables: dict, args) -> None:
         session.close()
         assert outcome.status == "completed"
         assert outcome.report.result.matching == standalone.result.matching, (
-            f"async front-door matching differs from standalone ({dataset_name})"
+            f"awaited front-door matching differs from standalone ({dataset_name})"
         )
         assert np.array_equal(
             outcome.report.result.histograms, standalone.result.histograms
-        ), f"async front-door histograms differ from standalone ({dataset_name})"
+        ), f"awaited front-door histograms differ from standalone ({dataset_name})"
         assert outcome.report.result.stats == standalone.result.stats, (
-            f"async front-door sampling effort differs ({dataset_name})"
+            f"awaited front-door sampling effort differs ({dataset_name})"
         )
 
 
@@ -324,8 +327,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tiny", action="store_true",
                         help="CI smoke mode: small data, short trace")
     parser.add_argument("--async", dest="use_async", action="store_true",
-                        help="also verify byte-identity through the "
-                             "asyncio AsyncFrontDoor")
+                        help="also verify byte-identity with the door's "
+                             "handles awaited from asyncio")
     parser.add_argument("--trace-out", type=Path, default=None,
                         help="also replay the single-tenant trace with JSONL "
                              "span export to this path, validating the "

@@ -41,7 +41,7 @@ from .parallel import (
     ThreadPoolBackend,
     make_backend,
 )
-from .serving import AsyncFrontDoor, FrontDoor, QueryRequest
+from .serving import FrontDoor, QueryRequest
 from .system.clock import Clock, SimulatedClock, WallClock
 from .system.registry import SessionRegistry
 from .system.session import MatchSession
@@ -64,7 +64,6 @@ __all__ = [
     "SerialBackend",
     "ShardedBackend",
     "ThreadPoolBackend",
-    "AsyncFrontDoor",
     "FrontDoor",
     "QueryRequest",
     "Clock",

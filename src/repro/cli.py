@@ -19,7 +19,8 @@ deadlines with ε-relaxed partial answers, and an open-loop trace replay.
 A trace holds one JSON object per line,
 ``{"query": "flights-q1", "arrival_ms": 12.5, "deadline_ms": 40}``
 (optional keys: ``approach``, ``seed``, ``on_deadline``).  ``--async``
-drives the same requests through the asyncio ``AsyncFrontDoor``.
+serves the same requests closed-loop: a client submits while the queue has
+room and otherwise waits for its oldest request.
 ``trace``, ``profile`` and ``top`` read a run's telemetry.
 
 ``--backend sharded`` (a pool of shared-memory worker processes) and
@@ -58,7 +59,7 @@ from .obs import (
     summarize_records,
 )
 from .parallel import BACKENDS, KERNEL_SPECS, WORKER_BACKENDS, make_backend
-from .serving import POLICIES, AsyncFrontDoor, FrontDoor, QueryRequest
+from .serving import POLICIES, FrontDoor, QueryRequest
 from .system import APPROACHES, MatchSession, SessionRegistry, run_approach
 from .system.visualize import render_result
 
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="online serving through the async front door",
+        help="online serving through the front door",
         description="Serve workload queries through the front door: bounded "
                     "admission, a scheduling policy, per-query deadlines "
                     "(ε-relaxed partial answers on expiry), and an open-loop "
@@ -222,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--async", dest="use_async", action="store_true",
-        help="drive requests through the asyncio AsyncFrontDoor (one "
-             "scheduler task, awaitable handles) instead of the "
-             "synchronous open-loop replay",
+        help="serve requests closed-loop (submit while the queue has "
+             "room, else wait for the oldest request) instead of the "
+             "open-loop replay",
     )
     serve.add_argument(
         "--trace-out", type=Path, default=None,
@@ -531,40 +532,34 @@ def _drive_replay(door, events) -> list:
         door.shutdown()
 
 
-def _drive_async(door, events) -> list:
-    """Submit every request through the AsyncFrontDoor and await outcomes.
+def _drive_closed_loop(door, events) -> list:
+    """Serve every request closed-loop through the FrontDoor, then shut it down.
 
-    Closed-loop with backpressure: arrivals are submitted in trace order,
-    and while the admission queue is full the client first awaits its
-    oldest outstanding request — so a bounded ``--max-queue`` throttles
-    instead of shedding everything beyond the bound (the open-loop timing
-    study is :meth:`FrontDoor.replay`).
+    Arrivals are submitted in trace order while the admission queue has
+    room; while it is full, the client takes the door's inline turns until
+    its oldest outstanding request resolves — so a bounded ``--max-queue``
+    throttles instead of shedding everything beyond the bound (the
+    open-loop timing study is :meth:`FrontDoor.replay`).  Then the door
+    serves to idle.
     """
-    import asyncio
-
-    async def drive():
-        outcomes: list = [None] * len(events)
-        admission = door.admission
-        async with door:
-            handles: list[tuple[int, object]] = []
-            waiting = 0
-            for index, (_, request) in enumerate(events):
-                # Backpressure: while the queue is full, await the oldest
-                # outstanding request (capacity reads are race-free in one
-                # event loop), so nothing is submitted into a rejection.
-                while (
-                    admission.max_queue is not None
-                    and admission.in_flight >= admission.max_queue
-                    and waiting < len(handles)
-                ):
-                    await handles[waiting][1].outcome()
-                    waiting += 1
-                handles.append((index, await door.submit(request)))
-            for index, handle in handles:
-                outcomes[index] = await handle.outcome()
-        return outcomes
-
-    return asyncio.run(drive())
+    admission = door.admission
+    handles: list = []
+    waiting = 0
+    try:
+        for _, request in events:
+            while (
+                admission.max_queue is not None
+                and admission.in_flight >= admission.max_queue
+                and waiting < len(handles)
+            ):
+                while not handles[waiting].done and door.turn():
+                    pass
+                waiting += 1
+            handles.append(door.submit(request))
+        door.pump()
+    finally:
+        door.shutdown()
+    return [handle.outcome(timeout=0) for handle in handles]
 
 
 def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -602,13 +597,10 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     # queue/latency/health frames land in a JSON file `repro top` tails.
     exporter = None
     try:
+        door = FrontDoor(registry, policy=args.policy, max_queue=args.max_queue)
         if args.use_async:
-            door = AsyncFrontDoor(
-                registry, policy=args.policy, max_queue=args.max_queue
-            )
-            drive, mode = _drive_async, "async (closed-loop)"
+            drive, mode = _drive_closed_loop, "async (closed-loop)"
         else:
-            door = FrontDoor(registry, policy=args.policy, max_queue=args.max_queue)
             drive, mode = _drive_replay, "replay (open-loop)"
         if args.stats_out is not None:
             exporter = StatsExporter(

@@ -1,11 +1,10 @@
 """Health monitoring: poll the live serving spine, report OK/DEGRADED/CRITICAL.
 
-:class:`HealthMonitor` is constructed over a front door (sync or asyncio —
-both expose the same ``admission``/``engine``/``metrics``/``service``
-surface) and reads the spine without touching it: queue depth against the
-admission bound, worker-pool liveness, shared-memory bytes against a
-budget, artifact-cache pressure, and clock skew across tenants.  Every
-poll yields a typed
+:class:`HealthMonitor` is constructed over a front door (its
+``admission``/``engine``/``metrics``/``service`` surface) and reads the
+spine without touching it: queue depth against the admission bound,
+worker-pool liveness, shared-memory bytes against a budget, artifact-cache
+pressure, and clock skew across tenants.  Every poll yields a typed
 :class:`HealthReport` whose :meth:`~HealthReport.to_dict` is exactly what
 an HTTP tier's ``/healthz`` will serialize.
 
@@ -112,8 +111,7 @@ class HealthMonitor:
     Parameters
     ----------
     door:
-        A :class:`~repro.serving.FrontDoor` or
-        :class:`~repro.serving.AsyncFrontDoor`; admission and the served
+        A :class:`~repro.serving.FrontDoor`; admission and the served
         service (session or registry) are resolved from it.
     shm_budget_bytes:
         Optional budget the shared-memory store's live bytes are graded

@@ -7,14 +7,17 @@ rather than as a batch:
 - :class:`ServingEngine` — the pure, clock-agnostic scheduling core
   (one turn: settle / pick-next / advance-job; no threads, no locks)
   every driver runs on, one step at a time;
-- :class:`FrontDoor` (threads) and :class:`AsyncFrontDoor` (asyncio) —
-  thin adapters of one sans-IO drive core, accepting
-  :class:`QueryRequest`\\ s while others run; the thread door also
-  replays open-loop arrival traces on the simulated clock
-  (deterministic).  Either is built directly over the service it drives
-  — one :class:`~repro.system.MatchSession` or a multi-dataset
+- :class:`FrontDoor` — the one door: admission, the handle table and the
+  scheduling turn, accepting :class:`QueryRequest`\\ s while others run
+  on its scheduler thread (:meth:`~FrontDoor.start`), serving inline
+  (:meth:`~FrontDoor.pump`), or replaying an open-loop arrival trace on
+  the simulated clock (:meth:`~FrontDoor.replay`, deterministic).  It is
+  built directly over the service it drives — one
+  :class:`~repro.system.MatchSession` or a multi-dataset
   :class:`~repro.system.SessionRegistry`: ``FrontDoor(session)``,
-  ``AsyncFrontDoor(registry)``;
+  ``FrontDoor(registry)``.  Its :class:`ResponseHandle`\\ s are futures: a
+  thread waits on ``handle.outcome(timeout)``, a coroutine awaits the
+  handle, and no event loop ever runs a step;
 - :class:`AdmissionController` — bounded queue depth with load shedding
   (typed :class:`AdmissionRejected`);
 - policies (:data:`POLICIES`: FIFO, round-robin, EDF, feasibility-aware
@@ -35,7 +38,6 @@ with no deadline returns byte-identical results to a standalone
 """
 
 from .admission import AdmissionController
-from .async_frontdoor import AsyncFrontDoor, AsyncResponseHandle
 from .engine import ServingEngine, ServingOutcome
 from .frontdoor import FrontDoor, ResponseHandle
 from .metrics import CANCELLED, COMPLETED, MISS, PARTIAL, SHED, ServingMetrics
@@ -69,8 +71,6 @@ __all__ = [
     "SHED",
     "AdmissionController",
     "AdmissionRejected",
-    "AsyncFrontDoor",
-    "AsyncResponseHandle",
     "DeadlineMiss",
     "EdfPolicy",
     "FeasibleEdfPolicy",

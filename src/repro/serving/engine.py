@@ -1,15 +1,14 @@
 """The pure scheduling engine: pick / dispatch / settle, no threads.
 
 This is the reentrant core every serving driver runs on.  Each driver —
-the thread :class:`~repro.serving.frontdoor.FrontDoor`, the asyncio
-:class:`~repro.serving.async_frontdoor.AsyncFrontDoor`, open-loop replay,
-the no-thread pumps and the batch drain
-(:class:`~repro.system.scheduler.BatchScheduler`) — is an adapter that
-calls one method, :meth:`ServingEngine.turn`, and differs only in how a
-picked step is *started*.  The engine itself holds no locks, spawns no
-threads, and never blocks: drivers own concurrency and serialize their
-calls into it (only :meth:`ServingEngine.run_step` may run outside them);
-the engine owns scheduling semantics.  One step runs at a time.
+the :class:`~repro.serving.frontdoor.FrontDoor`'s scheduler thread, its
+inline turns (``pump``, ``replay``, the closed-loop CLI client) and the
+batch drain (:class:`~repro.system.scheduler.BatchScheduler`) — calls one
+method, :meth:`ServingEngine.turn`, and differs only in how a picked step
+is *started*.  The engine itself holds no locks, spawns no threads, and
+never blocks: drivers own concurrency and serialize their calls into it
+(only :meth:`ServingEngine.run_step` may run outside them); the engine
+owns scheduling semantics.  One step runs at a time.
 
 A turn joins three phases:
 
@@ -19,7 +18,7 @@ A turn joins three phases:
 - **dispatch** — the driver's injected ``start`` arranges for
   :meth:`ServingEngine.run_step` (``job.step()``, then report completion)
   to run at once (the default), or hands the pick back so the driver runs
-  it outside its lock (the thread door);
+  it outside its lock (the door's scheduler thread);
 - :meth:`ServingEngine.settle` — stamp the step's service time on the
   job's own clock, finalize completion, and re-run expiry — within the
   same turn for a runner that completes at once, in the next turn
@@ -28,7 +27,7 @@ A turn joins three phases:
 It is also **clock-agnostic**: the engine runs against the
 :class:`~repro.system.clock.Clock` protocol, so the same scheduling code
 serves simulated single-server studies (:class:`SimulatedClock`) and live
-asyncio deployments (:class:`WallClock`).  Every job is stamped — submission,
+deployments (:class:`WallClock`).  Every job is stamped — submission,
 deadline, expiry, completion, cancellation — from **its own** clock (the one
 its session charges), never from whatever clock the driver happens to hold,
 so latency percentiles stay coherent even when a wall-clock driver

@@ -8,9 +8,9 @@ Two implementations exist:
   and hardware-independent.  Serial charges add; pipelined charges add the
   *maximum* of the overlapped components — the decoupling of the lookahead
   thread from the I/O manager (Section 4.2, Challenge 4).
-- :class:`WallClock` — real monotonic time for live serving (the asyncio
-  front door): elapsed time passes on its own, and charges only feed the
-  per-component breakdown for attribution.  Deadlines set against a wall
+- :class:`WallClock` — real monotonic time for live serving (a front
+  door's scheduler thread): elapsed time passes on its own, and charges
+  only feed the per-component breakdown for attribution.  Deadlines set against a wall
   clock are real-time deadlines.
 
 The scheduling engine, deadlines, and serving metrics are written against

@@ -2,7 +2,7 @@
 
 A :class:`SessionRegistry` owns one :class:`~repro.system.MatchSession` per
 dataset and presents the same job-building seam a single session does, so
-either front door (thread or asyncio) can serve many datasets at once:
+one front door can serve many datasets at once:
 
 - **routing** — each :class:`~repro.serving.QueryRequest` carries a
   ``dataset`` key; the registry builds its job in the matching session
@@ -23,8 +23,8 @@ either front door (thread or asyncio) can serve many datasets at once:
   use the whole budget while idle tenants shrink, instead of every tenant
   hoarding a fixed slice.
 
-Serve it through ``FrontDoor(registry)`` or ``AsyncFrontDoor(registry)``
-(:mod:`repro.serving`).
+Serve it through ``FrontDoor(registry)`` (:mod:`repro.serving`); from
+asyncio, await the door's handles.
 
 Routing and registry bookkeeping never touch sampling: a request served
 through a registry is byte-identical to the same request served by a

@@ -21,8 +21,8 @@ into the skeleton of a serving system:
   round-robin by default) interleaves their steps on the session's shared
   simulated clock, reporting per-query latency and aggregate throughput.
   For *online* serving — accepting requests while others run, admission
-  control, deadlines — put a :class:`repro.serving.FrontDoor` (or
-  :class:`~repro.serving.AsyncFrontDoor`) in front: ``FrontDoor(session)``.
+  control, deadlines — put a :class:`repro.serving.FrontDoor` in front:
+  ``FrontDoor(session)``; its handles can be awaited from asyncio.
 - **Bounded caches** — an :class:`~repro.system.cache.ArtifactCache`
   decides which prepared queries stay: the session's own, or one a
   :class:`~repro.system.registry.SessionRegistry` shares among its

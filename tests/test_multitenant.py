@@ -2,19 +2,19 @@
 budget, and the driver-equivalence acceptance matrices.
 
 Acceptance property of the engine/driver split: per-query answers are
-byte-identical across the thread ``FrontDoor``, the asyncio
-``AsyncFrontDoor``, and the ``BatchScheduler`` drain, for every policy and
-on every execution backend — drivers, policies and backends shape latency,
-never answers.
+byte-identical across the ``FrontDoor``'s drive modes (scheduler thread,
+handles awaited from asyncio, replay, pump) and the ``BatchScheduler``
+drain, for every policy and on every execution backend — drivers, policies
+and backends shape latency, never answers.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
 from repro import (
-    AsyncFrontDoor,
     FrontDoor,
     MatchSession,
     QueryRequest,
@@ -25,7 +25,7 @@ from repro.core import HistSimConfig
 from repro.core.target import TargetSpec
 from repro.parallel import ShardedBackend, ThreadPoolBackend
 from repro.query import HistogramQuery
-from repro.serving import POLICIES, UnknownDataset
+from repro.serving import POLICIES, ServingError, UnknownDataset
 from repro.storage import CategoricalAttribute, ColumnTable, Schema
 from repro.system.clock import WallClock
 
@@ -92,7 +92,7 @@ def assert_reports_identical(report, reference, where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Driver equivalence: every adapter of the drive core, every policy
+# Driver equivalence: every drive mode of the door, every policy
 # ---------------------------------------------------------------------------
 
 
@@ -117,12 +117,14 @@ def serve_via_thread_door(table, policy):
         return [handle.outcome(timeout=60) for handle in handles]
 
 
-def serve_via_async_door(table, policy):
+def serve_via_awaited_handles(table, policy):
+    """The thread door, its handles awaited from asyncio."""
+
     async def drive():
-        session = MatchSession(table)
-        async with AsyncFrontDoor(session, policy=policy) as door:
-            handles = [await door.submit(request) for request in requests()]
-            return [await handle.outcome() for handle in handles]
+        with FrontDoor(MatchSession(table), policy=policy) as door:
+            door.start()
+            handles = [door.submit(request) for request in requests()]
+            return [await handle for handle in handles]
 
     return asyncio.run(drive())
 
@@ -143,29 +145,17 @@ def serve_via_thread_pump(table, policy):
     return outcomes
 
 
-def serve_via_async_pump(table, policy):
-    async def drive():
-        door = AsyncFrontDoor(MatchSession(table), policy=policy)
-        handles = [await door.submit(request) for request in requests()]
-        outcomes = await door.pump()
-        assert outcomes == [await handle.outcome() for handle in handles]
-        await door.shutdown()
-        return outcomes
-
-    return asyncio.run(drive())
-
-
 DRIVERS = {
     "thread": serve_via_thread_door,
-    "async": serve_via_async_door,
+    "awaited": serve_via_awaited_handles,
     "replay": serve_via_replay,
     "thread-pump": serve_via_thread_pump,
-    "async-pump": serve_via_async_pump,
     "batch": serve_via_batch,
 }
 #: Simulated clock, every request submitted before the first slice: the
-#: schedule itself is deterministic, not only the answers.
-DETERMINISTIC = ("async", "replay", "thread-pump", "async-pump", "batch")
+#: schedule itself is deterministic, not only the answers.  (The scheduler
+#: thread may start serving before the second request is submitted.)
+DETERMINISTIC = ("replay", "thread-pump", "batch")
 
 
 class TestDriverEquivalence:
@@ -185,8 +175,8 @@ class TestDriverEquivalence:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_single_slot_schedule_identical_across_drivers(self, table_a, policy):
-        """One turn, one schedule: the adapters agree on when every request
-        finished, in how many steps, at what service time."""
+        """One turn, one schedule: the inline drive modes agree on when
+        every request finished, in how many steps, at what service time."""
         schedules = {
             driver: [
                 (o.finished_ns, o.steps, o.service_ns)
@@ -226,37 +216,41 @@ def matrix_via_thread_door(table_a, table_b, backend, policy):
         return [handle.result(timeout=120) for handle in handles]
 
 
-def matrix_via_async_door(table_a, table_b, backend, policy):
+def matrix_via_awaited_handles(table_a, table_b, backend, policy):
+    """The thread door, its handles awaited from asyncio."""
+
     async def drive():
         session = MatchSession(table_a, backend=backend)
-        async with AsyncFrontDoor(session, policy=policy) as door:
-            handles = [await door.submit(r) for r in matrix_requests()]
-            return [await handle.result() for handle in handles]
+        with FrontDoor(session, policy=policy) as door:
+            door.start()
+            handles = [door.submit(r) for r in matrix_requests()]
+            return [(await handle).report for handle in handles]
 
     return asyncio.run(drive())
 
 
 def matrix_via_registry(table_a, table_b, backend, policy):
-    """Two tenants behind one async door on a wall clock, the live-serving
-    deployment shape; the second tenant's request is served last."""
+    """Two tenants behind one thread door on a wall clock, handles awaited
+    from asyncio: the live-serving deployment shape; the second tenant's
+    request is submitted last."""
     registry = SessionRegistry(backend=backend, clock=WallClock())
     registry.add_dataset("a", table_a)
     registry.add_dataset("b", table_b)
 
     async def drive():
-        async with AsyncFrontDoor(registry, policy=policy) as door:
-            handles = [await door.submit(r) for r in matrix_requests("a")]
-            handles.append(
-                await door.submit(make_request(3, name="fourth", dataset="b"))
-            )
-            return [await handle.result() for handle in handles]
+        with FrontDoor(registry, policy=policy) as door:
+            door.start()
+            handles = [door.submit(r) for r in matrix_requests("a")]
+            handles.append(door.submit(make_request(3, name="fourth", dataset="b")))
+            outcomes = await asyncio.gather(*handles)
+            return [outcome.report for outcome in outcomes]
 
     return asyncio.run(drive())
 
 
 DOORS = {
     "thread": matrix_via_thread_door,
-    "async": matrix_via_async_door,
+    "awaited": matrix_via_awaited_handles,
     "registry": matrix_via_registry,
 }
 
@@ -284,37 +278,41 @@ class TestDoorIdentityMatrix:
             assert_reports_identical(report, standalone(table, k), where)
 
 
-class TestAsyncDoorLifecycle:
-    def test_concurrent_shutdowns_wait_for_one_drain(self, table_a):
-        """Two coroutines racing shutdown(): the second must wait for the
-        first to finish draining instead of closing the service under the
-        still-stepping scheduler task."""
-
-        async def drive():
-            session = MatchSession(table_a)
-            door = AsyncFrontDoor(session, policy="fifo")
+class TestDoorLifecycle:
+    @pytest.mark.parametrize("started", [True, False], ids=["thread", "inline"])
+    def test_concurrent_shutdowns_wait_for_one_drain(self, table_a, started):
+        """Two threads racing shutdown(): neither returns before the drain
+        has served the request, and neither closes the service under a
+        step that is still running."""
+        session = MatchSession(table_a)
+        door = FrontDoor(session, policy="fifo")
+        if started:
             door.start()
-            handle = await door.submit(make_request(name="inflight"))
-            await asyncio.gather(door.shutdown(), door.shutdown())
-            outcome = await handle.outcome()
-            assert outcome.status == "completed"  # drained before close
-            assert session.closed
-            await door.shutdown()  # idempotent afterwards too
+        handle = door.submit(make_request(name="inflight"))
+        results = []
+        closers = [
+            threading.Thread(target=lambda: results.append(door.shutdown()))
+            for _ in range(2)
+        ]
+        for closer in closers:
+            closer.start()
+        for closer in closers:
+            closer.join(60)
+        assert results == [True, True]
+        assert handle.outcome(timeout=0).status == "completed"  # drained
+        assert session.closed
+        assert door.shutdown() is True  # idempotent afterwards too
 
-        asyncio.run(drive())
-
-    def test_submit_after_shutdown_raises(self, table_a):
-        from repro.serving import ServingError
-
-        async def drive():
-            session = MatchSession(table_a)
-            door = AsyncFrontDoor(session)
+    @pytest.mark.parametrize("started", [True, False], ids=["thread", "inline"])
+    def test_submit_after_shutdown_raises(self, table_a, started):
+        door = FrontDoor(MatchSession(table_a))
+        if started:
             door.start()
-            await door.shutdown()
-            with pytest.raises(ServingError):
-                await door.submit(make_request())
-
-        asyncio.run(drive())
+        door.shutdown()
+        with pytest.raises(ServingError):
+            door.submit(make_request())
+        with pytest.raises(ServingError):
+            door.start()
 
 
 # ---------------------------------------------------------------------------

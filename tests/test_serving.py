@@ -1,4 +1,4 @@
-"""Tests for the async serving front door (repro/serving/).
+"""Tests for the serving front door (repro/serving/).
 
 Acceptance properties:
 
@@ -9,17 +9,23 @@ Acceptance properties:
 - admission control sheds beyond the queue bound with a typed rejection;
 - policies shape order/latency only (EDF serves urgent first, cost serves
   cheap first, nothing starves);
-- shutdown is safe mid-flight and idempotent with session close.
+- shutdown is safe mid-flight and idempotent with session close;
+- a coroutine awaiting a handle never waits behind a step: steps run on
+  the door's scheduler thread, never in the event loop.
 """
 
 import asyncio
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import AsyncFrontDoor, FrontDoor, MatchSession, QueryRequest, match_histograms
+import repro
+from repro import FrontDoor, MatchSession, QueryRequest, match_histograms
 from repro.core import HistSimConfig
 from repro.core.histsim import HistSimStepper
 from repro.core.sampler import ArraySampler
@@ -379,6 +385,29 @@ class TestShutdown:
         door.shutdown(drain=True)
         assert handle.result().result.matching  # served before closing
 
+    def test_concurrent_inline_shutdowns_wait_for_the_drain(self):
+        """Without a scheduler thread the first shutdown drains inline; a
+        second caller must not return (or close the service) before that
+        drain has served the request."""
+        service = CannedService()
+        slow = service.jobs["slow"] = SlowJob("slow", service.clock)
+        door = FrontDoor(service, policy="fifo")
+        handle = door.submit(make_request(name="slow"))
+        results = []
+        first = threading.Thread(target=lambda: results.append(door.shutdown()))
+        first.start()
+        assert slow.entered.wait(30)  # the first caller is mid-drain
+        second = threading.Thread(target=lambda: results.append(door.shutdown()))
+        second.start()
+        second.join(0.1)
+        assert second.is_alive() and not service.closed
+        slow.release.set()
+        first.join(30)
+        second.join(30)
+        assert results == [True, True]
+        assert service.closed
+        assert handle.outcome(timeout=0).status == "completed"
+
 
 class TestReplay:
     def test_open_loop_idles_clock_to_next_arrival(self, table):
@@ -524,42 +553,25 @@ def fail_replay():
     return door, [handle.outcome(timeout=0)]
 
 
-def fail_async_door():
-    async def drive():
-        service, requests = failing_service()
-        door = AsyncFrontDoor(service, policy="fifo", max_queue=8)
-        door.start()
-        handles = [await door.submit(request) for request in requests]
-        outcomes = [
-            await asyncio.wait_for(handle.outcome(), 30) for handle in handles
-        ]
-        await door.shutdown()
-        return door, outcomes
+def fail_awaited_handles():
+    service, requests = failing_service()
+    door = FrontDoor(service, policy="fifo", max_queue=8)
+    handles = [door.submit(request) for request in requests]
+    door.start()
 
-    return asyncio.run(drive())
+    async def wait_all():
+        return [await asyncio.wait_for(handle, 30) for handle in handles]
 
-
-def fail_async_pump():
-    async def drive():
-        service, requests = failing_service()
-        door = AsyncFrontDoor(service, policy="fifo", max_queue=8)
-        handles = [await door.submit(request) for request in requests]
-        with pytest.raises(RuntimeError, match="worker died"):
-            await door.pump()
-        assert all(handle.done for handle in handles)
-        outcomes = [await handle.outcome() for handle in handles]
-        await door.shutdown()
-        return door, outcomes
-
-    return asyncio.run(drive())
+    outcomes = asyncio.run(wait_all())
+    door.shutdown()
+    return door, outcomes
 
 
 FAILING_ADAPTERS = {
     "thread": fail_thread_door,
-    "async": fail_async_door,
+    "awaited": fail_awaited_handles,
     "replay": fail_replay,
     "thread-pump": fail_thread_pump,
-    "async-pump": fail_async_pump,
 }
 
 
@@ -639,6 +651,107 @@ class TestSchedulerThreadFailure:
         snap = door.metrics.snapshot()
         assert snap.requests == 2  # one finalization per request
         assert door.engine._entries == [] and door.admission.in_flight == 0
+
+
+class SleepyJob:
+    """``steps`` steps of ``step_s`` seconds of sleep each."""
+
+    def __init__(self, name, clock, steps=3, step_s=0.05):
+        self.name = name
+        self.clock = clock
+        self.left = steps
+        self.step_s = step_s
+
+    @property
+    def done(self):
+        return self.left == 0
+
+    def step(self):
+        time.sleep(self.step_s)
+        self.left -= 1
+        self.clock.charge_serial(io=1.0)
+
+    def finish(self, service_ns):
+        class _Report:
+            elapsed_ns = service_ns
+        return _Report()
+
+
+class TestAwaitedHandles:
+    def test_awaiting_a_handle_never_stalls_the_loop(self):
+        """A 1 ms ticker keeps ticking while a coroutine awaits a request
+        whose three steps sleep 50 ms each: the steps run on the door's
+        scheduler thread, not in the event loop."""
+        service = CannedService()
+        sleepy = service.jobs["sleepy"] = SleepyJob("sleepy", service.clock)
+        door = FrontDoor(service, policy="fifo").start()
+        ticks: list[float] = []
+
+        async def ticker(stop):
+            while not stop.is_set():
+                ticks.append(time.monotonic())
+                await asyncio.sleep(0.001)
+
+        async def drive():
+            stop = asyncio.Event()
+            ticking = asyncio.create_task(ticker(stop))
+            await asyncio.sleep(0)  # the ticker's first tick
+            outcome = await door.submit(make_request(name="sleepy"))
+            stop.set()
+            await ticking
+            return outcome
+
+        began = time.monotonic()
+        outcome = asyncio.run(drive())
+        door.shutdown()
+        assert outcome.status == "completed" and outcome.steps == 3
+        assert time.monotonic() - began >= 3 * sleepy.step_s
+        gaps = np.diff(ticks)
+        assert len(ticks) >= 20, len(ticks)
+        assert gaps.max() < sleepy.step_s, gaps.max()
+
+    def test_awaited_outcomes_equal_the_handles(self, table):
+        session = MatchSession(table)
+        with FrontDoor(session, policy="edf") as door:
+            door.start()
+            handles = [
+                door.submit(make_request(name="first")),
+                door.submit(make_request(k=2, name="second")),
+            ]
+
+            async def drive():
+                return await asyncio.gather(*handles)
+
+            outcomes = asyncio.run(drive())
+        assert outcomes == [handle.outcome(timeout=0) for handle in handles]
+        assert [o.status for o in outcomes] == ["completed", "completed"]
+
+    def test_a_cancelled_awaiter_leaves_the_request_alone(self):
+        """An awaiting task that times out cancels its own wait only: the
+        request is still served and its handle still resolves."""
+        service = CannedService()
+        slow = service.jobs["slow"] = SlowJob("slow", service.clock)
+        door = FrontDoor(service, policy="fifo").start()
+        handle = door.submit(make_request(name="slow"))
+
+        async def impatient():
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(handle, 0.01)
+
+        asyncio.run(impatient())
+        slow.release.set()
+        assert handle.outcome(timeout=30).status == "completed"
+        assert door.shutdown(timeout=30) is True
+
+    def test_import_does_not_load_asyncio(self):
+        """Only a caller that awaits a handle imports asyncio."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = "import sys, repro; print('asyncio' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={"PYTHONPATH": src, "PATH": ""},
+        ).stdout.strip()
+        assert out == "False"
 
 
 class TestHeadOfLine:
