@@ -710,22 +710,6 @@ class TestAwaitedHandles:
         assert len(ticks) >= 20, len(ticks)
         assert gaps.max() < sleepy.step_s, gaps.max()
 
-    def test_awaited_outcomes_equal_the_handles(self, table):
-        session = MatchSession(table)
-        with FrontDoor(session, policy="edf") as door:
-            door.start()
-            handles = [
-                door.submit(make_request(name="first")),
-                door.submit(make_request(k=2, name="second")),
-            ]
-
-            async def drive():
-                return await asyncio.gather(*handles)
-
-            outcomes = asyncio.run(drive())
-        assert outcomes == [handle.outcome(timeout=0) for handle in handles]
-        assert [o.status for o in outcomes] == ["completed", "completed"]
-
     def test_a_cancelled_awaiter_leaves_the_request_alone(self):
         """An awaiting task that times out cancels its own wait only: the
         request is still served and its handle still resolves."""
